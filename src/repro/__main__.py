@@ -294,42 +294,35 @@ def _build_or_load_database(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+    import time as time_module
 
-    from repro.server import QueryServer
+    from repro.server import ServerThread
 
     db = _build_or_load_database(args)
-
-    async def run() -> None:
-        server = QueryServer(
-            db,
-            host=args.host,
-            port=args.port,
-            window_ms=args.window_ms,
-            max_batch=args.max_batch,
-            max_queue=args.max_queue,
-            chunk_size=args.chunk_size,
-        )
-        host, port = await server.start()
+    server = ServerThread(
+        db,
+        host=args.host,
+        port=args.port,
+        window_ms=args.window_ms,
+        max_batch=args.max_batch,
+        max_queue=args.max_queue,
+        chunk_size=args.chunk_size,
+    )
+    try:
         print(
-            f"Serving {len(db):,} points on {host}:{port} "
+            f"Serving {len(db):,} points on {server.host}:{server.port} "
             f"(coalescing window {args.window_ms:g} ms, "
             f"max batch {args.max_batch}, "
-            f"max queue {server.coalescer.max_queue}, "
+            f"max queue {server.server.backend.coalescer.max_queue}, "
             f"chunk size {args.chunk_size})"
         )
         print("Press Ctrl-C to stop.")
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(run())
+        while True:
+            time_module.sleep(3600)
     except KeyboardInterrupt:
         print("\nstopped")
+    finally:
+        server.close()
     return 0
 
 

@@ -4,8 +4,10 @@ The cluster layer scales the single-process server across cores: a
 **router** process partitions the unit square into contiguous
 Hilbert-key ranges (:mod:`repro.cluster.shardmap`), routes and merges
 queries across N **worker** replicas (:mod:`repro.cluster.coordinator`),
-and speaks the same v1 NDJSON protocol to clients
-(:mod:`repro.cluster.router`), so existing clients work unchanged.
+and speaks the same v1 NDJSON protocol to clients — through the same
+:class:`~repro.server.app.QueryServer` as a single server, over a
+:class:`~repro.cluster.serving.ClusterBackend` — so existing clients
+work unchanged.
 Workers are plain ``python -m repro serve`` processes spawned on
 ephemeral ports (:mod:`repro.cluster.launcher`); snapshots persist
 per-shard with a manifest (:mod:`repro.cluster.persist`); stats frames
@@ -34,10 +36,12 @@ from repro.cluster.faults import (
     RetryPolicy,
     ShardUnavailableError,
 )
+from repro.cluster.serving import ClusterBackend
 from repro.cluster.shardmap import ShardMap, ShardRange, cell_cover
 from repro.cluster.stats import merge_stats_frames
 
 __all__ = [
+    "ClusterBackend",
     "ClusterCoordinator",
     "ClusterDegradedError",
     "ClusterStream",

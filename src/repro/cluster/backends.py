@@ -11,7 +11,7 @@ ids.  Two implementations share the interface:
 
 :class:`RemoteShard`
     A worker process reached over the v1 NDJSON protocol.  Connections
-    are pooled per shard: concurrent router threads each borrow a
+    are pooled per shard: concurrent router calls each borrow a
     dedicated :class:`~repro.server.client.QueryClient` (the wire
     client is not thread-safe on one socket), and streams keep their
     connection checked out until closed.  Specs must be serialisable —
@@ -190,7 +190,13 @@ class RemoteShard(ShardBackend):
 
         return QueryClient(self.host, self.port, timeout=self.rpc_timeout)
 
-    def _call(self, op: Callable[[object], object], *, retryable: bool):
+    def _call(
+        self,
+        op: Callable[[object], object],
+        *,
+        retryable: bool,
+        keep: bool = False,
+    ):
         """Run ``op(client)`` on a borrowed connection, retrying reads.
 
         Transport failures discard the connection (the next borrow
@@ -199,7 +205,9 @@ class RemoteShard(ShardBackend):
         budgets.  A call that exhausts its budget raises
         :class:`~repro.cluster.faults.ShardUnavailableError` chained to
         the last transport error; non-transport errors (a worker's
-        ``RemoteError`` verdict, spec bugs) propagate unchanged.
+        ``RemoteError`` verdict, spec bugs) propagate unchanged.  With
+        ``keep`` the connection stays borrowed and is returned next to
+        the result (a stream holds its connection until it is closed).
         """
         from repro.cluster.faults import ShardUnavailableError
 
@@ -229,6 +237,8 @@ class RemoteShard(ShardBackend):
             except Exception:
                 borrowed.discard()
                 raise
+            if keep:
+                return result, borrowed
             borrowed.release()
             return result
         raise ShardUnavailableError(
@@ -271,44 +281,11 @@ class RemoteShard(ShardBackend):
         mid-stream transport failures propagate to the consumer (the
         coordinator fails the pull over to the replica).
         """
-
-        from repro.cluster.faults import ShardUnavailableError
-
-        # The generic _call loop releases the connection on success, but
-        # a stream must keep its connection checked out until exhausted
-        # — so the borrow+open step runs its own retry loop here.
-        policy = self.retry
-        deadline = time.monotonic() + policy.deadline_s
-        last_error: Optional[BaseException] = None
-        borrowed = stream = None
-        for attempt in range(policy.attempts):
-            if attempt:
-                backoff = policy.backoff_s(attempt - 1)
-                if time.monotonic() + backoff > deadline:
-                    break
-                time.sleep(backoff)
-            try:
-                borrowed = self._borrow()
-            except RuntimeError:
-                raise
-            except _RETRYABLE as exc:
-                last_error = exc
-                continue
-            try:
-                stream = borrowed.client.stream(spec, chunk_size=chunk_size)
-                break
-            except _RETRYABLE as exc:
-                borrowed.discard()
-                last_error = exc
-                continue
-            except Exception:
-                borrowed.discard()
-                raise
-        if stream is None:
-            raise ShardUnavailableError(
-                f"worker {self.host}:{self.port} unavailable after "
-                f"{policy.attempts} attempt(s): {last_error}"
-            ) from last_error
+        stream, borrowed = self._call(
+            lambda client: client.stream(spec, chunk_size=chunk_size),
+            retryable=True,
+            keep=True,
+        )
 
         def rows() -> Iterator[int]:
             try:
@@ -365,15 +342,9 @@ class RemoteShard(ShardBackend):
     def ping(self) -> bool:
         """One-attempt liveness probe (no retries — probes must be cheap)."""
         try:
-            borrowed = self._borrow()
+            self._call(lambda client: client.stats(), retryable=False)
         except Exception:
             return False
-        try:
-            borrowed.client.stats()
-        except Exception:
-            borrowed.discard()
-            return False
-        borrowed.release()
         return True
 
     def close(self) -> None:

@@ -4,8 +4,9 @@ The :class:`ClusterCoordinator` is the cluster's brain, independent of
 any transport: it owns the :class:`~repro.cluster.shardmap.ShardMap`,
 the global row-id catalog, and the routing/merge rules, and talks to
 its shards through the :class:`~repro.cluster.backends.ShardBackend`
-interface (in-process databases or remote workers alike — the network
-router wraps this same class).
+interface (in-process databases or remote workers alike — the wire
+front end serves this same class through
+:class:`~repro.cluster.serving.ClusterBackend`).
 
 **Identity.**  Clients see *global* row ids, assigned in write-arrival
 order exactly like a single :class:`~repro.core.database.SpatialDatabase`
@@ -46,7 +47,7 @@ reads fail over to it when the primary is unreachable or marked
 serves an incomplete copy.  Scatter-gather queries that lose an
 unreplicated (or doubly-failed) shard raise
 :class:`ClusterDegradedError` carrying the partial result and the
-failed worker list — the router turns this into an explicit
+failed worker list — the wire front end turns this into an explicit
 ``degraded`` result frame, never a silent partial answer.  Streams
 report the same through :class:`ClusterStream.shards_failed`.
 """
@@ -103,8 +104,8 @@ class ClusterDegradedError(RuntimeError):
 
     Carries the *partial* merged result (``ids``) and the worker
     indices that could not answer (``shards_failed``), so callers
-    choose between surfacing the partial answer (the router marks the
-    result frame ``degraded``) and treating it as a failure.  Never
+    choose between surfacing the partial answer (the wire front end
+    marks the result frame ``degraded``) and treating it as a failure.  Never
     raised while every lost shard has a clean replica — failover is
     silent by design; degradation is loud by design.
     """
@@ -126,8 +127,8 @@ class ClusterStream:
 
     Iterating yields global ids exactly like the raw generator the
     coordinator used to return; :attr:`shards_failed` accumulates the
-    workers lost mid-stream with no usable replica (the router copies
-    it onto the final ``done`` chunk).  ``close()`` tears down the
+    workers lost mid-stream with no usable replica (the wire front end
+    copies it onto the final ``done`` chunk).  ``close()`` tears down the
     underlying shard streams.
     """
 
@@ -381,17 +382,12 @@ class ClusterCoordinator:
         return self._rebalances
 
     def point(self, global_id: int) -> Point:
-        """The stored point of a live global row id."""
-        if not self._is_live(global_id):
-            raise KeyError(f"no live row {global_id}")
-        return Point(self._xs[global_id], self._ys[global_id])
+        """The catalog coordinates of an assigned global row id.
 
-    def _point_at(self, global_id: int) -> Point:
-        """Catalog coordinates without the liveness check.
-
-        Merge-layer predicates run through here: like the oracle's
-        ``database.point``, a tombstoned row's coordinates stay
-        addressable, so streams admitted before a delete keep working.
+        Merge-layer predicates and wire projections run through here:
+        like the oracle's ``database.point``, a tombstoned row's
+        coordinates stay addressable, so streams admitted before a
+        delete keep working.
         """
         return Point(self._xs[global_id], self._ys[global_id])
 
@@ -880,8 +876,6 @@ class ClusterCoordinator:
         :class:`ClusterDegradedError` carries it plus the failed worker
         list.
         """
-        if not isinstance(spec, Query):
-            raise TypeError(f"not a query spec: {spec!r}")
         with self._lock.read():
             failed: List[int] = []
             ids = self._execute(spec, failed)
@@ -899,16 +893,14 @@ class ClusterCoordinator:
         composites fan their leaves out eagerly and keep the set-merge
         lazy.  Returns a :class:`ClusterStream`; ``close()`` tears down
         every underlying shard stream, and :attr:`ClusterStream.shards_failed`
-        accumulates workers lost with no usable replica (checked by the
-        router when it stamps the final ``done`` chunk).
+        accumulates workers lost with no usable replica (checked when
+        the wire front end stamps the final ``done`` chunk).
 
         Note the shard map and catalog are read per pulled row without
         holding the read lock across the whole consumption — a stream
         held open across writes keeps yielding its shards' MVCC
         admission-time rows, like a single server's chunked stream.
         """
-        if not isinstance(spec, Query):
-            raise TypeError(f"not a query spec: {spec!r}")
         failed: List[int] = []
         if isinstance(spec, KnnQuery):
             return ClusterStream(self._stream_knn(spec, failed), failed)
@@ -1027,7 +1019,7 @@ class ClusterCoordinator:
         """Apply merge-layer ``predicate`` then ``limit`` (oracle order)."""
         if spec.predicate is not None:
             predicate = spec.predicate
-            ids = [g for g in ids if predicate(self._point_at(g))]
+            ids = [g for g in ids if predicate(self.point(g))]
         if spec.limit is not None and len(ids) > spec.limit:
             ids = ids[: spec.limit]
         return ids
@@ -1264,8 +1256,10 @@ class ClusterCoordinator:
             with self._lock.read():
                 k = _effective_k(spec)
                 workers = self._nonempty(range(self.workers))
+                # shards stream row ids whatever the client selected:
+                # the projection is the wire front end's job
                 shard_spec = replace(
-                    spec, k=None, predicate=None, limit=None
+                    spec, k=None, predicate=None, limit=None, select="ids"
                 )
                 sources = {
                     worker: self._open_knn_source(
@@ -1342,7 +1336,7 @@ class ClusterCoordinator:
                             ),
                         )
                     if predicate is not None and not predicate(
-                        self._point_at(global_id)
+                        self.point(global_id)
                     ):
                         continue
                     yield global_id
@@ -1393,7 +1387,7 @@ class ClusterCoordinator:
         """Lazy ``predicate``/``limit`` over a merged stream (in order)."""
         if spec.predicate is not None:
             predicate = spec.predicate
-            ids = (g for g in ids if predicate(self._point_at(g)))
+            ids = (g for g in ids if predicate(self.point(g)))
         if spec.limit is not None:
             ids = islice(ids, spec.limit)
         return ids

@@ -6,9 +6,10 @@ start by hand.  :func:`spawn_worker` launches one and parses the bound
 address from its startup banner (``serve --port 0`` prints the port it
 actually got); :func:`start_cluster` composes N of them with a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` over
-:class:`~repro.cluster.backends.RemoteShard` backends and a
-:class:`~repro.cluster.router.RouterThread` speaking protocol v1 to
-clients — the topology behind ``python -m repro cluster --workers N``.
+:class:`~repro.cluster.backends.RemoteShard` backends, served to
+clients by the v1 front end (:class:`~repro.server.app.ServerThread`
+over a :class:`~repro.cluster.serving.ClusterBackend`) — the topology
+behind ``python -m repro cluster --workers N``.
 
 Data loads *through* the coordinator (bulk extend, partitioned by the
 shard map), so workers never need seed files and a restored snapshot
@@ -36,7 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.backends import RemoteShard
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.router import RouterThread
+from repro.cluster.serving import ClusterBackend
+from repro.server.app import ServerThread
 
 __all__ = [
     "WorkerProcess",
@@ -209,9 +211,7 @@ class ClusterSupervisor:
         replica_workers: Optional[List[Optional[WorkerProcess]]] = None,
         *,
         poll_interval: float = 0.25,
-        host: str = "127.0.0.1",
-        window_ms: float = 2.0,
-        max_batch: int = 64,
+        **spawn_options,
     ) -> None:
         self.coordinator = coordinator
         #: primary worker processes, mutated in place on respawn
@@ -221,11 +221,8 @@ class ClusterSupervisor:
             replica_workers if replica_workers is not None else []
         )
         self.poll_interval = poll_interval
-        self._spawn_options = {
-            "host": host,
-            "window_ms": window_ms,
-            "max_batch": max_batch,
-        }
+        #: :func:`spawn_worker` keywords for every replacement worker
+        self._spawn_options = spawn_options
         #: recovery log, one line per event (detection, success, failure)
         self.events: List[str] = []
         #: count of completed respawn-and-rebuild recoveries
@@ -267,57 +264,34 @@ class ClusterSupervisor:
         thread); the background loop calls it every ``poll_interval``.
         """
         recovered = 0
-        for index, worker in enumerate(self.workers):
-            if worker.alive:
-                continue
-            exit_code = worker.terminate()
-            self._log(
-                f"primary worker {index} exited with code {exit_code}"
-            )
-            if self._recover_primary(index):
-                recovered += 1
-        for slot, worker in enumerate(self.replica_workers):
-            if worker is None or worker.alive:
-                continue
-            exit_code = worker.terminate()
-            self._log(
-                f"replica worker {slot} exited with code {exit_code}"
-            )
-            if self._recover_replica(slot):
-                recovered += 1
+        for role, workers, rebuild in (
+            ("primary", self.workers, self.coordinator.rebuild_worker),
+            ("replica", self.replica_workers, self.coordinator.rebuild_replica),
+        ):
+            for index, worker in enumerate(workers):
+                if worker is None or worker.alive:
+                    continue
+                exit_code = worker.terminate()
+                self._log(
+                    f"{role} worker {index} exited with code {exit_code}"
+                )
+                recovered += self._recover(role, index, workers, rebuild)
         return recovered
 
-    def _recover_primary(self, index: int) -> bool:
+    def _recover(self, role: str, index: int, workers, rebuild) -> bool:
         try:
             replacement = spawn_worker(**self._spawn_options)
             backend = RemoteShard(replacement.host, replacement.port)
-            rows = self.coordinator.rebuild_worker(index, backend)
+            rows = rebuild(index, backend)
         except Exception as exc:
-            self._log(f"primary worker {index} recovery failed: {exc}")
+            self._log(f"{role} worker {index} recovery failed: {exc}")
             return False
-        self.workers[index] = replacement
+        workers[index] = replacement
         with self._lock:
             self.restarts += 1
         self._log(
-            f"primary worker {index} respawned on "
+            f"{role} worker {index} respawned on "
             f"{replacement.host}:{replacement.port}, {rows} rows restored"
-        )
-        return True
-
-    def _recover_replica(self, slot: int) -> bool:
-        try:
-            replacement = spawn_worker(**self._spawn_options)
-            backend = RemoteShard(replacement.host, replacement.port)
-            rows = self.coordinator.rebuild_replica(slot, backend)
-        except Exception as exc:
-            self._log(f"replica worker {slot} recovery failed: {exc}")
-            return False
-        self.replica_workers[slot] = replacement
-        with self._lock:
-            self.restarts += 1
-        self._log(
-            f"replica worker {slot} respawned on "
-            f"{replacement.host}:{replacement.port}, {rows} rows mirrored"
         )
         return True
 
@@ -334,14 +308,14 @@ class ClusterHandle:
 
     def __init__(
         self,
-        router_thread: RouterThread,
+        server_thread: ServerThread,
         coordinator: ClusterCoordinator,
         workers: List[WorkerProcess],
         replica_workers: Optional[List[WorkerProcess]] = None,
         supervisor: Optional[ClusterSupervisor] = None,
     ) -> None:
-        #: the protocol-serving router thread
-        self.router_thread = router_thread
+        #: the protocol-serving front end (it owns the coordinator)
+        self.server_thread = server_thread
         #: the routing/merge engine (shared with the router)
         self.coordinator = coordinator
         #: the spawned primary worker processes
@@ -351,13 +325,13 @@ class ClusterHandle:
         #: the respawn thread, when supervision was requested
         self.supervisor = supervisor
         #: the router's client-facing address
-        self.host, self.port = router_thread.host, router_thread.port
+        self.host, self.port = server_thread.host, server_thread.port
 
     def close(self) -> None:
         """Stop supervision, then the router, then every worker."""
         if self.supervisor is not None:
             self.supervisor.stop()
-        self.router_thread.close()
+        self.server_thread.close()
         for worker in self.workers:
             worker.terminate()
         for worker in self.replica_workers:
@@ -410,27 +384,18 @@ def start_cluster(
         raise ValueError(
             f"replicas must be 0 or 1 (per-primary standby), got {replicas}"
         )
+    spawn = {"host": host, "window_ms": window_ms, "max_batch": max_batch}
     workers: List[WorkerProcess] = []
     replica_workers: List[WorkerProcess] = []
     try:
         for _ in range(worker_count):
-            workers.append(
-                spawn_worker(
-                    host=host, window_ms=window_ms, max_batch=max_batch
-                )
-            )
+            workers.append(spawn_worker(**spawn))
         backends = [
             RemoteShard(worker.host, worker.port) for worker in workers
         ]
         if replicas:
             for _ in range(worker_count):
-                replica_workers.append(
-                    spawn_worker(
-                        host=host,
-                        window_ms=window_ms,
-                        max_batch=max_batch,
-                    )
-                )
+                replica_workers.append(spawn_worker(**spawn))
             coordinator_options["replicas"] = [
                 RemoteShard(worker.host, worker.port)
                 for worker in replica_workers
@@ -447,7 +412,9 @@ def start_cluster(
                 coordinator.bulk_load(points)
         if health_interval > 0:
             coordinator.start_health_monitor(health_interval)
-        router_thread = RouterThread(coordinator, host=host, port=port)
+        server_thread = ServerThread(
+            backend=ClusterBackend(coordinator), host=host, port=port
+        )
     except BaseException:
         for worker in workers + replica_workers:
             worker.terminate()
@@ -458,11 +425,9 @@ def start_cluster(
             coordinator,
             workers,
             replica_workers if replicas else None,
-            host=host,
-            window_ms=window_ms,
-            max_batch=max_batch,
+            **spawn,
         )
         supervisor.start()
     return ClusterHandle(
-        router_thread, coordinator, workers, replica_workers, supervisor
+        server_thread, coordinator, workers, replica_workers, supervisor
     )

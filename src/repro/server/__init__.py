@@ -17,8 +17,12 @@ query stack (:mod:`repro.query`) and batch engine (:mod:`repro.engine`):
     The :class:`QueryServer` itself (``asyncio.start_server``), chunked
     result streaming with client-driven continuation (``next`` /
     ``cancel``), per-connection limits, and the ``stats`` frame; plus
-    :class:`ServerThread`, the run-in-a-background-thread harness used
-    by tests, benchmarks, and the experiment workload.
+    :class:`ServerThread`, which hosts it on a background thread (the
+    CLI, the cluster launcher, tests and benchmarks all use it).
+``repro.server.backend``
+    The seam between that front end and what executes the frames: the
+    local database backend here, the cluster's in
+    :mod:`repro.cluster.serving`.
 ``repro.server.client``
     :class:`QueryClient`, a small blocking client for tests, benchmarks,
     and the ``python -m repro query --remote`` CLI path — including the

@@ -1,55 +1,45 @@
-"""The asyncio NDJSON query server.
+"""The asyncio NDJSON query server: the one v1 wire front end.
 
 :class:`QueryServer` listens on TCP (``asyncio.start_server``), speaks
-the frame protocol of :mod:`repro.server.protocol`, and answers queries
-against one shared :class:`~repro.core.database.SpatialDatabase`:
+the frame protocol of :mod:`repro.server.protocol`, and owns everything
+about a connection.  What the frames execute against is a *backend*
+(:mod:`repro.server.backend`): one shared
+:class:`~repro.core.database.SpatialDatabase` behind the cross-client
+coalescer by default, a shard cluster behind ``python -m repro cluster``.
 
-* **Batch queries** (the default) go through the cross-client
-  :class:`~repro.server.coalescer.BatchCoalescer`: specs from all
-  connections arriving within the admission window execute as one
-  engine job pool and each result is de-multiplexed back to its
-  requester as a ``result`` frame (optionally with the planner's
-  rendered ``explain`` attached).
+* **Batch queries** (the default) are admitted in wire order and each
+  answered with a ``result`` frame (``explain`` attached on request).
 * **Streaming queries** (``"stream": true`` — unbounded
   ``KnnQuery(k=None)``, composites, or any spec the client prefers
   chunked) are served as bounded ``chunk`` frames with *client-driven
   continuation*: the first chunk is pushed immediately, each further
   chunk only on a ``next`` frame, and ``cancel`` (or the client
-  disconnecting) closes the underlying lazy iterator so abandoned
-  streams never finish ranking the database.
-* **Writes** (``insert``/``extend``/``delete`` frames) mutate the shared
-  database with snapshot isolation: each mutation serialises through
-  :meth:`~repro.server.coalescer.BatchCoalescer.apply_write` (pending
-  read batches flush first, against the pre-write version), open chunked
-  streams keep answering from their admission-time
-  :class:`~repro.core.store.StoreSnapshot`, and every query admitted
-  after the ``write`` acknowledgement sees the mutation.
+  disconnecting) closes the backend stream so abandoned streams never
+  finish ranking the database.
+* **Writes** (``insert``/``extend``/``delete`` frames) are applied
+  before the next frame is read; every query admitted after the
+  ``write`` acknowledgement sees the mutation.
 * **Live queries** (``subscribe``/``unsubscribe`` frames) register
-  standing queries with the :class:`~repro.live.registry.SubscriptionRegistry`
-  and push ``notify`` frames with incremental ``added``/``removed``
-  deltas after every write.  Fan-out happens synchronously on the write
-  path (the registry's dirty-tile index evaluates only affected
-  subscriptions), but *delivery* goes through a per-connection queue
+  standing queries with the backend; each write's ``added``/``removed``
+  deltas go out as ``notify`` frames through a per-connection queue
   drained by its own task — one slow subscriber backlogs only its own
-  queue, never the write path or other subscribers.  Within a
-  subscription, frames are delivered in version order: the
-  ``subscribed`` ack, every ``notify``, and the ``unsubscribed`` ack all
-  ride the same queue.  Disconnect tears every subscription of the
-  connection down and frees its queue.
-* **Introspection**: a ``stats`` request returns server counters,
-  coalescer admission stats, the engine's lifetime job-pool totals
-  (:class:`~repro.engine.batch.EngineTotals`), and — when live queries
-  are in play — the subscription registry's mechanism counters.
+  queue, never the write path or other subscribers.  A subscription's
+  ``subscribed`` ack, every ``notify`` and the ``unsubscribed`` ack
+  ride that one queue, so they arrive in version order; disconnect
+  tears every subscription of the connection down.
+* **Introspection**: ``stats`` answers the backend's counter sections
+  around the front end's own counters and latency histograms.
 
 Per-connection limits keep one client from starving the rest: at most
 ``max_inflight`` outstanding requests (pending batch queries plus open
 streams) and frames over the protocol line limit close the connection.
 
-The event loop is single-threaded and the engine runs *on* it (the
-engine is not thread-safe); a flush blocks the loop for one batch
-execution, during which arriving requests simply queue into the next
-admission window.  :class:`ServerThread` hosts the loop in a background
-thread for tests, benchmarks, and the experiment harness.
+The event loop is single-threaded.  The local engine runs *on* it (it
+is not thread-safe): a flush blocks the loop for one batch execution
+while arriving requests queue into the next admission window.  A
+backend whose calls block runs them off the loop, so the front end
+keeps reading every other connection meanwhile.  :class:`ServerThread`
+hosts the loop in a background thread.
 """
 
 from __future__ import annotations
@@ -57,11 +47,17 @@ from __future__ import annotations
 import asyncio
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.exceptions import ReproError
-from repro.live.registry import Subscription, SubscriptionRegistry
-from repro.server.coalescer import BatchCoalescer, CoalescerOverloaded
+from repro.live.registry import Subscription
+from repro.server.backend import (
+    LocalBackend,
+    PartialAnswer,
+    Unavailable,
+    Unsupported,
+)
+from repro.server.coalescer import CoalescerOverloaded
 from repro.server.metrics import LatencyPanel
 from repro.server.protocol import (
     DEFAULT_CHUNK_SIZE,
@@ -83,31 +79,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class _Stream:
     """Server-side state of one open chunked stream."""
 
-    __slots__ = (
-        "request_id",
-        "chunks",
-        "seq",
-        "examined",
-        "closed",
-        "opened",
-    )
+    __slots__ = ("request_id", "source", "seq", "opened")
 
-    def __init__(self, request_id: int, chunks: Iterator[List]) -> None:
+    def __init__(self, request_id: int, source, opened: int) -> None:
         self.request_id = request_id
-        #: the lazy chunk iterator (``QueryResult.chunks``)
-        self.chunks = chunks
+        #: the backend's stream (see :mod:`repro.server.backend`)
+        self.source = source
         self.seq = 0
-        #: candidates examined so far (counting-predicate observable)
-        self.examined = 0
-        self.closed = False
         #: server-wide open-order stamp (oldest-first shed victim pick)
-        self.opened = 0
-
-    def close(self) -> None:
-        """Tear down the underlying iterator (idempotent)."""
-        if not self.closed:
-            self.closed = True
-            self.chunks.close()
+        self.opened = opened
 
 
 class _Connection:
@@ -144,7 +124,7 @@ class _Connection:
 
 
 class QueryServer:
-    """Concurrent NDJSON query server over one spatial database.
+    """Concurrent NDJSON query server: one v1 front end over a backend.
 
     Parameters
     ----------
@@ -152,12 +132,17 @@ class QueryServer:
         The served database.  Built (and optionally
         :meth:`~repro.core.database.SpatialDatabase.prepare`-d) by the
         caller; the server mutates it only on behalf of client write
-        frames.
+        frames.  Wrapped in a :class:`~repro.server.backend.LocalBackend`.
+    backend:
+        What executes the frames, instead of a ``database`` — see
+        :mod:`repro.server.backend` for the seam (the cluster serves a
+        :class:`~repro.cluster.serving.ClusterBackend` here).  The
+        server owns it: :meth:`stop` closes it.
     host, port:
         Listen address.  ``port=0`` picks a free port — read the bound
         address from :attr:`address` after :meth:`start`.
     window_ms, max_batch:
-        Admission-window parameters of the
+        Admission-window parameters of the local backend's
         :class:`~repro.server.coalescer.BatchCoalescer`.
     chunk_size:
         Default rows per ``chunk`` frame (clients may override per
@@ -166,13 +151,11 @@ class QueryServer:
         Per-connection cap on outstanding requests; beyond it the
         server answers ``too-many-requests`` errors.
     max_queue:
-        Server-wide bound on the coalescer's admission queue (see
-        :class:`~repro.server.coalescer.BatchCoalescer`).  An arrival
-        finding the queue full is shed with an ``overloaded`` error
-        carrying a ``retry_after_ms`` backoff hint; under sustained
-        overload the server additionally sheds the oldest open chunked
-        stream to release its pinned snapshot.  ``None`` keeps the
-        coalescer default (``8 * max_batch``).
+        Server-wide bound on the coalescer's admission queue (``None``
+        keeps its default).  An arrival finding the queue full is shed
+        with an ``overloaded`` error carrying a ``retry_after_ms``
+        backoff hint; under sustained overload the server additionally
+        sheds the oldest open chunked stream to release its snapshot.
     max_subscriptions:
         Per-connection cap on standing subscriptions (a separate budget
         from ``max_inflight`` — subscriptions are long-lived by design,
@@ -182,8 +165,9 @@ class QueryServer:
 
     def __init__(
         self,
-        database: "SpatialDatabase",
+        database: Optional["SpatialDatabase"] = None,
         *,
+        backend=None,
         host: str = "127.0.0.1",
         port: int = 0,
         window_ms: float = 2.0,
@@ -193,27 +177,26 @@ class QueryServer:
         max_queue: Optional[int] = None,
         max_subscriptions: int = 10_000,
     ) -> None:
-        self._db = database
+        if (database is None) == (backend is None):
+            raise ValueError("pass either a database or a backend")
+        if backend is None:
+            backend = LocalBackend(
+                database,
+                window_ms=window_ms,
+                max_batch=max_batch,
+                max_queue=max_queue,
+                ready_hint=lambda: self.active_connections,
+            )
+        #: what executes the frames (see :mod:`repro.server.backend`)
+        self.backend = backend
         self._host = host
         self._port = port
         self.chunk_size = int(chunk_size)
         self.max_inflight = int(max_inflight)
         self.max_subscriptions = int(max_subscriptions)
-        #: the live-query registry: standing specs + dirty-tile index
-        self.registry = SubscriptionRegistry(database)
-        #: routes one registry subscription back to its wire identity:
+        #: routes one backend subscription back to its wire identity:
         #: sid -> (connection, client request id, packed transport?)
         self._routes: Dict[int, tuple] = {}
-        #: the cross-client admission queue; the ready hint makes the
-        #: window a fallback — the queue group-commits as soon as every
-        #: open connection has a request pending
-        self.coalescer = BatchCoalescer(
-            database,
-            window_ms=window_ms,
-            max_batch=max_batch,
-            max_queue=max_queue,
-            ready_hint=lambda: self.active_connections,
-        )
         #: per-query-kind service-latency histograms (stats ``latency``)
         self.latency = LatencyPanel()
         #: monotonic stamp source for stream open order (shed policy)
@@ -258,7 +241,7 @@ class QueryServer:
     @property
     def active_subscriptions(self) -> int:
         """Standing subscriptions currently registered."""
-        return self.registry.active
+        return len(self._routes)
 
     async def start(self) -> tuple:
         """Bind and start accepting; returns the bound ``(host, port)``."""
@@ -273,22 +256,21 @@ class QueryServer:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting, close every connection, tear down streams."""
+        """Stop accepting, close every connection, close the backend."""
         if self._server is None:
             return
         self._server.close()
         await self._server.wait_closed()
         self._server = None
-        for connection in list(self._connections):
-            self._teardown(connection)
+        connections = list(self._connections)
+        for connection in connections:
+            await self._teardown(connection)
             connection.writer.close()
-        self.coalescer.flush_now()
-
-    async def serve_forever(self) -> None:
-        """:meth:`start` (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
+        # Let every handler read its EOF and finish: left mid-read, the
+        # loop's shutdown would cancel it and log the cancellation.
+        closing = [connection.writer.wait_closed() for connection in connections]
+        await asyncio.gather(*closing, return_exceptions=True)
+        await self.backend.close()
 
     # -- connection handling -----------------------------------------------
 
@@ -305,8 +287,8 @@ class QueryServer:
                 {
                     "type": "hello",
                     "protocol": PROTOCOL_VERSION,
-                    "server": f"repro/{_server_version()}",
-                    "points": len(self._db),
+                    "server": f"{self.backend.name}/{_server_version()}",
+                    "points": self.backend.points,
                 },
             )
             while True:
@@ -338,31 +320,27 @@ class QueryServer:
         except ConnectionError:
             pass  # client vanished mid-write; teardown below
         finally:
-            self._teardown(connection)
             self._connections.discard(connection)
             writer.close()
+            await self._teardown(connection)
 
-    def _teardown(self, connection: _Connection) -> None:
-        """Close every open stream of a finished connection.
+    async def _teardown(self, connection: _Connection) -> None:
+        """Release everything a finished connection still holds.
 
-        This is the disconnect-cancellation path: closing the chunk
-        iterator propagates to the underlying lazy expansion
-        (``QueryResult.chunks`` closes its source stream), so a client
-        that vanishes mid-stream abandons the remaining work instead of
-        leaking a half-consumed iterator.
-
-        Standing subscriptions die with their connection: every one is
-        unregistered (freeing its tile-index entries), its wire route is
-        dropped, and the delivery queue plus its drain task are
-        released — a disconnected subscriber costs the registry nothing.
+        The disconnect-cancellation path: closing a backend stream
+        abandons its remaining work, so a client that vanishes
+        mid-stream leaks no half-consumed iterator.  Standing
+        subscriptions die with their connection — unregistered, their
+        wire routes dropped, the delivery queue and its drain task
+        released.  Bookkeeping goes first and the streams are closed
+        last: a backend's close may suspend, and nothing may find a
+        half-torn-down connection meanwhile.
         """
-        for stream in list(connection.streams.values()):
-            stream.close()
-            self.metrics["streams_cancelled"] += 1
+        streams = list(connection.streams.values())
         connection.streams.clear()
         connection.inflight.clear()
         for subscription in connection.subscriptions.values():
-            self.registry.unregister(subscription)
+            self.backend.unsubscribe(subscription)
             self._routes.pop(subscription.sid, None)
             self.metrics["subscriptions_closed"] += 1
         connection.subscriptions.clear()
@@ -370,6 +348,9 @@ class QueryServer:
             connection.notifier.cancel()
             connection.notifier = None
         connection.queue = None
+        self.metrics["streams_cancelled"] += len(streams)
+        for stream in streams:
+            await stream.source.close()
 
     async def _send(self, connection: _Connection, frame: Dict) -> None:
         """Encode and write one frame (serialised per connection)."""
@@ -396,23 +377,37 @@ class QueryServer:
             ),
         )
 
+    async def _id_in_flight(
+        self, connection: _Connection, request_id: int
+    ) -> bool:
+        """Refuse (``bad-request``) a request id that is still in use."""
+        taken = (
+            request_id in connection.inflight
+            or request_id in connection.subscriptions
+        )
+        if taken:
+            await self._send_error(
+                connection,
+                request_id,
+                "bad-request",
+                f"request id {request_id} is already in flight",
+            )
+        return taken
+
     # -- frame dispatch ----------------------------------------------------
 
     async def _dispatch(self, connection: _Connection, frame: Dict) -> None:
         """Route one validated frame to its handler.
 
         Every frame is *admitted* inline, in arrival order: a batch
-        query joins the coalescer queue before the read loop touches the
-        next frame, and a write frame flushes-then-mutates before any
-        later read is admitted.  That inline admission is what makes the
-        version a request observes a pure function of wire order.  Only
-        the *delivery* of a batch result runs in a task (awaiting the
-        batch future), so one connection can still pipeline requests
-        while the coalescer window is open (and the ``max_inflight``
-        admission cap stays reachable).  Stream frames are handled
-        inline end-to-end: they only await fast writes, and their
-        ordering guarantees (open, then ``next``/``cancel``) come from
-        being processed in arrival order.
+        query joins the backend's queue before the read loop touches the
+        next frame, and a write frame is applied before any later read
+        is admitted — so the version a request observes is a pure
+        function of wire order.  Only the *delivery* of a batch result
+        runs in a task (awaiting its future), so one connection can
+        still pipeline requests (and the ``max_inflight`` cap stays
+        reachable).  Stream frames are handled inline end-to-end: their
+        ordering (open, then ``next``/``cancel``) is arrival order.
         """
         frame_type = frame["type"]
         if frame_type == "query":
@@ -433,16 +428,7 @@ class QueryServer:
     async def _on_query(self, connection: _Connection, frame: Dict) -> None:
         """Admit one query: coalesced batch result or chunked stream."""
         request_id = frame["id"]
-        if (
-            request_id in connection.inflight
-            or request_id in connection.subscriptions
-        ):
-            await self._send_error(
-                connection,
-                request_id,
-                "bad-request",
-                f"request id {request_id} is already in flight",
-            )
+        if await self._id_in_flight(connection, request_id):
             return
         if len(connection.inflight) >= self.max_inflight:
             await self._send_error(
@@ -466,10 +452,7 @@ class QueryServer:
             return
         admitted_at = perf_counter()
         try:
-            # Synchronous admission: the spec is in the batch window
-            # before the read loop sees the next frame, so a write frame
-            # arriving later on *any* connection cannot reorder ahead.
-            future = self.coalescer.enqueue(spec, client=connection)
+            future = self.backend.run(spec, client=connection)
         except CoalescerOverloaded as exc:
             # Load shed: the bounded admission queue is full.  The
             # arrival is refused with a backoff hint, and sustained
@@ -489,15 +472,9 @@ class QueryServer:
             return
         except Exception as exc:
             connection.inflight.discard(request_id)
-            # Admission-time rejections (degenerate regions, empty
-            # database, value errors) are the client's fault; anything
-            # else is an execution failure on our side.
-            code = (
-                "bad-spec"
-                if isinstance(exc, (ValueError, ReproError))
-                else "server-error"
+            await self._send_error(
+                connection, request_id, _error_code(exc, "bad-spec"), str(exc)
             )
-            await self._send_error(connection, request_id, code, str(exc))
             return
         task = asyncio.ensure_future(
             self._deliver_result(
@@ -527,9 +504,7 @@ class QueryServer:
                     victim = stream
         if victim is None or victim_connection is None:
             return
-        victim_connection.streams.pop(victim.request_id, None)
-        victim_connection.inflight.discard(victim.request_id)
-        victim.close()
+        await self._end_stream(victim_connection, victim)
         self.metrics["streams_shed"] += 1
         try:
             await self._send_error(
@@ -554,22 +529,24 @@ class QueryServer:
         """Await an admitted batch query's record and write its result.
 
         On success the admission-to-response wall time lands in the
-        per-kind latency histogram — the server-side component of what
-        the client experiences, including queue wait, batch execution,
-        and response serialisation.
+        per-kind latency histogram: queue wait, execution and response
+        serialisation, the server-side share of what the client feels.
+        A :class:`~repro.server.backend.PartialAnswer` is a success
+        whose extra fields (``degraded``, ...) ride on the frame.
         """
         try:
+            partial: Dict = {}
             try:
                 record = await future
+            except PartialAnswer as exc:
+                record, partial = exc.record, exc.fields
             except Exception as exc:
                 connection.inflight.discard(request_id)
-                code = (
-                    "bad-spec"
-                    if isinstance(exc, (ValueError, ReproError))
-                    else "server-error"
-                )
                 await self._send_error(
-                    connection, request_id, code, str(exc)
+                    connection,
+                    request_id,
+                    _error_code(exc, "bad-spec"),
+                    str(exc),
                 )
                 return
             connection.inflight.discard(request_id)
@@ -577,16 +554,11 @@ class QueryServer:
                 "type": "result",
                 "id": request_id,
                 "stats": _stats_to_wire(record.stats),
+                **partial,
             }
-            if frame.get("packed"):
-                # Columnar wire edge: one base64 int64 array instead of
-                # one JSON number per row (see protocol.pack_ids) — the
-                # id payload's encode cost scales far below per-row JSON.
-                response["ids_packed"] = pack_ids(record.ids)
-            else:
-                response["ids"] = list(record.ids)
+            _put_ids(response, "ids", record.ids, frame.get("packed"))
             if frame.get("explain"):
-                response["explain"] = self._db.explain(spec).render()
+                response["explain"] = self.backend.explain(spec)
             await self._send(connection, response)
             self.latency.record_ms(
                 spec.kind, (perf_counter() - admitted_at) * 1000.0
@@ -597,101 +569,56 @@ class QueryServer:
     async def _on_write(self, connection: _Connection, frame: Dict) -> None:
         """Apply one mutation frame and acknowledge with a ``write`` frame.
 
-        The mutation goes through
-        :meth:`~repro.server.coalescer.BatchCoalescer.apply_write`, which
-        flushes pending reads first (they observe the pre-write version)
-        and then mutates synchronously on the event loop — so by the
-        time the next frame is read, every later query sees the new
-        version.  Open chunked streams are untouched: they hold a
-        :class:`~repro.core.store.StoreSnapshot` pinned at their own
-        admission.  Rejections (out-of-range rows, double deletes,
-        non-finite coordinates that slipped past frame validation) are
-        ``bad-request`` errors and leave the database bit-identical.
+        Rejections (out-of-range rows, double deletes, non-finite
+        coordinates that slipped past frame validation) are
+        ``bad-request`` errors and leave the data bit-identical; a
+        backend that could not reach the data answers ``unavailable``
+        and applied nothing.
         """
         received_at = perf_counter()
         request_id = frame["id"]
-        if (
-            request_id in connection.inflight
-            or request_id in connection.subscriptions
-        ):
+        if await self._id_in_flight(connection, request_id):
+            return
+        try:
+            rows, version, points, events = await self.backend.write(
+                frame, client=connection
+            )
+        except Exception as exc:
             await self._send_error(
                 connection,
                 request_id,
-                "bad-request",
-                f"request id {request_id} is already in flight",
-            )
-            return
-        op = frame["type"]
-        db = self._db
-        # O(1) pre-write snapshot: the delta evaluators' guard horizon
-        # (only needed when someone is actually subscribed).
-        pre = db.store.snapshot() if self.registry.active else None
-        try:
-            if op == "insert":
-                x, y = float(frame["x"]), float(frame["y"])
-                coords = [(x, y)]
-                rows = [
-                    self.coalescer.apply_write(lambda: db.insert((x, y)))
-                ]
-            elif op == "extend":
-                pairs = [
-                    (float(x), float(y)) for x, y in frame["points"]
-                ]
-                coords = pairs
-                rows = list(
-                    self.coalescer.apply_write(lambda: db.extend(pairs))
-                )
-            else:  # "delete"
-                row = int(frame["row"])
-                self.coalescer.apply_write(lambda: db.delete(row))
-                rows = [row]
-                coords = [db.store.coords(row)]
-        except (IndexError, ValueError, ReproError) as exc:
-            await self._send_error(
-                connection, request_id, "bad-request", str(exc)
-            )
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            await self._send_error(
-                connection, request_id, "server-error", str(exc)
+                _error_code(
+                    exc, "bad-request", (IndexError, ValueError, ReproError)
+                ),
+                str(exc),
             )
             return
         self.metrics["writes_total"] += 1
-        if pre is not None:
-            self._fan_out(op, rows, coords, pre)
+        self._fan_out(version, events)
         await self._send(
             connection,
             {
                 "type": "write",
                 "id": request_id,
-                "op": op,
+                "op": frame["type"],
                 "rows": rows,
-                "version": db.version,
-                "points": len(db),
+                "version": version,
+                "points": points,
             },
         )
         self.latency.record_ms(
             "write", (perf_counter() - received_at) * 1000.0
         )
 
-    def _fan_out(self, op, rows, coords, pre) -> None:
+    def _fan_out(self, version: int, events) -> None:
         """Push one applied write's deltas into the delivery queues.
 
         Runs synchronously right after the mutation (still inside the
         write frame's dispatch, so admission order equals version
         order), but only *enqueues*: actual socket writes happen in each
         connection's drain task, so a subscriber that stopped reading
-        backlogs its own queue and nothing else.  The coalescer's
-        subscription counters are refreshed here — the write path is
-        the one place that knows both sides.
+        backlogs its own queue and nothing else.
         """
-        version = self._db.version
-        events = self.registry.apply_write(op, rows, coords, pre=pre)
-        stats = self.coalescer.stats
-        registry_stats = self.registry.stats
-        stats.subscriptions = self.registry.active
-        stats.notifications = registry_stats.notifications
-        stats.subscription_fanout = registry_stats.fanout
         for subscription, delta in events:
             route = self._routes.get(subscription.sid)
             if route is None:  # pragma: no cover - unregistered race
@@ -702,12 +629,8 @@ class QueryServer:
                 "id": request_id,
                 "version": version,
             }
-            if packed:
-                notify["added_packed"] = pack_ids(delta.added)
-                notify["removed_packed"] = pack_ids(delta.removed)
-            else:
-                notify["added"] = delta.added
-                notify["removed"] = delta.removed
+            _put_ids(notify, "added", delta.added, packed)
+            _put_ids(notify, "removed", delta.removed, packed)
             self._enqueue_frame(owner, notify)
 
     def _enqueue_frame(self, connection: _Connection, frame: Dict) -> None:
@@ -744,19 +667,11 @@ class QueryServer:
         the event loop, so the ``subscribed`` frame's ids and version
         are atomic with respect to writes: every later write is either
         fully reflected in the initial ids or delivered as a ``notify``
-        — never both, never neither.
+        — never both, never neither.  A backend without standing
+        queries refuses with ``bad-request``.
         """
         request_id = frame["id"]
-        if (
-            request_id in connection.inflight
-            or request_id in connection.subscriptions
-        ):
-            await self._send_error(
-                connection,
-                request_id,
-                "bad-request",
-                f"request id {request_id} is already in flight",
-            )
+        if await self._id_in_flight(connection, request_id):
             return
         if len(connection.subscriptions) >= self.max_subscriptions:
             await self._send_error(
@@ -776,17 +691,12 @@ class QueryServer:
             return
         self.metrics["requests_total"] += 1
         try:
-            subscription, ids = self.registry.register(
+            subscription, ids, version = self.backend.subscribe(
                 spec, owner=connection
             )
-        except (ValueError, ReproError) as exc:
+        except Exception as exc:
             await self._send_error(
-                connection, request_id, "bad-spec", str(exc)
-            )
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            await self._send_error(
-                connection, request_id, "server-error", str(exc)
+                connection, request_id, _error_code(exc, "bad-spec"), str(exc)
             )
             return
         packed = bool(frame.get("packed"))
@@ -796,12 +706,9 @@ class QueryServer:
         ack: Dict = {
             "type": "subscribed",
             "id": request_id,
-            "version": self._db.version,
+            "version": version,
         }
-        if packed:
-            ack["ids_packed"] = pack_ids(ids)
-        else:
-            ack["ids"] = ids
+        _put_ids(ack, "ids", ids, packed)
         # Through the delivery queue, not a direct send: the ack must
         # precede every notify for this id, and the queue is the one
         # total order the subscription's frames share.
@@ -821,7 +728,7 @@ class QueryServer:
                 f"no subscription with id {request_id}",
             )
             return
-        self.registry.unregister(subscription)
+        self.backend.unsubscribe(subscription)
         self._routes.pop(subscription.sid, None)
         self.metrics["subscriptions_closed"] += 1
         self._enqueue_frame(
@@ -847,31 +754,18 @@ class QueryServer:
         """
         opened_at = perf_counter()
         size = frame.get("chunk_size", self.chunk_size)
-        stream = _Stream(request_id, chunks=None)  # type: ignore[arg-type]
-        self._stream_clock += 1
-        stream.opened = self._stream_clock
-
-        def count(_point) -> bool:
-            # The examined counter rides the spec's predicate slot: the
-            # lazy executors invoke a predicate exactly once per examined
-            # candidate, so this measures real work — for an unbounded
-            # kNN, the first chunk reports examined == chunk_size, the
-            # wire-visible proof that streaming never ranks the rest of
-            # the database.  Wire specs cannot carry a predicate of
-            # their own (no closure serialisation), so the slot is free.
-            stream.examined += 1
-            return True
-
         try:
-            self._db.engine.validate_spec(spec)
+            source = await self.backend.open_stream(
+                spec, size, client=connection
+            )
         except Exception as exc:
             connection.inflight.discard(request_id)
             await self._send_error(
-                connection, request_id, "bad-spec", str(exc)
+                connection, request_id, _error_code(exc, "bad-spec"), str(exc)
             )
             return
-        result = self._db.query(spec.where(count))
-        stream.chunks = result.chunks(size)
+        self._stream_clock += 1
+        stream = _Stream(request_id, source, self._stream_clock)
         connection.streams[request_id] = stream
         self.metrics["streams_opened"] += 1
         await self._push_chunk(connection, stream)
@@ -884,18 +778,17 @@ class QueryServer:
     ) -> None:
         """Produce and send one chunk; finish the stream on exhaustion.
 
-        ``done`` reports *stream exhausted* (the chunk iterator returned
-        nothing), never a guess from a short chunk — so a final chunk of
+        ``done`` reports *stream exhausted* (the backend returned no
+        block), never a guess from a short chunk — so a final chunk of
         exactly ``chunk_size`` rows is followed by one empty ``done``
         chunk on the next ``next``, and the client logic stays a plain
-        "read until done".
+        "read until done".  The ``done`` chunk also carries the
+        backend stream's trailer fields (``degraded``, ...).
         """
         try:
-            rows = next(stream.chunks, None)
+            rows = await stream.source.next_chunk()
         except Exception as exc:
-            connection.streams.pop(stream.request_id, None)
-            connection.inflight.discard(stream.request_id)
-            stream.close()
+            await self._end_stream(connection, stream)
             await self._send_error(
                 connection, stream.request_id, "server-error", str(exc)
             )
@@ -906,15 +799,22 @@ class QueryServer:
             "seq": stream.seq,
             "rows": rows_to_wire(rows or []),
             "done": rows is None,
-            "examined": stream.examined,
+            "examined": stream.source.examined,
         }
         stream.seq += 1
         if rows is None:
-            connection.streams.pop(stream.request_id, None)
-            connection.inflight.discard(stream.request_id)
-            stream.close()
+            await self._end_stream(connection, stream)
             self.metrics["streams_completed"] += 1
+            frame.update(stream.source.trailer())
         await self._send(connection, frame)
+
+    async def _end_stream(
+        self, connection: _Connection, stream: _Stream
+    ) -> None:
+        """Forget one stream, free its request id, close its source."""
+        connection.streams.pop(stream.request_id, None)
+        connection.inflight.discard(stream.request_id)
+        await stream.source.close()
 
     async def _on_next(self, connection: _Connection, frame: Dict) -> None:
         """Client-driven continuation: produce the next chunk."""
@@ -932,7 +832,7 @@ class QueryServer:
     async def _on_cancel(self, connection: _Connection, frame: Dict) -> None:
         """Tear down an open stream; acknowledge with a final chunk."""
         request_id = frame["id"]
-        stream = connection.streams.pop(request_id, None)
+        stream = connection.streams.get(request_id)
         if stream is None:
             await self._send_error(
                 connection,
@@ -941,8 +841,7 @@ class QueryServer:
                 f"no open stream with id {request_id}",
             )
             return
-        stream.close()
-        connection.inflight.discard(request_id)
+        await self._end_stream(connection, stream)
         self.metrics["streams_cancelled"] += 1
         await self._send(
             connection,
@@ -953,39 +852,58 @@ class QueryServer:
                 "rows": [],
                 "done": True,
                 "cancelled": True,
-                "examined": stream.examined,
+                "examined": stream.source.examined,
             },
         )
 
     async def _on_stats(self, connection: _Connection) -> None:
-        """Answer a ``stats`` request with every counter section."""
+        """Answer ``stats``: the backend's frame around our own counters."""
         server = dict(self.metrics)
         server["connections"] = self.active_connections
         server["streams_open"] = self.active_streams
-        subscriptions = self.registry.stats.as_dict()
-        subscriptions["active"] = self.registry.active
-        latency: Dict[str, object] = {
-            "admission_wait": self.coalescer.admission_wait.as_dict(),
-            "kinds": self.latency.as_dict(),
-        }
-        await self._send(
-            connection,
-            {
-                "type": "stats",
-                "server": server,
-                "coalescer": self.coalescer.stats.as_dict(),
-                "engine": self._db.engine.totals.as_dict(),
-                "subscriptions": subscriptions,
-                "latency": latency,
-            },
-        )
+        try:
+            frame = await self.backend.stats_frame(
+                server, self.latency.as_dict(), client=connection
+            )
+        except Exception as exc:
+            await self._send_error(connection, None, "server-error", str(exc))
+            return
+        await self._send(connection, frame)
+
+
+def _error_code(
+    exc: Exception, fault_code: str, faults=(ValueError, ReproError)
+) -> str:
+    """The stable wire error code of one backend exception.
+
+    ``faults`` are the types that blame the request (degenerate regions,
+    empty database, value errors) and ``fault_code`` what such a fault
+    means on the calling path; anything else is a failure on our side.
+    """
+    if isinstance(exc, Unavailable):
+        return "unavailable"
+    if isinstance(exc, Unsupported):
+        return "bad-request"
+    return fault_code if isinstance(exc, faults) else "server-error"
+
+
+def _put_ids(frame: Dict, key: str, ids, packed) -> None:
+    """Attach an id list to ``frame`` in the transport the client chose.
+
+    ``packed`` is the columnar wire edge: one base64 int64 array under
+    ``<key>_packed`` instead of one JSON number per row (see
+    :func:`~repro.server.protocol.pack_ids`) — the id payload's encode
+    cost scales far below per-row JSON.
+    """
+    if packed:
+        frame[key + "_packed"] = pack_ids(ids)
+    else:
+        frame[key] = list(ids)
 
 
 def _stats_to_wire(stats) -> Dict:
     """JSON-ready form of one record's :class:`~repro.core.stats.QueryStats`."""
-    from dataclasses import asdict
-
-    data = asdict(stats)
+    data = dict(vars(stats))  # flat scalar counters: no deep copy needed
     data["time_ms"] = round(float(data["time_ms"]), 4)
     return data
 
@@ -1000,14 +918,15 @@ def _server_version() -> str:
 class ServerThread:
     """A :class:`QueryServer` hosted on a background event loop.
 
-    The blocking harness used by tests, benchmarks, and the experiment
-    workload: construction starts the loop thread, binds the server, and
-    blocks until it accepts connections; :meth:`close` (or leaving the
-    ``with`` block) stops it.  ``host``/``port`` attributes hold the
-    bound address.
+    The blocking harness used by tests, benchmarks, the experiment
+    workload, and the cluster launcher: construction starts the loop
+    thread, binds the server, and blocks until it accepts connections;
+    :meth:`close` (or leaving the ``with`` block) stops it — and with it
+    the server's backend.  ``host``/``port`` attributes hold the bound
+    address.
     """
 
-    def __init__(self, database: "SpatialDatabase", **server_kwargs) -> None:
+    def __init__(self, database=None, **server_kwargs) -> None:
         self.server = QueryServer(database, **server_kwargs)
         self._ready = threading.Event()
         self._stop: Optional[asyncio.Event] = None

@@ -792,7 +792,7 @@ def run_serve_throughput_experiment(
                     )
                 best = min(best, elapsed)
             duplicate_hits = db.engine.totals.duplicate_hits - totals_before
-            coalescer_stats = server.server.coalescer.stats
+            coalescer_stats = server.server.backend.coalescer.stats
         total_ms = best * 1000.0
         rows.append(
             BatchThroughputRow(

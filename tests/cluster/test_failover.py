@@ -28,6 +28,7 @@ import time
 import pytest
 
 from repro.cluster import (
+    ClusterBackend,
     ClusterCoordinator,
     ClusterDegradedError,
     FaultSpec,
@@ -44,11 +45,10 @@ from repro.cluster.persist import (
     restore_cluster,
     save_cluster,
 )
-from repro.cluster.router import RouterThread
 from repro.core.database import SpatialDatabase
 from repro.geometry.point import Point
 from repro.query.spec import KnnQuery, NearestQuery, WindowQuery
-from repro.server import ConnectionLost, QueryClient, RemoteError
+from repro.server import ConnectionLost, QueryClient, RemoteError, ServerThread
 from repro.server.protocol import PROTOCOL_VERSION, encode_frame
 from repro.workloads import uniform_points
 
@@ -372,7 +372,7 @@ class TestDegradedWireFrames:
         backends[0] = FaultyBackend(backends[0], CRASH_AFTER_LOAD)
         coordinator = ClusterCoordinator(backends)
         coordinator.bulk_load(points)
-        with RouterThread(coordinator) as router:
+        with ServerThread(backend=ClusterBackend(coordinator)) as router:
             yield router, build_oracle(points)
 
     def test_query_result_carries_degraded_fields(self, degraded_router):
@@ -409,7 +409,7 @@ class TestDeadPeerDetection:
     def test_router_shutdown_surfaces_connection_lost(self):
         coordinator = ClusterCoordinator(fresh_shards(2))
         coordinator.bulk_load(chaos_points(40))
-        router = RouterThread(coordinator)
+        router = ServerThread(backend=ClusterBackend(coordinator))
         client = QueryClient(router.host, router.port, timeout=5.0)
         assert client.query(NearestQuery(Point(0.5, 0.5))).ids
         router.close()
@@ -494,16 +494,22 @@ class TestTeardownPaths:
         shard.close()
 
     def test_router_double_close(self):
-        coordinator = ClusterCoordinator(fresh_shards(2))
+        shards = fresh_shards(2)
+        closed = []
+        for shard in shards:
+            shard.close = lambda shard=shard: closed.append(shard)
+        coordinator = ClusterCoordinator(shards)
         coordinator.bulk_load(chaos_points(40))
-        router = RouterThread(coordinator)
+        router = ServerThread(backend=ClusterBackend(coordinator))
         router.close()
+        assert closed == shards  # the front end owns the coordinator
         router.close()
+        assert closed == shards  # ... and closes it exactly once
 
     def test_router_close_while_client_streams(self):
         coordinator = ClusterCoordinator(fresh_shards(2))
         coordinator.bulk_load(chaos_points(80))
-        router = RouterThread(coordinator)
+        router = ServerThread(backend=ClusterBackend(coordinator))
         client = QueryClient(router.host, router.port, timeout=5.0)
         stream = client.stream(
             KnnQuery(Point(0.5, 0.5), None), chunk_size=4

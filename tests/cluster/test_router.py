@@ -1,34 +1,39 @@
-"""Wire tests: the cluster router speaks protocol v1 to real clients.
+"""Wire tests of what only the cluster front end does.
 
-The router runs over in-process :class:`LocalShard` backends (fast, no
+The cluster is served by the shared :class:`QueryServer` over a
+:class:`ClusterBackend`; everything any backend must do on the wire is
+in ``tests/server/test_wire_conformance.py``.  Here: write routing, the
+merged ``stats`` frame, the ``subscribe`` refusal, and the ordering
+guarantees of running blocking shard calls off the event loop.  The
+shards are in-process :class:`LocalShard` backends (fast, no
 subprocesses — the spawned-worker path is covered by
-``test_launcher.py``) and is exercised through the unmodified
-:class:`QueryClient`, plus raw sockets for the frame-level edges the
-client never produces.
+``test_launcher.py``).
 """
 
 import json
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, LocalShard
-from repro.cluster.router import RouterThread
-from repro.core.database import SpatialDatabase
-from repro.geometry.circle import Circle
-from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
-from repro.query.spec import (
-    AreaQuery,
-    KnnQuery,
-    NearestQuery,
-    UnionQuery,
-    WindowQuery,
+from repro.cluster import (
+    ClusterBackend,
+    ClusterCoordinator,
+    FaultSpec,
+    FaultyBackend,
+    LocalShard,
 )
+from repro.core.database import SpatialDatabase
+from repro.geometry.point import Point
+from repro.query.spec import NearestQuery, WindowQuery
 from repro.server import QueryClient, RemoteError, ServerThread
-from repro.workloads import make_query_areas, uniform_points
+from repro.workloads import uniform_points
 
 N_POINTS = 500
+
+EVERYTHING = WindowQuery((0.0, 0.0, 1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +52,7 @@ def router(points):
         [LocalShard(SpatialDatabase()) for _ in range(3)]
     )
     coordinator.bulk_load(points)
-    with RouterThread(coordinator) as thread:
+    with ServerThread(backend=ClusterBackend(coordinator)) as thread:
         yield thread
 
 
@@ -57,79 +62,17 @@ def client(router):
         yield client
 
 
-class TestEagerQueries:
-    def test_hello_reports_cluster_totals(self, client):
-        assert client.hello["protocol"] == 1
-        assert client.hello["points"] == N_POINTS
-        assert "cluster" in client.hello["server"]
-
-    def test_all_kinds_match_oracle(self, client, oracle):
-        specs = [
-            AreaQuery(make_query_areas(0.03, 1, seed=61)[0]),
-            WindowQuery((0.2, 0.2, 0.7, 0.7)),
-            KnnQuery(Point(0.4, 0.6), 9),
-            NearestQuery(Point(0.1, 0.8)),
-            UnionQuery(
-                (
-                    WindowQuery((0.1, 0.1, 0.5, 0.5)),
-                    AreaQuery(Circle(Point(0.5, 0.5), 0.25)),
-                ),
-                limit=40,
-            ),
-        ]
-        for spec in specs:
-            result = client.query(spec)
-            assert result.ids == oracle.query(spec).ids()
-            assert result.stats["method"] == "cluster"
-            assert result.stats["result_size"] == len(result.ids)
-
-    def test_explain_renders_the_routing_decision(self, client):
-        result = client.query(
-            WindowQuery((0.2, 0.2, 0.7, 0.7)), explain=True
-        )
-        assert result.explain is not None
-        assert "shard" in result.explain.lower()
-
-    def test_bad_spec_maps_to_bad_spec(self, client):
-        with pytest.raises(RemoteError) as excinfo:
-            client.query(
-                AreaQuery(Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)]))
-            )
-        assert excinfo.value.code == "bad-spec"
-
-
-class TestStreams:
-    def test_full_drain_has_exact_done_semantics(self, client, oracle):
-        spec = UnionQuery(
-            (
-                WindowQuery((0.1, 0.1, 0.5, 0.5)),
-                AreaQuery(Circle(Point(0.5, 0.5), 0.25)),
-            )
-        )
-        with client.stream(spec, chunk_size=7) as stream:
-            assert list(stream) == oracle.query(spec).ids()
-
-    def test_chunk_size_divides_result_exactly(self, client, oracle):
-        # a result that is an exact multiple of chunk_size exercises the
-        # trailing empty done-chunk (done is never guessed from a short
-        # chunk)
-        spec = KnnQuery(Point(0.5, 0.5), 24)
-        with client.stream(spec, chunk_size=8) as stream:
-            assert list(stream) == oracle.query(spec).ids()
-
-    def test_unbounded_knn_breaks_and_cancels(self, client, oracle):
-        spec = KnnQuery(Point(0.4, 0.6), None)
-        want = oracle.query(spec).first(30)
-        stream = client.stream(spec, chunk_size=16)
-        got = []
-        for row in stream:
-            got.append(row)
-            if len(got) == 30:
-                break
-        stream.close()
-        assert got == want
-        # the connection survives the cancel: a follow-up query works
-        assert client.query(NearestQuery(Point(0.4, 0.6))).ids
+@pytest.fixture()
+def slow_cluster(points):
+    """Two shards behind chaos proxies (no fault armed yet) + the front."""
+    shards = [
+        FaultyBackend(LocalShard(SpatialDatabase()), FaultSpec())
+        for _ in range(2)
+    ]
+    coordinator = ClusterCoordinator(shards)
+    coordinator.bulk_load(points)
+    with ServerThread(backend=ClusterBackend(coordinator)) as thread:
+        yield thread, coordinator, shards
 
 
 class TestWritesAndStats:
@@ -144,24 +87,38 @@ class TestWritesAndStats:
             assert list(ack.rows) == expected_rows
             client.delete(expected_rows[3])
             oracle.delete(expected_rows[3])
-            everything = WindowQuery((0.0, 0.0, 1.0, 1.0))
             assert (
-                client.query(everything).ids
-                == oracle.query(everything).ids()
+                client.query(EVERYTHING).ids == oracle.query(EVERYTHING).ids()
             )
             with pytest.raises(RemoteError) as excinfo:
                 client.delete(expected_rows[3])
             assert excinfo.value.code == "bad-request"
 
     def test_stats_frame_merges_and_adds_cluster_section(self, client):
-        client.query(NearestQuery(Point(0.2, 0.2)))
+        result = client.query(NearestQuery(Point(0.2, 0.2)))
+        assert result.stats["method"] == "cluster"
         frame = client.stats()
         for section in ("server", "coalescer", "engine", "cluster"):
             assert section in frame
         assert frame["cluster"]["workers"] == 3
         assert frame["cluster"]["points"] >= N_POINTS
-        assert frame["cluster"]["router"]["requests_total"] >= 1
         assert len(frame["cluster"]["ranges"]) >= 3
+        router = frame["cluster"]["router"]
+        assert router["requests_total"] >= 1
+        assert router["connections_accepted"] >= 1
+        for counter in (
+            "writes_total",
+            "streams_opened",
+            "streams_completed",
+            "streams_cancelled",
+            "errors_sent",
+            "degraded_results",
+            "writes_unavailable",
+        ):
+            assert counter in router
+        # in-process shards serve no stats: had the front end's reads
+        # leaked into the shard-merged section, this would not be empty
+        assert "requests_total" not in frame["server"]
 
     def test_subscribe_rejected_with_bad_request(self, client):
         with pytest.raises(RemoteError) as excinfo:
@@ -169,60 +126,113 @@ class TestWritesAndStats:
         assert excinfo.value.code == "bad-request"
 
 
-class TestFrameEdges:
-    def read_frames(self, sock, count):
-        buffer = b""
-        frames = []
-        while len(frames) < count:
-            chunk = sock.recv(65536)
-            assert chunk, "router closed unexpectedly"
-            buffer += chunk
-            while b"\n" in buffer and len(frames) < count:
-                line, buffer = buffer.split(b"\n", 1)
-                frames.append(json.loads(line))
-        return frames
+class TestOrdering:
+    """Shard calls run off the event loop; wire order must survive it."""
 
-    def test_duplicate_inflight_id_is_bad_request(self, router):
+    def test_pipelined_frames_take_effect_in_arrival_order(
+        self, slow_cluster, points
+    ):
+        front, coordinator, _ = slow_cluster
+        read = coordinator.query
+
+        def late_read(spec):
+            # a pool thread that is slow off the mark: were one
+            # connection's calls let loose on the pool together, the
+            # insert would take the coordinator's lock first and this
+            # read would see the row it was sent before
+            time.sleep(0.05)
+            return read(spec)
+
+        coordinator.query = late_read
+        everything = {"kind": "window", "rect": [0.0, 0.0, 1.0, 1.0]}
+        frames = [
+            {"type": "query", "id": 1, "spec": everything},
+            {"type": "insert", "id": 2, "x": 0.5, "y": 0.5},
+            {"type": "query", "id": 3, "spec": everything},
+        ]
         with socket.create_connection(
-            (router.host, router.port), timeout=10
+            (front.host, front.port), timeout=10
         ) as sock:
-            self.read_frames(sock, 1)  # hello
-            frame = {
-                "type": "query",
-                "id": 1,
-                "spec": {"kind": "knn", "point": [0.5, 0.5], "k": None},
-                "stream": True,
-                "chunk_size": 4,
-            }
-            sock.sendall((json.dumps(frame) + "\n").encode())
-            first = self.read_frames(sock, 1)[0]
-            assert first["type"] == "chunk" and not first["done"]
-            sock.sendall((json.dumps(frame) + "\n").encode())
-            error = self.read_frames(sock, 1)[0]
-            assert error["type"] == "error"
-            assert error["code"] == "bad-request"
+            reader = sock.makefile("rb")
+            assert json.loads(reader.readline())["type"] == "hello"
+            sock.sendall(
+                b"".join(json.dumps(f).encode() + b"\n" for f in frames)
+            )
+            before, ack, after = (
+                json.loads(reader.readline()) for _ in frames
+            )
+        new_row = len(points)
+        assert (before["type"], before["id"]) == ("result", 1)
+        assert before["ids"] == list(range(new_row))
+        assert (ack["type"], ack["rows"]) == ("write", [new_row])
+        assert (after["type"], after["id"]) == ("result", 3)
+        assert after["ids"] == list(range(new_row + 1))
 
-    def test_malformed_json_is_bad_frame_and_survivable(self, router):
-        with socket.create_connection(
-            (router.host, router.port), timeout=10
-        ) as sock:
-            self.read_frames(sock, 1)  # hello
-            sock.sendall(b"{not json\n")
-            error = self.read_frames(sock, 1)[0]
-            assert error["type"] == "error"
-            assert error["code"] == "bad-frame"
-            sock.sendall(b'{"type": "stats"}\n')
-            stats = self.read_frames(sock, 1)[0]
-            assert stats["type"] == "stats"
+    def test_slow_shard_call_does_not_delay_another_connection(
+        self, slow_cluster
+    ):
+        front, coordinator, shards = slow_cluster
+        corners = [
+            (x, y, x + 0.05, y + 0.05) for x in (0.0, 0.95) for y in (0.0, 0.95)
+        ]
+        cover = coordinator.shard_map.workers_for_bounds
+        fast_corner = next(c for c in corners if cover(c) == {1})
+        shards[0].fault = FaultSpec(delay_s=1.0)
+        with QueryClient(front.host, front.port) as slow_client, QueryClient(
+            front.host, front.port
+        ) as other:
+            slow = threading.Thread(
+                target=slow_client.query, args=(EVERYTHING,), daemon=True
+            )
+            calls_before = shards[0].calls
+            slow.start()
+            while shards[0].calls == calls_before and slow.is_alive():
+                pass  # until the slow call is inside shard 0
+            assert other.stats()["cluster"]["workers"] == 2
+            assert other.query(WindowQuery(fast_corner)).ids is not None
+            assert slow.is_alive(), "the other connection waited for it"
+            slow.join(timeout=10)
+            assert not slow.is_alive()
 
-
-class TestEphemeralPorts:
-    def test_concurrent_server_threads_bind_distinct_ports(self):
-        db = SpatialDatabase.from_points(
-            [Point(p.x, p.y) for p in uniform_points(50, seed=3)]
+    def test_many_connections_lose_no_count_and_no_write(self, points):
+        """More connections than cores, a short switch interval: every
+        request is counted once (the old router bumped its counters from
+        many threads with no lock) and every acked write is visible."""
+        coordinator = ClusterCoordinator(
+            [LocalShard(SpatialDatabase()) for _ in range(2)]
         )
-        with ServerThread(db) as first, ServerThread(db) as second:
-            assert first.port != 0 and second.port != 0
-            assert first.port != second.port
-            with QueryClient(first.host, first.port) as probe:
-                assert probe.hello["points"] == 50
+        coordinator.bulk_load(points)
+        clients, rounds = 8, 25
+        errors = []
+
+        def hammer(front, lane):
+            try:
+                with QueryClient(front.host, front.port) as client:
+                    for step in range(rounds):
+                        client.query(NearestQuery(Point(0.1 * lane, 0.04 * step)))
+                        client.insert(0.1 * lane + 0.05, 0.04 * step)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(backend=ClusterBackend(coordinator)) as front:
+                threads = [
+                    threading.Thread(target=hammer, args=(front, lane))
+                    for lane in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                with QueryClient(front.host, front.port) as probe:
+                    router = probe.stats()["cluster"]["router"]
+                    everything = probe.query(EVERYTHING).ids
+        finally:
+            sys.setswitchinterval(interval)
+        assert router["requests_total"] == clients * rounds
+        assert router["writes_total"] == clients * rounds
+        assert everything == list(range(len(points) + clients * rounds))

@@ -1,21 +1,18 @@
-"""End-to-end tests of the NDJSON query server over real sockets."""
+"""End-to-end tests of the NDJSON query server over the local backend.
 
-import json
-import socket
+What must hold for *any* backend (hello, every spec kind vs the oracle,
+``done`` semantics, cancel, frame-level errors, the line cap) lives in
+``test_wire_conformance.py``; here is what only one database behind the
+coalescer can show.
+"""
+
 import time
 
 import pytest
 
 from repro.core.database import SpatialDatabase
 from repro.geometry.polygon import Polygon
-from repro.query.spec import (
-    AreaQuery,
-    DifferenceQuery,
-    KnnQuery,
-    NearestQuery,
-    UnionQuery,
-    WindowQuery,
-)
+from repro.query.spec import AreaQuery, KnnQuery, WindowQuery
 from repro.server import (
     ProtocolError,
     QueryClient,
@@ -60,49 +57,6 @@ def wait_until(predicate, timeout=5.0):
 
 
 class TestQueries:
-    def test_hello_and_every_query_kind(self, db, client):
-        assert client.hello["points"] == N_POINTS
-        specs = [
-            AreaQuery(Polygon([(0.2, 0.2), (0.7, 0.3), (0.45, 0.8)])),
-            WindowQuery((0.1, 0.1, 0.6, 0.5)),
-            KnnQuery((0.5, 0.5), 7),
-            NearestQuery((0.9, 0.9)),
-            UnionQuery(
-                (
-                    WindowQuery((0.1, 0.1, 0.3, 0.3)),
-                    WindowQuery((0.25, 0.25, 0.45, 0.45)),
-                )
-            ),
-            DifferenceQuery(
-                (
-                    WindowQuery((0.0, 0.0, 0.5, 0.5)),
-                    WindowQuery((0.2, 0.2, 0.4, 0.4)),
-                )
-            ),
-        ]
-        for spec in specs:
-            remote = client.query(spec)
-            assert remote.ids == db.query(spec).ids(), spec.describe()
-            assert remote.stats["result_size"] == len(remote.ids)
-
-    def test_explain_passthrough(self, client):
-        spec = WindowQuery((0.2, 0.2, 0.5, 0.5))
-        remote = client.query(spec, explain=True)
-        assert remote.explain is not None
-        assert "method" in remote.explain  # the rendered planner table
-        assert client.query(spec).explain is None  # only on request
-
-    def test_projections_cross_the_wire(self, db, client):
-        points_spec = WindowQuery((0.3, 0.3, 0.6, 0.6), select="points")
-        stream = client.stream(points_spec, chunk_size=16)
-        rows = list(stream)
-        assert rows == [
-            [p.x, p.y] for p in db.query(points_spec).points()
-        ]
-        distance_spec = KnnQuery((0.5, 0.5), 5, select="distances")
-        stream = client.stream(distance_spec, chunk_size=4)
-        assert list(stream) == db.query(distance_spec).distances()
-
     def test_stats_frame_shape(self, client):
         client.query(WindowQuery((0.4, 0.4, 0.5, 0.5)))
         stats = client.stats()
@@ -113,39 +67,9 @@ class TestQueries:
 
 
 class TestStreaming:
-    def test_unbounded_knn_chunks_with_continuation(self, db, client):
-        spec = KnnQuery((0.4, 0.6), None)
-        stream = client.stream(spec, chunk_size=10)
-        rows = []
-        for row in stream:
-            rows.append(row)
-            if len(rows) == 35:
-                break
-        assert rows == db.query(KnnQuery((0.4, 0.6), 35)).ids()
-        assert stream.chunks_received == 4  # 10+10+10, then 5 of the 4th
-        assert stream.examined == 40  # four chunks of 10 produced
-        stream.close()
-        assert stream.cancelled
-
-    def test_exact_multiple_ends_with_empty_done_chunk(self, db, client):
-        # k=20 over chunk_size=10: two full chunks, then an empty done
-        spec = KnnQuery((0.3, 0.3), 20)
-        stream = client.stream(spec, chunk_size=10)
-        assert list(stream) == db.query(spec).ids()
-        assert stream.done
-        assert stream.chunks_received == 3
-
     def test_stream_of_bounded_spec_matches_eager(self, db, client):
         spec = WindowQuery((0.2, 0.2, 0.8, 0.8), limit=33)
         assert list(client.stream(spec, chunk_size=8)) == db.query(spec).ids()
-
-    def test_cancel_frees_the_request_id(self, server, client):
-        spec = KnnQuery((0.5, 0.5), None)
-        stream = client.stream(spec, chunk_size=5)
-        stream.close()
-        assert server.server.active_streams == 0
-        # the connection can immediately open another stream
-        assert len(list(client.stream(KnnQuery((0.5, 0.5), 3)))) == 3
 
     def test_abandoned_stream_is_cancelled_by_the_finalizer(
         self, db, server, client
@@ -187,64 +111,11 @@ class TestStreaming:
 
 
 class TestErrors:
-    def test_bad_spec_is_per_request(self, db, client):
-        degenerate = AreaQuery(
-            Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)])
-        )
-        with pytest.raises(RemoteError) as excinfo:
-            client.query(degenerate)
-        assert excinfo.value.code == "bad-spec"
-        # the connection survives and still answers
-        spec = WindowQuery((0.1, 0.1, 0.2, 0.2))
-        assert client.query(spec).ids == db.query(spec).ids()
-
     def test_unknown_stream_id_rejected(self, client):
         client._send_frame({"type": "next", "id": 4242})
         with pytest.raises(RemoteError) as excinfo:
             client._read_response(4242)
         assert excinfo.value.code == "bad-request"
-
-    def test_malformed_line_answered_with_error_frame(self, server):
-        raw = socket.create_connection(
-            (server.host, server.port), timeout=5.0
-        )
-        reader = raw.makefile("rb")
-        hello = json.loads(reader.readline())
-        assert hello["type"] == "hello"
-        raw.sendall(b"this is not json\n")
-        error = json.loads(reader.readline())
-        assert error["type"] == "error"
-        assert error["code"] == "bad-frame"
-        # connection stays open for well-formed frames afterwards
-        raw.sendall(b'{"type": "stats"}\n')
-        assert json.loads(reader.readline())["type"] == "stats"
-        raw.close()
-
-    def test_duplicate_inflight_id_rejected(self, server):
-        raw = socket.create_connection(
-            (server.host, server.port), timeout=5.0
-        )
-        reader = raw.makefile("rb")
-        json.loads(reader.readline())  # hello
-        open_stream = {
-            "type": "query",
-            "id": 7,
-            "spec": {"kind": "knn", "point": [0.5, 0.5]},
-            "stream": True,
-            "chunk_size": 4,
-        }
-        raw.sendall(json.dumps(open_stream).encode() + b"\n")
-        assert json.loads(reader.readline())["type"] == "chunk"
-        duplicate = {
-            "type": "query",
-            "id": 7,
-            "spec": {"kind": "nearest", "point": [0.1, 0.1]},
-        }
-        raw.sendall(json.dumps(duplicate).encode() + b"\n")
-        error = json.loads(reader.readline())
-        assert error["type"] == "error"
-        assert error["code"] == "bad-request"
-        raw.close()
 
     def test_inflight_limit_enforced(self, db):
         with ServerThread(db, max_inflight=2) as small:

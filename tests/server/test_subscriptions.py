@@ -174,7 +174,7 @@ class TestLifecycle:
         assert server.server.active_subscriptions == 2
         client.close()
         wait_until(lambda: server.server.active_subscriptions == 0)
-        assert server.server.registry.active == 0
+        assert server.server.backend.registry.active == 0
         assert server.server._routes == {}
         assert server.server.metrics["subscriptions_closed"] == 2
 
@@ -197,7 +197,7 @@ class TestLifecycle:
                 # After the ack, further writes push nothing.
                 writer.insert(0.5, 0.5)
                 assert subscriber.notifications(timeout=0.3) == []
-        assert server.server.registry.active == 0
+        assert server.server.backend.registry.active == 0
 
     def test_reinsert_on_tombstone_is_single_added_delta(self, db, server):
         with QueryClient(server.host, server.port) as subscriber:

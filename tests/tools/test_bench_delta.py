@@ -6,6 +6,7 @@ Covers the two personalities of the tool: the *trajectory summary*
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -34,14 +35,20 @@ class TestStableSet:
     def test_declared_set_matches_the_recorded_benchmarks(self):
         """Every stable name really is produced by the bench suite.
 
-        The names here are the ``record_benchmark`` keys of the
-        committed ``BENCH_pr.json``; a typo in STABLE_BENCHMARKS would
-        otherwise silently gate nothing.
+        The recorded names are read off the ``record_benchmark(`` call
+        sites under ``benchmarks/`` — not off a ``BENCH_pr.json`` from
+        an earlier bench run, which a clean checkout does not have — so
+        a typo in STABLE_BENCHMARKS cannot silently gate nothing.
         """
-        bench_json = Path(__file__).resolve().parents[2] / "BENCH_pr.json"
-        recorded = set(
-            json.loads(bench_json.read_text(encoding="utf-8"))["results"]
-        )
+        benchmarks = Path(__file__).resolve().parents[2] / "benchmarks"
+        recorded = {
+            name
+            for path in benchmarks.glob("bench_*.py")
+            for name in re.findall(
+                r'record_benchmark\(\s*"(\w+)"',
+                path.read_text(encoding="utf-8"),
+            )
+        }
         missing = STABLE_BENCHMARKS - recorded
         assert not missing, (
             f"stable benchmarks never recorded: {sorted(missing)}"

@@ -35,7 +35,8 @@ lint:
 
 ## fast benchmark smoke: columnar + batch-engine + composite + server +
 ## mutable-serving + live-subscription + tail-latency + overload suites
-## with their speedup assertions (timing collection disabled; the
+## (plus cluster, failover and the backend ablation with its 1E5-row
+## bulk-build rates) with their speedup assertions (timing collection disabled; the
 ## 2x / 1.5x / 1.3x throughput asserts, the no-rebuild freshness
 ## assert, the dirty-tile pruning assert, and the bounded-admitted-p99
 ## overload assert still run).  Emits the machine-readable per-PR
@@ -52,7 +53,8 @@ bench-smoke:
 		benchmarks/bench_tail_latency.py \
 		benchmarks/bench_overload.py \
 		benchmarks/bench_cluster.py \
-		benchmarks/bench_failover.py -q --benchmark-disable
+		benchmarks/bench_failover.py \
+		benchmarks/bench_ablation_backend.py -q --benchmark-disable
 
 ## columnar acceptance bench alone: vectorized vs scalar hot paths on
 ## the refinement-heavy trace (>= 2x asserted), ids byte-identical

@@ -5,18 +5,28 @@ as part of the database).  This bench quantifies the build-speed gap
 between our from-scratch triangulator and the Qhull-backed one, and the
 shape test re-asserts that the choice cannot affect queries: identical
 neighbour sets (general position) and identical query results.
+
+``test_bulk_build_rates`` is the in-repo record of set-up speed: a
+100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
+graph, in rows per second (``bulk_build`` in ``BENCH_pr.json``), with the
+seconds at 1E4, 1E5 and 2E5 rows beside them.
 """
 
 import random
+import time
 
+import numpy as np
 import pytest
 
+from benchmarks.conftest import record_benchmark
 from repro.delaunay.backends import PureDelaunayBackend, ScipyDelaunayBackend
 from repro.core.database import SpatialDatabase
 from repro.geometry.random_shapes import random_query_polygon
 from repro.workloads.generators import uniform_points
 
 BUILD_SIZES = (1_000, 5_000)
+BULK_ROWS = 100_000
+BULK_SIZES = (10_000, BULK_ROWS, 200_000)
 
 
 @pytest.mark.parametrize("n", BUILD_SIZES)
@@ -50,3 +60,41 @@ def test_backends_identical_query_results():
             pure_db.area_query(area, "voronoi").ids
             == scipy_db.area_query(area, "voronoi").ids
         )
+
+
+def _bulk_build(rows: int):
+    """Seconds for columns -> index and for index -> graph + table."""
+    xy = np.random.default_rng(17).random((rows, 2))
+    started = time.perf_counter()
+    db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
+    index_s = time.perf_counter() - started
+    started = time.perf_counter()
+    db.prepare()  # the Qhull graph and its neighbour table
+    delaunay_s = time.perf_counter() - started
+
+    db.index.check_invariants()
+    indptr, indices = db.backend.neighbor_csr()
+    assert len(indptr) == rows + 1
+    assert len(indices) == sum(map(len, db.backend.neighbor_table()))
+    return index_s, delaunay_s
+
+
+def test_bulk_build_rates():
+    """Columns to a query-ready database, both structures.
+
+    The gated numbers are the rates at ``BULK_ROWS``; the seconds at
+    every size ride along for the build-time table in docs/BENCHMARKS.md.
+    """
+    _bulk_build(1_000)  # scipy's import and first call are not build time
+    seconds = {rows: _bulk_build(rows) for rows in BULK_SIZES}
+    index_s, delaunay_s = seconds[BULK_ROWS]
+    record_benchmark(
+        "bulk_build",
+        rows=BULK_ROWS,
+        index_rows_per_s=round(BULK_ROWS / index_s),
+        delaunay_rows_per_s=round(BULK_ROWS / delaunay_s),
+        seconds={
+            str(rows): {"index": round(index, 3), "delaunay": round(delaunay, 3)}
+            for rows, (index, delaunay) in seconds.items()
+        },
+    )

@@ -48,6 +48,8 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.geometry.region import QueryRegion
@@ -158,21 +160,26 @@ class SpatialDatabase:
         """Bulk-build from coordinate arrays (row id = array index).
 
         The columnar loading edge: the arrays land in the
-        :class:`~repro.core.store.PointStore` with one numpy copy each —
-        no per-point Python conversion — and only the index bulk load
-        materializes :class:`Point` objects (once, via the store's
-        cached view).  Snapshot restores
-        (:func:`repro.io.persist.load_database`, ``repro serve --load``)
-        come through here.
+        :class:`~repro.core.store.PointStore` with one numpy copy each and
+        both access structures are built from those columns.  The index
+        sorts and tiles them as arrays (:meth:`RTree.bulk_load
+        <repro.index.rtree.RTree.bulk_load>`) and holds the store's own
+        :class:`Point` objects, materialized once for the whole table;
+        the Qhull backend reads the columns and builds no ``Point`` at
+        all.  Snapshot restores (:func:`repro.io.persist.load_database`,
+        ``repro serve --load``) come through here.
         """
         db = cls(
             index_kind, backend_kind, vectorized=vectorized, **index_kwargs
         )
-        rows = db._store.extend_array(xs, ys)
-        view = db._store.view()
-        db._index.bulk_load((view[row], row) for row in rows)
-        db._backend = None
+        db._load_columns(xs, ys)
         return db
+
+    def _load_columns(self, xs, ys) -> range:
+        """Append coordinate columns to the store and bulk-load the index."""
+        rows = self._store.extend_array(xs, ys)
+        self._index.bulk_load(zip(self._store.rows()[rows.start :], rows))
+        return rows
 
     def insert(self, point: Point | Tuple[float, float]) -> int:
         """Add one point; returns its row id.
@@ -204,27 +211,29 @@ class SpatialDatabase:
     ) -> List[int]:
         """Add many points via the index's bulk loader; returns their row ids.
 
+        Same columnar path as :meth:`from_arrays`, on an empty database or
+        not: the R-tree repacks when the batch is large next to what it
+        already holds and inserts row by row only when that is cheaper
+        (:meth:`RTree.bulk_load <repro.index.rtree.RTree.bulk_load>`).
         Like :meth:`insert`, an already-built pure backend is maintained
         *incrementally* (one cavity insertion per point) instead of being
         discarded for a full rebuild; the scipy backend, and points far
         outside the original extent, fall back to lazy rebuild-on-next-use.
         """
-        normalized = [
-            p if isinstance(p, Point) else Point(float(p[0]), float(p[1]))
+        pairs = [
+            (p.x, p.y) if isinstance(p, Point) else (float(p[0]), float(p[1]))
             for p in points
         ]
-        rows = self._store.extend_points(normalized)
-        self._index.bulk_load(
-            (p, row) for p, row in zip(normalized, rows)
-        )
+        columns = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        rows = self._load_columns(columns[:, 0], columns[:, 1])
         backend = self._backend
-        if backend is not None and normalized:
+        if backend is not None and rows:
             add_point = getattr(backend, "add_point", None)
             if add_point is None or backend.size != rows.start:
                 self._backend = None
             else:
                 try:
-                    for p in normalized:
+                    for p in self._store.rows()[rows.start :]:
                         add_point(p)
                 except ValueError:  # outside the incremental-safe extent
                     self._backend = None

@@ -128,23 +128,10 @@ class PointStore:
         the first row is committed, so a rejected batch changes nothing.
         """
         count = len(points)
-        start = self._size
-        if count == 0:
-            return range(start, start)
-        new_xs = np.fromiter(
-            (p.x for p in points), dtype=np.float64, count=count
+        return self.extend_array(
+            np.fromiter((p.x for p in points), dtype=np.float64, count=count),
+            np.fromiter((p.y for p in points), dtype=np.float64, count=count),
         )
-        new_ys = np.fromiter(
-            (p.y for p in points), dtype=np.float64, count=count
-        )
-        if not (np.isfinite(new_xs).all() and np.isfinite(new_ys).all()):
-            raise ValueError("non-finite coordinate in extend batch")
-        self._reserve(count)
-        self._xs[start : start + count] = new_xs
-        self._ys[start : start + count] = new_ys
-        self._size = start + count
-        self._version += 1
-        return range(start, self._size)
 
     def extend_array(
         self,
@@ -290,11 +277,14 @@ class PointStore:
         target = self._size if upto is None else min(upto, self._size)
         built = len(self._materialized)
         if built < target:
-            xs = self._xs
-            ys = self._ys
+            # One tolist() per column, then Point over the pairs: no numpy
+            # scalar is boxed and no index is computed per row.
             self._materialized.extend(
-                Point(float(xs[i]), float(ys[i]))
-                for i in range(built, target)
+                map(
+                    Point,
+                    self._xs[built:target].tolist(),
+                    self._ys[built:target].tolist(),
+                )
             )
         return self._materialized
 
@@ -423,6 +413,15 @@ class PointsView(Sequence):
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self._store._materialize())
+
+    def columns(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The rows as the store's read-only ``(xs, ys)`` columns.
+
+        The array-speaking way to consume the view: builders that want
+        coordinates, not ``Point`` objects (the Qhull Delaunay backend),
+        take these and materialize nothing.
+        """
+        return self._store.xs, self._store.ys
 
     def __eq__(self, other: object) -> bool:
         """Element-wise equality against any sequence of points."""

@@ -6,10 +6,26 @@ paper).  That capability is abstracted as :class:`DelaunayBackend` with two
 implementations:
 
 * :class:`PureDelaunayBackend` — our from-scratch Bowyer–Watson
-  triangulation.  The default; no third-party geometry code involved.
+  triangulation.  The default; no third-party geometry code involved, the
+  reference the tests compare against, and the only backend that grows
+  incrementally.
 * :class:`ScipyDelaunayBackend` — ``scipy.spatial.Delaunay`` (Qhull).  An
   optional accelerator for the paper-scale datasets (1E5–1E6 points) where
   pure-Python construction would dominate the experiment wall-clock.
+
+The graph has two forms and each backend owns one of them; the other is
+derived on first use and cached:
+
+* the **table** (``list`` of ascending neighbour tuples, one per row) is
+  what the scalar traversals index.  The pure backend builds it from its
+  triangulation and patches it in place on every ``add_point``; its CSR is
+  re-derived from the table after a write (table → CSR).
+* the **CSR pair** (``indptr``, ``indices``; int64) is what the columnar
+  waves gather from.  The Qhull backend is born as these two arrays — from
+  the store's coordinate columns to the graph there is no Python-level loop
+  over rows — and its table is sliced out of them (CSR → table).  Its build
+  time is Qhull's plus a few array passes (``bulk_build`` in
+  ``benchmarks/bench_ablation_backend.py`` records rows per second).
 
 The test suite asserts both produce identical neighbour sets, so the choice
 is purely a build-speed knob; query traversals are byte-identical.
@@ -18,9 +34,13 @@ is purely a build-speed knob; query traversals are byte-identical.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
+from repro.geometry.predicates import _ORIENT_ERR_BOUND, orientation_sign
 
 
 class DelaunayBackend(ABC):
@@ -49,9 +69,11 @@ class DelaunayBackend(ABC):
         """
         cached = getattr(self, "_neighbor_table", None)
         if cached is None:
-            cached = [self.neighbors(i) for i in range(self.size)]
-            self._neighbor_table = cached
+            cached = self._neighbor_table = self._build_neighbor_table()
         return cached
+
+    def _build_neighbor_table(self) -> list[Tuple[int, ...]]:
+        return [self.neighbors(i) for i in range(self.size)]
 
     def neighbor_csr(self):
         """The neighbour table in CSR form: ``(indptr, indices)`` int64.
@@ -64,21 +86,17 @@ class DelaunayBackend(ABC):
         was taken (:meth:`PureDelaunayBackend.add_point` patches the
         dense table in place, so size is the invalidation signal).
         """
-        import numpy as np
-
         cached = getattr(self, "_neighbor_csr", None)
         if cached is not None and cached[2] == self.size:
             return cached[0], cached[1]
         table = self.neighbor_table()
-        counts = np.fromiter(
-            (len(row) for row in table), dtype=np.int64, count=len(table)
-        )
         indptr = np.zeros(len(table) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(
+            np.fromiter(map(len, table), dtype=np.int64, count=len(table)),
+            out=indptr[1:],
+        )
         indices = np.fromiter(
-            (neighbor for row in table for neighbor in row),
-            dtype=np.int64,
-            count=int(indptr[-1]),
+            chain.from_iterable(table), dtype=np.int64, count=int(indptr[-1])
         )
         self._neighbor_csr = (indptr, indices, self.size)
         return indptr, indices
@@ -134,91 +152,81 @@ class PureDelaunayBackend(DelaunayBackend):
 class ScipyDelaunayBackend(DelaunayBackend):
     """Neighbour lookups from ``scipy.spatial.Delaunay`` (optional).
 
+    **Array-born**: the coordinates are read as two float64 columns
+    (straight from the store when ``points`` is its view — no ``Point``
+    is built), every step from there to the graph is a whole-array
+    operation, and the result *is* the CSR pair :meth:`neighbor_csr`
+    returns (int64, rows ascending).  :meth:`neighbor_table` and
+    :meth:`neighbors` are derived from it on first use, after Qhull's
+    structures are gone, so the build peaks at Qhull's own memory.
+
     Duplicate points are collapsed before triangulating (Qhull rejects
     duplicates); aliases share the canonical point's neighbourhood and are
     linked to it at distance zero, mirroring the pure backend's semantics.
+    Fewer than three distinct locations, or all of them on one line, have
+    no triangulation: they are chained along the line, as the pure backend
+    does.  Any other Qhull failure is raised, never answered with a guess.
     """
 
     def __init__(self, points: Sequence[Point]) -> None:
         try:
-            import numpy as np
-            from scipy.spatial import Delaunay as _SciPyDelaunay
+            from scipy import sparse
         except ImportError as error:  # pragma: no cover - env without scipy
             raise ImportError(
                 "the 'scipy' backend needs scipy installed; use the 'pure' "
                 "backend instead"
             ) from error
 
-        self._size = len(points)
-        if self._size == 0:
+        xs, ys = _coordinate_columns(points)
+        self._size = size = len(xs)
+        if size == 0:
             raise ValueError("backend needs at least one point")
 
-        # Collapse duplicates, remembering aliases.
-        first_at: dict[tuple[float, float], int] = {}
-        self._alias_of: dict[int, int] = {}
-        canonical: list[int] = []
-        for i, p in enumerate(points):
-            key = (p.x, p.y)
-            if key in first_at:
-                self._alias_of[i] = first_at[key]
-            else:
-                first_at[key] = i
-                self._alias_of[i] = i
-                canonical.append(i)
-
-        self._neighbors: dict[int, tuple[int, ...]] = {}
-        if len(canonical) == 1:
-            self._neighbors[canonical[0]] = ()
-        elif len(canonical) == 2:
-            a, b = canonical
-            self._neighbors[a] = (b,)
-            self._neighbors[b] = (a,)
+        # Collapse duplicates: a stable sort puts the copies of a location
+        # side by side, lowest row first, and that row is the canonical one.
+        order = np.lexsort((ys, xs))
+        sorted_xs, sorted_ys = xs[order], ys[order]
+        first = np.ones(size, dtype=bool)
+        first[1:] = (sorted_xs[1:] != sorted_xs[:-1]) | (
+            sorted_ys[1:] != sorted_ys[:-1]
+        )
+        if first.all():
+            graph = _distinct_point_graph(xs, ys)
         else:
-            coords = np.array([(points[i].x, points[i].y) for i in canonical])
-            try:
-                tri = _SciPyDelaunay(coords)
-            except Exception:
-                # Degenerate (e.g. all collinear): chain along the line,
-                # matching the pure backend's fallback.
-                order = sorted(
-                    range(len(canonical)),
-                    key=lambda k: (coords[k][0], coords[k][1]),
-                )
-                for rank, k in enumerate(order):
-                    nbrs = []
-                    if rank > 0:
-                        nbrs.append(canonical[order[rank - 1]])
-                    if rank < len(order) - 1:
-                        nbrs.append(canonical[order[rank + 1]])
-                    self._neighbors[canonical[k]] = tuple(sorted(nbrs))
-            else:
-                indptr, indices = tri.vertex_neighbor_vertices
-                for local, global_index in enumerate(canonical):
-                    local_neighbors = indices[indptr[local] : indptr[local + 1]]
-                    self._neighbors[global_index] = tuple(
-                        sorted(canonical[j] for j in local_neighbors)
-                    )
+            # Qhull sees the canonical rows in ascending row order.
+            lowest_copy = np.empty(size, dtype=np.int64)
+            lowest_copy[order] = order[first][np.cumsum(first) - 1]
+            canonical, location = np.unique(lowest_copy, return_inverse=True)
+            # Same clique semantics as the pure backend: all copies of a
+            # location are mutually adjacent (the identity term, minus the
+            # row itself), inherit the full spatial neighbourhood, and
+            # appear in their spatial neighbours' rows.
+            copies = sparse.csr_matrix(
+                (np.ones(size, dtype=np.int8), (np.arange(size), location))
+            )
+            graph = _distinct_point_graph(xs[canonical], ys[canonical])
+            loops = sparse.identity(len(canonical), dtype=np.int8, format="csr")
+            graph = copies @ (graph + loops) @ copies.T
+            graph.setdiag(0)
+            graph.eliminate_zeros()
 
-        # Duplicates: same clique semantics as the pure backend — all copies
-        # of a location are mutually adjacent, inherit the full spatial
-        # neighbourhood, and appear in their spatial neighbours' lists.
-        groups: dict[int, list[int]] = {}
-        for alias, canon in self._alias_of.items():
-            groups.setdefault(canon, []).append(alias)
-        if any(len(group) > 1 for group in groups.values()):
-            expanded: dict[int, tuple[int, ...]] = {}
-            for canon, group in groups.items():
-                full = set(group)
-                for neighbor_canon in self._neighbors[canon]:
-                    full.update(groups[neighbor_canon])
-                for member in group:
-                    expanded[member] = tuple(sorted(full - {member}))
-            self._neighbors = expanded
+        graph.sort_indices()
+        self._neighbor_csr = (
+            graph.indptr.astype(np.int64),
+            graph.indices.astype(np.int64),
+            size,
+        )
+
+    def _build_neighbor_table(self) -> list[Tuple[int, ...]]:
+        indptr, indices, _ = self._neighbor_csr
+        bounds = indptr.tolist()
+        flat = indices.tolist()
+        return [
+            tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])
+        ]
 
     def neighbors(self, index: int) -> Tuple[int, ...]:
-        if index in self._neighbors:
-            return self._neighbors[index]
-        return self._neighbors[self._alias_of[index]]
+        return self.neighbor_table()[index]
 
     @property
     def size(self) -> int:
@@ -227,6 +235,72 @@ class ScipyDelaunayBackend(DelaunayBackend):
     @property
     def name(self) -> str:
         return "scipy"
+
+
+def _coordinate_columns(points: Sequence[Point]):
+    """``points`` as two float64 columns.
+
+    A store view (:meth:`repro.core.store.PointsView.columns`) hands over
+    its columns as they are; only a plain sequence of points is read row
+    by row.
+    """
+    columns = getattr(points, "columns", None)
+    if columns is not None:
+        return columns()
+    count = len(points)
+    return (
+        np.fromiter((p.x for p in points), dtype=np.float64, count=count),
+        np.fromiter((p.y for p in points), dtype=np.float64, count=count),
+    )
+
+
+def _distinct_point_graph(xs, ys):
+    """Delaunay adjacency of distinct points, as a ``scipy.sparse`` CSR."""
+    from scipy import sparse
+    from scipy.spatial import Delaunay, QhullError
+
+    count = len(xs)
+    if count >= 3:
+        try:
+            # The Delaunay object lives no longer than this statement.
+            indptr, indices = Delaunay(
+                np.column_stack((xs, ys))
+            ).vertex_neighbor_vertices
+        except QhullError:
+            if not _all_collinear(xs, ys):
+                raise
+        else:
+            ones = np.ones(len(indices), dtype=np.int8)
+            return sparse.csr_matrix(
+                (ones, indices, indptr), shape=(count, count)
+            )
+    # No triangle exists: chain the points along their line, which is the
+    # true Voronoi adjacency and the pure backend's fallback.
+    order = np.lexsort((ys, xs))
+    ones = np.ones(2 * (count - 1), dtype=np.int8)
+    ends = (np.r_[order[:-1], order[1:]], np.r_[order[1:], order[:-1]])
+    return sparse.csr_matrix((ones, ends), shape=(count, count))
+
+
+def _all_collinear(xs, ys) -> bool:
+    """Whether every point lies exactly on the line through the two extremes.
+
+    One array cross product settles the common case: a value beyond the
+    orientation predicate's error bound has a trustworthy non-zero sign.
+    Only when every point is within the bound are they re-answered by the
+    exact predicate itself.
+    """
+    low, high = np.lexsort((ys, xs))[[0, -1]]
+    ax, ay, bx, by = (float(v) for v in (xs[low], ys[low], xs[high], ys[high]))
+    left = (ax - xs) * (by - ys)
+    right = (ay - ys) * (bx - xs)
+    bound = _ORIENT_ERR_BOUND * (np.abs(left) + np.abs(right))
+    if (np.abs(left - right) > bound).any():
+        return False
+    return all(
+        orientation_sign(ax, ay, bx, by, x, y) == 0.0
+        for x, y in zip(xs.tolist(), ys.tolist())
+    )
 
 
 BACKEND_REGISTRY = {

@@ -25,11 +25,22 @@ import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect, union_all
 from repro.index.base import Entry, SpatialIndex
 
 _DEFAULT_MAX_ENTRIES = 16
+
+#: ``bulk_load`` into a non-empty tree repacks when the batch is at least
+#: ``1 / _REPACK_RATIO`` of the rows the new tree will hold.  The ratio is
+#: the cost of one ``insert`` over the cost of repacking one row: an insert
+#: is 200–300 µs into a grown tree of 10 000–20 000 rows (500–800 µs right
+#: after a pack, when every leaf is full and splits), a repack 0.8–1.6 µs a
+#: row at 10 000–100 000 rows including the ``items()`` walk — 130 and up,
+#: rounded down (docs/BENCHMARKS.md, "Bulk build").
+_REPACK_RATIO = 100
 
 
 class _Node:
@@ -78,8 +89,6 @@ def _mask_boundary_entries(window: Rect, sure_ids: List[int], entries):
     ``Rect.contains_point`` performs, at C speed per entry.  Shared by
     the R-tree family and the quadtree.
     """
-    import numpy as np
-
     sure = np.fromiter(sure_ids, dtype=np.int64, count=len(sure_ids))
     count = len(entries)
     if not count:
@@ -151,17 +160,21 @@ class RTree(SpatialIndex):
     def bulk_load(self, entries) -> None:
         """STR (sort-tile-recursive) packing.
 
-        Replaces the current contents only if the tree is empty, otherwise
-        falls back to repeated insertion (mixing packed and dynamic content
-        would violate balance guarantees we rely on in tests).
+        An empty tree is packed from ``entries``.  A non-empty one is
+        repacked — its own entries plus the batch, into fresh nodes, the
+        new root swapped in at the end — when that is cheaper than
+        inserting the batch row by row (:data:`_REPACK_RATIO`); a traversal
+        suspended over the old nodes finishes over the old tree.
         """
         entries = list(entries)
-        if self._count > 0:
-            for point, item_id in entries:
-                self.insert(point, item_id)
-            return
         if not entries:
             return
+        if self._count:
+            if len(entries) * _REPACK_RATIO < self._count + len(entries):
+                for point, item_id in entries:
+                    self.insert(point, item_id)
+                return
+            entries = list(self.items()) + entries
         self._root = self._str_pack(entries)
         self._root.parent = None
         self._count = len(entries)
@@ -169,53 +182,61 @@ class RTree(SpatialIndex):
 
     def _str_pack(self, entries: List[Entry]) -> _Node:
         capacity = self.max_entries
-        if len(entries) <= capacity:
+        count = len(entries)
+        if count <= capacity:
             leaf = _Node(is_leaf=True)
             leaf.entries = list(entries)
             leaf.recompute_mbr()
             return leaf
 
-        # Leaf level: sort by x, slice into vertical strips, sort each strip
-        # by y, and cut into runs of `capacity`.
-        leaf_count = math.ceil(len(entries) / capacity)
-        strip_count = math.ceil(math.sqrt(leaf_count))
-        by_x = sorted(entries, key=lambda e: (e[0].x, e[0].y))
-        strip_size = math.ceil(len(by_x) / strip_count)
-        leaves: List[_Node] = []
-        for i in range(0, len(by_x), strip_size):
-            strip = sorted(
-                by_x[i : i + strip_size], key=lambda e: (e[0].y, e[0].x)
-            )
-            for j in range(0, len(strip), capacity):
-                leaf = _Node(is_leaf=True)
-                leaf.entries = strip[j : j + capacity]
-                leaf.recompute_mbr()
-                leaves.append(leaf)
-
-        # Pack upper levels the same way on node centres.
-        level = leaves
-        while len(level) > 1:
-            parent_count = math.ceil(len(level) / capacity)
-            strip_count = math.ceil(math.sqrt(parent_count))
-            by_x_nodes = sorted(
-                level, key=lambda n: (n.mbr.center.x, n.mbr.center.y)
-            )
-            strip_size = math.ceil(len(by_x_nodes) / strip_count)
-            parents: List[_Node] = []
-            for i in range(0, len(by_x_nodes), strip_size):
-                strip = sorted(
-                    by_x_nodes[i : i + strip_size],
-                    key=lambda n: (n.mbr.center.y, n.mbr.center.x),
+        # Every level is packed the same way, on columns: sort the items
+        # (entries, then nodes) by centre x, slice into vertical strips,
+        # sort each strip by centre y, and cut into runs of `capacity`.
+        # Both sorts are stable, so ties keep their input order.
+        xs = np.fromiter((p.x for p, _ in entries), np.float64, count)
+        ys = np.fromiter((p.y for p, _ in entries), np.float64, count)
+        boxes = (xs, ys, xs, ys)  # min_x, min_y, max_x, max_y per item
+        weights = np.ones(count, dtype=np.int64)
+        items: list = entries
+        is_leaf = True
+        while True:
+            center_x = (boxes[0] + boxes[2]) / 2.0
+            center_y = (boxes[1] + boxes[3]) / 2.0
+            strip_count = math.ceil(math.sqrt(math.ceil(count / capacity)))
+            strip_size = math.ceil(count / strip_count)
+            strip, offset = np.divmod(np.arange(count), strip_size)
+            order = np.lexsort((center_y, center_x))
+            order = order[np.lexsort((center_x[order], center_y[order], strip))]
+            starts = np.flatnonzero(offset % capacity == 0)
+            boxes = tuple(
+                edge.reduceat(column[order], starts)
+                for edge, column in zip(
+                    (np.minimum, np.minimum, np.maximum, np.maximum), boxes
                 )
-                for j in range(0, len(strip), capacity):
-                    parent = _Node(is_leaf=False)
-                    parent.children = strip[j : j + capacity]
-                    for child in parent.children:
-                        child.parent = parent
-                    parent.recompute_mbr()
-                    parents.append(parent)
-            level = parents
-        return level[0]
+            )
+            weights = np.add.reduceat(weights[order], starts)
+            packed = [items[i] for i in order.tolist()]
+            bounds = starts.tolist() + [count]
+            nodes = []
+            for start, stop, weight, box in zip(
+                bounds,
+                bounds[1:],
+                weights.tolist(),
+                zip(*(column.tolist() for column in boxes)),
+            ):
+                node = _Node(is_leaf)
+                if is_leaf:
+                    node.entries = packed[start:stop]
+                else:
+                    node.children = packed[start:stop]
+                    node._weight = weight
+                    for child in node.children:
+                        child.parent = node
+                node.mbr = Rect(*box)
+                nodes.append(node)
+            if len(nodes) == 1:
+                return nodes[0]
+            items, count, is_leaf = nodes, len(nodes), False
 
     def delete(self, point: Point, item_id: int) -> bool:
         leaf = self._find_leaf(self._root, point, item_id)
@@ -270,8 +291,6 @@ class RTree(SpatialIndex):
         unspecified order for the columnar refine paths to gather
         coordinates by row id.
         """
-        import numpy as np
-
         ids: List[int] = []
         boundary_entries: List[Entry] = []
         if self._root.mbr is None:

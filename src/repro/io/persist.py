@@ -12,9 +12,12 @@ Format: a single numpy ``.npz`` archive holding
 
 Design choice: we persist *data + configuration*, not the index/diagram
 byte layout.  Both access structures rebuild deterministically from the
-data (STR bulk load; Delaunay uniqueness up to degeneracies), rebuilds are
-fast relative to I/O at library scale, and the format stays readable by
-plain numpy — the same trade most point-data systems make for their bulk
+data (STR bulk load; Delaunay uniqueness up to degeneracies) and are built
+from the restored columns as arrays — about 0.3 s of index and 0.9 s of
+Qhull graph per 1E5 rows, against ~0.01 s to decompress them
+(``bulk_build`` in ``benchmarks/bench_ablation_backend.py``;
+docs/BENCHMARKS.md, "Bulk build") — and the format stays readable by plain
+numpy: the same trade most point-data systems make for their bulk
 snapshots.
 """
 
@@ -124,10 +127,11 @@ def load_database(
     Row ids are preserved exactly (row order is the id order), and
     tombstoned rows are re-deleted after the bulk load — the live point
     set, the id space, and the Voronoi superset graph all round-trip.
-    The
-    persisted columns are handed to the
-    :class:`~repro.core.store.PointStore` as arrays — ``repro serve
-    --load`` skips per-point conversion entirely.  ``path`` may be the
+    The persisted columns go to :meth:`SpatialDatabase.from_arrays
+    <repro.core.database.SpatialDatabase.from_arrays>` as arrays: the
+    R-tree is packed from them with array sorts (one ``Point`` per row is
+    created, because the tree stores them) and the Qhull graph, when it
+    is built, reads them without creating any.  ``path`` may be the
     exact file or the extensionless name the saver was given.  Pass
     ``prepare=True`` to rebuild the Voronoi backend eagerly; by default
     it stays lazy, like a freshly constructed database.

@@ -35,6 +35,17 @@ if _hypothesis_settings is not None:
 
 
 @pytest.fixture(scope="session")
+def requires_scipy():
+    """Skip where scipy is missing: it is an optional accelerator.
+
+    Requested (as an argument, or through ``usefixtures``) by every test
+    and fixture that builds ``backend_kind="scipy"``, so a numpy-only
+    install runs everything else and stays green.
+    """
+    pytest.importorskip("scipy")
+
+
+@pytest.fixture(scope="session")
 def uniform_200():
     """200 uniform points in the unit square (session-cached)."""
     return uniform_points(200, seed=42)

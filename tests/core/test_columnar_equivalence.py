@@ -19,6 +19,7 @@ import random
 import warnings
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,8 @@ from repro.query.spec import (
     UnionQuery,
     WindowQuery,
 )
+
+pytestmark = pytest.mark.usefixtures("requires_scipy")
 
 N_POINTS = 500
 

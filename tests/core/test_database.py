@@ -116,6 +116,7 @@ class TestBackendLifecycle:
         assert db.backend is backend_before
         assert db.backend.size == 51
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_insert_invalidates_scipy_backend(self):
         db = SpatialDatabase.from_points(
             uniform_points(50, seed=73), backend_kind="scipy"
@@ -154,6 +155,7 @@ class TestBackendLifecycle:
         db.prepare()
         assert db.backend is backend
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_scipy_backend_option(self, concave_polygon):
         points = uniform_points(100, seed=77)
         pure_db = SpatialDatabase.from_points(points, backend_kind="pure")
@@ -162,6 +164,52 @@ class TestBackendLifecycle:
             pure_db.area_query(concave_polygon).ids
             == scipy_db.area_query(concave_polygon).ids
         )
+
+
+class TestExtendIntoNonEmpty:
+    """A second bulk frame, on both sides of the index's repack rule,
+    against the brute-force oracle."""
+
+    @pytest.mark.parametrize("batch", [4, 400])
+    @pytest.mark.parametrize("backend_built", [False, True])
+    def test_matches_oracle(self, batch, backend_built, concave_polygon):
+        from repro.query.spec import AreaQuery, KnnQuery, WindowQuery
+
+        points = uniform_points(800 + batch, seed=79)
+        db = SpatialDatabase.from_arrays(
+            [p.x for p in points[:800]], [p.y for p in points[:800]]
+        )
+        if backend_built:
+            db.prepare()
+        db.delete(17)
+        old_root = db.index._root
+        assert db.extend(points[800:]) == list(range(800, 800 + batch))
+        assert (db.index._root is not old_root) == (batch == 400)
+        db.index.check_invariants()
+        assert db.points == points
+        live = [i for i in range(len(points)) if i != 17]
+
+        window = Rect(0.2, 0.1, 0.7, 0.9)
+        assert db.query(WindowQuery(window)).ids() == [
+            i for i in live if window.contains_point(points[i])
+        ]
+        inside = [i for i in live if concave_polygon.contains_point(points[i])]
+        for method in ("voronoi", "traditional"):
+            spec = AreaQuery(concave_polygon, method=method)
+            assert db.query(spec).ids() == inside
+        q = Point(0.31, 0.64)
+        nearest = sorted(
+            live, key=lambda i: (points[i].squared_distance_to(q), i)
+        )[:12]
+        for method in ("index", "voronoi"):
+            assert db.query(KnnQuery(q, 12, method=method)).ids() == nearest
+
+    def test_rejected_batch_changes_nothing(self):
+        db = SpatialDatabase.from_points(uniform_points(100, seed=83))
+        version = db.version
+        with pytest.raises(ValueError):
+            db.extend([(0.5, 0.5), (float("nan"), 0.1)])
+        assert (db.version, len(db), len(db.index)) == (version, 100, 100)
 
 
 class TestClassification:

@@ -96,6 +96,7 @@ class TestDistributions:
 
 
 class TestBackendsAndIndexes:
+    @pytest.mark.usefixtures("requires_scipy")
     def test_both_backends(self):
         points = uniform_points(300, seed=103)
         rng = random.Random(105)

@@ -1,5 +1,6 @@
 """Property-based tests for the Delaunay/Voronoi substrate."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,7 @@ class TestTriangulationProperties:
 
 
 class TestBackendEquivalenceProperties:
+    @pytest.mark.usefixtures("requires_scipy")
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(3, 60))
     def test_pure_equals_scipy_general_position(self, seed, n):
@@ -100,6 +102,7 @@ class TestBackendEquivalenceProperties:
         for i in range(len(points)):
             assert set(pure.neighbors(i)) == set(scipy_backend.neighbors(i))
 
+    @pytest.mark.usefixtures("requires_scipy")
     @settings(max_examples=30, deadline=None)
     @given(grid_points_strategy)
     def test_both_backends_connected_on_degenerate_input(self, points):

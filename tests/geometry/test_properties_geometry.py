@@ -41,8 +41,10 @@ class TestOrientationProperties:
     def test_points_on_line_are_collinear(self, a, b, t):
         c = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
         # c is constructed on the line through a and b up to rounding;
-        # with exact construction (t in {0, 1}) it must be collinear.
-        if t in (0.0, 1.0):
+        # where the construction is exact it must be collinear.  t == 1
+        # alone is not exact: a.y + (b.y - a.y) loses b.y when it is tiny
+        # next to a.y (a=(0, 1), b=(1, 1.4e-120) gives c=(1, 0)).
+        if c in (a, b):
             assert orientation(a, b, c) is Orientation.COLLINEAR
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the Guttman R-tree."""
 
+import math
 import random
 
 import pytest
@@ -7,12 +8,51 @@ import pytest
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import BruteForceIndex
-from repro.index.rtree import RTree
+from repro.index.rtree import _REPACK_RATIO, RTree
 
 
 def _random_entries(n, seed=0):
     rng = random.Random(seed)
     return [(Point(rng.random(), rng.random()), i) for i in range(n)]
+
+
+def _shape(node):
+    """A packed (sub)tree as nested lists of leaf entry lists."""
+    if node.is_leaf:
+        return list(node.entries)
+    return [_shape(child) for child in node.children]
+
+
+def _python_sorted_pack(entries, capacity):
+    """STR packing with Python sorts: the reference the columns must match."""
+
+    def tile(items, x_of, y_of):
+        strips = math.ceil(math.sqrt(math.ceil(len(items) / capacity)))
+        by_x = sorted(items, key=lambda item: (x_of(item), y_of(item)))
+        size = math.ceil(len(by_x) / strips)
+        runs = []
+        for i in range(0, len(by_x), size):
+            strip = sorted(
+                by_x[i : i + size], key=lambda item: (y_of(item), x_of(item))
+            )
+            runs.extend(
+                strip[j : j + capacity] for j in range(0, len(strip), capacity)
+            )
+        return runs
+
+    def center(node, axis):
+        points = [node]
+        while isinstance(points[0], list):
+            points = [p for group in points for p in group]
+        values = [getattr(point, axis) for point, _ in points]
+        return (min(values) + max(values)) / 2.0
+
+    level = tile(entries, lambda e: e[0].x, lambda e: e[0].y)
+    while len(level) > 1:
+        level = tile(
+            level, lambda n: center(n, "x"), lambda n: center(n, "y")
+        )
+    return level[0]
 
 
 class TestConstruction:
@@ -81,12 +121,54 @@ class TestBulkLoad:
         assert len(tree) == 1
         assert tree.nearest_neighbor(Point(0, 0))[1] == 7
 
-    def test_bulk_load_on_nonempty_falls_back_to_insert(self):
+    @pytest.mark.parametrize("batch", [3, 50])
+    def test_bulk_load_on_nonempty_keeps_everything(self, batch):
+        # Both sides of the repack rule: 3 rows are inserted one by one,
+        # 50 rows repack the 300 + 50.
         tree = RTree(max_entries=4)
-        tree.insert(Point(0.1, 0.1), 0)
-        tree.bulk_load(_random_entries(50, seed=1))
-        assert len(tree) == 51
+        existing = _random_entries(300, seed=1)
+        tree.bulk_load(existing)
+        old_root = tree._root
+        extra = [
+            (point, 300 + i)
+            for point, i in _random_entries(batch, seed=2)
+        ]
+        tree.bulk_load(extra)
+        assert (tree._root is not old_root) == (
+            batch * _REPACK_RATIO >= 300 + batch
+        )
+        assert len(tree) == 300 + batch
+        assert sorted(i for _, i in tree.items()) == list(range(300 + batch))
         tree.check_invariants()
+        window = Rect(0.1, 0.3, 0.8, 0.6)
+        assert sorted(tree.window_query(window), key=lambda e: e[1]) == [
+            entry for entry in existing + extra if window.contains_point(entry[0])
+        ]
+
+    def test_repack_leaves_a_suspended_traversal_on_the_old_tree(self):
+        tree = RTree(max_entries=4)
+        existing = _random_entries(200, seed=3)
+        tree.bulk_load(existing)
+        traversal = tree.items()
+        seen = [next(traversal) for _ in range(10)]
+        tree.bulk_load(_random_entries(200, seed=4))  # repacks
+        seen.extend(traversal)
+        assert sorted(seen, key=lambda e: e[1]) == existing
+        assert len(tree) == 400
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count, capacity", [(777, 4), (5000, 16)])
+    def test_columnar_pack_is_the_python_sorted_pack(
+        self, seed, count, capacity
+    ):
+        # Odd seeds draw from a coarse grid, so the sorts see many ties.
+        rng = random.Random(seed)
+        draw = (lambda: rng.randrange(40) / 40) if seed % 2 else rng.random
+        entries = [(Point(draw(), draw()), i) for i in range(count)]
+        tree = RTree(max_entries=capacity)
+        tree.bulk_load(entries)
+        tree.check_invariants()
+        assert _shape(tree._root) == _python_sorted_pack(entries, capacity)
 
     def test_bulk_load_height_logarithmic(self):
         tree = RTree(max_entries=16)

@@ -44,6 +44,7 @@ class TestDatabaseRoundTrip:
         for i in range(200):
             assert restored.point(i) == db.point(i)
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_config_preserved(self, tmp_path):
         db = SpatialDatabase.from_points(
             uniform_points(50, seed=255),

@@ -14,11 +14,13 @@ class TestCLI:
         assert "repro" in out
         assert "Table I" in out
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_demo_small(self, capsys):
         assert main(["demo", "--points", "2000", "--query-size", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "candidates saved" in out
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_experiments_forwarding(self, capsys):
         exit_code = main(
             [
@@ -33,12 +35,14 @@ class TestCLI:
         assert exit_code == 0
         assert "Table II" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_figures(self, tmp_path, capsys):
         assert main(["figures", "--output", str(tmp_path)]) == 0
         for name in ("fig2.svg", "fig3.svg"):
             document = (tmp_path / name).read_text()
             ET.fromstring(document)  # well-formed
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_query_spec_file(self, tmp_path, capsys):
         from repro import AreaQuery, KnnQuery, NearestQuery, WindowQuery
         from repro import dump_specs
@@ -70,6 +74,7 @@ class TestCLI:
         assert "4 specs" in out
         assert "est. cost" in out  # --explain tables
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_query_spec_file_composites_and_streaming(self, tmp_path, capsys):
         from repro import KnnQuery, UnionQuery, WindowQuery, dump_specs
         from repro.geometry.rectangle import Rect
@@ -88,6 +93,7 @@ class TestCLI:
         assert "composite" in out  # the decomposed method column
         assert "k=unbounded" in out
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_query_first_streams_prefixes(self, tmp_path, capsys):
         from repro import KnnQuery, UnionQuery, WindowQuery, dump_specs
         from repro.geometry.rectangle import Rect
@@ -147,6 +153,7 @@ class TestServerCLI:
         assert "snap.npz" in out
         assert len(load_database(out_path)) == 300
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_serve_load_plumbing(self, tmp_path, capsys):
         """`--load` restores the exact snapshot (the serve entry point
         itself blocks, so the database plumbing is tested directly)."""
@@ -167,6 +174,7 @@ class TestServerCLI:
         assert restored.points == db.points
         assert "restored" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_query_remote_round_trip(self, tmp_path, capsys):
         from repro import dump_specs
         from repro.core.database import SpatialDatabase

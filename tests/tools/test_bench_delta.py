@@ -244,7 +244,13 @@ class TestMain:
 
 @pytest.mark.parametrize(
     "name,direction",
-    [("speedup", 1), ("loop_ms", -1), ("seed_walk_reuses", 1)],
+    [
+        ("speedup", 1),
+        ("loop_ms", -1),
+        ("recover_s", -1),
+        ("seed_walk_reuses", 1),
+        ("index_rows_per_s", 1),
+    ],
 )
 def test_direction_heuristic(name, direction):
     from bench_delta import _direction

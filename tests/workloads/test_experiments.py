@@ -16,7 +16,7 @@ from repro.workloads.experiments import (
 
 
 @pytest.fixture(scope="module")
-def tiny_config():
+def tiny_config(requires_scipy):
     # Scaled down from the paper but kept dense enough (results of
     # hundreds of points) that the boundary shell is thin relative to the
     # result — the regime the paper's claims are about.
@@ -172,6 +172,7 @@ class TestBatchThroughput:
             0.002, distinct=6, seed=4, parts=4
         )
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_composite_experiment_rows(self):
         from repro.workloads.experiments import (
             COMPOSITE_TRACE_STRATEGIES,
@@ -192,6 +193,7 @@ class TestBatchThroughput:
         for row in rows:
             assert row.total_ms > 0.0
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_experiment_rows_and_rendering(self):
         rows = run_batch_throughput_experiment(
             ExperimentConfig(),
@@ -216,6 +218,7 @@ class TestBatchThroughput:
         assert "batch/auto" in table
         assert "queries/s" in table
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_main_batch_smoke(self, capsys):
         exit_code = main(
             [
@@ -237,6 +240,7 @@ class TestBatchThroughput:
 
 
 class TestCLI:
+    @pytest.mark.usefixtures("requires_scipy")
     def test_main_table2_smoke(self, capsys):
         exit_code = main(
             [
@@ -278,6 +282,7 @@ class TestServeThroughput:
         with pytest.raises(ValueError, match="shape"):
             make_serve_trace(0.01, 6, 1, shape="spiral")
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_serve_experiment_rows(self):
         from repro.core.database import SpatialDatabase
         from repro.workloads.experiments import (
@@ -307,6 +312,7 @@ class TestServeThroughput:
         table = render_batch_table(rows)
         assert "serve/coalesced x2" in table
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_main_serve_smoke(self, capsys):
         exit_code = main(
             [
@@ -458,6 +464,7 @@ class TestTailLatencyExperiment:
 
 
 class TestOverloadExperiment:
+    @pytest.mark.usefixtures("requires_scipy")
     def test_small_run_sheds_and_bounds(self):
         from repro.core.database import SpatialDatabase
         from repro.workloads.experiments import (
@@ -488,6 +495,7 @@ class TestOverloadExperiment:
         table = render_overload_table(result)
         assert "shed" in table
 
+    @pytest.mark.usefixtures("requires_scipy")
     def test_main_overload_smoke(self, capsys):
         exit_code = main(
             [

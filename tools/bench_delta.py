@@ -102,18 +102,19 @@ _CONTEXT_KEYS = {
     "modeled",
     "replicas",
     "faults_injected",
+    "rows",
 }
 
 #: Metrics where *larger is worse* (times); everything else numeric is
-#: treated as larger-is-better (speedups, hit/reuse counters).
+#: treated as larger-is-better (speedups, hit/reuse counters, and rates:
+#: ``rows_per_s`` ends in ``_s`` but is a throughput).
 _LOWER_IS_BETTER_SUFFIXES = ("_ms", "_s")
 
 
 def _direction(name: str) -> int:
     """+1 when larger is better for ``name``, -1 when smaller is."""
-    return (
-        -1 if name.endswith(_LOWER_IS_BETTER_SUFFIXES) else 1
-    )
+    is_time = name.endswith(_LOWER_IS_BETTER_SUFFIXES)
+    return -1 if is_time and not name.endswith("_per_s") else 1
 
 
 def load_record(path: str) -> Optional[Dict]:

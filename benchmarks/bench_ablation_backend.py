@@ -9,7 +9,9 @@ neighbour sets (general position) and identical query results.
 ``test_bulk_build_rates`` is the in-repo record of set-up speed: a
 100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
 graph, in rows per second (``bulk_build`` in ``BENCH_pr.json``), with the
-seconds at 1E4, 1E5 and 2E5 rows beside them.
+seconds at 1E4, 1E5 and 2E5 rows beside them — and, for the backend that
+serves writes, the pure build at 1E4 and 4E4 rows and the microseconds
+of one ``add_point`` into the 1E4-row graph.
 """
 
 import random
@@ -27,6 +29,8 @@ from repro.workloads.generators import uniform_points
 BUILD_SIZES = (1_000, 5_000)
 BULK_ROWS = 100_000
 BULK_SIZES = (10_000, BULK_ROWS, 200_000)
+PURE_SIZES = (10_000, 40_000)
+PURE_INSERTS = 1_000
 
 
 @pytest.mark.parametrize("n", BUILD_SIZES)
@@ -79,6 +83,21 @@ def _bulk_build(rows: int):
     return index_s, delaunay_s
 
 
+def _pure_build(rows: int):
+    """Seconds for points -> pure graph + table, and per later insert."""
+    points = uniform_points(rows, seed=19)
+    started = time.perf_counter()
+    backend = PureDelaunayBackend(points)
+    backend.neighbor_table()
+    build_s = time.perf_counter() - started
+    started = time.perf_counter()
+    for p in uniform_points(PURE_INSERTS, seed=23):
+        backend.add_point(p)
+    add_point_s = (time.perf_counter() - started) / PURE_INSERTS
+    assert backend.size == len(backend.neighbor_table()) == rows + PURE_INSERTS
+    return build_s, add_point_s
+
+
 def test_bulk_build_rates():
     """Columns to a query-ready database, both structures.
 
@@ -88,11 +107,16 @@ def test_bulk_build_rates():
     _bulk_build(1_000)  # scipy's import and first call are not build time
     seconds = {rows: _bulk_build(rows) for rows in BULK_SIZES}
     index_s, delaunay_s = seconds[BULK_ROWS]
+    small, large = PURE_SIZES
+    (small_s, add_point_s), (large_s, _) = _pure_build(small), _pure_build(large)
     record_benchmark(
         "bulk_build",
         rows=BULK_ROWS,
         index_rows_per_s=round(BULK_ROWS / index_s),
         delaunay_rows_per_s=round(BULK_ROWS / delaunay_s),
+        pure_delaunay_rows_per_s=round(small / small_s),
+        pure_delaunay_4e4_rows_per_s=round(large / large_s),
+        pure_add_point_us=round(add_point_s * 1e6, 1),
         seconds={
             str(rows): {"index": round(index, 3), "delaunay": round(delaunay, 3)}
             for rows, (index, delaunay) in seconds.items()

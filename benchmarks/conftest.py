@@ -53,18 +53,13 @@ def record_benchmark(name: str, **values) -> None:
     BENCH_RECORDS[name] = values
 
 
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Write the session's benchmark records as ``BENCH_pr.json``.
-
-    Only writes when at least one benchmark recorded a result (unit-test
-    sessions that happen to import this conftest stay silent).  The file
-    is a single JSON object: run metadata plus one entry per recorded
-    benchmark — the artifact CI uploads on every run.
+def _session_records() -> Dict[str, Dict[str, object]]:
+    """Everything recorded this session.
 
     Note on module identity: pytest loads this conftest under its own
     module name while the bench files import ``benchmarks.conftest``
     directly, so two instances of :data:`BENCH_RECORDS` can exist in one
-    process; the hook merges both before writing.
+    process; both are merged.
     """
     records = dict(BENCH_RECORDS)
     try:
@@ -73,6 +68,30 @@ def pytest_sessionfinish(session, exitstatus) -> None:
         records.update(imported_records)
     except ImportError:  # pragma: no cover - benchmarks/ always importable
         pass
+    return records
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    """Print each recorded benchmark's scalar metrics, one line apiece,
+    so ``make bench-smoke`` shows the numbers it writes."""
+    for name, values in sorted(_session_records().items()):
+        scalars = " ".join(
+            f"{key}={value}"
+            for key, value in sorted(values.items())
+            if isinstance(value, (int, float, str))
+        )
+        terminalreporter.write_line(f"{name}: {scalars}")
+
+
+def pytest_sessionfinish(session, exitstatus) -> None:
+    """Write the session's benchmark records as ``BENCH_pr.json``.
+
+    Only writes when at least one benchmark recorded a result (unit-test
+    sessions that happen to import this conftest stay silent).  The file
+    is a single JSON object: run metadata plus one entry per recorded
+    benchmark — the artifact CI uploads on every run.
+    """
+    records = _session_records()
     if not records:
         return
     payload = {

@@ -604,10 +604,8 @@ class ClusterCoordinator:
             _require_finite(x, y)
         with self._lock.write():
             by_worker: Dict[int, List[int]] = {}
-            keys = []
-            for position, (x, y) in enumerate(pairs):
-                key = self._map.key_of(x, y)
-                keys.append(key)
+            keys = self._map.keys_of(*zip(*pairs)) if pairs else []
+            for position, key in enumerate(keys):
                 by_worker.setdefault(
                     self._map.owner_of_key(key), []
                 ).append(position)

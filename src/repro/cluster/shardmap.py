@@ -24,7 +24,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.engine.order import DEFAULT_ORDER, hilbert_index
+from repro.engine.order import (
+    DEFAULT_ORDER,
+    cell_index,
+    cell_key,
+    hilbert_index,
+    hilbert_keys,
+)
 
 __all__ = ["ShardRange", "ShardMap", "cell_cover", "key_intervals"]
 
@@ -69,41 +75,6 @@ def _cover_shift(
     return shift
 
 
-def _cell_key(xi: int, yi: int, order: int) -> int:
-    """Hilbert key of grid cell ``(xi, yi)`` at ``order`` refinement.
-
-    The integer-cell form of :func:`repro.engine.order.hilbert_index`:
-    a point whose clamped coordinates snap to cell ``(xi, yi)`` gets
-    exactly this key, so cell covers computed here agree bit-for-bit
-    with point routing.
-    """
-    side = 1 << order
-    distance = 0
-    s = side >> 1
-    while s > 0:
-        rx = 1 if xi & s else 0
-        ry = 1 if yi & s else 0
-        distance += s * s * ((3 * rx) ^ ry)
-        if ry == 0:
-            if rx == 1:
-                xi = s - 1 - xi
-                yi = s - 1 - yi
-            xi, yi = yi, xi
-        s >>= 1
-    return distance
-
-
-def _cell_index(value: float, side: int) -> int:
-    """The grid cell holding coordinate ``value`` (clamped like points).
-
-    Mirrors ``hilbert_index``'s snapping — clamp into ``[0, 1]``, scale,
-    truncate, clamp to the last cell — so interval covers include every
-    cell a routed point can land in.
-    """
-    value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
-    return min(side - 1, int(value * side))
-
-
 def cell_cover(
     bounds: Tuple[float, float, float, float], *, order: int = DEFAULT_ORDER
 ) -> List[int]:
@@ -118,12 +89,12 @@ def cell_cover(
     """
     min_x, min_y, max_x, max_y = bounds
     side = 1 << order
-    x_lo, x_hi = _cell_index(min_x, side), _cell_index(max_x, side)
-    y_lo, y_hi = _cell_index(min_y, side), _cell_index(max_y, side)
+    x_lo, x_hi = cell_index(min_x, side), cell_index(max_x, side)
+    y_lo, y_hi = cell_index(min_y, side), cell_index(max_y, side)
     if (x_hi - x_lo + 1) * (y_hi - y_lo + 1) > CELL_COVER_CAP:
         return []
     return [
-        _cell_key(xi, yi, order)
+        cell_key(xi, yi, order)
         for xi in range(x_lo, x_hi + 1)
         for yi in range(y_lo, y_hi + 1)
     ]
@@ -163,8 +134,8 @@ def key_intervals(
     """
     min_x, min_y, max_x, max_y = bounds
     side = 1 << order
-    x_lo, x_hi = _cell_index(min_x, side), _cell_index(max_x, side)
-    y_lo, y_hi = _cell_index(min_y, side), _cell_index(max_y, side)
+    x_lo, x_hi = cell_index(min_x, side), cell_index(max_x, side)
+    y_lo, y_hi = cell_index(min_y, side), cell_index(max_y, side)
     shift = 0
     while shift < order and (
         ((x_hi >> shift) - (x_lo >> shift) + 1)
@@ -179,7 +150,7 @@ def key_intervals(
     intervals = []
     for qx in range(x_lo >> shift, (x_hi >> shift) + 1):
         for qy in range(y_lo >> shift, (y_hi >> shift) + 1):
-            quad = _cell_key(qx, qy, quad_order)
+            quad = cell_key(qx, qy, quad_order)
             intervals.append((quad << width, (quad + 1) << width))
     return _merge_intervals(intervals)
 
@@ -238,8 +209,8 @@ class ShardMap:
     def __init__(
         self, ranges: Sequence[ShardRange], *, order: int = DEFAULT_ORDER
     ) -> None:
-        if order <= 0:
-            raise ValueError(f"order must be positive, got {order}")
+        if not 0 < order <= 31:  # what the array form of the curve takes
+            raise ValueError(f"order must be in 1..31, got {order}")
         ordered = tuple(sorted(ranges, key=lambda r: r.lo))
         key_space = 4**order
         if not ordered or ordered[0].lo != 0 or ordered[-1].hi != key_space:
@@ -342,6 +313,10 @@ class ShardMap:
         """The Hilbert routing key of point ``(x, y)``."""
         return hilbert_index(x, y, order=self.order)
 
+    def keys_of(self, xs, ys) -> List[int]:
+        """:meth:`key_of` of a whole frame of points, computed as columns."""
+        return hilbert_keys(xs, ys, order=self.order).tolist()
+
     def range_at(self, key: int) -> ShardRange:
         """The range containing Hilbert ``key``."""
         key_space = 4**self.order
@@ -385,7 +360,7 @@ class ShardMap:
         owners = self._quads.get(memo_key)
         if owners is None:
             width = 2 * shift
-            quad = _cell_key(qx, qy, self.order - shift)
+            quad = cell_key(qx, qy, self.order - shift)
             owners = self._owners_of_intervals(
                 [(quad << width, (quad + 1) << width)]
             )
@@ -405,8 +380,8 @@ class ShardMap:
         min_x, min_y, max_x, max_y = bounds
         order = self.order
         side = self._side
-        x_lo, x_hi = _cell_index(min_x, side), _cell_index(max_x, side)
-        y_lo, y_hi = _cell_index(min_y, side), _cell_index(max_y, side)
+        x_lo, x_hi = cell_index(min_x, side), cell_index(max_x, side)
+        y_lo, y_hi = cell_index(min_y, side), cell_index(max_y, side)
         shift = _cover_shift(order, x_lo, x_hi, y_lo, y_hi)
         if shift >= order:  # pragma: no cover - cap >= 4 always terminates
             return self._workers
@@ -435,10 +410,10 @@ class ShardMap:
             raise ValueError(f"radius must be non-negative, got {radius}")
         order = self.order
         side = self._side
-        x_lo = _cell_index(cx - radius, side)
-        x_hi = _cell_index(cx + radius, side)
-        y_lo = _cell_index(cy - radius, side)
-        y_hi = _cell_index(cy + radius, side)
+        x_lo = cell_index(cx - radius, side)
+        x_hi = cell_index(cx + radius, side)
+        y_lo = cell_index(cy - radius, side)
+        y_hi = cell_index(cy + radius, side)
         shift = _cover_shift(order, x_lo, x_hi, y_lo, y_hi)
         if shift >= order:  # pragma: no cover - cap >= 4 always terminates
             return self._workers

@@ -111,10 +111,10 @@ class PureDelaunayBackend(DelaunayBackend):
     structure (the scipy backend must rebuild).
     """
 
-    def __init__(self, points: Sequence[Point], *, seed: int = 0) -> None:
+    def __init__(self, points: Sequence[Point]) -> None:
         from repro.delaunay.triangulation import DelaunayTriangulation
 
-        self._triangulation = DelaunayTriangulation(points, seed=seed)
+        self._triangulation = DelaunayTriangulation(points)
         self._size = len(points)
 
     def neighbors(self, index: int) -> Tuple[int, ...]:

@@ -11,19 +11,39 @@ Classic cavity-based incremental insertion:
 
 1. Start from a *super triangle* enclosing all input points by a wide
    margin.
-2. For each point: locate the triangle containing it by a remembering
-   stochastic walk, grow the *cavity* of all triangles whose circumcircle
-   contains the point (breadth-first over triangle adjacency, using the
-   robust in-circle predicate), delete the cavity and fan-retriangulate its
-   boundary to the new point.
+2. For each point: locate the triangle containing it by a visibility walk
+   over triangle adjacency, grow the *cavity* of all triangles whose
+   circumcircle contains the point (breadth-first over triangle adjacency,
+   using the robust in-circle predicate), delete the cavity and
+   fan-retriangulate its boundary to the new point.
 3. Finally, drop every triangle incident to a super-triangle vertex.
 
-Expected time is O(n log n) with randomised insertion order; worst case is
-quadratic.  The structure maintains full triangle adjacency, so the Voronoi
-dual can be extracted without search, and it stays **dynamic**:
+Point location is what an incremental construction spends its time on
+unless every walk starts next to its target, so both ways a vertex arrives
+arrange for that:
+
+* The **bulk build** inserts the rows in the order of their Hilbert-curve
+  keys over the input's bounding box (:func:`repro.engine.order.hilbert_keys`,
+  one array pass), whatever order they were given in.  Consecutive inserts
+  are spatial neighbours and each walk starts from the triangle the
+  previous insert created: under 3 steps on average on uniform, clustered,
+  sorted and exact-grid input alike.
+* A **live insert** (:meth:`DelaunayTriangulation.add_point`) starts from
+  a *hint grid*: a coarse grid over the build extent (about four build
+  points per cell) whose cells each remember one live triangle with a
+  vertex inside the cell.  Re-fanning a cavity refreshes the cells of the
+  cavity's boundary vertices, which is exactly what keeps every remembered
+  triangle alive.  A cell no vertex has landed in yet, and a point outside
+  the build extent (it reads a border cell), only make the walk longer;
+  where a walk starts never changes the triangulation.
+
+The build is O(n log n) for the sort plus, on the inputs above, O(1)
+location and cavity work per point; the worst case stays quadratic.  The
+structure maintains full triangle adjacency, so the Voronoi dual can be
+extracted without search, and it stays **dynamic**:
 :meth:`DelaunayTriangulation.add_point` inserts one more point in expected
-O(1) cavity work and reports exactly which points' neighbourhoods changed —
-the database uses that to keep query structures warm across inserts.
+O(1) work and reports exactly which points' neighbourhoods changed — the
+database uses that to keep query structures warm across inserts.
 
 Degeneracies
 ------------
@@ -40,7 +60,6 @@ Degeneracies
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -54,15 +73,26 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.predicates import (
     circumcenter,
     incircle,
-    orientation_value,
+    orientation_sign,
 )
 
 Triangle = Tuple[int, int, int]
-_SUPER = (0, 1, 2)  # vertex slots reserved for the super triangle
+# vertex slots reserved for the super triangle: finite vertices are > 2
+_SUPER = (0, 1, 2)
+#: Hilbert refinement of the bulk build's insertion order: the finest the
+#: int64 keys allow, so that a cluster a millionth of the bounding box wide
+#: (one far outlier does that) still gets distinct keys.  Points sharing a
+#: cell go in in row order.
+_CURVE_ORDER = 31
+#: The hint grid has about one cell per four build-time points, and never
+#: more than this many cells per axis, however large the build.
+_HINT_SIDE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -86,9 +116,8 @@ class DelaunayTriangulation:
     points:
         The initial points.  Order is preserved: vertex ``i`` of the
         triangulation is ``points[i]``.
-    shuffle:
-        Insert in random order (seeded for reproducibility).  Strongly
-        recommended — sorted input degrades the walk-based point location.
+        The insertion order is the build's own (Hilbert-curve order over
+        the bounding box), so sorted input costs nothing extra.
 
     Attributes
     ----------
@@ -97,15 +126,13 @@ class DelaunayTriangulation:
     alias_of:
         Maps the index of each duplicate point to the index of its first
         occurrence; canonical points map to themselves.
+    locate_steps:
+        Triangle-to-triangle moves point location has made so far, bulk
+        build and ``add_point`` together — a deterministic measure of how
+        near its target each walk started (the tests bound its mean).
     """
 
-    def __init__(
-        self,
-        points: Sequence[Point],
-        *,
-        shuffle: bool = True,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, points: Sequence[Point]) -> None:
         self.points: List[Point] = list(points)
         if len(self.points) < 1:
             raise ValueError("triangulation needs at least one point")
@@ -121,7 +148,8 @@ class DelaunayTriangulation:
         # vertex i (None on the hull)
         self._neighbors: Dict[int, List[Optional[int]]] = {}
         self._next_triangle_id = 0
-        self._last_triangle: Optional[int] = None
+        self._last_triangle = 0
+        self.locate_steps = 0
 
         # Neighbour bookkeeping: spatial adjacency over canonical input
         # indices, duplicate groups, and a per-index view cache.
@@ -131,7 +159,7 @@ class DelaunayTriangulation:
         self._chain_mode = False  # True while the input is fully collinear
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
 
-        self._build(shuffle=shuffle, seed=seed)
+        self._build()
 
     # -- public API ----------------------------------------------------------
 
@@ -198,7 +226,12 @@ class DelaunayTriangulation:
         self._vertices.append(point)
         self._vertex_to_input.append(index)
         self._input_to_vertex[index] = vertex
-        interior_edges, boundary_vertices = self._insert_vertex(vertex)
+        # Walk from the triangle remembered for the point's cell; a cell no
+        # vertex has landed in yet starts where the previous write ended.
+        start = self._hint[self._hint_cell(point.x, point.y)]
+        if start not in self._triangles:
+            start = self._last_triangle
+        interior_edges, boundary_vertices = self._insert_vertex(vertex, start)
 
         if self._chain_mode:
             # The pre-insert structure was a degenerate collinear chain; the
@@ -290,7 +323,11 @@ class DelaunayTriangulation:
 
     # -- construction ---------------------------------------------------------
 
-    def _build(self, shuffle: bool, seed: int) -> None:
+    def _build(self) -> None:
+        # Imported here: the engine package imports the layers above this
+        # one, which import this module.
+        from repro.engine.order import hilbert_keys
+
         # Deduplicate: canonical index for every distinct location.
         canonical: List[int] = []
         for i, p in enumerate(self.points):
@@ -306,10 +343,11 @@ class DelaunayTriangulation:
                 canonical.append(i)
 
         # Super triangle: a triangle comfortably containing all points.
-        xs = [p.x for p in self.points]
-        ys = [p.y for p in self.points]
-        min_x, max_x = min(xs), max(xs)
-        min_y, max_y = min(ys), max(ys)
+        count = len(self.points)
+        xs = np.fromiter((p.x for p in self.points), np.float64, count)
+        ys = np.fromiter((p.y for p in self.points), np.float64, count)
+        min_x, max_x = float(xs.min()), float(xs.max())
+        min_y, max_y = float(ys.min()), float(ys.max())
         span = max(max_x - min_x, max_y - min_y, 1.0)
         mid_x = (min_x + max_x) / 2.0
         mid_y = (min_y + max_y) / 2.0
@@ -328,22 +366,46 @@ class DelaunayTriangulation:
             Point(mid_x, mid_y + 2.0 * margin),
         ]
         self._vertex_to_input = [-1, -1, -1]
+        self._last_triangle = self._new_triangle((0, 1, 2), [None, None, None])
 
-        root = self._new_triangle((0, 1, 2), [None, None, None])
-        self._last_triangle = root
+        # Hint grid over the input's bounding box: cell -> id of a live
+        # triangle with a vertex in that cell (-1 until one lands there).
+        width = (max_x - min_x) or 1.0
+        height = (max_y - min_y) or 1.0
+        side = min(_HINT_SIDE_MAX, max(1, int((len(canonical) / 4.0) ** 0.5)))
+        self._hint_side = side
+        self._hint_origin = (min_x, min_y)
+        self._hint_scale = (side / width, side / height)
+        self._hint: List[int] = [-1] * (side * side)
 
-        order = list(canonical)
-        if shuffle:
-            random.Random(seed).shuffle(order)
-        for input_index in order:
+        # Insert along the Hilbert curve through the bounding box, so every
+        # point is a spatial neighbour of the one before it and its walk
+        # from the last triangle created is a few steps long.
+        rows = np.asarray(canonical, dtype=np.int64)
+        keys = hilbert_keys(
+            (xs[rows] - min_x) / width,
+            (ys[rows] - min_y) / height,
+            order=_CURVE_ORDER,
+        )
+        for input_index in rows[np.argsort(keys, kind="stable")].tolist():
             vertex = len(self._vertices)
             self._vertices.append(self.points[input_index])
             self._vertex_to_input.append(input_index)
             self._input_to_vertex[input_index] = vertex
-            self._insert_vertex(vertex)
+            self._insert_vertex(vertex, self._last_triangle)
 
         self._spatial_adj = self._extract_spatial_adjacency()
         self._chain_mode = not any(True for _ in self.triangles())
+
+    def _hint_cell(self, x: float, y: float) -> int:
+        """Index into the hint grid of the cell holding ``(x, y)``; points
+        outside the build extent fall into the border cells."""
+        last = self._hint_side - 1
+        cx = int((x - self._hint_origin[0]) * self._hint_scale[0])
+        cy = int((y - self._hint_origin[1]) * self._hint_scale[1])
+        cx = 0 if cx < 0 else (last if cx > last else cx)
+        cy = 0 if cy < 0 else (last if cy > last else cy)
+        return cy * self._hint_side + cx
 
     def _guard_inside_super(self, point: Point) -> None:
         """Reject inserts so far outside the original extent that the super
@@ -370,40 +432,37 @@ class DelaunayTriangulation:
 
     # -- point location -------------------------------------------------------
 
-    def _locate(self, p: Point) -> int:
-        """Find a triangle whose closed interior contains ``p``.
+    def _locate(self, px: float, py: float, start: int) -> int:
+        """Find a triangle whose closed interior contains ``(px, py)``.
 
-        Remembering stochastic walk from the last created triangle.  The
-        super triangle guarantees containment, so the walk terminates.
+        Visibility walk from triangle ``start``: cross the first edge that
+        has the point strictly on its far side, never the edge just
+        crossed (the exact predicate is antisymmetric, so that one cannot
+        be an exit).  Where the walk starts changes how long it is, never
+        where it ends up: any triangle containing the point opens the same
+        cavity.  The triangulation is Delaunay throughout, so the walk
+        cannot cycle, and the super triangle guarantees containment.
         """
-        tri_id = self._last_triangle
-        assert tri_id is not None
-        if tri_id not in self._triangles:
-            tri_id = next(iter(self._triangles))
+        triangles = self._triangles
+        neighbors = self._neighbors
+        vertices = self._vertices
+        tri_id = start
         previous = -1
-        for _ in range(4 * len(self._triangles) + 16):
-            tri = self._triangles[tri_id]
-            a, b, c = (self._vertices[v] for v in tri)
-            exits: List[int] = []
-            for edge_index, (u, w) in enumerate(((b, c), (c, a), (a, b))):
-                # edge_index is the vertex opposite the edge (u, w)
-                if orientation_value(u, w, p) < 0.0:
-                    exits.append(edge_index)
-            if not exits:
+        for steps in range(4 * len(triangles) + 16):
+            i, j, k = triangles[tri_id]
+            a, b, c = vertices[i], vertices[j], vertices[k]
+            ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
+            # neighbour e is across the edge opposite local vertex e
+            n0, n1, n2 = neighbors[tri_id]
+            if n0 != previous and orientation_sign(bx, by, cx, cy, px, py) < 0.0:
+                step = n0
+            elif n1 != previous and orientation_sign(cx, cy, ax, ay, px, py) < 0.0:
+                step = n1
+            elif n2 != previous and orientation_sign(ax, ay, bx, by, px, py) < 0.0:
+                step = n2
+            else:
+                self.locate_steps += steps
                 return tri_id
-            # Prefer an exit that doesn't walk straight back.
-            step = None
-            for edge_index in exits:
-                neighbor = self._neighbors[tri_id][edge_index]
-                if neighbor is not None and neighbor != previous:
-                    step = neighbor
-                    break
-            if step is None:
-                for edge_index in exits:
-                    neighbor = self._neighbors[tri_id][edge_index]
-                    if neighbor is not None:
-                        step = neighbor
-                        break
             if step is None:
                 # Outside the hull of live triangles — cannot happen with a
                 # super triangle, but guard anyway.
@@ -414,30 +473,30 @@ class DelaunayTriangulation:
     # -- insertion --------------------------------------------------------------
 
     def _insert_vertex(
-        self, vertex: int
+        self, vertex: int, start: int
     ) -> Tuple[List[Tuple[int, int]], List[int]]:
-        """Bowyer–Watson insertion of ``vertex``.
+        """Bowyer–Watson insertion of ``vertex``, located from ``start``.
 
         Returns ``(interior_edges, boundary_vertices)``: the finite edges
         destroyed by the cavity (each shared by two cavity triangles) and
         the finite vertices of the cavity's boundary cycle (the new
         vertex's Delaunay neighbours) — exactly the adjacency delta.
         """
-        p = self._vertices[vertex]
-        start = self._locate(p)
+        triangles = self._triangles
+        neighbors = self._neighbors
+        vertices = self._vertices
+        p = vertices[vertex]
+        first = self._locate(p.x, p.y, start)
 
         # Grow the cavity: all triangles whose circumcircle contains p.
-        cavity: Set[int] = {start}
-        frontier = [start]
+        cavity: Set[int] = {first}
+        frontier = [first]
         while frontier:
-            tri_id = frontier.pop()
-            for neighbor in self._neighbors[tri_id]:
+            for neighbor in neighbors[frontier.pop()]:
                 if neighbor is None or neighbor in cavity:
                     continue
-                ta, tb, tc = (
-                    self._vertices[v] for v in self._triangles[neighbor]
-                )
-                if incircle(ta, tb, tc, p) > 0.0:
+                i, j, k = triangles[neighbor]
+                if incircle(vertices[i], vertices[j], vertices[k], p) > 0.0:
                     cavity.add(neighbor)
                     frontier.append(neighbor)
 
@@ -447,25 +506,30 @@ class DelaunayTriangulation:
         boundary: List[Tuple[int, int, Optional[int]]] = []
         interior_edges: List[Tuple[int, int]] = []
         for tri_id in cavity:
-            tri = self._triangles[tri_id]
-            for edge_index in range(3):
-                neighbor = self._neighbors[tri_id][edge_index]
-                u = tri[(edge_index + 1) % 3]
-                w = tri[(edge_index + 2) % 3]
+            tri = triangles[tri_id]
+            for edge_index, neighbor in enumerate(neighbors[tri_id]):
+                u = tri[edge_index - 2]
+                w = tri[edge_index - 1]
                 if neighbor is None or neighbor not in cavity:
                     boundary.append((u, w, neighbor))
-                elif tri_id < neighbor and u not in _SUPER and w not in _SUPER:
+                elif tri_id < neighbor and u > 2 and w > 2:
                     interior_edges.append((u, w))
 
         # Delete the cavity (no live triangle references a cavity id after
         # the redirection below, so the entries can be reclaimed outright).
         for tri_id in cavity:
-            del self._triangles[tri_id]
-            del self._neighbors[tri_id]
+            del triangles[tri_id]
+            del neighbors[tri_id]
 
         # Fan-retriangulate: one new triangle per boundary edge.  The cavity
         # is star-shaped around p, so its boundary is a single CCW cycle and
         # each boundary vertex starts exactly one edge and ends exactly one.
+        # Every boundary vertex re-points its hint cell at its new triangle:
+        # a hinted triangle always has a vertex in the hinting cell, so when
+        # a cavity deletes it that vertex is on the boundary and the cell is
+        # refreshed here — hints never go stale.
+        hint = self._hint
+        hint_cell = self._hint_cell
         owner_by_start: Dict[int, int] = {}
         owner_by_end: Dict[int, int] = {}
         new_ids: List[int] = []
@@ -474,16 +538,18 @@ class DelaunayTriangulation:
             new_ids.append(new_id)
             owner_by_start[u] = new_id
             owner_by_end[w] = new_id
+            if u > 2:
+                corner = vertices[u]
+                hint[hint_cell(corner.x, corner.y)] = new_id
             if outside is not None:
                 # Point the outside triangle back at the new one.
-                outside_tri = self._triangles[outside]
-                outside_neighbors = self._neighbors[outside]
+                outside_tri = triangles[outside]
+                outside_neighbors = neighbors[outside]
                 for i in range(3):
-                    ou = outside_tri[(i + 1) % 3]
-                    ow = outside_tri[(i + 2) % 3]
-                    if (ou, ow) == (w, u):
+                    if outside_tri[i - 2] == w and outside_tri[i - 1] == u:
                         outside_neighbors[i] = new_id
                         break
+        hint[hint_cell(p.x, p.y)] = new_ids[-1]
 
         # Stitch the fan: triangle (vertex, u, w) meets the triangle whose
         # boundary edge starts at w along the spoke (w, vertex) (edge
@@ -491,14 +557,13 @@ class DelaunayTriangulation:
         # ends at u along the spoke (vertex, u) (edge opposite local
         # vertex 2).
         for new_id in new_ids:
-            _, u, w = self._triangles[new_id]
-            self._neighbors[new_id][1] = owner_by_start.get(w)
-            self._neighbors[new_id][2] = owner_by_end.get(u)
-        self._last_triangle = new_ids[-1] if new_ids else self._last_triangle
+            _, u, w = triangles[new_id]
+            fan = neighbors[new_id]
+            fan[1] = owner_by_start.get(w)
+            fan[2] = owner_by_end.get(u)
+        self._last_triangle = new_ids[-1]
 
-        boundary_vertices = [
-            u for u, _, _ in boundary if u not in _SUPER
-        ]
+        boundary_vertices = [u for u, _, _ in boundary if u > 2]
         return interior_edges, boundary_vertices
 
     # -- adjacency extraction ----------------------------------------------------

@@ -35,7 +35,7 @@ from repro.engine.cache import (
     ResultCache,
     region_fingerprint,
 )
-from repro.engine.order import hilbert_index, locality_order
+from repro.engine.order import hilbert_index, hilbert_keys, locality_order
 from repro.engine.planner import (
     CostEstimate,
     CostModel,
@@ -52,6 +52,7 @@ __all__ = [
     "CacheStats",
     "region_fingerprint",
     "hilbert_index",
+    "hilbert_keys",
     "locality_order",
     "QueryPlanner",
     "CostModel",

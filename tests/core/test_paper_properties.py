@@ -34,8 +34,10 @@ class TestProperty1Uniqueness:
         """Property 1: V D(P) is unique — rebuilding with different
         insertion orders yields identical neighbour relations (general
         position)."""
-        dt1 = DelaunayTriangulation(points_300, seed=1)
-        dt2 = DelaunayTriangulation(points_300, seed=2)
+        dt1 = DelaunayTriangulation(points_300)  # curve order
+        dt2 = DelaunayTriangulation(points_300[:3])
+        for p in points_300[3:]:  # row order
+            dt2.add_point(p)
         for i in range(len(points_300)):
             assert set(dt1.neighbors(i)) == set(dt2.neighbors(i))
 

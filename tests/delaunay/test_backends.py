@@ -189,6 +189,84 @@ class TestBackendAgreement:
         assert not store._materialized  # columns only: no Point was built
 
 
+def _integer_grid(side):
+    # Integer coordinates are exact in floating point: the four corners
+    # of every cell are exactly cocircular, rows and columns collinear.
+    return [Point(float(i), float(j)) for i in range(side) for j in range(side)]
+
+
+def _duplicated_grid():
+    grid = _integer_grid(9)
+    return grid + grid[::4] + grid[::7]
+
+
+DEGENERATE_INPUTS = {
+    "exact-grid": lambda: _integer_grid(12),
+    "duplicated-grid": _duplicated_grid,
+}
+
+
+def _assert_a_delaunay_triangulation_of_the_grid(points, neighbors):
+    """What every valid answer shares when each cell's diagonal is a tie.
+
+    Symmetric, self-free; copies of a location adjacent to each other and
+    interchangeable; between locations, every axis edge, exactly one
+    diagonal per cell, and nothing else.
+    """
+    side = round(max(p.x for p in points)) + 1
+    rows_at = {}
+    for i, p in enumerate(points):
+        rows_at.setdefault((p.x, p.y), []).append(i)
+    axis = diagonals = 0
+    for i, p in enumerate(points):
+        row = set(neighbors(i))
+        assert i not in row
+        assert all(i in neighbors(j) for j in row)
+        copies = set(rows_at[p.x, p.y]) - {i}
+        assert copies <= row
+        for j in copies:
+            assert row - {j} == set(neighbors(j)) - {i}
+        for j in row - copies:
+            dx, dy = abs(points[j].x - p.x), abs(points[j].y - p.y)
+            assert (dx, dy) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)), (i, j)
+            if i == rows_at[p.x, p.y][0] and j == rows_at[points[j].x, points[j].y][0]:
+                axis += dx + dy == 1.0
+                diagonals += dx + dy == 2.0
+    assert axis == 2 * (2 * side * (side - 1))  # each edge seen from both ends
+    assert diagonals == 2 * (side - 1) ** 2
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_INPUTS))
+class TestDegenerateAgreementByInvariant:
+    """Which diagonal a cocircular cell gets depends on insertion order, so
+    on such input the backends are held to the invariants of a Delaunay
+    triangulation, not to each other's neighbour sets."""
+
+    def test_from_scratch(self, case):
+        points = DEGENERATE_INPUTS[case]()
+        triangulation = DelaunayTriangulation(points)
+        triangulation.check_delaunay_property()
+        _assert_a_delaunay_triangulation_of_the_grid(
+            points, triangulation.neighbors
+        )
+
+    def test_incremental(self, case):
+        points = DEGENERATE_INPUTS[case]()
+        backend = PureDelaunayBackend(points[: len(points) // 2])
+        for p in points[len(points) // 2 :]:
+            backend.add_point(p)
+        backend.triangulation.check_delaunay_property()
+        table = backend.neighbor_table()
+        _assert_a_delaunay_triangulation_of_the_grid(points, table.__getitem__)
+
+    @pytest.mark.usefixtures("requires_scipy")
+    def test_qhull(self, case):
+        points = DEGENERATE_INPUTS[case]()
+        _assert_a_delaunay_triangulation_of_the_grid(
+            points, ScipyDelaunayBackend(points).neighbors
+        )
+
+
 class TestRegistry:
     @pytest.mark.usefixtures("requires_scipy")
     def test_make_backend(self, uniform_200):

@@ -250,6 +250,7 @@ class TestMain:
         ("recover_s", -1),
         ("seed_walk_reuses", 1),
         ("index_rows_per_s", 1),
+        ("pure_add_point_us", -1),
     ],
 )
 def test_direction_heuristic(name, direction):

@@ -108,7 +108,7 @@ _CONTEXT_KEYS = {
 #: Metrics where *larger is worse* (times); everything else numeric is
 #: treated as larger-is-better (speedups, hit/reuse counters, and rates:
 #: ``rows_per_s`` ends in ``_s`` but is a throughput).
-_LOWER_IS_BETTER_SUFFIXES = ("_ms", "_s")
+_LOWER_IS_BETTER_SUFFIXES = ("_us", "_ms", "_s")
 
 
 def _direction(name: str) -> int:

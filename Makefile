@@ -36,7 +36,9 @@ lint:
 ## fast benchmark smoke: columnar + batch-engine + composite + server +
 ## mutable-serving + live-subscription + tail-latency + overload suites
 ## (plus cluster, failover and the backend ablation with its 1E5-row
-## bulk-build rates) with their speedup assertions (timing collection disabled; the
+## bulk-build rates and index/graph bytes per row, printed under the
+## pytest summary with every other record) with their speedup
+## assertions (timing collection disabled; the
 ## 2x / 1.5x / 1.3x throughput asserts, the no-rebuild freshness
 ## assert, the dirty-tile pruning assert, and the bounded-admitted-p99
 ## overload assert still run).  Emits the machine-readable per-PR

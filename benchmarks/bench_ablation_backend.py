@@ -6,16 +6,18 @@ between our from-scratch triangulator and the Qhull-backed one, and the
 shape test re-asserts that the choice cannot affect queries: identical
 neighbour sets (general position) and identical query results.
 
-``test_bulk_build_rates`` is the in-repo record of set-up speed: a
-100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
-graph, in rows per second (``bulk_build`` in ``BENCH_pr.json``), with the
-seconds at 1E4, 1E5 and 2E5 rows beside them — and, for the backend that
-serves writes, the pure build at 1E4 and 4E4 rows and the microseconds
-of one ``add_point`` into the 1E4-row graph.
+``test_bulk_build_rates`` is the in-repo record of set-up speed and size:
+a 100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
+graph, in rows per second and in traced bytes per row (``bulk_build`` in
+``BENCH_pr.json``), with the seconds at 1E4, 1E5 and 2E5 rows beside them
+— and, for the backend that serves writes, the pure build at 1E4 and 4E4
+rows and the microseconds of one ``add_point`` into the 1E4-row graph.
 """
 
+import gc
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,20 +69,43 @@ def test_backends_identical_query_results():
 
 
 def _bulk_build(rows: int):
-    """Seconds for columns -> index and for index -> graph + table."""
+    """Seconds for columns -> index and for index -> CSR graph."""
     xy = np.random.default_rng(17).random((rows, 2))
     started = time.perf_counter()
     db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
     index_s = time.perf_counter() - started
     started = time.perf_counter()
-    db.prepare()  # the Qhull graph and its neighbour table
+    db.prepare()  # the Qhull graph, in the form area queries read
     delaunay_s = time.perf_counter() - started
 
     db.index.check_invariants()
     indptr, indices = db.backend.neighbor_csr()
-    assert len(indptr) == rows + 1
-    assert len(indices) == sum(map(len, db.backend.neighbor_table()))
+    assert len(indptr) == rows + 1 and int(indptr[-1]) == len(indices)
+    assert int(np.diff(indptr).min()) >= 2  # a triangulated vertex has >= 2
+    # what a prepared database holds: columns, leaf arrays, CSR — no
+    # Point and no neighbour table
+    assert db.store._materialized == []
+    assert getattr(db.backend, "_neighbor_table", None) is None
     return index_s, delaunay_s
+
+
+def _bulk_bytes(rows: int):
+    """Traced bytes per row of the index and of the graph (store excluded)."""
+    xy = np.random.default_rng(17).random((rows, 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
+        gc.collect()
+        loaded = tracemalloc.get_traced_memory()[0]
+        db.prepare()
+        gc.collect()
+        prepared = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    store = db.store
+    columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
+    return (loaded - columns) / rows, (prepared - loaded) / rows
 
 
 def _pure_build(rows: int):
@@ -107,6 +132,7 @@ def test_bulk_build_rates():
     _bulk_build(1_000)  # scipy's import and first call are not build time
     seconds = {rows: _bulk_build(rows) for rows in BULK_SIZES}
     index_s, delaunay_s = seconds[BULK_ROWS]
+    index_bytes, graph_bytes = _bulk_bytes(BULK_ROWS)
     small, large = PURE_SIZES
     (small_s, add_point_s), (large_s, _) = _pure_build(small), _pure_build(large)
     record_benchmark(
@@ -114,6 +140,8 @@ def test_bulk_build_rates():
         rows=BULK_ROWS,
         index_rows_per_s=round(BULK_ROWS / index_s),
         delaunay_rows_per_s=round(BULK_ROWS / delaunay_s),
+        index_bytes_per_row=round(index_bytes, 1),
+        graph_bytes_per_row=round(graph_bytes, 1),
         pure_delaunay_rows_per_s=round(small / small_s),
         pure_delaunay_4e4_rows_per_s=round(large / large_s),
         pure_add_point_us=round(add_point_s * 1e6, 1),

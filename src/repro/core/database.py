@@ -161,13 +161,17 @@ class SpatialDatabase:
 
         The columnar loading edge: the arrays land in the
         :class:`~repro.core.store.PointStore` with one numpy copy each and
-        both access structures are built from those columns.  The index
-        sorts and tiles them as arrays (:meth:`RTree.bulk_load
-        <repro.index.rtree.RTree.bulk_load>`) and holds the store's own
-        :class:`Point` objects, materialized once for the whole table;
-        the Qhull backend reads the columns and builds no ``Point`` at
-        all.  Snapshot restores (:func:`repro.io.persist.load_database`,
-        ``repro serve --load``) come through here.
+        both access structures are built from those columns, with no
+        Python object per row.  The R-tree sorts and tiles them as arrays
+        and its leaves keep slices of the packed copies (:meth:`RTree.bulk_load
+        <repro.index.rtree.RTree.bulk_load>`; the other index kinds take
+        the same rows as ``(Point, id)`` entries); the Qhull backend reads
+        the columns and is born as the CSR graph.  A database built this
+        way and then queried with area specs never builds a ``Point``
+        except the ones a caller asks for (:attr:`points`,
+        :meth:`point`, result ``.points()``).  Snapshot restores
+        (:func:`repro.io.persist.load_database`, ``repro serve --load``)
+        come through here.
         """
         db = cls(
             index_kind, backend_kind, vectorized=vectorized, **index_kwargs
@@ -176,9 +180,14 @@ class SpatialDatabase:
         return db
 
     def _load_columns(self, xs, ys) -> range:
-        """Append coordinate columns to the store and bulk-load the index."""
+        """Append coordinate columns to the store and bulk-load the index.
+
+        The index receives the new rows as the store's
+        :class:`~repro.core.store.RowEntries`: columns for a loader that
+        packs arrays, ``(Point, id)`` pairs for one that iterates.
+        """
         rows = self._store.extend_array(xs, ys)
-        self._index.bulk_load(zip(self._store.rows()[rows.start :], rows))
+        self._index.bulk_load(self._store.entries(rows))
         return rows
 
     def insert(self, point: Point | Tuple[float, float]) -> int:
@@ -253,7 +262,7 @@ class SpatialDatabase:
         out-of-range id, :class:`ValueError` if already deleted; a
         rejected delete changes nothing.
         """
-        point = self._store.point(row_id)  # IndexError when out of range
+        point = Point(*self._store.coords(row_id))  # IndexError when out of range
         self._store.delete(row_id)  # ValueError when already deleted
         self._index.delete(point, row_id)
 
@@ -325,8 +334,13 @@ class SpatialDatabase:
         Experiments call this so that backend construction is excluded from
         per-query timings, matching the paper's setting where the Voronoi
         diagram is a precomputed database structure like the R-tree.
+        What is built is what area queries read — the backend and its CSR
+        graph (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`).
+        The neighbour *table* and the store's ``Point`` cache stay lazy:
+        the first kNN walk, seed walk or scalar traversal builds them, and
+        a database that serves only area and window queries never does.
         """
-        self.backend.neighbor_table()
+        self.backend.neighbor_csr()
         return self
 
     # -- queries -----------------------------------------------------------

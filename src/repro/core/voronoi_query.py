@@ -19,6 +19,22 @@ validations equal the shell size, which scales with the polygon's
 *perimeter* — compare the traditional method's scaling with the MBR/polygon
 *area difference*.  That asymmetry is the entire empirical story of the
 paper (Figs. 4–7).
+
+Two executions of the same rule live here.  :func:`voronoi_area_query`'s
+own loop is the scalar queue — one candidate at a time over ``Point``
+objects and the backend's neighbour table — kept as the oracle
+(``SpatialDatabase(vectorized=False)``, regions without array kernels).
+:func:`_expand_vectorized` is what a database runs: the frontier advances
+one BFS *wave* at a time, each wave refined by one ``contains_many`` call,
+its neighbours gathered from the CSR graph, its shell segments tested by
+one ``crosses_boundary_many`` call, all over the store's coordinate
+columns; it builds neither the table nor a stored ``Point``.  The closure
+the rule defines does not depend on the order candidates are visited in,
+so both return the same ids and the same ``candidates`` / ``validations``
+/ ``redundant_validations``.  ``segment_tests`` does depend on it — the
+queue stops testing segments into a neighbour once one of them has
+admitted it, a wave tests all its segments at once — and is reported as
+measured, not as a paper quantity.
 """
 
 from __future__ import annotations
@@ -27,6 +43,9 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.geometry.kernels import squared_distances
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import QueryRegion
@@ -98,7 +117,7 @@ def graph_nearest(
 def voronoi_area_query(
     index: SpatialIndex,
     backend: DelaunayBackend,
-    points: List[Point],
+    points: Sequence[Point],
     area: QueryRegion,
     *,
     seed_position: Optional[Point] = None,
@@ -118,6 +137,9 @@ def voronoi_area_query(
         Voronoi-neighbour provider over ``points``.
     points:
         The database point table; ``backend`` must have been built on it.
+        Only the scalar queue reads it — with ``store`` given the
+        expansion reads the store's columns and ``points`` may be a lazy
+        view that is never touched.
     area:
         The query polygon ``A``.
     seed_position:
@@ -136,15 +158,17 @@ def voronoi_area_query(
     store:
         The database's columnar :class:`~repro.core.store.PointStore`.
         When given (and the region provides ``contains_many``), the BFS
-        runs *wave by wave*: every frontier generation is refined with
-        one vectorized kernel call over coordinates gathered from the
-        store's columns instead of one Python ``contains_point`` per
-        candidate.  The visited closure — and therefore the result id
-        list — is identical to the scalar queue's (the expansion rule
-        depends only on per-point/per-segment predicates, never on
-        order), and the kernels are bitwise-exact against the scalar
-        refinement; ``segment_tests`` is the one counter whose value may
-        differ, since which external point first reaches a shared
+        runs *wave by wave* on arrays only (:func:`_expand_vectorized`):
+        every frontier generation is refined with one kernel call over
+        coordinates gathered from the store's columns, neighbours come
+        from the backend's CSR graph, and the shell's segments are tested
+        by one ``crosses_boundary_many`` call — no neighbour table and no
+        ``Point`` is built or read.  The visited closure — and therefore
+        the result id list — is identical to the scalar queue's (the
+        expansion rule depends only on per-point/per-segment predicates,
+        never on order), and the kernels are bitwise-exact against the
+        scalar tests; ``segment_tests`` is the one counter whose value
+        may differ, since which external point first reaches a shared
         neighbour is order-dependent.
     deleted:
         The store's tombstone map (:attr:`PointStore.deleted_rows`), or
@@ -189,6 +213,11 @@ def voronoi_area_query(
             stats.time_ms = (time.perf_counter() - started) * 1000.0
             return QueryResult(ids=[], stats=stats)
         seed_id = seed_entry[1]
+    contains_many = (
+        getattr(area, "contains_many", None)
+        if store is not None and contains is None
+        else None
+    )
     if deleted:
         # The seed came from the live-only spatial index (directly above,
         # or from the engine's seed-reuse walk whose fallback is the same
@@ -198,18 +227,19 @@ def voronoi_area_query(
             from repro.geometry.region import interior_seed_position
 
             position = interior_seed_position(area)
-        seed_id = graph_nearest(
-            backend.neighbor_table(), points, seed_id, position.x, position.y
-        )
+        if contains_many is not None:
+            seed_id = _csr_graph_nearest(
+                *backend.neighbor_csr(),
+                store.xs, store.ys, seed_id, position.x, position.y,
+            )
+        else:
+            seed_id = graph_nearest(
+                backend.neighbor_table(), points, seed_id, position.x, position.y
+            )
 
-    contains_many = (
-        getattr(area, "contains_many", None)
-        if store is not None and contains is None
-        else None
-    )
     if contains_many is not None:
         return _expand_vectorized(
-            index, backend, area, contains_many, store, points, seed_id,
+            index, backend, area, contains_many, store, seed_id,
             nodes_before, started, stats, deleted,
         )
 
@@ -269,9 +299,32 @@ def voronoi_area_query(
     return QueryResult(ids=results, stats=stats)
 
 
-#: Frontier size below which a wave is processed scalar: numpy dispatch
-#: overhead beats the kernel's throughput on tiny waves (small query
-#: regions never leave this regime and run exactly the classic loop).
+def _csr_graph_nearest(indptr, indices, xs, ys, start: int, x: float, y: float) -> int:
+    """:func:`graph_nearest` over the CSR graph and the coordinate columns.
+
+    The same greedy descent, one array expression per step instead of a
+    Python loop over the neighbour row — what the array-native expansion
+    uses so that a database with tombstones builds neither the neighbour
+    table nor a ``Point``.
+    """
+    current = start
+    best = float(squared_distances(xs[current], ys[current], x, y))
+    while True:
+        row = indices[indptr[current] : indptr[current + 1]]
+        if not row.shape[0]:
+            return current
+        distances = squared_distances(xs[row], ys[row], x, y)
+        closest = int(distances.argmin())
+        if not distances[closest] < best:
+            return current
+        best = float(distances[closest])
+        current = int(row[closest])
+
+
+#: Frontier size below which a wave is walked one candidate at a time:
+#: under it the fixed cost of a wave's ~100 numpy calls exceeds the
+#: per-candidate cost of the loop.  Set from the sweep in
+#: ``benchmarks/bench_columnar.py`` (docs/BENCHMARKS.md, "Wave threshold").
 _WAVE_MIN = 48
 
 
@@ -281,124 +334,141 @@ def _expand_vectorized(
     area: QueryRegion,
     contains_many,
     store: "PointStore",
-    points: Sequence[Point],
     seed_id: int,
     nodes_before: int,
     started: float,
     stats: QueryStats,
     deleted: Optional[Dict[int, int]] = None,
 ) -> QueryResult:
-    """Algorithm 1's expansion, refined one BFS *wave* at a time.
+    """Algorithm 1's expansion, one BFS *wave* at a time, off the columns.
 
     Identical closure to the scalar queue (see the ``store`` parameter
-    note on :func:`voronoi_area_query`): each generation of the frontier
-    is gathered into a row-id array and refined with one
-    ``contains_many`` kernel call over the store's coordinate columns.
-    Internal members then enqueue all their unvisited neighbours in one
-    CSR gather (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`)
-    — no Python loop over (candidate, neighbour) pairs — while external
-    members (the one-cell shell around the boundary) run the per-segment
-    crossing rule in the scalar loop, exactly as before.  Waves smaller
-    than :data:`_WAVE_MIN` are processed entirely scalar (numpy dispatch
-    would cost more than it saves); since the kernel is bitwise-exact
-    against ``contains_point``, mixing regimes cannot change the
-    closure.  Whether a point joins it depends only on per-point /
-    per-segment predicates, never on visit order, so the result ids
-    match the scalar queue's; ``segment_tests`` is the one
-    order-dependent counter.
-    """
-    import numpy as np
+    note on :func:`voronoi_area_query`).  Neighbours always come from the
+    backend's CSR graph
+    (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`) and
+    coordinates from the store's columns: no neighbour table is built and
+    no stored ``Point`` is read.  A generation of the frontier of
+    :data:`_WAVE_MIN` rows or more is processed as arrays:
 
+    1. **refine** — one ``contains_many`` kernel call over the gathered
+       coordinates splits the wave into internal and external members;
+    2. **gather** — one CSR gather lists every member's adjacency row as
+       (source, neighbour) pairs;
+    3. **internal rule** — every unvisited neighbour of an internal
+       member joins the next wave;
+    4. **shell rule** — the pairs of external members whose neighbour is
+       still unvisited are segments ``p -> pn``; one
+       ``crosses_boundary_many`` kernel call (regions without it: their
+       scalar ``crosses_boundary_xy`` over the same gathered columns)
+       admits the neighbours whose segment meets the area.
+
+    A smaller wave applies the same two rules candidate by candidate,
+    reading the same arrays through ``memoryview`` (plain ints and floats,
+    one transient ``Point`` per refinement, nothing kept).  Whether a
+    point joins the closure depends only on per-point / per-segment
+    predicates, never on visit order, and both kernels are bitwise-exact
+    against their scalar siblings, so mixing the regimes cannot change
+    ids, ``candidates``, ``validations`` or ``redundant_validations``.
+    ``segment_tests`` counts the (external member, unvisited neighbour)
+    pairs tested and is order-dependent: the loop marks a neighbour
+    visited as soon as one segment admits it and so skips later segments
+    into the same neighbour, while an array wave tests all of its pairs
+    together.
+    """
     xs = store.xs
     ys = store.ys
-    visited = np.zeros(len(store), dtype=bool)
-    visited[seed_id] = True
-    wave: List[int] = [seed_id]
-    results: List[int] = []
-    result_arrays: List[np.ndarray] = []
     indptr, indices = backend.neighbor_csr()
-    neighbor_table = backend.neighbor_table()
+    crosses_many = getattr(area, "crosses_boundary_many", None)
+    dead = store.dead_mask if deleted else None
+    tombstoned = deleted if deleted else ()
+    # One visited set, two views: bytes for the loop, bools for the arrays.
+    flags = bytearray(len(store))
+    visited = np.frombuffer(flags, dtype=np.bool_)
+    flags[seed_id] = 1
+    slot = np.empty(len(store), dtype=np.int64)  # scratch of the dedupe below
+    x_of, y_of = memoryview(xs), memoryview(ys)
+    row_start, row_data = memoryview(indptr), memoryview(indices)
     refine = area.contains_point
     crosses = area.crosses_boundary_xy
+    wave = np.array([seed_id], dtype=np.int64)
+    results: List[int] = []
+    result_arrays: List[np.ndarray] = []
     candidates = 1
     validations = 0
     redundant = 0
     segment_tests = 0
-    tombstoned = deleted if deleted else ()
-    dead = store.dead_mask if deleted else None
 
-    while wave:
-        validations += len(wave)
-        if len(wave) < _WAVE_MIN:
-            # Scalar wave: the classic per-candidate loop.
+    while wave.shape[0]:
+        validations += wave.shape[0]
+        if wave.shape[0] < _WAVE_MIN:
             next_wave: List[int] = []
             push = next_wave.append
-            for current in wave:
-                if refine(points[current]):
+            for current in wave.tolist():
+                cx = x_of[current]
+                cy = y_of[current]
+                row = row_data[row_start[current] : row_start[current + 1]]
+                if refine(Point(cx, cy)):
                     if current not in tombstoned:
                         results.append(current)
-                    for neighbor in neighbor_table[current]:
-                        if not visited[neighbor]:
-                            visited[neighbor] = True
+                    for neighbor in row:
+                        if not flags[neighbor]:
+                            flags[neighbor] = 1
                             push(neighbor)
-                            candidates += 1
                 else:
                     redundant += 1
-                    current_point = points[current]
-                    cx, cy = current_point.x, current_point.y
-                    for neighbor in neighbor_table[current]:
-                        if not visited[neighbor]:
+                    for neighbor in row:
+                        if not flags[neighbor]:
                             segment_tests += 1
-                            neighbor_point = points[neighbor]
-                            if crosses(
-                                cx, cy, neighbor_point.x, neighbor_point.y
-                            ):
-                                visited[neighbor] = True
+                            if crosses(cx, cy, x_of[neighbor], y_of[neighbor]):
+                                flags[neighbor] = 1
                                 push(neighbor)
-                                candidates += 1
-            wave = next_wave
+            candidates += len(next_wave)
+            wave = np.array(next_wave, dtype=np.int64)
             continue
-        # Wide wave: one refine kernel + one CSR neighbour gather.
-        wave_array = np.asarray(wave, dtype=np.int64)
-        inside = contains_many(xs[wave_array], ys[wave_array])
-        internal = wave_array[inside]
-        if internal.size:
-            if dead is None:
-                result_arrays.append(internal)
-            else:
-                # Tombstones expand (transit vertices) but never report.
-                result_arrays.append(internal[~dead[internal]])
-            # One gather for every internal member's adjacency row:
-            # repeat each row start over its length, offset by the
-            # position within the concatenated output.
-            starts = indptr[internal]
-            counts = indptr[internal + 1] - starts
-            total = int(counts.sum())
-            base = np.repeat(starts, counts)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
+        inside = contains_many(xs[wave], ys[wave])
+        internal = wave[inside]
+        if internal.shape[0]:
+            # Tombstones expand (transit vertices) but never report.
+            result_arrays.append(
+                internal if dead is None else internal[~dead[internal]]
             )
-            neighbors = indices[base + offsets]
-            fresh = np.unique(neighbors[~visited[neighbors]])
-            visited[fresh] = True
-            candidates += int(fresh.size)
-        else:
-            fresh = np.empty(0, dtype=np.int64)
-        shell_admitted: List[int] = []
-        external = wave_array[~inside]
-        redundant += int(external.size)
-        for current in external.tolist():
-            cx = xs[current]
-            cy = ys[current]
-            for neighbor in neighbor_table[current]:
-                if not visited[neighbor]:
-                    segment_tests += 1
-                    if crosses(cx, cy, xs[neighbor], ys[neighbor]):
-                        visited[neighbor] = True
-                        shell_admitted.append(neighbor)
-                        candidates += 1
-        wave = fresh.tolist()
-        wave.extend(shell_admitted)
+        redundant += wave.shape[0] - internal.shape[0]
+        # Every member's adjacency row in one gather: pair j is
+        # (wave[owner[j]], neighbor[j]).
+        starts = indptr[wave]
+        counts = indptr[wave + 1] - starts
+        ends = np.cumsum(counts)
+        owner = np.repeat(np.arange(wave.shape[0]), counts)
+        neighbor = indices[
+            np.arange(int(ends[-1])) + (starts - (ends - counts))[owner]
+        ]
+        from_internal = inside[owner]
+        admitted = neighbor[from_internal & ~visited[neighbor]]
+        visited[admitted] = True
+        outside = ~from_internal
+        outside[outside] = ~visited[neighbor[outside]]
+        if outside.any():
+            source = wave[owner[outside]]
+            target = neighbor[outside]
+            segment_tests += target.shape[0]
+            segments = (xs[source], ys[source], xs[target], ys[target])
+            if crosses_many is not None:
+                crossing = crosses_many(*segments)
+            else:
+                crossing = np.fromiter(
+                    map(crosses, *(column.tolist() for column in segments)),
+                    dtype=bool,
+                    count=target.shape[0],
+                )
+            target = target[crossing]
+            visited[target] = True
+            admitted = np.concatenate((admitted, target))
+        # Two members may admit the same neighbour: keep one copy of each
+        # (whichever write to its slot lands last) without sorting.
+        position = np.arange(admitted.shape[0])
+        slot[admitted] = position
+        wave = admitted[slot[admitted] == position]
+        candidates += wave.shape[0]
 
     stats.candidates = candidates
     stats.validations = validations
@@ -407,11 +477,8 @@ def _expand_vectorized(
     stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     if result_arrays:
-        merged = np.concatenate(
-            result_arrays
-            + [np.asarray(results, dtype=np.int64)]
-        )
-        ids = np.sort(merged).tolist()
+        result_arrays.append(np.asarray(results, dtype=np.int64))
+        ids = np.sort(np.concatenate(result_arrays)).tolist()
     else:
         results.sort()
         ids = results

@@ -16,16 +16,26 @@ implementations:
 The graph has two forms and each backend owns one of them; the other is
 derived on first use and cached:
 
-* the **table** (``list`` of ascending neighbour tuples, one per row) is
-  what the scalar traversals index.  The pure backend builds it from its
-  triangulation and patches it in place on every ``add_point``; its CSR is
-  re-derived from the table after a write (table → CSR).
-* the **CSR pair** (``indptr``, ``indices``; int64) is what the columnar
-  waves gather from.  The Qhull backend is born as these two arrays — from
-  the store's coordinate columns to the graph there is no Python-level loop
-  over rows — and its table is sliced out of them (CSR → table).  Its build
-  time is Qhull's plus a few array passes (``bulk_build`` in
-  ``benchmarks/bench_ablation_backend.py`` records rows per second).
+* the **CSR pair** (``indptr``, ``indices``; int64; 56 bytes a row) is what
+  area queries read: Algorithm 1's expansion
+  (:mod:`repro.core.voronoi_query`) gathers every wave's neighbours from
+  it, and :meth:`SpatialDatabase.prepare
+  <repro.core.database.SpatialDatabase.prepare>` builds exactly this.  The
+  Qhull backend is born as these two arrays — from the store's coordinate
+  columns to the graph there is no Python-level loop over rows — and
+  answers :meth:`~DelaunayBackend.neighbors` from a slice of them.  Its
+  build time is Qhull's plus a few array passes (``bulk_build`` in
+  ``benchmarks/bench_ablation_backend.py`` records rows per second and
+  bytes per row).
+* the **table** (``list`` of ascending neighbour tuples, one per row; about
+  350 bytes a row) is what the traversals that step one vertex at a time
+  index: the scalar oracle (``SpatialDatabase(vectorized=False)``), the
+  Voronoi kNN walks (:mod:`repro.core.knn_query`, and through them
+  ``live/delta.py``), and the batch engine's seed walks.  The pure backend
+  builds it from its triangulation and patches it in place on every
+  ``add_point``; its CSR is re-derived from the table after a write
+  (table → CSR).  The Qhull backend slices it out of the CSR (CSR → table)
+  the first time one of those consumers asks, and never if none does.
 
 The test suite asserts both produce identical neighbour sets, so the choice
 is purely a build-speed knob; query traversals are byte-identical.
@@ -61,11 +71,12 @@ class DelaunayBackend(ABC):
         """Registry name of the backend."""
 
     def neighbor_table(self) -> list[Tuple[int, ...]]:
-        """Dense ``index -> neighbours`` table (cached).
+        """Dense ``index -> neighbours`` table (built on first use, cached).
 
-        Algorithm 1's BFS reads neighbours for every candidate; indexing a
-        list is measurably cheaper than a method call per point, so the
-        query path uses this table.
+        For the traversals that visit one vertex at a time (the scalar
+        BFS, the kNN heap walk, seed walks): indexing a list is measurably
+        cheaper than a method call per point.  Area queries on the
+        columnar path read :meth:`neighbor_csr` and never ask for this.
         """
         cached = getattr(self, "_neighbor_table", None)
         if cached is None:
@@ -81,7 +92,10 @@ class DelaunayBackend(ABC):
         Point ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]``.
         The columnar BFS (:mod:`repro.core.voronoi_query`) expands whole
         frontier waves with array gathers over these, instead of one
-        Python loop iteration per (candidate, neighbour) pair.  Cached;
+        Python loop iteration per (candidate, neighbour) pair, and
+        :meth:`SpatialDatabase.prepare
+        <repro.core.database.SpatialDatabase.prepare>` forces exactly
+        this form.  Cached;
         rebuilt automatically when the backend has grown since the cache
         was taken (:meth:`PureDelaunayBackend.add_point` patches the
         dense table in place, so size is the invalidation signal).
@@ -156,9 +170,11 @@ class ScipyDelaunayBackend(DelaunayBackend):
     (straight from the store when ``points`` is its view — no ``Point``
     is built), every step from there to the graph is a whole-array
     operation, and the result *is* the CSR pair :meth:`neighbor_csr`
-    returns (int64, rows ascending).  :meth:`neighbor_table` and
-    :meth:`neighbors` are derived from it on first use, after Qhull's
-    structures are gone, so the build peaks at Qhull's own memory.
+    returns (int64, rows ascending).  :meth:`neighbors` reads a slice of
+    it; :meth:`neighbor_table` is derived from it only when a caller asks
+    for the table.  Qhull's structures are gone before the constructor
+    returns and nothing of the input's size is held across its run, so
+    the build peaks at Qhull's own memory.
 
     Duplicate points are collapsed before triangulating (Qhull rejects
     duplicates); aliases share the canonical point's neighbourhood and are
@@ -191,6 +207,9 @@ class ScipyDelaunayBackend(DelaunayBackend):
             sorted_ys[1:] != sorted_ys[:-1]
         )
         if first.all():
+            # Qhull's transient is the build's memory peak: the sort's
+            # columns must not sit underneath it.
+            del order, sorted_xs, sorted_ys, first
             graph = _distinct_point_graph(xs, ys)
         else:
             # Qhull sees the canonical rows in ascending row order.
@@ -226,7 +245,12 @@ class ScipyDelaunayBackend(DelaunayBackend):
         ]
 
     def neighbors(self, index: int) -> Tuple[int, ...]:
-        return self.neighbor_table()[index]
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError(f"point index {index} out of range")
+        indptr, indices, _ = self._neighbor_csr
+        return tuple(indices[indptr[index] : indptr[index + 1]].tolist())
 
     @property
     def size(self) -> int:

@@ -272,8 +272,9 @@ def _walk_radius_sq(planner: QueryPlanner) -> float:
     The steepest-descent walk advances roughly one site spacing per hop
     (``sqrt(space_area / n)`` under uniform density), so the profitable
     radius is the hop budget times that spacing.  The space extent comes
-    from the planner's per-version cache (``index.bounds`` itself walks
-    every entry); degenerate extents fall back to "always walk".
+    from the planner's per-version cache (``index.bounds`` is O(1) on the
+    R-tree only; the other indexes walk every entry); degenerate extents
+    fall back to "always walk".
     """
     density = planner.density()
     if density <= 0.0:

@@ -222,7 +222,8 @@ class QueryPlanner:
     # -- database summary --------------------------------------------------
 
     def _space(self) -> Rect:
-        # index.bounds walks every stored entry, so cache it per version.
+        # Cached per version: the R-tree reads its bounds off the root MBR,
+        # but the other indexes' default walks every stored entry.
         version = self._db.version
         if self._space_cache is not None and self._space_cache[0] == version:
             return self._space_cache[1]

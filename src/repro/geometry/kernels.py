@@ -25,6 +25,12 @@ as its scalar sibling (``Polygon.contains_point`` /
   are impossible by construction.  On real workloads the fallback set
   is a vanishing fraction (points within one rounding error of an
   edge), so the kernel keeps its array speed.
+* :func:`crosses_boundary_many` does the same for Algorithm 1's shell
+  rule (``Polygon.crosses_boundary_xy``): the four orientation signs of
+  a (segment, edge) pair decide it only when all the signs it needs are
+  certain; a segment with any undecided pair — an endpoint on an edge,
+  collinear overlap, a zero-length segment on the boundary — is
+  re-answered by the scalar test.
 
 The kernels take bare coordinate arrays rather than ``Point`` sequences
 on purpose: the hot paths gather ``xs``/``ys`` by row id from the store
@@ -96,10 +102,11 @@ _BLOCK_CELLS = 1 << 16
 def _edge_columns(polygon: "Polygon"):
     """Per-edge broadcast columns, memoised on the polygon.
 
-    ``(ax, ay, bx, by, up, lo_x, hi_x)`` — each an ``(E, 1)`` float64 (or
-    bool) column so edge-by-point matrices broadcast directly.  Cached on
-    the polygon instance (its vertex ring is immutable after
-    construction, like the ``_edge_coords`` tuples the scalar loops use).
+    ``(ax, ay, bx, by, up, lo_x, hi_x, lo_y, hi_y)`` — each an ``(E, 1)``
+    float64 (or bool) column so edge-by-point matrices broadcast
+    directly.  Cached on the polygon instance (its vertex ring is
+    immutable after construction, like the ``_edge_coords`` tuples the
+    scalar loops use).
     """
     try:
         return polygon.__dict__["_edge_columns_memo"]
@@ -118,11 +125,36 @@ def _edge_columns(polygon: "Polygon"):
             (by > ay)[:, None],
             np.minimum(ax, bx)[:, None],
             np.maximum(ax, bx)[:, None],
+            np.minimum(ay, by)[:, None],
+            np.maximum(ay, by)[:, None],
         )
         polygon.__dict__["_edge_columns_memo"] = columns
         return columns
 
 
+def _orientation(ax, ay, bx, by, cx, cy):
+    """Float orientation determinant of ``(a, b, c)`` and where to trust it.
+
+    Element-wise over broadcast operands.  The robust scalar predicate
+    trusts the raw cross product when ``|det| >= bound * (|detleft| +
+    |detright|)`` outside the denormal zone; here a sign is *trusted*
+    only when the inequality is strict, so a trusted determinant is
+    never zero and has the sign
+    :func:`~repro.geometry.predicates.orientation_sign` returns.  Callers
+    defer every untrusted decision to the scalar test (an overflowed
+    product compares as untrusted; they silence its warning).
+    """
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    abs_left = np.abs(detleft)
+    abs_right = np.abs(detright)
+    trusted = np.abs(det) > _ORIENT_ERR_BOUND * (abs_left + abs_right)
+    trusted &= ~((abs_left < _MIN_NORMAL) & (abs_right < _MIN_NORMAL))
+    return det, trusted
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def polygon_contains_many(
     polygon: "Polygon",
     xs: "np.ndarray",
@@ -132,11 +164,14 @@ def polygon_contains_many(
 ) -> "np.ndarray":
     """Exact point-in-polygon for every ``(xs[i], ys[i])``.
 
-    The crossing-number walk of ``Polygon.contains_point`` evaluated one
-    edge at a time over the whole candidate array.  Per straddling edge
-    the float cross product decides the crossing side only when it
-    clears the robust predicate's forward error bound; candidates with
-    any untrusted edge decision (possible boundary touches, catastrophic
+    The crossing-number walk of ``Polygon.contains_point`` over the
+    whole candidate array: one (edges x block) comparison finds the
+    (edge, candidate) pairs whose edge straddles the candidate's
+    horizontal ray — two or three of a ring's edges per candidate — and
+    only those pairs pay the orientation arithmetic.  Per pair the float
+    cross product decides the crossing side only when it clears the
+    robust predicate's forward error bound; candidates with any
+    untrusted edge decision (possible boundary touches, catastrophic
     cancellation, denormal-zone products) are resolved by the scalar
     test itself.  The returned mask therefore equals
     ``[polygon.contains_point(Point(x, y), boundary=boundary) ...]``
@@ -162,7 +197,7 @@ def polygon_contains_many(
     else:
         pxs, pys = xs[in_box], ys[in_box]
 
-    ax, ay, bx, by, up, lo_x, hi_x = _edge_columns(polygon)
+    ax, ay, bx, by, up, lo_x, hi_x, _, _ = _edge_columns(polygon)
     edges = ax.shape[0]
     inside = np.empty(count, dtype=bool)
     unclear = np.empty(count, dtype=bool)
@@ -175,38 +210,30 @@ def polygon_contains_many(
         py = pys[start : start + block]
         a_above = ay > py
         b_above = by > py
-        straddle = a_above != b_above
-        # The robust scalar predicate trusts the raw cross product when
-        # |det| >= bound * (|detleft| + |detright|) outside the denormal
-        # zone; we additionally require det != 0 (a zero would mean an
+        edge, point = np.nonzero(a_above != b_above)  # the straddling pairs
+        # A trusted determinant is never zero (a zero would mean an
         # exact boundary hit the scalar code early-returns on).
         # Everything else is deferred to the scalar test.
-        detleft = (ax - px) * (by - py)
-        detright = (ay - py) * (bx - px)
-        det = detleft - detright
-        abs_left = np.abs(detleft)
-        abs_right = np.abs(detright)
-        trusted = np.abs(det) > _ORIENT_ERR_BOUND * (abs_left + abs_right)
-        trusted &= ~((abs_left < _MIN_NORMAL) & (abs_right < _MIN_NORMAL))
-        flip = np.where(up, det > 0.0, det < 0.0)
-        crossing = straddle & trusted & flip
+        det, trusted = _orientation(
+            ax[edge, 0], ay[edge, 0], bx[edge, 0], by[edge, 0], px[point], py[point]
+        )
+        crossing = trusted & ((det > 0.0) == up[edge, 0])
         # Even-odd rule: parity of trusted crossings over all edges.
         inside[start : start + block] = (
-            crossing.sum(axis=0, dtype=np.int64) & 1
-        ).astype(bool)
-        pending = straddle & ~trusted
+            np.bincount(point[crossing], minlength=px.shape[0]) & 1
+        )
+        pending = np.zeros(px.shape[0], dtype=bool)
+        pending[point[~trusted]] = True
         # Edges entirely at or below a candidate's level can only matter
         # when the candidate touches the upper endpoint's level inside
         # the edge's x-range (vertex touch / horizontal edge) — rare,
         # and a potential boundary early-return: defer to scalar.
-        below = ~a_above & ~b_above
-        pending |= (
-            below
-            & ((py == ay) | (py == by))
-            & (px >= lo_x)
-            & (px <= hi_x)
-        )
-        unclear[start : start + block] = pending.any(axis=0)
+        level = (py == ay) | (py == by)
+        if level.any():
+            pending |= (
+                level & ~a_above & ~b_above & (px >= lo_x) & (px <= hi_x)
+            ).any(axis=0)
+        unclear[start : start + block] = pending
 
     if unclear.any():
         contains_xy = polygon._contains_xy
@@ -218,6 +245,105 @@ def polygon_contains_many(
         return inside
     out[in_box] = inside
     return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _crossing_decisions(polygon: "Polygon", sx, sy, ex, ey):
+    """``(crossing, unclear)`` masks over segments ``(sx, sy) -> (ex, ey)``.
+
+    ``crossing``: some edge properly crosses the segment, all four
+    orientation signs certain.  ``unclear``: no such edge, but some
+    (segment, edge) pair could not be decided in floats — the scalar test
+    must answer.  Neither: certainly no contact.  The same rejections as
+    ``Polygon.crosses_boundary_xy`` run first (segment box against the
+    MBR, then against each edge's box), so only pairs the scalar loop
+    would also hand to ``segments_intersect_xy`` are examined.
+    """
+    count = sx.shape[0]
+    crossing = np.zeros(count, dtype=bool)
+    unclear = np.zeros(count, dtype=bool)
+    lo_x, hi_x = np.minimum(sx, ex), np.maximum(sx, ex)
+    lo_y, hi_y = np.minimum(sy, ey), np.maximum(sy, ey)
+    box = polygon.mbr
+    near = np.flatnonzero(
+        (hi_x >= box.min_x)
+        & (lo_x <= box.max_x)
+        & (hi_y >= box.min_y)
+        & (lo_y <= box.max_y)
+    )
+    ax, ay, bx, by, _, edge_lo_x, edge_hi_x, edge_lo_y, edge_hi_y = (
+        _edge_columns(polygon)
+    )
+    block = max(1, _BLOCK_CELLS // ax.shape[0])
+    for start in range(0, near.shape[0], block):
+        rows = near[start : start + block]
+        edge, segment = np.nonzero(
+            (edge_hi_x >= lo_x[rows])
+            & (edge_lo_x <= hi_x[rows])
+            & (edge_hi_y >= lo_y[rows])
+            & (edge_lo_y <= hi_y[rows])
+        )
+        if not edge.shape[0]:
+            continue
+        segment = rows[segment]
+        pax, pay, pbx, pby = ax[edge, 0], ay[edge, 0], bx[edge, 0], by[edge, 0]
+        psx, psy, pex, pey = sx[segment], sy[segment], ex[segment], ey[segment]
+        # segments_intersect_xy's four signs, two per call: the segment's
+        # ends (rows 0, 1) against the edge's line, then the edge's ends
+        # against the segment's line.
+        pairs = (2, edge.shape[0])
+        ends_det, ends_sure = _orientation(
+            pax, pay, pbx, pby,
+            np.concatenate((psx, pex)).reshape(pairs),
+            np.concatenate((psy, pey)).reshape(pairs),
+        )
+        edge_det, edge_sure = _orientation(
+            psx, psy, pex, pey,
+            np.concatenate((pax, pbx)).reshape(pairs),
+            np.concatenate((pay, pby)).reshape(pairs),
+        )
+        ends_sure = ends_sure[0] & ends_sure[1]
+        edge_sure = edge_sure[0] & edge_sure[1]
+        # Certainly apart: both ends strictly on one side of the other's line.
+        apart = (ends_sure & ((ends_det[0] > 0.0) == (ends_det[1] > 0.0))) | (
+            edge_sure & ((edge_det[0] > 0.0) == (edge_det[1] > 0.0))
+        )
+        certain = ends_sure & edge_sure
+        crossing[segment[certain & ~apart]] = True
+        unclear[segment[~certain & ~apart]] = True
+    unclear &= ~crossing
+    return crossing, unclear
+
+
+def crosses_boundary_many(
+    polygon: "Polygon",
+    sx: "np.ndarray",
+    sy: "np.ndarray",
+    ex: "np.ndarray",
+    ey: "np.ndarray",
+) -> "np.ndarray":
+    """Exact boundary-crossing test for every segment ``(sx, sy) -> (ex, ey)``.
+
+    Element ``i`` equals ``polygon.crosses_boundary_xy(sx[i], sy[i],
+    ex[i], ey[i])`` **exactly**, for any input: a (segment, edge) pair is
+    decided from float orientation signs only where each sign it needs
+    clears the robust predicate's error bound, and every segment left
+    with an undecided pair is re-answered by the scalar test itself.
+    This is Algorithm 1's rule for expanding from an external point,
+    evaluated for a whole wave of (outside point, neighbour) segments.
+    """
+    sx = np.asarray(sx, dtype=np.float64)
+    sy = np.asarray(sy, dtype=np.float64)
+    ex = np.asarray(ex, dtype=np.float64)
+    ey = np.asarray(ey, dtype=np.float64)
+    crossing, unclear = _crossing_decisions(polygon, sx, sy, ex, ey)
+    if unclear.any():
+        crosses_xy = polygon.crosses_boundary_xy
+        for i in np.flatnonzero(unclear).tolist():
+            crossing[i] = crosses_xy(
+                float(sx[i]), float(sy[i]), float(ex[i]), float(ey[i])
+            )
+    return crossing
 
 
 def squared_distances(

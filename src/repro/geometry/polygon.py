@@ -380,6 +380,20 @@ class Polygon:
                 return True
         return False
 
+    def crosses_boundary_many(self, sx, sy, ex, ey):
+        """Vectorized :meth:`crosses_boundary_xy` over segment columns.
+
+        Four equally-long float64 arrays (start and end coordinates);
+        returns a boolean array whose element ``i`` equals
+        ``crosses_boundary_xy(sx[i], sy[i], ex[i], ey[i])`` **exactly**
+        (see :func:`repro.geometry.kernels.crosses_boundary_many`).
+        Algorithm 1's array-native expansion tests a whole wave of
+        (outside point, neighbour) segments with one call.
+        """
+        from repro.geometry.kernels import crosses_boundary_many
+
+        return crosses_boundary_many(self, sx, sy, ex, ey)
+
     def intersects_rect(self, rect: Rect) -> bool:
         """True if the closed polygon and the rectangle share any point."""
         if not self.mbr.intersects(rect):

@@ -6,6 +6,16 @@ the point — and duplicates of the same location with different ids are
 allowed.  All implementations keep an :class:`IndexStats` counter block so
 the experiment harness can report index node accesses alongside wall time.
 
+:data:`Entry` — the ``(Point, id)`` tuple — is the type of the *interface*:
+what ``insert`` / ``delete`` take and what ``window_query``, the
+nearest-neighbour searches and ``items`` hand out.  It says nothing about
+storage.  The R-tree family keeps coordinate and id arrays in its leaves and
+builds entries only on the way out (:mod:`repro.index.rtree`); its
+``bulk_load`` also accepts a source offering ``columns()`` and then never
+sees a ``Point``.  The k-d tree, quadtree and grid store the tuples
+themselves.  The columnar hot paths avoid entries altogether through
+:meth:`SpatialIndex.window_ids_array`.
+
 The interface is the minimum both paper methods need:
 
 * :meth:`SpatialIndex.window_query` — the *filter* step of the traditional
@@ -74,6 +84,10 @@ class SpatialIndex(ABC):
 
         The default is repeated insertion; subclasses may override with a
         packing algorithm (see :meth:`repro.index.rtree.RTree.bulk_load`).
+        ``entries`` need only iterate as ``(Point, id)`` pairs — the
+        database passes its store's
+        :class:`~repro.core.store.RowEntries`, which does, and which
+        array-packing loaders read as columns instead.
         """
         for point, item_id in entries:
             self.insert(point, item_id)
@@ -164,7 +178,12 @@ class SpatialIndex(ABC):
 
     @property
     def bounds(self) -> Optional[Rect]:
-        """MBR of all stored points (``None`` when empty)."""
+        """MBR of all stored points (``None`` when empty).
+
+        This default visits every entry; an index that maintains its
+        extent overrides it (:attr:`repro.index.rtree.RTree.bounds` is
+        the root MBR, O(1)).
+        """
         points = [point for point, _ in self.items()]
         if not points:
             return None

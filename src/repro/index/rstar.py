@@ -17,9 +17,19 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.geometry.kernels import squared_distances
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index.rtree import RTree, _Node, _collect_entries
+from repro.index.rtree import (
+    RTree,
+    _Node,
+    _as_entries,
+    _collect_entries,
+    _divide,
+    _item_rects,
+)
 
 _REINSERT_FRACTION = 0.3
 
@@ -43,8 +53,7 @@ class RStarTree(RTree):
 
     def _insert_entry(self, point: Point, item_id: int) -> None:
         leaf = self._choose_subtree(point)
-        leaf.entries.append((point, item_id))
-        leaf.extend_mbr(Rect.from_point(point))
+        leaf.append_row(point.x, point.y, item_id)
         self._count += 1
         if leaf.size() > self.max_entries:
             self._overflow_treatment(leaf, level=self._node_level(leaf))
@@ -96,14 +105,15 @@ class RStarTree(RTree):
         center = node.mbr.center if node.mbr is not None else Point(0.0, 0.0)
         reinsert_count = max(1, int(node.size() * _REINSERT_FRACTION))
         if node.is_leaf:
-            node.entries.sort(
-                key=lambda entry: entry[0].squared_distance_to(center)
+            nearest_first = np.argsort(
+                squared_distances(node.xs, node.ys, center.x, center.y),
+                kind="stable",
             )
-            evicted = node.entries[-reinsert_count:]
-            node.entries = node.entries[:-reinsert_count]
+            evicted = node.rows_at(nearest_first[-reinsert_count:])
+            node.set_rows(*node.rows_at(nearest_first[:-reinsert_count]))
             node.recompute_mbr()
             self._tighten_upwards(node.parent)
-            for point, item_id in evicted:
+            for point, item_id in _as_entries(*evicted):
                 self._count -= 1  # _insert_entry re-increments
                 self._insert_entry(point, item_id)
         else:
@@ -127,29 +137,8 @@ class RStarTree(RTree):
 
     def _quadratic_split(self, node: _Node) -> _Node:
         """R* topological split (name kept so RTree's propagation reuses it)."""
-        if node.is_leaf:
-            rects = [Rect.from_point(p) for p, _ in node.entries]
-            payload: Sequence = list(node.entries)
-        else:
-            rects = [c.mbr for c in node.children]
-            payload = list(node.children)
-
-        order, split_at = self._choose_split(rects)
-        group_a = [payload[i] for i in order[:split_at]]
-        group_b = [payload[i] for i in order[split_at:]]
-
-        sibling = _Node(is_leaf=node.is_leaf)
-        if node.is_leaf:
-            node.entries = group_a
-            sibling.entries = group_b
-        else:
-            node.children = group_a
-            sibling.children = group_b
-            for child in sibling.children:
-                child.parent = sibling
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
+        order, split_at = self._choose_split(_item_rects(node))
+        return _divide(node, order[:split_at], order[split_at:])
 
     def _choose_split(
         self, rects: Sequence[Rect]

@@ -14,6 +14,17 @@ Implemented features:
 * STR (sort-tile-recursive) bulk loading for fast construction of the large
   experimental datasets.
 
+**Leaves are columnar.**  A leaf holds its entries as three equally long
+arrays (``xs``/``ys`` float64, ``ids`` int64) and no Python object per
+entry: after a bulk load they are slices of the STR-packed columns, once
+``insert`` / ``delete`` / a split touches a leaf it owns small arrays of its
+own — one representation for packed and grown trees.  The probes the hot
+paths use (:meth:`RTree.window_ids_array`, :meth:`RTree.window_count`, the
+nearest-neighbour searches) read those arrays directly; ``(Point, id)``
+:data:`~repro.index.base.Entry` tuples are built only where the interface
+hands entries out (:meth:`RTree.window_query`, :meth:`RTree.items`, the
+search results).
+
 Nodes count their accesses in :attr:`SpatialIndex.stats` so experiments can
 report page-read proxies.
 """
@@ -27,6 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.geometry.kernels import rect_contains_many, squared_distances
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect, union_all
 from repro.index.base import Entry, SpatialIndex
@@ -36,37 +48,102 @@ _DEFAULT_MAX_ENTRIES = 16
 #: ``bulk_load`` into a non-empty tree repacks when the batch is at least
 #: ``1 / _REPACK_RATIO`` of the rows the new tree will hold.  The ratio is
 #: the cost of one ``insert`` over the cost of repacking one row: an insert
-#: is 200–300 µs into a grown tree of 10 000–20 000 rows (500–800 µs right
-#: after a pack, when every leaf is full and splits), a repack 0.8–1.6 µs a
-#: row at 10 000–100 000 rows including the ``items()`` walk — 130 and up,
-#: rounded down (docs/BENCHMARKS.md, "Bulk build").
+#: is 100–300 µs into a grown tree of 10 000–20 000 rows (more right after
+#: a pack, when every leaf is full and splits), a repack 0.7 µs a row at
+#: 10 000–100 000 rows including the walk that collects the old leaves'
+#: columns — 150 and up, rounded down (docs/BENCHMARKS.md, "Bulk build").
 _REPACK_RATIO = 100
+
+#: What a node without entries holds (shared, so read-only).
+_NO_COORDS = np.empty(0, dtype=np.float64)
+_NO_COORDS.flags.writeable = False
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
+def _entry_columns(entries) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``entries`` as ``(xs, ys, ids)`` columns.
+
+    A source that already holds columns (the store's
+    :class:`~repro.core.store.RowEntries`) hands them over through its
+    ``columns()`` method; any other iterable of ``(Point, id)`` is read
+    entry by entry.
+    """
+    columns = getattr(entries, "columns", None)
+    if columns is not None:
+        xs, ys, ids = columns()
+        return (
+            np.asarray(xs, dtype=np.float64),
+            np.asarray(ys, dtype=np.float64),
+            np.asarray(ids, dtype=np.int64),
+        )
+    entries = list(entries)
+    count = len(entries)
+    return (
+        np.fromiter((p.x for p, _ in entries), np.float64, count),
+        np.fromiter((p.y for p, _ in entries), np.float64, count),
+        np.fromiter((i for _, i in entries), np.int64, count),
+    )
+
+
+def _as_entries(xs, ys, ids) -> Iterator[Entry]:
+    """Columns as ``(Point, id)`` tuples: the step out to the interface."""
+    return zip(map(Point, xs.tolist(), ys.tolist()), ids.tolist())
 
 
 class _Node:
-    """One R-tree node: a leaf holds ``Entry`` tuples, an internal node holds
-    child nodes.  ``mbr`` is kept tight at all times."""
+    """One R-tree node; ``mbr`` is kept tight at all times.
 
-    __slots__ = ("is_leaf", "entries", "children", "mbr", "parent", "_weight")
+    A leaf holds its entries as the columns ``xs`` / ``ys`` / ``ids``
+    (never modified in place: a change installs new arrays, so a slice of
+    the packed columns is never written through); an internal node holds
+    child nodes.
+    """
+
+    __slots__ = (
+        "is_leaf", "xs", "ys", "ids", "children", "mbr", "parent", "_weight"
+    )
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
-        self.entries: List[Entry] = []
-        self.children: List["_Node"] = []
+        self.xs = _NO_COORDS
+        self.ys = _NO_COORDS
+        self.ids = _NO_IDS
+        # A leaf never has children: it shares one empty tuple.
+        self.children: Sequence["_Node"] = () if is_leaf else []
         self.mbr: Optional[Rect] = None
         self.parent: Optional["_Node"] = None
         self._weight = 0  # entries below an internal node (leaves count live)
 
+    @property
+    def entries(self) -> List[Entry]:
+        """A leaf's rows as ``(Point, id)`` tuples, built on every access."""
+        return list(_as_entries(self.xs, self.ys, self.ids))
+
+    def set_rows(self, xs, ys, ids) -> None:
+        """Replace a leaf's columns."""
+        self.xs, self.ys, self.ids = xs, ys, ids
+
+    def rows_at(self, positions):
+        """A leaf's columns restricted to ``positions`` (index or mask)."""
+        return self.xs[positions], self.ys[positions], self.ids[positions]
+
+    def append_row(self, x: float, y: float, item_id: int) -> None:
+        """Add one entry to a leaf and grow its MBR over it."""
+        self.set_rows(
+            np.concatenate((self.xs, (x,))),
+            np.concatenate((self.ys, (y,))),
+            np.concatenate((self.ids, (item_id,))),
+        )
+        self.extend_mbr(Rect(x, y, x, y))
+
     def weight(self) -> int:
         """Number of entries in this subtree (supports counting queries)."""
-        return len(self.entries) if self.is_leaf else self._weight
+        return len(self.ids) if self.is_leaf else self._weight
 
     def recompute_mbr(self) -> None:
         if self.is_leaf:
-            if self.entries:
-                self.mbr = Rect.from_points(p for p, _ in self.entries)
-            else:
-                self.mbr = None
+            self.mbr = _columns_mbr(self.xs, self.ys) if len(self.ids) else None
         else:
             rects = [c.mbr for c in self.children if c.mbr is not None]
             self.mbr = union_all(rects) if rects else None
@@ -76,38 +153,35 @@ class _Node:
         self.mbr = rect if self.mbr is None else self.mbr.union(rect)
 
     def size(self) -> int:
-        return len(self.entries) if self.is_leaf else len(self.children)
+        return len(self.ids) if self.is_leaf else len(self.children)
 
 
-def _mask_boundary_entries(window: Rect, sure_ids: List[int], entries):
-    """Finish a bulk window probe: mask boundary-leaf entries in one pass.
+def _columns_mbr(xs: np.ndarray, ys: np.ndarray) -> Rect:
+    """The MBR of a leaf's non-empty coordinate columns, as Python floats.
 
-    ``sure_ids`` came from fully-contained subtrees (no tests needed);
-    ``entries`` are the candidates from partially-overlapping leaves.
-    Packs the candidates into coordinate/id columns and applies one
-    vectorized closed-bounds mask — the same comparison
-    ``Rect.contains_point`` performs, at C speed per entry.  Shared by
-    the R-tree family and the quadtree.
+    At a leaf's dozen-odd rows ``min``/``max`` over the lists beat four
+    array reductions; this runs on every insert and delete.
     """
-    sure = np.fromiter(sure_ids, dtype=np.int64, count=len(sure_ids))
-    count = len(entries)
-    if not count:
-        return sure
-    if count < 32:  # numpy packing overhead beats tiny leaf scans
-        matched = [
-            item_id
-            for point, item_id in entries
-            if window.contains_point(point)
-        ]
-        inside = np.fromiter(matched, dtype=np.int64, count=len(matched))
-        return np.concatenate((sure, inside)) if sure.size else inside
-    from repro.geometry.kernels import rect_contains_many
+    xs, ys = xs.tolist(), ys.tolist()
+    return Rect(min(xs), min(ys), max(xs), max(ys))
 
-    xs = np.fromiter((p.x for p, _ in entries), np.float64, count)
-    ys = np.fromiter((p.y for p, _ in entries), np.float64, count)
-    ids = np.fromiter((i for _, i in entries), np.int64, count)
-    inside = ids[rect_contains_many(window, xs, ys)]
-    return np.concatenate((sure, inside)) if sure.size else inside
+
+def _divide(node: _Node, stay: Sequence[int], move: Sequence[int]) -> _Node:
+    """Split ``node`` in place: the entries (or children) at positions
+    ``stay`` remain, those at ``move`` go to the returned sibling."""
+    sibling = _Node(is_leaf=node.is_leaf)
+    if node.is_leaf:
+        sibling.set_rows(*node.rows_at(move))
+        node.set_rows(*node.rows_at(stay))
+    else:
+        children = node.children
+        node.children = [children[i] for i in stay]
+        sibling.children = [children[i] for i in move]
+        for child in sibling.children:
+            child.parent = sibling
+    node.recompute_mbr()
+    sibling.recompute_mbr()
+    return sibling
 
 
 class RTree(SpatialIndex):
@@ -149,8 +223,7 @@ class RTree(SpatialIndex):
 
     def insert(self, point: Point, item_id: int) -> None:
         leaf = self._choose_leaf(self._root, point)
-        leaf.entries.append((point, item_id))
-        leaf.extend_mbr(Rect.from_point(point))
+        leaf.append_row(point.x, point.y, item_id)
         self._count += 1
         if leaf.size() > self.max_entries:
             self._split_and_propagate(leaf)
@@ -158,48 +231,50 @@ class RTree(SpatialIndex):
             self._tighten_upwards(leaf.parent)
 
     def bulk_load(self, entries) -> None:
-        """STR (sort-tile-recursive) packing.
+        """STR (sort-tile-recursive) packing, on columns.
 
-        An empty tree is packed from ``entries``.  A non-empty one is
-        repacked — its own entries plus the batch, into fresh nodes, the
-        new root swapped in at the end — when that is cheaper than
-        inserting the batch row by row (:data:`_REPACK_RATIO`); a traversal
-        suspended over the old nodes finishes over the old tree.
+        ``entries`` is any iterable of ``(Point, id)``, or a source with a
+        ``columns()`` method returning ``(xs, ys, ids)`` arrays (what
+        :class:`~repro.core.database.SpatialDatabase` passes: the store's
+        rows, no ``Point`` built).  An empty tree is packed from them.  A
+        non-empty one is repacked — its own leaf columns plus the batch,
+        into fresh nodes, the new root swapped in at the end — when that
+        is cheaper than inserting the batch row by row
+        (:data:`_REPACK_RATIO`); a traversal suspended over the old nodes
+        finishes over the old tree.
         """
-        entries = list(entries)
-        if not entries:
+        xs, ys, ids = _entry_columns(entries)
+        if not len(ids):
             return
         if self._count:
-            if len(entries) * _REPACK_RATIO < self._count + len(entries):
-                for point, item_id in entries:
+            if len(ids) * _REPACK_RATIO < self._count + len(ids):
+                for point, item_id in _as_entries(xs, ys, ids):
                     self.insert(point, item_id)
                 return
-            entries = list(self.items()) + entries
-        self._root = self._str_pack(entries)
+            leaves = list(self._leaves())
+            xs = np.concatenate([leaf.xs for leaf in leaves] + [xs])
+            ys = np.concatenate([leaf.ys for leaf in leaves] + [ys])
+            ids = np.concatenate([leaf.ids for leaf in leaves] + [ids])
+        self._root = self._str_pack(xs, ys, ids)
         self._root.parent = None
-        self._count = len(entries)
+        self._count = len(ids)
         self._packed = True
 
-    def _str_pack(self, entries: List[Entry]) -> _Node:
-        capacity = self.max_entries
-        count = len(entries)
-        if count <= capacity:
-            leaf = _Node(is_leaf=True)
-            leaf.entries = list(entries)
-            leaf.recompute_mbr()
-            return leaf
+    def _str_pack(self, xs, ys, ids) -> _Node:
+        """Pack non-empty columns into a tree; returns its root.
 
-        # Every level is packed the same way, on columns: sort the items
-        # (entries, then nodes) by centre x, slice into vertical strips,
-        # sort each strip by centre y, and cut into runs of `capacity`.
-        # Both sorts are stable, so ties keep their input order.
-        xs = np.fromiter((p.x for p, _ in entries), np.float64, count)
-        ys = np.fromiter((p.y for p, _ in entries), np.float64, count)
+        Every level is packed the same way: sort the items (rows, then
+        nodes) by centre x, slice into vertical strips, sort each strip by
+        centre y, and cut into runs of ``capacity``.  Both sorts are
+        stable, so ties keep their input order.  The rows are permuted
+        once, into three packed columns the leaves slice.
+        """
+        capacity = self.max_entries
         boxes = (xs, ys, xs, ys)  # min_x, min_y, max_x, max_y per item
-        weights = np.ones(count, dtype=np.int64)
-        items: list = entries
-        is_leaf = True
+        weights = np.ones(len(ids), dtype=np.int64)
+        below: Optional[List[_Node]] = None  # None: the items are the rows
         while True:
+            count = len(weights)
             center_x = (boxes[0] + boxes[2]) / 2.0
             center_y = (boxes[1] + boxes[3]) / 2.0
             strip_count = math.ceil(math.sqrt(math.ceil(count / capacity)))
@@ -215,7 +290,10 @@ class RTree(SpatialIndex):
                 )
             )
             weights = np.add.reduceat(weights[order], starts)
-            packed = [items[i] for i in order.tolist()]
+            if below is None:
+                packed_rows = (xs[order], ys[order], ids[order])
+            else:
+                packed_nodes = [below[i] for i in order.tolist()]
             bounds = starts.tolist() + [count]
             nodes = []
             for start, stop, weight, box in zip(
@@ -224,11 +302,11 @@ class RTree(SpatialIndex):
                 weights.tolist(),
                 zip(*(column.tolist() for column in boxes)),
             ):
-                node = _Node(is_leaf)
-                if is_leaf:
-                    node.entries = packed[start:stop]
+                node = _Node(is_leaf=below is None)
+                if below is None:
+                    node.set_rows(*(c[start:stop] for c in packed_rows))
                 else:
-                    node.children = packed[start:stop]
+                    node.children = packed_nodes[start:stop]
                     node._weight = weight
                     for child in node.children:
                         child.parent = node
@@ -236,13 +314,14 @@ class RTree(SpatialIndex):
                 nodes.append(node)
             if len(nodes) == 1:
                 return nodes[0]
-            items, count, is_leaf = nodes, len(nodes), False
+            below = nodes
 
     def delete(self, point: Point, item_id: int) -> bool:
-        leaf = self._find_leaf(self._root, point, item_id)
-        if leaf is None:
+        found = self._find_leaf(self._root, point, item_id)
+        if found is None:
             return False
-        leaf.entries.remove((point, item_id))
+        leaf, position = found
+        leaf.set_rows(*leaf.rows_at(np.arange(len(leaf.ids)) != position))
         self._count -= 1
         self._condense_tree(leaf)
         # The root may have become a lone internal node; shrink the tree.
@@ -265,12 +344,10 @@ class RTree(SpatialIndex):
             node = stack.pop()
             self.stats.node_accesses += 1
             if node.is_leaf:
-                self.stats.entry_tests += len(node.entries)
-                results.extend(
-                    entry
-                    for entry in node.entries
-                    if window.contains_point(entry[0])
-                )
+                self.stats.entry_tests += len(node.ids)
+                inside = rect_contains_many(window, node.xs, node.ys)
+                if inside.any():
+                    results.extend(_as_entries(*node.rows_at(inside)))
             else:
                 stack.extend(
                     child
@@ -283,18 +360,20 @@ class RTree(SpatialIndex):
         """Bulk window probe: ids only, fully-contained subtrees wholesale.
 
         Same id set as :meth:`window_query`, but subtrees whose MBR lies
-        entirely inside the window dump their entries' ids without a
-        single per-point containment test (the MBR containment already
-        proves membership — the trick :meth:`window_count` uses for
-        aggregates, here applied to materialization).  Only boundary
-        leaves pay per-entry tests.  Returns an int64 array in
-        unspecified order for the columnar refine paths to gather
-        coordinates by row id.
+        entirely inside the window hand over their leaves' id arrays
+        without a single per-point containment test (the MBR containment
+        already proves membership — the trick :meth:`window_count` uses
+        for aggregates, here applied to materialization), and the leaves
+        the window's boundary cuts are masked together, from their
+        coordinate arrays, in one closed-bounds comparison.  No per-entry
+        Python work either way.  Returns an int64 array in unspecified
+        order for the columnar refine paths to gather coordinates by row
+        id.
         """
-        ids: List[int] = []
-        boundary_entries: List[Entry] = []
         if self._root.mbr is None:
             return np.empty(0, dtype=np.int64)
+        inside: List[np.ndarray] = []  # id arrays of contained subtrees
+        cut: List[_Node] = []  # leaves the window's boundary crosses
         stack = [self._root]
         while stack:
             node = stack.pop()
@@ -302,22 +381,34 @@ class RTree(SpatialIndex):
                 continue
             self.stats.node_accesses += 1
             if window.contains_rect(node.mbr):
-                self._collect_subtree_ids(node, ids)
-                continue
-            if node.is_leaf:
-                self.stats.entry_tests += len(node.entries)
-                boundary_entries.extend(node.entries)
+                self._collect_subtree_ids(node, inside)
+            elif node.is_leaf:
+                self.stats.entry_tests += len(node.ids)
+                cut.append(node)
             else:
                 stack.extend(node.children)
-        return _mask_boundary_entries(window, ids, boundary_entries)
+        if cut:
+            ids = np.concatenate([leaf.ids for leaf in cut])
+            inside.append(
+                ids[
+                    rect_contains_many(
+                        window,
+                        np.concatenate([leaf.xs for leaf in cut]),
+                        np.concatenate([leaf.ys for leaf in cut]),
+                    )
+                ]
+            )
+        return np.concatenate(inside) if inside else np.empty(0, dtype=np.int64)
 
-    def _collect_subtree_ids(self, node: _Node, ids: List[int]) -> None:
-        """Append every entry id below ``node`` (no geometric tests)."""
+    def _collect_subtree_ids(
+        self, node: _Node, ids: List[np.ndarray]
+    ) -> None:
+        """Append the id array of every leaf below ``node`` (no tests)."""
         stack = [node]
         while stack:
             current = stack.pop()
             if current.is_leaf:
-                ids.extend([item_id for _, item_id in current.entries])
+                ids.append(current.ids)
             else:
                 self.stats.node_accesses += len(current.children)
                 stack.extend(current.children)
@@ -343,11 +434,11 @@ class RTree(SpatialIndex):
                 total += node.weight()
                 continue
             if node.is_leaf:
-                self.stats.entry_tests += len(node.entries)
-                total += sum(
-                    1
-                    for point, _ in node.entries
-                    if window.contains_point(point)
+                self.stats.entry_tests += len(node.ids)
+                total += int(
+                    np.count_nonzero(
+                        rect_contains_many(window, node.xs, node.ys)
+                    )
                 )
             else:
                 stack.extend(node.children)
@@ -360,15 +451,18 @@ class RTree(SpatialIndex):
     def k_nearest_neighbors(self, query: Point, k: int) -> List[Entry]:
         """Best-first k-NN (Hjaltason & Samet style) over squared MINDIST.
 
-        Deterministic tie-breaking: equidistant entries are returned in
-        ascending id order (nodes sort before entries at equal distance so
-        no closer-or-equal entry can be missed), matching the brute-force
+        A visited leaf scores all its entries with one array expression
+        (bitwise the scalar ``dx*dx + dy*dy``).  Deterministic
+        tie-breaking: equidistant entries are returned in ascending id
+        order (nodes sort before entries at equal distance so no
+        closer-or-equal entry can be missed), matching the brute-force
         oracle and the Voronoi kNN exactly even on duplicate locations.
         """
         if k <= 0 or self._root.mbr is None:
             return []
         counter = itertools.count()  # heap never compares node objects
-        heap: List[Tuple[float, int, int, object]] = [
+        # (distance, 0, tie-break, node) or (distance, 1, id, x, y)
+        heap: List[tuple] = [
             (
                 self._root.mbr.squared_distance_to_point(query),
                 0,
@@ -378,46 +472,62 @@ class RTree(SpatialIndex):
         ]
         results: List[Entry] = []
         while heap and len(results) < k:
-            distance, kind, _, item = heapq.heappop(heap)
-            if kind == 0:
-                node: _Node = item  # type: ignore[assignment]
-                self.stats.node_accesses += 1
-                if node.is_leaf:
-                    self.stats.entry_tests += len(node.entries)
-                    for entry in node.entries:
+            item = heapq.heappop(heap)
+            if item[1] == 1:
+                results.append((Point(item[3], item[4]), item[2]))
+                continue
+            node: _Node = item[3]
+            self.stats.node_accesses += 1
+            if node.is_leaf:
+                self.stats.entry_tests += len(node.ids)
+                distances = squared_distances(
+                    node.xs, node.ys, query.x, query.y
+                )
+                for scored in zip(
+                    distances.tolist(),
+                    itertools.repeat(1),
+                    node.ids.tolist(),
+                    node.xs.tolist(),
+                    node.ys.tolist(),
+                ):
+                    heapq.heappush(heap, scored)
+            else:
+                for child in node.children:
+                    if child.mbr is not None:
                         heapq.heappush(
                             heap,
                             (
-                                entry[0].squared_distance_to(query),
-                                1,
-                                entry[1],
-                                entry,
+                                child.mbr.squared_distance_to_point(query),
+                                0,
+                                next(counter),
+                                child,
                             ),
                         )
-                else:
-                    for child in node.children:
-                        if child.mbr is not None:
-                            heapq.heappush(
-                                heap,
-                                (
-                                    child.mbr.squared_distance_to_point(query),
-                                    0,
-                                    next(counter),
-                                    child,
-                                ),
-                            )
-            else:
-                results.append(item)  # type: ignore[arg-type]
         return results
 
     def items(self) -> Iterator[Entry]:
+        for leaf in self._leaves():
+            yield from leaf.entries
+
+    def _leaves(self) -> Iterator[_Node]:
+        """Every leaf, in the order :meth:`items` walks them."""
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                yield from node.entries
+                yield node
             else:
                 stack.extend(node.children)
+
+    @property
+    def bounds(self) -> Optional[Rect]:
+        """MBR of all stored points (``None`` when empty), in O(1).
+
+        The root's MBR: every node's is kept tight through inserts,
+        deletes and packs (:meth:`check_invariants` verifies it), so no
+        entry needs visiting.
+        """
+        return self._root.mbr
 
     # -- introspection (used by tests and benches) --------------------------
 
@@ -445,9 +555,10 @@ class RTree(SpatialIndex):
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` if any structural invariant fails.
 
-        Checked: tight MBRs, parent pointers, fill bounds (except the root,
-        and except minimum fill after an STR bulk load, whose trailing slices
-        may legally underfill), and uniform leaf depth.
+        Checked: tight MBRs, equally long leaf columns, subtree weights,
+        parent pointers, fill bounds (except the root, and except minimum
+        fill after an STR bulk load, whose trailing slices may legally
+        underfill), and uniform leaf depth.
         """
         leaf_depths: List[int] = []
         stack: List[Tuple[_Node, int]] = [(self._root, 1)]
@@ -467,10 +578,10 @@ class RTree(SpatialIndex):
                 )
             if node.is_leaf:
                 leaf_depths.append(depth)
-                if node.entries:
-                    expected = Rect.from_points(p for p, _ in node.entries)
-                    if node.mbr != expected:
-                        raise AssertionError("stale leaf MBR")
+                if not len(node.xs) == len(node.ys) == len(node.ids):
+                    raise AssertionError("ragged leaf columns")
+                if len(node.ids) and node.mbr != _columns_mbr(node.xs, node.ys):
+                    raise AssertionError("stale leaf MBR")
             else:
                 expected = union_all(
                     c.mbr for c in node.children if c.mbr is not None
@@ -529,13 +640,7 @@ class RTree(SpatialIndex):
 
     def _quadratic_split(self, node: _Node) -> _Node:
         """Split ``node`` in place, returning the new sibling."""
-        if node.is_leaf:
-            rects = [Rect.from_point(p) for p, _ in node.entries]
-            payload: Sequence = node.entries
-        else:
-            rects = [c.mbr for c in node.children]
-            payload = node.children
-
+        rects = _item_rects(node)
         seed_a, seed_b = _pick_seeds(rects)
         group_a = [seed_a]
         group_b = [seed_b]
@@ -579,28 +684,23 @@ class RTree(SpatialIndex):
                 group_b.append(i)
                 mbr_b = mbr_b.union(rects[i])
 
-        sibling = _Node(is_leaf=node.is_leaf)
-        if node.is_leaf:
-            entries = node.entries
-            node.entries = [entries[i] for i in group_a]
-            sibling.entries = [entries[i] for i in group_b]
-        else:
-            children = node.children
-            node.children = [children[i] for i in group_a]
-            sibling.children = [children[i] for i in group_b]
-            for child in sibling.children:
-                child.parent = sibling
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
+        return _divide(node, group_a, group_b)
 
     def _find_leaf(
         self, node: _Node, point: Point, item_id: int
-    ) -> Optional[_Node]:
+    ) -> Optional[Tuple[_Node, int]]:
+        """The leaf holding ``(point, item_id)`` and the entry's position."""
         if node.mbr is None or not node.mbr.contains_point(point):
             return None
         if node.is_leaf:
-            return node if (point, item_id) in node.entries else None
+            for position, candidate in enumerate(node.ids.tolist()):
+                if (
+                    candidate == item_id
+                    and node.xs[position] == point.x
+                    and node.ys[position] == point.y
+                ):
+                    return node, position
+            return None
         for child in node.children:
             found = self._find_leaf(child, point, item_id)
             if found is not None:
@@ -640,8 +740,17 @@ def _pick_seeds(rects: Sequence[Rect]) -> Tuple[int, int]:
     return best_pair
 
 
+def _item_rects(node: _Node) -> List[Rect]:
+    """The MBR of every entry (leaf) or child (internal node), in order."""
+    if node.is_leaf:
+        return [
+            Rect(x, y, x, y) for x, y in zip(node.xs.tolist(), node.ys.tolist())
+        ]
+    return [child.mbr for child in node.children]
+
+
 def _collect_entries(node: _Node) -> List[Entry]:
-    """All leaf entries beneath ``node``."""
+    """All leaf entries beneath ``node``, as ``(Point, id)`` tuples."""
     collected: List[Entry] = []
     stack = [node]
     while stack:

@@ -129,9 +129,9 @@ def load_database(
     set, the id space, and the Voronoi superset graph all round-trip.
     The persisted columns go to :meth:`SpatialDatabase.from_arrays
     <repro.core.database.SpatialDatabase.from_arrays>` as arrays: the
-    R-tree is packed from them with array sorts (one ``Point`` per row is
-    created, because the tree stores them) and the Qhull graph, when it
-    is built, reads them without creating any.  ``path`` may be the
+    R-tree is packed from them with array sorts and keeps slices of the
+    packed copies in its leaves, and the Qhull graph, when it is built,
+    reads them too — neither creates a ``Point``.  ``path`` may be the
     exact file or the extensionless name the saver was given.  Pass
     ``prepare=True`` to rebuild the Voronoi backend eagerly; by default
     it stays lazy, like a freshly constructed database.

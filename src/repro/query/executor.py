@@ -73,6 +73,18 @@ def _columnar_store(
     return database.store if database.vectorized else None
 
 
+def _area_point_table(database: "SpatialDatabase"):
+    """The ``points`` argument of a Voronoi *area* expansion.
+
+    The array-native expansion reads the store's columns and never this
+    table, so a vectorized database hands over the store's lazy view and
+    no ``Point`` is built; the scalar oracle indexes it once per
+    candidate and takes the materialized list.
+    """
+    store = database.store
+    return store.view() if database.vectorized else store.rows()
+
+
 def _tombstones(database: "SpatialDatabase"):
     """The store's tombstone map, or ``None`` when nothing was deleted.
 
@@ -198,7 +210,7 @@ def _execute_area(
     return voronoi_area_query(
         database.index,
         database.backend,
-        database.store.rows(),
+        _area_point_table(database),
         spec.region,
         seed_id=seed_id,
         store=_columnar_store(database),
@@ -224,7 +236,7 @@ def _execute_window(
         return voronoi_area_query(
             database.index,
             database.backend,
-            database.store.rows(),
+            _area_point_table(database),
             Polygon.from_rect(spec.rect),
             seed_id=seed_id,
             store=_columnar_store(database),

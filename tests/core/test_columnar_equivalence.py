@@ -15,17 +15,22 @@ Everything runs under ``simplefilter("error", DeprecationWarning)``:
 the columnar paths must not touch any deprecated surface.
 """
 
+import gc
 import random
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import voronoi_query
 from repro.core.database import SpatialDatabase
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
 from repro.geometry.random_shapes import random_query_polygon
 from repro.geometry.rectangle import Rect
 from repro.query.spec import (
@@ -261,3 +266,81 @@ def test_scalar_twin_reports_vectorized_off():
     db_vec, db_scalar = database_pair()
     assert db_vec.vectorized and not db_scalar.vectorized
     assert db_vec.points == db_scalar.points
+
+
+# -- no Python object per row -------------------------------------------------
+
+
+def _object_free_columns(kind):
+    rng = np.random.default_rng(77)
+    if kind == "duplicates":  # 900 locations, 3 to 4 rows on each
+        xs = rng.integers(0, 30, 3000) / 30.0
+        ys = rng.integers(0, 30, 3000) / 30.0
+    else:
+        xs, ys = rng.random(3000), rng.random(3000)
+    return xs, ys
+
+
+def _object_free_specs():
+    rng = random.Random(78)
+    regions = [random_query_polygon(query_size=size, rng=rng) for size in (0.3, 0.02)]
+    regions += [
+        Polygon.from_rect(Rect(0.2, 0.3, 0.7, 0.8)),
+        Circle(Point(0.45, 0.55), 0.25),
+        Circle(Point(0.9, 0.1), 0.05),
+    ]
+    return [
+        AreaQuery(region, method=method)
+        for region in regions
+        for method in ("voronoi", "traditional")
+    ]
+
+
+class TestObjectFreeReadPath:
+    """A prepared, scipy-backed database answers area queries off the
+    store's columns, the index's leaf arrays and the CSR graph alone."""
+
+    @pytest.mark.parametrize("kind", ["plain", "tombstones", "duplicates"])
+    def test_no_point_and_no_table_yet_the_scalar_answers(self, kind):
+        xs, ys = _object_free_columns(kind)
+        db_vec = SpatialDatabase.from_arrays(xs, ys, backend_kind="scipy").prepare()
+        db_scalar = SpatialDatabase.from_arrays(
+            xs, ys, backend_kind="scipy", vectorized=False
+        ).prepare()
+        if kind == "tombstones":
+            for row in random.Random(79).sample(range(3000), 400):
+                db_vec.delete(row)
+                db_scalar.delete(row)
+        widest = 0
+        with deprecations_are_errors():
+            for spec in _object_free_specs():
+                got, expected = db_vec.query(spec), db_scalar.query(spec)
+                assert got.ids() == expected.ids(), spec
+                for counter in ("candidates", "validations", "redundant_validations"):
+                    assert getattr(got.stats, counter) == getattr(
+                        expected.stats, counter
+                    ), (spec, counter)
+                widest = max(widest, got.stats.result_size)
+        # results in the hundreds: the expansion left the small-wave loop
+        assert widest > 4 * voronoi_query._WAVE_MIN
+        assert db_vec.store._materialized == []
+        assert getattr(db_vec.backend, "_neighbor_table", None) is None
+
+    def test_index_and_graph_fit_the_per_row_budget(self):
+        """160 B a row is the line; measured 63 (index) + 56 (graph)."""
+        import scipy.spatial  # noqa: F401  (its import is not the database's)
+
+        rows = 50_000
+        rng = np.random.default_rng(80)
+        xs, ys = rng.random(rows), rng.random(rows)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            db = SpatialDatabase.from_arrays(xs, ys, backend_kind="scipy").prepare()
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        store = db.store
+        columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
+        assert (traced - columns) / rows <= 150

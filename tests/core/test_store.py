@@ -148,3 +148,47 @@ class TestPointsView:
         store.append(7.0, 49.0)
         assert store.rows()[5] == Point(7.0, 49.0)
         assert isinstance(view, PointsView)
+
+    def test_concurrent_readers_fill_the_cache_once(self):
+        """The cache fills lazily, so the first readers can be several
+        threads at once; each row must still appear exactly once."""
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                store = PointStore()
+                store.extend_array(np.arange(400.0), np.arange(400.0) * 2)
+                barrier = threading.Barrier(8)
+
+                def read(store=store, barrier=barrier):
+                    barrier.wait(timeout=10)
+                    store.rows()
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                rows = store.rows()
+                assert len(rows) == 400
+                assert rows[399] == Point(399.0, 798.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestRowEntries:
+    def test_both_forms_describe_the_same_rows(self):
+        store = PointStore()
+        store.extend_array([0.0, 1.0, 2.0, 3.0], [5.0, 6.0, 7.0, 8.0])
+        entries = store.entries(range(1, 4))
+        xs, ys, ids = entries.columns()
+        assert xs.tolist() == [1.0, 2.0, 3.0] and ys.tolist() == [6.0, 7.0, 8.0]
+        assert ids.tolist() == [1, 2, 3] and ids.dtype == np.int64
+        assert store._materialized == []  # columns build no Point
+        assert list(entries) == [
+            (Point(1.0, 6.0), 1), (Point(2.0, 7.0), 2), (Point(3.0, 8.0), 3)
+        ]

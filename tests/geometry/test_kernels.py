@@ -19,7 +19,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.kernels import squared_distances
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.random_shapes import random_star_polygon
+from repro.geometry.random_shapes import random_simple_polygon, random_star_polygon
 from repro.geometry.rectangle import Rect
 
 finite = st.floats(
@@ -146,3 +146,121 @@ class TestRectCircleKernels:
             Point(x, y).squared_distance_to(Point(qx, qy)) for x, y in pts
         ]
         assert batched == scalar  # exact float equality, not approx
+
+
+def _polygon_of(kind: str, seed: int) -> Polygon:
+    rng = random.Random(seed)
+    if kind == "convex":
+        return Polygon.regular(
+            3 + rng.randrange(12), Point(0.5, 0.5), 0.1 + 0.3 * rng.random(), rng.random()
+        )
+    if kind == "concave":
+        return random_simple_polygon(4 + rng.randrange(12), rng)
+    return random_star_polygon(3 + rng.randrange(20), rng)
+
+
+def adversarial_segments(polygon: Polygon, rng: random.Random):
+    """Segments built to land on the scalar test's special cases."""
+    ring = polygon.vertices
+    box = polygon.mbr
+    far = (box.max_x + 1.0, box.max_y + 1.0)
+    segments = []
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        mid = ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+        segments += [
+            (far[0], far[1], a.x, a.y),  # ends exactly on a vertex
+            (a.x, a.y, far[0], far[1]),  # starts exactly on a vertex
+            (a.x, a.y, b.x, b.y),  # is the edge
+            (a.x, a.y, mid[0], mid[1]),  # overlaps half the edge
+            (2 * a.x - b.x, 2 * a.y - b.y, b.x, b.y),  # collinear, longer
+            (2 * b.x - a.x, 2 * b.y - a.y, 3 * b.x - 2 * a.x, 3 * b.y - 2 * a.y),
+            (a.x, a.y, a.x, a.y),  # zero length, on a vertex
+            (mid[0], mid[1], mid[0], mid[1]),  # zero length, on (or by) an edge
+            (a.x, box.min_y - 1.0, a.x, box.max_y + 1.0),  # through a vertex
+            (box.min_x - 1.0, a.y, box.max_x + 1.0, a.y),
+            (mid[0], mid[1], far[0], far[1]),  # touches the edge at one point
+        ]
+    inside = polygon.interior_point()
+    segments += [
+        (inside.x, inside.y, inside.x, inside.y),  # zero length, inside
+        (inside.x, inside.y, np.nextafter(inside.x, 9.0), inside.y),
+        (far[0], far[1], far[0] + 1.0, far[1]),  # wholly outside the MBR
+        (far[0], far[1], far[0], far[1]),
+        (box.min_x - 1.0, box.min_y - 1.0, box.max_x + 1.0, box.max_y + 1.0),
+    ]
+    for _ in range(60):  # short segments, like Delaunay edges, inside the MBR
+        x = rng.uniform(box.min_x, box.max_x)
+        y = rng.uniform(box.min_y, box.max_y)
+        segments.append((x, y, x + rng.gauss(0, 0.02), y + rng.gauss(0, 0.02)))
+    return segments
+
+
+def _assert_crossings_match(polygon: Polygon, segments) -> None:
+    columns = [np.array(column, dtype=np.float64) for column in zip(*segments)]
+    got = polygon.crosses_boundary_many(*columns)
+    assert got.dtype == bool
+    assert got.tolist() == [polygon.crosses_boundary_xy(*s) for s in segments]
+
+
+class TestCrossesBoundaryMany:
+    @given(
+        st.sampled_from(["convex", "concave", "star"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(
+            st.tuples(*[st.floats(min_value=-0.5, max_value=1.5)] * 4),
+            max_size=48,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_element_for_element(self, kind, seed, free):
+        polygon = _polygon_of(kind, seed)
+        segments = free + adversarial_segments(polygon, random.Random(seed))
+        _assert_crossings_match(polygon, segments)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e150])
+    def test_extreme_coordinate_scales(self, scale):
+        ring = [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (0.0, 3.0)]
+        polygon = Polygon([(x * scale, y * scale) for x, y in ring])
+        unit = adversarial_segments(Polygon(ring), random.Random(5))
+        _assert_crossings_match(
+            polygon, [tuple(v * scale for v in segment) for segment in unit]
+        )
+
+    def test_empty_input_and_block_boundaries(self):
+        from repro.geometry import kernels
+
+        polygon = random_star_polygon(12, random.Random(3))
+        none = np.empty(0)
+        assert polygon.crosses_boundary_many(none, none, none, none).shape == (0,)
+        count = 2 * (kernels._BLOCK_CELLS // 12) + 5
+        rng = np.random.default_rng(4)
+        sx, sy = rng.random(count), rng.random(count)
+        ex, ey = sx + rng.normal(0, 0.05, count), sy + rng.normal(0, 0.05, count)
+        _assert_crossings_match(polygon, list(zip(sx, sy, ex, ey)))
+
+    def test_deferred_share_is_reported(self, record_property):
+        """How often the float filter gives up, on the workload the
+        expansion produces (short segments near the boundary) and on the
+        adversarial set.  Reported, not asserted: exactness never depends
+        on it, only speed."""
+        from repro.geometry.kernels import _crossing_decisions
+
+        polygon = random_star_polygon(14, random.Random(8))
+        rng = np.random.default_rng(9)
+        count = 20_000
+        sx, sy = rng.random(count), rng.random(count)
+        ex, ey = sx + rng.normal(0, 0.01, count), sy + rng.normal(0, 0.01, count)
+        _, unclear = _crossing_decisions(polygon, sx, sy, ex, ey)
+        hard = [
+            np.array(column)
+            for column in zip(*adversarial_segments(polygon, random.Random(8)))
+        ]
+        _, unclear_hard = _crossing_decisions(polygon, *hard)
+        shares = {
+            "deferred_share_random_short_segments": float(unclear.mean()),
+            "deferred_share_adversarial": float(unclear_hard.mean()),
+        }
+        for name, share in shares.items():
+            record_property(name, share)
+            print(f"{name}: {share:.5f}")
+        assert unclear.shape == (count,)

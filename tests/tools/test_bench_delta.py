@@ -251,6 +251,8 @@ class TestMain:
         ("seed_walk_reuses", 1),
         ("index_rows_per_s", 1),
         ("pure_add_point_us", -1),
+        ("index_bytes_per_row", -1),
+        ("graph_bytes_per_row", -1),
     ],
 )
 def test_direction_heuristic(name, direction):

@@ -105,16 +105,17 @@ _CONTEXT_KEYS = {
     "rows",
 }
 
-#: Metrics where *larger is worse* (times); everything else numeric is
-#: treated as larger-is-better (speedups, hit/reuse counters, and rates:
-#: ``rows_per_s`` ends in ``_s`` but is a throughput).
-_LOWER_IS_BETTER_SUFFIXES = ("_us", "_ms", "_s")
+#: Metrics where *larger is worse* (times, and memory per row);
+#: everything else numeric is treated as larger-is-better (speedups,
+#: hit/reuse counters, and rates: ``rows_per_s`` ends in ``_s`` but is a
+#: throughput).
+_LOWER_IS_BETTER_SUFFIXES = ("_us", "_ms", "_s", "_bytes_per_row")
 
 
 def _direction(name: str) -> int:
     """+1 when larger is better for ``name``, -1 when smaller is."""
-    is_time = name.endswith(_LOWER_IS_BETTER_SUFFIXES)
-    return -1 if is_time and not name.endswith("_per_s") else 1
+    is_cost = name.endswith(_LOWER_IS_BETTER_SUFFIXES)
+    return -1 if is_cost and not name.endswith("_per_s") else 1
 
 
 def load_record(path: str) -> Optional[Dict]:

@@ -58,8 +58,9 @@ bench-smoke:
 		benchmarks/bench_failover.py \
 		benchmarks/bench_ablation_backend.py -q --benchmark-disable
 
-## columnar acceptance bench alone: vectorized vs scalar hot paths on
-## the refinement-heavy trace (>= 2x asserted), ids byte-identical
+## wave-threshold sweep alone: Algorithm 1 timed at every _WAVE_MIN
+## from "always arrays" to "always the loop" on three result sizes
+## (the shipped constant must win small and large), ids never move
 bench-columnar:
 	$(PYTEST) benchmarks/bench_columnar.py -q --benchmark-disable
 

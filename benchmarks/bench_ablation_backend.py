@@ -27,6 +27,7 @@ from repro.delaunay.backends import PureDelaunayBackend, ScipyDelaunayBackend
 from repro.core.database import SpatialDatabase
 from repro.geometry.random_shapes import random_query_polygon
 from repro.workloads.generators import uniform_points
+from repro.query.spec import AreaQuery
 
 BUILD_SIZES = (1_000, 5_000)
 BULK_ROWS = 100_000
@@ -63,8 +64,8 @@ def test_backends_identical_query_results():
     for _ in range(10):
         area = random_query_polygon(0.05, rng=rng)
         assert (
-            pure_db.area_query(area, "voronoi").ids
-            == scipy_db.area_query(area, "voronoi").ids
+            pure_db.query(AreaQuery(area, method="voronoi")).ids()
+            == scipy_db.query(AreaQuery(area, method="voronoi")).ids()
         )
 
 

@@ -51,12 +51,12 @@ def _run(db, areas, method, weight):
         if method == "voronoi":
             results.append(
                 voronoi_area_query(
-                    db.index, db.backend, db.points, area, contains=contains
+                    db.index, db.backend, db.store, area, contains=contains
                 )
             )
         else:
             results.append(
-                traditional_area_query(db.index, area, contains=contains)
+                traditional_area_query(db.index, db.store, area, contains=contains)
             )
     return results
 

@@ -31,7 +31,7 @@ def test_knn_voronoi(benchmark, k):
 
     def run():
         return [
-            voronoi_knn_query(db.index, db.backend, db.points, q, k)
+            voronoi_knn_query(db.index, db.backend, db.store, q, k)
             for q in queries
         ]
 
@@ -53,7 +53,7 @@ def test_knn_equivalence_and_locality():
     db = get_database(FIXED_DATA_SIZE)
     for q in _queries(20):
         for k in K_VALUES:
-            voronoi = voronoi_knn_query(db.index, db.backend, db.points, q, k)
+            voronoi = voronoi_knn_query(db.index, db.backend, db.store, q, k)
             rtree = [i for _, i in db.index.k_nearest_neighbors(q, k)]
             assert voronoi.ids == rtree
             # Candidate locality: O(k) evaluations, nowhere near O(n).

@@ -29,6 +29,7 @@ from repro.core.database import SpatialDatabase
 from repro.geometry.polygon import Polygon
 from repro.workloads.generators import uniform_points
 from repro.workloads.queries import QueryWorkload
+from repro.query.spec import AreaQuery
 
 PAPER_SCALE = os.environ.get("REPRO_BENCH_SCALE", "").lower() == "paper"
 
@@ -147,8 +148,8 @@ def get_query_areas(query_size: float, count: int = N_QUERY_AREAS) -> List[Polyg
 
 
 def run_batch(db: SpatialDatabase, areas: List[Polygon], method: str):
-    """Run one batch of area queries; returns the list of QueryResults."""
-    return [db.area_query(area, method=method) for area in areas]
+    """Run one batch of area queries; returns the list of QueryRecords."""
+    return [db.query(AreaQuery(area, method=method)).record for area in areas]
 
 
 def summarize(results) -> Dict[str, float]:

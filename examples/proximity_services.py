@@ -55,7 +55,7 @@ def main() -> None:
 
     # --- k nearest neighbours ---------------------------------------------
     print("\n[2] The 10 nearest stations (Voronoi expansion vs R-tree):")
-    knn = voronoi_knn_query(db.index, db.backend, db.points, here, 10)
+    knn = voronoi_knn_query(db.index, db.backend, db.store, here, 10)
     rtree_ids = db.query(KnnQuery(here, 10, method="index")).ids()
     assert knn.ids == rtree_ids
     for rank, row in enumerate(knn.ids, start=1):
@@ -73,7 +73,7 @@ def main() -> None:
 
     started = time.perf_counter()
     for q in queries:
-        voronoi_knn_query(db.index, db.backend, db.points, q, 10)
+        voronoi_knn_query(db.index, db.backend, db.store, q, 10)
     voronoi_seconds = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -68,7 +68,7 @@ from repro.core import (
     EmptyDatabaseError,
     InvalidQueryAreaError,
     PointStore,
-    QueryResult,
+    QueryRecord,
     QueryStats,
     ReproError,
     SpatialDatabase,
@@ -92,13 +92,14 @@ from repro.query import (
     KnnQuery,
     NearestQuery,
     Query,
+    QueryResult,
     UnionQuery,
     WindowQuery,
     dump_specs,
     load_specs,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "SpatialDatabase",
@@ -113,6 +114,7 @@ __all__ = [
     "IntersectionQuery",
     "DifferenceQuery",
     "QueryResult",
+    "QueryRecord",
     "QueryStats",
     "dump_specs",
     "load_specs",

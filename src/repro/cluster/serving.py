@@ -34,7 +34,7 @@ from repro.cluster.coordinator import (
     ClusterDegradedError,
     ClusterStream,
 )
-from repro.core.stats import QueryResult as QueryRecord
+from repro.core.stats import QueryRecord
 from repro.core.stats import QueryStats
 from repro.server.backend import PartialAnswer, Unavailable, Unsupported
 

@@ -13,10 +13,8 @@ Both are wrapped by :class:`~repro.core.database.SpatialDatabase`, the
 user-facing entry point that owns the point table (the columnar
 :class:`~repro.core.store.PointStore`), the R-tree, and the Voronoi
 neighbour backend, and reports per-query
-:class:`~repro.core.stats.QueryStats`.  Both query functions accept the
-store to run their refinement over coordinate arrays (the vectorized hot
-paths); without it they fall back to the scalar per-point loops with
-byte-identical results.
+:class:`~repro.core.stats.QueryStats`.  Both query functions take the
+store and run their refinement over its coordinate columns.
 """
 
 from repro.core.database import SpatialDatabase
@@ -25,7 +23,7 @@ from repro.core.exceptions import (
     InvalidQueryAreaError,
     ReproError,
 )
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 from repro.core.store import PointStore, PointsView
 from repro.core.traditional_query import traditional_area_query
 from repro.core.voronoi_query import voronoi_area_query
@@ -35,7 +33,7 @@ __all__ = [
     "PointStore",
     "PointsView",
     "QueryStats",
-    "QueryResult",
+    "QueryRecord",
     "traditional_area_query",
     "voronoi_area_query",
     "ReproError",

@@ -36,54 +36,28 @@ engine decomposes them so sibling leaves share work), and
 
     ring = db.query(DifferenceQuery((AreaQuery(outer), AreaQuery(inner))))
     closest = db.query(KnnQuery((0.5, 0.5), None)).first(10)
-
-The pre-spec methods (``area_query``, ``window_query``,
-``k_nearest_neighbors``, ...) remain as thin deprecation shims that
-delegate to the spec path and return identical results; see
-``docs/QUERY_API.md`` for the migration table.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.geometry.kernels import region_kernels
 from repro.geometry.point import Point
-from repro.geometry.rectangle import Rect
 from repro.geometry.region import QueryRegion
 from repro.index import make_index
 from repro.index.base import SpatialIndex
 from repro.delaunay.backends import DelaunayBackend, make_backend
 from repro.core.exceptions import EmptyDatabaseError
-from repro.core.stats import QueryResult
 from repro.core.store import PointStore, PointsView
-from repro.query.result import BatchQueryResults
-from repro.query.result import QueryResult as LazyQueryResult
-from repro.query.spec import (
-    AreaQuery,
-    KnnQuery,
-    NearestQuery,
-    Query,
-    WindowQuery,
-)
+from repro.query.result import BatchQueryResults, QueryResult
+from repro.query.spec import Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.engine.batch import BatchQueryEngine, BatchResult
+    from repro.engine.batch import BatchQueryEngine
     from repro.engine.planner import PlanExplanation
-
-_METHODS = ("traditional", "voronoi", "auto")
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a legacy query method."""
-    warnings.warn(
-        f"SpatialDatabase.{old} is deprecated; use {new} instead "
-        "(see docs/QUERY_API.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class SpatialDatabase:
@@ -97,15 +71,6 @@ class SpatialDatabase:
     backend_kind:
         Voronoi-neighbour backend: ``"pure"`` (our Bowyer–Watson, default)
         or ``"scipy"`` (Qhull-accelerated, identical neighbour sets).
-    vectorized:
-        When ``True`` (the default) queries run the columnar hot paths —
-        array refinement kernels, bulk index probes, batched distances —
-        over the :class:`~repro.core.store.PointStore` columns.
-        ``False`` forces the scalar per-point fallbacks everywhere; the
-        two modes return byte-identical results (pinned by
-        ``tests/core/test_columnar_equivalence.py``), so the flag exists
-        as the equivalence oracle and for debugging, not as a tuning
-        knob.
     index_kwargs:
         Extra constructor arguments for the index (e.g. ``max_entries``).
     """
@@ -114,8 +79,6 @@ class SpatialDatabase:
         self,
         index_kind: str = "rtree",
         backend_kind: str = "pure",
-        *,
-        vectorized: bool = True,
         **index_kwargs,
     ) -> None:
         self._store = PointStore()
@@ -124,8 +87,6 @@ class SpatialDatabase:
         self._backend_kind = backend_kind
         self._backend: Optional[DelaunayBackend] = None
         self._engine: Optional["BatchQueryEngine"] = None
-        #: run the columnar/vectorized hot paths (scalar oracle if False)
-        self.vectorized = bool(vectorized)
 
     # -- construction ------------------------------------------------------
 
@@ -136,13 +97,10 @@ class SpatialDatabase:
         *,
         index_kind: str = "rtree",
         backend_kind: str = "pure",
-        vectorized: bool = True,
         **index_kwargs,
     ) -> "SpatialDatabase":
         """Bulk-build a database from an iterable of points or (x, y) pairs."""
-        db = cls(
-            index_kind, backend_kind, vectorized=vectorized, **index_kwargs
-        )
+        db = cls(index_kind, backend_kind, **index_kwargs)
         db.extend(points)
         return db
 
@@ -154,7 +112,6 @@ class SpatialDatabase:
         *,
         index_kind: str = "rtree",
         backend_kind: str = "pure",
-        vectorized: bool = True,
         **index_kwargs,
     ) -> "SpatialDatabase":
         """Bulk-build from coordinate arrays (row id = array index).
@@ -173,9 +130,7 @@ class SpatialDatabase:
         (:func:`repro.io.persist.load_database`, ``repro serve --load``)
         come through here.
         """
-        db = cls(
-            index_kind, backend_kind, vectorized=vectorized, **index_kwargs
-        )
+        db = cls(index_kind, backend_kind, **index_kwargs)
         db._load_columns(xs, ys)
         return db
 
@@ -242,8 +197,8 @@ class SpatialDatabase:
                 self._backend = None
             else:
                 try:
-                    for p in self._store.rows()[rows.start :]:
-                        add_point(p)
+                    for x, y in pairs:
+                        add_point(Point(x, y))
                 except ValueError:  # outside the incremental-safe extent
                     self._backend = None
         return list(rows)
@@ -336,9 +291,10 @@ class SpatialDatabase:
         diagram is a precomputed database structure like the R-tree.
         What is built is what area queries read — the backend and its CSR
         graph (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`).
-        The neighbour *table* and the store's ``Point`` cache stay lazy:
-        the first kNN walk, seed walk or scalar traversal builds them, and
-        a database that serves only area and window queries never does.
+        The neighbour *table* stays lazy: the first kNN walk or engine
+        seed walk builds it, and a database that serves only area and
+        window queries never does.  No query fills the store's ``Point``
+        cache; only callers asking for points do.
         """
         self.backend.neighbor_csr()
         return self
@@ -350,8 +306,8 @@ class SpatialDatabase:
         """The batch query engine over this database (built on first use).
 
         One engine (and thus one result cache and one planner) is shared
-        by every :meth:`batch_area_query` / :meth:`explain` call and by
-        ``area_query(method="auto")``.
+        by every :meth:`query_batch` / :meth:`explain` call and by
+        ``method="auto"`` specs.
         """
         if self._engine is None:
             from repro.engine.batch import BatchQueryEngine
@@ -359,7 +315,7 @@ class SpatialDatabase:
             self._engine = BatchQueryEngine(self)
         return self._engine
 
-    def query(self, spec: Query) -> LazyQueryResult:
+    def query(self, spec: Query) -> QueryResult:
         """The single entry point: answer any declarative query spec.
 
         ``spec`` is an :class:`~repro.query.spec.AreaQuery`,
@@ -380,7 +336,7 @@ class SpatialDatabase:
         ``result.first(n)`` / plain iteration produce rows on demand
         without materialising the full result.
         """
-        return LazyQueryResult(self, spec)
+        return QueryResult(self, spec)
 
     def query_batch(
         self, specs: Sequence[Query], *, use_cache: bool = True
@@ -401,7 +357,7 @@ class SpatialDatabase:
         """
         batch = self.engine.run_specs(specs, use_cache=use_cache)
         handles = [
-            LazyQueryResult(self, spec, record=record)
+            QueryResult(self, spec, record=record)
             for spec, record in zip(specs, batch.results)
         ]
         return BatchQueryResults(handles, batch.stats)
@@ -420,114 +376,11 @@ class SpatialDatabase:
             return self.engine.planner.explain_spec(target, execute=execute)
         return self.engine.planner.explain(target, execute=execute)
 
-    # -- deprecated pre-spec query methods ---------------------------------
-
-    def area_query(
-        self, area: QueryRegion, method: str = "voronoi"
-    ) -> QueryResult:
-        """All points inside the closed region ``area``.
-
-        .. deprecated:: 1.1
-            Use ``db.query(AreaQuery(area, method=...))`` instead; this
-            shim delegates to the spec path and returns the identical
-            eager record.
-
-        ``area`` is any :class:`~repro.geometry.region.QueryRegion` — a
-        (possibly concave) :class:`~repro.geometry.polygon.Polygon` as in
-        the paper, or a :class:`~repro.geometry.circle.Circle` for
-        radius-bounded queries.  ``method`` selects the paper's algorithm
-        (``"voronoi"``), the filter–refine baseline (``"traditional"``),
-        or the cost-based planner's per-query choice between the two
-        (``"auto"``).  All return identical id lists; they differ in the
-        :class:`QueryStats` they report.
-        """
-        _warn_deprecated(
-            "area_query(area, method)", "query(AreaQuery(area, method=...))"
-        )
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; choose from {_METHODS}"
-            )
-        return self.query(AreaQuery(area, method=method)).record
-
-    def batch_area_query(
-        self,
-        regions: Sequence[QueryRegion],
-        method: str = "auto",
-        *,
-        use_cache: bool = True,
-    ) -> "BatchResult":
-        """Answer many area queries at once (see :mod:`repro.engine.batch`).
-
-        .. deprecated:: 1.1
-            Use ``db.query_batch([AreaQuery(r, method=...) for r in
-            regions])`` instead; this shim delegates to the same engine
-            and returns the identical records.
-
-        Returns a :class:`~repro.engine.batch.BatchResult` — a sequence of
-        :class:`QueryResult` in submission order, id-identical to looping
-        :meth:`area_query`, plus batch-level sharing statistics in
-        ``.stats``.  ``method="auto"`` lets the cost-based planner pick
-        the cheaper method per query.
-        """
-        _warn_deprecated(
-            "batch_area_query(regions, method)",
-            "query_batch([AreaQuery(region, method=...), ...])",
-        )
-        return self.engine.batch_area_query(
-            regions, method, use_cache=use_cache
-        )
-
-    def window_query(self, window: Rect) -> List[int]:
-        """Row ids of points inside an axis-aligned rectangle (sorted).
-
-        .. deprecated:: 1.1
-            Use ``db.query(WindowQuery(window))`` instead; this shim runs
-            ``WindowQuery(window, method="index")`` — byte-identical to
-            the old direct index call.
-        """
-        _warn_deprecated("window_query(window)", "query(WindowQuery(window))")
-        return self.query(WindowQuery(window, method="index")).ids()
-
-    def nearest_neighbor(self, query: Point) -> Optional[int]:
-        """Row id of the closest point to ``query`` (None when empty).
-
-        .. deprecated:: 1.1
-            Use ``db.query(NearestQuery(query))`` instead.
-        """
-        _warn_deprecated("nearest_neighbor(query)", "query(NearestQuery(query))")
-        ids = self.query(NearestQuery(query)).ids()
-        return ids[0] if ids else None
-
-    def k_nearest_neighbors(
-        self, query: Point, k: int, method: str = "index"
-    ) -> List[int]:
-        """Row ids of the ``k`` closest points, nearest first.
-
-        .. deprecated:: 1.1
-            Use ``db.query(KnnQuery(query, k, method=...))`` instead.
-
-        ``method="index"`` runs the best-first search of the spatial index;
-        ``method="voronoi"`` runs the incremental expansion over the Voronoi
-        neighbour graph (see :mod:`repro.core.knn_query`) — same results,
-        different access pattern.
-        """
-        _warn_deprecated(
-            "k_nearest_neighbors(query, k, method)",
-            "query(KnnQuery(query, k, method=...))",
-        )
-        if method not in ("index", "voronoi"):
-            raise ValueError(
-                f"unknown method {method!r}; choose 'index' or 'voronoi'"
-            )
-        return self.query(KnnQuery(query, k, method=method)).ids()
-
     def voronoi_neighbors(self, row_id: int) -> Tuple[int, ...]:
         """Row ids of the Voronoi neighbours of ``row_id``.
 
         Not a query in the spec sense — it exposes the database's Voronoi
-        adjacency *structure* (Algorithm 1's substrate) and therefore has
-        no deprecation shim.
+        adjacency *structure* (Algorithm 1's substrate).
         """
         return self.backend.neighbors(row_id)
 
@@ -548,18 +401,9 @@ class SpatialDatabase:
         boundary: List[int] = []
         external: List[int] = []
         points = self._store.view()
-        contains_many = (
-            getattr(area, "contains_many", None) if self.vectorized else None
-        )
-        if contains_many is not None:
-            mask = contains_many(self._store.xs, self._store.ys)
-            inside = set(map(int, mask.nonzero()[0]))
-        else:
-            inside = {
-                row_id
-                for row_id, p in enumerate(points)
-                if area.contains_point(p)
-            }
+        contains_many, _ = region_kernels(area)
+        mask = contains_many(self._store.xs, self._store.ys)
+        inside = set(mask.nonzero()[0].tolist())
         deleted = self._store.deleted_rows
         if deleted:
             inside -= deleted.keys()

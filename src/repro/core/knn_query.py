@@ -17,26 +17,27 @@ costs O(k log k) heap work after the seed — independent of the database
 size, versus the O(log n + k) node inspections of a best-first R-tree
 descent (the baseline we compare against in the bench).
 
-When the caller passes the database's columnar
-:class:`~repro.core.store.PointStore`, each confirmation's neighbour
-distances are computed as one batched kernel call over the store's
-coordinate columns (:func:`repro.geometry.kernels.squared_distances`)
-instead of one ``Point.squared_distance_to`` per neighbour.  The batched
-values are bitwise identical to the scalar ones (same IEEE operations in
-the same order), so heap order — and therefore the ranking — cannot
-drift between the two paths.
+Each confirmation's neighbour distances are computed as one batched
+kernel call over the store's coordinate columns
+(:func:`repro.geometry.kernels.squared_distances`), whose values are
+bitwise identical to ``Point.squared_distance_to`` (same IEEE operations
+in the same order) — the ranking is the one a per-point loop would
+produce.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.geometry.kernels import squared_distances
 from repro.geometry.point import Point
 from repro.index.base import SpatialIndex
 from repro.delaunay.backends import DelaunayBackend
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 from repro.core.voronoi_query import graph_nearest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,10 +51,6 @@ def _batched_expand(store: "PointStore", query: Point):
     fresh-count`` computing every unvisited neighbour's squared distance
     in one :func:`~repro.geometry.kernels.squared_distances` call.
     """
-    import numpy as np
-
-    from repro.geometry.kernels import squared_distances
-
     xs = store.xs
     ys = store.ys
     qx = query.x
@@ -77,35 +74,16 @@ def _batched_expand(store: "PointStore", query: Point):
     return expand
 
 
-def _scalar_expand(points: Sequence[Point], query: Point):
-    """The scalar sibling of :func:`_batched_expand` (one call per row)."""
-
-    def expand(current, visited, frontier, neighbor_table) -> int:
-        fresh = 0
-        for neighbor in neighbor_table[current]:
-            if not visited[neighbor]:
-                visited[neighbor] = 1
-                fresh += 1
-                heapq.heappush(
-                    frontier,
-                    (points[neighbor].squared_distance_to(query), neighbor),
-                )
-        return fresh
-
-    return expand
-
-
 def voronoi_knn_query(
     index: SpatialIndex,
     backend: DelaunayBackend,
-    points: Sequence[Point],
+    store: "PointStore",
     query: Point,
     k: int,
     *,
     seed_id: int | None = None,
-    store: Optional["PointStore"] = None,
     deleted: Optional[Dict[int, int]] = None,
-) -> QueryResult:
+) -> QueryRecord:
     """The ``k`` nearest rows to ``query``, nearest first.
 
     Parameters mirror :func:`repro.core.voronoi_query.voronoi_area_query`:
@@ -114,50 +92,45 @@ def voronoi_knn_query(
     already-known seed — it **must** be the row id of the nearest point to
     ``query`` (the batch engine guarantees this by walking the Delaunay
     neighbour graph) — in which case the index NN search is skipped.
-    ``store`` switches the expansion to batched distance kernels over the
-    columnar coordinate arrays (identical ranking, see the module
-    docstring).  ``deleted`` (the store's tombstone map) makes popped
+    Coordinates are read from ``store``'s columns, over whose rows
+    ``backend`` was built.  ``deleted`` (the store's tombstone map) makes popped
     tombstones expand without counting toward ``k`` — the heap walk runs
     over the superset graph, where Okabe's theorem holds, and the seed is
     corrected from the live index's answer to the graph nearest
     neighbour first (see
     :func:`repro.core.voronoi_query.graph_nearest`).
 
-    Returns a :class:`QueryResult` whose ``ids`` are ordered by distance
+    Returns a :class:`QueryRecord` whose ``ids`` are ordered by distance
     (ties broken by row id) — note this differs from the area query, whose
     ids are sorted ascending.  ``stats.candidates`` counts every point
     whose distance was evaluated.
     """
     stats = QueryStats(method="voronoi")
     started = time.perf_counter()
-    if k <= 0 or not points:
+    if k <= 0 or not len(store):
         stats.time_ms = (time.perf_counter() - started) * 1000.0
-        return QueryResult(ids=[], stats=stats)
+        return QueryRecord(ids=[], stats=stats)
 
     nodes_before = index.stats.node_accesses
     if seed_id is None:
         seed_entry = index.nearest_neighbor(query)
-        assert seed_entry is not None  # points is non-empty
+        assert seed_entry is not None  # the store is non-empty
         _, seed_id = seed_entry
 
     neighbor_table = backend.neighbor_table()
     if deleted:
         seed_id = graph_nearest(
-            neighbor_table, points, seed_id, query.x, query.y
+            neighbor_table, store, seed_id, query.x, query.y
         )
     tombstoned = deleted if deleted else ()
-    visited = bytearray(len(points))
+    visited = bytearray(len(store))
     visited[seed_id] = 1
     frontier: List[Tuple[float, int]] = [
-        (points[seed_id].squared_distance_to(query), seed_id)
+        (Point(*store.coords(seed_id)).squared_distance_to(query), seed_id)
     ]
     stats.candidates = 1
     results: List[int] = []
-    expand = (
-        _batched_expand(store, query)
-        if store is not None
-        else _scalar_expand(points, query)
-    )
+    expand = _batched_expand(store, query)
 
     while frontier and len(results) < k:
         _, current = heapq.heappop(frontier)
@@ -170,25 +143,23 @@ def voronoi_knn_query(
     stats.result_size = len(results)
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.time_ms = (time.perf_counter() - started) * 1000.0
-    return QueryResult(ids=results, stats=stats)
+    return QueryRecord(ids=results, stats=stats)
 
 
 def incremental_nearest(
     index: SpatialIndex,
     backend: DelaunayBackend,
-    points: Sequence[Point],
+    store: "PointStore",
     query: Point,
     *,
-    store: Optional["PointStore"] = None,
     deleted: Optional[Dict[int, int]] = None,
     snapshot: Optional["StoreSnapshot"] = None,
 ):
     """Generator yielding rows in increasing distance order, lazily.
 
     The streaming form of :func:`voronoi_knn_query` — callers can stop at
-    any rank without choosing ``k`` up front (distance browsing).
-    ``store`` batches each confirmation's neighbour distances exactly as
-    in the eager form; the yielded order is identical either way.
+    any rank without choosing ``k`` up front (distance browsing); same
+    arguments, same batched distances, same order.
 
     ``deleted`` (the store's tombstone map) filters tombstoned rows from
     the yields while still expanding through them, after correcting the
@@ -204,8 +175,8 @@ def incremental_nearest(
     consequence, bounds the walk to admission-time row ids — and yields
     are filtered by :meth:`~repro.core.store.StoreSnapshot.visible`, so
     rows deleted after admission still appear and rows inserted after
-    admission never do.  Distances read the snapshot's column views,
-    which later appends cannot touch.
+    admission never do.  Distances read rows below that bound from the
+    store's append-only columns, which later writes never rewrite.
     """
     if snapshot is not None:
         bound = snapshot.size
@@ -217,7 +188,7 @@ def incremental_nearest(
         neighbor_table = backend.neighbor_table()[:bound]
         visible = snapshot.visible
     else:
-        bound = len(points)
+        bound = len(store)
         if bound == 0:
             return
         neighbor_table = backend.neighbor_table()
@@ -230,20 +201,16 @@ def incremental_nearest(
         # (with tombstones) one that does not own the query's Voronoi
         # cell over the full graph point set — re-seed with the walk.
         seed_id = graph_nearest(
-            neighbor_table, points, min(seed_id, bound - 1), query.x, query.y
+            neighbor_table, store, min(seed_id, bound - 1), query.x, query.y
         )
     tombstoned = deleted if deleted else ()
 
     visited = bytearray(bound)
     visited[seed_id] = 1
     frontier: List[Tuple[float, int]] = [
-        (points[seed_id].squared_distance_to(query), seed_id)
+        (Point(*store.coords(seed_id)).squared_distance_to(query), seed_id)
     ]
-    expand = (
-        _batched_expand(store, query)
-        if store is not None
-        else _scalar_expand(points, query)
-    )
+    expand = _batched_expand(store, query)
     while frontier:
         _, current = heapq.heappop(frontier)
         if visible is not None:

@@ -5,7 +5,7 @@ redundant validations (candidates that fail refinement — Figs. 5 and 7 call
 these "times of redundant validations"), and wall time (Figs. 4 and 6).
 :class:`QueryStats` captures those plus the secondary counters our
 implementation can observe (index node accesses, segment-intersection
-tests), and :class:`QueryResult` bundles the stats with the result ids.
+tests), and :class:`QueryRecord` bundles the stats with the result ids.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class QueryStats:
 
 
 @dataclass
-class QueryResult:
+class QueryRecord:
     """Result ids plus the statistics of the query that produced them.
 
     ``ids`` are database row ids in ascending order, so two methods'

@@ -298,18 +298,6 @@ class PointStore:
         """The row as a :class:`Point` (materialized once, then cached)."""
         return self._view[row_id]
 
-    def rows(self) -> List[Point]:
-        """The materialized ``Point`` cache list itself (row id = index).
-
-        The hot-loop sibling of :meth:`view`: plain list indexing beats
-        the view's bounds logic in tight per-row loops (the engine's
-        seed walks, the scalar BFS fallback), so internal consumers take
-        this.  The store owns the list — callers must treat it as
-        read-only (it is topped up in place by later appends); anything
-        user-facing goes through the immutable :class:`PointsView`.
-        """
-        return self._materialize()
-
     def view(self) -> "PointsView":
         """The store's immutable, lazily-materializing sequence view.
 

@@ -18,13 +18,15 @@ experiments confirm (Figs. 5 and 7).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
+from repro.geometry.kernels import region_kernels
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
 from repro.geometry.region import QueryRegion
 from repro.index.base import SpatialIndex
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import PointStore
@@ -32,87 +34,46 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def traditional_area_query(
     index: SpatialIndex,
+    store: "PointStore",
     area: QueryRegion,
     *,
     contains: Callable[[QueryRegion, Point], bool] | None = None,
-    store: Optional["PointStore"] = None,
-) -> QueryResult:
+) -> QueryRecord:
     """Run the filter–refine area query on ``index``.
+
+    The filter is one bulk id probe
+    (:meth:`~repro.index.base.SpatialIndex.window_ids_array`) and the
+    refinement one ``contains_many`` call over coordinates gathered from
+    the store's columns (:func:`repro.geometry.kernels.region_kernels`:
+    the region's array kernel, or its scalar test mapped over the
+    candidates for a region that has none).
 
     Parameters
     ----------
     index:
         Any :class:`~repro.index.base.SpatialIndex` holding the database
         points (the paper uses an R-tree).
+    store:
+        The database's columnar :class:`~repro.core.store.PointStore`;
+        the index's item ids must be its row ids, as they are inside
+        :class:`~repro.core.database.SpatialDatabase`.
     area:
         The query region ``A`` (any :class:`QueryRegion`, e.g. a
         :class:`~repro.geometry.polygon.Polygon` or
         :class:`~repro.geometry.circle.Circle`).
     contains:
-        Override for the refinement predicate, used by tests to inject
-        failures; defaults to the exact :meth:`Polygon.contains_point`.
-        Forces the scalar path (the override is a per-point callable).
-    store:
-        The database's columnar :class:`~repro.core.store.PointStore`.
-        When given (and the region provides a vectorized
-        ``contains_many``), the filter runs as a bulk id probe
-        (:meth:`~repro.index.base.SpatialIndex.window_ids_array`) and
-        the refinement as one array kernel over the store's coordinate
-        columns — the index's item ids must be the store's row ids, as
-        they are inside :class:`~repro.core.database.SpatialDatabase`.
-        Result ids are byte-identical to the scalar path (the kernels
-        certify every edge decision or re-answer the candidate with the
-        scalar test itself).
+        Override for the refinement predicate (test hook, candidate
+        tracing in :mod:`repro.viz.figures`); called as
+        ``contains(area, point)`` exactly once per candidate.  Defaults
+        to the region's own exact test.
 
     Returns
     -------
-    QueryResult
+    QueryRecord
         Result ids (ascending) and a :class:`QueryStats` with
         ``method="traditional"``.
     """
-    contains_many = (
-        getattr(area, "contains_many", None)
-        if store is not None and contains is None
-        else None
-    )
-    if contains_many is not None:
-        return _traditional_vectorized(index, area, store, contains_many)
-    if contains is not None:
-        def refine(p: Point) -> bool:
-            return contains(area, p)
-    else:
-        refine = area.contains_point
-    stats = QueryStats(method="traditional")
-    nodes_before = index.stats.node_accesses
-
-    started = time.perf_counter()
-    candidates = index.window_query(area.mbr)
-    stats.candidates = len(candidates)
-
-    results: List[int] = []
-    for point, item_id in candidates:
-        stats.validations += 1
-        if refine(point):
-            results.append(item_id)
-        else:
-            stats.redundant_validations += 1
-    stats.time_ms = (time.perf_counter() - started) * 1000.0
-
-    stats.index_node_accesses = index.stats.node_accesses - nodes_before
-    stats.result_size = len(results)
-    results.sort()
-    return QueryResult(ids=results, stats=stats)
-
-
-def _traditional_vectorized(
-    index: SpatialIndex,
-    area: QueryRegion,
-    store: "PointStore",
-    contains_many,
-) -> QueryResult:
-    """Filter–refine over row-id arrays: bulk probe + one refine kernel."""
-    import numpy as np
-
+    contains_many, _ = region_kernels(area, contains)
     stats = QueryStats(method="traditional")
     nodes_before = index.stats.node_accesses
 
@@ -133,32 +94,4 @@ def _traditional_vectorized(
 
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.result_size = len(results)
-    return QueryResult(ids=results, stats=stats)
-
-
-def traditional_area_query_points(
-    points: Sequence[Tuple[Point, int]], area: Polygon
-) -> QueryResult:
-    """Index-free variant: linear scan + refine.
-
-    The degenerate baseline (no filter step at all); used in tests as the
-    simplest possible oracle and in the ablation bench as the "no index"
-    row.
-    """
-    stats = QueryStats(method="scan")
-    started = time.perf_counter()
-    results: List[int] = []
-    mbr = area.mbr
-    for point, item_id in points:
-        if not mbr.contains_point(point):
-            continue
-        stats.candidates += 1
-        stats.validations += 1
-        if area.contains_point(point):
-            results.append(item_id)
-        else:
-            stats.redundant_validations += 1
-    stats.time_ms = (time.perf_counter() - started) * 1000.0
-    stats.result_size = len(results)
-    results.sort()
-    return QueryResult(ids=results, stats=stats)
+    return QueryRecord(ids=results, stats=stats)

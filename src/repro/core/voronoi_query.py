@@ -20,39 +20,39 @@ validations equal the shell size, which scales with the polygon's
 *area difference*.  That asymmetry is the entire empirical story of the
 paper (Figs. 4–7).
 
-Two executions of the same rule live here.  :func:`voronoi_area_query`'s
-own loop is the scalar queue — one candidate at a time over ``Point``
-objects and the backend's neighbour table — kept as the oracle
-(``SpatialDatabase(vectorized=False)``, regions without array kernels).
-:func:`_expand_vectorized` is what a database runs: the frontier advances
-one BFS *wave* at a time, each wave refined by one ``contains_many`` call,
-its neighbours gathered from the CSR graph, its shell segments tested by
-one ``crosses_boundary_many`` call, all over the store's coordinate
-columns; it builds neither the table nor a stored ``Point``.  The closure
-the rule defines does not depend on the order candidates are visited in,
-so both return the same ids and the same ``candidates`` / ``validations``
-/ ``redundant_validations``.  ``segment_tests`` does depend on it — the
-queue stops testing segments into a neighbour once one of them has
-admitted it, a wave tests all its segments at once — and is reported as
-measured, not as a paper quantity.
+One execution of the rule lives here, and it is array-native: the
+frontier advances one BFS *wave* at a time over the store's coordinate
+columns and the backend's CSR graph, each wave refined by one
+``contains_many`` call and its shell segments tested by one
+``crosses_boundary_many`` call (:func:`repro.geometry.kernels.region_kernels`
+supplies both for any region, mapping the scalar tests of a region that
+has no array kernels); it builds neither the neighbour table nor a
+stored ``Point``.  The closure the rule defines does not depend on the
+order candidates are visited in, so ids, ``candidates``, ``validations``
+and ``redundant_validations`` equal the textbook one-candidate-at-a-time
+queue's (``tests/oracle.py`` keeps that queue as the reference).
+``segment_tests`` does depend on the order — a queue stops testing
+segments into a neighbour once one of them has admitted it, a wave tests
+all its segments at once — and is reported as measured, not as a paper
+quantity.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.kernels import squared_distances
+from repro.geometry.kernels import region_kernels, squared_distances
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import QueryRegion
 from repro.index.base import SpatialIndex
 from repro.delaunay.backends import DelaunayBackend
 from repro.core.exceptions import InvalidQueryAreaError
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import PointStore
@@ -80,7 +80,7 @@ def interior_position(area: Polygon) -> Point:
 
 def graph_nearest(
     neighbor_table: Sequence[Sequence[int]],
-    points: Sequence[Point],
+    store: "PointStore",
     start: int,
     x: float,
     y: float,
@@ -97,16 +97,16 @@ def graph_nearest(
     over the full graph point set (tombstones included), otherwise the
     expansion may start in the wrong cell and miss results.  No hop cap
     is needed — strict improvement bounds the walk by the vertex count.
+    Coordinates are read from the store's columns.
     """
+    x_of, y_of = memoryview(store.xs), memoryview(store.ys)
     current = start
-    p = points[current]
-    best = (p.x - x) ** 2 + (p.y - y) ** 2
+    best = (x_of[current] - x) ** 2 + (y_of[current] - y) ** 2
     improved = True
     while improved:
         improved = False
         for neighbor in neighbor_table[current]:
-            q = points[neighbor]
-            d = (q.x - x) ** 2 + (q.y - y) ** 2
+            d = (x_of[neighbor] - x) ** 2 + (y_of[neighbor] - y) ** 2
             if d < best:
                 best = d
                 current = neighbor
@@ -114,198 +114,12 @@ def graph_nearest(
     return current
 
 
-def voronoi_area_query(
-    index: SpatialIndex,
-    backend: DelaunayBackend,
-    points: Sequence[Point],
-    area: QueryRegion,
-    *,
-    seed_position: Optional[Point] = None,
-    seed_id: Optional[int] = None,
-    contains: Callable[[QueryRegion, Point], bool] | None = None,
-    store: Optional["PointStore"] = None,
-    deleted: Optional[Dict[int, int]] = None,
-) -> QueryResult:
-    """Run Algorithm 1.
-
-    Parameters
-    ----------
-    index:
-        Spatial index used **only** for the seed nearest-neighbour lookup
-        (the paper deliberately uses the same R-tree as the baseline).
-    backend:
-        Voronoi-neighbour provider over ``points``.
-    points:
-        The database point table; ``backend`` must have been built on it.
-        Only the scalar queue reads it — with ``store`` given the
-        expansion reads the store's columns and ``points`` may be a lazy
-        view that is never touched.
-    area:
-        The query polygon ``A``.
-    seed_position:
-        Override for the arbitrary interior position ``pA`` (defaults to
-        :func:`interior_position`).
-    seed_id:
-        Row id of an already-known seed point — the nearest database point
-        to a position inside ``area``.  When given, the index NN search
-        (and the interior-position computation) is skipped entirely; the
-        batch engine uses this to reuse seeds between nearby queries by
-        walking the Voronoi neighbour graph instead of descending the
-        index (see :mod:`repro.engine.batch`).
-    contains:
-        Override for the refinement predicate (test hook); defaults to the
-        exact :meth:`Polygon.contains_point`.  Forces the scalar path.
-    store:
-        The database's columnar :class:`~repro.core.store.PointStore`.
-        When given (and the region provides ``contains_many``), the BFS
-        runs *wave by wave* on arrays only (:func:`_expand_vectorized`):
-        every frontier generation is refined with one kernel call over
-        coordinates gathered from the store's columns, neighbours come
-        from the backend's CSR graph, and the shell's segments are tested
-        by one ``crosses_boundary_many`` call — no neighbour table and no
-        ``Point`` is built or read.  The visited closure — and therefore
-        the result id list — is identical to the scalar queue's (the
-        expansion rule depends only on per-point/per-segment predicates,
-        never on order), and the kernels are bitwise-exact against the
-        scalar tests; ``segment_tests`` is the one counter whose value
-        may differ, since which external point first reaches a shared
-        neighbour is order-dependent.
-    deleted:
-        The store's tombstone map (:attr:`PointStore.deleted_rows`), or
-        ``None``/empty when nothing was ever deleted.  Tombstoned rows
-        stay in the Delaunay graph as *transit* vertices: the expansion
-        traverses through them (the paper's coverage argument holds over
-        the superset point set) but they are filtered from the result,
-        and the seed — which the live-only spatial index produced — is
-        first corrected to the graph nearest neighbour via
-        :func:`graph_nearest`.
-
-    Returns
-    -------
-    QueryResult
-        Result ids (ascending), with ``method="voronoi"`` stats.
-
-    Notes
-    -----
-    If the seed's nearest neighbour is not an internal point (possible when
-    the area contains *no* database points at all, or the NN sits just
-    outside the boundary), the expansion still proceeds from it using the
-    external-point rule, and correctly returns the internal points (or an
-    empty result).
-    """
-    if contains is not None:
-        def refine(p: Point) -> bool:
-            return contains(area, p)
-    else:
-        refine = area.contains_point
-    stats = QueryStats(method="voronoi")
-    nodes_before = index.stats.node_accesses
-
-    started = time.perf_counter()
-    position = seed_position
-    if seed_id is None:
-        if position is None:
-            from repro.geometry.region import interior_seed_position
-
-            position = interior_seed_position(area)
-        seed_entry = index.nearest_neighbor(position)
-        if seed_entry is None:
-            stats.time_ms = (time.perf_counter() - started) * 1000.0
-            return QueryResult(ids=[], stats=stats)
-        seed_id = seed_entry[1]
-    contains_many = (
-        getattr(area, "contains_many", None)
-        if store is not None and contains is None
-        else None
-    )
-    if deleted:
-        # The seed came from the live-only spatial index (directly above,
-        # or from the engine's seed-reuse walk whose fallback is the same
-        # index lookup); with tombstones in the graph it may not own the
-        # Voronoi cell containing pA — correct it before expanding.
-        if position is None:
-            from repro.geometry.region import interior_seed_position
-
-            position = interior_seed_position(area)
-        if contains_many is not None:
-            seed_id = _csr_graph_nearest(
-                *backend.neighbor_csr(),
-                store.xs, store.ys, seed_id, position.x, position.y,
-            )
-        else:
-            seed_id = graph_nearest(
-                backend.neighbor_table(), points, seed_id, position.x, position.y
-            )
-
-    if contains_many is not None:
-        return _expand_vectorized(
-            index, backend, area, contains_many, store, seed_id,
-            nodes_before, started, stats, deleted,
-        )
-
-    candidate_queue: deque[int] = deque([seed_id])
-    # A bytearray visited-set: O(1) no-hash membership, one byte per row.
-    visited = bytearray(len(points))
-    visited[seed_id] = 1
-    results: List[int] = []
-
-    # Local bindings for the BFS inner loop.
-    pop = candidate_queue.popleft
-    push = candidate_queue.append
-    neighbor_table = backend.neighbor_table()
-    crosses = area.crosses_boundary_xy
-    candidates = 1
-    validations = 0
-    redundant = 0
-    segment_tests = 0
-
-    tombstoned = deleted if deleted else ()
-    while candidate_queue:
-        current = pop()
-        current_point = points[current]
-        validations += 1
-        if refine(current_point):
-            if current not in tombstoned:
-                results.append(current)
-            for neighbor in neighbor_table[current]:
-                if not visited[neighbor]:
-                    visited[neighbor] = 1
-                    push(neighbor)
-                    candidates += 1
-        else:
-            # ``current`` is outside the closed area, so the paper's
-            # Intersects(line(p, pn), A) reduces to a boundary-crossing
-            # test (a segment starting outside meets the region only
-            # through its boundary).
-            redundant += 1
-            cx, cy = current_point.x, current_point.y
-            for neighbor in neighbor_table[current]:
-                if not visited[neighbor]:
-                    segment_tests += 1
-                    neighbor_point = points[neighbor]
-                    if crosses(cx, cy, neighbor_point.x, neighbor_point.y):
-                        visited[neighbor] = 1
-                        push(neighbor)
-                        candidates += 1
-    stats.candidates = candidates
-    stats.validations = validations
-    stats.redundant_validations = redundant
-    stats.segment_tests = segment_tests
-    stats.time_ms = (time.perf_counter() - started) * 1000.0
-
-    stats.index_node_accesses = index.stats.node_accesses - nodes_before
-    stats.result_size = len(results)
-    results.sort()
-    return QueryResult(ids=results, stats=stats)
-
-
 def _csr_graph_nearest(indptr, indices, xs, ys, start: int, x: float, y: float) -> int:
     """:func:`graph_nearest` over the CSR graph and the coordinate columns.
 
     The same greedy descent, one array expression per step instead of a
-    Python loop over the neighbour row — what the array-native expansion
-    uses so that a database with tombstones builds neither the neighbour
-    table nor a ``Point``.
+    Python loop over the neighbour row — what the area expansion uses so
+    that a database with tombstones builds no neighbour table.
     """
     current = start
     best = float(squared_distances(xs[current], ys[current], x, y))
@@ -328,27 +142,75 @@ def _csr_graph_nearest(indptr, indices, xs, ys, start: int, x: float, y: float) 
 _WAVE_MIN = 48
 
 
-def _expand_vectorized(
+def voronoi_area_query(
     index: SpatialIndex,
     backend: DelaunayBackend,
-    area: QueryRegion,
-    contains_many,
     store: "PointStore",
-    seed_id: int,
-    nodes_before: int,
-    started: float,
-    stats: QueryStats,
+    area: QueryRegion,
+    *,
+    seed_position: Optional[Point] = None,
+    seed_id: Optional[int] = None,
+    contains: Callable[[QueryRegion, Point], bool] | None = None,
     deleted: Optional[Dict[int, int]] = None,
-) -> QueryResult:
-    """Algorithm 1's expansion, one BFS *wave* at a time, off the columns.
+) -> QueryRecord:
+    """Run Algorithm 1.
 
-    Identical closure to the scalar queue (see the ``store`` parameter
-    note on :func:`voronoi_area_query`).  Neighbours always come from the
-    backend's CSR graph
-    (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`) and
-    coordinates from the store's columns: no neighbour table is built and
-    no stored ``Point`` is read.  A generation of the frontier of
-    :data:`_WAVE_MIN` rows or more is processed as arrays:
+    Parameters
+    ----------
+    index:
+        Spatial index used **only** for the seed nearest-neighbour lookup
+        (the paper deliberately uses the same R-tree as the baseline).
+    backend:
+        Voronoi-neighbour provider; it must have been built over the rows
+        of ``store``.  Only its CSR graph
+        (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`)
+        is read.
+    store:
+        The database's columnar :class:`~repro.core.store.PointStore`;
+        the index's item ids must be its row ids, as they are inside
+        :class:`~repro.core.database.SpatialDatabase`.
+    area:
+        The query region ``A``.
+    seed_position:
+        Override for the arbitrary interior position ``pA`` (defaults to
+        :func:`repro.geometry.region.interior_seed_position`).
+    seed_id:
+        Row id of an already-known seed point — the nearest database point
+        to a position inside ``area``.  When given, the index NN search
+        (and the interior-position computation) is skipped entirely; the
+        batch engine uses this to reuse seeds between nearby queries by
+        walking the Voronoi neighbour graph instead of descending the
+        index (see :mod:`repro.engine.batch`).
+    contains:
+        Override for the refinement predicate (test hook, candidate
+        tracing in :mod:`repro.viz.figures`); called as
+        ``contains(area, point)`` exactly once per validated candidate.
+        Defaults to the region's own exact test.
+    deleted:
+        The store's tombstone map (:attr:`PointStore.deleted_rows`), or
+        ``None``/empty when nothing was ever deleted.  Tombstoned rows
+        stay in the Delaunay graph as *transit* vertices: the expansion
+        traverses through them (the paper's coverage argument holds over
+        the superset point set) but they are filtered from the result,
+        and the seed — which the live-only spatial index produced — is
+        first corrected to the graph nearest neighbour
+        (:func:`graph_nearest`'s descent, over the CSR graph).
+
+    Returns
+    -------
+    QueryRecord
+        Result ids (ascending), with ``method="voronoi"`` stats.
+
+    Notes
+    -----
+    If the seed's nearest neighbour is not an internal point (possible when
+    the area contains *no* database points at all, or the NN sits just
+    outside the boundary), the expansion still proceeds from it using the
+    external-point rule, and correctly returns the internal points (or an
+    empty result).
+
+    The expansion advances one BFS *wave* at a time.  A generation of the
+    frontier of :data:`_WAVE_MIN` rows or more is processed as arrays:
 
     1. **refine** — one ``contains_many`` kernel call over the gathered
        coordinates splits the wave into internal and external members;
@@ -358,9 +220,8 @@ def _expand_vectorized(
        member joins the next wave;
     4. **shell rule** — the pairs of external members whose neighbour is
        still unvisited are segments ``p -> pn``; one
-       ``crosses_boundary_many`` kernel call (regions without it: their
-       scalar ``crosses_boundary_xy`` over the same gathered columns)
-       admits the neighbours whose segment meets the area.
+       ``crosses_boundary_many`` kernel call admits the neighbours whose
+       segment meets the area.
 
     A smaller wave applies the same two rules candidate by candidate,
     reading the same arrays through ``memoryview`` (plain ints and floats,
@@ -375,10 +236,36 @@ def _expand_vectorized(
     into the same neighbour, while an array wave tests all of its pairs
     together.
     """
+    stats = QueryStats(method="voronoi")
+    nodes_before = index.stats.node_accesses
+
+    started = time.perf_counter()
+    position = seed_position
+    if position is None and (seed_id is None or deleted):
+        from repro.geometry.region import interior_seed_position
+
+        position = interior_seed_position(area)
+    if seed_id is None:
+        seed_entry = index.nearest_neighbor(position)
+        if seed_entry is None:
+            stats.time_ms = (time.perf_counter() - started) * 1000.0
+            return QueryRecord(ids=[], stats=stats)
+        seed_id = seed_entry[1]
     xs = store.xs
     ys = store.ys
     indptr, indices = backend.neighbor_csr()
-    crosses_many = getattr(area, "crosses_boundary_many", None)
+    if deleted:
+        # The seed came from the live-only spatial index (directly above,
+        # or from the engine's seed-reuse walk whose fallback is the same
+        # index lookup); with tombstones in the graph it may not own the
+        # Voronoi cell containing pA — correct it before expanding.
+        seed_id = _csr_graph_nearest(
+            indptr, indices, xs, ys, seed_id, position.x, position.y
+        )
+
+    contains_many, crosses_many = region_kernels(area, contains)
+    refine = area.contains_point if contains is None else partial(contains, area)
+    crosses = area.crosses_boundary_xy
     dead = store.dead_mask if deleted else None
     tombstoned = deleted if deleted else ()
     # One visited set, two views: bytes for the loop, bools for the arrays.
@@ -388,8 +275,6 @@ def _expand_vectorized(
     slot = np.empty(len(store), dtype=np.int64)  # scratch of the dedupe below
     x_of, y_of = memoryview(xs), memoryview(ys)
     row_start, row_data = memoryview(indptr), memoryview(indices)
-    refine = area.contains_point
-    crosses = area.crosses_boundary_xy
     wave = np.array([seed_id], dtype=np.int64)
     results: List[int] = []
     result_arrays: List[np.ndarray] = []
@@ -415,6 +300,10 @@ def _expand_vectorized(
                             flags[neighbor] = 1
                             push(neighbor)
                 else:
+                    # ``current`` is outside the closed area, so the
+                    # paper's Intersects(line(p, pn), A) reduces to a
+                    # boundary-crossing test (a segment starting outside
+                    # meets the region only through its boundary).
                     redundant += 1
                     for neighbor in row:
                         if not flags[neighbor]:
@@ -451,23 +340,17 @@ def _expand_vectorized(
             source = wave[owner[outside]]
             target = neighbor[outside]
             segment_tests += target.shape[0]
-            segments = (xs[source], ys[source], xs[target], ys[target])
-            if crosses_many is not None:
-                crossing = crosses_many(*segments)
-            else:
-                crossing = np.fromiter(
-                    map(crosses, *(column.tolist() for column in segments)),
-                    dtype=bool,
-                    count=target.shape[0],
-                )
+            crossing = crosses_many(
+                xs[source], ys[source], xs[target], ys[target]
+            )
             target = target[crossing]
             visited[target] = True
             admitted = np.concatenate((admitted, target))
         # Two members may admit the same neighbour: keep one copy of each
         # (whichever write to its slot lands last) without sorting.
-        position = np.arange(admitted.shape[0])
-        slot[admitted] = position
-        wave = admitted[slot[admitted] == position]
+        order = np.arange(admitted.shape[0])
+        slot[admitted] = order
+        wave = admitted[slot[admitted] == order]
         candidates += wave.shape[0]
 
     stats.candidates = candidates
@@ -483,4 +366,4 @@ def _expand_vectorized(
         results.sort()
         ids = results
     stats.result_size = len(ids)
-    return QueryResult(ids=ids, stats=stats)
+    return QueryRecord(ids=ids, stats=stats)

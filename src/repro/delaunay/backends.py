@@ -29,7 +29,7 @@ derived on first use and cached:
   bytes per row).
 * the **table** (``list`` of ascending neighbour tuples, one per row; about
   350 bytes a row) is what the traversals that step one vertex at a time
-  index: the scalar oracle (``SpatialDatabase(vectorized=False)``), the
+  index: the
   Voronoi kNN walks (:mod:`repro.core.knn_query`, and through them
   ``live/delta.py``), and the batch engine's seed walks.  The pure backend
   builds it from its triangulation and patches it in place on every
@@ -73,10 +73,10 @@ class DelaunayBackend(ABC):
     def neighbor_table(self) -> list[Tuple[int, ...]]:
         """Dense ``index -> neighbours`` table (built on first use, cached).
 
-        For the traversals that visit one vertex at a time (the scalar
-        BFS, the kNN heap walk, seed walks): indexing a list is measurably
-        cheaper than a method call per point.  Area queries on the
-        columnar path read :meth:`neighbor_csr` and never ask for this.
+        For the traversals that visit one vertex at a time (the kNN heap
+        walk, seed walks): indexing a list is measurably cheaper than a
+        method call per point.  Area queries read :meth:`neighbor_csr`
+        and never ask for this.
         """
         cached = getattr(self, "_neighbor_table", None)
         if cached is None:

@@ -30,11 +30,7 @@ from repro.engine.batch import (
     BatchStats,
     greedy_seed_walk,
 )
-from repro.engine.cache import (
-    CacheStats,
-    ResultCache,
-    region_fingerprint,
-)
+from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.order import hilbert_index, hilbert_keys, locality_order
 from repro.engine.planner import (
     CostEstimate,
@@ -50,7 +46,6 @@ __all__ = [
     "greedy_seed_walk",
     "ResultCache",
     "CacheStats",
-    "region_fingerprint",
     "hilbert_index",
     "hilbert_keys",
     "locality_order",

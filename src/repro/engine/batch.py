@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 from repro.core.voronoi_query import voronoi_area_query
 from repro.engine.cache import DEFAULT_CAPACITY, ResultCache
 from repro.engine.order import locality_order
@@ -80,13 +80,11 @@ from repro.query.spec import (
 
 import numpy as _np
 
-from repro.geometry.kernels import rect_contains_many as _rect_mask
+from repro.geometry.kernels import rect_contains_many as _rect_mask, region_kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
-
-#: Methods accepted by :meth:`BatchQueryEngine.batch_area_query`.
-BATCH_METHODS = ("auto", "traditional", "voronoi")
+    from repro.core.store import PointStore
 
 #: Union-MBR slack for window grouping: a window joins a group only while
 #: the union's area stays at or below this factor times the *largest*
@@ -201,17 +199,16 @@ class EngineTotals:
 
 
 @dataclass
-class BatchResult(Sequence[QueryResult]):
+class BatchResult(Sequence[QueryRecord]):
     """Per-query records (submission order) plus batch-level accounting.
 
-    Behaves as a sequence of :class:`~repro.core.stats.QueryResult`, so
-    existing code written against ``[db.area_query(a) for a in areas]``
-    works unchanged.  (:meth:`SpatialDatabase.query_batch
+    Behaves as a sequence of :class:`~repro.core.stats.QueryRecord`
+    (:meth:`SpatialDatabase.query_batch
     <repro.core.database.SpatialDatabase.query_batch>` wraps these
-    records into lazy handles instead.)
+    records into lazy handles).
     """
 
-    results: List[QueryResult]
+    results: List[QueryRecord]
     stats: BatchStats
 
     def __len__(self) -> int:
@@ -226,7 +223,7 @@ class BatchResult(Sequence[QueryResult]):
 
 def greedy_seed_walk(
     neighbor_table: List[Tuple[int, ...]],
-    points,
+    store: "PointStore",
     start: int,
     target_x: float,
     target_y: float,
@@ -239,15 +236,15 @@ def greedy_seed_walk(
     stopping vertex is the global nearest neighbour of the target (see the
     module docstring for the argument).  Returns ``None`` if ``max_hops``
     is exhausted first (caller falls back to the index NN search).
+    Coordinates are read from the store's columns.
     """
+    x_of, y_of = memoryview(store.xs), memoryview(store.ys)
     current = start
-    p = points[current]
-    best = (p.x - target_x) ** 2 + (p.y - target_y) ** 2
+    best = (x_of[current] - target_x) ** 2 + (y_of[current] - target_y) ** 2
     for _ in range(max_hops):
         next_id = -1
         for neighbor in neighbor_table[current]:
-            q = points[neighbor]
-            d = (q.x - target_x) ** 2 + (q.y - target_y) ** 2
+            d = (x_of[neighbor] - target_x) ** 2 + (y_of[neighbor] - target_y) ** 2
             if d < best:
                 best = d
                 next_id = neighbor
@@ -344,8 +341,6 @@ class BatchQueryEngine:
         duplicate submissions share one record object and cached entries
         are stored by reference, so consumers must copy before mutating
         (the lazy result surfaces do — ``.ids()`` returns a fresh list).
-        The legacy :meth:`batch_area_query` shim isolates its records
-        precisely because pre-spec callers predate that convention.
         """
         specs = list(specs)
         db = self._db
@@ -356,7 +351,7 @@ class BatchQueryEngine:
 
         started = time.perf_counter()
         stats = BatchStats(total_queries=len(specs))
-        results: List[Optional[QueryResult]] = [None] * len(specs)
+        results: List[Optional[QueryRecord]] = [None] * len(specs)
         version = db.version
 
         # 1. Cache probe + intra-batch dedup, both keyed by the
@@ -394,7 +389,7 @@ class BatchQueryEngine:
         #    into one, and composite leaves may be served straight from
         #    the cross-batch result cache.
         jobs: List[Query] = []
-        job_records: List[Optional[QueryResult]] = []
+        job_records: List[Optional[QueryRecord]] = []
         job_cache_keys: List[Optional[Query]] = []
         seen_jobs: Dict[Query, int] = {}
         trees: Dict[int, object] = {}
@@ -486,8 +481,7 @@ class BatchQueryEngine:
             for j in aliases[i]:
                 # Duplicates share the owner's record by reference:
                 # handed-out records are read-only by engine convention
-                # (every consumer surface copies on materialisation; the
-                # legacy shim isolates its callers).
+                # (every consumer surface copies on materialisation).
                 results[j] = record
         if use_cache and self.cache.capacity > 0:
             for j, key in enumerate(job_cache_keys):
@@ -530,8 +524,8 @@ class BatchQueryEngine:
                 raise InvalidQueryAreaError("query area has zero area")
 
     def _assemble(
-        self, tree, job_records: List[Optional[QueryResult]]
-    ) -> QueryResult:
+        self, tree, job_records: List[Optional[QueryRecord]]
+    ) -> QueryRecord:
         """Build one submitted spec's record from its executed jobs.
 
         A leaf tree node is a job index — its record is returned as-is
@@ -572,48 +566,7 @@ class BatchQueryEngine:
         merged.result_size = len(ids)
         merged.time_ms += (time.perf_counter() - started) * 1000.0
         return finalize_record(
-            self._db, spec, QueryResult(ids=ids, stats=merged)
-        )
-
-    def batch_area_query(
-        self,
-        regions: Sequence[QueryRegion],
-        method: str = "auto",
-        *,
-        use_cache: bool = True,
-    ) -> BatchResult:
-        """Answer many area queries at once (region-sequence convenience).
-
-        The legacy surface of :meth:`run_specs`: wraps every region in an
-        :class:`~repro.query.spec.AreaQuery` with the given ``method``
-        (``"traditional"``, ``"voronoi"``, or ``"auto"``).  Result id
-        lists are identical to running each region alone.
-        """
-        if method not in BATCH_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; choose from {BATCH_METHODS}"
-            )
-        regions = list(regions)
-        if not len(self._db):
-            raise EmptyDatabaseError("batch area query on an empty database")
-        for region in regions:
-            if region.area <= 0.0:
-                raise InvalidQueryAreaError("query area has zero area")
-        batch = self.run_specs(
-            [AreaQuery(region, method=method) for region in regions],
-            use_cache=use_cache,
-        )
-        # This legacy surface hands out raw records that pre-spec callers
-        # may reasonably mutate (sort, clear, extend), while run_specs
-        # shares finalized records with the result cache and between
-        # duplicate submissions — so isolate them here, at the one
-        # boundary where the read-only convention cannot be assumed.
-        return BatchResult(
-            results=[
-                QueryResult(ids=list(r.ids), stats=r.stats.copy())
-                for r in batch.results
-            ],
-            stats=batch.stats,
+            self._db, spec, QueryRecord(ids=ids, stats=merged)
         )
 
     def explain(self, spec_or_region, *, execute: bool = False):
@@ -629,7 +582,7 @@ class BatchQueryEngine:
         specs: Sequence[Query],
         tour: List[int],
         choices: Dict[int, str],
-        results: List[Optional[QueryResult]],
+        results: List[Optional[QueryRecord]],
         stats: BatchStats,
     ) -> None:
         """Run ``tour`` (Hilbert-ordered indices) with grouped windows.
@@ -669,7 +622,7 @@ class BatchQueryEngine:
         union,
         specs: Sequence[Query],
         choices: Dict[int, str],
-        results: List[Optional[QueryResult]],
+        results: List[Optional[QueryRecord]],
         stats: BatchStats,
     ) -> None:
         """One index traversal for the whole group, then per-member refine.
@@ -683,12 +636,8 @@ class BatchQueryEngine:
         :class:`~repro.core.store.PointStore` columns by row id, and
         every member answered by array masks — window members' masks ARE
         their answers, area members additionally refine the masked
-        candidates with one ``contains_many`` kernel call (PR 4
-        vectorised only the pure-window masks; the refine loop was the
-        remaining per-candidate Python).  The scalar loop below it is
-        kept solely as the equivalence oracle
-        (``SpatialDatabase(vectorized=False)``) and for regions without
-        a vectorized kernel.
+        candidates with one ``contains_many`` call
+        (:func:`repro.geometry.kernels.region_kernels`).
         """
         db = self._db
         if len(group) == 1:
@@ -699,87 +648,38 @@ class BatchQueryEngine:
         stats.shared_window_groups += 1
         stats.shared_window_queries += len(group)
         index = db.index
-        vectorized = db.vectorized
-        kernels = {}
-        if vectorized:
-            for i in group:
-                spec = specs[i]
-                if isinstance(spec, AreaQuery):
-                    kernel = getattr(spec.region, "contains_many", None)
-                    if kernel is None:  # custom region: scalar fallback
-                        vectorized = False
-                        break
-                    kernels[i] = kernel
         nodes_before = index.stats.node_accesses
         group_started = time.perf_counter()
-        if vectorized:
-            id_array = index.window_ids_array(union)
-            store = db.store
-            xs = store.xs[id_array]
-            ys = store.ys[id_array]
-            rows = None
-        else:
-            entries = index.window_query(union)
-            rows = [(p.x, p.y, p, item_id) for p, item_id in entries]
+        id_array = index.window_ids_array(union)
+        store = db.store
+        xs = store.xs[id_array]
+        ys = store.ys[id_array]
         shared_nodes = index.stats.node_accesses - nodes_before
         shared_ms = (time.perf_counter() - group_started) * 1000.0
         for position, i in enumerate(group):
             spec = specs[i]
-            if isinstance(spec, AreaQuery):
-                mbr = spec.region.mbr
-                refine = spec.region.contains_point
-                member_stats = QueryStats(method="traditional")
-            else:  # WindowQuery on the index: MBR filter is the query
-                mbr = spec.rect
-                refine = None
-                member_stats = QueryStats(method="index")
-            min_x, min_y = mbr.min_x, mbr.min_y
-            max_x, max_y = mbr.max_x, mbr.max_y
             member_started = time.perf_counter()
-            if vectorized:
-                mask = _rect_mask(mbr, xs, ys)
-                if refine is None:
-                    member_ids = _np.sort(id_array[mask])
-                    member_stats.candidates = int(member_ids.shape[0])
-                    if spec.limit is not None and spec.predicate is None:
-                        # Same ascending prefix finalize_record would
-                        # keep — truncate before materialising ints.
-                        member_ids = member_ids[: spec.limit]
-                    ids = member_ids.tolist()
-                else:
-                    member_ids = id_array[mask]
-                    inside = kernels[i](xs[mask], ys[mask])
-                    ids = _np.sort(member_ids[inside]).tolist()
-                    candidates = int(member_ids.shape[0])
-                    member_stats.candidates = candidates
-                    member_stats.validations = candidates
-                    member_stats.redundant_validations = (
-                        candidates - len(ids)
-                    )
-            elif refine is None:
-                ids = [
-                    item_id
-                    for x, y, _, item_id in rows
-                    if min_x <= x <= max_x and min_y <= y <= max_y
-                ]
-                ids.sort()
-                member_stats.candidates = len(ids)
-            else:
-                ids = []
-                append = ids.append
-                candidates = 0
-                redundant = 0
-                for x, y, point, item_id in rows:
-                    if min_x <= x <= max_x and min_y <= y <= max_y:
-                        candidates += 1
-                        if refine(point):
-                            append(item_id)
-                        else:
-                            redundant += 1
-                ids.sort()
+            if isinstance(spec, AreaQuery):
+                member_stats = QueryStats(method="traditional")
+                contains_many, _ = region_kernels(spec.region)
+                mask = _rect_mask(spec.region.mbr, xs, ys)
+                member_ids = id_array[mask]
+                inside = contains_many(xs[mask], ys[mask])
+                ids = _np.sort(member_ids[inside]).tolist()
+                candidates = int(member_ids.shape[0])
                 member_stats.candidates = candidates
                 member_stats.validations = candidates
-                member_stats.redundant_validations = redundant
+                member_stats.redundant_validations = candidates - len(ids)
+            else:  # WindowQuery on the index: MBR filter is the query
+                member_stats = QueryStats(method="index")
+                mask = _rect_mask(spec.rect, xs, ys)
+                member_ids = _np.sort(id_array[mask])
+                member_stats.candidates = int(member_ids.shape[0])
+                if spec.limit is not None and spec.predicate is None:
+                    # Same ascending prefix finalize_record would
+                    # keep — truncate before materialising ints.
+                    member_ids = member_ids[: spec.limit]
+                ids = member_ids.tolist()
             member_stats.time_ms = (
                 time.perf_counter() - member_started
             ) * 1000.0
@@ -788,7 +688,7 @@ class BatchQueryEngine:
                 member_stats.time_ms += shared_ms
             member_stats.result_size = len(ids)
             results[i] = finalize_record(
-                db, spec, QueryResult(ids=ids, stats=member_stats)
+                db, spec, QueryRecord(ids=ids, stats=member_stats)
             )
 
     # -- voronoi regions: seed reuse along the tour -------------------------
@@ -797,7 +697,7 @@ class BatchQueryEngine:
         self,
         specs: Sequence[Query],
         tour: List[int],
-        results: List[Optional[QueryResult]],
+        results: List[Optional[QueryRecord]],
         stats: BatchStats,
     ) -> None:
         """Run ``tour`` with the previous query's seed as the walk start."""
@@ -805,9 +705,9 @@ class BatchQueryEngine:
             return
         db = self._db
         backend = db.backend
-        points = db.store.rows()
+        store = db.store
         neighbor_table = backend.neighbor_table()
-        max_hops = 64 + int(4.0 * math.sqrt(len(points)))
+        max_hops = 64 + int(4.0 * math.sqrt(len(store)))
         walk_radius_sq = _walk_radius_sq(self.planner)
         previous_seed: Optional[int] = None
         for i in tour:
@@ -821,13 +721,13 @@ class BatchQueryEngine:
             position = interior_seed_position(region)
             seed_id: Optional[int] = None
             if previous_seed is not None:
-                anchor = points[previous_seed]
-                dx = position.x - anchor.x
-                dy = position.y - anchor.y
+                anchor_x, anchor_y = store.coords(previous_seed)
+                dx = position.x - anchor_x
+                dy = position.y - anchor_y
                 if dx * dx + dy * dy <= walk_radius_sq:
                     seed_id = greedy_seed_walk(
                         neighbor_table,
-                        points,
+                        store,
                         previous_seed,
                         position.x,
                         position.y,
@@ -839,7 +739,7 @@ class BatchQueryEngine:
                 entry = db.index.nearest_neighbor(position)
                 stats.seed_index_lookups += 1
                 if entry is None:  # pragma: no cover - guarded by len check
-                    results[i] = QueryResult(
+                    results[i] = QueryRecord(
                         ids=[], stats=QueryStats(method="voronoi")
                     )
                     continue
@@ -851,11 +751,10 @@ class BatchQueryEngine:
             result = voronoi_area_query(
                 db.index,
                 backend,
-                points,
+                store,
                 region,
                 seed_id=seed_id,
-                store=db.store if db.vectorized else None,
-                deleted=db.store.deleted_rows or None,
+                deleted=store.deleted_rows or None,
             )
             result.stats.index_node_accesses += seeding_nodes
             result.stats.time_ms += seeding_ms
@@ -869,7 +768,7 @@ class BatchQueryEngine:
         specs: Sequence[Query],
         tour: List[int],
         choices: Dict[int, str],
-        results: List[Optional[QueryResult]],
+        results: List[Optional[QueryRecord]],
         stats: BatchStats,
     ) -> None:
         """Run kNN/nearest specs; Voronoi kNN reuses seeds along the tour.
@@ -900,14 +799,13 @@ class BatchQueryEngine:
                 if neighbor_table is None:
                     neighbor_table = db.backend.neighbor_table()
                     max_hops = 64 + int(4.0 * math.sqrt(len(db)))
-                rows = db.store.rows()
-                anchor = rows[previous_seed]
-                dx = spec.point.x - anchor.x
-                dy = spec.point.y - anchor.y
+                anchor_x, anchor_y = db.store.coords(previous_seed)
+                dx = spec.point.x - anchor_x
+                dy = spec.point.y - anchor_y
                 if dx * dx + dy * dy <= walk_radius_sq:
                     seed_id = greedy_seed_walk(
                         neighbor_table,
-                        rows,
+                        db.store,
                         previous_seed,
                         spec.point.x,
                         spec.point.y,

@@ -2,7 +2,7 @@
 
 Production query traffic repeats itself: hot map tiles, popular
 geofences, dashboards re-issuing the same polygon every refresh.  The
-batch engine therefore memoises :class:`~repro.core.stats.QueryResult`
+batch engine therefore memoises :class:`~repro.core.stats.QueryRecord`
 records behind the *spec objects themselves*:
 :meth:`repro.query.spec.Query.cache_key` returns the spec normalised for
 caching (execution method and projection stripped — they never change
@@ -30,12 +30,11 @@ Correctness guarantees:
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
-from repro.core.stats import QueryResult
+from repro.core.stats import QueryRecord
 
 #: Default number of distinct specs remembered by the engine's cache.
 #: Note the bound is an *entry count*, not bytes: each entry retains its
@@ -43,33 +42,6 @@ from repro.core.stats import QueryResult
 #: results (e.g. 30 %-of-space queries over paper-scale databases) should
 #: size ``BatchQueryEngine(cache_capacity=...)`` down accordingly.
 DEFAULT_CAPACITY = 256
-
-
-def region_fingerprint(region) -> Optional[Tuple]:
-    """A hashable, exact identity for a query region's geometry.
-
-    .. deprecated:: 1.1
-        The engine now caches by the spec objects themselves
-        (:meth:`repro.query.spec.Query.cache_key`); nothing in the
-        library calls this any more.  Kept one release as a shim for
-        external callers: polygons fingerprint as their vertex tuple,
-        circles as centre and radius, anything else as ``None``
-        (uncacheable), exactly as in 1.0.
-    """
-    warnings.warn(
-        "region_fingerprint is deprecated; cache keys are now the spec "
-        "objects themselves (Query.cache_key), see docs/QUERY_API.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    vertices = getattr(region, "vertices", None)
-    if vertices is not None:
-        return ("polygon", tuple((p.x, p.y) for p in vertices))
-    center = getattr(region, "center", None)
-    radius = getattr(region, "radius", None)
-    if center is not None and radius is not None:
-        return ("circle", center.x, center.y, radius)
-    return None
 
 
 @dataclass
@@ -97,12 +69,12 @@ class CacheStats:
 @dataclass
 class _Entry:
     version: int
-    result: QueryResult
+    result: QueryRecord
 
 
 @dataclass
 class ResultCache:
-    """A bounded LRU mapping region fingerprints to query results.
+    """A bounded LRU mapping spec cache keys to query results.
 
     Entries are stamped with the database version at store time;
     :meth:`get` treats a stamp mismatch as a miss (and drops the entry),
@@ -119,7 +91,7 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, version: int) -> Optional[QueryResult]:
+    def get(self, key: Hashable, version: int) -> Optional[QueryRecord]:
         """The cached result for ``key`` at database ``version``, or None.
 
         A hit returns an independent copy (callers may mutate result ids
@@ -137,9 +109,9 @@ class ResultCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         result = entry.result
-        return QueryResult(ids=list(result.ids), stats=result.stats.copy())
+        return QueryRecord(ids=list(result.ids), stats=result.stats.copy())
 
-    def put(self, key: Hashable, version: int, result: QueryResult) -> None:
+    def put(self, key: Hashable, version: int, result: QueryRecord) -> None:
         """Store ``result`` for ``key`` at ``version`` (evicting LRU).
 
         The entry keeps its own snapshot (ids list + stats copied), so a
@@ -155,7 +127,7 @@ class ResultCache:
             self._entries.move_to_end(key)
         self._entries[key] = _Entry(
             version=version,
-            result=QueryResult(
+            result=QueryRecord(
                 ids=list(result.ids), stats=result.stats.copy()
             ),
         )

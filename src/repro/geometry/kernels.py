@@ -35,20 +35,29 @@ as its scalar sibling (``Polygon.contains_point`` /
 The kernels take bare coordinate arrays rather than ``Point`` sequences
 on purpose: the hot paths gather ``xs``/``ys`` by row id from the store
 and never materialize ``Point`` objects at all.
+
+:func:`region_kernels` is how the query paths obtain a region's two
+array predicates.  A region that implements only the scalar
+:class:`~repro.geometry.region.QueryRegion` protocol gets them as a
+per-element map of its own scalar tests, so there is one execution of
+each algorithm whatever the region offers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.point import Point
 from repro.geometry.predicates import _MIN_NORMAL, _ORIENT_ERR_BOUND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.circle import Circle
     from repro.geometry.polygon import Polygon
     from repro.geometry.rectangle import Rect
+    from repro.geometry.region import QueryRegion
 
 
 def as_coord_array(values) -> "np.ndarray":
@@ -346,6 +355,52 @@ def crosses_boundary_many(
     return crossing
 
 
+def region_kernels(
+    region: "QueryRegion",
+    contains: Optional[Callable[["QueryRegion", Point], bool]] = None,
+) -> Tuple[Callable, Callable]:
+    """``(contains_many, crosses_boundary_many)`` of any query region.
+
+    ``contains_many(xs, ys)`` and ``crosses_boundary_many(sx, sy, ex,
+    ey)`` are the region's own array kernels where it has them
+    (:class:`~repro.geometry.polygon.Polygon` both,
+    :class:`~repro.geometry.circle.Circle` the first).  A missing one is
+    the region's scalar ``contains_point`` / ``crosses_boundary_xy``
+    mapped over the columns — one call per element, a transient
+    ``Point`` per refinement — which is all a custom region has to
+    provide.  ``contains`` (the refinement hook of the two area-query
+    functions) replaces the refinement test the same way: it is called
+    as ``contains(region, Point(x, y))`` exactly once per element.
+    """
+    contains_many = (
+        getattr(region, "contains_many", None) if contains is None else None
+    )
+    if contains_many is None:
+        refine = (
+            region.contains_point if contains is None else partial(contains, region)
+        )
+
+        def contains_many(xs, ys):
+            return np.fromiter(
+                map(refine, map(Point, xs.tolist(), ys.tolist())),
+                dtype=bool,
+                count=xs.shape[0],
+            )
+
+    crosses_many = getattr(region, "crosses_boundary_many", None)
+    if crosses_many is None:
+        crosses = region.crosses_boundary_xy
+
+        def crosses_many(sx, sy, ex, ey):
+            return np.fromiter(
+                map(crosses, sx.tolist(), sy.tolist(), ex.tolist(), ey.tolist()),
+                dtype=bool,
+                count=sx.shape[0],
+            )
+
+    return contains_many, crosses_many
+
+
 def squared_distances(
     xs: "np.ndarray", ys: "np.ndarray", qx: float, qy: float
 ) -> "np.ndarray":
@@ -353,8 +408,8 @@ def squared_distances(
 
     Same operation order as ``Point.squared_distance_to`` (difference,
     two squares, one sum), so each element is bitwise identical to the
-    scalar value — heap orderings built on these distances cannot
-    diverge between the scalar and vectorized kNN expansions.
+    scalar value — a heap ordered by these distances ranks rows exactly
+    as per-point ``squared_distance_to`` calls would.
     """
     dx = xs - qx
     dy = ys - qy

@@ -2,8 +2,8 @@
 
 Algorithm 1 and the traditional baseline never rely on the query area
 being a polygon; they need exactly the operations listed in
-:class:`QueryRegion`.  Any shape implementing them can be passed to
-:meth:`repro.core.database.SpatialDatabase.area_query` —
+:class:`QueryRegion`.  Any shape implementing them can be the region of
+an :class:`~repro.query.spec.AreaQuery` —
 :class:`~repro.geometry.polygon.Polygon` and
 :class:`~repro.geometry.circle.Circle` both conform.
 """
@@ -28,13 +28,16 @@ class QueryRegion(Protocol):
     * ``crosses_boundary_xy`` must be exact for float inputs — Algorithm
       1's expansion rule rests on it.
 
-    Regions may *optionally* provide
-    ``contains_many(xs, ys, *, boundary=True)`` — a vectorized
-    ``contains_point`` over coordinate arrays whose answers match the
-    scalar test exactly (:class:`~repro.geometry.polygon.Polygon` and
-    :class:`~repro.geometry.circle.Circle` both do).  The columnar hot
-    paths probe for it with ``getattr`` and fall back to the scalar
-    per-point loop when absent, so custom regions stay supported.
+    Regions may *optionally* provide array forms of the two predicates
+    the query paths evaluate — ``contains_many(xs, ys, *,
+    boundary=True)`` and ``crosses_boundary_many(sx, sy, ex, ey)`` —
+    whose answers match the scalar tests exactly
+    (:class:`~repro.geometry.polygon.Polygon` has both,
+    :class:`~repro.geometry.circle.Circle` the first).
+    :func:`repro.geometry.kernels.region_kernels` is the one place that
+    looks for them; a region without them is served by its scalar tests
+    mapped over the same arrays, so custom regions need only this
+    protocol.
     """
 
     @property

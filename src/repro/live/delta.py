@@ -187,13 +187,11 @@ def _refill(
         return
     ordered = subscription.ordered
     focal = subscription.focal
-    columnar = store if database.vectorized else None
     for row in incremental_nearest(
         database.index,
         database.backend,
-        store.rows(),
+        store,
         focal,
-        store=columnar,
         deleted=store.deleted_rows or None,
     ):
         if row in members:

@@ -1,12 +1,11 @@
 """Spec execution: one code path shared by every query surface.
 
 :func:`execute_spec` turns a declarative :class:`~repro.query.spec.Query`
-into an eager :class:`~repro.core.stats.QueryResult` record by
+into an eager :class:`~repro.core.stats.QueryRecord` record by
 dispatching on the spec's kind and (planner-resolved) method.  The lazy
-:class:`~repro.query.result.QueryResult`, the batch engine, the
-deprecation shims on :class:`~repro.core.database.SpatialDatabase`, and
-the planner's ``EXPLAIN ANALYZE`` all call into this module, so results
-are identical no matter which surface issued the query.
+:class:`~repro.query.result.QueryResult`, the batch engine and the
+planner's ``EXPLAIN ANALYZE`` all call into this module, so results are
+identical no matter which surface issued the query.
 
 Composite specs (:class:`~repro.query.spec.UnionQuery` /
 ``Intersection`` / ``Difference``) execute by **decomposition**: the
@@ -31,9 +30,11 @@ import time
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
+import numpy as np
+
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.core.knn_query import incremental_nearest, voronoi_knn_query
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 from repro.core.traditional_query import traditional_area_query
 from repro.core.voronoi_query import voronoi_area_query
 from repro.geometry.polygon import Polygon
@@ -56,33 +57,6 @@ from repro.query.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
-    from repro.core.store import PointStore
-
-
-def _columnar_store(
-    database: "SpatialDatabase",
-) -> Optional["PointStore"]:
-    """The database's point store when the vectorized paths are on.
-
-    Every execution helper threads this into the core algorithms: a
-    store means columnar hot paths (bulk index probes, array refinement
-    kernels, batched distances); ``None`` means the scalar per-point
-    fallbacks — the equivalence oracle
-    (``SpatialDatabase(vectorized=False)``).
-    """
-    return database.store if database.vectorized else None
-
-
-def _area_point_table(database: "SpatialDatabase"):
-    """The ``points`` argument of a Voronoi *area* expansion.
-
-    The array-native expansion reads the store's columns and never this
-    table, so a vectorized database hands over the store's lazy view and
-    no ``Point`` is built; the scalar oracle indexes it once per
-    candidate and takes the materialized list.
-    """
-    store = database.store
-    return store.view() if database.vectorized else store.rows()
 
 
 def _tombstones(database: "SpatialDatabase"):
@@ -114,7 +88,7 @@ def execute_spec(
     *,
     method: Optional[str] = None,
     seed_id: Optional[int] = None,
-) -> QueryResult:
+) -> QueryRecord:
     """Execute ``spec`` and return the eager result record.
 
     Parameters
@@ -133,7 +107,7 @@ def execute_spec(
 
     Returns
     -------
-    QueryResult
+    QueryRecord
         Ids plus :class:`~repro.core.stats.QueryStats` whose ``method``
         names the concrete method that ran.
     """
@@ -164,8 +138,8 @@ def execute_spec(
 
 
 def finalize_record(
-    database: "SpatialDatabase", spec: Query, record: QueryResult
-) -> QueryResult:
+    database: "SpatialDatabase", spec: Query, record: QueryRecord
+) -> QueryRecord:
     """Apply the spec's common options (``predicate``, ``limit``).
 
     Only for **raw region-kind records** (area/window — the geometric
@@ -197,23 +171,22 @@ def _execute_area(
     spec: AreaQuery,
     method: str,
     seed_id: Optional[int],
-) -> QueryResult:
-    """Run an area query with ``method`` (validation as in the legacy API)."""
+) -> QueryRecord:
+    """Run an area query with ``method``."""
     if not len(database):
         raise EmptyDatabaseError("area query on an empty database")
     if spec.region.area <= 0.0:
         raise InvalidQueryAreaError("query area has zero area")
     if method == "traditional":
         return traditional_area_query(
-            database.index, spec.region, store=_columnar_store(database)
+            database.index, database.store, spec.region
         )
     return voronoi_area_query(
         database.index,
         database.backend,
-        _area_point_table(database),
+        database.store,
         spec.region,
         seed_id=seed_id,
-        store=_columnar_store(database),
         deleted=_tombstones(database),
     )
 
@@ -223,7 +196,7 @@ def _execute_window(
     spec: WindowQuery,
     method: str,
     seed_id: Optional[int],
-) -> QueryResult:
+) -> QueryRecord:
     """Run a window query natively on the index or as a Voronoi expansion."""
     if method == "voronoi":
         if not len(database):
@@ -236,38 +209,30 @@ def _execute_window(
         return voronoi_area_query(
             database.index,
             database.backend,
-            _area_point_table(database),
+            database.store,
             Polygon.from_rect(spec.rect),
             seed_id=seed_id,
-            store=_columnar_store(database),
             deleted=_tombstones(database),
         )
     stats = QueryStats(method="index")
     index = database.index
     nodes_before = index.stats.node_accesses
     started = time.perf_counter()
-    if database.vectorized:
-        import numpy as np
-
-        id_array = index.window_ids_array(spec.rect)
-        candidates = int(id_array.shape[0])
-        id_array = np.sort(id_array)
-        if spec.limit is not None and spec.predicate is None:
-            # The limit would truncate the very same ascending prefix in
-            # finalize_record; applying it on the array side skips
-            # materialising thousands of Python ints for a first-page
-            # response (finalize's own truncation becomes a no-op).
-            id_array = id_array[: spec.limit]
-        ids = id_array.tolist()
-    else:
-        entries = index.window_query(spec.rect)
-        ids = sorted(item_id for _, item_id in entries)
-        candidates = len(ids)
+    id_array = index.window_ids_array(spec.rect)
+    candidates = int(id_array.shape[0])
+    id_array = np.sort(id_array)
+    if spec.limit is not None and spec.predicate is None:
+        # The limit would truncate the very same ascending prefix in
+        # finalize_record; applying it on the array side skips
+        # materialising thousands of Python ints for a first-page
+        # response (finalize's own truncation becomes a no-op).
+        id_array = id_array[: spec.limit]
+    ids = id_array.tolist()
     stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.candidates = candidates
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.result_size = len(ids)
-    return QueryResult(ids=ids, stats=stats)
+    return QueryRecord(ids=ids, stats=stats)
 
 
 def _effective_k(spec: KnnQuery) -> Optional[int]:
@@ -288,7 +253,7 @@ def _execute_knn(
     spec: KnnQuery,
     method: str,
     seed_id: Optional[int],
-) -> QueryResult:
+) -> QueryRecord:
     """Run a kNN query via the index or the Voronoi neighbour graph.
 
     An unbounded spec (``k=None``, no ``limit``) materialises the full
@@ -299,17 +264,16 @@ def _execute_knn(
     if k is None:
         k = len(database)
     if k == 0 or not len(database):
-        return QueryResult(ids=[], stats=QueryStats(method=method))
+        return QueryRecord(ids=[], stats=QueryStats(method=method))
     if method == "voronoi":
         if spec.predicate is None:
             return voronoi_knn_query(
                 database.index,
                 database.backend,
-                database.store.rows(),
+                database.store,
                 spec.point,
                 k,
                 seed_id=seed_id,
-                store=_columnar_store(database),
                 deleted=_tombstones(database),
             )
         return _knn_voronoi_filtered(database, spec, k)
@@ -318,7 +282,7 @@ def _execute_knn(
 
 def _knn_index(
     database: "SpatialDatabase", spec: KnnQuery, k: int
-) -> QueryResult:
+) -> QueryRecord:
     """Best-first index kNN; predicates retry with a doubled ``k``.
 
     The index search takes ``k`` up front, so a predicate that rejects
@@ -354,12 +318,12 @@ def _knn_index(
     stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.result_size = len(ids)
-    return QueryResult(ids=ids, stats=stats)
+    return QueryRecord(ids=ids, stats=stats)
 
 
 def _knn_voronoi_filtered(
     database: "SpatialDatabase", spec: KnnQuery, k: int
-) -> QueryResult:
+) -> QueryRecord:
     """Streaming Voronoi kNN with a predicate: expand until ``k`` pass.
 
     Uses the lazy distance-ordered generator
@@ -376,9 +340,8 @@ def _knn_voronoi_filtered(
     for row_id in incremental_nearest(
         index,
         database.backend,
-        database.store.rows(),
+        database.store,
         spec.point,
-        store=_columnar_store(database),
         deleted=_tombstones(database),
     ):
         stats.candidates += 1
@@ -389,16 +352,16 @@ def _knn_voronoi_filtered(
     stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.result_size = len(ids)
-    return QueryResult(ids=ids, stats=stats)
+    return QueryRecord(ids=ids, stats=stats)
 
 
 def _execute_nearest(
     database: "SpatialDatabase", spec: NearestQuery
-) -> QueryResult:
+) -> QueryRecord:
     """Run a 1-NN query (index best-first; predicate via doubling kNN)."""
     stats = QueryStats(method="index")
     if not len(database) or spec.limit == 0:
-        return QueryResult(ids=[], stats=stats)
+        return QueryRecord(ids=[], stats=stats)
     if spec.predicate is not None:
         knn = KnnQuery(
             spec.point, 1, method="index", predicate=spec.predicate
@@ -413,7 +376,7 @@ def _execute_nearest(
     ids = [entry[1]] if entry is not None else []
     stats.candidates = len(ids)
     stats.result_size = len(ids)
-    return QueryResult(ids=ids, stats=stats)
+    return QueryRecord(ids=ids, stats=stats)
 
 
 # -- composite execution ------------------------------------------------------
@@ -439,7 +402,7 @@ def merge_sorted_ids(
 
 def _execute_composite(
     database: "SpatialDatabase", spec: CompositeQuery
-) -> QueryResult:
+) -> QueryRecord:
     """Eagerly answer a composite by batch-decomposing its leaves.
 
     Delegates to the batch engine so the leaves of the composite are
@@ -506,9 +469,8 @@ def _stream_knn(
     for row_id in incremental_nearest(
         database.index,
         database.backend,
-        database.store.rows(),
+        database.store,
         spec.point,
-        store=_columnar_store(database),
         deleted=_tombstones(database),
         snapshot=snapshot,
     ):

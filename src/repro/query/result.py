@@ -22,7 +22,7 @@ set-merge as soon as the predicate does.  Streaming consumption does not
 memoise; ``.ids()`` / ``.stats`` / ``len()`` still perform (and memoise)
 one full eager execution.
 
-Distinguish this class from :class:`repro.core.stats.QueryResult`, the
+Distinguish this class from :class:`repro.core.stats.QueryRecord`, the
 eager *record* (ids + stats) produced by one algorithm execution: the
 lazy handle wraps exactly one such record once executed
 (:attr:`QueryResult.record`).
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
-from repro.core.stats import QueryResult as QueryRecord
+from repro.core.stats import QueryRecord
 from repro.geometry.point import Point
 from repro.query.spec import Query
 

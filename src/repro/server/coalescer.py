@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.core.stats import QueryResult as QueryRecord
+from repro.core.stats import QueryRecord
 from repro.query.spec import Query
 from repro.server.metrics import LatencyHistogram
 

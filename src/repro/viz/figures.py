@@ -86,11 +86,11 @@ def _candidate_panel(
 
     if method == "traditional":
         result = traditional_area_query(
-            db.index, area, contains=tracking_contains
+            db.index, db.store, area, contains=tracking_contains
         )
     else:
         result = voronoi_area_query(
-            db.index, db.backend, db.points, area, contains=tracking_contains
+            db.index, db.backend, db.store, area, contains=tracking_contains
         )
     result_points = {db.point(row) for row in result.ids}
     candidate_points = set(validated) - result_points

@@ -15,6 +15,7 @@ from repro.core.exceptions import (
 from repro.core.voronoi_query import interior_position, voronoi_area_query
 from repro.geometry.random_shapes import random_query_polygon
 from repro.workloads.generators import uniform_points
+from repro.query.spec import AreaQuery, KnnQuery
 
 
 class TestExceptionHierarchy:
@@ -24,15 +25,15 @@ class TestExceptionHierarchy:
 
     def test_catchable_as_base(self, concave_polygon):
         with pytest.raises(ReproError):
-            SpatialDatabase().area_query(concave_polygon)
+            SpatialDatabase().query(AreaQuery(concave_polygon)).ids()
 
 
 class TestDegenerateAreas:
     def test_sliver_polygon(self):
         db = SpatialDatabase.from_points(uniform_points(200, seed=131)).prepare()
         sliver = Polygon([(0.0, 0.5), (1.0, 0.500001), (1.0, 0.5)])
-        voronoi = db.area_query(sliver, method="voronoi")
-        traditional = db.area_query(sliver, method="traditional")
+        voronoi = db.query(AreaQuery(sliver, method="voronoi")).record
+        traditional = db.query(AreaQuery(sliver, method="traditional")).record
         assert voronoi.ids == traditional.ids
 
     def test_polygon_with_collinear_run(self):
@@ -47,8 +48,8 @@ class TestDegenerateAreas:
                 (0.2, 0.8),
             ]
         )
-        voronoi = db.area_query(area, method="voronoi")
-        traditional = db.area_query(area, method="traditional")
+        voronoi = db.query(AreaQuery(area, method="voronoi")).record
+        traditional = db.query(AreaQuery(area, method="traditional")).record
         assert voronoi.ids == traditional.ids
 
     def test_query_vertex_coincides_with_data_point(self):
@@ -63,8 +64,8 @@ class TestDegenerateAreas:
                 Point(anchor.x, anchor.y + 0.2),
             ]
         )
-        voronoi = db.area_query(area, method="voronoi")
-        traditional = db.area_query(area, method="traditional")
+        voronoi = db.query(AreaQuery(area, method="voronoi")).record
+        traditional = db.query(AreaQuery(area, method="traditional")).record
         assert voronoi.ids == traditional.ids
         assert 0 in voronoi.ids  # boundary-inclusive semantics
 
@@ -75,9 +76,9 @@ class TestDegenerateAreas:
         area = Polygon([(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)])
         # (0.25, 0.5) lies exactly on the left edge; closed semantics
         # include it.
-        result = db.area_query(area, method="voronoi")
+        result = db.query(AreaQuery(area, method="voronoi")).record
         assert result.ids == [0, 1]
-        assert db.area_query(area, method="traditional").ids == [0, 1]
+        assert db.query(AreaQuery(area, method="traditional")).ids() == [0, 1]
 
 
 class TestRefinementFaults:
@@ -90,7 +91,7 @@ class TestRefinementFaults:
         result = voronoi_area_query(
             db.index,
             db.backend,
-            db.points,
+            db.store,
             area,
             contains=lambda polygon, p: False,
         )
@@ -107,7 +108,7 @@ class TestRefinementFaults:
         result = voronoi_area_query(
             db.index,
             db.backend,
-            db.points,
+            db.store,
             area,
             contains=lambda polygon, p: True,
         )
@@ -124,7 +125,7 @@ class TestRefinementFaults:
             return polygon.contains_point(p)
 
         result = voronoi_area_query(
-            db.index, db.backend, db.points, area, contains=counting
+            db.index, db.backend, db.store, area, contains=counting
         )
         assert len(seen) == result.stats.validations
 
@@ -146,8 +147,8 @@ class TestExtremeScales:
         area = Polygon(
             [(0.0, 0.0), (5e-10, 0.0), (5e-10, 5e-10), (0.0, 5e-10)]
         )
-        voronoi = db.area_query(area, method="voronoi")
-        traditional = db.area_query(area, method="traditional")
+        voronoi = db.query(AreaQuery(area, method="voronoi")).record
+        traditional = db.query(AreaQuery(area, method="traditional")).record
         assert voronoi.ids == traditional.ids
 
     def test_very_large_coordinates(self):
@@ -159,8 +160,8 @@ class TestExtremeScales:
         area = Polygon(
             [(0.0, 0.0), (5e8, 0.0), (5e8, 5e8), (0.0, 5e8)]
         )
-        voronoi = db.area_query(area, method="voronoi")
-        traditional = db.area_query(area, method="traditional")
+        voronoi = db.query(AreaQuery(area, method="voronoi")).record
+        traditional = db.query(AreaQuery(area, method="traditional")).record
         assert voronoi.ids == traditional.ids
 
     def test_negative_coordinate_space(self):
@@ -172,8 +173,8 @@ class TestExtremeScales:
         area = Polygon(
             [(-4.8, -4.8), (-4.2, -4.8), (-4.2, -4.2), (-4.8, -4.2)]
         )
-        voronoi = db.area_query(area, method="voronoi")
-        traditional = db.area_query(area, method="traditional")
+        voronoi = db.query(AreaQuery(area, method="voronoi")).record
+        traditional = db.query(AreaQuery(area, method="traditional")).record
         assert voronoi.ids == traditional.ids
 
 
@@ -203,7 +204,7 @@ class TestWritePathFaults:
                 db.insert((x, y))
         assert self._snapshot_state(db) == before
         # The index answers exactly as before (no phantom entries).
-        assert db.k_nearest_neighbors(Point(0.5, 0.5), 5) == sorted(
+        assert db.query(KnnQuery(Point(0.5, 0.5), 5, method="index")).ids() == sorted(
             range(len(db)),
             key=lambda i: (
                 db.point(i).squared_distance_to(Point(0.5, 0.5)),
@@ -223,8 +224,8 @@ class TestWritePathFaults:
         assert self._snapshot_state(db) == before
         area = random_query_polygon(0.3, rng=random.Random(5))
         assert (
-            db.area_query(area, "voronoi").ids
-            == db.area_query(area, "traditional").ids
+            db.query(AreaQuery(area, method="voronoi")).ids()
+            == db.query(AreaQuery(area, method="traditional")).ids()
         )
 
     def test_delete_out_of_range_and_double_delete(self):

@@ -6,20 +6,22 @@ trivially-correct model database across arbitrary mutation histories.
 This suite drives a :class:`SpatialDatabase` and a plain ``dict`` model
 through the same interleaved insert/extend/delete sequences — Hypothesis
 chooses the interleavings — and checks area, window, kNN (all methods),
-composite, and streaming-kNN answers against the model after every
-phase, across every registered index kind and both execution modes
-(``vectorized=True/False``).
+composite, and streaming-kNN answers against ``tests/oracle.py``'s
+brute-force scan of the model after every phase, across every registered
+index kind.
 """
 
 import random
 
 import pytest
 
+from oracle import brute_force
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.index import INDEX_REGISTRY
 from repro.query.spec import (
+    AreaQuery,
     DifferenceQuery,
     IntersectionQuery,
     KnnQuery,
@@ -32,12 +34,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def _build(index_kind, vectorized, n=40, seed=101):
+def _build(index_kind, n=40, seed=101):
     """A small prepared database plus its brute-force model dict."""
     points = uniform_points(n, seed=seed)
-    db = SpatialDatabase.from_points(
-        points, index_kind=index_kind, vectorized=vectorized
-    ).prepare()
+    db = SpatialDatabase.from_points(points, index_kind=index_kind).prepare()
     model = {i: (p.x, p.y) for i, p in enumerate(points)}
     return db, model
 
@@ -68,68 +68,43 @@ def _apply(db, model, operations):
 
 
 def _check_all_kinds(db, model, rng):
-    """Every query kind against the model, at the current version."""
+    """Every query kind against the oracle's scan of the model, at the
+    current version."""
     assert len(db) == len(model)
     assert db.store.live_count == len(model)
 
-    # Area query, both methods, against brute force over the model.
+    def check(spec):
+        assert db.query(spec).ids() == brute_force(spec, model), spec
+
+    # Area query, both methods.
     disc = Circle(
         Point(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)),
         rng.uniform(0.08, 0.3),
     )
-    expected = sorted(
-        row
-        for row, (x, y) in model.items()
-        if disc.contains_point(Point(x, y))
-    )
-    assert db.area_query(disc, method="voronoi").ids == expected
-    assert db.area_query(disc, method="traditional").ids == expected
+    check(AreaQuery(disc, method="voronoi"))
+    check(AreaQuery(disc, method="traditional"))
 
     # Window query.
     x0, y0 = rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6)
-    rect = (x0, y0, x0 + 0.35, y0 + 0.35)
-    in_window = sorted(
-        row
-        for row, (x, y) in model.items()
-        if x0 <= x <= rect[2] and y0 <= y <= rect[3]
-    )
-    assert db.query(WindowQuery(rect)).ids() == in_window
+    a = WindowQuery((x0, y0, x0 + 0.35, y0 + 0.35))
+    check(a)
 
     # kNN: voronoi graph walk and index best-first must both match the
     # model ranking (ties broken by row id, exactly like the kernels).
-    q = Point(rng.random(), rng.random())
+    q = (rng.random(), rng.random())
     k = min(8, len(model))
-    ranked = sorted(
-        model,
-        key=lambda row: (
-            (model[row][0] - q.x) ** 2 + (model[row][1] - q.y) ** 2,
-            row,
-        ),
-    )
-    assert db.k_nearest_neighbors(q, k, method="voronoi") == ranked[:k]
-    assert db.k_nearest_neighbors(q, k, method="index") == ranked[:k]
+    check(KnnQuery(q, k, method="voronoi"))
+    check(KnnQuery(q, k, method="index"))
 
     # Streaming (unbounded) kNN: the lazy generator path with tombstones.
-    first = db.query(KnnQuery((q.x, q.y), None)).first(k)
-    assert first == ranked[:k]
+    unbounded = KnnQuery(q, None)
+    assert db.query(unbounded).first(k) == brute_force(unbounded, model)[:k]
 
     # Composites over two overlapping windows.
-    a = WindowQuery((x0, y0, x0 + 0.35, y0 + 0.35))
     b = WindowQuery((x0 + 0.15, y0 + 0.15, x0 + 0.5, y0 + 0.5))
-    in_b = {
-        row
-        for row, (x, y) in model.items()
-        if x0 + 0.15 <= x <= x0 + 0.5 and y0 + 0.15 <= y <= y0 + 0.5
-    }
-    assert db.query(UnionQuery((a, b))).ids() == sorted(
-        set(in_window) | in_b
-    )
-    assert db.query(IntersectionQuery((a, b))).ids() == sorted(
-        set(in_window) & in_b
-    )
-    assert db.query(DifferenceQuery((a, b))).ids() == sorted(
-        set(in_window) - in_b
-    )
+    check(UnionQuery((a, b)))
+    check(IntersectionQuery((a, b)))
+    check(DifferenceQuery((a, b)))
 
 
 # One operation: insert one point, extend a small batch, or delete the
@@ -153,7 +128,6 @@ class TestRandomInterleavings:
 
     @given(
         index_kind=st.sampled_from(sorted(INDEX_REGISTRY)),
-        vectorized=st.booleans(),
         phases=st.lists(
             st.lists(_operation, min_size=1, max_size=6),
             min_size=1,
@@ -162,10 +136,8 @@ class TestRandomInterleavings:
         seed=st.integers(min_value=0, max_value=2**20),
     )
     @settings(max_examples=25, deadline=None)
-    def test_all_query_kinds_match_model(
-        self, index_kind, vectorized, phases, seed
-    ):
-        db, model = _build(index_kind, vectorized)
+    def test_all_query_kinds_match_model(self, index_kind, phases, seed):
+        db, model = _build(index_kind)
         rng = random.Random(seed)
         for operations in phases:
             _apply(db, model, operations)
@@ -177,13 +149,12 @@ class TestEveryIndexKind:
 
     The Hypothesis test samples kinds; this sweep guarantees each of the
     registered index implementations survives the same delete-heavy
-    history in both execution modes on every run.
+    history on every run.
     """
 
     @pytest.mark.parametrize("index_kind", sorted(INDEX_REGISTRY))
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_fixed_history(self, index_kind, vectorized):
-        db, model = _build(index_kind, vectorized, n=60, seed=202)
+    def test_fixed_history(self, index_kind):
+        db, model = _build(index_kind, n=60, seed=202)
         rng = random.Random(7)
         history = [
             [("insert", 0.41, 0.43), ("delete", 11), ("delete", 5)],
@@ -202,13 +173,12 @@ class TestEveryIndexKind:
     def test_delete_then_reinsert_near_tombstone(self):
         """A new point lands almost exactly on a tombstone: the live
         point must win every ranking, the tombstone none."""
-        db, model = _build("rtree", True, n=50, seed=303)
+        db, model = _build("rtree", n=50, seed=303)
         x, y = model[20]
         db.delete(20)
         del model[20]
         row = db.insert((x + 1e-6, y))
         model[row] = (x + 1e-6, y)
-        q = Point(x, y)
-        assert db.k_nearest_neighbors(q, 1, method="voronoi") == [row]
+        assert db.query(KnnQuery((x, y), 1, method="voronoi")).ids() == [row]
         assert db.query(KnnQuery((x, y), None)).first(1) == [row]
         _check_all_kinds(db, model, random.Random(9))

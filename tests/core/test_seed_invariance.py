@@ -31,7 +31,7 @@ class TestSeedInvariance:
             result = voronoi_area_query(
                 db.index,
                 db.backend,
-                db.points,
+                db.store,
                 area,
                 seed_position=seed_position,
             )
@@ -48,7 +48,7 @@ class TestSeedInvariance:
             voronoi_area_query(
                 db.index,
                 db.backend,
-                db.points,
+                db.store,
                 area,
                 seed_position=seed_position,
             ).stats.candidates
@@ -76,7 +76,7 @@ class TestSeedInvariance:
         ]
         for position in near_positions:
             result = voronoi_area_query(
-                db.index, db.backend, db.points, area, seed_position=position
+                db.index, db.backend, db.store, area, seed_position=position
             )
             assert set(result.ids) <= set(expected)
 
@@ -93,7 +93,7 @@ class TestSeedInvariance:
         result = voronoi_area_query(
             db.index,
             db.backend,
-            db.points,
+            db.store,
             area,
             seed_position=db.point(inside_rows[0]),
         )

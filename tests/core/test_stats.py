@@ -1,6 +1,6 @@
-"""Unit tests for QueryStats / QueryResult."""
+"""Unit tests for QueryStats / QueryRecord."""
 
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 
 
 class TestQueryStats:
@@ -37,16 +37,16 @@ class TestQueryStats:
 
 class TestQueryResult:
     def test_len_and_iter(self):
-        result = QueryResult(ids=[3, 1, 2])
+        result = QueryRecord(ids=[3, 1, 2])
         assert len(result) == 3
         assert list(result) == [3, 1, 2]
 
     def test_contains(self):
-        result = QueryResult(ids=[1, 2, 3])
+        result = QueryRecord(ids=[1, 2, 3])
         assert 2 in result
         assert 9 not in result
 
     def test_default_empty(self):
-        result = QueryResult()
+        result = QueryRecord()
         assert len(result) == 0
         assert result.stats.candidates == 0

@@ -140,13 +140,13 @@ class TestPointsView:
         _, view = self.build()
         assert "5 rows" in repr(view)
 
-    def test_rows_is_the_shared_cache_list(self):
+    def test_slices_are_lists_of_the_cached_points(self):
         store, view = self.build()
-        rows = store.rows()
+        rows = view[:]
         assert isinstance(rows, list)
         assert rows[3] is view[3]
         store.append(7.0, 49.0)
-        assert store.rows()[5] == Point(7.0, 49.0)
+        assert view[:][5] == Point(7.0, 49.0)
         assert isinstance(view, PointsView)
 
     def test_concurrent_readers_fill_the_cache_once(self):
@@ -165,7 +165,7 @@ class TestPointsView:
 
                 def read(store=store, barrier=barrier):
                     barrier.wait(timeout=10)
-                    store.rows()
+                    list(store.view())
 
                 threads = [threading.Thread(target=read) for _ in range(8)]
                 for thread in threads:
@@ -173,7 +173,7 @@ class TestPointsView:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
-                rows = store.rows()
+                rows = list(store.view())
                 assert len(rows) == 400
                 assert rows[399] == Point(399.0, 798.0)
         finally:

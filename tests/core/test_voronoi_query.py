@@ -8,6 +8,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.rtree import RTree
 from repro.delaunay.backends import PureDelaunayBackend
+from repro.core.store import PointStore
 from repro.core.voronoi_query import interior_position, voronoi_area_query
 from repro.workloads.generators import uniform_points
 from repro.geometry.random_shapes import random_query_polygon
@@ -16,10 +17,11 @@ from repro.geometry.random_shapes import random_query_polygon
 @pytest.fixture(scope="module")
 def setup_500():
     points = uniform_points(500, seed=61)
+    store = PointStore()
     index = RTree()
-    index.bulk_load((p, i) for i, p in enumerate(points))
+    index.bulk_load(store.entries(store.extend_points(points)))
     backend = PureDelaunayBackend(points)
-    return points, index, backend
+    return points, index, backend, store
 
 
 class TestInteriorPosition:
@@ -56,8 +58,8 @@ class TestInteriorPosition:
 
 class TestCorrectness:
     def test_matches_brute_force(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
-        result = voronoi_area_query(index, backend, points, concave_polygon)
+        points, index, backend, store = setup_500
+        result = voronoi_area_query(index, backend, store, concave_polygon)
         expected = sorted(
             i
             for i, p in enumerate(points)
@@ -66,11 +68,11 @@ class TestCorrectness:
         assert result.ids == expected
 
     def test_random_polygons(self, setup_500):
-        points, index, backend = setup_500
+        points, index, backend, store = setup_500
         rng = random.Random(63)
         for _ in range(20):
             area = random_query_polygon(0.05, rng=rng)
-            result = voronoi_area_query(index, backend, points, area)
+            result = voronoi_area_query(index, backend, store, area)
             expected = sorted(
                 i for i, p in enumerate(points) if area.contains_point(p)
             )
@@ -79,12 +81,12 @@ class TestCorrectness:
     def test_empty_result_area_between_points(self, setup_500):
         # A tiny polygon placed in a gap: no internal points, and the
         # query must terminate with an empty (correct) result.
-        points, index, backend = setup_500
+        points, index, backend, store = setup_500
         rng = random.Random(65)
         empties = 0
         for _ in range(50):
             area = random_query_polygon(0.00001, rng=rng)
-            result = voronoi_area_query(index, backend, points, area)
+            result = voronoi_area_query(index, backend, store, area)
             expected = sorted(
                 i for i, p in enumerate(points) if area.contains_point(p)
             )
@@ -93,17 +95,17 @@ class TestCorrectness:
         assert empties > 0, "expected at least one empty-result query"
 
     def test_area_covering_everything(self, setup_500):
-        points, index, backend = setup_500
+        points, index, backend, store = setup_500
         big = Polygon([(-1, -1), (2, -1), (2, 2), (-1, 2)])
-        result = voronoi_area_query(index, backend, points, big)
+        result = voronoi_area_query(index, backend, store, big)
         assert result.ids == list(range(500))
 
     def test_seed_position_override(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
+        points, index, backend, store = setup_500
         result = voronoi_area_query(
             index,
             backend,
-            points,
+            store,
             concave_polygon,
             seed_position=Point(0.2, 0.2),
         )
@@ -117,18 +119,18 @@ class TestCorrectness:
 
 class TestStats:
     def test_method_label(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
-        result = voronoi_area_query(index, backend, points, concave_polygon)
+        points, index, backend, store = setup_500
+        result = voronoi_area_query(index, backend, store, concave_polygon)
         assert result.stats.method == "voronoi"
 
     def test_validations_equal_candidates(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
-        result = voronoi_area_query(index, backend, points, concave_polygon)
+        points, index, backend, store = setup_500
+        result = voronoi_area_query(index, backend, store, concave_polygon)
         assert result.stats.validations == result.stats.candidates
 
     def test_redundant_accounting(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
-        result = voronoi_area_query(index, backend, points, concave_polygon)
+        points, index, backend, store = setup_500
+        result = voronoi_area_query(index, backend, store, concave_polygon)
         assert (
             result.stats.redundant_validations
             == result.stats.candidates - result.stats.result_size
@@ -138,7 +140,7 @@ class TestStats:
         """The headline claim on a strongly concave area."""
         from repro.core.traditional_query import traditional_area_query
 
-        points, index, backend = setup_500
+        points, index, backend, store = setup_500
         # The L-shape covers half its MBR, so the traditional candidate set
         # is about double the result; the Voronoi one is result + shell.
         horseshoe = Polygon(
@@ -153,19 +155,19 @@ class TestStats:
                 (0.1, 0.3),
             ]
         )
-        voronoi = voronoi_area_query(index, backend, points, horseshoe)
-        traditional = traditional_area_query(index, horseshoe)
+        voronoi = voronoi_area_query(index, backend, store, horseshoe)
+        traditional = traditional_area_query(index, store, horseshoe)
         assert voronoi.ids == traditional.ids
         assert voronoi.stats.candidates < traditional.stats.candidates
 
     def test_segment_tests_counted(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
-        result = voronoi_area_query(index, backend, points, concave_polygon)
+        points, index, backend, store = setup_500
+        result = voronoi_area_query(index, backend, store, concave_polygon)
         assert result.stats.segment_tests > 0
 
     def test_seed_nn_node_accesses_recorded(self, setup_500, concave_polygon):
-        points, index, backend = setup_500
-        result = voronoi_area_query(index, backend, points, concave_polygon)
+        points, index, backend, store = setup_500
+        result = voronoi_area_query(index, backend, store, concave_polygon)
         assert result.stats.index_node_accesses > 0
 
 
@@ -174,7 +176,7 @@ class TestShellLocality:
         """Every redundant candidate must be Voronoi-adjacent to the area:
         its cell borders the region, so its distance to the polygon is at
         most one Voronoi-cell diameter (~sqrt(1/n) scale)."""
-        points, index, backend = setup_500
+        points, index, backend, store = setup_500
         rng = random.Random(67)
         area = random_query_polygon(0.04, rng=rng)
         # Re-run the query and collect candidates via the contains hook.
@@ -185,7 +187,7 @@ class TestShellLocality:
             return polygon.contains_point(p)
 
         voronoi_area_query(
-            index, backend, points, area, contains=tracking_contains
+            index, backend, store, area, contains=tracking_contains
         )
         # 500 uniform points => typical Voronoi cell diameter ~ 2/sqrt(500).
         max_shell_distance = 4.0 / (500 ** 0.5)

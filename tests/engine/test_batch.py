@@ -2,7 +2,7 @@
 
 The anchor property is id-identity: for every region mix, every method
 (fixed or planned), and every sharing path (shared window frontier, seed
-walk, intra-batch dedup), ``batch_area_query`` returns exactly the ids the
+walk, intra-batch dedup), ``query_batch`` returns exactly the ids the
 one-query-at-a-time loop returns, in submission order.
 """
 
@@ -10,7 +10,7 @@ import pytest
 
 from repro import SpatialDatabase
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
-from repro.engine.batch import BATCH_METHODS, BatchQueryEngine, greedy_seed_walk
+from repro.engine.batch import BatchQueryEngine, greedy_seed_walk
 from repro.engine.order import hilbert_index, locality_order
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -18,6 +18,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
 from repro.workloads.generators import uniform_points
 from repro.workloads.queries import QueryWorkload
+from repro.query.spec import AreaQuery
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +40,26 @@ def mixed_regions():
     return regions
 
 
-@pytest.mark.parametrize("method", BATCH_METHODS)
+def area_specs(regions, method="auto"):
+    return [AreaQuery(region, method=method) for region in regions]
+
+
+@pytest.mark.parametrize("method", AreaQuery.methods)
 def test_batch_ids_identical_to_loop(db, mixed_regions, method):
     loop = [
-        db.area_query(region, method="voronoi").ids
+        db.query(AreaQuery(region, method="voronoi")).ids()
         for region in mixed_regions
     ]
-    batch = db.batch_area_query(
-        mixed_regions, method=method, use_cache=False
-    )
+    batch = db.query_batch(area_specs(mixed_regions, method), use_cache=False)
     assert len(batch) == len(mixed_regions)
-    assert [result.ids for result in batch] == loop
+    assert [result.ids() for result in batch] == loop
 
 
 def test_batch_handles_duplicates_once(db, mixed_regions):
     trace = mixed_regions + mixed_regions + mixed_regions[:3]
-    batch = db.batch_area_query(trace, method="voronoi", use_cache=False)
-    assert [r.ids for r in batch] == [
-        db.area_query(region, method="voronoi").ids for region in trace
+    batch = db.query_batch(area_specs(trace, "voronoi"), use_cache=False)
+    assert [r.ids() for r in batch] == [
+        db.query(AreaQuery(region, method="voronoi")).ids() for region in trace
     ]
     assert batch.stats.duplicate_hits == len(mixed_regions) + 3
     assert batch.stats.executed == len(mixed_regions)
@@ -70,21 +73,17 @@ def test_batch_stats_record_sharing(db):
         )
         for i in range(5)
     ]
-    batch = db.batch_area_query(
-        overlapping, method="traditional", use_cache=False
-    )
+    batch = db.query_batch(area_specs(overlapping, "traditional"), use_cache=False)
     assert batch.stats.shared_window_groups >= 1
     assert batch.stats.shared_window_queries >= 2
-    assert [r.ids for r in batch] == [
-        db.area_query(region, method="traditional").ids
+    assert [r.ids() for r in batch] == [
+        db.query(AreaQuery(region, method="traditional")).ids()
         for region in overlapping
     ]
 
 
 def test_batch_voronoi_reuses_seeds(db, mixed_regions):
-    batch = db.batch_area_query(
-        mixed_regions, method="voronoi", use_cache=False
-    )
+    batch = db.query_batch(area_specs(mixed_regions, "voronoi"), use_cache=False)
     # first seed needs the index; later ones should mostly walk
     assert batch.stats.seed_index_lookups >= 1
     assert batch.stats.seed_walk_reuses >= len(mixed_regions) // 2
@@ -95,34 +94,34 @@ def test_batch_voronoi_reuses_seeds(db, mixed_regions):
 
 
 def test_batch_result_is_a_sequence(db, mixed_regions):
-    batch = db.batch_area_query(mixed_regions[:4], method="voronoi")
+    batch = db.query_batch(area_specs(mixed_regions[:4], "voronoi"))
     assert len(batch) == 4
-    assert batch[0].ids == list(batch)[0].ids
-    assert [r.ids for r in batch[:2]] == [r.ids for r in batch.results[:2]]
+    assert batch[0].ids() == list(batch)[0].ids()
+    assert [r.ids() for r in batch[:2]] == [batch[0].ids(), batch[1].ids()]
 
 
-def test_batch_rejects_unknown_method(db, mixed_regions):
+def test_unknown_method_is_rejected_at_the_spec(mixed_regions):
     with pytest.raises(ValueError, match="unknown method"):
-        db.batch_area_query(mixed_regions[:1], method="fastest")
+        AreaQuery(mixed_regions[0], method="fastest")
 
 
 def test_batch_rejects_zero_area_region(db):
     degenerate = Circle(Point(0.5, 0.5), 1e-12)
     object.__setattr__(degenerate, "radius", 0.0)  # bypass ctor guard
     with pytest.raises(InvalidQueryAreaError):
-        db.batch_area_query([degenerate])
+        db.query_batch([AreaQuery(degenerate)])
 
 
 def test_batch_on_empty_database_raises():
     empty = SpatialDatabase()
     with pytest.raises(EmptyDatabaseError):
-        empty.batch_area_query(
-            [Polygon.from_rect(Rect(0.1, 0.1, 0.2, 0.2))]
+        empty.query_batch(
+            [AreaQuery(Polygon.from_rect(Rect(0.1, 0.1, 0.2, 0.2)))]
         )
 
 
 def test_empty_batch_returns_empty_result(db):
-    batch = db.batch_area_query([])
+    batch = db.query_batch([])
     assert len(batch) == 0
     assert batch.stats.total_queries == 0
 
@@ -130,6 +129,7 @@ def test_empty_batch_returns_empty_result(db):
 def test_greedy_seed_walk_finds_true_nearest_neighbor(db):
     """The walk must land exactly where the index NN search would."""
     points = db.points
+    store = db.store
     table = db.backend.neighbor_table()
     rng_targets = [
         (0.05 + 0.9 * ((i * 37) % 97) / 97.0, 0.05 + 0.9 * ((i * 61) % 89) / 89.0)
@@ -137,7 +137,7 @@ def test_greedy_seed_walk_finds_true_nearest_neighbor(db):
     ]
     start = 0
     for tx, ty in rng_targets:
-        walked = greedy_seed_walk(table, points, start, tx, ty, 4_000)
+        walked = greedy_seed_walk(table, store, start, tx, ty, 4_000)
         entry = db.index.nearest_neighbor(Point(tx, ty))
         assert walked is not None
         assert points[walked].squared_distance_to(
@@ -151,7 +151,7 @@ def test_greedy_seed_walk_finds_true_nearest_neighbor(db):
 def test_greedy_seed_walk_hop_budget_exhaustion_returns_none(db):
     table = db.backend.neighbor_table()
     assert (
-        greedy_seed_walk(table, db.points, 0, 0.99, 0.99, max_hops=0)
+        greedy_seed_walk(table, db.store, 0, 0.99, 0.99, max_hops=0)
         in (None, 0)
     )
 
@@ -190,18 +190,18 @@ def test_sliding_tile_chains_do_not_snowball_into_one_group(db):
         Polygon.from_rect(Rect(0.05 + 0.1 * i, 0.4, 0.25 + 0.1 * i, 0.6))
         for i in range(7)  # each overlaps the next by half its width
     ]
-    batch = db.batch_area_query(chain, method="traditional", use_cache=False)
+    batch = db.query_batch(area_specs(chain, "traditional"), use_cache=False)
     assert batch.stats.shared_window_groups == 0
-    assert [r.ids for r in batch] == [
-        db.area_query(region, method="traditional").ids for region in chain
+    assert [r.ids() for r in batch] == [
+        db.query(AreaQuery(region, method="traditional")).ids() for region in chain
     ]
 
 
 def test_window_slack_zero_disables_grouping(db, mixed_regions):
     engine = BatchQueryEngine(db, window_slack=0.0, cache_capacity=0)
-    batch = engine.batch_area_query(mixed_regions, method="traditional")
+    batch = engine.run_specs(area_specs(mixed_regions, "traditional"))
     assert batch.stats.shared_window_groups == 0
     assert [r.ids for r in batch] == [
-        db.area_query(region, method="traditional").ids
+        db.query(AreaQuery(region, method="traditional")).ids()
         for region in mixed_regions
     ]

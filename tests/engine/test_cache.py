@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AreaQuery, KnnQuery, SpatialDatabase
-from repro.core.stats import QueryResult, QueryStats
+from repro.core.stats import QueryRecord, QueryStats
 from repro.engine.cache import ResultCache
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -14,7 +14,7 @@ from repro.workloads.queries import QueryWorkload
 
 
 def _result(ids):
-    return QueryResult(ids=list(ids), stats=QueryStats(method="voronoi"))
+    return QueryRecord(ids=list(ids), stats=QueryStats(method="voronoi"))
 
 
 # -- spec cache keys ----------------------------------------------------------
@@ -172,62 +172,47 @@ def db():
     ).prepare()
 
 
+def area_specs(regions, method="auto"):
+    return [AreaQuery(region, method=method) for region in regions]
+
+
 def test_repeated_batch_is_served_from_cache(db):
-    regions = QueryWorkload(query_size=0.04, seed=31).areas(8)
-    first = db.batch_area_query(regions, method="auto")
+    specs = area_specs(QueryWorkload(query_size=0.04, seed=31).areas(8))
+    first = db.query_batch(specs)
     assert first.stats.cache_hits == 0
-    second = db.batch_area_query(regions, method="auto")
-    assert second.stats.cache_hits == len(regions)
+    second = db.query_batch(specs)
+    assert second.stats.cache_hits == len(specs)
     assert second.stats.executed == 0
-    assert [r.ids for r in second] == [r.ids for r in first]
+    assert [r.ids() for r in second] == [r.ids() for r in first]
 
 
 def test_insert_invalidates_cached_results(db):
     region = Polygon.from_rect(Rect(0.4, 0.4, 0.6, 0.6))
-    before = db.batch_area_query([region])[0]
+    before = db.query_batch([AreaQuery(region)])[0].ids()
     new_id = db.insert((0.5, 0.5))
-    after_batch = db.batch_area_query([region])
-    after = after_batch[0]
+    after_batch = db.query_batch([AreaQuery(region)])
+    after = after_batch[0].ids()
     assert after_batch.stats.cache_hits == 0
-    assert new_id in after.ids
-    assert set(after.ids) == set(before.ids) | {new_id}
-    assert after.ids == db.area_query(region, method="traditional").ids
+    assert new_id in after
+    assert set(after) == set(before) | {new_id}
+    assert after == db.query(AreaQuery(region, method="traditional")).ids()
 
 
 def test_cache_hits_are_method_independent(db):
     """Both methods return identical ids (the paper's theorem), so a
     cached result may serve either method's request."""
     regions = QueryWorkload(query_size=0.04, seed=33).areas(4)
-    db.batch_area_query(regions, method="traditional")
-    batch = db.batch_area_query(regions, method="voronoi")
+    db.query_batch(area_specs(regions, "traditional"))
+    batch = db.query_batch(area_specs(regions, "voronoi"))
     assert batch.stats.cache_hits == len(regions)
-    assert [r.ids for r in batch] == [
-        db.area_query(region, method="voronoi").ids for region in regions
+    assert [r.ids() for r in batch] == [
+        db.query(AreaQuery(region, method="voronoi")).ids() for region in regions
     ]
 
 
 def test_use_cache_false_bypasses_cache(db):
     regions = QueryWorkload(query_size=0.04, seed=35).areas(3)
-    db.batch_area_query(regions)
-    bypass = db.batch_area_query(regions, use_cache=False)
+    db.query_batch(area_specs(regions))
+    bypass = db.query_batch(area_specs(regions), use_cache=False)
     assert bypass.stats.cache_hits == 0
     assert bypass.stats.executed == len(regions)
-
-
-def test_region_fingerprint_shim_warns_and_matches_legacy():
-    """The 1.0 helper survives one release as a deprecation shim."""
-    from repro.engine import region_fingerprint
-
-    polygon = Polygon.from_rect(Rect(0.1, 0.1, 0.3, 0.4))
-    with pytest.warns(DeprecationWarning, match="cache_key"):
-        key = region_fingerprint(polygon)
-    assert key == ("polygon", tuple((p.x, p.y) for p in polygon.vertices))
-    with pytest.warns(DeprecationWarning):
-        assert region_fingerprint(Circle(Point(0.5, 0.5), 0.1)) == (
-            "circle",
-            0.5,
-            0.5,
-            0.1,
-        )
-    with pytest.warns(DeprecationWarning):
-        assert region_fingerprint(object()) is None

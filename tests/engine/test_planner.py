@@ -73,9 +73,9 @@ def test_planner_matches_measured_winner(n, query_size, shape, expected):
 def test_auto_method_routes_through_planner():
     db = _database(500)
     area = QueryWorkload(query_size=0.04, seed=3).areas(1)[0]
-    auto = db.area_query(area, method="auto")
+    auto = db.query(AreaQuery(area, method="auto")).record
     assert auto.stats.method == db.engine.planner.choose(area)
-    assert auto.ids == db.area_query(area, method="voronoi").ids
+    assert auto.ids == db.query(AreaQuery(area, method="voronoi")).ids()
 
 
 def test_estimates_cover_both_methods_with_positive_costs():
@@ -129,7 +129,7 @@ def test_calibrate_fits_positive_millisecond_scale_weights():
     )
     # the calibrated unit is milliseconds: predicted cost of a measured
     # query should be the same order of magnitude as its wall time
-    stats = db.area_query(probes[0], method="traditional").stats
+    stats = db.query(AreaQuery(probes[0], method="traditional")).record.stats
     assert model.cost_of(stats) < max(stats.time_ms, 0.001) * 50
 
 

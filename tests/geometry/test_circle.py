@@ -10,6 +10,7 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.geometry.region import QueryRegion, interior_seed_position
 from repro.geometry.segment import Segment
+from repro.query.spec import AreaQuery
 
 UNIT_CIRCLE = Circle(Point(0.0, 0.0), 1.0)
 
@@ -122,8 +123,8 @@ class TestCircleAreaQueries:
                 Point(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)),
                 rng.uniform(0.05, 0.2),
             )
-            voronoi = db.area_query(circle, method="voronoi")
-            traditional = db.area_query(circle, method="traditional")
+            voronoi = db.query(AreaQuery(circle, method="voronoi")).record
+            traditional = db.query(AreaQuery(circle, method="traditional")).record
             expected = sorted(
                 i
                 for i in range(len(db))
@@ -144,7 +145,7 @@ class TestCircleAreaQueries:
             uniform_points(4000, seed=165), backend_kind="scipy"
         ).prepare()
         circle = Circle(Point(0.5, 0.5), 0.25)
-        voronoi = db.area_query(circle, method="voronoi")
-        traditional = db.area_query(circle, method="traditional")
+        voronoi = db.query(AreaQuery(circle, method="voronoi")).record
+        traditional = db.query(AreaQuery(circle, method="traditional")).record
         assert voronoi.ids == traditional.ids
         assert voronoi.stats.candidates < traditional.stats.candidates

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.circle import Circle
-from repro.geometry.kernels import squared_distances
+from repro.geometry.kernels import region_kernels, squared_distances
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.random_shapes import random_simple_polygon, random_star_polygon
@@ -264,3 +264,67 @@ class TestCrossesBoundaryMany:
             record_property(name, share)
             print(f"{name}: {share:.5f}")
         assert unclear.shape == (count,)
+
+
+class _ScalarOnly:
+    """The protocol's two scalar predicates and nothing else."""
+
+    def __init__(self, inner):
+        self.contains_point = inner.contains_point
+        self.crosses_boundary_xy = inner.crosses_boundary_xy
+
+
+class TestRegionKernels:
+    """One helper hands every query path a region's two array predicates."""
+
+    def _columns(self, count=300, seed=11):
+        rng = np.random.default_rng(seed)
+        return rng.random(count), rng.random(count), rng.random(count), rng.random(count)
+
+    def test_a_regions_own_kernels_are_returned_as_they_are(self):
+        polygon = Polygon([(0.2, 0.2), (0.8, 0.3), (0.5, 0.5), (0.7, 0.9), (0.1, 0.6)])
+        contains_many, crosses_many = region_kernels(polygon)
+        assert contains_many == polygon.contains_many
+        assert crosses_many == polygon.crosses_boundary_many
+        circle = Circle(Point(0.5, 0.5), 0.3)
+        assert region_kernels(circle)[0] == circle.contains_many
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            Polygon([(0.2, 0.2), (0.8, 0.3), (0.5, 0.5), (0.7, 0.9), (0.1, 0.6)]),
+            Circle(Point(0.5, 0.5), 0.3),
+        ],
+        ids=["polygon", "circle"],
+    )
+    def test_missing_kernels_are_the_scalar_tests_mapped_over_the_columns(self, inner):
+        sx, sy, ex, ey = self._columns()
+        contains_many, crosses_many = region_kernels(_ScalarOnly(inner))
+        inside = contains_many(sx, sy)
+        crossing = crosses_many(sx, sy, ex, ey)
+        assert inside.dtype == bool and crossing.dtype == bool
+        assert inside.tolist() == [
+            inner.contains_point(Point(x, y)) for x, y in zip(sx.tolist(), sy.tolist())
+        ]
+        assert crossing.tolist() == [
+            inner.crosses_boundary_xy(*segment)
+            for segment in zip(sx.tolist(), sy.tolist(), ex.tolist(), ey.tolist())
+        ]
+        empty = np.empty(0)
+        assert contains_many(empty, empty).shape == (0,)
+        assert crosses_many(empty, empty, empty, empty).shape == (0,)
+
+    def test_the_contains_hook_replaces_even_an_array_kernel(self):
+        polygon = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        xs, ys, _, _ = self._columns(count=50)
+        calls = []
+
+        def contains(region, p):
+            calls.append((region, p))
+            return p.x < 0.5
+
+        contains_many, crosses_many = region_kernels(polygon, contains)
+        assert contains_many(xs, ys).tolist() == (xs < 0.5).tolist()
+        assert [p for _, p in calls] == [Point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert all(region is polygon for region, _ in calls)
+        assert crosses_many == polygon.crosses_boundary_many  # the hook is refinement only

@@ -13,6 +13,7 @@ from repro.io.persist import (
 )
 from repro.geometry.random_shapes import random_query_polygon
 from repro.workloads.generators import uniform_points
+from repro.query.spec import AreaQuery
 
 
 class TestPointsRoundTrip:
@@ -68,12 +69,12 @@ class TestDatabaseRoundTrip:
         for _ in range(5):
             area = random_query_polygon(0.05, rng=rng)
             assert (
-                restored.area_query(area, "voronoi").ids
-                == db.area_query(area, "voronoi").ids
+                restored.query(AreaQuery(area, method="voronoi")).ids()
+                == db.query(AreaQuery(area, method="voronoi")).ids()
             )
             assert (
-                restored.area_query(area, "traditional").ids
-                == db.area_query(area, "traditional").ids
+                restored.query(AreaQuery(area, method="traditional")).ids()
+                == db.query(AreaQuery(area, method="traditional")).ids()
             )
 
     def test_prepare_flag(self, tmp_path):

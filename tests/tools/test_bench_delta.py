@@ -63,6 +63,12 @@ class TestStableSet:
         assert "skewed_tail_latency" in STABLE_BENCHMARKS
         assert "overload_shedding" in STABLE_BENCHMARKS
 
+    def test_benches_whose_subject_left_the_tree_left_the_set(self):
+        # The scalar twins these two raced against were deleted (1.2);
+        # dropping them was the explicit edit the gate demands.
+        assert "columnar_refinement_speedup" not in STABLE_BENCHMARKS
+        assert "columnar_voronoi_speedup" not in STABLE_BENCHMARKS
+
 
 class TestCompare:
     def test_improvement_and_noise_are_not_regressions(self):

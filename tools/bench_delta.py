@@ -50,8 +50,6 @@ TOLERANCE = 0.10
 STABLE_BENCHMARKS = frozenset(
     {
         "batch_speedup_on_trace",
-        "columnar_refinement_speedup",
-        "columnar_voronoi_speedup",
         "composite_union_speedup",
         "heterogeneous_batch_speedup",
         "live_subscriptions",

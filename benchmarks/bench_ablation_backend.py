@@ -12,6 +12,11 @@ graph, in rows per second and in traced bytes per row (``bulk_build`` in
 ``BENCH_pr.json``), with the seconds at 1E4, 1E5 and 2E5 rows beside them
 — and, for the backend that serves writes, the pure build at 1E4 and 4E4
 rows and the microseconds of one ``add_point`` into the 1E4-row graph.
+Beside the Qhull seconds sits what a boot pays instead:
+``snapshot_load_s``, ``load_database`` of a graph-carrying 1E5-row
+snapshot (no Qhull, R-tree packing included), and
+``served_graph_bytes_per_row``, what the adopted graph holds once a
+Voronoi kNN has read it row by row (the CSR pair: there is no table).
 """
 
 import gc
@@ -25,9 +30,11 @@ import pytest
 from benchmarks.conftest import record_benchmark
 from repro.delaunay.backends import PureDelaunayBackend, ScipyDelaunayBackend
 from repro.core.database import SpatialDatabase
+from repro.geometry.point import Point
 from repro.geometry.random_shapes import random_query_polygon
+from repro.io.persist import load_database, save_database
 from repro.workloads.generators import uniform_points
-from repro.query.spec import AreaQuery
+from repro.query.spec import AreaQuery, KnnQuery
 
 BUILD_SIZES = (1_000, 5_000)
 BULK_ROWS = 100_000
@@ -109,6 +116,40 @@ def _bulk_bytes(rows: int):
     return (loaded - columns) / rows, (prepared - loaded) / rows
 
 
+def _snapshot_boot(rows: int, directory, index_bytes: float):
+    """Seconds to load a graph-carrying snapshot; graph bytes per row served.
+
+    The load is what ``serve --load`` runs: columns to a packed R-tree
+    plus the adopted CSR pair, no Qhull.  The bytes are traced over that
+    load and a Voronoi kNN read — the consumer that used to copy the
+    graph into a table — less the store's columns and the index's
+    ``index_bytes`` per row.
+    """
+    xy = np.random.default_rng(17).random((rows, 2))
+    built = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
+    written = save_database(directory / "bulk", built)
+    started = time.perf_counter()
+    db = load_database(written, prepare=True)
+    load_s = time.perf_counter() - started
+    for ours, theirs in zip(db.backend.neighbor_csr(), built.backend.neighbor_csr()):
+        assert np.array_equal(ours, theirs)
+    del db, built
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = load_database(written)
+        ids = db.query(KnnQuery(Point(0.5, 0.5), 10, method="voronoi")).ids()
+        gc.collect()
+        served = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 10 and not isinstance(db.backend.neighbor_table(), list)
+    store = db.store
+    columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
+    return load_s, (served - columns) / rows - index_bytes
+
+
 def _pure_build(rows: int):
     """Seconds for points -> pure graph + table, and per later insert."""
     points = uniform_points(rows, seed=19)
@@ -124,7 +165,7 @@ def _pure_build(rows: int):
     return build_s, add_point_s
 
 
-def test_bulk_build_rates():
+def test_bulk_build_rates(tmp_path):
     """Columns to a query-ready database, both structures.
 
     The gated numbers are the rates at ``BULK_ROWS``; the seconds at
@@ -134,6 +175,9 @@ def test_bulk_build_rates():
     seconds = {rows: _bulk_build(rows) for rows in BULK_SIZES}
     index_s, delaunay_s = seconds[BULK_ROWS]
     index_bytes, graph_bytes = _bulk_bytes(BULK_ROWS)
+    snapshot_load_s, served_graph_bytes = _snapshot_boot(
+        BULK_ROWS, tmp_path, index_bytes
+    )
     small, large = PURE_SIZES
     (small_s, add_point_s), (large_s, _) = _pure_build(small), _pure_build(large)
     record_benchmark(
@@ -143,6 +187,8 @@ def test_bulk_build_rates():
         delaunay_rows_per_s=round(BULK_ROWS / delaunay_s),
         index_bytes_per_row=round(index_bytes, 1),
         graph_bytes_per_row=round(graph_bytes, 1),
+        snapshot_load_s=round(snapshot_load_s, 3),
+        served_graph_bytes_per_row=round(served_graph_bytes, 1),
         pure_delaunay_rows_per_s=round(small / small_s),
         pure_delaunay_4e4_rows_per_s=round(large / large_s),
         pure_add_point_us=round(add_point_s * 1e6, 1),

@@ -267,6 +267,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _graph_summary(db) -> str:
+    """``N rows, M edges`` of ``db``'s Voronoi graph, for the boot lines."""
+    _, indices = db.backend.neighbor_csr()
+    rows = len(db.backend.neighbor_table())
+    return f"{rows:,} rows, {len(indices) // 2:,} edges"
+
+
 def _build_or_load_database(args: argparse.Namespace):
     """The served database: a ``--load`` snapshot or generated points."""
     from repro import SpatialDatabase
@@ -276,8 +283,16 @@ def _build_or_load_database(args: argparse.Namespace):
         from repro.io.persist import load_database
 
         print(f"Loading database snapshot {args.load} ...")
-        db = load_database(args.load, prepare=True)
+        db = load_database(args.load)
         print(f"  {len(db):,} points restored (row ids preserved)")
+        adopted = db._backend is not None
+        db.prepare()  # builds the graph only if the file carried none
+        how = (
+            "restored from the snapshot"
+            if adopted
+            else "rebuilt (snapshot carries no graph)"
+        )
+        print(f"  Voronoi graph {how}: {_graph_summary(db)}")
         return db
     print(f"Building a database of {args.points:,} uniform points...")
     db = SpatialDatabase.from_points(
@@ -698,6 +713,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
+    import os
+
     from repro import SpatialDatabase
     from repro.io.persist import save_database
     from repro.workloads.generators import uniform_points
@@ -711,6 +728,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"wrote {written} ({len(db):,} points; serve it with "
         f"`python -m repro serve --load {written}`)"
     )
+    if len(db):
+        print(
+            f"  Voronoi graph: {_graph_summary(db)}; "
+            f"file size {os.path.getsize(written):,} bytes"
+        )
     return 0
 
 

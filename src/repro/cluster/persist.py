@@ -8,13 +8,13 @@ the original id sequence), and one entry per shard file; each shard
 file holds the worker's live rows as an ``(n, 2)`` float64 ``xy`` array
 plus the parallel int64 ``gids`` array of their *global* ids.
 
-Like the single-process format (:mod:`repro.io.persist`), this persists
-*data + configuration*, not index bytes: workers rebuild their R-trees
-from the rows on load, and the coordinator rebuilds its catalog (keys
-recompute deterministically from coordinates).  Unlike the
-single-process format, tombstoned coordinates are dropped — the cluster
-catalog never hands a dead row to a shard, so shards reload live-only
-and rebuild fresh Voronoi supersets.
+This persists *data + configuration*, not index bytes: workers rebuild
+their R-trees from the rows on load, and the coordinator rebuilds its
+catalog (keys recompute deterministically from coordinates).  Unlike
+the single-process format (:mod:`repro.io.persist`), a shard file
+carries no Voronoi graph and tombstoned coordinates are dropped — the
+cluster catalog never hands a dead row to a shard, so shards reload
+live-only (one ``extend`` per worker) and build fresh Voronoi supersets.
 
 The files are plain numpy/JSON: a snapshot taken with N workers can be
 inspected — or re-sharded by external tooling — without the cluster

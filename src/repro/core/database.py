@@ -291,10 +291,13 @@ class SpatialDatabase:
         diagram is a precomputed database structure like the R-tree.
         What is built is what area queries read — the backend and its CSR
         graph (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`).
-        The neighbour *table* stays lazy: the first kNN walk or engine
-        seed walk builds it, and a database that serves only area and
-        window queries never does.  No query fills the store's ``Point``
-        cache; only callers asking for points do.
+        The neighbour *table* the kNN walks and engine seed walks index
+        is a view of that CSR pair on the Qhull backend — nothing more
+        is ever built there — and the pure backend's own list.  A
+        database restored from a snapshot that carried the graph
+        (:func:`repro.io.persist.load_database`) is already prepared.
+        No query fills the store's ``Point`` cache; only callers asking
+        for points do.
         """
         self.backend.neighbor_csr()
         return self

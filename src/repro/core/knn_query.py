@@ -169,10 +169,12 @@ def incremental_nearest(
     ``snapshot`` (a :class:`~repro.core.store.StoreSnapshot`) gives the
     generator full MVCC isolation for consumers that stay suspended
     across mutations (the server's chunked streams): the Delaunay
-    adjacency list is frozen with one O(n) pointer copy — incremental
-    inserts patch the live table's rows *in place*, so the copy pins the
-    admission-time graph (rows are immutable tuples) and, as a
-    consequence, bounds the walk to admission-time row ids — and yields
+    adjacency table is frozen by its prefix slice — incremental inserts
+    patch the pure backend's list *in place*, so the slice (one O(n)
+    pointer copy; rows are immutable tuples) pins the admission-time
+    graph, while the Qhull backend's table is a view of arrays no write
+    touches and its slice is O(1) — which, as a consequence, bounds the
+    walk to admission-time row ids — and yields
     are filtered by :meth:`~repro.core.store.StoreSnapshot.visible`, so
     rows deleted after admission still appear and rows inserted after
     admission never do.  Distances read rows below that bound from the
@@ -182,7 +184,7 @@ def incremental_nearest(
         bound = snapshot.size
         if bound == 0:
             return
-        # Freeze the admission-time graph: a shallow copy keeps the old
+        # Freeze the admission-time graph: the prefix keeps the old
         # (immutable) adjacency tuples even as add_point patches the
         # live list in place, and its length excludes later inserts.
         neighbor_table = backend.neighbor_table()[:bound]

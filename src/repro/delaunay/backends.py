@@ -13,29 +13,29 @@ implementations:
   optional accelerator for the paper-scale datasets (1E5–1E6 points) where
   pure-Python construction would dominate the experiment wall-clock.
 
-The graph has two forms and each backend owns one of them; the other is
-derived on first use and cached:
+Consumers read the graph through two interfaces:
 
 * the **CSR pair** (``indptr``, ``indices``; int64; 56 bytes a row) is what
   area queries read: Algorithm 1's expansion
   (:mod:`repro.core.voronoi_query`) gathers every wave's neighbours from
   it, and :meth:`SpatialDatabase.prepare
-  <repro.core.database.SpatialDatabase.prepare>` builds exactly this.  The
-  Qhull backend is born as these two arrays — from the store's coordinate
-  columns to the graph there is no Python-level loop over rows — and
-  answers :meth:`~DelaunayBackend.neighbors` from a slice of them.  Its
-  build time is Qhull's plus a few array passes (``bulk_build`` in
-  ``benchmarks/bench_ablation_backend.py`` records rows per second and
-  bytes per row).
-* the **table** (``list`` of ascending neighbour tuples, one per row; about
-  350 bytes a row) is what the traversals that step one vertex at a time
-  index: the
-  Voronoi kNN walks (:mod:`repro.core.knn_query`, and through them
-  ``live/delta.py``), and the batch engine's seed walks.  The pure backend
-  builds it from its triangulation and patches it in place on every
-  ``add_point``; its CSR is re-derived from the table after a write
-  (table → CSR).  The Qhull backend slices it out of the CSR (CSR → table)
-  the first time one of those consumers asks, and never if none does.
+  <repro.core.database.SpatialDatabase.prepare>` builds exactly this.
+* the **table** (``table[i]`` is row ``i``'s ascending neighbour tuple) is
+  what the traversals that step one vertex at a time index: the Voronoi
+  kNN walks (:mod:`repro.core.knn_query`, and through them
+  ``live/delta.py``), and the batch engine's seed walks.
+
+The Qhull backend holds **one** copy of the graph: it is born as the CSR
+pair — from the store's coordinate columns to the graph there is no
+Python-level loop over rows — or adopts a pair a snapshot carried
+(:meth:`ScipyDelaunayBackend.from_csr`), and its table is :class:`CsrRows`,
+a read-only row view over those same arrays that costs nothing to create
+and one slice per row read.  Its build time is Qhull's plus a few array
+passes (``bulk_build`` in ``benchmarks/bench_ablation_backend.py`` records
+rows per second and bytes per row).  The pure backend owns a real ``list``
+of tuples (about 350 bytes a row), built from its triangulation and
+patched in place on every ``add_point``; its CSR is re-derived from the
+list after a write.
 
 The test suite asserts both produce identical neighbour sets, so the choice
 is purely a build-speed knob; query traversals are byte-identical.
@@ -51,6 +51,49 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.predicates import _ORIENT_ERR_BOUND, orientation_sign
+
+
+class CsrRows(Sequence[Tuple[int, ...]]):
+    """A CSR graph read as a table: ``rows[i]`` is row ``i``'s tuple.
+
+    What :meth:`ScipyDelaunayBackend.neighbor_table` returns in place of
+    a ``list`` of tuples: a read-only view over the backend's own
+    ``indptr`` / ``indices`` arrays, so the graph is held once.  It
+    behaves like the list wherever the row-at-a-time traversals touch it
+    — ``len``, ``rows[i]`` (a tuple of ascending ints, as the arrays
+    store them), iteration, equality with a list of tuples — and its one
+    slice form, the prefix ``rows[:bound]``, is another view: O(1), where
+    slicing the list copied ``bound`` pointers.
+    """
+
+    __slots__ = ("_bounds", "_flat")
+
+    def __init__(self, indptr, indices) -> None:
+        self._bounds = memoryview(indptr).toreadonly()
+        self._flat = memoryview(indices).toreadonly()
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, item):
+        bounds = self._bounds
+        if isinstance(item, slice):
+            start, stop, step = item.indices(len(bounds) - 1)
+            if start != 0 or step != 1:
+                raise ValueError("only a prefix rows[:bound] can be sliced")
+            return CsrRows(bounds[: stop + 1], self._flat)
+        if item < 0:
+            item += len(bounds) - 1
+            if item < 0:
+                raise IndexError("row index out of range")
+        return tuple(self._flat[bounds[item] : bounds[item + 1]])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (CsrRows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            row == theirs for row, theirs in zip(self, other)
+        )
 
 
 class DelaunayBackend(ABC):
@@ -70,20 +113,22 @@ class DelaunayBackend(ABC):
     def name(self) -> str:
         """Registry name of the backend."""
 
-    def neighbor_table(self) -> list[Tuple[int, ...]]:
-        """Dense ``index -> neighbours`` table (built on first use, cached).
+    def neighbor_table(self) -> Sequence[Tuple[int, ...]]:
+        """Dense ``index -> neighbours`` table (made on first use, cached).
 
         For the traversals that visit one vertex at a time (the kNN heap
-        walk, seed walks): indexing a list is measurably cheaper than a
-        method call per point.  Area queries read :meth:`neighbor_csr`
-        and never ask for this.
+        walk, seed walks): indexing a sequence is measurably cheaper than
+        a :meth:`neighbors` call per point.  A ``list`` of tuples here;
+        the Qhull backend answers with a :class:`CsrRows` view of its
+        CSR arrays.  Area queries read :meth:`neighbor_csr` and never
+        ask for this.
         """
         cached = getattr(self, "_neighbor_table", None)
         if cached is None:
             cached = self._neighbor_table = self._build_neighbor_table()
         return cached
 
-    def _build_neighbor_table(self) -> list[Tuple[int, ...]]:
+    def _build_neighbor_table(self) -> Sequence[Tuple[int, ...]]:
         return [self.neighbors(i) for i in range(self.size)]
 
     def neighbor_csr(self):
@@ -171,8 +216,8 @@ class ScipyDelaunayBackend(DelaunayBackend):
     is built), every step from there to the graph is a whole-array
     operation, and the result *is* the CSR pair :meth:`neighbor_csr`
     returns (int64, rows ascending).  :meth:`neighbors` reads a slice of
-    it; :meth:`neighbor_table` is derived from it only when a caller asks
-    for the table.  Qhull's structures are gone before the constructor
+    it and :meth:`neighbor_table` is a :class:`CsrRows` view of it: the
+    graph is held once.  Qhull's structures are gone before the constructor
     returns and nothing of the input's size is held across its run, so
     the build peaks at Qhull's own memory.
 
@@ -236,13 +281,24 @@ class ScipyDelaunayBackend(DelaunayBackend):
             size,
         )
 
-    def _build_neighbor_table(self) -> list[Tuple[int, ...]]:
+    @classmethod
+    def from_csr(cls, indptr, indices) -> "ScipyDelaunayBackend":
+        """Adopt a graph this class built earlier, e.g. one a snapshot kept.
+
+        ``indptr`` / ``indices`` are what :meth:`neighbor_csr` returned
+        for the same rows (contiguous int64, rows ascending) and are
+        kept, not copied.  Nothing is checked here — the caller vouches
+        for them (:func:`repro.io.persist.load_database` validates what
+        it read) — and neither Qhull nor scipy is touched.
+        """
+        backend = cls.__new__(cls)
+        backend._size = len(indptr) - 1
+        backend._neighbor_csr = (indptr, indices, backend._size)
+        return backend
+
+    def _build_neighbor_table(self) -> CsrRows:
         indptr, indices, _ = self._neighbor_csr
-        bounds = indptr.tolist()
-        flat = indices.tolist()
-        return [
-            tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])
-        ]
+        return CsrRows(indptr, indices)
 
     def neighbors(self, index: int) -> Tuple[int, ...]:
         if index < 0:

@@ -222,7 +222,7 @@ class BatchResult(Sequence[QueryRecord]):
 
 
 def greedy_seed_walk(
-    neighbor_table: List[Tuple[int, ...]],
+    neighbor_table: Sequence[Tuple[int, ...]],
     store: "PointStore",
     start: int,
     target_x: float,

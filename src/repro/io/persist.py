@@ -1,24 +1,51 @@
 """Disk round-trips for point sets and databases.
 
-Format: a single numpy ``.npz`` archive holding
+Format: a single uncompressed numpy ``.npz`` archive holding
 
 * ``xy`` — an ``(n, 2)`` float64 array, row id = array row (so ids survive
   the round-trip exactly),
 * ``deleted`` — an int64 array of tombstoned row ids (present only when
   the database has deletions; their coordinates stay in ``xy`` so that
-  row ids — and the Voronoi superset graph — survive exactly), and
+  row ids — and the Voronoi superset graph — survive exactly),
+* ``graph_indptr`` / ``graph_indices`` — the Delaunay neighbour graph as
+  the int64 CSR pair :meth:`DelaunayBackend.neighbor_csr
+  <repro.delaunay.backends.DelaunayBackend.neighbor_csr>` returns, over
+  all ``n`` rows, tombstones included (present only for a
+  ``backend_kind="scipy"`` database with rows), and
 * ``config`` — a JSON-encoded scalar with the database configuration
-  (index kind, backend kind, format version).
+  (index kind, backend kind, row count, format version).
 
-Design choice: we persist *data + configuration*, not the index/diagram
-byte layout.  Both access structures rebuild deterministically from the
-data (STR bulk load; Delaunay uniqueness up to degeneracies) and are built
-from the restored columns as arrays — about 0.3 s of index and 0.9 s of
-Qhull graph per 1E5 rows, against ~0.01 s to decompress them
-(``bulk_build`` in ``benchmarks/bench_ablation_backend.py``;
-docs/BENCHMARKS.md, "Bulk build") — and the format stays readable by plain
-numpy: the same trade most point-data systems make for their bulk
-snapshots.
+A snapshot of a Qhull-backed database is a **serving image**: the paper
+treats the Voronoi diagram as a precomputed structure beside the R-tree,
+so the saver runs Qhull (once, if the database had not built its graph
+yet) and every later boot adopts the saved arrays — no Qhull, no scipy
+import: about 0.1 s per 1E5 rows to read the file and pack the R-tree,
+instead of that plus 0.45 s of import and 0.6 s of triangulation
+(``snapshot_load_s`` beside the Qhull seconds in ``bulk_build``,
+``benchmarks/bench_ablation_backend.py``; docs/BENCHMARKS.md, "Bulk
+build").  The R-tree is not persisted: it packs deterministically from
+the columns with array sorts in under a tenth of a second.  The pure
+backend's graph is not either: that backend is the one that absorbs
+writes, and what it maintains is its triangulation, which a neighbour
+graph does not restore.
+
+The graph members are optional and the format version is unchanged: a
+file without them (any snapshot written before they existed) loads and
+builds its graph lazily or on ``prepare=True``.  A file with them is not
+trusted: :func:`load_database` checks the pair structurally (lengths
+against the row count, ``indptr`` starting at 0, never decreasing and
+ending at ``len(indices)``, every index a row id) and raises
+``ValueError("corrupt database file: ...")`` rather than serve from a
+graph that would index out of range or loop.
+
+The archive is written uncompressed: 7.2 MB per 1E5 rows in 15 ms.  zlib
+would bring that to 3.4 MB (the graph's int64s compress; random float64
+coordinates do not: 1.60 to 1.51 MB) for 0.6 s of saving per 1E5 rows —
+as long as the Qhull run it sits beside — and inflating on every boot.
+Writes are atomic — a sibling temporary file renamed over
+the final name — so a crash or a failed graph build never leaves a
+truncated archive where ``serve --load`` will look.  The format stays
+readable by plain numpy.
 """
 
 from __future__ import annotations
@@ -31,17 +58,18 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
+from repro.delaunay.backends import ScipyDelaunayBackend
 
 _FORMAT_VERSION = 1
+_GRAPH_MEMBERS = ("graph_indptr", "graph_indices")
 
 
 def _written_path(path: str | os.PathLike) -> str:
-    """The path numpy actually writes: ``.npz`` appended if missing.
+    """The path a save function writes: ``.npz`` appended if missing.
 
-    ``np.savez_compressed`` silently renames ``snapshot`` to
-    ``snapshot.npz``; save functions return this resolved path so
-    callers (the ``serve --load`` CLI round-trip) can hand it straight
-    back to the loaders.
+    The rule ``np.savez`` applies to a file name.  Save functions return
+    this resolved path so callers (the ``serve --load`` CLI round-trip)
+    can hand it straight back to the loaders.
     """
     text = os.fspath(path)
     return text if text.endswith(".npz") else text + ".npz"
@@ -64,6 +92,28 @@ def _resolve_path(path: str | os.PathLike) -> str:
     return text  # np.load reports the FileNotFoundError with this name
 
 
+def _write_archive(path: str | os.PathLike, members: dict) -> str:
+    """Write ``members`` as the ``.npz`` at ``path``, all or nothing.
+
+    The bytes go to a temporary file beside the target, are flushed to
+    disk, and only then renamed over it: whatever fails on the way, the
+    name holds either the previous archive or the complete new one.
+    Returns the path written (``.npz`` appended if missing).
+    """
+    final = _written_path(path)
+    temporary = f"{final}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as handle:
+            np.savez(handle, **members)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, final)
+    finally:
+        if os.path.exists(temporary):  # the rename did not happen
+            os.remove(temporary)
+    return final
+
+
 def save_points(path: str | os.PathLike, points: List[Point]) -> str:
     """Write a bare point list to ``path`` (numpy ``.npz``).
 
@@ -72,8 +122,7 @@ def save_points(path: str | os.PathLike, points: List[Point]) -> str:
     xy = np.asarray([(p.x, p.y) for p in points], dtype=np.float64).reshape(
         len(points), 2
     )
-    np.savez_compressed(path, xy=xy)
-    return _written_path(path)
+    return _write_archive(path, {"xy": xy})
 
 
 def load_points(path: str | os.PathLike) -> List[Point]:
@@ -88,16 +137,20 @@ def load_points(path: str | os.PathLike) -> List[Point]:
 
 
 def save_database(path: str | os.PathLike, db: SpatialDatabase) -> str:
-    """Write ``db``'s points and configuration to ``path``.
+    """Write ``db``'s points, configuration and Qhull graph to ``path``.
 
     The payload comes straight off the database's columnar
     :class:`~repro.core.store.PointStore` (one numpy stack of the
     ``xs``/``ys`` columns — no per-point Python conversion; the loading
     side mirrors this through :meth:`SpatialDatabase.from_arrays
-    <repro.core.database.SpatialDatabase.from_arrays>`).  Returns the
-    path actually written (numpy appends the ``.npz`` extension if
-    missing), so callers can pass it straight to :func:`load_database` —
-    or to ``python -m repro serve --load``.
+    <repro.core.database.SpatialDatabase.from_arrays>`).  A
+    ``backend_kind="scipy"`` database also writes its neighbour graph,
+    building it first if it has not yet: the reader that matters,
+    ``serve --load``, always wants it, so Qhull runs once per snapshot
+    instead of once per boot.  A failed build raises and writes nothing.
+    Returns the path actually written (the ``.npz`` extension is
+    appended if missing), so callers can pass it straight to
+    :func:`load_database` — or to ``python -m repro serve --load``.
     """
     xy = db.store.as_xy()
     config = json.dumps(
@@ -115,8 +168,37 @@ def save_database(path: str | os.PathLike, db: SpatialDatabase) -> str:
         # are re-deleted on load; deletion *versions* are not persisted
         # — snapshots are an MVCC-session concept, not a disk one.
         payload["deleted"] = np.asarray(sorted(deleted), dtype=np.int64)
-    np.savez_compressed(path, **payload)
-    return _written_path(path)
+    if db._backend_kind == "scipy" and len(db.store):
+        payload.update(zip(_GRAPH_MEMBERS, db.backend.neighbor_csr()))
+    return _write_archive(path, payload)
+
+
+def _check_graph(indptr, indices, count: int) -> None:
+    """``ValueError`` unless the persisted CSR pair is a graph over ``count`` rows.
+
+    Everything a traversal relies on without checking: ``count + 1`` row
+    bounds that start at 0, never decrease and end at ``len(indices)``,
+    and indices that are all row ids.
+    """
+    problem = None
+    if indptr.dtype != np.int64 or indices.dtype != np.int64:
+        problem = f"graph dtypes {indptr.dtype}/{indices.dtype} are not int64"
+    elif indptr.shape != (count + 1,) or indices.ndim != 1:
+        problem = (
+            f"graph members have shapes {indptr.shape} and {indices.shape}, "
+            f"{count} rows need ({count + 1},) and one axis"
+        )
+    elif indptr[0] != 0 or indptr[-1] != len(indices):
+        problem = (
+            f"graph row bounds span {indptr[0]}..{indptr[-1]}, "
+            f"the graph holds {len(indices)} neighbours"
+        )
+    elif (indptr[1:] < indptr[:-1]).any():
+        problem = "graph row bounds decrease"
+    elif len(indices) and not 0 <= indices.min() <= indices.max() < count:
+        problem = f"graph names a row outside 0..{count - 1}"
+    if problem is not None:
+        raise ValueError(f"corrupt database file: {problem}")
 
 
 def load_database(
@@ -130,11 +212,19 @@ def load_database(
     The persisted columns go to :meth:`SpatialDatabase.from_arrays
     <repro.core.database.SpatialDatabase.from_arrays>` as arrays: the
     R-tree is packed from them with array sorts and keeps slices of the
-    packed copies in its leaves, and the Qhull graph, when it is built,
-    reads them too — neither creates a ``Point``.  ``path`` may be the
-    exact file or the extensionless name the saver was given.  Pass
-    ``prepare=True`` to rebuild the Voronoi backend eagerly; by default
-    it stays lazy, like a freshly constructed database.
+    packed copies in its leaves — no ``Point`` is created.  ``path`` may
+    be the exact file or the extensionless name the saver was given.
+
+    A file that carries the neighbour graph has it checked (see the
+    module docstring; ``ValueError`` if it fails) and adopted as the
+    database's backend (:meth:`ScipyDelaunayBackend.from_csr
+    <repro.delaunay.backends.ScipyDelaunayBackend.from_csr>`): the
+    database comes back prepared whatever ``prepare`` says, Qhull does
+    not run and scipy is not imported.  A later ``insert`` drops the
+    adopted backend for a lazy rebuild, like any Qhull backend.  For a
+    file without a graph, pass ``prepare=True`` to rebuild the Voronoi
+    backend eagerly; by default it stays lazy, like a freshly
+    constructed database.
     """
     with np.load(_resolve_path(path), allow_pickle=False) as archive:
         xy = archive["xy"]
@@ -142,6 +232,7 @@ def load_database(
         deleted = (
             archive["deleted"].tolist() if "deleted" in archive else []
         )
+        graph = [archive[name] for name in _GRAPH_MEMBERS if name in archive]
     if config.get("version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported database file version {config.get('version')!r}"
@@ -160,6 +251,14 @@ def load_database(
     )
     for row_id in deleted:  # replay tombstones; ids stay positional
         db.delete(int(row_id))
+    if graph and config["backend_kind"] == "scipy":
+        if len(graph) != len(_GRAPH_MEMBERS):
+            raise ValueError(
+                "corrupt database file: one of "
+                f"{' / '.join(_GRAPH_MEMBERS)} is missing"
+            )
+        _check_graph(*graph, len(xy))
+        db._backend = ScipyDelaunayBackend.from_csr(*graph)
     if prepare:
         db.prepare()
     return db

@@ -29,6 +29,7 @@ from oracle import (
 )
 from repro.core import voronoi_query
 from repro.core.database import SpatialDatabase
+from repro.delaunay.backends import CsrRows
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -336,3 +337,53 @@ class TestObjectFreeReadPath:
         store = db.store
         columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
         assert (traced - columns) / rows <= 150
+
+    def test_vertex_at_a_time_reads_hold_one_graph_and_no_table(self):
+        """The kNN walks and seed walks read the CSR through a view: the
+        per-row budget of the test above still holds after them."""
+        import scipy.spatial  # noqa: F401  (its import is not the database's)
+
+        rows = 50_000
+        rng = np.random.default_rng(81)
+        xs, ys = rng.random(rows), rng.random(rows)
+        model = dict(enumerate(zip(xs.tolist(), ys.tolist())))
+        walked = [
+            KnnQuery(Point(0.4 + 0.004 * i, 0.6), 9, method="voronoi")
+            for i in range(8)
+        ] + [
+            AreaQuery(Circle(Point(0.41 + 0.004 * i, 0.61), 0.01), method="voronoi")
+            for i in range(4)
+        ]
+        streamed = KnnQuery(Point(0.7, 0.2), None)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            db = SpatialDatabase.from_arrays(xs, ys, backend_kind="scipy").prepare()
+            answers = [db.query(spec).ids() for spec in walked[:2]]
+            first = db.query(streamed).first(25)  # under a store snapshot
+            batch = db.query_batch(walked, use_cache=False)
+            answers += [result.ids() for result in batch]
+            reuses = batch.stats.seed_walk_reuses
+            del batch
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0]
+            table = db.backend.neighbor_table()
+            before = tracemalloc.get_traced_memory()[0]
+            prefix = table[: rows - 7]
+            prefix_bytes = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert answers == [brute_force(spec, model) for spec in walked[:2] + walked]
+        assert first == brute_force(streamed, model)[:25]
+        assert reuses > 0
+        assert isinstance(table, CsrRows) and not isinstance(table, list)
+        assert table is db.backend.neighbor_table()
+        store = db.store
+        columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
+        assert (traced - columns) / rows <= 150
+        # the streamed read's frozen graph is a view of the same arrays
+        assert isinstance(prefix, CsrRows) and len(prefix) == rows - 7
+        assert prefix_bytes < 1024
+        assert prefix[rows - 8] == table[rows - 8] == db.backend.neighbors(rows - 8)
+        with pytest.raises(IndexError):
+            prefix[rows - 7]

@@ -1,10 +1,30 @@
-"""Round-trip tests for database persistence."""
+"""Round-trip tests for database persistence.
+
+A snapshot of a Qhull-backed database carries its neighbour graph: the
+graph classes below save, load and compare the loaded database with
+``tests/oracle.py``'s brute-force scan, corrupt the graph members one
+way at a time, and serve the committed fixture ``data/graph-300.npz`` in
+a subprocess that must never import scipy.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracle import brute_force, live_rows
+from repro.delaunay.backends import CsrRows
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 from repro.core.database import SpatialDatabase
+from repro.io import persist
 from repro.io.persist import (
     load_database,
     load_points,
@@ -13,7 +33,9 @@ from repro.io.persist import (
 )
 from repro.geometry.random_shapes import random_query_polygon
 from repro.workloads.generators import uniform_points
-from repro.query.spec import AreaQuery
+from repro.query.spec import AreaQuery, KnnQuery, WindowQuery
+
+FIXTURE = Path(__file__).parent / "data" / "graph-300.npz"
 
 
 class TestPointsRoundTrip:
@@ -129,3 +151,336 @@ class TestDatabaseRoundTrip:
         )
         with pytest.raises(ValueError, match="corrupt"):
             load_database(path)
+
+
+# -- the snapshot as a serving image ------------------------------------------
+
+
+def _columns(kind):
+    rng = np.random.default_rng(271)
+    if kind == "duplicates":  # 400 locations, about 4 rows on each
+        return rng.integers(0, 20, 1500) / 20.0, rng.integers(0, 20, 1500) / 20.0
+    if kind == "collinear":  # no triangle: the graph is a chain
+        xs = rng.permutation(32) / 32.0  # dyadic: the line is exact in floats
+        return xs, 0.25 + 0.5 * xs
+    if kind.startswith("n="):
+        rows = int(kind[2:])
+        return np.array([0.5, 0.25, 0.75])[:rows], np.array([0.5, 0.25, 0.3])[:rows]
+    return rng.random(1500), rng.random(1500)
+
+
+def _graph_database(kind):
+    """A scipy-kind database of ``kind`` rows, its graph not built yet."""
+    xs, ys = _columns(kind)
+    db = SpatialDatabase.from_arrays(xs, ys, backend_kind="scipy")
+    if kind == "tombstones":
+        for row in random.Random(273).sample(range(1500), 300):
+            db.delete(row)
+    return db
+
+
+def _voronoi_specs():
+    rng = random.Random(277)
+    regions = [random_query_polygon(query_size=size, rng=rng) for size in (0.2, 0.02)]
+    regions += [
+        Polygon.from_rect(Rect(0.2, 0.2, 0.8, 0.8)),
+        Circle(Point(0.5, 0.5), 0.2),
+    ]
+    specs = [AreaQuery(region, method="voronoi") for region in regions]
+    specs += [WindowQuery(Rect(0.3, 0.3, 0.6, 0.7), method="voronoi")]
+    # neighbouring kNN positions: in a batch, each seeds the next's walk
+    specs += [
+        KnnQuery(Point(0.3 + 0.02 * i, 0.45), 7, method="voronoi") for i in range(6)
+    ]
+    return specs
+
+
+def _assert_answers_like_brute_force(db):
+    rows = live_rows(db)
+    specs = _voronoi_specs()
+    for spec in specs:
+        assert db.query(spec).ids() == brute_force(spec, rows), spec
+    batch = db.query_batch(specs, use_cache=False)
+    for spec, result in zip(specs, batch):
+        assert result.ids() == brute_force(spec, rows), spec
+    if len(db.store) > 100:
+        assert batch.stats.seed_walk_reuses > 0
+    return specs
+
+
+GRAPH_KINDS = ["plain", "tombstones", "duplicates", "collinear", "n=1", "n=2", "n=3"]
+
+
+@pytest.mark.usefixtures("requires_scipy")
+class TestGraphRoundTrip:
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_loaded_graph_is_the_savers_and_answers_like_brute_force(
+        self, kind, tmp_path, monkeypatch
+    ):
+        db = _graph_database(kind)
+        assert db._backend is None  # unprepared: the saver builds the graph
+        written = save_database(tmp_path / "image", db)
+        with np.load(written) as archive:
+            assert {"graph_indptr", "graph_indices"} <= set(archive.files)
+            assert json.loads(str(archive["config"]))["version"] == 1
+
+        # No backend is built on the loading side, whatever prepare= says.
+        def no_build(*args, **kwargs):
+            raise AssertionError("the loader built a backend")
+
+        monkeypatch.setattr("repro.core.database.make_backend", no_build)
+        for prepare in (False, True):
+            restored = load_database(written, prepare=prepare)
+            for ours, theirs in zip(
+                restored.backend.neighbor_csr(), db.backend.neighbor_csr()
+            ):
+                assert ours.dtype == theirs.dtype == np.int64
+                assert np.array_equal(ours, theirs)
+        assert live_rows(restored) == live_rows(db)
+        _assert_answers_like_brute_force(restored)
+        assert isinstance(restored.backend.neighbor_table(), CsrRows)
+
+    def test_insert_after_adoption_rebuilds(self, tmp_path):
+        written = save_database(tmp_path / "image", _graph_database("plain"))
+        restored = load_database(written)
+        adopted = restored.backend
+        new_row = restored.insert((0.31, 0.45))
+        assert restored._backend is None  # dropped for a lazy rebuild
+        assert restored.backend is not adopted
+        assert restored.backend.size == 1501
+        assert new_row in restored.query(
+            KnnQuery(Point(0.31, 0.45), 7, method="voronoi")
+        ).ids()
+        _assert_answers_like_brute_force(restored)
+
+    def test_snapshot_written_the_old_way_loads_and_rebuilds(self, tmp_path):
+        """``xy`` + ``config`` only, compressed: every earlier snapshot."""
+        db = _graph_database("tombstones")
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            xy=db.store.as_xy(),
+            config=np.asarray(
+                json.dumps(
+                    {
+                        "version": 1,
+                        "index_kind": "rtree",
+                        "backend_kind": "scipy",
+                        "count": len(db.store),
+                    }
+                )
+            ),
+            deleted=np.asarray(sorted(db.store.deleted_rows), dtype=np.int64),
+        )
+        lazy = load_database(path)
+        assert lazy._backend is None
+        restored = load_database(path, prepare=True)
+        assert restored._backend is not None
+        for ours, theirs in zip(
+            restored.backend.neighbor_csr(), db.backend.neighbor_csr()
+        ):
+            assert np.array_equal(ours, theirs)
+        _assert_answers_like_brute_force(restored)
+
+
+def test_pure_database_saves_no_graph_and_loads_lazily(tmp_path):
+    db = SpatialDatabase.from_points(uniform_points(200, seed=281)).prepare()
+    written = save_database(tmp_path / "pure", db)
+    with np.load(written) as archive:
+        assert sorted(archive.files) == ["config", "xy"]
+    assert load_database(written)._backend is None
+    assert load_database(written, prepare=True).backend.name == "pure"
+
+
+# -- corrupt graphs raise, never answer ---------------------------------------
+
+
+def _truncated_indices(indptr, indices):
+    return indptr, indices[:-1]
+
+
+def _out_of_range_index(indptr, indices):
+    indices = indices.copy()
+    indices[len(indices) // 2] = len(indptr) - 1  # one past the last row
+    return indptr, indices
+
+
+def _negative_index(indptr, indices):
+    indices = indices.copy()
+    indices[0] = -1
+    return indptr, indices
+
+
+def _decreasing_indptr(indptr, indices):
+    indptr = indptr.copy()
+    indptr[10], indptr[11] = indptr[11], indptr[10]
+    return indptr, indices
+
+
+def _short_indptr(indptr, indices):
+    return indptr[:-1], indices
+
+
+def _indptr_not_from_zero(indptr, indices):
+    indptr = indptr.copy()
+    indptr[0] = 1
+    return indptr, indices
+
+
+def _float_members(indptr, indices):
+    return indptr.astype(np.float64), indices.astype(np.float64)
+
+
+CORRUPTIONS = [
+    _truncated_indices,
+    _out_of_range_index,
+    _negative_index,
+    _decreasing_indptr,
+    _short_indptr,
+    _indptr_not_from_zero,
+    _float_members,
+]
+
+
+class TestCorruptGraph:
+    """Runs off the committed fixture, so also where scipy is absent."""
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    def test_raises_value_error(self, corrupt, tmp_path):
+        with np.load(FIXTURE) as archive:
+            members = {name: archive[name] for name in archive.files}
+        members["graph_indptr"], members["graph_indices"] = corrupt(
+            members["graph_indptr"], members["graph_indices"]
+        )
+        path = tmp_path / "corrupt.npz"
+        np.savez(path, **members)
+        for prepare in (False, True):
+            with pytest.raises(ValueError, match="corrupt database file"):
+                load_database(path, prepare=prepare)
+
+    def test_one_member_missing(self, tmp_path):
+        with np.load(FIXTURE) as archive:
+            members = {name: archive[name] for name in archive.files}
+        del members["graph_indices"]
+        path = tmp_path / "corrupt.npz"
+        np.savez(path, **members)
+        with pytest.raises(ValueError, match="corrupt database file"):
+            load_database(path)
+
+
+# -- the fixture: format stability, and serving without scipy -----------------
+
+_SERVE_FIXTURE = """
+import json, sys
+from repro.io.persist import load_database
+from repro.geometry.circle import Circle
+from repro.geometry.point import Point
+from repro.geometry.rectangle import Rect
+from repro.query.spec import AreaQuery, KnnQuery, WindowQuery
+
+db = load_database(sys.argv[1], prepare=True)
+answers = [
+    db.query(AreaQuery(Circle(Point(0.5, 0.5), 0.3), method="voronoi")).ids(),
+    db.query(KnnQuery(Point(0.4, 0.6), 12, method="voronoi")).ids(),
+    db.query(WindowQuery(Rect(0.1, 0.2, 0.6, 0.9))).ids(),
+    db.query(WindowQuery(Rect(0.3, 0.3, 0.7, 0.7), method="voronoi")).ids(),
+]
+print(json.dumps({"scipy": "scipy" in sys.modules, "answers": answers}))
+"""
+
+
+class TestFixtureServesWithoutScipy:
+    """``data/graph-300.npz``: ``save_database`` of a seeded 300-row scipy
+    database with 20 tombstones (regenerate with ``_write_fixture``)."""
+
+    def test_fixture_is_what_the_saver_writes_today(self, requires_scipy, tmp_path):
+        written = _write_fixture(tmp_path / "again")
+        with np.load(FIXTURE) as kept, np.load(written) as fresh:
+            assert sorted(kept.files) == sorted(fresh.files)
+            for name in kept.files:
+                assert np.array_equal(kept[name], fresh[name]), name
+
+    def test_served_in_a_process_that_never_imports_scipy(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _SERVE_FIXTURE, str(FIXTURE)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["scipy"] is False
+        rows = live_rows(load_database(FIXTURE))
+        assert len(rows) == 280
+        specs = [
+            AreaQuery(Circle(Point(0.5, 0.5), 0.3), method="voronoi"),
+            KnnQuery(Point(0.4, 0.6), 12, method="voronoi"),
+            WindowQuery(Rect(0.1, 0.2, 0.6, 0.9)),
+            WindowQuery(Rect(0.3, 0.3, 0.7, 0.7), method="voronoi"),
+        ]
+        assert report["answers"] == [brute_force(spec, rows) for spec in specs]
+
+
+def _write_fixture(path):
+    rng = np.random.default_rng(300)
+    db = SpatialDatabase.from_arrays(
+        rng.random(300), rng.random(300), backend_kind="scipy"
+    )
+    for row in random.Random(300).sample(range(300), 20):
+        db.delete(row)
+    return save_database(path, db)
+
+
+# -- atomic writes ------------------------------------------------------------
+
+
+class TestAtomicWrites:
+    def _failing(self, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(name, fail)
+
+    @pytest.mark.parametrize("step", ["numpy.savez", "os.replace"])
+    def test_failed_save_keeps_the_previous_file(self, step, tmp_path, monkeypatch):
+        first = SpatialDatabase.from_points(uniform_points(50, seed=283))
+        second = SpatialDatabase.from_points(uniform_points(80, seed=285))
+        written = save_database(tmp_path / "db", first)
+        before = Path(written).read_bytes()
+        self._failing(monkeypatch, step)
+        with pytest.raises(RuntimeError, match="injected"):
+            save_database(tmp_path / "db", second)
+        with pytest.raises(RuntimeError, match="injected"):
+            save_points(tmp_path / "db", second.points)
+        monkeypatch.undo()
+        assert Path(written).read_bytes() == before
+        assert os.listdir(tmp_path) == ["db.npz"]  # no temporary left behind
+        assert len(load_database(written)) == 50
+
+    def test_failed_graph_build_writes_nothing(
+        self, requires_scipy, tmp_path, monkeypatch
+    ):
+        db = _graph_database("plain")
+        self._failing(monkeypatch, "scipy.spatial.Delaunay")
+        with pytest.raises(RuntimeError, match="injected"):
+            save_database(tmp_path / "db", db)
+        assert os.listdir(tmp_path) == []
+
+    def test_truncated_write_is_never_visible(self, tmp_path, monkeypatch):
+        """A writer that dies mid-archive: the name still loads the old rows."""
+        first = SpatialDatabase.from_points(uniform_points(50, seed=287))
+        written = save_database(tmp_path / "db", first)
+
+        def half_written(handle, **members):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persist.np, "savez", half_written)
+        with pytest.raises(OSError, match="disk full"):
+            save_database(tmp_path / "db", first)
+        monkeypatch.undo()
+        assert len(load_database(written)) == 50
+        assert os.listdir(tmp_path) == ["db.npz"]

@@ -135,6 +135,7 @@ class TestCLI:
 
 
 class TestServerCLI:
+    @pytest.mark.usefixtures("requires_scipy")  # the snapshot carries the Qhull graph
     def test_snapshot_writes_loadable_database(self, tmp_path, capsys):
         from repro.io.persist import load_database
 
@@ -151,7 +152,12 @@ class TestServerCLI:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "snap.npz" in out
-        assert len(load_database(out_path)) == 300
+        restored = load_database(out_path)
+        assert len(restored) == 300
+        edges = len(restored.backend.neighbor_csr()[1]) // 2
+        assert f"Voronoi graph: 300 rows, {edges} edges" in out
+        size = (tmp_path / "snap.npz").stat().st_size
+        assert f"file size {size:,} bytes" in out
 
     @pytest.mark.usefixtures("requires_scipy")
     def test_serve_load_plumbing(self, tmp_path, capsys):
@@ -172,7 +178,32 @@ class TestServerCLI:
         restored = _build_or_load_database(args)
         assert len(restored) == 250  # the snapshot, not --points
         assert restored.points == db.points
-        assert "restored" in capsys.readouterr().out
+        assert "graph restored from the snapshot" in capsys.readouterr().out
+
+    @pytest.mark.usefixtures("requires_scipy")
+    def test_serve_load_says_when_it_rebuilds_the_graph(self, tmp_path, capsys):
+        """A snapshot from before the graph members: same rows, one Qhull."""
+        import argparse
+
+        import numpy as np
+
+        from repro.__main__ import _build_or_load_database
+
+        config = (
+            '{"version": 1, "index_kind": "rtree", '
+            '"backend_kind": "scipy", "count": 250}'
+        )
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            xy=np.random.default_rng(5).random((250, 2)),
+            config=np.asarray(config),
+        )
+        restored = _build_or_load_database(argparse.Namespace(load=str(path)))
+        assert len(restored) == 250 and restored._backend is not None
+        out = capsys.readouterr().out
+        assert "graph rebuilt (snapshot carries no graph)" in out
+        assert "restored from the snapshot" not in out
 
     @pytest.mark.usefixtures("requires_scipy")
     def test_query_remote_round_trip(self, tmp_path, capsys):

@@ -259,6 +259,8 @@ class TestMain:
         ("pure_add_point_us", -1),
         ("index_bytes_per_row", -1),
         ("graph_bytes_per_row", -1),
+        ("snapshot_load_s", -1),
+        ("served_graph_bytes_per_row", -1),
     ],
 )
 def test_direction_heuristic(name, direction):

@@ -34,8 +34,8 @@ Packages
     From-scratch planar geometry kernel (points, robust predicates,
     segments, rectangles, simple polygons, random polygon workloads).
 ``repro.index``
-    Spatial indexes: R-tree (the paper's), R*-tree, k-d tree, PR quadtree,
-    uniform grid, brute force — one common interface.
+    The paper's R-tree (and its R*-tree variant) on columnar leaves, plus
+    the brute-force oracle the trees are tested against.
 ``repro.delaunay``
     Bowyer–Watson Delaunay triangulation, the Voronoi dual (cells +
     neighbour graph), and pluggable neighbour backends.

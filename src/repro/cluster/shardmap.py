@@ -143,8 +143,6 @@ def key_intervals(
         > QUAD_COVER_CAP
     ):
         shift += 1
-    if shift >= order:  # pragma: no cover - cap >= 4 always terminates
-        return [(0, 4**order)]
     quad_order = order - shift
     width = 2 * shift  # key bits per quad: 4**shift keys
     intervals = []
@@ -383,8 +381,6 @@ class ShardMap:
         x_lo, x_hi = cell_index(min_x, side), cell_index(max_x, side)
         y_lo, y_hi = cell_index(min_y, side), cell_index(max_y, side)
         shift = _cover_shift(order, x_lo, x_hi, y_lo, y_hi)
-        if shift >= order:  # pragma: no cover - cap >= 4 always terminates
-            return self._workers
         owners = set()
         everyone = len(self._workers)
         for qx in range(x_lo >> shift, (x_hi >> shift) + 1):
@@ -415,8 +411,6 @@ class ShardMap:
         y_lo = cell_index(cy - radius, side)
         y_hi = cell_index(cy + radius, side)
         shift = _cover_shift(order, x_lo, x_hi, y_lo, y_hi)
-        if shift >= order:  # pragma: no cover - cap >= 4 always terminates
-            return self._workers
         quad_order = order - shift
         quad_side = 1 << quad_order
         r2 = radius * radius

@@ -48,7 +48,7 @@ from repro.geometry.kernels import region_kernels
 from repro.geometry.point import Point
 from repro.geometry.region import QueryRegion
 from repro.index import make_index
-from repro.index.base import SpatialIndex
+from repro.index.rtree import RTree
 from repro.delaunay.backends import DelaunayBackend, make_backend
 from repro.core.exceptions import EmptyDatabaseError
 from repro.core.store import PointStore, PointsView
@@ -66,23 +66,20 @@ class SpatialDatabase:
     Parameters
     ----------
     index_kind:
-        Registry name of the spatial index (default ``"rtree"``, as in the
-        paper).  See :data:`repro.index.INDEX_REGISTRY`.
+        The spatial index: ``"rtree"`` (default, as in the paper) or
+        ``"rstar"``.  See :data:`repro.index.INDEX_REGISTRY`.
     backend_kind:
         Voronoi-neighbour backend: ``"pure"`` (our Bowyer–Watson, default)
         or ``"scipy"`` (Qhull-accelerated, identical neighbour sets).
-    index_kwargs:
-        Extra constructor arguments for the index (e.g. ``max_entries``).
     """
 
     def __init__(
         self,
         index_kind: str = "rtree",
         backend_kind: str = "pure",
-        **index_kwargs,
     ) -> None:
         self._store = PointStore()
-        self._index: SpatialIndex = make_index(index_kind, **index_kwargs)
+        self._index: RTree = make_index(index_kind)
         self._index_kind = index_kind
         self._backend_kind = backend_kind
         self._backend: Optional[DelaunayBackend] = None
@@ -97,10 +94,9 @@ class SpatialDatabase:
         *,
         index_kind: str = "rtree",
         backend_kind: str = "pure",
-        **index_kwargs,
     ) -> "SpatialDatabase":
         """Bulk-build a database from an iterable of points or (x, y) pairs."""
-        db = cls(index_kind, backend_kind, **index_kwargs)
+        db = cls(index_kind, backend_kind)
         db.extend(points)
         return db
 
@@ -112,7 +108,6 @@ class SpatialDatabase:
         *,
         index_kind: str = "rtree",
         backend_kind: str = "pure",
-        **index_kwargs,
     ) -> "SpatialDatabase":
         """Bulk-build from coordinate arrays (row id = array index).
 
@@ -121,28 +116,30 @@ class SpatialDatabase:
         both access structures are built from those columns, with no
         Python object per row.  The R-tree sorts and tiles them as arrays
         and its leaves keep slices of the packed copies (:meth:`RTree.bulk_load
-        <repro.index.rtree.RTree.bulk_load>`; the other index kinds take
-        the same rows as ``(Point, id)`` entries); the Qhull backend reads
-        the columns and is born as the CSR graph.  A database built this
+        <repro.index.rtree.RTree.bulk_load>`); the Qhull backend reads the
+        columns and is born as the CSR graph.  A database built this
         way and then queried with area specs never builds a ``Point``
         except the ones a caller asks for (:attr:`points`,
         :meth:`point`, result ``.points()``).  Snapshot restores
         (:func:`repro.io.persist.load_database`, ``repro serve --load``)
         come through here.
         """
-        db = cls(index_kind, backend_kind, **index_kwargs)
+        db = cls(index_kind, backend_kind)
         db._load_columns(xs, ys)
         return db
 
     def _load_columns(self, xs, ys) -> range:
         """Append coordinate columns to the store and bulk-load the index.
 
-        The index receives the new rows as the store's
-        :class:`~repro.core.store.RowEntries`: columns for a loader that
-        packs arrays, ``(Point, id)`` pairs for one that iterates.
+        The tree receives the new rows as the store's read-only column
+        slices and their row ids.
         """
         rows = self._store.extend_array(xs, ys)
-        self._index.bulk_load(self._store.entries(rows))
+        self._index.bulk_load(
+            self._store.xs[rows.start : rows.stop],
+            self._store.ys[rows.start : rows.stop],
+            np.arange(rows.start, rows.stop, dtype=np.int64),
+        )
         return rows
 
     def insert(self, point: Point | Tuple[float, float]) -> int:
@@ -266,7 +263,7 @@ class SpatialDatabase:
         return self._store
 
     @property
-    def index(self) -> SpatialIndex:
+    def index(self) -> RTree:
         """The underlying spatial index."""
         return self._index
 

@@ -310,39 +310,6 @@ class PointStore:
         """
         return self._view
 
-    def entries(self, rows: range) -> "RowEntries":
-        """The rows ``rows`` as index entries (see :class:`RowEntries`)."""
-        return RowEntries(self, rows)
-
-
-class RowEntries:
-    """A run of store rows, offered to an index loader in both forms.
-
-    ``bulk_load`` of an index that packs from arrays (the R-tree) calls
-    :meth:`columns` and no ``Point`` is built; a loader that works entry
-    by entry iterates and receives ``(Point, row id)`` tuples, the
-    :data:`~repro.index.base.Entry` interface.
-    """
-
-    __slots__ = ("_store", "_rows")
-
-    def __init__(self, store: PointStore, rows: range) -> None:
-        self._store = store
-        self._rows = rows
-
-    def __iter__(self) -> Iterator[Tuple[Point, int]]:
-        rows = self._rows
-        return zip(self._store.view()[rows.start : rows.stop], rows)
-
-    def columns(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """``(xs, ys, ids)``: read-only coordinate slices and the row ids."""
-        rows = self._rows
-        return (
-            self._store.xs[rows.start : rows.stop],
-            self._store.ys[rows.start : rows.stop],
-            np.arange(rows.start, rows.stop, dtype=np.int64),
-        )
-
 
 class StoreSnapshot:
     """An immutable O(1) view of a :class:`PointStore` version.

@@ -63,13 +63,11 @@ from repro.geometry.region import QueryRegion, interior_seed_position
 from repro.query.executor import (
     execute_spec,
     finalize_record,
-    merge_sorted_ids,
     resolve_method,
 )
 from repro.query.spec import (
     AreaQuery,
     CompositeQuery,
-    DifferenceQuery,
     IntersectionQuery,
     KnnQuery,
     NearestQuery,
@@ -268,10 +266,9 @@ def _walk_radius_sq(planner: QueryPlanner) -> float:
 
     The steepest-descent walk advances roughly one site spacing per hop
     (``sqrt(space_area / n)`` under uniform density), so the profitable
-    radius is the hop budget times that spacing.  The space extent comes
-    from the planner's per-version cache (``index.bounds`` is O(1) on the
-    R-tree only; the other indexes walk every entry); degenerate extents
-    fall back to "always walk".
+    radius is the hop budget times that spacing.  The space extent is the
+    planner's (the R-tree's root MBR, O(1)); degenerate extents fall back
+    to "always walk".
     """
     density = planner.density()
     if density <= 0.0:
@@ -553,12 +550,8 @@ class BatchQueryEngine:
             ids = sorted(set().union(*id_lists))
         elif isinstance(spec, IntersectionQuery):
             ids = sorted(set(id_lists[0]).intersection(*id_lists[1:]))
-        elif isinstance(spec, DifferenceQuery):
+        else:  # DifferenceQuery: trees hold only the three kinds
             ids = sorted(set(id_lists[0]).difference(*id_lists[1:]))
-        else:  # pragma: no cover - trees only hold the three kinds
-            ids = list(
-                merge_sorted_ids(spec, [iter(lst) for lst in id_lists])
-            )
         merged = QueryStats()
         for record in child_records:
             merged = merged.merge(record.stats)

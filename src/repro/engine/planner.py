@@ -207,7 +207,6 @@ class QueryPlanner:
         # the server's coalesced traffic — skip re-estimating.  Bounded.
         self._plan_memo: Dict[object, str] = {}
         self.model = model or CostModel()
-        self._space_cache: Optional[tuple] = None
 
     @property
     def model(self) -> CostModel:
@@ -222,15 +221,10 @@ class QueryPlanner:
     # -- database summary --------------------------------------------------
 
     def _space(self) -> Rect:
-        # Cached per version: the R-tree reads its bounds off the root MBR,
-        # but the other indexes' default walks every stored entry.
-        version = self._db.version
-        if self._space_cache is not None and self._space_cache[0] == version:
-            return self._space_cache[1]
+        # The R-tree's root MBR (O(1)); the unit square while degenerate.
         bounds = self._db.index.bounds
         if bounds is None or bounds.area <= 0.0:
-            bounds = Rect(0.0, 0.0, 1.0, 1.0)
-        self._space_cache = (version, bounds)
+            return Rect(0.0, 0.0, 1.0, 1.0)
         return bounds
 
     def density(self) -> float:
@@ -239,7 +233,7 @@ class QueryPlanner:
         return len(self._db) / space.area if space.area else float(len(self._db))
 
     def _fanout(self) -> int:
-        return max(2, int(getattr(self._db.index, "max_entries", 16)))
+        return self._db.index.max_entries
 
     def _depth(self) -> float:
         n = max(2, len(self._db))

@@ -3,26 +3,21 @@
 The traditional area-query baseline needs a spatial index supporting
 *window* (range) queries; both methods need *nearest-neighbour* queries (the
 Voronoi method seeds its expansion with one).  The paper uses an R-tree for
-both roles; this package provides that R-tree plus the other classical
-indexes the paper's related-work section surveys, all behind one interface:
+both roles ("for fairness, the index used to provide the NN query in our
+method is also R-tree"), and so does every database here:
 
-* :class:`~repro.index.rtree.RTree` — Guttman R-tree, quadratic split (the
-  paper's index).
+* :class:`~repro.index.rtree.RTree` — Guttman R-tree, quadratic split,
+  columnar leaves (the paper's index, the default).
 * :class:`~repro.index.rstar.RStarTree` — R*-tree split/forced-reinsert
-  variant (used by the index-choice ablation).
-* :class:`~repro.index.kdtree.KDTree` — dynamic/bulk-loaded k-d tree.
-* :class:`~repro.index.quadtree.QuadTree` — PR quadtree.
-* :class:`~repro.index.grid.GridIndex` — uniform grid.
-* :class:`~repro.index.base.BruteForceIndex` — linear-scan oracle for tests.
+  variant on the same leaf columns (used by the index-choice ablation:
+  a better-shaped tree does not shrink the MBR candidate set).
+* :class:`~repro.index.base.BruteForceIndex` — linear-scan oracle for the
+  index tests; not a database index kind.
 
-All indexes store ``(Point, item_id)`` pairs and count node/page accesses so
-experiments can report IO-style metrics.
+Both trees count node accesses so experiments can report IO-style metrics.
 """
 
 from repro.index.base import BruteForceIndex, IndexStats, SpatialIndex
-from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
-from repro.index.quadtree import QuadTree
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
 
@@ -32,23 +27,16 @@ __all__ = [
     "BruteForceIndex",
     "RTree",
     "RStarTree",
-    "KDTree",
-    "QuadTree",
-    "GridIndex",
 ]
 
 INDEX_REGISTRY = {
     "rtree": RTree,
     "rstar": RStarTree,
-    "kdtree": KDTree,
-    "quadtree": QuadTree,
-    "grid": GridIndex,
-    "brute": BruteForceIndex,
 }
 
 
-def make_index(kind: str, **kwargs) -> SpatialIndex:
-    """Instantiate an index by registry name (see ``INDEX_REGISTRY``)."""
+def make_index(kind: str) -> RTree:
+    """An empty index of registry name ``kind`` (see ``INDEX_REGISTRY``)."""
     try:
         cls = INDEX_REGISTRY[kind]
     except KeyError:
@@ -56,4 +44,4 @@ def make_index(kind: str, **kwargs) -> SpatialIndex:
             f"unknown index kind {kind!r}; choose from "
             f"{sorted(INDEX_REGISTRY)}"
         ) from None
-    return cls(**kwargs)
+    return cls()

@@ -1,35 +1,34 @@
-"""Common interface for all spatial indexes, plus the brute-force oracle.
+"""The index interface, plus the brute-force oracle the trees are tested against.
 
 An index stores ``(point, item_id)`` entries.  ``item_id`` is an opaque
 integer — in :class:`repro.core.database.SpatialDatabase` it is the row id of
 the point — and duplicates of the same location with different ids are
-allowed.  All implementations keep an :class:`IndexStats` counter block so
+allowed.  Every implementation keeps an :class:`IndexStats` counter block so
 the experiment harness can report index node accesses alongside wall time.
 
 :data:`Entry` — the ``(Point, id)`` tuple — is the type of the *interface*:
 what ``insert`` / ``delete`` take and what ``window_query``, the
 nearest-neighbour searches and ``items`` hand out.  It says nothing about
-storage.  The R-tree family keeps coordinate and id arrays in its leaves and
-builds entries only on the way out (:mod:`repro.index.rtree`); its
-``bulk_load`` also accepts a source offering ``columns()`` and then never
-sees a ``Point``.  The k-d tree, quadtree and grid store the tuples
-themselves.  The columnar hot paths avoid entries altogether through
-:meth:`SpatialIndex.window_ids_array`.
+storage: the R-tree family (:mod:`repro.index.rtree`) keeps coordinate and
+id arrays in its leaves, is bulk-loaded from ``(xs, ys, ids)`` columns and
+builds entries only on the way out.  The columnar hot paths avoid entries
+altogether through :meth:`SpatialIndex.window_ids_array`.
 
-The interface is the minimum both paper methods need:
+The interface is what both paper methods and the planner read:
 
-* :meth:`SpatialIndex.window_query` — the *filter* step of the traditional
-  baseline (called with the query polygon's MBR);
+* :meth:`SpatialIndex.window_ids_array` — the *filter* step of the
+  traditional baseline (called with the query polygon's MBR);
+  :meth:`SpatialIndex.window_query` is its entry-level twin, which the
+  tests' textbook filter–refine loop reads;
 * :meth:`SpatialIndex.nearest_neighbor` — the Voronoi method's seed lookup
   (Property 3 of the paper);
-* :meth:`SpatialIndex.k_nearest_neighbors` — used by the kNN ablation;
-* ``insert`` / ``delete`` / ``bulk_load`` — maintenance, so the dynamic
-  workload tests can exercise mixed read/write traffic.
+* :meth:`SpatialIndex.k_nearest_neighbors` — the index kNN method;
+* :attr:`SpatialIndex.bounds` — the data extent the planner scores by;
+* ``insert`` / ``delete`` — maintenance, so the dynamic workload tests can
+  exercise mixed read/write traffic.
 
-Implementations are interchangeable: :func:`repro.index.make_index` builds
-any registered kind by name, and the equality tests in ``tests/index/``
-compare every implementation's query results against
-:class:`BruteForceIndex` on identical workloads.
+:class:`BruteForceIndex` implements it by scanning a list; the tests in
+``tests/index/`` compare both trees against it on identical workloads.
 """
 
 from __future__ import annotations
@@ -37,7 +36,9 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
@@ -73,24 +74,11 @@ class SpatialIndex(ABC):
     def __init__(self) -> None:
         self.stats = IndexStats()
 
-    # -- construction ------------------------------------------------------
+    # -- maintenance -------------------------------------------------------
 
     @abstractmethod
     def insert(self, point: Point, item_id: int) -> None:
         """Add one entry."""
-
-    def bulk_load(self, entries: Iterable[Entry]) -> None:
-        """Load many entries.
-
-        The default is repeated insertion; subclasses may override with a
-        packing algorithm (see :meth:`repro.index.rtree.RTree.bulk_load`).
-        ``entries`` need only iterate as ``(Point, id)`` pairs — the
-        database passes its store's
-        :class:`~repro.core.store.RowEntries`, which does, and which
-        array-packing loaders read as columns instead.
-        """
-        for point, item_id in entries:
-            self.insert(point, item_id)
 
     @abstractmethod
     def delete(self, point: Point, item_id: int) -> bool:
@@ -104,13 +92,10 @@ class SpatialIndex(ABC):
 
     @abstractmethod
     def window_query(self, window: Rect) -> List[Entry]:
-        """All entries whose point lies in the closed rectangle ``window``.
+        """All entries whose point lies in the closed rectangle ``window``."""
 
-        This is the *filter* step of the traditional area query: called with
-        the query polygon's MBR it returns the traditional candidate set.
-        """
-
-    def window_ids_array(self, window: Rect):
+    @abstractmethod
+    def window_ids_array(self, window: Rect) -> np.ndarray:
         """Item ids of every entry inside ``window`` as an int64 array.
 
         The bulk-probe sibling of :meth:`window_query` for the columnar
@@ -119,20 +104,7 @@ class SpatialIndex(ABC):
         and refine with the vectorized kernels, so the ``(Point, id)``
         entry tuples never materialize.  Order is unspecified; the id
         *set* is always identical to ``window_query``'s.
-
-        This default is the scalar fallback (one :meth:`window_query`,
-        ids repacked); the tree and grid indexes override it with
-        traversals that emit fully-contained subtrees/buckets without
-        per-entry containment tests.
         """
-        import numpy as np
-
-        entries = self.window_query(window)
-        return np.fromiter(
-            (item_id for _, item_id in entries),
-            dtype=np.int64,
-            count=len(entries),
-        )
 
     @abstractmethod
     def nearest_neighbor(self, query: Point) -> Optional[Entry]:
@@ -142,60 +114,29 @@ class SpatialIndex(ABC):
         any position inside the query area is an internal or boundary point.
         """
 
+    @abstractmethod
     def k_nearest_neighbors(self, query: Point, k: int) -> List[Entry]:
         """The ``k`` entries closest to ``query``, nearest first.
 
-        Default implementation repeatedly extends a best-first search; the
-        tree indexes override this with a single heap traversal.
+        Equidistant entries come back in ascending id order, so answers
+        compare verbatim across implementations.
         """
-        if k <= 0:
-            return []
-        scored = [
-            (point.squared_distance_to(query), item_id, point)
-            for point, item_id in self.items()
-        ]
-        scored.sort(key=lambda t: (t[0], t[1]))
-        return [(point, item_id) for _, item_id, point in scored[:k]]
 
     @abstractmethod
     def items(self) -> Iterator[Entry]:
         """Iterate over every stored entry (order unspecified)."""
 
-    # -- conveniences ------------------------------------------------------
-
-    def count_in_window(self, window: Rect) -> int:
-        """Number of entries inside ``window``."""
-        return self.window_count(window)
-
-    def window_count(self, window: Rect) -> int:
-        """Number of entries inside ``window``.
-
-        Default implementation materialises the window query; tree indexes
-        maintaining subtree weights override this with an aggregate-only
-        traversal (see :meth:`repro.index.rtree.RTree.window_count`).
-        """
-        return len(self.window_query(window))
-
     @property
+    @abstractmethod
     def bounds(self) -> Optional[Rect]:
-        """MBR of all stored points (``None`` when empty).
-
-        This default visits every entry; an index that maintains its
-        extent overrides it (:attr:`repro.index.rtree.RTree.bounds` is
-        the root MBR, O(1)).
-        """
-        points = [point for point, _ in self.items()]
-        if not points:
-            return None
-        return Rect.from_points(points)
+        """MBR of all stored points (``None`` when empty)."""
 
 
 class BruteForceIndex(SpatialIndex):
     """Linear-scan reference implementation.
 
-    Correct by inspection; every other index is tested for query-result
-    equality against this one.  Also usable as a no-index baseline in
-    ablation benchmarks.
+    Correct by inspection; the trees are tested for query-result equality
+    against this one.
     """
 
     def __init__(self) -> None:
@@ -223,6 +164,12 @@ class BruteForceIndex(SpatialIndex):
             for point, item_id in self._entries
             if window.contains_point(point)
         ]
+
+    def window_ids_array(self, window: Rect) -> np.ndarray:
+        return np.array(
+            [item_id for _, item_id in self.window_query(window)],
+            dtype=np.int64,
+        )
 
     def nearest_neighbor(self, query: Point) -> Optional[Entry]:
         self.stats.node_accesses += 1
@@ -254,17 +201,8 @@ class BruteForceIndex(SpatialIndex):
     def items(self) -> Iterator[Entry]:
         return iter(list(self._entries))
 
-
-def validate_entries(entries: Sequence[Entry]) -> None:
-    """Raise :class:`TypeError`/:class:`ValueError` on malformed entries.
-
-    Used by index constructors that accept user-supplied bulk loads.
-    """
-    for entry in entries:
-        if len(entry) != 2:
-            raise ValueError(f"entry must be (Point, id), got {entry!r}")
-        point, item_id = entry
-        if not isinstance(point, Point):
-            raise TypeError(f"entry point must be a Point, got {type(point)}")
-        if not isinstance(item_id, int):
-            raise TypeError(f"entry id must be an int, got {type(item_id)}")
+    @property
+    def bounds(self) -> Optional[Rect]:
+        if not self._entries:
+            return None
+        return Rect.from_points(point for point, _ in self._entries)

@@ -18,7 +18,8 @@ Implemented features:
 arrays (``xs``/``ys`` float64, ``ids`` int64) and no Python object per
 entry: after a bulk load they are slices of the STR-packed columns, once
 ``insert`` / ``delete`` / a split touches a leaf it owns small arrays of its
-own — one representation for packed and grown trees.  The probes the hot
+own — one representation for packed and grown trees.  :meth:`RTree.bulk_load`
+takes the ``(xs, ys, ids)`` columns themselves.  The probes the hot
 paths use (:meth:`RTree.window_ids_array`, :meth:`RTree.window_count`, the
 nearest-neighbour searches) read those arrays directly; ``(Point, id)``
 :data:`~repro.index.base.Entry` tuples are built only where the interface
@@ -59,31 +60,6 @@ _NO_COORDS = np.empty(0, dtype=np.float64)
 _NO_COORDS.flags.writeable = False
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
-
-
-def _entry_columns(entries) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``entries`` as ``(xs, ys, ids)`` columns.
-
-    A source that already holds columns (the store's
-    :class:`~repro.core.store.RowEntries`) hands them over through its
-    ``columns()`` method; any other iterable of ``(Point, id)`` is read
-    entry by entry.
-    """
-    columns = getattr(entries, "columns", None)
-    if columns is not None:
-        xs, ys, ids = columns()
-        return (
-            np.asarray(xs, dtype=np.float64),
-            np.asarray(ys, dtype=np.float64),
-            np.asarray(ids, dtype=np.int64),
-        )
-    entries = list(entries)
-    count = len(entries)
-    return (
-        np.fromiter((p.x for p, _ in entries), np.float64, count),
-        np.fromiter((p.y for p, _ in entries), np.float64, count),
-        np.fromiter((i for _, i in entries), np.int64, count),
-    )
 
 
 def _as_entries(xs, ys, ids) -> Iterator[Entry]:
@@ -230,20 +206,22 @@ class RTree(SpatialIndex):
         else:
             self._tighten_upwards(leaf.parent)
 
-    def bulk_load(self, entries) -> None:
-        """STR (sort-tile-recursive) packing, on columns.
+    def bulk_load(self, xs, ys, ids) -> None:
+        """STR (sort-tile-recursive) packing of the entries ``(xs, ys, ids)``.
 
-        ``entries`` is any iterable of ``(Point, id)``, or a source with a
-        ``columns()`` method returning ``(xs, ys, ids)`` arrays (what
-        :class:`~repro.core.database.SpatialDatabase` passes: the store's
-        rows, no ``Point`` built).  An empty tree is packed from them.  A
+        Three equally long columns: x and y coordinates and item ids
+        (:class:`~repro.core.database.SpatialDatabase` passes the new
+        rows' slices of its store's columns and their row ids, so no
+        ``Point`` is built).  An empty tree is packed from them.  A
         non-empty one is repacked — its own leaf columns plus the batch,
         into fresh nodes, the new root swapped in at the end — when that
         is cheaper than inserting the batch row by row
         (:data:`_REPACK_RATIO`); a traversal suspended over the old nodes
         finishes over the old tree.
         """
-        xs, ys, ids = _entry_columns(entries)
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        ids = np.asarray(ids, dtype=np.int64)
         if not len(ids):
             return
         if self._count:

@@ -24,7 +24,9 @@ instead of that plus 0.45 s of import and 0.6 s of triangulation
 (``snapshot_load_s`` beside the Qhull seconds in ``bulk_build``,
 ``benchmarks/bench_ablation_backend.py``; docs/BENCHMARKS.md, "Bulk
 build").  The R-tree is not persisted: it packs deterministically from
-the columns with array sorts in under a tenth of a second.  The pure
+the columns with array sorts in under a tenth of a second, so a file
+whose config names an index kind that has since been removed loads into
+the R-tree with the same ids.  The pure
 backend's graph is not either: that backend is the one that absorbs
 writes, and what it maintains is its triangulation, which a neighbour
 graph does not restore.
@@ -243,10 +245,13 @@ def load_database(
             f"payload rows {len(xy)}"
         )
     xy = xy.reshape(len(xy), 2)
+    index_kind = config["index_kind"]
+    if index_kind in ("kdtree", "quadtree", "grid", "brute"):  # removed kinds:
+        index_kind = "rtree"  # the index is derived state, rebuilt on load
     db = SpatialDatabase.from_arrays(
         xy[:, 0],
         xy[:, 1],
-        index_kind=config["index_kind"],
+        index_kind=index_kind,
         backend_kind=config["backend_kind"],
     )
     for row_id in deleted:  # replay tombstones; ids stay positional

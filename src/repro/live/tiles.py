@@ -1,11 +1,8 @@
 """Tile math for the live-query inverted index.
 
 A :class:`TileGrid` cuts the space into ``resolution x resolution``
-equal tiles — the same clamped-cell mapping as
-:class:`repro.index.grid.GridIndex`, reimplemented here without the
-entry buckets (the inverted index stores *subscriptions* per tile, not
-points, so sharing the spatial index's cells would couple two
-unrelated lifetimes).
+equal tiles, clamped at the border (the inverted index stores
+*subscriptions* per tile, not points).
 
 Clamping is what makes the tiling total: a coordinate outside the
 bounds lands in the nearest border tile, and because the clamp is

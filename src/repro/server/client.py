@@ -328,10 +328,7 @@ class QueryClient:
             self._rbuf += chunk
 
     def _read_frame(self) -> Dict:
-        line = self._readline()
-        if not line:  # pragma: no cover - _readline raises instead
-            raise ConnectionError("server closed the connection")
-        return decode_frame(line)
+        return decode_frame(self._readline())
 
     def _read_response(self, request_id: Optional[int]) -> Dict:
         """Read one frame, surfacing ``error`` frames as exceptions.

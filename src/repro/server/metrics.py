@@ -27,6 +27,7 @@ averaged away under a flood of cheap window hits.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 __all__ = ["LatencyHistogram", "LatencyPanel"]
@@ -98,13 +99,13 @@ class LatencyHistogram:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
         if not self.count:
             return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self._buckets):
-            cumulative += bucket_count
-            if cumulative >= rank and cumulative > 0:
-                return min(self.bucket_upper_ms(index), self.max_ms)
-        return self.max_ms  # pragma: no cover - rank <= count always hits
+        rank = q * self.count  # <= count, the last cumulative total
+        index = next(
+            index
+            for index, cumulative in enumerate(accumulate(self._buckets))
+            if cumulative >= rank and cumulative > 0
+        )
+        return min(self.bucket_upper_ms(index), self.max_ms)
 
     @property
     def p50_ms(self) -> float:

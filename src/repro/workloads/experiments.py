@@ -82,7 +82,6 @@ class ExperimentConfig:
     fixed_data_size: int = 100_000
     repetitions: int = DEFAULT_REPETITIONS
     seed: int = 0
-    index_kind: str = "rtree"
     #: "scipy" builds the neighbour graph via Qhull — identical neighbour
     #: sets, much faster construction for paper-scale datasets.  The pure
     #: backend is the default everywhere else in the library.
@@ -193,11 +192,7 @@ def _build_database(
     n: int, config: ExperimentConfig
 ) -> SpatialDatabase:
     points = uniform_points(n, seed=config.seed)
-    db = SpatialDatabase.from_points(
-        points,
-        index_kind=config.index_kind,
-        backend_kind=config.backend_kind,
-    )
+    db = SpatialDatabase.from_points(points, backend_kind=config.backend_kind)
     return db.prepare()
 
 

@@ -39,9 +39,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SpatialDatabase(index_kind="btree")
 
-    def test_index_kwargs_forwarded(self):
-        db = SpatialDatabase(max_entries=4)
-        assert db.index.max_entries == 4
+    def test_no_index_constructor_arguments(self):
+        for build in (
+            lambda: SpatialDatabase(max_entries=4),
+            lambda: SpatialDatabase.from_points([(0.5, 0.5)], max_entries=4),
+            lambda: SpatialDatabase.from_arrays([0.5], [0.5], max_entries=4),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestQueries:

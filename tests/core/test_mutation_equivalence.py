@@ -7,8 +7,8 @@ This suite drives a :class:`SpatialDatabase` and a plain ``dict`` model
 through the same interleaved insert/extend/delete sequences — Hypothesis
 chooses the interleavings — and checks area, window, kNN (all methods),
 composite, and streaming-kNN answers against ``tests/oracle.py``'s
-brute-force scan of the model after every phase, across every registered
-index kind.
+brute-force scan of the model after every phase, on both index kinds
+(``rtree`` and ``rstar``).
 """
 
 import random
@@ -145,11 +145,10 @@ class TestRandomInterleavings:
 
 
 class TestEveryIndexKind:
-    """Deterministic sweep: one fixed history on every registered index.
+    """Deterministic sweep: one fixed history on each index kind.
 
-    The Hypothesis test samples kinds; this sweep guarantees each of the
-    registered index implementations survives the same delete-heavy
-    history on every run.
+    The Hypothesis test samples kinds; this sweep guarantees both trees
+    survive the same delete-heavy history on every run.
     """
 
     @pytest.mark.parametrize("index_kind", sorted(INDEX_REGISTRY))

@@ -179,16 +179,3 @@ class TestPointsView:
         finally:
             sys.setswitchinterval(interval)
 
-
-class TestRowEntries:
-    def test_both_forms_describe_the_same_rows(self):
-        store = PointStore()
-        store.extend_array([0.0, 1.0, 2.0, 3.0], [5.0, 6.0, 7.0, 8.0])
-        entries = store.entries(range(1, 4))
-        xs, ys, ids = entries.columns()
-        assert xs.tolist() == [1.0, 2.0, 3.0] and ys.tolist() == [6.0, 7.0, 8.0]
-        assert ids.tolist() == [1, 2, 3] and ids.dtype == np.int64
-        assert store._materialized == []  # columns build no Point
-        assert list(entries) == [
-            (Point(1.0, 6.0), 1), (Point(2.0, 7.0), 2), (Point(3.0, 8.0), 3)
-        ]

@@ -19,7 +19,8 @@ def setup_500():
     points = uniform_points(500, seed=61)
     store = PointStore()
     index = RTree()
-    index.bulk_load(store.entries(store.extend_points(points)))
+    rows = store.extend_points(points)
+    index.bulk_load(store.xs, store.ys, rows)
     backend = PureDelaunayBackend(points)
     return points, index, backend, store
 

@@ -1,11 +1,12 @@
 """Unit tests for the index base interface and the brute-force oracle."""
 
+import numpy as np
 import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index import INDEX_REGISTRY, make_index
-from repro.index.base import BruteForceIndex, IndexStats, validate_entries
+from repro.index.base import BruteForceIndex, IndexStats
 
 
 class TestBruteForce:
@@ -21,6 +22,8 @@ class TestBruteForce:
         index.insert(Point(0.9, 0.9), 2)
         hits = index.window_query(Rect(0.0, 0.0, 0.6, 0.6))
         assert [item_id for _, item_id in hits] == [1]
+        ids = index.window_ids_array(Rect(0.0, 0.0, 0.6, 0.6))
+        assert ids.dtype == np.int64 and ids.tolist() == [1]
 
     def test_window_query_inclusive_boundary(self):
         index = BruteForceIndex()
@@ -109,19 +112,3 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown index kind"):
             make_index("btree")
 
-
-class TestValidateEntries:
-    def test_valid(self):
-        validate_entries([(Point(0, 0), 1), (Point(1, 1), 2)])
-
-    def test_rejects_non_point(self):
-        with pytest.raises(TypeError):
-            validate_entries([((0, 0), 1)])
-
-    def test_rejects_non_int_id(self):
-        with pytest.raises(TypeError):
-            validate_entries([(Point(0, 0), "a")])
-
-    def test_rejects_wrong_arity(self):
-        with pytest.raises(ValueError):
-            validate_entries([(Point(0, 0), 1, 2)])

@@ -18,6 +18,22 @@ def _random_entries(n, seed=0):
     return [(Point(rng.random(), rng.random()), i) for i in range(n)]
 
 
+def _columns(entries):
+    """``(Point, id)`` entries as the ``(xs, ys, ids)`` columns ``bulk_load`` takes."""
+    return (
+        np.array([p.x for p, _ in entries], dtype=np.float64),
+        np.array([p.y for p, _ in entries], dtype=np.float64),
+        np.array([i for _, i in entries], dtype=np.int64),
+    )
+
+
+def _oracle(entries):
+    oracle = BruteForceIndex()
+    for point, item_id in entries:
+        oracle.insert(point, item_id)
+    return oracle
+
+
 def _shape(node):
     """A packed (sub)tree as nested lists of leaf entry lists."""
     if node.is_leaf:
@@ -102,11 +118,10 @@ class TestBulkLoad:
     def test_str_pack_correctness(self):
         entries = _random_entries(500, seed=5)
         tree = RTree()
-        tree.bulk_load(entries)
+        tree.bulk_load(*_columns(entries))
         assert len(tree) == 500
         tree.check_invariants()
-        oracle = BruteForceIndex()
-        oracle.bulk_load(entries)
+        oracle = _oracle(entries)
         window = Rect(0.2, 0.2, 0.7, 0.7)
         assert sorted(i for _, i in tree.window_query(window)) == sorted(
             i for _, i in oracle.window_query(window)
@@ -114,12 +129,12 @@ class TestBulkLoad:
 
     def test_bulk_load_empty(self):
         tree = RTree()
-        tree.bulk_load([])
+        tree.bulk_load(*_columns([]))
         assert len(tree) == 0
 
     def test_bulk_load_single(self):
         tree = RTree()
-        tree.bulk_load([(Point(0.5, 0.5), 7)])
+        tree.bulk_load([0.5], [0.5], [7])
         assert len(tree) == 1
         assert tree.nearest_neighbor(Point(0, 0))[1] == 7
 
@@ -129,13 +144,13 @@ class TestBulkLoad:
         # 50 rows repack the 300 + 50.
         tree = RTree(max_entries=4)
         existing = _random_entries(300, seed=1)
-        tree.bulk_load(existing)
+        tree.bulk_load(*_columns(existing))
         old_root = tree._root
         extra = [
             (point, 300 + i)
             for point, i in _random_entries(batch, seed=2)
         ]
-        tree.bulk_load(extra)
+        tree.bulk_load(*_columns(extra))
         assert (tree._root is not old_root) == (
             batch * _REPACK_RATIO >= 300 + batch
         )
@@ -150,10 +165,10 @@ class TestBulkLoad:
     def test_repack_leaves_a_suspended_traversal_on_the_old_tree(self):
         tree = RTree(max_entries=4)
         existing = _random_entries(200, seed=3)
-        tree.bulk_load(existing)
+        tree.bulk_load(*_columns(existing))
         traversal = tree.items()
         seen = [next(traversal) for _ in range(10)]
-        tree.bulk_load(_random_entries(200, seed=4))  # repacks
+        tree.bulk_load(*_columns(_random_entries(200, seed=4)))  # repacks
         seen.extend(traversal)
         assert sorted(seen, key=lambda e: e[1]) == existing
         assert len(tree) == 400
@@ -168,13 +183,13 @@ class TestBulkLoad:
         draw = (lambda: rng.randrange(40) / 40) if seed % 2 else rng.random
         entries = [(Point(draw(), draw()), i) for i in range(count)]
         tree = RTree(max_entries=capacity)
-        tree.bulk_load(entries)
+        tree.bulk_load(*_columns(entries))
         tree.check_invariants()
         assert _shape(tree._root) == _python_sorted_pack(entries, capacity)
 
     def test_bulk_load_height_logarithmic(self):
         tree = RTree(max_entries=16)
-        tree.bulk_load(_random_entries(4096, seed=2))
+        tree.bulk_load(*_columns(_random_entries(4096, seed=2)))
         assert tree.height <= 4
 
 
@@ -204,7 +219,7 @@ class TestWindowQuery:
 
     def test_node_accesses_less_than_full_scan(self):
         tree = RTree(max_entries=16)
-        tree.bulk_load(_random_entries(2000, seed=9))
+        tree.bulk_load(*_columns(_random_entries(2000, seed=9)))
         tree.stats.reset()
         tree.window_query(Rect(0.4, 0.4, 0.45, 0.45))
         # A selective window must not visit every node.
@@ -316,19 +331,6 @@ class TestDuplicates:
         assert remaining == [0, 1, 2, 4]
 
 
-class _Columns:
-    """An entries source that offers columns and refuses to be iterated."""
-
-    def __init__(self, xs, ys, ids):
-        self._columns = (xs, ys, ids)
-
-    def columns(self):
-        return self._columns
-
-    def __iter__(self):
-        raise AssertionError("a loader that packs from arrays must not iterate")
-
-
 @pytest.mark.parametrize("tree_class", [RTree, RStarTree])
 class TestColumnarLeaves:
     def test_bulk_load_from_columns_builds_no_entry(self, tree_class):
@@ -336,14 +338,13 @@ class TestColumnarLeaves:
         xs, ys = rng.random(3000), rng.random(3000)
         ids = np.arange(100, 3100)
         tree = tree_class(max_entries=8)
-        tree.bulk_load(_Columns(xs, ys, ids))
+        tree.bulk_load(xs, ys, ids)
         tree.check_invariants()
         assert len(tree) == 3000
-        from_entries = tree_class(max_entries=8)
-        from_entries.bulk_load(
-            [(Point(x, y), i) for x, y, i in zip(xs.tolist(), ys.tolist(), ids.tolist())]
-        )
-        assert _shape(tree._root) == _shape(from_entries._root)
+        entries = [
+            (Point(x, y), i) for x, y, i in zip(xs.tolist(), ys.tolist(), ids.tolist())
+        ]
+        assert _shape(tree._root) == _python_sorted_pack(entries, 8)
         # packed leaves slice three shared columns: no array of their own
         bases = [leaf.ids.base for leaf in tree._leaves()]
         assert bases[0] is not None and all(base is bases[0] for base in bases)
@@ -356,7 +357,7 @@ class TestColumnarLeaves:
         xs, ys = rng.random(40), rng.random(40)
         xs.flags.writeable = ys.flags.writeable = False
         tree = tree_class(max_entries=64)  # one leaf: no permutation copy
-        tree.bulk_load(_Columns(xs, ys, np.arange(40)))
+        tree.bulk_load(xs, ys, np.arange(40))
         tree.insert(Point(0.5, 0.5), 40)
         assert tree.delete(Point(float(xs[3]), float(ys[3])), 3)
         tree.check_invariants()
@@ -366,9 +367,8 @@ class TestColumnarLeaves:
         rng = random.Random(11)
         entries = _random_entries(1500, seed=12)
         tree = tree_class(max_entries=8)
-        tree.bulk_load(entries)
-        oracle = BruteForceIndex()
-        oracle.bulk_load(entries)
+        tree.bulk_load(*_columns(entries))
+        oracle = _oracle(entries)
         live = dict((i, p) for p, i in entries)
         next_id = 1500
         for step in range(2000):
@@ -404,7 +404,7 @@ class TestColumnarLeaves:
         tree = tree_class(max_entries=4)
         assert tree.bounds is None
         entries = _random_entries(300, seed=21)
-        tree.bulk_load(entries)
+        tree.bulk_load(*_columns(entries))
         assert tree.bounds == Rect.from_points(p for p, _ in entries)
         rng = random.Random(22)
         live = list(entries)
@@ -437,6 +437,60 @@ class TestColumnarLeaves:
             )
 
 
+@pytest.mark.parametrize("tree_class", [RTree, RStarTree])
+class TestAwkwardInputs:
+    """Far-away points, stacked duplicates, shared coordinates, misses."""
+
+    def test_points_far_outside_the_unit_square(self, tree_class):
+        tree = tree_class(max_entries=4)
+        far = [(Point(-1.0, -1.0), 0), (Point(2.5, 2.5), 1), (Point(1.7, 1.9), 2)]
+        entries = far + [
+            (point, item_id + 3) for point, item_id in _random_entries(60, seed=25)
+        ]
+        for point, item_id in entries:
+            tree.insert(point, item_id)
+        tree.check_invariants()
+        assert sorted(i for _, i in tree.window_query(Rect(1.5, 1.5, 3, 3))) == [1, 2]
+        assert tree.nearest_neighbor(Point(1.8, 1.8))[1] == 2
+        assert tree.nearest_neighbor(Point(-5.0, -5.0))[1] == 0
+        assert len(tree.window_query(Rect(-2, -2, 1, 1))) == 61
+        assert tree.bounds == Rect(-1.0, -1.0, 2.5, 2.5)
+
+    def test_fifty_copies_of_one_location(self, tree_class):
+        tree = tree_class(max_entries=4)
+        for item_id in range(50):
+            tree.insert(Point(0.25, 0.25), item_id)
+        tree.check_invariants()
+        spot = Rect(0.25, 0.25, 0.25, 0.25)
+        assert sorted(tree.window_ids_array(spot).tolist()) == list(range(50))
+        knn = tree.k_nearest_neighbors(Point(0.25, 0.25), 50)
+        assert [i for _, i in knn] == list(range(50))
+        assert tree.delete(Point(0.25, 0.25), 17)
+        tree.check_invariants()
+        assert sorted(i for _, i in tree.items()) == [
+            i for i in range(50) if i != 17
+        ]
+
+    def test_shared_x_coordinate(self, tree_class):
+        tree = tree_class(max_entries=4)
+        for item_id in range(20):
+            tree.insert(Point(0.5, item_id / 20.0), item_id)
+        window = Rect(0.5, 0.0, 0.5, 0.5)
+        assert sorted(i for _, i in tree.window_query(window)) == list(range(11))
+        assert tree.window_count(window) == 11
+
+    def test_misses_change_nothing(self, tree_class):
+        tree = tree_class()
+        tree.insert(Point(0.5, 0.5), 1)
+        tree.insert(Point(0.9, 0.9), 2)
+        assert not tree.delete(Point(0.4, 0.4), 1)  # right id, wrong place
+        assert not tree.delete(Point(5.0, 5.0), 1)  # outside every node
+        assert len(tree) == 2
+        assert tree.window_ids_array(Rect(3, 3, 4, 4)).shape == (0,)
+        assert tree.delete(Point(0.5, 0.5), 1)
+        assert tree.nearest_neighbor(Point(0.5, 0.5))[1] == 2
+
+
 def test_packed_tree_fits_the_per_row_budget():
     """80 B a row is the line; measured 63: 24 in the three packed columns,
     the rest the leaf's three slices, its node and its MBR over 16 rows."""
@@ -445,12 +499,12 @@ def test_packed_tree_fits_the_per_row_budget():
 
     rows = 50_000
     rng = np.random.default_rng(31)
-    source = _Columns(rng.random(rows), rng.random(rows), np.arange(rows))
+    xs, ys, ids = rng.random(rows), rng.random(rows), np.arange(rows)
     gc.collect()
     tracemalloc.start()
     try:
         tree = RTree()
-        tree.bulk_load(source)
+        tree.bulk_load(xs, ys, ids)
         gc.collect()
         traced = tracemalloc.get_traced_memory()[0]
     finally:

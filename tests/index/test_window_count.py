@@ -6,19 +6,18 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index import (
-    BruteForceIndex,
-    GridIndex,
-    KDTree,
-    QuadTree,
-    RStarTree,
-    RTree,
-)
+from repro.index import BruteForceIndex, RStarTree, RTree
 
 
 def _random_entries(n, seed=0):
     rng = random.Random(seed)
     return [(Point(rng.random(), rng.random()), i) for i in range(n)]
+
+
+def _bulk_load(index, entries):
+    index.bulk_load(
+        [p.x for p, _ in entries], [p.y for p, _ in entries], [i for _, i in entries]
+    )
 
 
 def _random_windows(count, seed=0):
@@ -31,39 +30,28 @@ def _random_windows(count, seed=0):
     return windows
 
 
-class TestDefaultWindowCount:
-    @pytest.mark.parametrize(
-        "cls", [BruteForceIndex, KDTree, QuadTree, GridIndex]
-    )
-    def test_matches_window_query(self, cls):
-        index = cls()
-        for point, item_id in _random_entries(300, seed=301):
-            index.insert(point, item_id)
-        for window in _random_windows(20, seed=303):
-            assert index.window_count(window) == len(
-                index.window_query(window)
-            )
-
-
 class TestRTreeWeightedCount:
     @pytest.mark.parametrize("cls", [RTree, RStarTree])
     def test_matches_window_query_dynamic(self, cls):
         index = cls(max_entries=8)
+        oracle = BruteForceIndex()
         for point, item_id in _random_entries(500, seed=305):
             index.insert(point, item_id)
+            oracle.insert(point, item_id)
         index.check_invariants()
         for window in _random_windows(30, seed=307):
             assert index.window_count(window) == len(
-                index.window_query(window)
+                oracle.window_query(window)
             )
 
     def test_matches_after_bulk_load(self):
+        entries = _random_entries(800, seed=309)
         index = RTree()
-        index.bulk_load(_random_entries(800, seed=309))
+        _bulk_load(index, entries)
         index.check_invariants()
         for window in _random_windows(30, seed=311):
-            assert index.window_count(window) == len(
-                index.window_query(window)
+            assert index.window_count(window) == sum(
+                window.contains_point(p) for p, _ in entries
             )
 
     def test_matches_after_deletions(self):
@@ -81,7 +69,7 @@ class TestRTreeWeightedCount:
 
     def test_full_window_counts_everything(self):
         index = RTree()
-        index.bulk_load(_random_entries(400, seed=317))
+        _bulk_load(index, _random_entries(400, seed=317))
         assert index.window_count(Rect(-1, -1, 2, 2)) == 400
 
     def test_empty_tree(self):
@@ -91,7 +79,7 @@ class TestRTreeWeightedCount:
         """Full containment prunes descent: counting a huge window must
         touch far fewer nodes than materialising the same window."""
         index = RTree(max_entries=8)
-        index.bulk_load(_random_entries(3000, seed=319))
+        _bulk_load(index, _random_entries(3000, seed=319))
         window = Rect(0.05, 0.05, 0.95, 0.95)
 
         index.stats.reset()
@@ -104,9 +92,3 @@ class TestRTreeWeightedCount:
 
         assert count == len(materialised)
         assert count_accesses < query_accesses / 2
-
-    def test_count_in_window_alias(self):
-        index = RTree()
-        index.bulk_load(_random_entries(100, seed=321))
-        window = Rect(0.2, 0.2, 0.8, 0.8)
-        assert index.count_in_window(window) == index.window_count(window)

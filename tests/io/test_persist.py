@@ -24,6 +24,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
 from repro.core.database import SpatialDatabase
+from repro.index import RStarTree
 from repro.io import persist
 from repro.io.persist import (
     load_database,
@@ -71,14 +72,48 @@ class TestDatabaseRoundTrip:
     def test_config_preserved(self, tmp_path):
         db = SpatialDatabase.from_points(
             uniform_points(50, seed=255),
-            index_kind="kdtree",
+            index_kind="rstar",
             backend_kind="scipy",
         )
         path = tmp_path / "db.npz"
         save_database(path, db)
         restored = load_database(path)
-        assert restored._index_kind == "kdtree"
+        assert restored._index_kind == "rstar"
+        assert isinstance(restored.index, RStarTree)
         assert restored._backend_kind == "scipy"
+
+    @pytest.mark.parametrize("removed_kind", ["kdtree", "quadtree", "grid", "brute"])
+    def test_removed_index_kind_loads_into_the_rtree(self, removed_kind, tmp_path):
+        """The index is derived state: a file naming a kind that no longer
+        exists loads into the R-tree and answers like the scan."""
+        db = SpatialDatabase.from_points(uniform_points(300, seed=256))
+        db.delete(7)
+        path = tmp_path / "old.npz"
+        np.savez(
+            path,
+            xy=db.store.as_xy(),
+            config=np.asarray(
+                json.dumps(
+                    {
+                        "version": 1,
+                        "index_kind": removed_kind,
+                        "backend_kind": "pure",
+                        "count": len(db.store),
+                    }
+                )
+            ),
+            deleted=np.asarray([7], dtype=np.int64),
+        )
+        restored = load_database(path, prepare=True)
+        assert restored._index_kind == "rtree"
+        assert live_rows(restored) == live_rows(db)
+        rows = live_rows(restored)
+        rng = random.Random(258)
+        for _ in range(5):
+            area = random_query_polygon(0.05, rng=rng)
+            for method in ("voronoi", "traditional"):
+                spec = AreaQuery(area, method=method)
+                assert restored.query(spec).ids() == brute_force(spec, rows)
 
     def test_queries_identical_after_restore(self, tmp_path):
         import random

@@ -1,26 +1,28 @@
-"""Ablation — pure Bowyer–Watson vs scipy (Qhull) Delaunay construction.
+"""The Delaunay backend's build, adoption and insert costs.
 
 The Voronoi neighbour graph is a build-time structure (the paper treats it
-as part of the database).  This bench quantifies the build-speed gap
-between our from-scratch triangulator and the Qhull-backed one, and the
-shape test re-asserts that the choice cannot affect queries: identical
-neighbour sets (general position) and identical query results.
+as part of the database) that this repository also keeps current under
+writes.  ``test_build`` times the bulk build (Qhull) at two sizes and the
+agreement test re-asserts that the graph is the exact triangulation's.
 
 ``test_bulk_build_rates`` is the in-repo record of set-up speed and size:
 a 100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
 graph, in rows per second and in traced bytes per row (``bulk_build`` in
-``BENCH_pr.json``), with the seconds at 1E4, 1E5 and 2E5 rows beside them
-— and, for the backend that serves writes, the pure build at 1E4 and 4E4
-rows and the microseconds of one ``add_point`` into the 1E4-row graph.
+``BENCH_pr.json``), with the seconds at 1E4, 1E5 and 2E5 rows beside them.
 Beside the Qhull seconds sits what a boot pays instead:
 ``snapshot_load_s``, ``load_database`` of a graph-carrying 1E5-row
 snapshot (no Qhull, R-tree packing included), and
 ``served_graph_bytes_per_row``, what the adopted graph holds once a
 Voronoi kNN has read it row by row (the CSR pair: there is no table).
+Then the write side: ``first_write_s``, the first insert into the 1E5-row
+graph (it derives the triangle arrays), the microseconds of one
+``add_point`` into 1E4- and 1E5-row graphs, and
+``scipy_hidden_rows_per_s``, the bulk build where scipy does not import
+(exact inserts in Hilbert order) at 1E4 rows.
 """
 
 import gc
-import random
+import sys
 import time
 import tracemalloc
 
@@ -28,52 +30,34 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import record_benchmark
-from repro.delaunay.backends import PureDelaunayBackend, ScipyDelaunayBackend
+from repro.delaunay.backends import DelaunayBackend
+from repro.delaunay.triangulation import DelaunayTriangulation
 from repro.core.database import SpatialDatabase
+from repro.core.store import PointStore
 from repro.geometry.point import Point
-from repro.geometry.random_shapes import random_query_polygon
 from repro.io.persist import load_database, save_database
 from repro.workloads.generators import uniform_points
-from repro.query.spec import AreaQuery, KnnQuery
+from repro.query.spec import KnnQuery
 
 BUILD_SIZES = (1_000, 5_000)
 BULK_ROWS = 100_000
 BULK_SIZES = (10_000, BULK_ROWS, 200_000)
-PURE_SIZES = (10_000, 40_000)
-PURE_INSERTS = 1_000
+INSERT_SIZES = (10_000, BULK_ROWS)
+INSERTS = 1_000
 
 
 @pytest.mark.parametrize("n", BUILD_SIZES)
-def test_build_pure(benchmark, n):
+def test_build(benchmark, n):
     points = uniform_points(n, seed=7)
-    benchmark(PureDelaunayBackend, points)
+    benchmark(DelaunayBackend, points)
 
 
-@pytest.mark.parametrize("n", BUILD_SIZES)
-def test_build_scipy(benchmark, n):
-    points = uniform_points(n, seed=7)
-    benchmark(ScipyDelaunayBackend, points)
-
-
-def test_backends_identical_neighbors():
+def test_graph_is_the_exact_triangulations():
     points = uniform_points(2_000, seed=9)
-    pure = PureDelaunayBackend(points)
-    scipy_backend = ScipyDelaunayBackend(points)
+    backend = DelaunayBackend(points)
+    reference = DelaunayTriangulation(points)
     for i in range(len(points)):
-        assert set(pure.neighbors(i)) == set(scipy_backend.neighbors(i))
-
-
-def test_backends_identical_query_results():
-    points = uniform_points(3_000, seed=11)
-    pure_db = SpatialDatabase.from_points(points, backend_kind="pure").prepare()
-    scipy_db = SpatialDatabase.from_points(points, backend_kind="scipy").prepare()
-    rng = random.Random(13)
-    for _ in range(10):
-        area = random_query_polygon(0.05, rng=rng)
-        assert (
-            pure_db.query(AreaQuery(area, method="voronoi")).ids()
-            == scipy_db.query(AreaQuery(area, method="voronoi")).ids()
-        )
+        assert set(backend.neighbors(i)) == set(reference.neighbors(i))
 
 
 def _bulk_build(rows: int):
@@ -93,7 +77,7 @@ def _bulk_build(rows: int):
     # what a prepared database holds: columns, leaf arrays, CSR — no
     # Point and no neighbour table
     assert db.store._materialized == []
-    assert getattr(db.backend, "_neighbor_table", None) is None
+    assert db.backend._triangulation is None
     return index_s, delaunay_s
 
 
@@ -150,22 +134,37 @@ def _snapshot_boot(rows: int, directory, index_bytes: float):
     return load_s, (served - columns) / rows - index_bytes
 
 
-def _pure_build(rows: int):
-    """Seconds for points -> pure graph + table, and per later insert."""
-    points = uniform_points(rows, seed=19)
+def _writes(rows: int):
+    """Seconds of the first insert into a ``rows``-row Qhull graph (it
+    derives the triangle arrays), and seconds per later insert."""
+    xy = np.random.default_rng(19).random((rows, 2))
+    db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1]).prepare()
     started = time.perf_counter()
-    backend = PureDelaunayBackend(points)
-    backend.neighbor_table()
-    build_s = time.perf_counter() - started
+    db.insert((0.5, 0.5))
+    first_s = time.perf_counter() - started
+    backend = db.backend
+    points = uniform_points(INSERTS, seed=23)
     started = time.perf_counter()
-    for p in uniform_points(PURE_INSERTS, seed=23):
+    for p in points:
         backend.add_point(p)
-    add_point_s = (time.perf_counter() - started) / PURE_INSERTS
-    assert backend.size == len(backend.neighbor_table()) == rows + PURE_INSERTS
-    return build_s, add_point_s
+    add_point_s = (time.perf_counter() - started) / INSERTS
+    assert backend.size == len(backend.neighbor_table()) == rows + 1 + INSERTS
+    return first_s, add_point_s
 
 
-def test_bulk_build_rates(tmp_path):
+def _scipy_hidden_build(rows: int, monkeypatch) -> float:
+    """Seconds for the bulk build where ``import scipy`` fails."""
+    store = PointStore()
+    store.extend_array(*np.random.default_rng(29).random((2, rows)))
+    with monkeypatch.context() as patched:
+        for name in ("scipy", "scipy.spatial"):
+            patched.setitem(sys.modules, name, None)  # the import raises
+        started = time.perf_counter()
+        DelaunayBackend(store.view())
+        return time.perf_counter() - started
+
+
+def test_bulk_build_rates(tmp_path, monkeypatch):
     """Columns to a query-ready database, both structures.
 
     The gated numbers are the rates at ``BULK_ROWS``; the seconds at
@@ -178,8 +177,8 @@ def test_bulk_build_rates(tmp_path):
     snapshot_load_s, served_graph_bytes = _snapshot_boot(
         BULK_ROWS, tmp_path, index_bytes
     )
-    small, large = PURE_SIZES
-    (small_s, add_point_s), (large_s, _) = _pure_build(small), _pure_build(large)
+    (_, small_add_s), (first_write_s, large_add_s) = map(_writes, INSERT_SIZES)
+    hidden_s = _scipy_hidden_build(INSERT_SIZES[0], monkeypatch)
     record_benchmark(
         "bulk_build",
         rows=BULK_ROWS,
@@ -189,9 +188,10 @@ def test_bulk_build_rates(tmp_path):
         graph_bytes_per_row=round(graph_bytes, 1),
         snapshot_load_s=round(snapshot_load_s, 3),
         served_graph_bytes_per_row=round(served_graph_bytes, 1),
-        pure_delaunay_rows_per_s=round(small / small_s),
-        pure_delaunay_4e4_rows_per_s=round(large / large_s),
-        pure_add_point_us=round(add_point_s * 1e6, 1),
+        first_write_s=round(first_write_s, 3),
+        add_point_us=round(small_add_s * 1e6, 1),
+        add_point_1e5_us=round(large_add_s * 1e6, 1),
+        scipy_hidden_rows_per_s=round(INSERT_SIZES[0] / hidden_s),
         seconds={
             str(rows): {"index": round(index, 3), "delaunay": round(delaunay, 3)}
             for rows, (index, delaunay) in seconds.items()

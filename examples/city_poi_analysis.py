@@ -47,7 +47,7 @@ def main() -> None:
     pois = clustered_points(50_000, seed=7, clusters=8, spread=0.08)
 
     started = time.perf_counter()
-    db = SpatialDatabase.from_points(pois, backend_kind="scipy").prepare()
+    db = SpatialDatabase.from_points(pois).prepare()
     print(f"Database ready in {time.perf_counter() - started:.2f} s.")
 
     fill = DISTRICT.area / DISTRICT.mbr.area

@@ -35,7 +35,7 @@ def main() -> None:
     customers = uniform_points(N_CUSTOMERS, seed=99)
 
     started = time.perf_counter()
-    db = SpatialDatabase.from_points(customers, backend_kind="scipy").prepare()
+    db = SpatialDatabase.from_points(customers).prepare()
     print(f"Access structures built in {time.perf_counter() - started:.2f} s.")
 
     # Zones: random concave polygons of varying size (0.5 % to 8 % of the

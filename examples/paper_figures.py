@@ -34,9 +34,7 @@ def main() -> None:
     # Fig. 2: a density and query size chosen so the candidate clouds are
     # clearly visible, like the paper's illustration.
     print("Rendering Fig. 2 (candidate sets of both methods)...")
-    db = SpatialDatabase.from_points(
-        uniform_points(4000, seed=2), backend_kind="scipy"
-    ).prepare()
+    db = SpatialDatabase.from_points(uniform_points(4000, seed=2)).prepare()
     area = random_query_polygon(0.12, rng=random.Random(5))
     fig2 = render_candidate_comparison(db, area)
     (out_dir / "fig2.svg").write_text(fig2, encoding="utf-8")

@@ -29,7 +29,7 @@ from repro.workloads.generators import clustered_points
 def main() -> None:
     print("Charging stations: 30,000 clustered locations...")
     stations = clustered_points(30_000, seed=31, clusters=12, spread=0.06)
-    db = SpatialDatabase.from_points(stations, backend_kind="scipy").prepare()
+    db = SpatialDatabase.from_points(stations).prepare()
 
     # --- circular range query -------------------------------------------
     here = Point(0.42, 0.58)

@@ -29,7 +29,7 @@ def main() -> None:
 
     print("Building the database (R-tree + Voronoi neighbour graph)...")
     started = time.perf_counter()
-    db = SpatialDatabase.from_points(points, backend_kind="scipy").prepare()
+    db = SpatialDatabase.from_points(points).prepare()
     print(f"  built in {time.perf_counter() - started:.2f} s")
 
     # The paper's workload: a random 10-vertex polygon whose MBR covers 1 %

@@ -69,9 +69,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     n = args.points
     print(f"Building a database of {n:,} uniform points...")
-    db = SpatialDatabase.from_points(
-        uniform_points(n, seed=args.seed), backend_kind="scipy"
-    ).prepare()
+    db = SpatialDatabase.from_points(uniform_points(n, seed=args.seed)).prepare()
     area = random_query_polygon(
         args.query_size, rng=random.Random(args.seed + 1)
     )
@@ -179,7 +177,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     print(f"Building a database of {args.points:,} uniform points...")
     db = SpatialDatabase.from_points(
-        uniform_points(args.points, seed=args.seed), backend_kind="scipy"
+        uniform_points(args.points, seed=args.seed)
     ).prepare()
 
     if args.first is not None:
@@ -232,7 +230,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     print(f"Building a database of {args.points:,} uniform points...")
     db = SpatialDatabase.from_points(
-        uniform_points(args.points, seed=args.seed), backend_kind="scipy"
+        uniform_points(args.points, seed=args.seed)
     ).prepare()
 
     probes = make_query_trace(args.query_size, 4, 1, seed=args.seed + 17)
@@ -295,9 +293,7 @@ def _build_or_load_database(args: argparse.Namespace):
         print(f"  Voronoi graph {how}: {_graph_summary(db)}")
         return db
     print(f"Building a database of {args.points:,} uniform points...")
-    db = SpatialDatabase.from_points(
-        uniform_points(args.points, seed=args.seed), backend_kind="scipy"
-    )
+    db = SpatialDatabase.from_points(uniform_points(args.points, seed=args.seed))
     if len(db):
         db.prepare()
     else:
@@ -720,9 +716,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.workloads.generators import uniform_points
 
     print(f"Building a database of {args.points:,} uniform points...")
-    db = SpatialDatabase.from_points(
-        uniform_points(args.points, seed=args.seed), backend_kind="scipy"
-    )
+    db = SpatialDatabase.from_points(uniform_points(args.points, seed=args.seed))
     written = save_database(args.out, db)
     print(
         f"wrote {written} ({len(db):,} points; serve it with "
@@ -754,9 +748,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
     out_dir = pathlib.Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    db = SpatialDatabase.from_points(
-        uniform_points(4000, seed=2), backend_kind="scipy"
-    ).prepare()
+    db = SpatialDatabase.from_points(uniform_points(4000, seed=2)).prepare()
     area = random_query_polygon(0.12, rng=random.Random(5))
     (out_dir / "fig2.svg").write_text(
         render_candidate_comparison(db, area), encoding="utf-8"

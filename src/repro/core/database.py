@@ -11,7 +11,8 @@
 * a **spatial index** (R-tree by default — the paper's choice for both the
   window query of the baseline and the NN seed of the Voronoi method),
 * a **Voronoi neighbour backend** (built lazily on first use, since the
-  traditional method never needs it), and
+  traditional method never needs it, and kept up to date by every insert
+  once built), and
 * a **batch query engine** (also lazy — see :mod:`repro.engine`) holding
   the cost-based planner and the spec-keyed result cache.
 
@@ -69,8 +70,10 @@ class SpatialDatabase:
         The spatial index: ``"rtree"`` (default, as in the paper) or
         ``"rstar"``.  See :data:`repro.index.INDEX_REGISTRY`.
     backend_kind:
-        Voronoi-neighbour backend: ``"pure"`` (our Bowyer–Watson, default)
-        or ``"scipy"`` (Qhull-accelerated, identical neighbour sets).
+        Accepted for old callers and snapshots, and selects nothing:
+        ``"pure"`` and ``"scipy"`` both give the one
+        :class:`~repro.delaunay.backends.DelaunayBackend`; any other name
+        raises :class:`ValueError` when the backend is built.
     """
 
     def __init__(
@@ -116,7 +119,7 @@ class SpatialDatabase:
         both access structures are built from those columns, with no
         Python object per row.  The R-tree sorts and tiles them as arrays
         and its leaves keep slices of the packed copies (:meth:`RTree.bulk_load
-        <repro.index.rtree.RTree.bulk_load>`); the Qhull backend reads the
+        <repro.index.rtree.RTree.bulk_load>`); the Voronoi backend reads the
         columns and is born as the CSR graph.  A database built this
         way and then queried with area specs never builds a ``Point``
         except the ones a caller asks for (:attr:`points`,
@@ -146,25 +149,15 @@ class SpatialDatabase:
         """Add one point; returns its row id.
 
         The paper treats the Voronoi diagram as a precomputed structure
-        over a static dataset; we go one step further: when the (pure)
-        backend is already built, the diagram is maintained *incrementally*
-        (expected O(1) cavity work per insert).  The scipy backend, and
-        points falling far outside the original extent, fall back to
-        lazy rebuild-on-next-use.
+        over a static dataset; we go one step further: once the backend is
+        built, the diagram is maintained *incrementally* (expected O(1)
+        cavity work per insert, wherever the point lands), never rebuilt.
         """
         p = point if isinstance(point, Point) else Point(*map(float, point))
         row_id = self._store.append(p.x, p.y)
         self._index.insert(p, row_id)
-        backend = self._backend
-        if backend is not None:
-            add_point = getattr(backend, "add_point", None)
-            if add_point is not None:
-                try:
-                    add_point(p)
-                    return row_id
-                except ValueError:
-                    pass  # outside the incremental-safe extent
-            self._backend = None
+        if self._backend is not None:
+            self._backend.add_point(p)
         return row_id
 
     def extend(
@@ -176,10 +169,8 @@ class SpatialDatabase:
         not: the R-tree repacks when the batch is large next to what it
         already holds and inserts row by row only when that is cheaper
         (:meth:`RTree.bulk_load <repro.index.rtree.RTree.bulk_load>`).
-        Like :meth:`insert`, an already-built pure backend is maintained
-        *incrementally* (one cavity insertion per point) instead of being
-        discarded for a full rebuild; the scipy backend, and points far
-        outside the original extent, fall back to lazy rebuild-on-next-use.
+        Like :meth:`insert`, an already-built backend is maintained
+        *incrementally*, one cavity insertion per point.
         """
         pairs = [
             (p.x, p.y) if isinstance(p, Point) else (float(p[0]), float(p[1]))
@@ -187,17 +178,9 @@ class SpatialDatabase:
         ]
         columns = np.array(pairs, dtype=np.float64).reshape(-1, 2)
         rows = self._load_columns(columns[:, 0], columns[:, 1])
-        backend = self._backend
-        if backend is not None and rows:
-            add_point = getattr(backend, "add_point", None)
-            if add_point is None or backend.size != rows.start:
-                self._backend = None
-            else:
-                try:
-                    for x, y in pairs:
-                        add_point(Point(x, y))
-                except ValueError:  # outside the incremental-safe extent
-                    self._backend = None
+        if self._backend is not None:
+            for x, y in pairs:
+                self._backend.add_point(Point(x, y))
         return list(rows)
 
     def delete(self, row_id: int) -> None:
@@ -289,8 +272,8 @@ class SpatialDatabase:
         What is built is what area queries read — the backend and its CSR
         graph (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`).
         The neighbour *table* the kNN walks and engine seed walks index
-        is a view of that CSR pair on the Qhull backend — nothing more
-        is ever built there — and the pure backend's own list.  A
+        is a view of that CSR pair — nothing more is built until the
+        first insert.  A
         database restored from a snapshot that carried the graph
         (:func:`repro.io.persist.load_database`) is already prepared.
         No query fills the store's ``Point`` cache; only callers asking

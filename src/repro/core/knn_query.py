@@ -169,12 +169,11 @@ def incremental_nearest(
     ``snapshot`` (a :class:`~repro.core.store.StoreSnapshot`) gives the
     generator full MVCC isolation for consumers that stay suspended
     across mutations (the server's chunked streams): the Delaunay
-    adjacency table is frozen by its prefix slice — incremental inserts
-    patch the pure backend's list *in place*, so the slice (one O(n)
-    pointer copy; rows are immutable tuples) pins the admission-time
-    graph, while the Qhull backend's table is a view of arrays no write
-    touches and its slice is O(1) — which, as a consequence, bounds the
-    walk to admission-time row ids — and yields
+    adjacency table is frozen by its prefix slice
+    (:class:`~repro.delaunay.backends.CsrRows`: O(1) over a CSR pair no
+    write touches, a copy of the row bounds over rows that inserts only
+    append to) — which also bounds the walk to admission-time row ids —
+    and yields
     are filtered by :meth:`~repro.core.store.StoreSnapshot.visible`, so
     rows deleted after admission still appear and rows inserted after
     admission never do.  Distances read rows below that bound from the
@@ -184,9 +183,9 @@ def incremental_nearest(
         bound = snapshot.size
         if bound == 0:
             return
-        # Freeze the admission-time graph: the prefix keeps the old
-        # (immutable) adjacency tuples even as add_point patches the
-        # live list in place, and its length excludes later inserts.
+        # Freeze the admission-time graph: the prefix keeps reading the
+        # rows as they are now while add_point rewrites them, and its
+        # length excludes later inserts.
         neighbor_table = backend.neighbor_table()[:bound]
         visible = snapshot.visible
     else:

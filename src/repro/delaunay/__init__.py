@@ -5,14 +5,14 @@ only walks Voronoi *neighbour* relationships, which by Property 4 are the
 edges of the Delaunay triangulation.  This package provides:
 
 * :class:`~repro.delaunay.triangulation.DelaunayTriangulation` — an
-  incremental Bowyer–Watson triangulation built from scratch on the robust
-  predicates of :mod:`repro.geometry.predicates`.
+  insertable Bowyer–Watson triangulation in int arrays, built from
+  scratch on the robust predicates of :mod:`repro.geometry.predicates`.
 * :class:`~repro.delaunay.voronoi.VoronoiDiagram` — the dual diagram:
   per-point cells (circumcentre polygons, clipped to a box) and the
   neighbour graph.
-* :mod:`~repro.delaunay.backends` — a common ``NeighborProvider`` protocol
-  with a pure-Python backend (ours) and an optional scipy-accelerated one
-  for very large experimental datasets; the test suite checks they agree.
+* :mod:`~repro.delaunay.backends` — the one neighbour backend the
+  database reads and writes: built by Qhull when scipy imports (by the
+  exact insert otherwise), adopted from snapshots, and growing in place.
 * :mod:`~repro.delaunay.graph` — graph utilities over the Delaunay edges
   (connectivity, BFS) backing the paper's Properties 5–9.
 """
@@ -20,7 +20,6 @@ edges of the Delaunay triangulation.  This package provides:
 from repro.delaunay.backends import (
     DelaunayBackend,
     PureDelaunayBackend,
-    ScipyDelaunayBackend,
     make_backend,
 )
 from repro.delaunay.triangulation import DelaunayTriangulation
@@ -32,6 +31,5 @@ __all__ = [
     "VoronoiCell",
     "DelaunayBackend",
     "PureDelaunayBackend",
-    "ScipyDelaunayBackend",
     "make_backend",
 ]

@@ -11,10 +11,10 @@ This module provides the traversals and checks that make those claims
 testable, plus generic helpers (components, shortest hop paths) usable by
 applications built on the library.
 
-The helpers operate on plain neighbour tables (``list[tuple[int, ...]]``)
-rather than on a triangulation object, so they work identically over the
-pure and scipy backends — and over any adjacency structure a test wants
-to fabricate.  The batch engine's greedy seed walk
+The helpers read only ``backend.neighbors`` and ``backend.size``, not a
+triangulation, so they work over the backend however it was built — and
+over any adjacency structure a test wants to fabricate.  The batch
+engine's greedy seed walk
 (:func:`repro.engine.batch.greedy_seed_walk`) relies on the same
 connectivity property (Property 5) that these utilities verify.
 """

@@ -102,7 +102,7 @@ class VoronoiDiagram:
         minimum is the global nearest generator.
         """
         current = 0
-        current = self.triangulation.alias_of.get(current, current)
+        current = self.triangulation.alias_of[current]
         current_distance = self.points[current].squared_distance_to(q)
         improved = True
         while improved:
@@ -119,7 +119,7 @@ class VoronoiDiagram:
 
     def cell(self, index: int) -> VoronoiCell:
         """The (lazily computed, cached) cell of generator ``index``."""
-        canonical = self.triangulation.alias_of.get(index, index)
+        canonical = self.triangulation.alias_of[index]
         if canonical not in self._cells:
             self._cells[canonical] = self._build_cell(canonical)
         cached = self._cells[canonical]
@@ -182,7 +182,7 @@ class VoronoiDiagram:
         seen = set()
         total = 0.0
         for i in range(len(self.points)):
-            canonical = self.triangulation.alias_of.get(i, i)
+            canonical = self.triangulation.alias_of[i]
             if canonical in seen:
                 continue
             seen.add(canonical)

@@ -194,12 +194,30 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> float:
     outside, and exactly ``0.0`` if the four points are cocircular.  (For a
     clockwise triangle the sign flips, as with the classical determinant.)
     """
-    adx = a.x - d.x
-    ady = a.y - d.y
-    bdx = b.x - d.x
-    bdy = b.y - d.y
-    cdx = c.x - d.x
-    cdy = c.y - d.y
+    return incircle_sign(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+
+
+def incircle_sign(
+    ax: float,
+    ay: float,
+    bx: float,
+    by: float,
+    cx: float,
+    cy: float,
+    dx: float,
+    dy: float,
+) -> float:
+    """Raw-coordinate form of :func:`incircle`, with the same sign guarantee.
+
+    What the triangulation's insert calls on the floats it keeps in its
+    coordinate arrays, so no :class:`Point` is built per test.
+    """
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
 
     bdxcdy = bdx * cdy
     cdxbdy = cdx * bdy
@@ -226,18 +244,23 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> float:
     )
     if abs(det) >= _INCIRCLE_ERR_BOUND * permanent:
         return det
-    return _incircle_exact(a, b, c, d)
+    return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 
 
-def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> float:
-    ax, ay = Fraction(a.x), Fraction(a.y)
-    bx, by = Fraction(b.x), Fraction(b.y)
-    cx, cy = Fraction(c.x), Fraction(c.y)
-    dx, dy = Fraction(d.x), Fraction(d.y)
-
-    adx, ady = ax - dx, ay - dy
-    bdx, bdy = bx - dx, by - dy
-    cdx, cdy = cx - dx, cy - dy
+def _incircle_exact(
+    ax: float,
+    ay: float,
+    bx: float,
+    by: float,
+    cx: float,
+    cy: float,
+    dx: float,
+    dy: float,
+) -> float:
+    fdx, fdy = Fraction(dx), Fraction(dy)
+    adx, ady = Fraction(ax) - fdx, Fraction(ay) - fdy
+    bdx, bdy = Fraction(bx) - fdx, Fraction(by) - fdy
+    cdx, cdy = Fraction(cx) - fdx, Fraction(cy) - fdy
 
     alift = adx * adx + ady * ady
     blift = bdx * bdx + bdy * bdy

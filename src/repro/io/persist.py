@@ -10,26 +10,25 @@ Format: a single uncompressed numpy ``.npz`` archive holding
 * ``graph_indptr`` / ``graph_indices`` — the Delaunay neighbour graph as
   the int64 CSR pair :meth:`DelaunayBackend.neighbor_csr
   <repro.delaunay.backends.DelaunayBackend.neighbor_csr>` returns, over
-  all ``n`` rows, tombstones included (present only for a
-  ``backend_kind="scipy"`` database with rows), and
+  all ``n`` rows, tombstones included (present for every database with
+  rows), and
 * ``config`` — a JSON-encoded scalar with the database configuration
   (index kind, backend kind, row count, format version).
 
-A snapshot of a Qhull-backed database is a **serving image**: the paper
-treats the Voronoi diagram as a precomputed structure beside the R-tree,
-so the saver runs Qhull (once, if the database had not built its graph
-yet) and every later boot adopts the saved arrays — no Qhull, no scipy
-import: about 0.1 s per 1E5 rows to read the file and pack the R-tree,
-instead of that plus 0.45 s of import and 0.6 s of triangulation
+A snapshot is a **serving image**: the paper treats the Voronoi diagram
+as a precomputed structure beside the R-tree, so the saver builds the
+graph (once, if the database had not built it yet) and every later boot
+adopts the saved arrays — no Qhull, no scipy import: about 0.1 s per
+1E5 rows to read the file and pack the R-tree, instead of that plus
+0.45 s of import and 0.6 s of triangulation
 (``snapshot_load_s`` beside the Qhull seconds in ``bulk_build``,
 ``benchmarks/bench_ablation_backend.py``; docs/BENCHMARKS.md, "Bulk
 build").  The R-tree is not persisted: it packs deterministically from
 the columns with array sorts in under a tenth of a second, so a file
 whose config names an index kind that has since been removed loads into
-the R-tree with the same ids.  The pure
-backend's graph is not either: that backend is the one that absorbs
-writes, and what it maintains is its triangulation, which a neighbour
-graph does not restore.
+the R-tree with the same ids.  The triangulation behind the graph is not
+persisted either: the first insert after a boot derives it from the
+adopted graph and the coordinates, so an adopted image takes writes.
 
 The graph members are optional and the format version is unchanged: a
 file without them (any snapshot written before they existed) loads and
@@ -60,7 +59,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
-from repro.delaunay.backends import ScipyDelaunayBackend
+from repro.delaunay.backends import DelaunayBackend
 
 _FORMAT_VERSION = 1
 _GRAPH_MEMBERS = ("graph_indptr", "graph_indices")
@@ -139,17 +138,17 @@ def load_points(path: str | os.PathLike) -> List[Point]:
 
 
 def save_database(path: str | os.PathLike, db: SpatialDatabase) -> str:
-    """Write ``db``'s points, configuration and Qhull graph to ``path``.
+    """Write ``db``'s points, configuration and neighbour graph to ``path``.
 
     The payload comes straight off the database's columnar
     :class:`~repro.core.store.PointStore` (one numpy stack of the
     ``xs``/``ys`` columns — no per-point Python conversion; the loading
     side mirrors this through :meth:`SpatialDatabase.from_arrays
-    <repro.core.database.SpatialDatabase.from_arrays>`).  A
-    ``backend_kind="scipy"`` database also writes its neighbour graph,
-    building it first if it has not yet: the reader that matters,
-    ``serve --load``, always wants it, so Qhull runs once per snapshot
-    instead of once per boot.  A failed build raises and writes nothing.
+    <repro.core.database.SpatialDatabase.from_arrays>`).  A database with
+    rows also writes its neighbour graph, building it first if it has not
+    yet: the reader that matters, ``serve --load``, always wants it, so
+    the graph is built once per snapshot instead of once per boot.  A
+    failed build raises and writes nothing.
     Returns the path actually written (the ``.npz`` extension is
     appended if missing), so callers can pass it straight to
     :func:`load_database` — or to ``python -m repro serve --load``.
@@ -170,7 +169,7 @@ def save_database(path: str | os.PathLike, db: SpatialDatabase) -> str:
         # are re-deleted on load; deletion *versions* are not persisted
         # — snapshots are an MVCC-session concept, not a disk one.
         payload["deleted"] = np.asarray(sorted(deleted), dtype=np.int64)
-    if db._backend_kind == "scipy" and len(db.store):
+    if len(db.store):
         payload.update(zip(_GRAPH_MEMBERS, db.backend.neighbor_csr()))
     return _write_archive(path, payload)
 
@@ -219,11 +218,11 @@ def load_database(
 
     A file that carries the neighbour graph has it checked (see the
     module docstring; ``ValueError`` if it fails) and adopted as the
-    database's backend (:meth:`ScipyDelaunayBackend.from_csr
-    <repro.delaunay.backends.ScipyDelaunayBackend.from_csr>`): the
-    database comes back prepared whatever ``prepare`` says, Qhull does
-    not run and scipy is not imported.  A later ``insert`` drops the
-    adopted backend for a lazy rebuild, like any Qhull backend.  For a
+    database's backend (:meth:`DelaunayBackend.from_csr
+    <repro.delaunay.backends.DelaunayBackend.from_csr>`), whatever
+    backend kind the config names: the database comes back prepared
+    whatever ``prepare`` says, Qhull does not run and scipy is not
+    imported.  A later ``insert`` is absorbed by the adopted backend.  For a
     file without a graph, pass ``prepare=True`` to rebuild the Voronoi
     backend eagerly; by default it stays lazy, like a freshly
     constructed database.
@@ -256,14 +255,14 @@ def load_database(
     )
     for row_id in deleted:  # replay tombstones; ids stay positional
         db.delete(int(row_id))
-    if graph and config["backend_kind"] == "scipy":
+    if graph:
         if len(graph) != len(_GRAPH_MEMBERS):
             raise ValueError(
                 "corrupt database file: one of "
                 f"{' / '.join(_GRAPH_MEMBERS)} is missing"
             )
         _check_graph(*graph, len(xy))
-        db._backend = ScipyDelaunayBackend.from_csr(*graph)
+        db._backend = DelaunayBackend.from_csr(*graph, db.store.view())
     if prepare:
         db.prepare()
     return db

@@ -82,10 +82,6 @@ class ExperimentConfig:
     fixed_data_size: int = 100_000
     repetitions: int = DEFAULT_REPETITIONS
     seed: int = 0
-    #: "scipy" builds the neighbour graph via Qhull — identical neighbour
-    #: sets, much faster construction for paper-scale datasets.  The pure
-    #: backend is the default everywhere else in the library.
-    backend_kind: str = "scipy"
 
     @staticmethod
     def paper_scale() -> "ExperimentConfig":
@@ -192,8 +188,7 @@ def _build_database(
     n: int, config: ExperimentConfig
 ) -> SpatialDatabase:
     points = uniform_points(n, seed=config.seed)
-    db = SpatialDatabase.from_points(points, backend_kind=config.backend_kind)
-    return db.prepare()
+    return SpatialDatabase.from_points(points).prepare()
 
 
 def run_data_size_sweep(
@@ -1497,15 +1492,9 @@ def run_tail_latency_experiment(
     but below capacity, so what the percentiles expose is *queueing
     texture* (bursts stacking into the admission window) rather than
     overload.  Returns a :class:`TailLatencyReport` combining
-    client-observed and server-recorded (histogram) percentiles.
-
-    Pass a ``database`` built on the **pure (incremental) backend**
-    for the realistic numbers: the scipy backend discards its Delaunay
-    structure on every insert and rebuilds it (hundreds of ms at 2E4
-    points) on the next voronoi/knn read, so under a mixed read/write
-    trace every write detonates a rebuild storm and the tail no longer
-    measures queueing at all.  The CLI ``tail`` target defaults to the
-    pure backend for exactly this reason (``--backend`` overrides).
+    client-observed and server-recorded (histogram) percentiles.  Writes
+    are absorbed by the Voronoi backend in place, so the tail measures
+    queueing, not rebuilds.
     """
     from repro.server.app import ServerThread
 
@@ -1783,12 +1772,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--repetitions", type=int, default=None, help="override repetitions"
     )
     parser.add_argument(
-        "--backend",
-        choices=("pure", "scipy"),
-        default=None,
-        help="Delaunay backend (default scipy for speed; results identical)",
-    )
-    parser.add_argument(
         "--data-size",
         type=int,
         default=None,
@@ -1857,8 +1840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if args.repetitions is not None:
         config = replace(config, repetitions=args.repetitions)
-    if args.backend is not None:
-        config = replace(config, backend_kind=args.backend)
     if args.data_size is not None:
         config = replace(config, fixed_data_size=args.data_size)
 
@@ -1939,17 +1920,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
     if args.target == "tail":
-        # Mixed read/write serving needs the incremental backend: the
-        # scipy backend rebuilds its whole Delaunay structure on the
-        # first voronoi/knn read after every write, and that rebuild
-        # storm would drown the queueing behaviour this target shows.
-        tail_config = (
-            config
-            if args.backend is not None
-            else replace(config, backend_kind="pure")
-        )
         tail = run_tail_latency_experiment(
-            tail_config,
+            config,
             data_size=args.data_size or 20_000,
             sessions=args.sessions,
             rate=args.rate,

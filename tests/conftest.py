@@ -38,9 +38,11 @@ if _hypothesis_settings is not None:
 def requires_scipy():
     """Skip where scipy is missing: it is an optional accelerator.
 
-    Requested (as an argument, or through ``usefixtures``) by every test
-    and fixture that builds ``backend_kind="scipy"``, so a numpy-only
-    install runs everything else and stays green.
+    Requested (as an argument, or through ``usefixtures``) by the tests
+    that exercise Qhull itself and by those that build graphs large
+    enough that the exact insert alone (the numpy-only build) would make
+    them slow, so a numpy-only install runs everything else and stays
+    green.
     """
     pytest.importorskip("scipy")
 

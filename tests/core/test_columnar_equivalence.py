@@ -317,7 +317,7 @@ class TestObjectFreeReadPath:
         # results in the hundreds: the expansion left the small-wave loop
         assert widest > 4 * voronoi_query._WAVE_MIN
         assert db.store._materialized == []
-        assert getattr(db.backend, "_neighbor_table", None) is None
+        assert db.backend._triangulation is None  # reads build no triangles
 
     def test_index_and_graph_fit_the_per_row_budget(self):
         """160 B a row is the line; measured 63 (index) + 56 (graph)."""
@@ -377,7 +377,7 @@ class TestObjectFreeReadPath:
         assert first == brute_force(streamed, model)[:25]
         assert reuses > 0
         assert isinstance(table, CsrRows) and not isinstance(table, list)
-        assert table is db.backend.neighbor_table()
+        assert db.backend._triangulation is None
         store = db.store
         columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
         assert (traced - columns) / rows <= 150

@@ -130,8 +130,7 @@ class TestBackendLifecycle:
     def test_extend_on_a_built_backend_leaves_the_point_cache_alone(self):
         """A handful of rows into a large prepared table: the batch's own
         pairs feed the incremental Delaunay, not ``Point``s read back from
-        the table.  (The pure build itself fills the cache with the rows
-        it triangulates, so "untouched" is 5 000 entries, not none.)"""
+        the table — neither the build nor the inserts fill the cache."""
         import numpy as np
 
         rng = np.random.default_rng(75)
@@ -140,35 +139,35 @@ class TestBackendLifecycle:
         rows = db.extend([(0.3 + 0.01 * i, 0.6 - 0.01 * i) for i in range(10)])
         assert rows == list(range(5_000, 5_010))
         assert db.backend is backend_before and db.backend.size == 5_010
-        assert len(db.store._materialized) == 5_000
+        assert db.store._materialized == []
         spec = AreaQuery(Circle(Point(0.35, 0.55), 0.1), method="voronoi")
         ids = db.query(spec).ids()
         assert ids == brute_force(spec, live_rows(db)) and set(rows) <= set(ids)
 
-    def test_insert_grows_pure_backend_incrementally(self):
-        db = SpatialDatabase.from_points(uniform_points(50, seed=73))
-        backend_before = db.backend
-        db.insert(Point(0.5, 0.5))
-        # The pure backend is maintained in place, not rebuilt.
-        assert db.backend is backend_before
-        assert db.backend.size == 51
-
-    @pytest.mark.usefixtures("requires_scipy")
-    def test_insert_invalidates_scipy_backend(self):
+    @pytest.mark.parametrize("kind", ["pure", "scipy"])
+    def test_insert_grows_the_backend_in_place(self, kind):
         db = SpatialDatabase.from_points(
-            uniform_points(50, seed=73), backend_kind="scipy"
+            uniform_points(50, seed=73), backend_kind=kind
         )
         backend_before = db.backend
         db.insert(Point(0.5, 0.5))
-        assert db.backend is not backend_before
+        # Either name gives the one backend, maintained, not rebuilt.
+        assert db.backend is backend_before
         assert db.backend.size == 51
 
-    def test_far_outside_insert_falls_back_to_rebuild(self):
+    def test_far_outside_insert_is_absorbed(self):
         db = SpatialDatabase.from_points(uniform_points(50, seed=73))
         backend_before = db.backend
         db.insert(Point(1e9, 1e9))
-        assert db.backend is not backend_before
-        assert db.backend.size == 51
+        db.insert(Point(-1e12, 0.5))
+        assert db.backend is backend_before
+        assert db.backend.size == 52
+        db.backend.triangulation.check_delaunay_property()
+
+    def test_unknown_backend_kind_is_refused(self):
+        db = SpatialDatabase.from_points(uniform_points(10, seed=76), backend_kind="cgal")
+        with pytest.raises(ValueError, match="unknown backend"):
+            db.prepare()
 
     def test_queries_stay_correct_across_inserts(self, concave_polygon):
         db = SpatialDatabase.from_points(uniform_points(80, seed=74)).prepare()
@@ -192,8 +191,7 @@ class TestBackendLifecycle:
         db.prepare()
         assert db.backend is backend
 
-    @pytest.mark.usefixtures("requires_scipy")
-    def test_scipy_backend_option(self, concave_polygon):
+    def test_either_backend_kind_name(self, concave_polygon):
         points = uniform_points(100, seed=77)
         pure_db = SpatialDatabase.from_points(points, backend_kind="pure")
         scipy_db = SpatialDatabase.from_points(points, backend_kind="scipy")

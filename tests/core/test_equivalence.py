@@ -97,8 +97,7 @@ class TestDistributions:
 
 
 class TestBackendsAndIndexes:
-    @pytest.mark.usefixtures("requires_scipy")
-    def test_both_backends(self):
+    def test_both_backend_kind_names(self):
         points = uniform_points(300, seed=103)
         rng = random.Random(105)
         areas = [random_query_polygon(0.05, rng=rng) for _ in range(5)]

@@ -18,7 +18,7 @@ def db_400():
 
 def _brute_knn(db, query, k):
     order = sorted(
-        range(len(db)),
+        range(len(db.store)),
         key=lambda i: (db.point(i).squared_distance_to(query), i),
     )
     return order[:k]
@@ -114,6 +114,33 @@ class TestIncrementalNearest:
             incremental_nearest(db_400.index, db_400.backend, db_400.store, q)
         )
         assert sorted(everything) == list(range(400))
+
+    @pytest.mark.parametrize("graph", ["adopted CSR", "triangle arrays"])
+    def test_a_stream_admitted_before_500_inserts_keeps_its_ranking(self, graph):
+        """An unbounded kNN stream walks the graph it was admitted on: 500
+        inserts around the query point (which rewrite the rows the stream
+        still has to read, and re-pack the row storage) and 20 deletes
+        later, it yields exactly the admission-time ranking."""
+        db = SpatialDatabase.from_points(uniform_points(400, seed=175)).prepare()
+        if graph == "triangle arrays":
+            db.insert((0.9, 0.9))  # the first write derives them
+        q = Point(0.45, 0.55)
+        expected = _brute_knn(db, q, len(db))
+        stream = iter(db.query(KnnQuery(q, None)))
+        head = [next(stream) for _ in range(10)]
+        rng = random.Random(176)
+        for _ in range(500):
+            db.insert((q.x + rng.gauss(0.0, 0.05), q.y + rng.gauss(0.0, 0.05)))
+        for row in rng.sample(expected[10:], 20):
+            db.delete(row)
+        assert head + list(stream) == expected
+        # a stream admitted now sees the writes
+        fresh = db.query(KnnQuery(q, 30)).ids()
+        assert fresh == [
+            row
+            for row in _brute_knn(db, q, len(db.store))
+            if not db.store.is_deleted(row)
+        ][:30]
 
     def test_empty_database(self):
         db = SpatialDatabase()

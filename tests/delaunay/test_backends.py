@@ -1,121 +1,136 @@
-"""Unit tests for the pure and scipy Delaunay backends."""
+"""Unit tests for the one Delaunay backend: build, adoption and growth.
+
+Nothing here skips without scipy: where it is missing the bulk build is
+the exact insert, and the Qhull failure paths run against a stand-in
+``scipy.spatial`` module.
+"""
 
 import random
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from oracle import brute_force, live_rows
+from repro.core.database import SpatialDatabase
 from repro.core.store import PointStore
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.delaunay.backends import (
+    DelaunayBackend,
     PureDelaunayBackend,
-    ScipyDelaunayBackend,
     make_backend,
 )
 from repro.delaunay.triangulation import DelaunayTriangulation
+from repro.io.persist import load_database, save_database
+from repro.query.spec import AreaQuery, KnnQuery
 from repro.workloads.generators import clustered_points, uniform_points
 
 
-class TestPureBackend:
-    def test_size_and_name(self, uniform_200):
-        backend = PureDelaunayBackend(uniform_200)
-        assert backend.size == 200
-        assert backend.name == "pure"
+class TestBackend:
+    def test_size(self, uniform_200):
+        assert DelaunayBackend(uniform_200).size == 200
 
     def test_neighbors_nonempty(self, uniform_200):
-        backend = PureDelaunayBackend(uniform_200)
+        backend = DelaunayBackend(uniform_200)
         for i in range(200):
             assert len(backend.neighbors(i)) > 0
 
     def test_neighbor_table_matches_neighbors(self, uniform_200):
-        backend = PureDelaunayBackend(uniform_200)
+        backend = DelaunayBackend(uniform_200)
         table = backend.neighbor_table()
         assert len(table) == 200
         for i in range(200):
             assert table[i] == backend.neighbors(i)
-
-    def test_neighbor_table_cached(self, uniform_200):
-        backend = PureDelaunayBackend(uniform_200)
-        assert backend.neighbor_table() is backend.neighbor_table()
-
-
-@pytest.mark.usefixtures("requires_scipy")
-class TestScipyBackend:
-    def test_size_and_name(self, uniform_200):
-        backend = ScipyDelaunayBackend(uniform_200)
-        assert backend.size == 200
-        assert backend.name == "scipy"
+        assert table[-1] == backend.neighbors(199)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            ScipyDelaunayBackend([])
+            DelaunayBackend([])
 
     def test_single_point(self):
-        backend = ScipyDelaunayBackend([Point(0.5, 0.5)])
-        assert backend.neighbors(0) == ()
+        assert DelaunayBackend([Point(0.5, 0.5)]).neighbors(0) == ()
 
     def test_two_points(self):
-        backend = ScipyDelaunayBackend([Point(0, 0), Point(1, 1)])
+        backend = DelaunayBackend([Point(0, 0), Point(1, 1)])
         assert backend.neighbors(0) == (1,)
         assert backend.neighbors(1) == (0,)
 
-    def test_collinear_chain(self):
-        points = [Point(float(i), float(i)) for i in range(5)]
-        backend = ScipyDelaunayBackend(points)
-        assert backend.neighbors(0) == (1,)
-        assert backend.neighbors(2) == (1, 3)
-
-    def test_qhull_failure_on_a_line_takes_the_chain(self):
-        # Qhull raises "initial simplex is flat"; the cross-product check
-        # confirms the line, so the chain is the right answer.
-        from scipy.spatial import Delaunay, QhullError
-
+    def test_a_line_is_chained(self):
+        # Qhull raises "initial simplex is flat" here; the exact insert
+        # chains the points along their line.
         points = [Point(0.25 * i, 0.75 * i) for i in (4, 0, 2, 1, 3)]
-        with pytest.raises(QhullError):
-            Delaunay([(p.x, p.y) for p in points])
-        backend = ScipyDelaunayBackend(points)
+        backend = DelaunayBackend(points)
         assert backend.neighbor_table() == [(4,), (3,), (3, 4), (1, 2), (0, 2)]
-
-    def test_qhull_failure_off_a_line_is_raised(self, monkeypatch):
-        # Any other Qhull failure must not be answered with a chain.
-        import scipy.spatial
-
-        def failing(*args, **kwargs):
-            raise scipy.spatial.QhullError("QH6999 injected failure")
-
-        monkeypatch.setattr(scipy.spatial, "Delaunay", failing)
-        with pytest.raises(scipy.spatial.QhullError, match="injected"):
-            ScipyDelaunayBackend(uniform_points(20, seed=5))
-
-    def test_nearly_collinear_input_is_not_chained(self):
-        # Flat within Qhull's tolerance but not on one line: Qhull gives
-        # up and so do we, instead of returning a graph that is wrong.
-        from scipy.spatial import QhullError
-
-        points = [Point(float(i), float(i)) for i in range(5)]
-        points.append(Point(5.0, 5.0 + 2e-15))
-        with pytest.raises(QhullError):
-            ScipyDelaunayBackend(points)
-
-    def test_other_errors_are_not_swallowed(self, monkeypatch):
-        import scipy.spatial
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("not a Qhull failure")
-
-        monkeypatch.setattr(scipy.spatial, "Delaunay", broken)
-        with pytest.raises(RuntimeError):
-            ScipyDelaunayBackend([Point(i, 0.0) for i in range(4)])
 
     def test_duplicates(self):
         points = [Point(0, 0), Point(1, 0), Point(0, 1), Point(0, 0)]
-        backend = ScipyDelaunayBackend(points)
+        backend = DelaunayBackend(points)
         # Copies are mutually adjacent and share the spatial neighbourhood.
         assert 3 in backend.neighbors(0)
         assert 0 in backend.neighbors(3)
         assert set(backend.neighbors(3)) - {0} == set(
             backend.neighbors(0)
         ) - {3}
+
+    def test_make_backend(self, uniform_200):
+        for kind in ("pure", "scipy"):
+            assert type(make_backend(kind, uniform_200)) is DelaunayBackend
+        assert PureDelaunayBackend is DelaunayBackend
+
+    def test_unknown_backend(self, uniform_200):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("cgal", uniform_200)
+
+
+@pytest.mark.parametrize("lift", [2e-15, 1e-13])
+def test_nearly_collinear_input_answers_exactly(lift):
+    """Five points on y = x and one a hair above the line.  Qhull raises
+    on the 2e-15 lift and, on the 1e-13 one, leaves three of the five out
+    of its triangulation (``Delaunay.coplanar``); either way the answer
+    is the only triangulation the set has: the lifted point joined to
+    every point of the chain."""
+    points = [Point(float(i), float(i)) for i in range(5)]
+    points.append(Point(5.0, 5.0 + lift))
+    backend = DelaunayBackend(points)
+    assert backend.neighbor_table() == [
+        (1, 5), (0, 2, 5), (1, 3, 5), (2, 4, 5), (3, 5), (0, 1, 2, 3, 4)
+    ]
+    backend.triangulation.check_delaunay_property()
+    DelaunayTriangulation(points).check_delaunay_property()
+
+
+def _stand_in_qhull(monkeypatch, failure):
+    """Make ``scipy.spatial.Delaunay`` raise ``failure(QhullError)``."""
+
+    class QhullError(RuntimeError):
+        pass
+
+    def delaunay(*args, **kwargs):
+        raise failure(QhullError)
+
+    spatial = types.ModuleType("scipy.spatial")
+    spatial.Delaunay, spatial.QhullError = delaunay, QhullError
+    scipy = types.ModuleType("scipy")
+    scipy.spatial = spatial
+    monkeypatch.setitem(sys.modules, "scipy", scipy)
+    monkeypatch.setitem(sys.modules, "scipy.spatial", spatial)
+
+
+class TestQhullFailures:
+    def test_a_qhull_failure_is_answered_by_exact_inserts(self, monkeypatch):
+        points = uniform_points(60, seed=5)
+        _stand_in_qhull(monkeypatch, lambda error: error("QH6999 injected"))
+        backend = DelaunayBackend(points)
+        monkeypatch.undo()
+        reference = DelaunayTriangulation(points)
+        assert backend.neighbor_table() == [reference.neighbors(i) for i in range(60)]
+
+    def test_other_errors_are_not_swallowed(self, monkeypatch):
+        _stand_in_qhull(monkeypatch, lambda error: ValueError("not Qhull's"))
+        with pytest.raises(ValueError, match="not Qhull's"):
+            DelaunayBackend(uniform_points(20, seed=5))
 
 
 def _with_duplicates():
@@ -152,23 +167,55 @@ AGREEMENT_INPUTS = {
 }
 
 
-@pytest.mark.usefixtures("requires_scipy")
-@pytest.mark.parametrize("case", sorted(AGREEMENT_INPUTS))
-class TestBackendAgreement:
-    """The core substitution guarantee: the array-born Qhull graph and the
-    from-scratch triangulation give identical neighbour sets, so query
-    traversals are identical regardless of which one built the diagram."""
+def _integer_grid(side):
+    # Integer coordinates are exact in floating point: the four corners
+    # of every cell are exactly cocircular, rows and columns collinear.
+    return [Point(float(i), float(j)) for i in range(side) for j in range(side)]
 
+
+def _far_outside(count, seed):
+    # the unit square, and a sprinkle of points up to 1e9 away from it
+    rng = random.Random(seed)
+    return [
+        Point(rng.random(), rng.random())
+        if rng.random() < 0.95
+        else Point(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9))
+        for _ in range(count)
+    ]
+
+
+def _shuffled(points, seed):
+    points = list(points)
+    random.Random(seed).shuffle(points)
+    return points
+
+
+#: name -> every row, build rows first; the rest arrive one write at a time
+WRITE_INPUTS = {
+    "uniform": lambda: uniform_points(9_000, seed=31),
+    "clustered": lambda: _shuffled(clustered_points(9_000, seed=32, clusters=6), 33),
+    "cocircular-grid": lambda: _shuffled(_integer_grid(95), 34),
+    "far-outside": lambda: _far_outside(9_000, 35),
+}
+
+
+class TestBackendAgreement:
+    """The one backend against the from-scratch exact triangulation, on
+    every degenerate input the build meets, and after 10 000 writes."""
+
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_INPUTS))
     def test_same_neighbour_sets_as_from_scratch(self, case):
         points = AGREEMENT_INPUTS[case]()
         reference = DelaunayTriangulation(points)
-        backend = ScipyDelaunayBackend(points)
+        reference.check_delaunay_property()
+        backend = DelaunayBackend(points)
         assert backend.size == len(points)
         for i in range(len(points)):
             assert set(backend.neighbors(i)) == set(reference.neighbors(i)), i
 
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_INPUTS))
     def test_csr_is_the_table_row_for_row(self, case):
-        backend = ScipyDelaunayBackend(AGREEMENT_INPUTS[case]())
+        backend = DelaunayBackend(AGREEMENT_INPUTS[case]())
         indptr, indices = backend.neighbor_csr()
         table = backend.neighbor_table()
         assert indptr.dtype == indices.dtype == np.int64
@@ -178,21 +225,84 @@ class TestBackendAgreement:
             assert row == tuple(indices[indptr[i] : indptr[i + 1]].tolist())
             assert row == backend.neighbors(i)
 
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_INPUTS))
     def test_store_view_and_point_list_build_the_same_graph(self, case):
         points = AGREEMENT_INPUTS[case]()
         store = PointStore()
         store.extend_points(points)
-        from_view = ScipyDelaunayBackend(store.view())
+        from_view = DelaunayBackend(store.view())
         assert from_view.neighbor_table() == (
-            ScipyDelaunayBackend(points).neighbor_table()
+            DelaunayBackend(points).neighbor_table()
         )
         assert not store._materialized  # columns only: no Point was built
 
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_INPUTS))
+    def test_every_input_takes_writes(self, case):
+        points = AGREEMENT_INPUTS[case]()
+        extra = [points[0], Point(0.5, 0.25), Point(-3.0, 7.0), points[-1]]
+        backend = DelaunayBackend(points)
+        for p in extra:
+            backend.add_point(p)
+        backend.triangulation.check_delaunay_property()
+        reference = DelaunayTriangulation(points + extra)
+        for i in range(len(points) + len(extra)):
+            assert set(backend.neighbors(i)) == set(reference.neighbors(i)), i
 
-def _integer_grid(side):
-    # Integer coordinates are exact in floating point: the four corners
-    # of every cell are exactly cocircular, rows and columns collinear.
-    return [Point(float(i), float(j)) for i in range(side) for j in range(side)]
+    @pytest.mark.parametrize("start", ["built", "adopted"])
+    @pytest.mark.parametrize("case", sorted(WRITE_INPUTS))
+    def test_interleaved_writes_match_a_fresh_build(
+        self, case, start, tmp_path, monkeypatch
+    ):
+        """10 000 writes — 7 000 inserts, 3 000 deletes — into a database
+        whose graph was built (by Qhull where scipy imports) or adopted
+        from a snapshot: the graph is then the one a fresh build of the
+        same rows has, and the backend was never rebuilt.  Cocircular
+        grid cells may take either diagonal, so there the graph is held to
+        the Delaunay certificate instead of to the fresh build's choice."""
+        import repro.core.database as database_module
+
+        builds = []
+        real = database_module.make_backend
+
+        def counted(*args):
+            builds.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(database_module, "make_backend", counted)
+        points = WRITE_INPUTS[case]()
+        base, later = points[:2_000], points[2_000:]
+        db = SpatialDatabase.from_arrays(
+            [p.x for p in base], [p.y for p in base]
+        ).prepare()
+        if start == "adopted":
+            db = load_database(save_database(tmp_path / "image", db))
+        backend = db.backend
+        rng = random.Random(36)
+        deletes = 0
+        for p in later:
+            db.insert(p)
+            if rng.random() < 0.43 and deletes < 3_000:
+                row = rng.randrange(len(db.store))
+                if not db.store.is_deleted(row):
+                    db.delete(row)
+                    deletes += 1
+        assert db.backend is backend and len(builds) == 1
+        assert backend.size == len(points)
+
+        backend.triangulation.check_delaunay_property()
+        if case == "cocircular-grid":
+            _assert_a_delaunay_triangulation_of_the_grid(points, backend.neighbors)
+        else:
+            fresh = DelaunayBackend(points).neighbor_csr()
+            for ours, theirs in zip(backend.neighbor_csr(), fresh):
+                assert np.array_equal(ours, theirs)
+        rows = live_rows(db)
+        center = points[rng.randrange(len(points))]
+        for spec in (
+            KnnQuery(center, 25, method="voronoi"),
+            AreaQuery(Circle(center, 4.0 if "grid" in case else 0.05), method="voronoi"),
+        ):
+            assert db.query(spec).ids() == brute_force(spec, rows), spec
 
 
 def _duplicated_grid():
@@ -239,7 +349,7 @@ def _assert_a_delaunay_triangulation_of_the_grid(points, neighbors):
 @pytest.mark.parametrize("case", sorted(DEGENERATE_INPUTS))
 class TestDegenerateAgreementByInvariant:
     """Which diagonal a cocircular cell gets depends on insertion order, so
-    on such input the backends are held to the invariants of a Delaunay
+    on such input the builds are held to the invariants of a Delaunay
     triangulation, not to each other's neighbour sets."""
 
     def test_from_scratch(self, case):
@@ -252,27 +362,15 @@ class TestDegenerateAgreementByInvariant:
 
     def test_incremental(self, case):
         points = DEGENERATE_INPUTS[case]()
-        backend = PureDelaunayBackend(points[: len(points) // 2])
+        backend = DelaunayBackend(points[: len(points) // 2])
         for p in points[len(points) // 2 :]:
             backend.add_point(p)
         backend.triangulation.check_delaunay_property()
         table = backend.neighbor_table()
         _assert_a_delaunay_triangulation_of_the_grid(points, table.__getitem__)
 
-    @pytest.mark.usefixtures("requires_scipy")
-    def test_qhull(self, case):
+    def test_bulk(self, case):
         points = DEGENERATE_INPUTS[case]()
         _assert_a_delaunay_triangulation_of_the_grid(
-            points, ScipyDelaunayBackend(points).neighbors
+            points, DelaunayBackend(points).neighbors
         )
-
-
-class TestRegistry:
-    @pytest.mark.usefixtures("requires_scipy")
-    def test_make_backend(self, uniform_200):
-        assert make_backend("pure", uniform_200).name == "pure"
-        assert make_backend("scipy", uniform_200).name == "scipy"
-
-    def test_unknown_backend(self, uniform_200):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("cgal", uniform_200)

@@ -1,23 +1,25 @@
 """Tests for incremental point insertion into the triangulation."""
 
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.delaunay.backends import PureDelaunayBackend
-from repro.delaunay.triangulation import DelaunayTriangulation, InsertionResult
+from repro.delaunay.backends import DelaunayBackend
+from repro.delaunay.triangulation import DelaunayTriangulation
 from repro.workloads.generators import uniform_points
+
+
+def _rows(dt):
+    return [dt.neighbors(i) for i in range(len(dt))]
 
 
 class TestAddPoint:
     def test_returns_new_index(self):
         dt = DelaunayTriangulation(uniform_points(20, seed=211))
-        result = dt.add_point(Point(0.5, 0.5))
-        assert isinstance(result, InsertionResult)
-        assert result.index == 20
-        assert 20 in result.affected
+        index = dt.add_point(Point(0.5, 0.5))
+        assert index == 20 and len(dt) == 21
+        assert all(20 in dt.neighbors(j) for j in dt.neighbors(20))
 
     def test_matches_batch_rebuild(self):
         base = uniform_points(100, seed=213)
@@ -35,28 +37,28 @@ class TestAddPoint:
             dt.add_point(p)
         dt.check_delaunay_property()
 
-    def test_affected_set_is_honest(self):
-        """Indices outside ``affected`` must keep their exact neighbour set."""
+    def test_only_the_new_points_neighbours_change(self):
+        """Rows outside the cavity's boundary keep their exact neighbours."""
         dt = DelaunayTriangulation(uniform_points(120, seed=217))
-        snapshot = {i: dt.neighbors(i) for i in range(120)}
-        result = dt.add_point(Point(0.31, 0.77))
-        for i in range(120):
-            if i not in result.affected:
-                assert dt.neighbors(i) == snapshot[i], i
+        before = _rows(dt)
+        index = dt.add_point(Point(0.31, 0.77))
+        changed = {i for i in range(120) if dt.neighbors(i) != before[i]}
+        assert changed == set(dt.neighbors(index))
 
-    def test_affected_set_is_local(self):
-        """A single insert into uniform data touches O(1) neighbourhoods."""
+    def test_an_insert_is_local(self):
+        """A single insert into uniform data touches O(1) rows."""
         dt = DelaunayTriangulation(uniform_points(500, seed=219))
-        result = dt.add_point(Point(0.5, 0.5))
-        assert len(result.affected) < 30
+        before = _rows(dt)
+        dt.add_point(Point(0.5, 0.5))
+        assert sum(dt.neighbors(i) != before[i] for i in range(500)) < 30
 
     def test_duplicate_insert(self):
         base = uniform_points(40, seed=221)
         dt = DelaunayTriangulation(base)
-        result = dt.add_point(base[7])
-        assert dt.alias_of[result.index] == 7
-        assert 7 in dt.neighbors(result.index)
-        assert result.index in dt.neighbors(7)
+        index = dt.add_point(base[7])
+        assert dt.alias_of[index] == 7
+        assert 7 in dt.neighbors(index)
+        assert index in dt.neighbors(7)
         batch = DelaunayTriangulation(base + [base[7]])
         for i in range(41):
             assert set(dt.neighbors(i)) == set(batch.neighbors(i)), i
@@ -76,20 +78,32 @@ class TestAddPoint:
         assert set(dt.neighbors(4)) == {3, 5}
         assert dt.neighbors(5) == (4,)
 
-    def test_far_outside_point_rejected(self):
-        dt = DelaunayTriangulation(uniform_points(20, seed=223))
-        with pytest.raises(ValueError, match="too far outside"):
-            dt.add_point(Point(1e12, 0.0))
+    def test_far_outside_point_is_inserted(self):
+        # Ghost triangles on the hull: no insert is too far outside.
+        base = uniform_points(20, seed=223)
+        dt = DelaunayTriangulation(base)
+        dt.add_point(Point(1e12, 0.0))
+        dt.check_delaunay_property()
+        batch = DelaunayTriangulation(base + [Point(1e12, 0.0)])
+        assert _rows(dt) == _rows(batch)
 
     def test_point_on_hull_outside(self):
-        # Insert beyond the current hull (but within the safe extent).
         dt = DelaunayTriangulation(uniform_points(50, seed=225))
-        result = dt.add_point(Point(3.0, 3.0))
+        dt.add_point(Point(3.0, 3.0))
         batch = DelaunayTriangulation(
             uniform_points(50, seed=225) + [Point(3.0, 3.0)]
         )
         for i in range(51):
             assert set(dt.neighbors(i)) == set(batch.neighbors(i)), i
+
+    def test_point_on_a_hull_edge(self):
+        # exactly on the edge between two hull corners: the hull edge splits
+        square = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)]
+        dt = DelaunayTriangulation(square + [Point(0.25, 0.5)])
+        dt.add_point(Point(0.5, 0.0))
+        dt.check_delaunay_property()
+        assert {0, 1} <= set(dt.neighbors(5))
+        assert 1 not in dt.neighbors(0)
 
     # width=32: adversarial coordinates (0.0, ~1e-45 tiny values) without
     # the denormal-product underflow that sits outside the predicates'
@@ -117,6 +131,7 @@ class TestAddPoint:
         incremental = DelaunayTriangulation(base)
         for p in extra:
             incremental.add_point(p)
+        incremental.check_delaunay_property()
         batch = DelaunayTriangulation(base + extra)
         for i in range(n + len(extra)):
             assert set(incremental.neighbors(i)) == set(batch.neighbors(i))
@@ -124,20 +139,38 @@ class TestAddPoint:
 
 class TestBackendIncremental:
     def test_neighbor_table_patched(self):
-        backend = PureDelaunayBackend(uniform_points(80, seed=227))
-        table_before = list(backend.neighbor_table())
+        backend = DelaunayBackend(uniform_points(80, seed=227))
         new_index = backend.add_point(Point(0.4, 0.4))
         table_after = backend.neighbor_table()
         assert len(table_after) == 81
         assert backend.size == 81
-        # Patched entries match fresh neighbour reads everywhere.
+        # Patched rows match fresh neighbour reads everywhere.
         for i in range(81):
             assert table_after[i] == backend.neighbors(i), i
         # And the new point really is wired in.
         assert table_after[new_index]
 
-    def test_add_point_without_table(self):
-        backend = PureDelaunayBackend(uniform_points(30, seed=229))
-        backend.add_point(Point(0.2, 0.9))
-        assert backend.size == 31
-        assert len(backend.neighbor_table()) == 31
+    def test_a_frozen_prefix_keeps_its_graph(self):
+        """``table[:bound]`` before writes reads the same rows after them,
+        through rewrites of those rows and re-packs of the storage."""
+        backend = DelaunayBackend(uniform_points(200, seed=229))
+        backend.add_point(Point(0.2, 0.9))  # the triangles now exist
+        frozen = backend.neighbor_table()[:201]
+        before = list(frozen)
+        for p in uniform_points(500, seed=230):
+            backend.add_point(p)
+            if backend.size % 100 == 0:
+                backend.neighbor_csr()  # packs the rows into new arrays
+        assert list(frozen) == before
+        assert backend.neighbor_table()[:201] != before
+
+    def test_the_csr_follows_the_writes(self):
+        points = uniform_points(300, seed=231)
+        backend = DelaunayBackend(points[:100])
+        first = backend.neighbor_csr()
+        for p in points[100:]:
+            backend.add_point(p)
+        assert backend.neighbor_csr() is not first
+        reference = DelaunayTriangulation(points).csr()
+        for ours, theirs in zip(backend.neighbor_csr(), reference):
+            assert ours.tolist() == theirs.tolist()

@@ -1,11 +1,10 @@
 """Property-based tests for the Delaunay/Voronoi substrate."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.delaunay.backends import PureDelaunayBackend, ScipyDelaunayBackend
+from repro.delaunay.backends import DelaunayBackend
 from repro.delaunay.graph import is_connected
 from repro.delaunay.triangulation import DelaunayTriangulation
 
@@ -57,7 +56,7 @@ class TestTriangulationProperties:
     @given(grid_points_strategy)
     def test_connected(self, points):
         """Property 5 of the paper on adversarial inputs."""
-        backend = PureDelaunayBackend(points)
+        backend = DelaunayBackend(points)
         assert is_connected(backend)
 
     @settings(max_examples=30, deadline=None)
@@ -82,37 +81,35 @@ class TestTriangulationProperties:
 
 
 class TestBackendEquivalenceProperties:
-    @pytest.mark.usefixtures("requires_scipy")
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(3, 60))
-    def test_pure_equals_scipy_general_position(self, seed, n):
+    def test_backend_equals_from_scratch_general_position(self, seed, n):
         """For points in general position the Delaunay triangulation is
-        unique (paper Property 1), so the backends must agree exactly.
+        unique (paper Property 1), so the backend's bulk build (Qhull
+        where scipy imports) must agree exactly with the exact insert.
         Uniform random points are in general position with probability 1;
-        exact cocircular degeneracies (where both backends remain valid but
-        may pick different diagonals) and Qhull's float-tolerance artifacts
-        on astronomically thin triangles are covered by the validity test
-        below instead.
+        exact cocircular degeneracies (where both stay valid but may pick
+        different diagonals) are covered by the validity test below.
         """
         from repro.workloads.generators import uniform_points
 
         points = uniform_points(n, seed=seed)
-        pure = PureDelaunayBackend(points)
-        scipy_backend = ScipyDelaunayBackend(points)
+        backend = DelaunayBackend(points)
+        reference = DelaunayTriangulation(points)
         for i in range(len(points)):
-            assert set(pure.neighbors(i)) == set(scipy_backend.neighbors(i))
+            assert set(backend.neighbors(i)) == set(reference.neighbors(i))
 
-    @pytest.mark.usefixtures("requires_scipy")
     @settings(max_examples=30, deadline=None)
-    @given(grid_points_strategy)
-    def test_both_backends_connected_on_degenerate_input(self, points):
-        """On cocircular grids the triangulations may differ, but both must
-        stay valid neighbour structures: symmetric and connected."""
-        for backend in (
-            PureDelaunayBackend(points),
-            ScipyDelaunayBackend(points),
-        ):
-            assert is_connected(backend)
-            for i in range(len(points)):
-                for j in backend.neighbors(i):
-                    assert i in backend.neighbors(j)
+    @given(grid_points_strategy, grid_points_strategy)
+    def test_valid_on_degenerate_input_and_after_writes(self, points, more):
+        """On cocircular grids the triangulations may differ, but every
+        one must stay a valid neighbour structure: symmetric, connected,
+        and Delaunay — also after inserting more grid points."""
+        backend = DelaunayBackend(points)
+        for p in more:
+            backend.add_point(p)
+        backend.triangulation.check_delaunay_property()
+        assert is_connected(backend)
+        for i in range(backend.size):
+            for j in backend.neighbors(i):
+                assert i in backend.neighbors(j)

@@ -1,10 +1,11 @@
 """Round-trip tests for database persistence.
 
-A snapshot of a Qhull-backed database carries its neighbour graph: the
-graph classes below save, load and compare the loaded database with
-``tests/oracle.py``'s brute-force scan, corrupt the graph members one
-way at a time, and serve the committed fixture ``data/graph-300.npz`` in
-a subprocess that must never import scipy.
+A snapshot carries its neighbour graph: the graph classes below save,
+load and compare the loaded database with ``tests/oracle.py``'s
+brute-force scan, write into adopted graphs, corrupt the graph members
+one way at a time, and serve the committed fixture ``data/graph-300.npz``
+— before and after 220 writes — in a subprocess that must never import
+scipy.
 """
 
 import json
@@ -21,7 +22,7 @@ from oracle import brute_force, live_rows
 from repro.delaunay.backends import CsrRows
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
+from repro.geometry.polygon import Polygon, convex_hull
 from repro.geometry.rectangle import Rect
 from repro.core.database import SpatialDatabase
 from repro.index import RStarTree
@@ -68,7 +69,6 @@ class TestDatabaseRoundTrip:
         for i in range(200):
             assert restored.point(i) == db.point(i)
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_config_preserved(self, tmp_path):
         db = SpatialDatabase.from_points(
             uniform_points(50, seed=255),
@@ -135,9 +135,11 @@ class TestDatabaseRoundTrip:
             )
 
     def test_prepare_flag(self, tmp_path):
+        """Only a file without the graph has anything left to prepare."""
         db = SpatialDatabase.from_points(uniform_points(30, seed=261))
         path = tmp_path / "db.npz"
-        save_database(path, db)
+        with np.load(save_database(path, db)) as archive:
+            np.savez(path, xy=archive["xy"], config=archive["config"])
         lazy = load_database(path)
         assert lazy._backend is None
         eager = load_database(path, prepare=True)
@@ -246,7 +248,6 @@ def _assert_answers_like_brute_force(db):
 GRAPH_KINDS = ["plain", "tombstones", "duplicates", "collinear", "n=1", "n=2", "n=3"]
 
 
-@pytest.mark.usefixtures("requires_scipy")
 class TestGraphRoundTrip:
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_loaded_graph_is_the_savers_and_answers_like_brute_force(
@@ -275,14 +276,17 @@ class TestGraphRoundTrip:
         _assert_answers_like_brute_force(restored)
         assert isinstance(restored.backend.neighbor_table(), CsrRows)
 
-    def test_insert_after_adoption_rebuilds(self, tmp_path):
-        written = save_database(tmp_path / "image", _graph_database("plain"))
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_insert_after_adoption_is_absorbed(self, kind, tmp_path):
+        written = save_database(tmp_path / "image", _graph_database(kind))
         restored = load_database(written)
         adopted = restored.backend
+        rows = len(restored.store)
         new_row = restored.insert((0.31, 0.45))
-        assert restored._backend is None  # dropped for a lazy rebuild
-        assert restored.backend is not adopted
-        assert restored.backend.size == 1501
+        restored.insert(restored.store.coords(0))  # a copy of row 0
+        assert restored.backend is adopted  # grown in place, not rebuilt
+        assert restored.backend.size == rows + 2
+        adopted.triangulation.check_delaunay_property()
         assert new_row in restored.query(
             KnnQuery(Point(0.31, 0.45), 7, method="voronoi")
         ).ids()
@@ -318,13 +322,41 @@ class TestGraphRoundTrip:
         _assert_answers_like_brute_force(restored)
 
 
-def test_pure_database_saves_no_graph_and_loads_lazily(tmp_path):
+def test_pure_kind_database_saves_its_graph_and_adopts_it(tmp_path):
     db = SpatialDatabase.from_points(uniform_points(200, seed=281)).prepare()
     written = save_database(tmp_path / "pure", db)
     with np.load(written) as archive:
-        assert sorted(archive.files) == ["config", "xy"]
-    assert load_database(written)._backend is None
-    assert load_database(written, prepare=True).backend.name == "pure"
+        assert sorted(archive.files) == ["config", "graph_indices", "graph_indptr", "xy"]
+        assert json.loads(str(archive["config"]))["backend_kind"] == "pure"
+    restored = load_database(written)
+    assert restored._backend is not None
+    for ours, theirs in zip(restored.backend.neighbor_csr(), db.backend.neighbor_csr()):
+        assert np.array_equal(ours, theirs)
+
+
+def test_pure_kind_snapshot_without_a_graph_loads_and_takes_inserts(tmp_path):
+    """What every pure-kind snapshot was before graphs were saved for all."""
+    db = SpatialDatabase.from_points(uniform_points(200, seed=282))
+    db.delete(3)
+    path = tmp_path / "old-pure.npz"
+    np.savez(
+        path,
+        xy=db.store.as_xy(),
+        config=np.asarray(
+            json.dumps(
+                {"version": 1, "index_kind": "rtree", "backend_kind": "pure", "count": 200}
+            )
+        ),
+        deleted=np.asarray([3], dtype=np.int64),
+    )
+    restored = load_database(path)
+    assert restored._backend is None
+    rows = [restored.insert((0.5, 0.5)), restored.insert((2.0, -1.0))]
+    assert rows == [200, 201]
+    spec = KnnQuery(Point(0.5, 0.5), 9, method="voronoi")
+    assert restored.query(spec).ids() == brute_force(spec, live_rows(restored))
+    restored.insert((0.25, 0.75))  # into the graph the read built
+    _assert_answers_like_brute_force(restored)
 
 
 # -- corrupt graphs raise, never answer ---------------------------------------
@@ -414,14 +446,57 @@ from repro.geometry.rectangle import Rect
 from repro.query.spec import AreaQuery, KnnQuery, WindowQuery
 
 db = load_database(sys.argv[1], prepare=True)
+for op in json.loads(sys.argv[2]):
+    if op[0] == "insert":
+        db.insert((op[1], op[2]))
+    else:
+        db.delete(op[1])
 answers = [
     db.query(AreaQuery(Circle(Point(0.5, 0.5), 0.3), method="voronoi")).ids(),
     db.query(KnnQuery(Point(0.4, 0.6), 12, method="voronoi")).ids(),
     db.query(WindowQuery(Rect(0.1, 0.2, 0.6, 0.9))).ids(),
     db.query(WindowQuery(Rect(0.3, 0.3, 0.7, 0.7), method="voronoi")).ids(),
+    db.query(KnnQuery(Point(1.3, 0.5), 15, method="voronoi")).ids(),
+    db.query(AreaQuery(Circle(Point(0.5, 0.5), 0.55), method="voronoi")).ids(),
 ]
 print(json.dumps({"scipy": "scipy" in sys.modules, "answers": answers}))
 """
+
+_FIXTURE_SPECS = [
+    AreaQuery(Circle(Point(0.5, 0.5), 0.3), method="voronoi"),
+    KnnQuery(Point(0.4, 0.6), 12, method="voronoi"),
+    WindowQuery(Rect(0.1, 0.2, 0.6, 0.9)),
+    WindowQuery(Rect(0.3, 0.3, 0.7, 0.7), method="voronoi"),
+    KnnQuery(Point(1.3, 0.5), 15, method="voronoi"),
+    AreaQuery(Circle(Point(0.5, 0.5), 0.55), method="voronoi"),
+]
+
+
+def _fixture_writes():
+    """200 inserts into the fixture, then 20 deletes: points beyond its
+    hull, copies of its rows (tombstoned ones included), points in line
+    with its hull edges (on them and past their ends), and the rest
+    inside."""
+    db = load_database(FIXTURE)
+    rng = random.Random(301)
+    points = [Point(*db.store.coords(row)) for row in range(len(db.store))]
+    hull = convex_hull(points)
+    inserts = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        for t in (0.5, -0.25, 1.25):
+            inserts.append((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    for row in rng.sample(range(300), 40):
+        inserts.append(db.store.coords(row))
+    while len(inserts) < 150:
+        x, y = rng.uniform(-0.6, 1.6), rng.uniform(-0.6, 1.6)
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            inserts.append((x, y))
+    while len(inserts) < 200:
+        inserts.append((rng.random(), rng.random()))
+    rng.shuffle(inserts)
+    ops = [["insert", x, y] for x, y in inserts]
+    live = [row for row in range(500) if row >= 300 or not db.store.is_deleted(row)]
+    return ops + [["delete", row] for row in rng.sample(live, 20)]
 
 
 class TestFixtureServesWithoutScipy:
@@ -435,11 +510,11 @@ class TestFixtureServesWithoutScipy:
             for name in kept.files:
                 assert np.array_equal(kept[name], fresh[name]), name
 
-    def test_served_in_a_process_that_never_imports_scipy(self):
+    def _serve(self, ops):
         src = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
-            [sys.executable, "-c", _SERVE_FIXTURE, str(FIXTURE)],
+            [sys.executable, "-c", _SERVE_FIXTURE, str(FIXTURE), json.dumps(ops)],
             env=env,
             capture_output=True,
             text=True,
@@ -448,15 +523,26 @@ class TestFixtureServesWithoutScipy:
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout)
         assert report["scipy"] is False
-        rows = live_rows(load_database(FIXTURE))
+        model = load_database(FIXTURE)
+        for op in ops:
+            if op[0] == "insert":
+                model.insert((op[1], op[2]))
+            else:
+                model.delete(op[1])
+        return report["answers"], live_rows(model)
+
+    def test_served_in_a_process_that_never_imports_scipy(self):
+        answers, rows = self._serve([])
         assert len(rows) == 280
-        specs = [
-            AreaQuery(Circle(Point(0.5, 0.5), 0.3), method="voronoi"),
-            KnnQuery(Point(0.4, 0.6), 12, method="voronoi"),
-            WindowQuery(Rect(0.1, 0.2, 0.6, 0.9)),
-            WindowQuery(Rect(0.3, 0.3, 0.7, 0.7), method="voronoi"),
-        ]
-        assert report["answers"] == [brute_force(spec, rows) for spec in specs]
+        assert answers == [brute_force(spec, rows) for spec in _FIXTURE_SPECS]
+
+    def test_takes_writes_in_a_process_that_never_imports_scipy(self):
+        """The adopted graph absorbs 200 inserts — beyond the hull, onto
+        existing rows, in line with hull edges — and 20 deletes, and then
+        answers like the scan, all without scipy."""
+        answers, rows = self._serve(_fixture_writes())
+        assert len(rows) == 460
+        assert answers == [brute_force(spec, rows) for spec in _FIXTURE_SPECS]
 
 
 def _write_fixture(path):

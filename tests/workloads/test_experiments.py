@@ -26,7 +26,6 @@ def tiny_config(requires_scipy):
         fixed_query_size=0.04,
         fixed_data_size=6000,
         repetitions=3,
-        backend_kind="scipy",
     )
 
 

@@ -33,29 +33,14 @@ docs-check:
 lint:
 	python tools/lint.py src tests benchmarks examples tools
 
-## fast benchmark smoke: columnar + batch-engine + composite + server +
-## mutable-serving + live-subscription + tail-latency + overload suites
-## (plus cluster, failover and the backend ablation with its 1E5-row
-## bulk-build rates and index/graph bytes per row, printed under the
-## pytest summary with every other record) with their speedup
-## assertions (timing collection disabled; the
-## 2x / 1.5x / 1.3x throughput asserts, the no-rebuild freshness
-## assert, the dirty-tile pruning assert, and the bounded-admitted-p99
-## overload assert still run).  Emits the machine-readable per-PR
-## record BENCH_pr.json (override the path with REPRO_BENCH_JSON); CI
-## uploads it as a workflow artifact on every run and compares it
-## against the previous run's artifact, failing on >10% regressions of
-## the stable benchmark set (see tools/bench_delta.py).
+## fast benchmark smoke: the wave-threshold sweep and the backend
+## ablation (1E5-row bulk-build rates, index/graph bytes per row, insert
+## costs), timing collection disabled; each bench's record is printed
+## under the pytest summary.  Served and clustered throughput is
+## measured by perfbench/ (python3 perfbench/run.py, gated by
+## perfbench/compare.py).
 bench-smoke:
-	$(PYTEST) benchmarks/bench_columnar.py benchmarks/bench_batch_engine.py \
-		benchmarks/bench_composite.py \
-		benchmarks/bench_server.py \
-		benchmarks/bench_mutable.py \
-		benchmarks/bench_subscriptions.py \
-		benchmarks/bench_tail_latency.py \
-		benchmarks/bench_overload.py \
-		benchmarks/bench_cluster.py \
-		benchmarks/bench_failover.py \
+	$(PYTEST) benchmarks/bench_columnar.py \
 		benchmarks/bench_ablation_backend.py -q --benchmark-disable
 
 ## wave-threshold sweep alone: Algorithm 1 timed at every _WAVE_MIN
@@ -64,7 +49,7 @@ bench-smoke:
 bench-columnar:
 	$(PYTEST) benchmarks/bench_columnar.py -q --benchmark-disable
 
-## full benchmark run: every paper artefact + the batch engine (slow;
+## full benchmark run: every paper artefact and ablation (slow;
 ## REPRO_BENCH_SCALE=paper selects the paper's 1E5-1E6 sweep)
 bench:
 	$(PYTEST) benchmarks/bench_table1.py benchmarks/bench_table2.py \
@@ -75,18 +60,9 @@ bench:
 		benchmarks/bench_ablation_polygon.py \
 		benchmarks/bench_ablation_knn.py \
 		benchmarks/bench_ablation_iocost.py \
-		benchmarks/bench_columnar.py \
-		benchmarks/bench_batch_engine.py \
-		benchmarks/bench_composite.py \
-		benchmarks/bench_server.py \
-		benchmarks/bench_mutable.py \
-		benchmarks/bench_subscriptions.py \
-		benchmarks/bench_tail_latency.py \
-		benchmarks/bench_overload.py \
-		benchmarks/bench_cluster.py \
-		benchmarks/bench_failover.py
+		benchmarks/bench_columnar.py
 
-## one-shot demo of both methods + the batch engine
+## one-shot demo of both methods + the batch planner
 demo:
 	PYTHONPATH=src python -m repro demo
 	PYTHONPATH=src python -m repro batch

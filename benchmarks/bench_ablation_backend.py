@@ -7,8 +7,9 @@ agreement test re-asserts that the graph is the exact triangulation's.
 
 ``test_bulk_build_rates`` is the in-repo record of set-up speed and size:
 a 100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
-graph, in rows per second and in traced bytes per row (``bulk_build`` in
-``BENCH_pr.json``), with the seconds at 1E4, 1E5 and 2E5 rows beside them.
+graph, in rows per second and in traced bytes per row (the ``bulk_build``
+line under the pytest summary), with the seconds at 1E4, 1E5 and 2E5 rows
+beside them.
 Beside the Qhull seconds sits what a boot pays instead:
 ``snapshot_load_s``, ``load_database`` of a graph-carrying 1E5-row
 snapshot (no Qhull, R-tree packing included), and

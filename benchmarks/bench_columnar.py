@@ -6,8 +6,8 @@ rows or more is processed as arrays, a smaller one candidate by
 candidate over the same columns.  ``test_wave_threshold_sweep`` times the
 expansion at every threshold from "always arrays" to "always the
 candidate loop", on result sizes from tens to tens of thousands of rows
-over 100k points.  The table is recorded in ``BENCH_pr.json`` and
-``docs/BENCHMARKS.md``; asserted is only what makes two regimes worth
+over 100k points.  The table is printed under the pytest summary and
+recorded in ``docs/BENCHMARKS.md``; asserted is only what makes two regimes worth
 having (the loop wins small results, arrays win large ones, and the
 shipped constant gets both).  Thresholds are timed *interleaved* (round
 per threshold, min of rounds) so load spikes hit every side equally.

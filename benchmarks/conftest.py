@@ -15,14 +15,9 @@ the paper (slow: pure-Python experiments at 1E6 points).
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import sys
-import time
 from typing import Dict, List, Tuple
 
-import numpy
 import pytest
 
 from repro.core.database import SpatialDatabase
@@ -33,23 +28,16 @@ from repro.query.spec import AreaQuery
 
 PAPER_SCALE = os.environ.get("REPRO_BENCH_SCALE", "").lower() == "paper"
 
-#: Where the machine-readable per-PR benchmark record lands.  CI uploads
-#: this file as a workflow artifact on every run, so the perf trajectory
-#: of the acceptance speedups is recorded per commit rather than only
-#: living in pass/fail asserts.
-BENCH_JSON_PATH = os.environ.get("REPRO_BENCH_JSON", "BENCH_pr.json")
-
 #: Collected ``record_benchmark`` entries of this pytest session.
 BENCH_RECORDS: Dict[str, Dict[str, object]] = {}
 
 
 def record_benchmark(name: str, **values) -> None:
-    """Record one benchmark's machine-readable outcome.
+    """Record one benchmark's outcome for the terminal summary.
 
-    The acceptance benchmarks call this with their measured speedup
-    ratios and counts; everything recorded during the session is written
-    to :data:`BENCH_JSON_PATH` at session end (see
-    :func:`pytest_sessionfinish`).  Values must be JSON-serialisable.
+    The benches call this with their measured ratios and counts;
+    :func:`pytest_terminal_summary` prints every record under the pytest
+    summary, one line apiece.
     """
     BENCH_RECORDS[name] = values
 
@@ -73,8 +61,7 @@ def _session_records() -> Dict[str, Dict[str, object]]:
 
 
 def pytest_terminal_summary(terminalreporter) -> None:
-    """Print each recorded benchmark's scalar metrics, one line apiece,
-    so ``make bench-smoke`` shows the numbers it writes."""
+    """Print each recorded benchmark's scalar metrics, one line apiece."""
     for name, values in sorted(_session_records().items()):
         scalars = " ".join(
             f"{key}={value}"
@@ -83,35 +70,6 @@ def pytest_terminal_summary(terminalreporter) -> None:
         )
         terminalreporter.write_line(f"{name}: {scalars}")
 
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Write the session's benchmark records as ``BENCH_pr.json``.
-
-    Only writes when at least one benchmark recorded a result (unit-test
-    sessions that happen to import this conftest stay silent).  The file
-    is a single JSON object: run metadata plus one entry per recorded
-    benchmark — the artifact CI uploads on every run.
-    """
-    records = _session_records()
-    if not records:
-        return
-    payload = {
-        "schema": "repro-bench/1",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        # The vectorized hot paths run on numpy; delta comparisons of
-        # their speedups across runs are only meaningful when the numpy
-        # build matches, so the record names it.
-        "numpy": numpy.__version__,
-        "platform": platform.platform(),
-        "pytest_exit_status": int(exitstatus),
-        "paper_scale": PAPER_SCALE,
-        "counts": {"benchmarks_recorded": len(records)},
-        "results": records,
-    }
-    with open(BENCH_JSON_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 #: Data sizes of the Table I / Figs. 4–5 sweep.
 DATA_SIZES: Tuple[int, ...] = (

@@ -18,9 +18,9 @@ Commands
     instead of building a local database (``--first`` then uses the
     chunked wire stream).
 ``batch``
-    Batch-engine demonstration: serve a repeated-spec trace through
-    :meth:`SpatialDatabase.query_batch`, print the planner's ``explain``
-    for a sample spec and the loop-vs-batch throughput table.
+    Planner demonstration: calibrate the batch engine's cost model on
+    probe specs and print the planner's ``explain`` (predicted against
+    measured) for a sample spec.
 ``serve``
     Start the concurrent NDJSON query server (:mod:`repro.server`) over a
     generated database or a persisted snapshot (``--load``), with
@@ -220,12 +220,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro import SpatialDatabase
-    from repro.workloads.experiments import (
-        ExperimentConfig,
-        make_query_trace,
-        render_batch_table,
-        run_batch_throughput_experiment,
-    )
+    from repro.workloads.experiments import make_query_trace
     from repro.workloads.generators import uniform_points
 
     print(f"Building a database of {args.points:,} uniform points...")
@@ -245,23 +240,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     sample = probes[0]
     print("\nPlanner decision for a sample spec (predicted vs measured):")
     print(db.explain(sample, execute=True).render())
-
-    def progress(message: str) -> None:
-        print(f"  [{message}]", file=sys.stderr)
-
-    rows = run_batch_throughput_experiment(
-        ExperimentConfig(seed=args.seed),
-        distinct=args.queries,
-        repeat=args.repeat,
-        query_size=args.query_size,
-        database=db,
-        progress=progress,
-    )
-    print(
-        f"\nThroughput over {args.queries * args.repeat} requests "
-        f"({args.queries} distinct regions x {args.repeat} hits):"
-    )
-    print(render_batch_table(rows))
     return 0
 
 
@@ -786,13 +764,10 @@ def _cmd_info() -> int:
         ("Fig. 7  ", "experiments fig7"),
         ("Fig. 2/3", "figures"),
         ("Batch   ", "batch"),
-        ("Mixed   ", "experiments mixed"),
-        ("Composite", "experiments composite"),
         ("Specs   ", "query --spec-file specs.json"),
         ("Serve   ", "serve --points 20000"),
         ("Remote  ", "query --spec-file specs.json --remote 127.0.0.1:7711"),
         ("Live    ", "subscribe --remote 127.0.0.1:7711 --knn 0.5,0.5,8"),
-        ("Served  ", "experiments serve"),
     ]:
         print(f"  {artefact}  python -m repro {command}")
     return 0
@@ -1072,15 +1047,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     batch = subparsers.add_parser(
-        "batch", help="batch engine: planner explain + throughput table"
+        "batch", help="batch engine: calibrated cost model + planner explain"
     )
     batch.add_argument("--points", type=int, default=10_000)
-    batch.add_argument(
-        "--queries", type=int, default=30, help="distinct regions in the trace"
-    )
-    batch.add_argument(
-        "--repeat", type=int, default=3, help="hits per distinct region"
-    )
     batch.add_argument("--query-size", type=float, default=0.01)
     batch.add_argument("--seed", type=int, default=0)
 

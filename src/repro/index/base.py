@@ -172,16 +172,8 @@ class BruteForceIndex(SpatialIndex):
         )
 
     def nearest_neighbor(self, query: Point) -> Optional[Entry]:
-        self.stats.node_accesses += 1
-        self.stats.entry_tests += len(self._entries)
-        best: Optional[Entry] = None
-        best_distance = float("inf")
-        for point, item_id in self._entries:
-            distance = point.squared_distance_to(query)
-            if distance < best_distance:
-                best_distance = distance
-                best = (point, item_id)
-        return best
+        results = self.k_nearest_neighbors(query, 1)
+        return results[0] if results else None
 
     def k_nearest_neighbors(self, query: Point, k: int) -> List[Entry]:
         if k <= 0:

@@ -20,7 +20,8 @@ join it, so it sits in the *unbounded* bucket that every write wakes.
 **Mechanism counters.**  :class:`RegistryStats` counts writes fanned
 out, per-subscription evaluations, and notifications produced.  The
 pruning claim of the whole design is ``evaluations ≪ writes × active``
-— asserted by ``benchmarks/bench_subscriptions.py``, not just implied.
+— asserted by ``tests/live/test_registry.py`` (under 5 % of that
+product over 1 200 subscriptions), not just implied.
 """
 
 from __future__ import annotations

@@ -9,16 +9,8 @@ test suite exercises them on all three.
 :func:`moving_object_steps` extends the static datasets with a *dynamic*
 workload — random-waypoint object motion with hot-spot drift — whose move
 steps (each a delete of the object's old position plus an insert of the
-new one) drive the live-query subscription benchmarks and tests.
-
-The **production-traffic model** lives at the bottom of the module:
-:func:`zipf_ranks` draws skewed popularity (a few tiles take most of
-the requests, the long tail takes the rest), and
-:func:`bursty_arrivals` turns a target request rate into absolute
-arrival timestamps with a diurnal wave and Poisson bursts — together
-the three statistical facts that make real serving traffic different
-from the uniform traces benchmarks default to.  Everything is
-deterministic in its seed.
+new one) drive the live-query tests.  Everything is deterministic in
+its seed.
 """
 
 from __future__ import annotations
@@ -213,113 +205,3 @@ def moving_object_steps(
         current[index] = new
         yield (index, old, new)
 
-
-def zipf_ranks(
-    n_items: int,
-    count: int,
-    *,
-    alpha: float = 1.1,
-    seed: int = 0,
-) -> List[int]:
-    """``count`` item indices drawn Zipf-skewed over ``n_items`` ranks.
-
-    Rank ``r`` (0-based) is drawn with probability proportional to
-    ``1 / (r + 1) ** alpha`` — the classic popularity law of production
-    read traffic (a handful of hot map tiles absorb most requests).
-    ``alpha`` around 1 matches measured web/tile workloads; larger is
-    more skewed, ``alpha=0`` degenerates to uniform.  Sampling is by
-    bisection over the precomputed cumulative weights, so cost is
-    ``O(n_items + count log n_items)``.  Deterministic in ``seed``.
-    """
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    from bisect import bisect_right
-
-    rng = random.Random(seed)
-    cumulative: List[float] = []
-    total = 0.0
-    for rank in range(n_items):
-        total += 1.0 / (rank + 1) ** alpha
-        cumulative.append(total)
-    return [
-        bisect_right(cumulative, rng.random() * total)
-        for _ in range(count)
-    ]
-
-
-def bursty_arrivals(
-    count: int,
-    rate: float,
-    *,
-    seed: int = 0,
-    diurnal_period_s: float = 0.0,
-    diurnal_amplitude: float = 0.5,
-    burst_probability: float = 0.0,
-    burst_size: int = 8,
-) -> List[float]:
-    """``count`` absolute arrival times (seconds) at mean ``rate`` /s.
-
-    The base process is Poisson: exponential inter-arrival gaps at the
-    instantaneous rate.  Two production effects modulate it:
-
-    * **Diurnal wave** — with ``diurnal_period_s > 0`` the rate swings
-      sinusoidally by ``±diurnal_amplitude`` (fraction of ``rate``)
-      over each period, compressing a day's load curve into the trace.
-    * **Poisson bursts** — with probability ``burst_probability`` an
-      arrival brings ``burst_size - 1`` followers packed tightly behind
-      it (a thundering herd: one viral location, one fleet of vehicles
-      reporting in sync), which is what actually exercises an admission
-      queue — a smooth Poisson stream at the same mean rarely does.
-
-    Returns a sorted list of timestamps starting near 0.  Offered load
-    averages ``rate`` requests/second regardless of the knobs (bursts
-    add followers but the gap after a burst grows to compensate).
-    Deterministic in ``seed``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if not 0.0 <= burst_probability <= 1.0:
-        raise ValueError(
-            f"burst_probability must be in [0, 1], "
-            f"got {burst_probability}"
-        )
-    if burst_size < 1:
-        raise ValueError(f"burst_size must be >= 1, got {burst_size}")
-    if not 0.0 <= diurnal_amplitude < 1.0:
-        raise ValueError(
-            f"diurnal_amplitude must be in [0, 1), "
-            f"got {diurnal_amplitude}"
-        )
-    rng = random.Random(seed)
-    arrivals: List[float] = []
-    now = 0.0
-    while len(arrivals) < count:
-        instantaneous = rate
-        if diurnal_period_s > 0.0:
-            instantaneous = rate * (
-                1.0
-                + diurnal_amplitude
-                * math.sin(2.0 * math.pi * now / diurnal_period_s)
-            )
-        if rng.random() < burst_probability:
-            # A burst: the leader plus followers one mean service gap
-            # apart, then a long compensating lull so the offered load
-            # still averages `rate`.
-            followers = min(burst_size, count - len(arrivals))
-            for i in range(followers):
-                arrivals.append(now + i / (instantaneous * burst_size))
-            # Advance past the last follower before the lull, or a short
-            # exponential draw could start the next arrival inside the
-            # burst and break the sorted-timestamps contract.
-            now += (followers - 1) / (instantaneous * burst_size)
-            now += rng.expovariate(instantaneous) * burst_size
-        else:
-            arrivals.append(now)
-            now += rng.expovariate(instantaneous)
-    return arrivals[:count]

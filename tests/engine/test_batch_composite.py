@@ -48,11 +48,15 @@ def test_batch_matches_single_execution_and_reference(db):
 
 
 def test_mixed_composite_trace_matches_loop(db):
-    trace = make_composite_trace(0.002, 9, seed=5, parts=4)
+    parts = 4
+    trace = make_composite_trace(0.002, 9, seed=5, parts=parts)
     batch = db.query_batch(trace, use_cache=False)
     assert [h.ids() for h in batch] == [
         composite_reference_ids(db, spec) for spec in trace
     ]
+    # every sibling after a composite's first leaf walks its seed over
+    # the Delaunay graph instead of descending the index
+    assert batch.stats.seed_walk_reuses >= len(trace) * (parts - 1)
 
 
 def test_decomposition_stats(db):

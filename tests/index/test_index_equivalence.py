@@ -8,7 +8,7 @@ workloads, including hypothesis-driven adversarial ones.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
@@ -155,6 +155,11 @@ class TestHypothesisEquivalence:
             unique_by=lambda e: e[1],
         ),
         query=unit_points,
+    )
+    # both squared distances underflow to 0: the tie goes to the lower id
+    @example(
+        entries=[(Point(0.0, 2.2e-309), 1), (Point(0.0, 0.0), 0)],
+        query=Point(0.0, 0.0),
     )
     def test_nn_distance_equivalence(self, entries, query):
         oracle, indexes = _build_all(entries)

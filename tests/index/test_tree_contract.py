@@ -135,14 +135,29 @@ class TestConstruction:
         assert (tree.stats.node_accesses, tree.stats.entry_tests) == (0, 0)
 
 
+def _scaled(entries, scale):
+    return [(Point(p.x * scale, p.y * scale), i) for p, i in entries]
+
+
+def _scaled_rect(rect, scale):
+    return Rect(
+        rect.min_x * scale, rect.min_y * scale, rect.max_x * scale, rect.max_y * scale
+    )
+
+
 @TREES
 @pytest.mark.parametrize("build", [_inserted, _packed], ids=["inserted", "packed"])
+# 1e-300: every squared distance underflows to 0, so kNN is decided by
+# id alone; 1e-160: squared distances are subnormal; 1e150: they come
+# within six powers of ten of overflowing.
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-160, 1e150])
 class TestAgainstTheOracle:
     ENTRIES = _random_entries(400, seed=5)
 
-    def test_window_matches_brute_force(self, tree_class, build):
-        tree = build(tree_class, self.ENTRIES)
-        oracle = _oracle(self.ENTRIES)
+    def test_window_matches_brute_force(self, tree_class, build, scale):
+        entries = _scaled(self.ENTRIES, scale)
+        tree = build(tree_class, entries)
+        oracle = _oracle(entries)
         for window in (
             Rect(0, 0, 1, 1),
             Rect(0.3, 0.1, 0.6, 0.4),
@@ -152,48 +167,52 @@ class TestAgainstTheOracle:
             Rect(0.5, 0.0, 0.5, 1.0),  # zero width
             Rect(2, 2, 3, 3),  # disjoint
         ):
+            window = _scaled_rect(window, scale)
             assert _ids(tree.window_query(window)) == _ids(
                 oracle.window_query(window)
             )
 
-    def test_window_count_matches_brute_force(self, tree_class, build):
-        tree = build(tree_class, self.ENTRIES)
+    def test_window_count_matches_brute_force(self, tree_class, build, scale):
+        entries = _scaled(self.ENTRIES, scale)
+        tree = build(tree_class, entries)
         rng = random.Random(6)
         for _ in range(30):
             x1, x2 = sorted((rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3)))
             y1, y2 = sorted((rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3)))
-            window = Rect(x1, y1, x2, y2)
+            window = _scaled_rect(Rect(x1, y1, x2, y2), scale)
             assert tree.window_count(window) == sum(
-                window.contains_point(p) for p, _ in self.ENTRIES
+                window.contains_point(p) for p, _ in entries
             )
 
-    def test_nn_matches_brute_force_inside_and_outside(self, tree_class, build):
-        tree = build(tree_class, self.ENTRIES)
-        oracle = _oracle(self.ENTRIES)
+    def test_nn_matches_brute_force_inside_and_outside(self, tree_class, build, scale):
+        entries = _scaled(self.ENTRIES, scale)
+        tree = build(tree_class, entries)
+        oracle = _oracle(entries)
         rng = random.Random(7)
         queries = [
             Point(rng.random() * 1.5 - 0.25, rng.random() * 1.5 - 0.25)
             for _ in range(60)
         ] + [Point(10.0, -10.0), Point(-3.0, 0.5)]
         for query in queries:
-            # ids may differ only on an exact tie; the distance may not
-            got = tree.nearest_neighbor(query)
-            expected = oracle.nearest_neighbor(query)
-            assert got[0].distance_to(query) == expected[0].distance_to(query)
+            query = Point(query.x * scale, query.y * scale)
+            assert tree.nearest_neighbor(query) == oracle.nearest_neighbor(query)
 
-    def test_knn_matches_brute_force(self, tree_class, build):
-        tree = build(tree_class, self.ENTRIES)
-        oracle = _oracle(self.ENTRIES)
+    def test_knn_matches_brute_force(self, tree_class, build, scale):
+        entries = _scaled(self.ENTRIES, scale)
+        tree = build(tree_class, entries)
+        oracle = _oracle(entries)
         for query in (Point(0.5, 0.5), Point(0.2, 0.8), Point(1.4, -0.1)):
+            query = Point(query.x * scale, query.y * scale)
             for k in (1, 3, 10, 150, 400, 450):
                 assert tree.k_nearest_neighbors(query, k) == (
                     oracle.k_nearest_neighbors(query, k)
                 )
 
-    def test_bounds_match_brute_force(self, tree_class, build):
-        tree = build(tree_class, self.ENTRIES)
+    def test_bounds_match_brute_force(self, tree_class, build, scale):
+        entries = _scaled(self.ENTRIES, scale)
+        tree = build(tree_class, entries)
         tree.check_invariants()
-        assert tree.bounds == _oracle(self.ENTRIES).bounds
+        assert tree.bounds == _oracle(entries).bounds
 
 
 @TREES

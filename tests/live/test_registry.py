@@ -23,7 +23,7 @@ from repro.query.spec import (
     WindowQuery,
 )
 from repro.live.registry import SubscriptionRegistry
-from repro.workloads.generators import uniform_points
+from repro.workloads.generators import moving_object_steps, uniform_points
 
 
 @pytest.fixture()
@@ -175,6 +175,42 @@ class TestIncrementalExactness:
                 mirror -= set(delta.removed)
                 mirror |= set(delta.added)
             assert mirror == set(db.query(spec).ids())
+
+
+class TestPruning:
+    def test_thousand_subscriptions_evaluate_under_five_percent(self):
+        """Moving objects under 1 100 window and 100 kNN subscriptions:
+        the dirty-tile index must keep ``evaluations`` below 5 % of
+        ``writes × active``, the all-pairs fan-out a broken index pays."""
+        rng = random.Random(437)
+        db = SpatialDatabase.from_points(uniform_points(2_000, seed=431)).prepare()
+        registry = SubscriptionRegistry(db)
+        specs = []
+        for _ in range(1_100):
+            x, y = rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.9)
+            side = rng.uniform(0.02, 0.05)
+            specs.append(WindowQuery((x, y, x + side, y + side)))
+        for _ in range(100):
+            focus = (rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))
+            specs.append(KnnQuery(focus, rng.randint(4, 12)))
+        subscriptions = [registry.register(spec)[0] for spec in specs]
+
+        objects = uniform_points(40, seed=433)
+        base = len(db.store)
+        _apply(registry, db, "extend", [(p.x, p.y) for p in objects])
+        rows = list(range(base, base + len(objects)))
+        for index, _, new in moving_object_steps(objects, 120, seed=439):
+            _apply(registry, db, "delete", rows[index])
+            _apply(registry, db, "insert", new)
+            rows[index] = len(db.store) - 1
+
+        stats = registry.stats
+        assert registry.active == 1_200 and stats.writes == 241
+        assert stats.evaluations < 0.05 * stats.writes * registry.active, (
+            stats.evaluations
+        )
+        for spec, subscription in list(zip(specs, subscriptions))[::50]:
+            assert subscription.members == set(db.query(spec).ids())
 
 
 class TestKnnEdges:

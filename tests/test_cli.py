@@ -36,6 +36,14 @@ class TestCLI:
         assert "Table II" in capsys.readouterr().out
 
     @pytest.mark.usefixtures("requires_scipy")
+    def test_batch_prints_calibration_and_explain(self, capsys):
+        assert main(["batch", "--points", "1500", "--query-size", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert "Calibrated cost model: validation" in out
+        assert "Planner decision for a sample spec" in out
+        assert "est. cost" in out  # the explain table
+
+    @pytest.mark.usefixtures("requires_scipy")
     def test_figures(self, tmp_path, capsys):
         assert main(["figures", "--output", str(tmp_path)]) == 0
         for name in ("fig2.svg", "fig3.svg"):

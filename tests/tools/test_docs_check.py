@@ -62,7 +62,7 @@ class TestOracles:
 
     def test_experiment_targets_match_reality(self):
         targets = docs_check.experiment_targets()
-        assert {"tail", "overload", "serve", "all"} <= targets
+        assert {"table1", "fig7", "all"} <= targets
 
 
 class TestCheckLinks:
@@ -118,7 +118,7 @@ class TestCheckCliExamples:
             path,
             text,
             {"serve", "query", "experiments"},
-            {"tail", "overload", "all"},
+            {"table1", "table2", "all"},
         )
 
     def test_known_subcommand_clean(self, tmp_path):
@@ -130,14 +130,14 @@ class TestCheckCliExamples:
         assert "unknown subcommand" in findings[0]
 
     def test_experiment_target_validated(self, tmp_path):
-        assert self._run(tmp_path, "python -m repro experiments tail") == []
-        findings = self._run(tmp_path, "python -m repro experiments tial")
+        assert self._run(tmp_path, "python -m repro experiments table2") == []
+        findings = self._run(tmp_path, "python -m repro experiments tabel2")
         assert len(findings) == 1
         assert "unknown experiment target" in findings[0]
 
     def test_module_invocation_target_validated(self, tmp_path):
         clean = self._run(
-            tmp_path, "python -m repro.workloads.experiments overload"
+            tmp_path, "python -m repro.workloads.experiments table1"
         )
         assert clean == []
         findings = self._run(

@@ -173,136 +173,3 @@ class TestMovingObjects:
             list(moving_object_steps(positions, 5, hotspot_fraction=1.5))
         assert list(moving_object_steps([], 0)) == []
 
-
-class TestZipfRanks:
-    def test_count_and_range(self):
-        from repro.workloads.generators import zipf_ranks
-
-        ranks = zipf_ranks(50, 400, seed=1)
-        assert len(ranks) == 400
-        assert all(0 <= r < 50 for r in ranks)
-
-    def test_deterministic_in_seed(self):
-        from repro.workloads.generators import zipf_ranks
-
-        assert zipf_ranks(20, 100, seed=7) == zipf_ranks(20, 100, seed=7)
-        assert zipf_ranks(20, 100, seed=7) != zipf_ranks(20, 100, seed=8)
-
-    def test_skew_favours_low_ranks(self):
-        """Rank 0 must absorb far more than its uniform share."""
-        from collections import Counter
-
-        from repro.workloads.generators import zipf_ranks
-
-        counts = Counter(zipf_ranks(100, 5_000, alpha=1.1, seed=3))
-        uniform_share = 5_000 / 100
-        assert counts[0] > 5 * uniform_share
-        # The head dominates the tail: top-10 ranks beat the other 90.
-        head = sum(counts[r] for r in range(10))
-        assert head > 5_000 / 2
-
-    def test_alpha_zero_is_roughly_uniform(self):
-        from collections import Counter
-
-        from repro.workloads.generators import zipf_ranks
-
-        counts = Counter(zipf_ranks(10, 10_000, alpha=0.0, seed=5))
-        for rank in range(10):
-            assert 700 < counts[rank] < 1300, (rank, counts[rank])
-
-    def test_higher_alpha_is_more_skewed(self):
-        from repro.workloads.generators import zipf_ranks
-
-        mild = zipf_ranks(100, 3_000, alpha=0.8, seed=2)
-        steep = zipf_ranks(100, 3_000, alpha=2.0, seed=2)
-        assert steep.count(0) > mild.count(0)
-
-    def test_validation(self):
-        from repro.workloads.generators import zipf_ranks
-
-        with pytest.raises(ValueError):
-            zipf_ranks(0, 10)
-        with pytest.raises(ValueError):
-            zipf_ranks(10, -1)
-        with pytest.raises(ValueError):
-            zipf_ranks(10, 10, alpha=-0.1)
-        assert zipf_ranks(10, 0) == []
-
-
-class TestBurstyArrivals:
-    def test_sorted_count_and_start(self):
-        from repro.workloads.generators import bursty_arrivals
-
-        times = bursty_arrivals(500, 100.0, seed=1, burst_probability=0.1)
-        assert len(times) == 500
-        assert times == sorted(times)
-        assert times[0] >= 0.0
-
-    def test_mean_rate_holds(self):
-        """Offered load averages `rate` with and without bursts."""
-        from repro.workloads.generators import bursty_arrivals
-
-        for kwargs in ({}, {"burst_probability": 0.1, "burst_size": 8}):
-            times = bursty_arrivals(4_000, 200.0, seed=9, **kwargs)
-            measured = len(times) / times[-1]
-            assert 140.0 < measured < 280.0, (kwargs, measured)
-
-    def test_bursts_tighten_gaps(self):
-        """Burst mode packs followers at the exact intra-burst spacing
-        (`1 / (rate * burst_size)`), a spike a smooth Poisson stream's
-        continuous gap distribution essentially never produces."""
-        from repro.workloads.generators import bursty_arrivals
-
-        smooth = bursty_arrivals(2_000, 100.0, seed=4)
-        bursty = bursty_arrivals(
-            2_000, 100.0, seed=4, burst_probability=0.2, burst_size=8
-        )
-        gap = lambda ts: [b - a for a, b in zip(ts, ts[1:])]  # noqa: E731
-        spacing = 1.0 / (100.0 * 8)  # intra-burst spacing at this rate
-        at_spacing = lambda ts: sum(  # noqa: E731
-            1 for g in gap(ts) if abs(g - spacing) < 1e-12
-        )
-        assert at_spacing(smooth) == 0
-        # ~0.2 of 2000 arrivals lead a burst of 8 -> hundreds of
-        # followers, each one gap at exactly the packed spacing.
-        assert at_spacing(bursty) > 200
-
-    def test_diurnal_wave_modulates_local_rate(self):
-        """With a diurnal period, arrivals cluster in the high half of
-        each wave — the first half-period (rate swung up) holds more
-        arrivals than the second (rate swung down)."""
-        from repro.workloads.generators import bursty_arrivals
-
-        period = 2.0
-        times = bursty_arrivals(
-            4_000,
-            200.0,
-            seed=6,
-            diurnal_period_s=period,
-            diurnal_amplitude=0.9,
-        )
-        up = sum(1 for t in times if (t % period) < period / 2)
-        down = len(times) - up
-        assert up > 1.3 * down, (up, down)
-
-    def test_deterministic_in_seed(self):
-        from repro.workloads.generators import bursty_arrivals
-
-        a = bursty_arrivals(100, 50.0, seed=3, burst_probability=0.1)
-        b = bursty_arrivals(100, 50.0, seed=3, burst_probability=0.1)
-        assert a == b
-
-    def test_validation(self):
-        from repro.workloads.generators import bursty_arrivals
-
-        with pytest.raises(ValueError):
-            bursty_arrivals(-1, 10.0)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10, 0.0)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10, 10.0, burst_probability=1.5)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10, 10.0, burst_size=0)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10, 10.0, diurnal_amplitude=1.0)
-        assert bursty_arrivals(0, 10.0) == []

@@ -488,7 +488,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 f"workers, --workers says {args.workers}"
             )
         print(
-            f"  {len(snapshot_state['rows']):,} points across "
+            f"  {len(snapshot_state['gids']):,} points across "
             f"{snapshot_state['workers']} shards (row ids preserved)"
         )
     else:

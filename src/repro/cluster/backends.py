@@ -59,10 +59,6 @@ class ShardBackend:
         """Lazily yield ``spec``'s shard-local row ids in result order."""
         raise NotImplementedError
 
-    def insert(self, x: float, y: float) -> int:
-        """Insert one point; returns its shard-local row id."""
-        raise NotImplementedError
-
     def extend(self, points: Sequence[Tuple[float, float]]) -> List[int]:
         """Insert a batch; returns the shard-local row ids in order."""
         raise NotImplementedError
@@ -104,12 +100,6 @@ class LocalShard(ShardBackend):
         """Stream ``spec`` lazily through the database's stream path."""
         result = self.database.query(spec)
         return result.stream()
-
-    def insert(self, x: float, y: float) -> int:
-        """Insert one point into the shard database."""
-        from repro.geometry.point import Point
-
-        return self.database.insert(Point(x, y))
 
     def extend(self, points: Sequence[Tuple[float, float]]) -> List[int]:
         """Bulk-insert into the shard database."""
@@ -301,20 +291,11 @@ class RemoteShard(ShardBackend):
 
         return rows()
 
-    def insert(self, x: float, y: float) -> int:
-        """Insert one point on the worker; returns its local row id.
-
-        Single attempt: a retried insert could double-apply on a worker
-        that committed before the connection died.
-        """
-        return self._call(
-            lambda client: client.insert(x, y).rows[0], retryable=False
-        )
-
     def extend(self, points: Sequence[Tuple[float, float]]) -> List[int]:
         """Bulk-insert on the worker, chunked under the wire cap.
 
-        Single attempt per call, like :meth:`insert`.
+        Single attempt: a retried write could double-apply on a worker
+        that committed before the connection died.
         """
         from repro.server.protocol import MAX_WRITE_POINTS
 

@@ -64,6 +64,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster.backends import ShardBackend
 from repro.cluster.faults import HealthTracker
 from repro.cluster.shardmap import ShardMap
@@ -209,14 +211,6 @@ def _effective_k(spec: KnnQuery) -> Optional[int]:
     if spec.limit is not None:
         return min(spec.k, spec.limit)
     return spec.k
-
-
-def _require_finite(x: float, y: float) -> None:
-    """Reject non-finite write coordinates before any shard sees them."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ClusterWriteError(
-            f"coordinates must be finite, got ({x!r}, {y!r})"
-        )
 
 
 class ClusterCoordinator:
@@ -391,11 +385,6 @@ class ClusterCoordinator:
         """
         return Point(self._xs[global_id], self._ys[global_id])
 
-    def _is_live(self, global_id: int) -> bool:
-        return 0 <= global_id < len(self._alive) and bool(
-            self._alive[global_id]
-        )
-
     def _squared_distance(self, global_id: int, x: float, y: float) -> float:
         dx = self._xs[global_id] - x
         dy = self._ys[global_id] - y
@@ -476,31 +465,6 @@ class ClusterCoordinator:
 
     # -- writes ------------------------------------------------------------
 
-    def _allocate(
-        self,
-        x: float,
-        y: float,
-        worker: int,
-        local_id: int,
-        key: int,
-        replica_local: int = -1,
-    ) -> int:
-        """Record one new live row in the catalog; returns its global id."""
-        global_id = len(self._alive)
-        self._xs.append(x)
-        self._ys.append(y)
-        self._keys.append(key)
-        self._worker.append(worker)
-        self._local.append(local_id)
-        self._alive.append(1)
-        self._replica_local.append(replica_local)
-        self._local_to_global[worker][local_id] = global_id
-        if replica_local >= 0:
-            slot = self._map.replica_of(worker)
-            self._replica_to_global[slot][replica_local] = global_id
-        self._live[worker] += 1
-        return global_id
-
     def _mirror_slot(self, worker: int) -> Optional[int]:
         """The worker's replica slot, if one exists and is writable."""
         slot = self._map.replica_of(worker)
@@ -535,8 +499,6 @@ class ClusterCoordinator:
             if isinstance(exc, _UNAVAILABLE):
                 self._mark_mirror_failure(slot, exc)
             return
-        if isinstance(replica_locals, int):
-            replica_locals = [replica_locals]
         for replica_local in replica_locals:
             try:
                 self._replicas[slot].delete(replica_local)
@@ -547,46 +509,10 @@ class ClusterCoordinator:
     def insert(self, x: float, y: float) -> int:
         """Route one point to its owning shard; returns its global id.
 
-        With a replica configured the point mirrors to it in parallel
-        with the primary apply.  A primary failure raises (nothing is
-        acked; any orphan mirror copy is reaped); a mirror failure
-        marks the replica dirty but the acked write stands — the
-        primary holds it.
+        A one-row :meth:`extend`, with the same mirror, rollback and
+        rebalance semantics.
         """
-        x, y = float(x), float(y)
-        _require_finite(x, y)
-        with self._lock.write():
-            key = self._map.key_of(x, y)
-            worker = self._map.owner_of_key(key)
-            slot = self._mirror_slot(worker)
-            future = (
-                self._mirror_pool.submit(self._replicas[slot].insert, x, y)
-                if slot is not None
-                else None
-            )
-            try:
-                local_id = self._backends[worker].insert(x, y)
-            except BaseException as exc:
-                if isinstance(exc, _UNAVAILABLE):
-                    self._health[worker].mark_failure()
-                if future is not None:
-                    self._reap_orphan_mirror(slot, future)
-                raise
-            self._health[worker].mark_success()
-            replica_local = -1
-            if future is not None:
-                try:
-                    replica_local = future.result()
-                except Exception as exc:
-                    self._mark_mirror_failure(slot, exc)
-                else:
-                    self._replica_health[slot].mark_success()
-            global_id = self._allocate(
-                x, y, worker, local_id, key, replica_local
-            )
-            self._version += 1
-            self._maybe_rebalance()
-            return global_id
+        return self.extend([(x, y)])[0]
 
     def extend(
         self, points: Sequence[Tuple[float, float]]
@@ -597,98 +523,98 @@ class ClusterCoordinator:
         primary applies.  If any primary slice fails, the whole batch
         is rolled back best-effort (compensating deletes on the
         primaries and replicas that did apply) and the error
-        propagates: nothing was acked, so nothing may survive.
+        propagates: nothing was acked, so nothing may survive.  A
+        mirror failure marks the replica dirty but the acked write
+        stands — the primary holds it.
         """
         pairs = [(float(x), float(y)) for x, y in points]
         for x, y in pairs:
-            _require_finite(x, y)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ClusterWriteError(
+                    f"coordinates must be finite, got ({x!r}, {y!r})"
+                )
+        if not pairs:
+            return []
         with self._lock.write():
+            keys = self._map.keys_of(*zip(*pairs))
             by_worker: Dict[int, List[int]] = {}
-            keys = self._map.keys_of(*zip(*pairs)) if pairs else []
             for position, key in enumerate(keys):
                 by_worker.setdefault(
                     self._map.owner_of_key(key), []
                 ).append(position)
-            mirror_futures: Dict[int, Tuple[int, object]] = {}
-            for worker, positions in by_worker.items():
+            batches = {
+                worker: [pairs[p] for p in positions]
+                for worker, positions in by_worker.items()
+            }
+            mirrors: Dict[int, Tuple[int, object]] = {}
+            for worker, batch in batches.items():
                 slot = self._mirror_slot(worker)
                 if slot is not None:
-                    mirror_futures[worker] = (
+                    mirrors[worker] = (
                         slot,
                         self._mirror_pool.submit(
-                            self._replicas[slot].extend,
-                            [pairs[p] for p in positions],
+                            self._replicas[slot].extend, batch
                         ),
                     )
-            locals_at: List[Optional[int]] = [None] * len(pairs)
-            owner_at: List[int] = [0] * len(pairs)
             applied: Dict[int, List[int]] = {}
-            failure: Optional[BaseException] = None
-            for worker, positions in by_worker.items():
+            for worker, batch in batches.items():
                 try:
-                    local_ids = self._backends[worker].extend(
-                        [pairs[p] for p in positions]
-                    )
+                    applied[worker] = self._backends[worker].extend(batch)
                 except BaseException as exc:
                     if isinstance(exc, _UNAVAILABLE):
                         self._health[worker].mark_failure()
-                    failure = exc
-                    break
+                    for done, local_ids in applied.items():
+                        for local_id in local_ids:
+                            try:
+                                self._backends[done].delete(local_id)
+                            except Exception:  # pragma: no cover - best effort
+                                pass  # orphan locals are skipped on translate
+                    for slot, future in mirrors.values():
+                        self._reap_orphan_mirror(slot, future)
+                    raise
                 self._health[worker].mark_success()
-                applied[worker] = local_ids
-                for position, local_id in zip(positions, local_ids):
-                    locals_at[position] = local_id
-                    owner_at[position] = worker
-            if failure is not None:
-                for worker, local_ids in applied.items():
-                    for local_id in local_ids:
-                        try:
-                            self._backends[worker].delete(local_id)
-                        except Exception:  # pragma: no cover - best effort
-                            pass  # orphan locals are skipped on translate
-                for worker, (slot, future) in mirror_futures.items():
-                    self._reap_orphan_mirror(slot, future)
-                raise failure
+            first = len(self._alive)
+            owner_at = [0] * len(pairs)
+            locals_at = [0] * len(pairs)
             replica_locals_at = [-1] * len(pairs)
-            for worker, (slot, future) in mirror_futures.items():
+            for worker, positions in by_worker.items():
+                self._live[worker] += len(positions)
+                mapping = self._local_to_global[worker]
+                for position, local_id in zip(positions, applied[worker]):
+                    owner_at[position] = worker
+                    locals_at[position] = local_id
+                    mapping[local_id] = first + position
+                if worker not in mirrors:
+                    continue
+                slot, future = mirrors[worker]
                 try:
                     replica_locals = future.result()
                 except Exception as exc:
                     self._mark_mirror_failure(slot, exc)
                     continue
                 self._replica_health[slot].mark_success()
-                for position, replica_local in zip(
-                    by_worker[worker], replica_locals
-                ):
+                mapping = self._replica_to_global[slot]
+                for position, replica_local in zip(positions, replica_locals):
                     replica_locals_at[position] = replica_local
-            global_ids = []
-            for position, (x, y) in enumerate(pairs):
-                global_ids.append(
-                    self._allocate(
-                        x,
-                        y,
-                        owner_at[position],
-                        locals_at[position],
-                        keys[position],
-                        replica_locals_at[position],
-                    )
-                )
-            if pairs:
-                self._version += 1
-                self._maybe_rebalance()
-            return global_ids
-
-    def bulk_load(
-        self, points: Sequence[Tuple[float, float]]
-    ) -> List[int]:
-        """Initial data load (an :meth:`extend` from the empty cluster)."""
-        return self.extend(points)
+                    mapping[replica_local] = first + position
+            self._xs.extend(x for x, _ in pairs)
+            self._ys.extend(y for _, y in pairs)
+            self._keys.extend(keys)
+            self._worker.extend(owner_at)
+            self._local.extend(locals_at)
+            self._replica_local.extend(replica_locals_at)
+            self._alive.extend(b"\x01" * len(pairs))
+            self._version += 1
+            self._maybe_rebalance()
+            return list(range(first, first + len(pairs)))
 
     def delete(self, global_id: int) -> None:
         """Tombstone one global row on its owning shard (and replica)."""
         with self._lock.write():
-            if not isinstance(global_id, int) or not self._is_live(
-                global_id
+            if not (
+                isinstance(global_id, int)
+                and 0 <= global_id < len(self._alive)
+                and self._alive[global_id]
             ):
                 raise ClusterWriteError(
                     f"row {global_id!r} does not exist or was already "
@@ -771,12 +697,9 @@ class ClusterCoordinator:
             return False
         # The heaviest worker's fullest range, by live rows.
         rows_by_range: Dict[int, List[int]] = {}
-        for global_id in range(len(self._alive)):
-            if self._alive[global_id] and self._worker[global_id] == heaviest:
-                shard_range = self._map.range_at(self._keys[global_id])
-                rows_by_range.setdefault(shard_range.lo, []).append(
-                    global_id
-                )
+        for global_id in self._live_rows({heaviest}):
+            shard_range = self._map.range_at(self._keys[global_id])
+            rows_by_range.setdefault(shard_range.lo, []).append(global_id)
         if not rows_by_range:
             return False
         range_lo = max(rows_by_range, key=lambda lo: len(rows_by_range[lo]))
@@ -797,9 +720,10 @@ class ClusterCoordinator:
         )
         if not moved:
             return False
-        moved_points = [(self._xs[g], self._ys[g]) for g in moved]
+        old_locals = [self._local[g] for g in moved]
+        old_replica_locals = [self._replica_local[g] for g in moved]
         try:
-            new_locals = self._backends[lightest].extend(moved_points)
+            added = self._load(self._backends[lightest], moved, self._local)
         except _UNAVAILABLE:
             # Destination unreachable: abort before touching anything —
             # the cluster stays balanced-as-was rather than half-moved.
@@ -808,20 +732,22 @@ class ClusterCoordinator:
         # Mirror the moved rows into the destination's replica slot
         # before retiring the old copies, so every row keeps a standby
         # throughout the migration.
+        for global_id in moved:
+            self._replica_local[global_id] = -1
         slot_to = self._mirror_slot(lightest)
-        new_replica_locals: Optional[List[int]] = None
         if slot_to is not None and not self._replica_dirty[slot_to]:
             try:
-                new_replica_locals = self._replicas[slot_to].extend(
-                    moved_points
+                self._replica_to_global[slot_to].update(
+                    self._load(
+                        self._replicas[slot_to], moved, self._replica_local
+                    )
                 )
             except Exception as exc:
                 self._mark_mirror_failure(slot_to, exc)
         slot_from = self._mirror_slot(heaviest)
-        for index, (global_id, new_local) in enumerate(
-            zip(moved, new_locals)
+        for global_id, old_local, old_replica_local in zip(
+            moved, old_locals, old_replica_locals
         ):
-            old_local = self._local[global_id]
             try:
                 self._backends[heaviest].delete(old_local)
             except _UNAVAILABLE:
@@ -830,7 +756,6 @@ class ClusterCoordinator:
                 # the mapping below, so translation skips it.
                 self._health[heaviest].mark_failure()
             del self._local_to_global[heaviest][old_local]
-            old_replica_local = self._replica_local[global_id]
             if slot_from is not None and old_replica_local >= 0:
                 try:
                     self._replicas[slot_from].delete(old_replica_local)
@@ -840,19 +765,8 @@ class ClusterCoordinator:
                     self._replica_to_global[slot_from].pop(
                         old_replica_local, None
                     )
-            new_replica_local = (
-                new_replica_locals[index]
-                if new_replica_locals is not None
-                else -1
-            )
-            self._replica_local[global_id] = new_replica_local
-            if new_replica_local >= 0:
-                self._replica_to_global[slot_to][
-                    new_replica_local
-                ] = global_id
             self._worker[global_id] = lightest
-            self._local[global_id] = new_local
-            self._local_to_global[lightest][new_local] = global_id
+        self._local_to_global[lightest].update(added)
         self._live[heaviest] -= len(moved)
         self._live[lightest] += len(moved)
         self._map = new_map
@@ -945,66 +859,81 @@ class ClusterCoordinator:
         silently is exactly what degraded-result reporting exists to
         prevent) or while its own health is ``down``.
         """
-        slot = self._map.replica_of(worker)
-        if (
-            slot is None
-            or self._replicas[slot] is None
-            or self._replica_dirty[slot]
-            or self._replica_health[slot].is_down
-        ):
+        slot = self._mirror_slot(worker)
+        if slot is None or self._replica_dirty[slot]:
             return None
-        return slot
+        return None if self._replica_health[slot].is_down else slot
 
-    def _failover_query_ids(
-        self, worker: int, shard_spec: Query, failed: List[int]
+    def _failover(
+        self,
+        worker: int,
+        rpc,
+        failed: List[int],
+        *,
+        snapshot: bool = False,
+        skip_primary: bool = False,
     ):
-        """One shard's eager ids, failing over to the replica.
+        """Run ``rpc(backend)`` on the worker's primary, else its replica.
 
-        Tries the primary first — unless it is already marked ``down``
-        and a usable replica exists, in which case the primary is
-        skipped outright (no timeout tax per query on a dead worker).
-        Returns ``(local_ids, local_to_global_mapping)`` from whichever
-        copy answered, or ``None`` after recording ``worker`` on
-        ``failed`` when both copies are lost.
+        The one failover opener of both read paths.  The primary is
+        skipped when ``skip_primary`` (a stream already lost it) or when
+        it is marked ``down`` and a usable replica exists — no timeout
+        tax per query on a dead worker.  Returns ``(result, mapping,
+        replica slot or None)`` from whichever copy answered, where
+        ``mapping`` is that copy's local-to-global dict (a copy when
+        ``snapshot``: a stream outlives the read lock), or ``None``
+        after recording ``worker`` on ``failed`` when both copies are
+        lost.
         """
         slot = self._replica_usable(worker)
-        if not (self._health[worker].is_down and slot is not None):
+        if not skip_primary and not (
+            self._health[worker].is_down and slot is not None
+        ):
             try:
-                local_ids = self._backends[worker].query_ids(shard_spec)
+                result = rpc(self._backends[worker])
             except _UNAVAILABLE:
                 self._health[worker].mark_failure()
                 slot = self._replica_usable(worker)
             else:
                 self._health[worker].mark_success()
-                return local_ids, self._local_to_global[worker]
+                mapping = self._local_to_global[worker]
+                return result, dict(mapping) if snapshot else mapping, None
         if slot is not None:
             self._failovers += 1
             try:
-                local_ids = self._replicas[slot].query_ids(shard_spec)
+                result = rpc(self._replicas[slot])
             except _UNAVAILABLE:
                 self._replica_health[slot].mark_failure()
             else:
                 self._replica_health[slot].mark_success()
-                return local_ids, self._replica_to_global[slot]
+                mapping = self._replica_to_global[slot]
+                return result, dict(mapping) if snapshot else mapping, slot
         self._record_failure(failed, worker)
         return None
 
-    def _translate_failover(
+    def _shard_ids(
         self,
         worker: int,
-        local_ids: List[int],
-        mapping: Dict[int, int],
+        shard_spec: Query,
+        failed: List[int],
         *,
         ordered: bool,
     ) -> List[int]:
-        """Shard result ids as global ids, robust to partial failure.
+        """One shard's eager answer as global ids, robust to failure.
 
-        Unknown locals are skipped (orphan rows left behind by a failed
-        compensating delete), and — because one replica slot may back
-        several workers — rows owned by a *different* worker are
-        filtered out, so a failover read never double-counts rows the
-        owner already contributed.
+        A shard lost from both copies contributes nothing (and lands on
+        ``failed``).  Unknown locals are skipped (orphan rows left
+        behind by a failed compensating delete), and — because one
+        replica slot may back several workers — rows owned by a
+        *different* worker are filtered out, so a failover read never
+        double-counts rows the owner already contributed.
         """
+        outcome = self._failover(
+            worker, lambda backend: backend.query_ids(shard_spec), failed
+        )
+        if outcome is None:
+            return []
+        local_ids, mapping, _ = outcome
         translated = (mapping.get(local) for local in local_ids)
         ids = [
             g
@@ -1027,14 +956,6 @@ class ClusterCoordinator:
         return sorted(w for w in workers if self._live[w] > 0)
 
     # -- region kinds ------------------------------------------------------
-
-    def _region_bounds(self, spec: Query) -> Tuple[float, float, float, float]:
-        """The fan-out bounding box of a region spec."""
-        if isinstance(spec, WindowQuery):
-            rect = spec.rect
-        else:
-            rect = spec.region.mbr
-        return (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
 
     def _region_ids(self, spec: Query, failed: List[int]) -> List[int]:
         """Fan a region spec out and union the sorted shard results.
@@ -1060,25 +981,19 @@ class ClusterCoordinator:
                 raise InvalidQueryAreaError(
                     "voronoi execution needs a positive-area window"
                 )
+        rect = spec.rect if isinstance(spec, WindowQuery) else spec.region.mbr
         workers = self._nonempty(
-            self._map.workers_for_bounds(self._region_bounds(spec))
+            self._map.workers_for_bounds(
+                (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
+            )
         )
         if not workers:
             return []
         shard_spec = replace(spec, predicate=None, limit=None)
-        per_shard = []
-        for worker in workers:
-            outcome = self._failover_query_ids(worker, shard_spec, failed)
-            if outcome is None:
-                continue
-            local_ids, mapping = outcome
-            per_shard.append(
-                self._translate_failover(
-                    worker, local_ids, mapping, ordered=False
-                )
-            )
-        if not per_shard:
-            return []
+        per_shard = [
+            self._shard_ids(worker, shard_spec, failed, ordered=False)
+            for worker in workers
+        ]
         if len(per_shard) == 1:
             return per_shard[0]
         return list(union_sorted(per_shard))
@@ -1152,8 +1067,7 @@ class ClusterCoordinator:
 
         Order-preserving translation (the merge re-sorts by exact
         distance anyway, which also neutralises a shard answering in
-        the wrong order); a shard lost from both copies contributes
-        nothing and is recorded on ``failed``.
+        the wrong order).
         """
         shard_spec = replace(
             spec,
@@ -1161,75 +1075,19 @@ class ClusterCoordinator:
             predicate=None,
             limit=None,
         )
-        outcome = self._failover_query_ids(worker, shard_spec, failed)
-        if outcome is None:
-            return []
-        local_ids, mapping = outcome
-        return self._translate_failover(
-            worker, local_ids, mapping, ordered=True
-        )
+        return self._shard_ids(worker, shard_spec, failed, ordered=True)
 
     # -- streaming ---------------------------------------------------------
 
     @staticmethod
-    def _close_quietly(stream) -> None:
-        """Best-effort close of one shard stream (teardown path)."""
-        close = getattr(stream, "close", None)
+    def _close_quietly(closeable) -> None:
+        """Best-effort close of a shard stream or retired backend."""
+        close = getattr(closeable, "close", None)
         if close is not None:
             try:
                 close()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
-
-    def _open_knn_source(
-        self, worker: int, shard_spec: Query, failed: List[int]
-    ):
-        """Open one shard's kNN stream, failing over to the replica.
-
-        Returns ``(stream, mapping snapshot, replica slot or None)`` or
-        ``None`` when neither copy can serve (recorded on ``failed``).
-        """
-        if not (
-            self._health[worker].is_down
-            and self._replica_usable(worker) is not None
-        ):
-            try:
-                stream = self._backends[worker].stream_ids(
-                    shard_spec, chunk_size=self.chunk_size
-                )
-            except _UNAVAILABLE:
-                self._health[worker].mark_failure()
-            else:
-                self._health[worker].mark_success()
-                return (
-                    stream,
-                    dict(self._local_to_global[worker]),
-                    None,
-                )
-        return self._open_replica_source(worker, shard_spec, failed)
-
-    def _open_replica_source(
-        self, worker: int, shard_spec: Query, failed: List[int]
-    ):
-        """Open the replica-side kNN stream for one lost primary."""
-        slot = self._replica_usable(worker)
-        if slot is not None:
-            self._failovers += 1
-            try:
-                stream = self._replicas[slot].stream_ids(
-                    shard_spec, chunk_size=self.chunk_size
-                )
-            except _UNAVAILABLE:
-                self._replica_health[slot].mark_failure()
-            else:
-                self._replica_health[slot].mark_success()
-                return (
-                    stream,
-                    dict(self._replica_to_global[slot]),
-                    slot,
-                )
-        self._record_failure(failed, worker)
-        return None
 
     def _stream_knn(
         self, spec: KnnQuery, failed: List[int]
@@ -1259,9 +1117,15 @@ class ClusterCoordinator:
                 shard_spec = replace(
                     spec, k=None, predicate=None, limit=None, select="ids"
                 )
+
+                def open_stream(backend: ShardBackend) -> Iterator[int]:
+                    return backend.stream_ids(
+                        shard_spec, chunk_size=self.chunk_size
+                    )
+
                 sources = {
-                    worker: self._open_knn_source(
-                        worker, shard_spec, failed
+                    worker: self._failover(
+                        worker, open_stream, failed, snapshot=True
                     )
                     for worker in workers
                 }
@@ -1273,66 +1137,57 @@ class ClusterCoordinator:
                 self._close_quietly(stream)
                 if slot is None:
                     self._health[worker].mark_failure()
-                    sources[worker] = self._open_replica_source(
-                        worker, shard_spec, failed
+                    sources[worker] = self._failover(
+                        worker,
+                        open_stream,
+                        failed,
+                        snapshot=True,
+                        skip_primary=True,
                     )
                 else:
                     self._replica_health[slot].mark_failure()
                     self._record_failure(failed, worker)
                     sources[worker] = None
 
-            def pull(worker: int) -> Optional[int]:
-                """The shard's next unseen global id (``None`` = done)."""
-                while True:
-                    source = sources[worker]
-                    if source is None:
-                        return None
-                    stream, mapping, _ = source
+            x, y = spec.point.x, spec.point.y
+            heap: List[Tuple[float, int, int]] = []
+
+            def advance(worker: int) -> None:
+                """Push the shard's next unseen global id onto the heap."""
+                while sources[worker] is not None:
+                    stream, mapping, _ = sources[worker]
                     try:
                         local = next(stream)
                     except StopIteration:
-                        return None
+                        return
                     except _UNAVAILABLE:
                         fail_over(worker)
                         continue
                     global_id = mapping.get(local)
                     if (
-                        global_id is None
-                        or self._worker[global_id] != worker
-                        or global_id in seen[worker]
+                        global_id is not None
+                        and self._worker[global_id] == worker
+                        and global_id not in seen[worker]
                     ):
-                        continue
-                    seen[worker].add(global_id)
-                    return global_id
+                        seen[worker].add(global_id)
+                        heapq.heappush(
+                            heap,
+                            (
+                                self._squared_distance(global_id, x, y),
+                                global_id,
+                                worker,
+                            ),
+                        )
+                        return
 
-            x, y = spec.point.x, spec.point.y
             predicate = spec.predicate
             produced = 0
-            heap = []
             try:
                 for worker in workers:
-                    head = pull(worker)
-                    if head is not None:
-                        heapq.heappush(
-                            heap,
-                            (
-                                self._squared_distance(head, x, y),
-                                head,
-                                worker,
-                            ),
-                        )
+                    advance(worker)
                 while heap:
                     _, global_id, worker = heapq.heappop(heap)
-                    refill = pull(worker)
-                    if refill is not None:
-                        heapq.heappush(
-                            heap,
-                            (
-                                self._squared_distance(refill, x, y),
-                                refill,
-                                worker,
-                            ),
-                        )
+                    advance(worker)
                     if predicate is not None and not predicate(
                         self.point(global_id)
                     ):
@@ -1447,6 +1302,40 @@ class ClusterCoordinator:
 
     # -- recovery ----------------------------------------------------------
 
+    def _live_rows(self, workers) -> List[int]:
+        """Live global ids owned by any of ``workers``, ascending."""
+        return [
+            g
+            for g in range(len(self._alive))
+            if self._alive[g] and self._worker[g] in workers
+        ]
+
+    def _load(
+        self, backend: ShardBackend, rows: List[int], local_column: array
+    ) -> Dict[int, int]:
+        """Extend ``rows``' catalog coordinates onto ``backend``.
+
+        The one catalog-to-backend load of :meth:`restore`,
+        :meth:`rebuild_worker`, :meth:`rebuild_replica` and the
+        rebalance migration: each row's new local id lands in
+        ``local_column`` (the primary or replica side of the catalog),
+        and the new rows' local-to-global mapping is returned.
+        """
+        local_ids = (
+            backend.extend([(self._xs[g], self._ys[g]) for g in rows])
+            if rows
+            else []
+        )
+        for global_id, local_id in zip(rows, local_ids):
+            local_column[global_id] = local_id
+        return dict(zip(local_ids, rows))
+
+    def _slot_rows(self, slot: int) -> List[int]:
+        """Live rows of every worker the shard map pairs with ``slot``."""
+        return self._live_rows(
+            {w for w in range(self.workers) if self._map.replica_of(w) == slot}
+        )
+
     def rebuild_worker(self, worker: int, backend: ShardBackend) -> int:
         """Swap a fresh, empty backend in for ``worker`` and reload it.
 
@@ -1464,29 +1353,14 @@ class ClusterCoordinator:
         with self._lock.write():
             old = self._backends[worker]
             self._backends[worker] = backend
-            rows = [
-                g
-                for g in range(len(self._alive))
-                if self._alive[g] and self._worker[g] == worker
-            ]
-            self._local_to_global[worker] = {}
-            local_ids = (
-                backend.extend(
-                    [(self._xs[g], self._ys[g]) for g in rows]
-                )
-                if rows
-                else []
+            rows = self._live_rows({worker})
+            self._local_to_global[worker] = {}  # until the load lands
+            self._local_to_global[worker] = self._load(
+                backend, rows, self._local
             )
-            for global_id, local_id in zip(rows, local_ids):
-                self._local[global_id] = local_id
-                self._local_to_global[worker][local_id] = global_id
-            self._live[worker] = len(rows)
             self._health[worker].reset()
             self._recoveries += 1
-        try:
-            old.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        self._close_quietly(old)
         return len(rows)
 
     def rebuild_replica(
@@ -1510,40 +1384,20 @@ class ClusterCoordinator:
             replica = self._replicas[slot]
             if replica is None:
                 raise ValueError(f"replica slot {slot} has no backend")
-            mapped = {
-                w
-                for w in range(self.workers)
-                if self._map.replica_of(w) == slot
-            }
-            rows = [
-                g
-                for g in range(len(self._alive))
-                if self._alive[g] and self._worker[g] in mapped
-            ]
-            self._replica_to_global[slot] = {}
+            rows = self._slot_rows(slot)
+            self._replica_to_global[slot] = {}  # until the load lands
             try:
-                replica_locals = (
-                    replica.extend(
-                        [(self._xs[g], self._ys[g]) for g in rows]
-                    )
-                    if rows
-                    else []
+                self._replica_to_global[slot] = self._load(
+                    replica, rows, self._replica_local
                 )
             except Exception:
                 self._replica_dirty[slot] = True
                 self._mirror_failures += 1
                 raise
-            for global_id, replica_local in zip(rows, replica_locals):
-                self._replica_local[global_id] = replica_local
-                self._replica_to_global[slot][replica_local] = global_id
             self._replica_dirty[slot] = False
             self._replica_health[slot].reset()
             self._recoveries += 1
-        if old is not None:
-            try:
-                old.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        self._close_quietly(old)
         return len(rows)
 
     # -- persistence hooks -------------------------------------------------
@@ -1551,21 +1405,16 @@ class ClusterCoordinator:
     def export_state(self) -> Dict:
         """The catalog/shard-map state a snapshot persists.
 
-        Coordinates, global ids, and owners of every *live* row (dead
-        ids reappear as holes on restore), plus the shard map and the
-        version counters.  See :mod:`repro.cluster.persist`.
+        The *live* rows as numpy columns — ascending ``gids``, their
+        ``xy`` coordinates and owning ``worker`` (dead ids reappear as
+        holes on restore) — plus the shard map and the version
+        counters.  See :mod:`repro.cluster.persist`.
         """
         with self._lock.read():
-            rows = [
-                (
-                    g,
-                    self._xs[g],
-                    self._ys[g],
-                    self._worker[g],
-                )
-                for g in range(len(self._alive))
-                if self._alive[g]
-            ]
+            gids = np.flatnonzero(np.frombuffer(self._alive, dtype=np.uint8))
+            xs = np.frombuffer(self._xs, dtype=np.float64)[gids]
+            ys = np.frombuffer(self._ys, dtype=np.float64)[gids]
+            worker = np.frombuffer(self._worker, dtype=np.intc)[gids]
             return {
                 "order": self._map.order,
                 "workers": self.workers,
@@ -1573,7 +1422,9 @@ class ClusterCoordinator:
                 "next_global_id": len(self._alive),
                 "version": self._version,
                 "rebalances": self._rebalances,
-                "rows": rows,
+                "gids": gids.astype(np.int64),
+                "xy": np.column_stack((xs, ys)),
+                "worker": worker.astype(np.int64),
             }
 
     @classmethod
@@ -1585,11 +1436,12 @@ class ClusterCoordinator:
     ) -> "ClusterCoordinator":
         """Rebuild a coordinator (and load its shards) from a snapshot.
 
-        ``backends`` must be empty workers, one per snapshot worker.
-        Each worker is bulk-loaded with its live rows in ascending
-        global-id order and the catalog is rebuilt with the original
+        ``backends`` (and any ``replicas=`` option) must be empty, one
+        per snapshot worker.  The catalog is filled with the original
         global ids (deleted ids stay holes, so later writes continue
-        the original id sequence).
+        the original id sequence); then each worker and each replica
+        slot is loaded with its live rows in ascending global-id order.
+        A failed replica load marks the slot dirty.
         """
         if len(backends) != int(state["workers"]):
             raise ValueError(
@@ -1600,52 +1452,44 @@ class ClusterCoordinator:
             state["ranges"], order=int(state["order"])
         )
         coordinator = cls(backends, shard_map=shard_map, **options)
-        next_global_id = int(state["next_global_id"])
-        for _ in range(next_global_id):
-            coordinator._xs.append(0.0)
-            coordinator._ys.append(0.0)
-            coordinator._keys.append(0)
-            coordinator._worker.append(-1)
-            coordinator._local.append(-1)
-            coordinator._alive.append(0)
-            coordinator._replica_local.append(-1)
-        by_worker: Dict[int, List[Tuple[int, float, float]]] = {}
-        for global_id, x, y, worker in state["rows"]:
-            by_worker.setdefault(int(worker), []).append(
-                (int(global_id), float(x), float(y))
+        size = int(state["next_global_id"])
+        gids = np.asarray(state["gids"], dtype=np.int64)
+        xy = np.asarray(state["xy"], dtype=np.float64).reshape(-1, 2)
+
+        def column(values, dtype, fill):
+            full = np.full(size, fill, dtype=dtype)
+            full[gids] = values
+            return full.tobytes()
+
+        coordinator._xs = array("d", column(xy[:, 0], np.float64, 0.0))
+        coordinator._ys = array("d", column(xy[:, 1], np.float64, 0.0))
+        coordinator._keys = array(
+            "q",
+            column(shard_map.keys_of(xy[:, 0], xy[:, 1]), np.int64, 0),
+        )
+        coordinator._worker = array(
+            "i", column(state["worker"], np.intc, -1)
+        )
+        coordinator._alive = bytearray(column(1, np.uint8, 0))
+        coordinator._local = array("q", [-1]) * size
+        coordinator._replica_local = array("q", [-1]) * size
+        for worker, backend in enumerate(backends):
+            rows = coordinator._live_rows({worker})
+            coordinator._local_to_global[worker] = coordinator._load(
+                backend, rows, coordinator._local
             )
-        for worker, rows in sorted(by_worker.items()):
-            rows.sort()
-            local_ids = backends[worker].extend(
-                [(x, y) for _, x, y in rows]
-            )
-            for (global_id, x, y), local_id in zip(rows, local_ids):
-                coordinator._xs[global_id] = x
-                coordinator._ys[global_id] = y
-                coordinator._keys[global_id] = shard_map.key_of(x, y)
-                coordinator._worker[global_id] = worker
-                coordinator._local[global_id] = local_id
-                coordinator._alive[global_id] = 1
-                coordinator._local_to_global[worker][local_id] = global_id
             coordinator._live[worker] = len(rows)
-            slot = coordinator._mirror_slot(worker)
-            if slot is not None:
-                try:
-                    replica_locals = coordinator._replicas[slot].extend(
-                        [(x, y) for _, x, y in rows]
-                    )
-                except Exception as exc:
-                    coordinator._mark_mirror_failure(slot, exc)
-                else:
-                    for (global_id, _, _), replica_local in zip(
-                        rows, replica_locals
-                    ):
-                        coordinator._replica_local[
-                            global_id
-                        ] = replica_local
-                        coordinator._replica_to_global[slot][
-                            replica_local
-                        ] = global_id
+        for slot, replica in enumerate(coordinator._replicas):
+            if replica is None:
+                continue
+            try:
+                coordinator._replica_to_global[slot] = coordinator._load(
+                    replica,
+                    coordinator._slot_rows(slot),
+                    coordinator._replica_local,
+                )
+            except Exception as exc:
+                coordinator._mark_mirror_failure(slot, exc)
         coordinator._version = int(state.get("version", 0))
         coordinator._rebalances = int(state.get("rebalances", 0))
         return coordinator

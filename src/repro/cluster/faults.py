@@ -277,13 +277,6 @@ class FaultyBackend(ShardBackend):
         self._gate()
         return self.inner.stream_ids(spec, chunk_size=chunk_size)
 
-    def insert(self, x: float, y: float) -> int:
-        """Proxy one insert (a reset fires *after* the inner apply)."""
-        self._gate()
-        local_id = self.inner.insert(x, y)
-        self._post()
-        return local_id
-
     def extend(self, points: Sequence[Tuple[float, float]]) -> List[int]:
         """Proxy one batch insert (a reset fires *after* the apply)."""
         self._gate()

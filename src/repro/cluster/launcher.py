@@ -409,7 +409,7 @@ def start_cluster(
                 backends, **coordinator_options
             )
             if points:
-                coordinator.bulk_load(points)
+                coordinator.extend(points)
         if health_interval > 0:
             coordinator.start_health_monitor(health_interval)
         server_thread = ServerThread(

@@ -208,13 +208,9 @@ class ClusterBackend:
         op = frame["type"]
         try:
             if op == "insert":
-                rows = [
-                    coordinator.insert(float(frame["x"]), float(frame["y"]))
-                ]
+                rows = coordinator.extend([(frame["x"], frame["y"])])
             elif op == "extend":
-                rows = coordinator.extend(
-                    [(float(x), float(y)) for x, y in frame["points"]]
-                )
+                rows = coordinator.extend(frame["points"])
             else:  # "delete"
                 rows = [int(frame["row"])]
                 coordinator.delete(rows[0])

@@ -38,7 +38,7 @@ def build_pair(points, workers=4, **options):
     coordinator = ClusterCoordinator(
         [LocalShard(SpatialDatabase()) for _ in range(workers)], **options
     )
-    gids = coordinator.bulk_load(points)
+    gids = coordinator.extend(points)
     assert gids == list(range(len(points)))
     return coordinator, oracle
 

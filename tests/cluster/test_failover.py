@@ -13,12 +13,11 @@ Two layers of proof:
   reads must match a single-process oracle, and no acked write may be
   lost.  Run standalone via ``make test-chaos``.
 
-Also home to the teardown-path tests the robustness issue calls out:
-double-close, close-while-streaming, and snapshot version-skew /
-corruption handling.
+Also home to the teardown-path tests: double-close and
+close-while-streaming.  Snapshot corruption handling lives in
+``test_snapshots.py``.
 """
 
-import json
 import os
 import signal
 import socket
@@ -40,11 +39,6 @@ from repro.cluster import (
     ShardUnavailableError,
 )
 from repro.cluster.launcher import start_cluster
-from repro.cluster.persist import (
-    load_cluster_state,
-    restore_cluster,
-    save_cluster,
-)
 from repro.core.database import SpatialDatabase
 from repro.geometry.point import Point
 from repro.query.spec import KnnQuery, NearestQuery, WindowQuery
@@ -139,7 +133,7 @@ class TestFaultyBackend:
             LocalShard(SpatialDatabase()),
             FaultSpec(seed=CHAOS_SEED, crash_on_call=2),
         )
-        assert backend.insert(0.1, 0.2) == 0
+        assert backend.extend([(0.1, 0.2)]) == [0]
         for _ in range(3):
             with pytest.raises(ConnectionRefusedError):
                 backend.query_ids(WindowQuery((0, 0, 1, 1)))
@@ -155,7 +149,7 @@ class TestFaultyBackend:
             outcomes = []
             for index in range(40):
                 try:
-                    backend.insert(index / 100.0, index / 100.0)
+                    backend.extend([(index / 100.0, index / 100.0)])
                     outcomes.append("ok")
                 except ConnectionError:
                     outcomes.append("drop")
@@ -171,7 +165,7 @@ class TestFaultyBackend:
             LocalShard(db), FaultSpec(seed=CHAOS_SEED, reset_rate=1.0)
         )
         with pytest.raises(ConnectionResetError):
-            backend.insert(0.3, 0.4)
+            backend.extend([(0.3, 0.4)])
         # the ambiguous failure: the row landed even though the caller
         # saw a connection reset
         assert len(db) == 1
@@ -209,7 +203,7 @@ def build_replicated(points, workers=3, crash_primary=None, crash_replica=None):
             shard = FaultyBackend(shard, CRASH_AFTER_LOAD)
         replicas.append(shard)
     coordinator = ClusterCoordinator(backends, replicas=replicas)
-    coordinator.bulk_load(points)
+    coordinator.extend(points)
     return coordinator
 
 
@@ -287,6 +281,41 @@ class TestReplicaFailover:
             section = coordinator.cluster_section()
             assert section["replica_dirty"][2] is False
             assert section["recoveries"] >= 1
+            # the rebuilt replica alone answers for worker 2, the acked
+            # write included
+            oracle = build_oracle(points + [target])
+            coordinator.rebuild_worker(
+                2, FaultyBackend(LocalShard(SpatialDatabase()), CRASH_AFTER_LOAD)
+            )
+            for spec in PROBE_SPECS:
+                assert coordinator.query(spec) == oracle.query(spec).ids()
+        finally:
+            coordinator.close()
+
+    def test_rebalanced_rows_keep_their_standby(self):
+        points = chaos_points()
+        oracle = build_oracle(points)
+        coordinator = build_replicated(points, crash_primary=None)
+        try:
+            coordinator.min_split = 16
+            assert coordinator.rebalance_once(force=True)
+            assert coordinator.cluster_section()["replica_dirty"] == [
+                False,
+                False,
+                False,
+            ]
+            # every primary dies after the migration: the replicas alone
+            # must hold every row, each under its new owner
+            for worker in range(coordinator.workers):
+                coordinator.rebuild_worker(
+                    worker,
+                    FaultyBackend(
+                        LocalShard(SpatialDatabase()), CRASH_AFTER_LOAD
+                    ),
+                )
+            for spec in PROBE_SPECS:
+                assert coordinator.query(spec) == oracle.query(spec).ids()
+            assert coordinator.cluster_section()["degraded_results"] == 0
         finally:
             coordinator.close()
 
@@ -315,7 +344,7 @@ class TestDegradedResults:
         backends = fresh_shards(3)
         backends[1] = FaultyBackend(backends[1], CRASH_AFTER_LOAD)
         coordinator = ClusterCoordinator(backends)
-        coordinator.bulk_load(points)
+        coordinator.extend(points)
         spec = WindowQuery((0.0, 0.0, 1.0, 1.0))
         with pytest.raises(ClusterDegradedError) as excinfo:
             coordinator.query(spec)
@@ -329,7 +358,7 @@ class TestDegradedResults:
         backends = fresh_shards(3)
         backends[2] = FaultyBackend(backends[2], CRASH_AFTER_LOAD)
         coordinator = ClusterCoordinator(backends)
-        coordinator.bulk_load(points)
+        coordinator.extend(points)
         stream = coordinator.stream(KnnQuery(Point(0.5, 0.5), None))
         got = list(stream)
         assert stream.degraded and 2 in stream.shards_failed
@@ -346,7 +375,7 @@ class TestDegradedResults:
             for worker in range(3)
         ]
         coordinator = ClusterCoordinator(backends)
-        coordinator.bulk_load(points)
+        coordinator.extend(points)
         scrambles = 0
         for spec in PROBE_SPECS:
             assert coordinator.query(spec) == oracle.query(spec).ids()
@@ -371,7 +400,7 @@ class TestDegradedWireFrames:
         backends = fresh_shards(2)
         backends[0] = FaultyBackend(backends[0], CRASH_AFTER_LOAD)
         coordinator = ClusterCoordinator(backends)
-        coordinator.bulk_load(points)
+        coordinator.extend(points)
         with ServerThread(backend=ClusterBackend(coordinator)) as router:
             yield router, build_oracle(points)
 
@@ -408,7 +437,7 @@ class TestDegradedWireFrames:
 class TestDeadPeerDetection:
     def test_router_shutdown_surfaces_connection_lost(self):
         coordinator = ClusterCoordinator(fresh_shards(2))
-        coordinator.bulk_load(chaos_points(40))
+        coordinator.extend(chaos_points(40))
         router = ServerThread(backend=ClusterBackend(coordinator))
         client = QueryClient(router.host, router.port, timeout=5.0)
         assert client.query(NearestQuery(Point(0.5, 0.5))).ids
@@ -499,7 +528,7 @@ class TestTeardownPaths:
         for shard in shards:
             shard.close = lambda shard=shard: closed.append(shard)
         coordinator = ClusterCoordinator(shards)
-        coordinator.bulk_load(chaos_points(40))
+        coordinator.extend(chaos_points(40))
         router = ServerThread(backend=ClusterBackend(coordinator))
         router.close()
         assert closed == shards  # the front end owns the coordinator
@@ -508,7 +537,7 @@ class TestTeardownPaths:
 
     def test_router_close_while_client_streams(self):
         coordinator = ClusterCoordinator(fresh_shards(2))
-        coordinator.bulk_load(chaos_points(80))
+        coordinator.extend(chaos_points(80))
         router = ServerThread(backend=ClusterBackend(coordinator))
         client = QueryClient(router.host, router.port, timeout=5.0)
         stream = client.stream(
@@ -523,73 +552,13 @@ class TestTeardownPaths:
 
     def test_cluster_stream_close_is_idempotent(self):
         coordinator = ClusterCoordinator(fresh_shards(2))
-        coordinator.bulk_load(chaos_points(40))
+        coordinator.extend(chaos_points(40))
         stream = coordinator.stream(KnnQuery(Point(0.5, 0.5), None))
         next(stream)
         stream.close()
         stream.close()
         with pytest.raises(StopIteration):
             next(stream)
-
-
-class TestSnapshotSkewAndCorruption:
-    def make_snapshot(self, tmp_path):
-        coordinator = ClusterCoordinator(fresh_shards(2))
-        coordinator.bulk_load(chaos_points(60))
-        directory = save_cluster(tmp_path / "snap", coordinator)
-        return directory, coordinator
-
-    def test_round_trip_with_replicas_restores_mirrors(self, tmp_path):
-        points = chaos_points(60)
-        coordinator = build_replicated(points, workers=2)
-        directory = save_cluster(tmp_path / "snap", coordinator)
-        restored = restore_cluster(
-            directory,
-            fresh_shards(2),
-            replicas=fresh_shards(2),
-        )
-        try:
-            assert restored.replicated
-            # kill nothing: a healthy restore answers like the original
-            spec = PROBE_SPECS[0]
-            assert restored.query(spec) == coordinator.query(spec)
-            assert restored.cluster_section()["replica_dirty"] == [
-                False,
-                False,
-            ]
-        finally:
-            restored.close()
-            coordinator.close()
-
-    def test_manifest_version_skew_is_rejected(self, tmp_path):
-        directory, _ = self.make_snapshot(tmp_path)
-        manifest_path = os.path.join(directory, "manifest.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["format"] = 99
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        with pytest.raises(ValueError, match="unsupported"):
-            load_cluster_state(directory)
-
-    def test_shard_count_mismatch_is_rejected(self, tmp_path):
-        directory, _ = self.make_snapshot(tmp_path)
-        manifest_path = os.path.join(directory, "manifest.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["shards"][0]["count"] += 1
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        with pytest.raises(ValueError, match="corrupt"):
-            load_cluster_state(directory)
-
-    def test_truncated_shard_file_is_rejected(self, tmp_path):
-        directory, _ = self.make_snapshot(tmp_path)
-        shard_path = os.path.join(directory, "shard-0.npz")
-        with open(shard_path, "r+b") as handle:
-            handle.truncate(16)
-        with pytest.raises(ValueError, match="corrupt"):
-            load_cluster_state(directory)
 
 
 # ---------------------------------------------------------------------------

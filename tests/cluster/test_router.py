@@ -51,7 +51,7 @@ def router(points):
     coordinator = ClusterCoordinator(
         [LocalShard(SpatialDatabase()) for _ in range(3)]
     )
-    coordinator.bulk_load(points)
+    coordinator.extend(points)
     with ServerThread(backend=ClusterBackend(coordinator)) as thread:
         yield thread
 
@@ -70,7 +70,7 @@ def slow_cluster(points):
         for _ in range(2)
     ]
     coordinator = ClusterCoordinator(shards)
-    coordinator.bulk_load(points)
+    coordinator.extend(points)
     with ServerThread(backend=ClusterBackend(coordinator)) as thread:
         yield thread, coordinator, shards
 
@@ -201,7 +201,7 @@ class TestOrdering:
         coordinator = ClusterCoordinator(
             [LocalShard(SpatialDatabase()) for _ in range(2)]
         )
-        coordinator.bulk_load(points)
+        coordinator.extend(points)
         clients, rounds = 8, 25
         errors = []
 

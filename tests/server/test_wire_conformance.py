@@ -60,7 +60,7 @@ def start_front(kind, points):
     coordinator = ClusterCoordinator(
         [LocalShard(SpatialDatabase()) for _ in range(3)]
     )
-    coordinator.bulk_load([(p.x, p.y) for p in points])
+    coordinator.extend([(p.x, p.y) for p in points])
     thread = ServerThread(backend=ClusterBackend(coordinator))
     return Front(thread, "repro-cluster/", "shard")
 

@@ -2,28 +2,28 @@
 
 The Voronoi neighbour graph is a build-time structure (the paper treats it
 as part of the database) that this repository also keeps current under
-writes.  ``test_build`` times the bulk build (Qhull) at two sizes and the
-agreement test re-asserts that the graph is the exact triangulation's.
+writes.  ``test_build`` times the bulk build (the compiled exact insert)
+at two sizes and the agreement test re-asserts that the graph is the
+interpreted triangulation's.
 
 ``test_bulk_build_rates`` is the in-repo record of set-up speed and size:
-a 100 000-row columnar load (STR-packed R-tree) and a 100 000-point Qhull
-graph, in rows per second and in traced bytes per row (the ``bulk_build``
-line under the pytest summary), with the seconds at 1E4, 1E5 and 2E5 rows
-beside them.
-Beside the Qhull seconds sits what a boot pays instead:
+a 100 000-row columnar load (STR-packed R-tree) and a 100 000-point graph
+built by the compiled insert (``compiled_rows_per_s``), in rows per second
+and in traced bytes per row (the ``bulk_build`` line under the pytest
+summary), with the seconds at 1E4, 1E5 and 2E5 rows beside them.
+Beside the compiled build's seconds sits what a boot pays instead:
 ``snapshot_load_s``, ``load_database`` of a graph-carrying 1E5-row
-snapshot (no Qhull, R-tree packing included), and
+snapshot (no build, R-tree packing included), and
 ``served_graph_bytes_per_row``, what the adopted graph holds once a
 Voronoi kNN has read it row by row (the CSR pair: there is no table).
 Then the write side: ``first_write_s``, the first insert into the 1E5-row
 graph (it derives the triangle arrays), the microseconds of one
 ``add_point`` into 1E4- and 1E5-row graphs, and
-``scipy_hidden_rows_per_s``, the bulk build where scipy does not import
-(exact inserts in Hilbert order) at 1E4 rows.
+``interpreted_rows_per_s``, the bulk build where the compiled insert does
+not load (as under ``CC=false``: the same inserts in Python) at 1E4 rows.
 """
 
 import gc
-import sys
 import time
 import tracemalloc
 
@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import record_benchmark
+from repro.delaunay import compiled
 from repro.delaunay.backends import DelaunayBackend
 from repro.delaunay.triangulation import DelaunayTriangulation
 from repro.core.database import SpatialDatabase
@@ -65,10 +66,10 @@ def _bulk_build(rows: int):
     """Seconds for columns -> index and for index -> CSR graph."""
     xy = np.random.default_rng(17).random((rows, 2))
     started = time.perf_counter()
-    db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
+    db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1])
     index_s = time.perf_counter() - started
     started = time.perf_counter()
-    db.prepare()  # the Qhull graph, in the form area queries read
+    db.prepare()  # the compiled build's graph, in the form area queries read
     delaunay_s = time.perf_counter() - started
 
     db.index.check_invariants()
@@ -88,7 +89,7 @@ def _bulk_bytes(rows: int):
     gc.collect()
     tracemalloc.start()
     try:
-        db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
+        db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1])
         gc.collect()
         loaded = tracemalloc.get_traced_memory()[0]
         db.prepare()
@@ -105,13 +106,13 @@ def _snapshot_boot(rows: int, directory, index_bytes: float):
     """Seconds to load a graph-carrying snapshot; graph bytes per row served.
 
     The load is what ``serve --load`` runs: columns to a packed R-tree
-    plus the adopted CSR pair, no Qhull.  The bytes are traced over that
+    plus the adopted CSR pair, no build.  The bytes are traced over that
     load and a Voronoi kNN read — the consumer that used to copy the
     graph into a table — less the store's columns and the index's
     ``index_bytes`` per row.
     """
     xy = np.random.default_rng(17).random((rows, 2))
-    built = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1], backend_kind="scipy")
+    built = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1])
     written = save_database(directory / "bulk", built)
     started = time.perf_counter()
     db = load_database(written, prepare=True)
@@ -136,7 +137,7 @@ def _snapshot_boot(rows: int, directory, index_bytes: float):
 
 
 def _writes(rows: int):
-    """Seconds of the first insert into a ``rows``-row Qhull graph (it
+    """Seconds of the first insert into a ``rows``-row built graph (it
     derives the triangle arrays), and seconds per later insert."""
     xy = np.random.default_rng(19).random((rows, 2))
     db = SpatialDatabase.from_arrays(xy[:, 0], xy[:, 1]).prepare()
@@ -153,13 +154,12 @@ def _writes(rows: int):
     return first_s, add_point_s
 
 
-def _scipy_hidden_build(rows: int, monkeypatch) -> float:
-    """Seconds for the bulk build where ``import scipy`` fails."""
+def _interpreted_build(rows: int, monkeypatch) -> float:
+    """Seconds for the bulk build where the compiled insert does not load."""
     store = PointStore()
     store.extend_array(*np.random.default_rng(29).random((2, rows)))
     with monkeypatch.context() as patched:
-        for name in ("scipy", "scipy.spatial"):
-            patched.setitem(sys.modules, name, None)  # the import raises
+        patched.setattr(compiled, "library", lambda: None)
         started = time.perf_counter()
         DelaunayBackend(store.view())
         return time.perf_counter() - started
@@ -171,7 +171,9 @@ def test_bulk_build_rates(tmp_path, monkeypatch):
     The gated numbers are the rates at ``BULK_ROWS``; the seconds at
     every size ride along for the build-time table in docs/BENCHMARKS.md.
     """
-    _bulk_build(1_000)  # scipy's import and first call are not build time
+    if compiled.library() is None:
+        pytest.skip("compiled_rows_per_s needs the compiled insert (a C compiler)")
+    _bulk_build(1_000)  # loading (or compiling) the insert is not build time
     seconds = {rows: _bulk_build(rows) for rows in BULK_SIZES}
     index_s, delaunay_s = seconds[BULK_ROWS]
     index_bytes, graph_bytes = _bulk_bytes(BULK_ROWS)
@@ -179,12 +181,12 @@ def test_bulk_build_rates(tmp_path, monkeypatch):
         BULK_ROWS, tmp_path, index_bytes
     )
     (_, small_add_s), (first_write_s, large_add_s) = map(_writes, INSERT_SIZES)
-    hidden_s = _scipy_hidden_build(INSERT_SIZES[0], monkeypatch)
+    interpreted_s = _interpreted_build(INSERT_SIZES[0], monkeypatch)
     record_benchmark(
         "bulk_build",
         rows=BULK_ROWS,
         index_rows_per_s=round(BULK_ROWS / index_s),
-        delaunay_rows_per_s=round(BULK_ROWS / delaunay_s),
+        compiled_rows_per_s=round(BULK_ROWS / delaunay_s),
         index_bytes_per_row=round(index_bytes, 1),
         graph_bytes_per_row=round(graph_bytes, 1),
         snapshot_load_s=round(snapshot_load_s, 3),
@@ -192,7 +194,7 @@ def test_bulk_build_rates(tmp_path, monkeypatch):
         first_write_s=round(first_write_s, 3),
         add_point_us=round(small_add_s * 1e6, 1),
         add_point_1e5_us=round(large_add_s * 1e6, 1),
-        scipy_hidden_rows_per_s=round(INSERT_SIZES[0] / hidden_s),
+        interpreted_rows_per_s=round(INSERT_SIZES[0] / interpreted_s),
         seconds={
             str(rows): {"index": round(index, 3), "delaunay": round(delaunay, 3)}
             for rows, (index, delaunay) in seconds.items()

@@ -26,7 +26,6 @@ def _db(index_kind: str) -> SpatialDatabase:
         db = SpatialDatabase.from_points(
             uniform_points(N_POINTS, seed=2020),
             index_kind=index_kind,
-            backend_kind="scipy",
         )
         _dbs[index_kind] = db
     return _dbs[index_kind]

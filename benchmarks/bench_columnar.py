@@ -51,7 +51,7 @@ def _release_database():
 def _database():
     if not _DATABASE:
         _DATABASE["db"] = SpatialDatabase.from_points(
-            uniform_points(DATA_SIZE, seed=2020), backend_kind="scipy"
+            uniform_points(DATA_SIZE, seed=2020)
         ).prepare()
     return _DATABASE["db"]
 

@@ -92,7 +92,7 @@ def get_database(n: int) -> SpatialDatabase:
     """Session-cached database of ``n`` uniform points, fully prepared."""
     if n not in _DB_CACHE:
         db = SpatialDatabase.from_points(
-            uniform_points(n, seed=2020), backend_kind="scipy"
+            uniform_points(n, seed=2020)
         )
         _DB_CACHE[n] = db.prepare()
     return _DB_CACHE[n]

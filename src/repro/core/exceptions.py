@@ -18,7 +18,3 @@ class EmptyDatabaseError(ReproError):
 
 class InvalidQueryAreaError(ReproError):
     """The query area polygon is unusable (degenerate or self-intersecting)."""
-
-
-class BackendUnavailableError(ReproError):
-    """The requested Delaunay backend cannot be constructed (e.g. no scipy)."""

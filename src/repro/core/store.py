@@ -412,7 +412,7 @@ class PointsView(Sequence):
         """The rows as the store's read-only ``(xs, ys)`` columns.
 
         The array-speaking way to consume the view: builders that want
-        coordinates, not ``Point`` objects (the Qhull Delaunay backend),
+        coordinates, not ``Point`` objects (the Delaunay bulk build),
         take these and materialize nothing.
         """
         return self._store.xs, self._store.ys

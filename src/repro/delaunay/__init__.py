@@ -11,8 +11,11 @@ edges of the Delaunay triangulation.  This package provides:
   per-point cells (circumcentre polygons, clipped to a box) and the
   neighbour graph.
 * :mod:`~repro.delaunay.backends` — the one neighbour backend the
-  database reads and writes: built by Qhull when scipy imports (by the
-  exact insert otherwise), adopted from snapshots, and growing in place.
+  database reads and writes: built by the exact insert, adopted from
+  snapshots, and growing in place.
+* :mod:`~repro.delaunay.compiled` — the bulk build's insert loop in C,
+  compiled on first use where a C compiler works (the interpreted loop
+  builds the same graph where none does).
 * :mod:`~repro.delaunay.graph` — graph utilities over the Delaunay edges
   (connectivity, BFS) backing the paper's Properties 5–9.
 """

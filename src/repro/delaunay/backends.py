@@ -16,14 +16,14 @@ Consumers read it in two forms:
 
 Lifecycle:
 
-* **Build.**  The coordinate columns go to Qhull (``scipy.spatial.Delaunay``)
-  when scipy imports, and the backend is born as the CSR pair, with no
-  Python loop over rows; points Qhull leaves out (``coplanar``, on nearly
-  collinear input) are then inserted exactly.  Without scipy, or when Qhull
-  raises, the exact insert of
-  :class:`~repro.delaunay.triangulation.DelaunayTriangulation` builds it.
+* **Build.**  The coordinate columns go to
+  :func:`~repro.delaunay.triangulation.bulk_graph`: exact inserts in
+  Hilbert-curve order, compiled on first use where a C compiler works
+  (:mod:`repro.delaunay.compiled`) and interpreted where none does, the
+  same graph either way.  The backend is born as the CSR pair; no
+  triangle outlives the build.
 * **Adoption.**  :meth:`DelaunayBackend.from_csr` takes the pair a
-  snapshot carried: no Qhull, no scipy import.
+  snapshot carried, and builds nothing.
 * **Reads.**  A database that is never written holds the CSR pair and
   nothing else.
 * **Writes.**  The first :meth:`DelaunayBackend.add_point` derives the
@@ -39,13 +39,10 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from repro.delaunay.triangulation import (
     DelaunayTriangulation,
     _coordinate_columns,
-    _expand_copies,
-    _locations,
+    bulk_graph,
 )
 from repro.geometry.point import Point
 
@@ -104,11 +101,8 @@ class DelaunayBackend:
     """
 
     def __init__(self, points: Sequence[Point]) -> None:
-        xs, ys = _coordinate_columns(points)
-        if not len(xs):
-            raise ValueError("backend needs at least one point")
+        self._csr = bulk_graph(*_coordinate_columns(points))  # ValueError if empty
         self._points = points
-        self._csr = _bulk_graph(xs, ys)
         self._triangulation = None
 
     @classmethod
@@ -116,7 +110,7 @@ class DelaunayBackend:
         """Adopt a pair :meth:`neighbor_csr` returned for the rows of
         ``points``, e.g. one a snapshot kept, without copying or checking
         it (:func:`repro.io.persist.load_database` validates what it read)
-        and without touching Qhull or scipy.  ``points`` is read only if
+        and without building anything.  ``points`` is read only if
         the backend is written to."""
         backend = cls.__new__(cls)
         backend._points, backend._csr, backend._triangulation = points, (indptr, indices), None
@@ -174,57 +168,6 @@ class DelaunayBackend:
 # The span target perfbench times as ``delaunay.add_point`` (ROADMAP item 8
 # brings that attribution inside and lets this name go).
 PureDelaunayBackend = DelaunayBackend
-
-
-def _bulk_graph(xs: np.ndarray, ys: np.ndarray):
-    """The CSR graph of the rows: Qhull's where it answers, exact inserts'
-    where it does not."""
-    n = len(xs)
-    location = _locations(xs, ys)
-    canonical = np.flatnonzero(location == np.arange(n))
-    distinct = len(canonical) == n
-    if distinct:
-        # Qhull's transient is the build's peak: nothing of the input's
-        # size may sit under it
-        del location, canonical
-        graph = _qhull_graph(xs, ys)
-    else:  # Qhull rejects duplicates: it sees each location once
-        graph = _qhull_graph(xs[canonical], ys[canonical])
-    if graph is None:
-        return DelaunayTriangulation.from_xy(xs, ys).csr()
-    vertex_indptr, vertex_indices, coplanar = graph
-    # (row, neighbour) keys sorted in place: the rows come out ascending
-    # with few arrays of the graph's size alive, and none left behind
-    rows = np.arange(n) if distinct else canonical
-    key = np.repeat(rows * n, np.diff(vertex_indptr))
-    key += vertex_indices if distinct else canonical[vertex_indices]
-    key.sort()
-    if distinct:
-        key %= n
-        csr = vertex_indptr.astype(np.int64), key
-    else:
-        csr = _expand_copies(location, key // n, key % n)
-    if len(coplanar):
-        return DelaunayTriangulation.from_graph(xs, ys, *csr).csr()
-    return csr
-
-
-def _qhull_graph(xs: np.ndarray, ys: np.ndarray):
-    """Qhull's ``vertex_neighbor_vertices`` of distinct points and the
-    points it left out, or ``None`` without scipy, below three points, or
-    when Qhull raises."""
-    if len(xs) < 3:
-        return None
-    try:
-        from scipy.spatial import Delaunay, QhullError
-    except ImportError:
-        return None
-    try:  # the Delaunay object lives no longer than this function
-        triangulation = Delaunay(np.column_stack((xs, ys)))
-    except QhullError:
-        return None
-    indptr, indices = triangulation.vertex_neighbor_vertices
-    return indptr, indices, triangulation.coplanar[:, 0]
 
 
 def make_backend(kind: str, points: Sequence[Point]) -> DelaunayBackend:

@@ -36,15 +36,19 @@ refreshed whenever a cavity boundary passes through — under three steps on
 average on uniform, clustered, sorted and exact-grid input.  Only the
 boundary vertices' rows are rewritten: O(cavity) work, expected O(1).
 
+**Bulk builds** that keep only the graph (:func:`bulk_graph`, which every
+backend uses) run the same inserts compiled (:mod:`repro.delaunay.compiled`)
+where a C compiler works, and emit the CSR pair without keeping a triangle.
+
 **Adoption** (:meth:`DelaunayTriangulation.from_graph`) derives the
-triangles of a graph built elsewhere — by Qhull, or carried by a snapshot —
-with array passes: each row's neighbours sorted by angle, a consecutive
-pair with an exact counter-clockwise turn is a face, directed edges paired
-for adjacency, unpaired ones given ghosts.  The result must be a Delaunay
+triangles of a graph built elsewhere — by :func:`bulk_graph`, or carried by
+a snapshot — with array passes: each row's neighbours sorted by angle, a
+consecutive pair with an exact counter-clockwise turn is a face, directed
+edges paired for adjacency, unpaired ones given ghosts.  The result must be a Delaunay
 triangulation (the certificate of :meth:`_problem`) whose edges are exactly
 the graph's; otherwise the rows are triangulated by exact inserts instead.
-Distinct rows the graph leaves empty (Qhull's ``coplanar`` points) are
-inserted exactly afterwards.
+Distinct rows the graph leaves empty (as a float triangulator's graph did
+in snapshots of older versions) are inserted exactly afterwards.
 
 **Degeneracies.**  Copies of one location form a clique and share its
 spatial neighbourhood.  Cocircular ties keep the current topology
@@ -62,6 +66,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.delaunay import compiled
 from repro.geometry.point import Point
 from repro.geometry.predicates import (
     _INCIRCLE_ERR_BOUND,
@@ -116,13 +121,22 @@ class DelaunayTriangulation:
 
         The triangles are derived from the graph (see the module
         docstring), which becomes the rows unchanged.  A graph that is not
-        the Delaunay graph of its rows — Qhull's float answer on
-        near-degenerate input, a chain, a corrupted file that passed the
-        structural checks — is not trusted: the rows are triangulated by
-        exact inserts instead.
+        the Delaunay graph of its rows — a chain, a corrupted file that
+        passed the structural checks — is not trusted: the rows are
+        triangulated by exact inserts instead, compiled where
+        :func:`bulk_graph` can be.
         """
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
+        triangulation = cls._adopt(xs, ys, indptr, indices)
+        if triangulation is None and compiled.library() is not None:
+            triangulation = cls._adopt(xs, ys, *bulk_graph(xs, ys))
+        return cls.from_xy(xs, ys) if triangulation is None else triangulation
+
+    @classmethod
+    def _adopt(cls, xs, ys, indptr, indices) -> "DelaunayTriangulation | None":
+        """:meth:`from_graph`'s derivation, or ``None`` where the graph
+        does not pass."""
         location = _locations(xs, ys)
         triangulation = cls.__new__(cls)
         triangulation._begin(xs, ys, location)
@@ -134,7 +148,7 @@ class DelaunayTriangulation:
             or len(triangulation._tri) // 3 != directed - 2 * len(faces)
             or triangulation._problem() is not None
         ):
-            return cls.from_xy(xs, ys)
+            return None
         triangulation._set_rows(np.asarray(indptr), np.asarray(indices))
         x_of, y_of = triangulation._xs, triangulation._ys
         for vertex in lone.tolist():  # distinct rows the graph left out
@@ -293,8 +307,7 @@ class DelaunayTriangulation:
         # one, which import this module.
         from repro.engine.order import hilbert_keys
 
-        if not len(xs):
-            raise ValueError("triangulation needs at least one point")
+        _check_rows(xs, ys)
         location = _locations(xs, ys)
         self._begin(xs, ys, location)
         canonical = np.flatnonzero(location == np.arange(len(xs)))
@@ -635,7 +648,50 @@ class DelaunayTriangulation:
         return None
 
 
+def bulk_graph(xs, ys) -> Tuple[np.ndarray, np.ndarray]:
+    """The Delaunay graph of the rows ``(xs, ys)`` as a packed int64 CSR
+    pair: the bulk build's exact inserts in Hilbert-curve order, by the
+    compiled loop (:mod:`repro.delaunay.compiled`) where it loads and by
+    :meth:`DelaunayTriangulation.from_xy` where it does not — the same
+    graph either way.  Only the pair is kept, no triangle."""
+    lib = compiled.library()
+    if lib is None:
+        return DelaunayTriangulation.from_xy(xs, ys).csr()
+    return _compiled_graph(lib, xs, ys)
+
+
+def _compiled_graph(lib, xs, ys) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`bulk_graph` through the compiled library ``lib``."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)  # read twice below
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    _check_rows(xs, ys)
+    n = len(xs)
+    location = _locations(xs, ys)
+    canonical = np.flatnonzero(location == np.arange(n))
+    distinct = len(canonical) == n
+    keys = compiled.hilbert_keys(lib, canonical, xs, ys, _extent(xs, ys))
+    order = canonical[np.argsort(keys, kind="stable")]
+    del keys, canonical
+    if distinct:
+        del location
+    indptr, indices = compiled.graph(lib, xs, ys, order)
+    if distinct:
+        return indptr, indices
+    return _expand_copies(location, np.repeat(np.arange(n), np.diff(indptr)), indices)
+
+
 # -- array helpers -------------------------------------------------------------
+
+
+def _check_rows(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Refuse what no triangulation has: no rows, or a NaN or infinite
+    coordinate (before anything is built from it)."""
+    if not len(xs):
+        raise ValueError("triangulation needs at least one point")
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"non-finite coordinate ({xs[row]!r}, {ys[row]!r}) at row {row}")
 
 
 def _array(typecode: str, *parts: np.ndarray) -> array:

@@ -18,10 +18,10 @@ Format: a single uncompressed numpy ``.npz`` archive holding
 A snapshot is a **serving image**: the paper treats the Voronoi diagram
 as a precomputed structure beside the R-tree, so the saver builds the
 graph (once, if the database had not built it yet) and every later boot
-adopts the saved arrays — no Qhull, no scipy import: about 0.1 s per
-1E5 rows to read the file and pack the R-tree, instead of that plus
-0.45 s of import and 0.6 s of triangulation
-(``snapshot_load_s`` beside the Qhull seconds in ``bulk_build``,
+adopts the saved arrays — no triangulation: about 0.1 s per 1E5 rows to
+read the file and pack the R-tree, instead of that plus the build's
+0.25 s (compiled; several seconds interpreted)
+(``snapshot_load_s`` beside the compiled build's seconds in ``bulk_build``,
 ``benchmarks/bench_ablation_backend.py``; docs/BENCHMARKS.md, "Bulk
 build").  The R-tree is not persisted: it packs deterministically from
 the columns with array sorts in under a tenth of a second, so a file
@@ -42,7 +42,7 @@ graph that would index out of range or loop.
 The archive is written uncompressed: 7.2 MB per 1E5 rows in 15 ms.  zlib
 would bring that to 3.4 MB (the graph's int64s compress; random float64
 coordinates do not: 1.60 to 1.51 MB) for 0.6 s of saving per 1E5 rows —
-as long as the Qhull run it sits beside — and inflating on every boot.
+longer than the compiled build it sits beside — and inflating on every boot.
 Writes are atomic — a sibling temporary file renamed over
 the final name — so a crash or a failed graph build never leaves a
 truncated archive where ``serve --load`` will look.  The format stays
@@ -221,8 +221,7 @@ def load_database(
     database's backend (:meth:`DelaunayBackend.from_csr
     <repro.delaunay.backends.DelaunayBackend.from_csr>`), whatever
     backend kind the config names: the database comes back prepared
-    whatever ``prepare`` says, Qhull does not run and scipy is not
-    imported.  A later ``insert`` is absorbed by the adopted backend.  For a
+    whatever ``prepare`` says, and no triangulation runs.  A later ``insert`` is absorbed by the adopted backend.  For a
     file without a graph, pass ``prepare=True`` to rebuild the Voronoi
     backend eagerly; by default it stays lazy, like a freshly
     constructed database.

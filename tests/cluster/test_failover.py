@@ -568,7 +568,6 @@ class TestTeardownPaths:
 
 @pytest.mark.slow
 class TestKillNineChaos:
-    @pytest.mark.usefixtures("requires_scipy")
     def test_replicated_cluster_survives_primary_kill(self):
         points = chaos_points(120)
         oracle = build_oracle(points)

@@ -35,7 +35,6 @@ def test_workers_run_on_distinct_ephemeral_ports(cluster):
     assert all(worker.alive for worker in cluster.workers)
 
 
-@pytest.mark.usefixtures("requires_scipy")
 def test_queries_through_real_processes_match_oracle(cluster, points):
     oracle = SpatialDatabase.from_points([Point(x, y) for x, y in points])
     with QueryClient(cluster.host, cluster.port) as client:

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.delaunay import compiled
 from repro.geometry import Point, Polygon, Rect
 from repro.workloads.generators import uniform_points
 
@@ -35,16 +36,16 @@ if _hypothesis_settings is not None:
 
 
 @pytest.fixture(scope="session")
-def requires_scipy():
-    """Skip where scipy is missing: it is an optional accelerator.
+def requires_compiled():
+    """Skip where the compiled insert does not load (no C compiler, or
+    ``CC=false``).
 
-    Requested (as an argument, or through ``usefixtures``) by the tests
-    that exercise Qhull itself and by those that build graphs large
-    enough that the exact insert alone (the numpy-only build) would make
-    them slow, so a numpy-only install runs everything else and stays
-    green.
+    Requested only by the tests that build graphs large enough that the
+    interpreted insert would make them slow; everything else runs, and
+    builds the same graphs, either way.
     """
-    pytest.importorskip("scipy")
+    if compiled.library() is None:
+        pytest.skip("the compiled insert is not available")
 
 
 @pytest.fixture(scope="session")

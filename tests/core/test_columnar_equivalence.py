@@ -45,7 +45,6 @@ from repro.query.spec import (
     WindowQuery,
 )
 
-pytestmark = pytest.mark.usefixtures("requires_scipy")
 
 N_POINTS = 500
 
@@ -293,7 +292,7 @@ def _object_free_specs():
 
 
 class TestObjectFreeReadPath:
-    """A prepared, scipy-backed database answers area queries off the
+    """A prepared database answers area queries off the
     store's columns, the index's leaf arrays and the CSR graph alone."""
 
     @pytest.mark.parametrize("kind", ["plain", "tombstones", "duplicates"])
@@ -319,10 +318,8 @@ class TestObjectFreeReadPath:
         assert db.store._materialized == []
         assert db.backend._triangulation is None  # reads build no triangles
 
-    def test_index_and_graph_fit_the_per_row_budget(self):
+    def test_index_and_graph_fit_the_per_row_budget(self, requires_compiled):
         """160 B a row is the line; measured 63 (index) + 56 (graph)."""
-        import scipy.spatial  # noqa: F401  (its import is not the database's)
-
         rows = 50_000
         rng = np.random.default_rng(80)
         xs, ys = rng.random(rows), rng.random(rows)
@@ -338,11 +335,9 @@ class TestObjectFreeReadPath:
         columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
         assert (traced - columns) / rows <= 150
 
-    def test_vertex_at_a_time_reads_hold_one_graph_and_no_table(self):
+    def test_vertex_at_a_time_reads_hold_one_graph_and_no_table(self, requires_compiled):
         """The kNN walks and seed walks read the CSR through a view: the
         per-row budget of the test above still holds after them."""
-        import scipy.spatial  # noqa: F401  (its import is not the database's)
-
         rows = 50_000
         rng = np.random.default_rng(81)
         xs, ys = rng.random(rows), rng.random(rows)

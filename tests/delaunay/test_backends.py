@@ -1,13 +1,10 @@
 """Unit tests for the one Delaunay backend: build, adoption and growth.
 
-Nothing here skips without scipy: where it is missing the bulk build is
-the exact insert, and the Qhull failure paths run against a stand-in
-``scipy.spatial`` module.
+Nothing here skips without a C compiler: the bulk build is then the
+interpreted insert, which builds the same graph.
 """
 
 import random
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -58,8 +55,7 @@ class TestBackend:
         assert backend.neighbors(1) == (0,)
 
     def test_a_line_is_chained(self):
-        # Qhull raises "initial simplex is flat" here; the exact insert
-        # chains the points along their line.
+        # No triangle: the insert chains the points along their line.
         points = [Point(0.25 * i, 0.75 * i) for i in (4, 0, 2, 1, 3)]
         backend = DelaunayBackend(points)
         assert backend.neighbor_table() == [(4,), (3,), (3, 4), (1, 2), (0, 2)]
@@ -86,11 +82,10 @@ class TestBackend:
 
 @pytest.mark.parametrize("lift", [2e-15, 1e-13])
 def test_nearly_collinear_input_answers_exactly(lift):
-    """Five points on y = x and one a hair above the line.  Qhull raises
-    on the 2e-15 lift and, on the 1e-13 one, leaves three of the five out
-    of its triangulation (``Delaunay.coplanar``); either way the answer
-    is the only triangulation the set has: the lifted point joined to
-    every point of the chain."""
+    """Five points on y = x and one a hair above the line (a float
+    triangulator raises on the 2e-15 lift and leaves three of the five
+    out on the 1e-13 one): the answer is the only triangulation the set
+    has, the lifted point joined to every point of the chain."""
     points = [Point(float(i), float(i)) for i in range(5)]
     points.append(Point(5.0, 5.0 + lift))
     backend = DelaunayBackend(points)
@@ -99,38 +94,6 @@ def test_nearly_collinear_input_answers_exactly(lift):
     ]
     backend.triangulation.check_delaunay_property()
     DelaunayTriangulation(points).check_delaunay_property()
-
-
-def _stand_in_qhull(monkeypatch, failure):
-    """Make ``scipy.spatial.Delaunay`` raise ``failure(QhullError)``."""
-
-    class QhullError(RuntimeError):
-        pass
-
-    def delaunay(*args, **kwargs):
-        raise failure(QhullError)
-
-    spatial = types.ModuleType("scipy.spatial")
-    spatial.Delaunay, spatial.QhullError = delaunay, QhullError
-    scipy = types.ModuleType("scipy")
-    scipy.spatial = spatial
-    monkeypatch.setitem(sys.modules, "scipy", scipy)
-    monkeypatch.setitem(sys.modules, "scipy.spatial", spatial)
-
-
-class TestQhullFailures:
-    def test_a_qhull_failure_is_answered_by_exact_inserts(self, monkeypatch):
-        points = uniform_points(60, seed=5)
-        _stand_in_qhull(monkeypatch, lambda error: error("QH6999 injected"))
-        backend = DelaunayBackend(points)
-        monkeypatch.undo()
-        reference = DelaunayTriangulation(points)
-        assert backend.neighbor_table() == [reference.neighbors(i) for i in range(60)]
-
-    def test_other_errors_are_not_swallowed(self, monkeypatch):
-        _stand_in_qhull(monkeypatch, lambda error: ValueError("not Qhull's"))
-        with pytest.raises(ValueError, match="not Qhull's"):
-            DelaunayBackend(uniform_points(20, seed=5))
 
 
 def _with_duplicates():
@@ -254,7 +217,7 @@ class TestBackendAgreement:
         self, case, start, tmp_path, monkeypatch
     ):
         """10 000 writes — 7 000 inserts, 3 000 deletes — into a database
-        whose graph was built (by Qhull where scipy imports) or adopted
+        whose graph was built (by the bulk insert) or adopted
         from a snapshot: the graph is then the one a fresh build of the
         same rows has, and the backend was never rebuilt.  Cocircular
         grid cells may take either diagonal, so there the graph is held to
@@ -374,3 +337,24 @@ class TestDegenerateAgreementByInvariant:
         _assert_a_delaunay_triangulation_of_the_grid(
             points, DelaunayBackend(points).neighbors
         )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("axis", ["x", "y"])
+class TestNonFiniteCoordinates:
+    """A NaN or an infinity is refused before anything is built from it."""
+
+    def _columns(self, bad, axis):
+        xs, ys = np.random.default_rng(6).random((2, 50))
+        (xs if axis == "x" else ys)[17] = bad
+        return xs, ys
+
+    def test_from_xy_refuses_it(self, bad, axis):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            DelaunayTriangulation.from_xy(*self._columns(bad, axis))
+
+    def test_the_backend_refuses_it(self, bad, axis):
+        xs, ys = self._columns(bad, axis)
+        points = [Point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            DelaunayBackend(points)

@@ -85,8 +85,8 @@ class TestBackendEquivalenceProperties:
     @given(st.integers(0, 10**6), st.integers(3, 60))
     def test_backend_equals_from_scratch_general_position(self, seed, n):
         """For points in general position the Delaunay triangulation is
-        unique (paper Property 1), so the backend's bulk build (Qhull
-        where scipy imports) must agree exactly with the exact insert.
+        unique (paper Property 1), so the backend's bulk build (the
+        compiled insert where it loads) must agree with the interpreted one.
         Uniform random points are in general position with probability 1;
         exact cocircular degeneracies (where both stay valid but may pick
         different diagonals) are covered by the validity test below.

@@ -28,8 +28,6 @@ from repro.query.executor import execute_spec
 from repro.workloads.generators import uniform_points
 from repro.workloads.queries import QueryWorkload
 
-pytestmark = pytest.mark.usefixtures("requires_scipy")
-
 
 def _database(n: int) -> SpatialDatabase:
     return SpatialDatabase.from_points(

@@ -20,7 +20,7 @@ W2 = WindowQuery(Rect(0.5, 0.5, 0.8, 0.8))
 
 
 @pytest.fixture(scope="module")
-def db(requires_scipy):
+def db():
     """A 2000-point database shared by the planner tests."""
     return SpatialDatabase.from_points(
         uniform_points(2000, seed=11), backend_kind="scipy"

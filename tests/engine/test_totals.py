@@ -11,7 +11,7 @@ from repro.workloads.generators import uniform_points
 
 
 @pytest.fixture()
-def db(requires_scipy):
+def db():
     """A fresh small database per test (totals start at zero)."""
     return SpatialDatabase.from_points(
         uniform_points(300, seed=41), backend_kind="scipy"

@@ -133,7 +133,6 @@ class TestCircleAreaQueries:
             assert voronoi.ids == expected
             assert traditional.ids == expected
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_voronoi_shell_smaller_than_mbr_corners(self):
         # A disc covers pi/4 of its MBR, so the traditional method wastes
         # ~21 % of its candidates in the corners; at sufficient density the

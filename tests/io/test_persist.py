@@ -410,7 +410,7 @@ CORRUPTIONS = [
 
 
 class TestCorruptGraph:
-    """Runs off the committed fixture, so also where scipy is absent."""
+    """Runs off the committed fixture, so also where no graph is built."""
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
     def test_raises_value_error(self, corrupt, tmp_path):
@@ -503,7 +503,7 @@ class TestFixtureServesWithoutScipy:
     """``data/graph-300.npz``: ``save_database`` of a seeded 300-row scipy
     database with 20 tombstones (regenerate with ``_write_fixture``)."""
 
-    def test_fixture_is_what_the_saver_writes_today(self, requires_scipy, tmp_path):
+    def test_fixture_is_what_the_saver_writes_today(self, tmp_path):
         written = _write_fixture(tmp_path / "again")
         with np.load(FIXTURE) as kept, np.load(written) as fresh:
             assert sorted(kept.files) == sorted(fresh.files)
@@ -582,10 +582,10 @@ class TestAtomicWrites:
         assert len(load_database(written)) == 50
 
     def test_failed_graph_build_writes_nothing(
-        self, requires_scipy, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         db = _graph_database("plain")
-        self._failing(monkeypatch, "scipy.spatial.Delaunay")
+        self._failing(monkeypatch, "repro.delaunay.backends.bulk_graph")
         with pytest.raises(RuntimeError, match="injected"):
             save_database(tmp_path / "db", db)
         assert os.listdir(tmp_path) == []

@@ -32,7 +32,7 @@ from repro.workloads.generators import uniform_points
 
 
 @pytest.fixture(scope="module")
-def db(requires_scipy):
+def db():
     """A small prepared database shared by the module's tests."""
     return SpatialDatabase.from_points(
         uniform_points(500, seed=87), backend_kind="scipy"

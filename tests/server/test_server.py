@@ -25,7 +25,7 @@ N_POINTS = 1200
 
 
 @pytest.fixture(scope="module")
-def db(requires_scipy):
+def db():
     """One prepared database serving the whole module."""
     return SpatialDatabase.from_points(
         uniform_points(N_POINTS, seed=91), backend_kind="scipy"

@@ -14,13 +14,11 @@ class TestCLI:
         assert "repro" in out
         assert "Table I" in out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_demo_small(self, capsys):
         assert main(["demo", "--points", "2000", "--query-size", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "candidates saved" in out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_experiments_forwarding(self, capsys):
         exit_code = main(
             [
@@ -35,7 +33,6 @@ class TestCLI:
         assert exit_code == 0
         assert "Table II" in capsys.readouterr().out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_batch_prints_calibration_and_explain(self, capsys):
         assert main(["batch", "--points", "1500", "--query-size", "0.02"]) == 0
         out = capsys.readouterr().out
@@ -43,14 +40,12 @@ class TestCLI:
         assert "Planner decision for a sample spec" in out
         assert "est. cost" in out  # the explain table
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_figures(self, tmp_path, capsys):
         assert main(["figures", "--output", str(tmp_path)]) == 0
         for name in ("fig2.svg", "fig3.svg"):
             document = (tmp_path / name).read_text()
             ET.fromstring(document)  # well-formed
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_query_spec_file(self, tmp_path, capsys):
         from repro import AreaQuery, KnnQuery, NearestQuery, WindowQuery
         from repro import dump_specs
@@ -82,7 +77,6 @@ class TestCLI:
         assert "4 specs" in out
         assert "est. cost" in out  # --explain tables
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_query_spec_file_composites_and_streaming(self, tmp_path, capsys):
         from repro import KnnQuery, UnionQuery, WindowQuery, dump_specs
         from repro.geometry.rectangle import Rect
@@ -101,7 +95,6 @@ class TestCLI:
         assert "composite" in out  # the decomposed method column
         assert "k=unbounded" in out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_query_first_streams_prefixes(self, tmp_path, capsys):
         from repro import KnnQuery, UnionQuery, WindowQuery, dump_specs
         from repro.geometry.rectangle import Rect
@@ -143,7 +136,6 @@ class TestCLI:
 
 
 class TestServerCLI:
-    @pytest.mark.usefixtures("requires_scipy")  # the snapshot carries the Qhull graph
     def test_snapshot_writes_loadable_database(self, tmp_path, capsys):
         from repro.io.persist import load_database
 
@@ -167,7 +159,6 @@ class TestServerCLI:
         size = (tmp_path / "snap.npz").stat().st_size
         assert f"file size {size:,} bytes" in out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_serve_load_plumbing(self, tmp_path, capsys):
         """`--load` restores the exact snapshot (the serve entry point
         itself blocks, so the database plumbing is tested directly)."""
@@ -188,9 +179,8 @@ class TestServerCLI:
         assert restored.points == db.points
         assert "graph restored from the snapshot" in capsys.readouterr().out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_serve_load_says_when_it_rebuilds_the_graph(self, tmp_path, capsys):
-        """A snapshot from before the graph members: same rows, one Qhull."""
+        """A snapshot from before the graph members: same rows, one build."""
         import argparse
 
         import numpy as np
@@ -213,7 +203,6 @@ class TestServerCLI:
         assert "graph rebuilt (snapshot carries no graph)" in out
         assert "restored from the snapshot" not in out
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_query_remote_round_trip(self, tmp_path, capsys):
         from repro import dump_specs
         from repro.core.database import SpatialDatabase

@@ -67,7 +67,6 @@ class TestCandidateComparison:
         svg = render_candidate_comparison(db, area)
         assert "#2ca02c" in svg  # the paper's green candidate dots
 
-    @pytest.mark.usefixtures("requires_scipy")
     def test_voronoi_panel_has_fewer_green_dots(self, db):
         # A big irregular area at decent density: the Voronoi panel must
         # show fewer redundant (green) candidates than the traditional one.

@@ -14,7 +14,7 @@ from repro.workloads.experiments import (
 
 
 @pytest.fixture(scope="module")
-def tiny_config(requires_scipy):
+def tiny_config():
     # Scaled down from the paper but kept dense enough (results of
     # hundreds of points) that the boundary shell is thin relative to the
     # result — the regime the paper's claims are about.
@@ -171,7 +171,6 @@ class TestSpecTraces:
 
 
 class TestCLI:
-    @pytest.mark.usefixtures("requires_scipy")
     def test_main_table2_smoke(self, capsys):
         exit_code = main(
             [

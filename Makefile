@@ -33,15 +33,21 @@ docs-check:
 lint:
 	python tools/lint.py src tests benchmarks examples tools
 
-## fast benchmark smoke: the wave-threshold sweep and the backend
-## ablation (1E5-row bulk-build rates, index/graph bytes per row, insert
-## costs), timing collection disabled; each bench's record is printed
-## under the pytest summary.  Served and clustered throughput is
-## measured by perfbench/ (python3 perfbench/run.py, gated by
-## perfbench/compare.py).
+## fast benchmark smoke: the wave-threshold sweep, the backend ablation
+## (1E5-row bulk-build rates, index/graph bytes per row, insert costs)
+## and the four shape tests of the paper's artefacts that read counters,
+## not clocks (Tables 1-2, Figs 5 and 7), timing collection disabled;
+## each bench's record is printed under the pytest summary.  Served
+## and clustered throughput is measured by perfbench/ (python3
+## perfbench/run.py, gated by perfbench/compare.py).
 bench-smoke:
 	$(PYTEST) benchmarks/bench_columnar.py \
-		benchmarks/bench_ablation_backend.py -q --benchmark-disable
+		benchmarks/bench_ablation_backend.py \
+		benchmarks/bench_table1.py::test_table1_shape \
+		benchmarks/bench_table2.py::test_table2_shape \
+		benchmarks/bench_fig5.py::test_fig5_shape \
+		benchmarks/bench_fig7.py::test_fig7_shape \
+		-q --benchmark-disable
 
 ## wave-threshold sweep alone: Algorithm 1 timed at every _WAVE_MIN
 ## from "always arrays" to "always the loop" on three result sizes

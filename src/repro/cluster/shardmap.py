@@ -1,11 +1,11 @@
 """Hilbert-range space partitioning for the cluster layer.
 
-A cluster divides the Hilbert key space ``[0, 4**order)`` (the same
-curve the batch engine orders by, :func:`repro.engine.order.hilbert_index`)
-into contiguous, non-overlapping key ranges, each owned by one worker
-replica.  Contiguous Hilbert ranges are spatially compact — the curve
-has no long jumps — so a small query region intersects few ranges and
-most traffic routes to a single worker.
+A cluster divides the Hilbert key space ``[0, 4**order)``
+(:func:`repro.engine.order.hilbert_index`) into contiguous,
+non-overlapping key ranges, each owned by one worker replica.
+Contiguous Hilbert ranges are spatially compact — the curve has no long
+jumps — so a small query region intersects few ranges and most traffic
+routes to a single worker.
 
 :class:`ShardMap` is the immutable routing table: it answers *which
 worker owns this point* (writes, kNN seeds) and *which workers can hold

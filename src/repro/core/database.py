@@ -31,7 +31,7 @@ through the single entry point :meth:`SpatialDatabase.query` (or
 
 Specs compose: ``UnionQuery`` / ``IntersectionQuery`` /
 ``DifferenceQuery`` combine region queries with set semantics (the batch
-engine decomposes them so sibling leaves share work), and
+engine decomposes them, so a leaf repeated across composites runs once), and
 ``KnnQuery(point, k=None)`` streams the distance ranking incrementally —
 ``db.query(spec).first(10)`` examines only ~10 candidates::
 
@@ -271,10 +271,9 @@ class SpatialDatabase:
         diagram is a precomputed database structure like the R-tree.
         What is built is what area queries read — the backend and its CSR
         graph (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`).
-        The neighbour *table* the kNN walks and engine seed walks index
-        is a view of that CSR pair — nothing more is built until the
-        first insert.  A
-        database restored from a snapshot that carried the graph
+        The neighbour *table* the kNN walks index is a view of that CSR
+        pair — nothing more is built until the first insert.  A database
+        restored from a snapshot that carried the graph
         (:func:`repro.io.persist.load_database`) is already prepared.
         No query fills the store's ``Point`` cache; only callers asking
         for points do.
@@ -326,13 +325,12 @@ class SpatialDatabase:
     ) -> BatchQueryResults:
         """Answer a (possibly heterogeneous) batch of query specs.
 
-        Executes eagerly through the batch engine — that is where
-        cross-query sharing lives: Hilbert-ordered tours, shared window
-        frontiers, Voronoi seed reuse, intra-batch dedup, and the
-        spec-keyed LRU result cache (disable with ``use_cache=False``).
-        Composite specs are decomposed into the same job pool, so their
-        leaves share work with each other *and* with the rest of the
-        batch (see :mod:`repro.engine.batch`).
+        Executes eagerly through the batch engine: the spec-keyed LRU
+        result cache (disable with ``use_cache=False``) and intra-batch
+        dedup skip repeated specs, and every remaining job runs once.
+        Composite specs are decomposed into the same job pool, so a leaf
+        repeated across composites, or equal to a plain spec of the
+        batch, runs once (see :mod:`repro.engine.batch`).
         Returns a :class:`~repro.query.result.BatchQueryResults` of
         already-executed lazy handles in submission order, id-identical
         to calling :meth:`query` per spec, plus batch-level

@@ -81,24 +81,19 @@ def voronoi_knn_query(
     query: Point,
     k: int,
     *,
-    seed_id: int | None = None,
     deleted: Optional[Dict[int, int]] = None,
 ) -> QueryRecord:
     """The ``k`` nearest rows to ``query``, nearest first.
 
     Parameters mirror :func:`repro.core.voronoi_query.voronoi_area_query`:
     the spatial index supplies only the seed 1-NN; all further expansion is
-    over the Voronoi neighbour graph.  ``seed_id`` optionally injects an
-    already-known seed — it **must** be the row id of the nearest point to
-    ``query`` (the batch engine guarantees this by walking the Delaunay
-    neighbour graph) — in which case the index NN search is skipped.
-    Coordinates are read from ``store``'s columns, over whose rows
-    ``backend`` was built.  ``deleted`` (the store's tombstone map) makes popped
-    tombstones expand without counting toward ``k`` — the heap walk runs
-    over the superset graph, where Okabe's theorem holds, and the seed is
+    over the Voronoi neighbour graph.  Coordinates are read from
+    ``store``'s columns, over whose rows ``backend`` was built.
+    ``deleted`` (the store's tombstone map) makes popped tombstones
+    expand without counting toward ``k`` — the heap walk runs over the
+    superset graph, where Okabe's theorem holds, and the seed is
     corrected from the live index's answer to the graph nearest
-    neighbour first (see
-    :func:`repro.core.voronoi_query.graph_nearest`).
+    neighbour first (see :func:`repro.core.voronoi_query.graph_nearest`).
 
     Returns a :class:`QueryRecord` whose ``ids`` are ordered by distance
     (ties broken by row id) — note this differs from the area query, whose
@@ -112,10 +107,9 @@ def voronoi_knn_query(
         return QueryRecord(ids=[], stats=stats)
 
     nodes_before = index.stats.node_accesses
-    if seed_id is None:
-        seed_entry = index.nearest_neighbor(query)
-        assert seed_entry is not None  # the store is non-empty
-        _, seed_id = seed_entry
+    seed_entry = index.nearest_neighbor(query)
+    assert seed_entry is not None  # the store is non-empty
+    _, seed_id = seed_entry
 
     neighbor_table = backend.neighbor_table()
     if deleted:

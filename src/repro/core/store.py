@@ -5,11 +5,10 @@ contiguous ``float64`` arrays (``xs``/``ys``, row id = array index) with
 amortized-O(1) append and bulk extension.  Everything *above* the store
 speaks arrays on its hot paths — the vectorized refinement kernels
 (:mod:`repro.geometry.kernels`), the bulk index probes
-(:meth:`repro.index.base.SpatialIndex.window_ids_array`), and the batch
-engine's shared window frontiers all gather coordinates straight from
-these columns by row id — while :class:`~repro.geometry.point.Point`
-objects are materialized only at API edges (:meth:`PointStore.point`,
-:meth:`PointStore.view`).
+(:meth:`repro.index.base.SpatialIndex.window_ids_array`) and Algorithm
+1's waves all gather coordinates straight from these columns by row id —
+while :class:`~repro.geometry.point.Point` objects are materialized only
+at API edges (:meth:`PointStore.point`, :meth:`PointStore.view`).
 
 Design rules:
 

@@ -149,7 +149,6 @@ def voronoi_area_query(
     area: QueryRegion,
     *,
     seed_position: Optional[Point] = None,
-    seed_id: Optional[int] = None,
     contains: Callable[[QueryRegion, Point], bool] | None = None,
     deleted: Optional[Dict[int, int]] = None,
 ) -> QueryRecord:
@@ -174,13 +173,6 @@ def voronoi_area_query(
     seed_position:
         Override for the arbitrary interior position ``pA`` (defaults to
         :func:`repro.geometry.region.interior_seed_position`).
-    seed_id:
-        Row id of an already-known seed point — the nearest database point
-        to a position inside ``area``.  When given, the index NN search
-        (and the interior-position computation) is skipped entirely; the
-        batch engine uses this to reuse seeds between nearby queries by
-        walking the Voronoi neighbour graph instead of descending the
-        index (see :mod:`repro.engine.batch`).
     contains:
         Override for the refinement predicate (test hook, candidate
         tracing in :mod:`repro.viz.figures`); called as
@@ -241,24 +233,22 @@ def voronoi_area_query(
 
     started = time.perf_counter()
     position = seed_position
-    if position is None and (seed_id is None or deleted):
+    if position is None:
         from repro.geometry.region import interior_seed_position
 
         position = interior_seed_position(area)
-    if seed_id is None:
-        seed_entry = index.nearest_neighbor(position)
-        if seed_entry is None:
-            stats.time_ms = (time.perf_counter() - started) * 1000.0
-            return QueryRecord(ids=[], stats=stats)
-        seed_id = seed_entry[1]
+    seed_entry = index.nearest_neighbor(position)
+    if seed_entry is None:
+        stats.time_ms = (time.perf_counter() - started) * 1000.0
+        return QueryRecord(ids=[], stats=stats)
+    seed_id = seed_entry[1]
     xs = store.xs
     ys = store.ys
     indptr, indices = backend.neighbor_csr()
     if deleted:
-        # The seed came from the live-only spatial index (directly above,
-        # or from the engine's seed-reuse walk whose fallback is the same
-        # index lookup); with tombstones in the graph it may not own the
-        # Voronoi cell containing pA — correct it before expanding.
+        # The seed came from the live-only spatial index; with tombstones
+        # in the graph it may not own the Voronoi cell containing pA —
+        # correct it before expanding.
         seed_id = _csr_graph_nearest(
             indptr, indices, xs, ys, seed_id, position.x, position.y
         )

@@ -12,7 +12,8 @@ Consumers read it in two forms:
 * the **table** (``table[i]`` is row ``i``'s ascending tuple), which the
   walks that step one vertex at a time index — the Voronoi kNN
   (:mod:`repro.core.knn_query`, and through it ``live/delta.py``) and the
-  batch engine's seed walks.  It is a :class:`CsrRows` view, never a copy.
+  greedy seed correction past tombstones.  It is a :class:`CsrRows` view,
+  never a copy.
 
 Lifecycle:
 

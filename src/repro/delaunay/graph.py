@@ -13,9 +13,9 @@ applications built on the library.
 
 The helpers read only ``backend.neighbors`` and ``backend.size``, not a
 triangulation, so they work over the backend however it was built — and
-over any adjacency structure a test wants to fabricate.  The batch
-engine's greedy seed walk
-(:func:`repro.engine.batch.greedy_seed_walk`) relies on the same
+over any adjacency structure a test wants to fabricate.  The greedy
+descent that corrects a seed past tombstones
+(:func:`repro.core.voronoi_query.graph_nearest`) relies on the same
 connectivity property (Property 5) that these utilities verify.
 """
 

@@ -3,11 +3,10 @@
 This package is the serving layer above :mod:`repro.core`: where ``core``
 answers one query, ``engine`` answers *traffic*.
 
-* :mod:`repro.engine.batch` — :class:`BatchQueryEngine`: Hilbert-ordered
-  execution of heterogeneous spec batches (see :mod:`repro.query`), with
-  a shared window-query frontier (traditional/index strategies), Voronoi
-  seed reuse via greedy graph walks (area *and* kNN executions), and
-  intra-batch deduplication.
+* :mod:`repro.engine.batch` — :class:`BatchQueryEngine`: heterogeneous
+  spec batches (see :mod:`repro.query`) answered through the result
+  cache, intra-batch deduplication and composite decomposition, each
+  remaining job executed once.
 * :mod:`repro.engine.planner` — :class:`QueryPlanner`: the paper's I/O
   cost model (validations as record fetches, node accesses as page reads)
   used to pick the cheapest execution method for **every** query kind,
@@ -15,8 +14,8 @@ answers one query, ``engine`` answers *traffic*.
 * :mod:`repro.engine.cache` — :class:`ResultCache`: an LRU result cache
   keyed by the (hashable) spec objects themselves, version-stamped so
   inserts invalidate.
-* :mod:`repro.engine.order` — Hilbert-curve locality ordering shared by
-  all of the above.
+* :mod:`repro.engine.order` — the Hilbert curve the cluster's shard map
+  and the Delaunay bulk build order by.
 
 The usual entry points are
 :meth:`repro.core.database.SpatialDatabase.query` and
@@ -28,10 +27,9 @@ from repro.engine.batch import (
     BatchQueryEngine,
     BatchResult,
     BatchStats,
-    greedy_seed_walk,
 )
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.order import hilbert_index, hilbert_keys, locality_order
+from repro.engine.order import hilbert_index, hilbert_keys
 from repro.engine.planner import (
     CostEstimate,
     CostModel,
@@ -43,12 +41,10 @@ __all__ = [
     "BatchQueryEngine",
     "BatchResult",
     "BatchStats",
-    "greedy_seed_walk",
     "ResultCache",
     "CacheStats",
     "hilbert_index",
     "hilbert_keys",
-    "locality_order",
     "QueryPlanner",
     "CostModel",
     "CostEstimate",

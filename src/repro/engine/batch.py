@@ -1,65 +1,44 @@
-"""The batch query engine: heterogeneous spec batches with sharing.
+"""The batch query engine: heterogeneous spec batches, each job run once.
 
-Serving queries one at a time repeats work that a batch can share:
+The paper answers each area query on its own — one seed, then
+Algorithm 1's expansion — and so does this engine: every executable job
+of a batch runs once through :func:`repro.query.executor.execute_spec`,
+the same call a single :meth:`SpatialDatabase.query
+<repro.core.database.SpatialDatabase.query>` makes.  What a batch adds
+is work it can *skip*:
 
-1. **Index descent** — every traditional/window query descends the R-tree
-   from the root.  Batched, specs are visited in Hilbert order
-   (:mod:`repro.engine.order`) and *overlapping* windows are grouped: one
-   window query over the group's union MBR feeds every member, which then
-   only re-filters by its own MBR and refines.
-2. **Voronoi seeding** — every Voronoi execution (area, window, or kNN)
-   runs an index NN search for its seed.  Batched, the seed of the
-   previous (spatially adjacent) query is *walked* to the new query's
-   position over the Voronoi neighbour graph.  On a Delaunay graph the
-   steepest-descent walk provably terminates at the true nearest
-   neighbour — if a vertex ``v`` is not the NN of target ``q``, the
-   neighbour ``u`` whose cell the segment ``v->q`` enters satisfies
-   ``|uq| <= |ux| + |xq| = |vx| + |xq| = |vq|`` (``x`` the crossing
-   point), with equality impossible for a distinct site — so the seed is
-   exactly the one the index search would have produced, at the cost of a
-   few graph hops instead of a root-to-leaf descent.
-3. **The query itself** — repeated specs (hot tiles, dashboards) are
-   served from an LRU :class:`~repro.engine.cache.ResultCache` keyed by
-   the spec objects themselves (see :meth:`repro.query.spec.Query.cache_key`),
-   and exact duplicates *within* one batch are computed once.
+1. **Repeated specs** (hot tiles, dashboards) are served from an LRU
+   :class:`~repro.engine.cache.ResultCache` keyed by the spec objects
+   themselves (see :meth:`repro.query.spec.Query.cache_key`), and exact
+   duplicates *within* one batch are computed once.
+2. **Composite specs** (:class:`~repro.query.spec.UnionQuery` /
+   ``Intersection`` / ``Difference``) are *decomposed*: their leaves join
+   the batch's job pool alongside the plain specs, so a leaf repeated
+   across composites (or equal to a plain spec in the same batch)
+   executes once, and a leaf cached by an earlier batch does not execute
+   at all.  After the leaf jobs run, each composite's sorted leaf id
+   lists merge with set semantics and the composite's own options apply
+   to the merged rows.
 
 :meth:`BatchQueryEngine.run_specs` accepts any mix of
 :class:`~repro.query.spec.AreaQuery`, :class:`~repro.query.spec.WindowQuery`,
-:class:`~repro.query.spec.KnnQuery`, and
-:class:`~repro.query.spec.NearestQuery`; specs are grouped by their
-planner-resolved execution strategy *after* the Hilbert tour, so each
-sharing mechanism sees a spatially coherent sub-tour.  Results are
-returned in submission order and are id-identical to executing each spec
-alone (both area methods return the same id sets — the paper's theorem —
-so this holds for any mix of planned methods).
-
-**Composite specs** (:class:`~repro.query.spec.UnionQuery` /
-``Intersection`` / ``Difference``) are *decomposed*: their leaves join
-the batch's executable job pool alongside the plain specs, so every
-sharing mechanism above applies **across composite siblings** — four
-near-coincident windows unioned into one spec share one index traversal,
-Voronoi leaves chain seed walks, and a leaf repeated across composites
-(or equal to a plain spec in the same batch) executes once.  After the
-leaf jobs run, each composite's sorted leaf id lists merge with lazy set
-semantics (:func:`repro.query.executor.merge_sorted_ids`) and the
-composite's own options apply to the merged rows.
+:class:`~repro.query.spec.KnnQuery`, :class:`~repro.query.spec.NearestQuery`
+and composites; each job's method is resolved by the planner under
+``auto``.  Results are returned in submission order and are id-identical
+to executing each spec alone (both area methods return the same id sets
+— the paper's theorem — so this holds for any mix of planned methods).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.core.stats import QueryRecord, QueryStats
-from repro.core.voronoi_query import voronoi_area_query
 from repro.engine.cache import DEFAULT_CAPACITY, ResultCache
-from repro.engine.order import locality_order
 from repro.engine.planner import QueryPlanner
-from repro.geometry.polygon import Polygon
-from repro.geometry.region import QueryRegion, interior_seed_position
 from repro.query.executor import (
     execute_spec,
     finalize_record,
@@ -69,31 +48,12 @@ from repro.query.spec import (
     AreaQuery,
     CompositeQuery,
     IntersectionQuery,
-    KnnQuery,
-    NearestQuery,
     Query,
     UnionQuery,
-    WindowQuery,
 )
-
-import numpy as _np
-
-from repro.geometry.kernels import rect_contains_many as _rect_mask, region_kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
-    from repro.core.store import PointStore
-
-#: Union-MBR slack for window grouping: a window joins a group only while
-#: the union's area stays at or below this factor times the *largest*
-#: member window's area.  Groups therefore only form around
-#: near-coincident or nested windows (hot tiles, dashboard refreshes) and
-#: can never snowball: under uniform density each member scans at most
-#: ``slack`` times the largest member's own candidate count, however many
-#: windows chain-overlap.  (Comparing against the *sum* of member areas
-#: instead would double-count overlap and let a sliding chain of tiles
-#: collapse into one unbounded group.)
-DEFAULT_WINDOW_SLACK = 1.2
 
 
 @dataclass
@@ -111,14 +71,6 @@ class BatchStats:
     method_counts: Dict[str, int] = field(default_factory=dict)
     #: executed specs per query kind (area/window/knn/nearest)
     kind_counts: Dict[str, int] = field(default_factory=dict)
-    #: window groups of size >= 2 that shared one index traversal
-    shared_window_groups: int = 0
-    #: frontier-strategy specs served from a shared group traversal
-    shared_window_queries: int = 0
-    #: Voronoi seeds obtained by graph walk (index NN search skipped)
-    seed_walk_reuses: int = 0
-    #: Voronoi seeds that needed a full index NN search
-    seed_index_lookups: int = 0
     #: composite specs answered by decomposition (not cache/dedup hits)
     composite_queries: int = 0
     #: leaf specs contributed to the job pool by composite decomposition
@@ -135,6 +87,16 @@ class BatchStats:
         return dict(asdict(self))
 
 
+#: Engine counters of the retired shared window frontier and seed-walk
+#: reuse, still emitted by :meth:`EngineTotals.as_dict` (always 0).
+_RETIRED_SHARING_KEYS = (
+    "shared_window_groups",
+    "shared_window_queries",
+    "seed_walk_reuses",
+    "seed_index_lookups",
+)
+
+
 @dataclass
 class EngineTotals:
     """Lifetime job-pool accounting across every batch an engine ran.
@@ -143,7 +105,7 @@ class EngineTotals:
     :meth:`BatchQueryEngine.run_specs` call; external admission layers —
     the query server's cross-client coalescer in
     :mod:`repro.server.coalescer` — need *cumulative* counters to report
-    cache/dedup/sharing behaviour over a whole serving session, so the
+    cache/dedup behaviour over a whole serving session, so the
     engine absorbs each batch's stats into this running total.
     """
 
@@ -158,10 +120,6 @@ class EngineTotals:
     cache_hits: int = 0
     duplicate_hits: int = 0
     executed: int = 0
-    shared_window_groups: int = 0
-    shared_window_queries: int = 0
-    seed_walk_reuses: int = 0
-    seed_index_lookups: int = 0
     composite_queries: int = 0
     composite_leaves: int = 0
     leaf_duplicate_hits: int = 0
@@ -179,10 +137,6 @@ class EngineTotals:
         self.cache_hits += stats.cache_hits
         self.duplicate_hits += stats.duplicate_hits
         self.executed += stats.executed
-        self.shared_window_groups += stats.shared_window_groups
-        self.shared_window_queries += stats.shared_window_queries
-        self.seed_walk_reuses += stats.seed_walk_reuses
-        self.seed_index_lookups += stats.seed_index_lookups
         self.composite_queries += stats.composite_queries
         self.composite_leaves += stats.composite_leaves
         self.leaf_duplicate_hits += stats.leaf_duplicate_hits
@@ -193,6 +147,12 @@ class EngineTotals:
         """A JSON-ready mapping of every counter (the ``stats`` frame)."""
         data = asdict(self)
         data["time_ms"] = round(float(data["time_ms"]), 3)
+        # The cross-query sharing these counted is gone, but the v1 stats
+        # frame documents the keys and perfbench/served.py indexes two of
+        # them, so every served run would crash without them: they stay
+        # on the wire as constant zeros.
+        for key in _RETIRED_SHARING_KEYS:
+            data[key] = 0
         return data
 
 
@@ -219,78 +179,8 @@ class BatchResult(Sequence[QueryRecord]):
         return iter(self.results)
 
 
-def greedy_seed_walk(
-    neighbor_table: Sequence[Tuple[int, ...]],
-    store: "PointStore",
-    start: int,
-    target_x: float,
-    target_y: float,
-    max_hops: int,
-) -> Optional[int]:
-    """Steepest-descent walk to the point nearest ``(target_x, target_y)``.
-
-    From ``start``, repeatedly move to the neighbour closest to the target;
-    stop when no neighbour improves.  On a Delaunay neighbour graph the
-    stopping vertex is the global nearest neighbour of the target (see the
-    module docstring for the argument).  Returns ``None`` if ``max_hops``
-    is exhausted first (caller falls back to the index NN search).
-    Coordinates are read from the store's columns.
-    """
-    x_of, y_of = memoryview(store.xs), memoryview(store.ys)
-    current = start
-    best = (x_of[current] - target_x) ** 2 + (y_of[current] - target_y) ** 2
-    for _ in range(max_hops):
-        next_id = -1
-        for neighbor in neighbor_table[current]:
-            d = (x_of[neighbor] - target_x) ** 2 + (y_of[neighbor] - target_y) ** 2
-            if d < best:
-                best = d
-                next_id = neighbor
-        if next_id < 0:
-            return current
-        current = next_id
-    return None
-
-
-#: Seed walks beat a best-first index NN descent only while the walk is
-#: short: each hop costs a handful of neighbour distance evaluations,
-#: the descent a few dozen node inspections, so the breakeven sits
-#: around this many expected hops.  Beyond it the engine descends the
-#: index instead of walking — the walk's purpose is chaining *nearby*
-#: queries (clustered tiles, composite siblings), not crossing the map.
-_WALK_HOP_BUDGET = 24
-
-
-def _walk_radius_sq(planner: QueryPlanner) -> float:
-    """Squared distance within which a seed walk is expected to pay off.
-
-    The steepest-descent walk advances roughly one site spacing per hop
-    (``sqrt(space_area / n)`` under uniform density), so the profitable
-    radius is the hop budget times that spacing.  The space extent is the
-    planner's (the R-tree's root MBR, O(1)); degenerate extents fall back
-    to "always walk".
-    """
-    density = planner.density()
-    if density <= 0.0:
-        return float("inf")
-    spacing_sq = 1.0 / density
-    return _WALK_HOP_BUDGET * _WALK_HOP_BUDGET * spacing_sq
-
-
-def _execution_region(spec: Query) -> QueryRegion:
-    """The region a Voronoi expansion runs over for ``spec``.
-
-    Area specs expand over their own region; window specs over the
-    rectangle-as-polygon (a :class:`Rect` lacks the boundary-crossing
-    operations Algorithm 1 needs).
-    """
-    if isinstance(spec, WindowQuery):
-        return Polygon.from_rect(spec.rect)
-    return spec.region  # type: ignore[attr-defined]
-
-
 class BatchQueryEngine:
-    """Executes batches of query specs with cross-query sharing.
+    """Executes batches of query specs: cache, dedup, one run per job.
 
     Parameters
     ----------
@@ -301,9 +191,6 @@ class BatchQueryEngine:
     planner:
         Cost-based planner used for ``method="auto"`` (default: a fresh
         :class:`~repro.engine.planner.QueryPlanner` over ``database``).
-    window_slack:
-        Union-MBR slack for shared window grouping
-        (:data:`DEFAULT_WINDOW_SLACK`).
     """
 
     def __init__(
@@ -312,12 +199,10 @@ class BatchQueryEngine:
         *,
         cache_capacity: int = DEFAULT_CAPACITY,
         planner: Optional[QueryPlanner] = None,
-        window_slack: float = DEFAULT_WINDOW_SLACK,
     ) -> None:
         self._db = database
         self.cache = ResultCache(capacity=cache_capacity)
         self.planner = planner or QueryPlanner(database)
-        self.window_slack = window_slack
         #: stats of the most recent batch (None before the first one)
         self.last_batch_stats: Optional[BatchStats] = None
         #: lifetime accounting across every batch (admission layers report it)
@@ -380,8 +265,7 @@ class BatchQueryEngine:
 
         # 2. Decompose composites into executable leaf *jobs*.  A plain
         #    spec is its own single job; a composite contributes its
-        #    (recursively flattened) leaves, so siblings share the tour
-        #    with everything else.  Identical jobs — a leaf repeated
+        #    (recursively flattened) leaves.  Identical jobs — a leaf repeated
         #    across composites, or equal to a plain pending spec — merge
         #    into one, and composite leaves may be served straight from
         #    the cross-batch result cache.
@@ -426,47 +310,26 @@ class BatchQueryEngine:
         for i in pending:
             trees[i] = expand(specs[i], False)
 
-        # 3. Resolve the concrete method per executable job (planner on
-        #    auto), then Hilbert-tour the jobs and split by execution
-        #    strategy (each sharing mechanism gets a coherent sub-tour).
-        exec_jobs = [j for j in range(len(jobs)) if job_records[j] is None]
-        choices = {j: resolve_method(db, jobs[j]) for j in exec_jobs}
-        for j in exec_jobs:
-            choice = choices[j]
+        # 3. Run every executable job once, with its concrete method
+        #    (the planner's choice under auto).  execute_spec applies
+        #    each spec's own predicate/limit.
+        for j, job in enumerate(jobs):
+            if job_records[j] is not None:
+                continue
+            choice = resolve_method(db, job)
             stats.method_counts[choice] = (
                 stats.method_counts.get(choice, 0) + 1
             )
+            job_records[j] = execute_spec(db, job, method=choice)
         for i in pending:
             kind = specs[i].kind
             stats.kind_counts[kind] = stats.kind_counts.get(kind, 0) + 1
 
-        anchors = [jobs[j].anchor() for j in exec_jobs]
-        tour = [exec_jobs[t] for t in locality_order(anchors)]
-        frontier_tour: List[int] = []
-        voronoi_tour: List[int] = []
-        point_tour: List[int] = []
-        for j in tour:
-            job = jobs[j]
-            if isinstance(job, (KnnQuery, NearestQuery)):
-                point_tour.append(j)
-            elif choices[j] == "voronoi":
-                voronoi_tour.append(j)
-            else:  # area/traditional or window/index
-                frontier_tour.append(j)
-
-        self._run_window_frontier(
-            jobs, frontier_tour, choices, job_records, stats
-        )
-        self._run_voronoi(jobs, voronoi_tour, job_records, stats)
-        self._run_point_queries(
-            jobs, point_tour, choices, job_records, stats
-        )
-
         # 4. Assemble submitted specs from their jobs (set-merge for
         #    composites), fill duplicates, and populate the cache —
         #    composite leaves too, so later batches (or later composites)
-        #    reuse them.  Every execution path above returns finalized
-        #    records (spec options applied once per level).
+        #    reuse them.  Job records arrive finalized (spec options
+        #    applied once per level).
         stored: set = set()
         for i in pending:
             record = self._assemble(trees[i], job_records)
@@ -567,257 +430,3 @@ class BatchQueryEngine:
         if isinstance(spec_or_region, Query):
             return self.planner.explain_spec(spec_or_region, execute=execute)
         return self.planner.explain(spec_or_region, execute=execute)
-
-    # -- traditional/index: shared window frontier --------------------------
-
-    def _run_window_frontier(
-        self,
-        specs: Sequence[Query],
-        tour: List[int],
-        choices: Dict[int, str],
-        results: List[Optional[QueryRecord]],
-        stats: BatchStats,
-    ) -> None:
-        """Run ``tour`` (Hilbert-ordered indices) with grouped windows.
-
-        Members are area specs executing traditionally (window = region
-        MBR, refine = point-in-region) and window specs executing on the
-        index (window = the rect itself, refine = rect containment).
-        """
-        group: List[int] = []
-        union = None
-        max_member_area = 0.0
-        for i in tour:
-            mbr = specs[i].anchor()
-            if not group:
-                group, union, max_member_area = [i], mbr, mbr.area
-                continue
-            candidate_union = union.union(mbr)
-            if candidate_union.area <= self.window_slack * max(
-                max_member_area, mbr.area
-            ):
-                group.append(i)
-                union = candidate_union
-                max_member_area = max(max_member_area, mbr.area)
-            else:
-                self._flush_window_group(
-                    group, union, specs, choices, results, stats
-                )
-                group, union, max_member_area = [i], mbr, mbr.area
-        if group:
-            self._flush_window_group(
-                group, union, specs, choices, results, stats
-            )
-
-    def _flush_window_group(
-        self,
-        group: List[int],
-        union,
-        specs: Sequence[Query],
-        choices: Dict[int, str],
-        results: List[Optional[QueryRecord]],
-        stats: BatchStats,
-    ) -> None:
-        """One index traversal for the whole group, then per-member refine.
-
-        The shared descent's node accesses are attributed to the group's
-        first member (splitting them would fabricate fractional counters).
-
-        The shared frontier is columnar end-to-end: one bulk id probe
-        (:meth:`~repro.index.base.SpatialIndex.window_ids_array`) over
-        the union MBR, candidate coordinates gathered from the
-        :class:`~repro.core.store.PointStore` columns by row id, and
-        every member answered by array masks — window members' masks ARE
-        their answers, area members additionally refine the masked
-        candidates with one ``contains_many`` call
-        (:func:`repro.geometry.kernels.region_kernels`).
-        """
-        db = self._db
-        if len(group) == 1:
-            i = group[0]
-            # execute_spec finalizes (applies predicate/limit) itself.
-            results[i] = execute_spec(db, specs[i], method=choices[i])
-            return
-        stats.shared_window_groups += 1
-        stats.shared_window_queries += len(group)
-        index = db.index
-        nodes_before = index.stats.node_accesses
-        group_started = time.perf_counter()
-        id_array = index.window_ids_array(union)
-        store = db.store
-        xs = store.xs[id_array]
-        ys = store.ys[id_array]
-        shared_nodes = index.stats.node_accesses - nodes_before
-        shared_ms = (time.perf_counter() - group_started) * 1000.0
-        for position, i in enumerate(group):
-            spec = specs[i]
-            member_started = time.perf_counter()
-            if isinstance(spec, AreaQuery):
-                member_stats = QueryStats(method="traditional")
-                contains_many, _ = region_kernels(spec.region)
-                mask = _rect_mask(spec.region.mbr, xs, ys)
-                member_ids = id_array[mask]
-                inside = contains_many(xs[mask], ys[mask])
-                ids = _np.sort(member_ids[inside]).tolist()
-                candidates = int(member_ids.shape[0])
-                member_stats.candidates = candidates
-                member_stats.validations = candidates
-                member_stats.redundant_validations = candidates - len(ids)
-            else:  # WindowQuery on the index: MBR filter is the query
-                member_stats = QueryStats(method="index")
-                mask = _rect_mask(spec.rect, xs, ys)
-                member_ids = _np.sort(id_array[mask])
-                member_stats.candidates = int(member_ids.shape[0])
-                if spec.limit is not None and spec.predicate is None:
-                    # Same ascending prefix finalize_record would
-                    # keep — truncate before materialising ints.
-                    member_ids = member_ids[: spec.limit]
-                ids = member_ids.tolist()
-            member_stats.time_ms = (
-                time.perf_counter() - member_started
-            ) * 1000.0
-            if position == 0:
-                member_stats.index_node_accesses = shared_nodes
-                member_stats.time_ms += shared_ms
-            member_stats.result_size = len(ids)
-            results[i] = finalize_record(
-                db, spec, QueryRecord(ids=ids, stats=member_stats)
-            )
-
-    # -- voronoi regions: seed reuse along the tour -------------------------
-
-    def _run_voronoi(
-        self,
-        specs: Sequence[Query],
-        tour: List[int],
-        results: List[Optional[QueryRecord]],
-        stats: BatchStats,
-    ) -> None:
-        """Run ``tour`` with the previous query's seed as the walk start."""
-        if not tour:
-            return
-        db = self._db
-        backend = db.backend
-        store = db.store
-        neighbor_table = backend.neighbor_table()
-        max_hops = 64 + int(4.0 * math.sqrt(len(store)))
-        walk_radius_sq = _walk_radius_sq(self.planner)
-        previous_seed: Optional[int] = None
-        for i in tour:
-            region = _execution_region(specs[i])
-            # Seeding work (walk or fallback NN descent) is charged to this
-            # query's stats below, so batch and loop counters stay
-            # comparable — same invariant _flush_window_group keeps for the
-            # shared window descent.
-            seeding_started = time.perf_counter()
-            seeding_nodes_before = db.index.stats.node_accesses
-            position = interior_seed_position(region)
-            seed_id: Optional[int] = None
-            if previous_seed is not None:
-                anchor_x, anchor_y = store.coords(previous_seed)
-                dx = position.x - anchor_x
-                dy = position.y - anchor_y
-                if dx * dx + dy * dy <= walk_radius_sq:
-                    seed_id = greedy_seed_walk(
-                        neighbor_table,
-                        store,
-                        previous_seed,
-                        position.x,
-                        position.y,
-                        max_hops,
-                    )
-                if seed_id is not None:
-                    stats.seed_walk_reuses += 1
-            if seed_id is None:
-                entry = db.index.nearest_neighbor(position)
-                stats.seed_index_lookups += 1
-                if entry is None:  # pragma: no cover - guarded by len check
-                    results[i] = QueryRecord(
-                        ids=[], stats=QueryStats(method="voronoi")
-                    )
-                    continue
-                seed_id = entry[1]
-            seeding_nodes = (
-                db.index.stats.node_accesses - seeding_nodes_before
-            )
-            seeding_ms = (time.perf_counter() - seeding_started) * 1000.0
-            result = voronoi_area_query(
-                db.index,
-                backend,
-                store,
-                region,
-                seed_id=seed_id,
-                deleted=store.deleted_rows or None,
-            )
-            result.stats.index_node_accesses += seeding_nodes
-            result.stats.time_ms += seeding_ms
-            results[i] = finalize_record(db, specs[i], result)
-            previous_seed = seed_id
-
-    # -- point queries: kNN / nearest along the tour ------------------------
-
-    def _run_point_queries(
-        self,
-        specs: Sequence[Query],
-        tour: List[int],
-        choices: Dict[int, str],
-        results: List[Optional[QueryRecord]],
-        stats: BatchStats,
-    ) -> None:
-        """Run kNN/nearest specs; Voronoi kNN reuses seeds along the tour.
-
-        Index-method point queries are a plain loop — a best-first descent
-        has no frontier worth sharing — but Voronoi kNN executions chain
-        exactly like area queries: the previous seed is walked to the next
-        query position when the hop is short enough to beat a descent
-        (:func:`_walk_radius_sq`), replacing the index NN lookup.
-        """
-        if not tour:
-            return
-        db = self._db
-        previous_seed: Optional[int] = None
-        neighbor_table = None
-        max_hops = 0
-        walk_radius_sq = _walk_radius_sq(self.planner)
-        for i in tour:
-            spec = specs[i]
-            use_walk = (
-                isinstance(spec, KnnQuery)
-                and choices[i] == "voronoi"
-                and len(db) > 0
-                and (spec.k is None or spec.k > 0)  # None = unbounded
-            )
-            seed_id: Optional[int] = None
-            if use_walk and previous_seed is not None:
-                if neighbor_table is None:
-                    neighbor_table = db.backend.neighbor_table()
-                    max_hops = 64 + int(4.0 * math.sqrt(len(db)))
-                anchor_x, anchor_y = db.store.coords(previous_seed)
-                dx = spec.point.x - anchor_x
-                dy = spec.point.y - anchor_y
-                if dx * dx + dy * dy <= walk_radius_sq:
-                    seed_id = greedy_seed_walk(
-                        neighbor_table,
-                        db.store,
-                        previous_seed,
-                        spec.point.x,
-                        spec.point.y,
-                        max_hops,
-                    )
-                if seed_id is not None:
-                    stats.seed_walk_reuses += 1
-            if use_walk and seed_id is None:
-                stats.seed_index_lookups += 1
-            record = execute_spec(
-                db, spec, method=choices[i], seed_id=seed_id
-            )
-            results[i] = record
-            if use_walk:
-                # The walk target is the spec's own query position, so the
-                # stopping vertex (or the first result, which is the NN for
-                # unfiltered kNN) anchors the next walk.
-                previous_seed = (
-                    seed_id
-                    if seed_id is not None
-                    else (record.ids[0] if record.ids else previous_seed)
-                )

@@ -1,26 +1,19 @@
-"""Spatial locality ordering for query batches.
+"""The Hilbert curve over the unit square, scalar and array forms.
 
-The batch engine's two sharing tricks — a shared window-query frontier for
-the traditional method and Voronoi seed reuse for the paper's method — only
-pay off when *consecutive* queries in the batch are spatially close.  This
-module provides that ordering: query regions are sorted by the Hilbert-curve
-index of their MBR centre, so a batch of scattered regions becomes a tour
-that visits each spatial neighbourhood once.
+Points are snapped to a ``2**order`` by ``2**order`` grid and keyed by
+their position along the curve.  Two layers order by it: the cluster's
+shard map (:mod:`repro.cluster.shardmap`) assigns key ranges to workers,
+and the Delaunay bulk build (:mod:`repro.delaunay.triangulation`) inserts
+rows in curve order so each point location starts next to its target.
 
 The Hilbert curve is preferred over a Z-order (Morton) curve because it has
 no long jumps: consecutive curve positions are always adjacent grid cells,
-which is exactly the property the seed-reuse greedy walk depends on (walk
-length is proportional to the distance between consecutive seeds).
+so a key range is one compact area and consecutive inserts are close.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 import numpy as np
-
-from repro.geometry.rectangle import Rect, union_all
-from repro.geometry.region import QueryRegion
 
 #: Hilbert-grid refinement: 2**ORDER cells per axis (65_536 cells total at
 #: the default 8 — far finer than any realistic query-size granularity).
@@ -105,38 +98,3 @@ def _cell_indices(values, side: int) -> np.ndarray:
     """:func:`cell_index` over a column."""
     clamped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
     return np.minimum((clamped * side).astype(np.int64), side - 1)
-
-
-def region_center_key(
-    region: QueryRegion, space: Rect, *, order: int = DEFAULT_ORDER
-) -> int:
-    """Hilbert key of ``region``'s MBR centre, normalised to ``space``."""
-    center = region.mbr.center
-    width = space.width or 1.0
-    height = space.height or 1.0
-    return hilbert_index(
-        (center.x - space.min_x) / width,
-        (center.y - space.min_y) / height,
-        order=order,
-    )
-
-
-def locality_order(
-    regions: Sequence[QueryRegion],
-    space: Optional[Rect] = None,
-    *,
-    order: int = DEFAULT_ORDER,
-) -> List[int]:
-    """Indices of ``regions`` sorted into Hilbert-tour order.
-
-    ``space`` defaults to the MBR of all the regions' MBRs, so the ordering
-    adapts to workloads concentrated in a sub-area.  The returned
-    permutation is stable for equal keys (ties keep submission order),
-    making the batch engine's output deterministic.
-    """
-    if not regions:
-        return []
-    if space is None:
-        space = union_all(region.mbr for region in regions)
-    keys = [region_center_key(r, space, order=order) for r in regions]
-    return sorted(range(len(regions)), key=keys.__getitem__)

@@ -337,10 +337,10 @@ class QueryPlanner:
 
         Recurses into every part, takes the estimate of the method the
         planner would actually run it with (:meth:`plan` — explicit part
-        methods are honoured), and sums the counters.  The batch engine's
-        cross-sibling sharing (one frontier per window group, walked
-        seeds) makes this an upper bound; it is what composite routing
-        decisions and ``explain`` report.
+        methods are honoured), and sums the counters.  The batch engine
+        runs a leaf repeated across parts once, which makes this an upper
+        bound; it is what composite routing decisions and ``explain``
+        report.
         """
         validations = node_accesses = segment_tests = cost = 0.0
         for part in spec.parts:

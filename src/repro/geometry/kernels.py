@@ -60,11 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.region import QueryRegion
 
 
-def as_coord_array(values) -> "np.ndarray":
-    """Coerce any coordinate sequence to a contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
 def rect_contains_many(
     rect: "Rect", xs: "np.ndarray", ys: "np.ndarray"
 ) -> "np.ndarray":

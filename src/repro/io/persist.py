@@ -60,6 +60,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.delaunay.backends import DelaunayBackend
+from repro.index import INDEX_REGISTRY
 
 _FORMAT_VERSION = 1
 _GRAPH_MEMBERS = ("graph_indptr", "graph_indices")
@@ -246,6 +247,8 @@ def load_database(
     index_kind = config["index_kind"]
     if index_kind in ("kdtree", "quadtree", "grid", "brute"):  # removed kinds:
         index_kind = "rtree"  # the index is derived state, rebuilt on load
+    if index_kind not in INDEX_REGISTRY:
+        raise ValueError(f"corrupt database file: unknown index kind {index_kind!r}")
     db = SpatialDatabase.from_arrays(
         xy[:, 0],
         xy[:, 1],

@@ -239,17 +239,6 @@ class SubscriptionRegistry:
         self.stats.unregistered_total += 1
         return True
 
-    def drop_owner(self, owner: object) -> int:
-        """Unregister every subscription of ``owner`` (disconnects)."""
-        stale = [
-            subscription
-            for subscription in self._subscriptions
-            if subscription.owner is owner
-        ]
-        for subscription in stale:
-            self.unregister(subscription)
-        return len(stale)
-
     # -- the write fan-out -------------------------------------------------
 
     def apply_write(

@@ -9,10 +9,9 @@ identical no matter which surface issued the query.
 
 Composite specs (:class:`~repro.query.spec.UnionQuery` /
 ``Intersection`` / ``Difference``) execute by **decomposition**: the
-batch engine answers all leaves of one composite as a heterogeneous
-batch (shared window frontiers and Voronoi seed-walk reuse apply across
-siblings) and the sorted leaf id lists merge with lazy set semantics
-(:mod:`repro.query.merge`).  :func:`stream_spec` is the lazy sibling of
+batch engine answers all leaves of one composite as one batch (each
+distinct leaf runs once) and the sorted leaf id lists merge with lazy
+set semantics (:mod:`repro.query.merge`).  :func:`stream_spec` is the lazy sibling of
 :func:`execute_spec` for the specs that support it (composites,
 ``KnnQuery(k=None)``): it yields result row ids on demand without ever
 materialising the full result.
@@ -87,7 +86,6 @@ def execute_spec(
     spec: Query,
     *,
     method: Optional[str] = None,
-    seed_id: Optional[int] = None,
 ) -> QueryRecord:
     """Execute ``spec`` and return the eager result record.
 
@@ -99,11 +97,6 @@ def execute_spec(
         Override for the execution method (the planner's batch path and
         ``explain(execute=True)`` pass it explicitly); defaults to
         :func:`resolve_method`.
-    seed_id:
-        Optional known Voronoi seed (row id of the nearest point to the
-        query geometry), used by the batch engine to skip the index NN
-        descent after a successful neighbour-graph walk.  Only meaningful
-        for voronoi-method executions.
 
     Returns
     -------
@@ -122,14 +115,14 @@ def execute_spec(
     # predicate contract is one invocation per examined candidate.
     if isinstance(spec, AreaQuery):
         return finalize_record(
-            database, spec, _execute_area(database, spec, method, seed_id)
+            database, spec, _execute_area(database, spec, method)
         )
     if isinstance(spec, WindowQuery):
         return finalize_record(
-            database, spec, _execute_window(database, spec, method, seed_id)
+            database, spec, _execute_window(database, spec, method)
         )
     if isinstance(spec, KnnQuery):
-        return _execute_knn(database, spec, method, seed_id)
+        return _execute_knn(database, spec, method)
     if isinstance(spec, NearestQuery):
         return _execute_nearest(database, spec)
     if isinstance(spec, CompositeQuery):
@@ -170,7 +163,6 @@ def _execute_area(
     database: "SpatialDatabase",
     spec: AreaQuery,
     method: str,
-    seed_id: Optional[int],
 ) -> QueryRecord:
     """Run an area query with ``method``."""
     if not len(database):
@@ -186,7 +178,6 @@ def _execute_area(
         database.backend,
         database.store,
         spec.region,
-        seed_id=seed_id,
         deleted=_tombstones(database),
     )
 
@@ -195,7 +186,6 @@ def _execute_window(
     database: "SpatialDatabase",
     spec: WindowQuery,
     method: str,
-    seed_id: Optional[int],
 ) -> QueryRecord:
     """Run a window query natively on the index or as a Voronoi expansion."""
     if method == "voronoi":
@@ -211,7 +201,6 @@ def _execute_window(
             database.backend,
             database.store,
             Polygon.from_rect(spec.rect),
-            seed_id=seed_id,
             deleted=_tombstones(database),
         )
     stats = QueryStats(method="index")
@@ -252,7 +241,6 @@ def _execute_knn(
     database: "SpatialDatabase",
     spec: KnnQuery,
     method: str,
-    seed_id: Optional[int],
 ) -> QueryRecord:
     """Run a kNN query via the index or the Voronoi neighbour graph.
 
@@ -273,8 +261,7 @@ def _execute_knn(
                 database.store,
                 spec.point,
                 k,
-                seed_id=seed_id,
-                deleted=_tombstones(database),
+                    deleted=_tombstones(database),
             )
         return _knn_voronoi_filtered(database, spec, k)
     return _knn_index(database, spec, k)
@@ -406,8 +393,8 @@ def _execute_composite(
     """Eagerly answer a composite by batch-decomposing its leaves.
 
     Delegates to the batch engine so the leaves of the composite are
-    executed as one heterogeneous batch — siblings share window
-    frontiers and Voronoi seed walks, and duplicate leaves execute once.
+    executed as one heterogeneous batch, in which duplicate leaves
+    execute once.
     The cross-batch LRU cache is not consulted (single-spec execution
     through :func:`execute_spec` never is, for any kind).
     """
@@ -489,8 +476,7 @@ def _stream_composite(
 
     The *leaves* still execute through the batch engine — one shared
     heterogeneous batch on the first ``next()``, so streaming keeps the
-    cross-sibling sharing (window frontiers, seed walks, leaf dedup)
-    that eager execution gets — but the set-merge over their sorted id
+    leaf dedup that eager execution gets — but the set-merge over their sorted id
     lists stays a lazy iterator: abandoning the stream (``first(n)``,
     ``takewhile``) abandons the remaining merge work, and the merged
     result is never materialised.  Nested composites merge recursively;

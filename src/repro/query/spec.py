@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, ClassVar, Iterator, Optional, Tuple
 
 from repro.geometry.point import Point
-from repro.geometry.rectangle import Rect, union_all
+from repro.geometry.rectangle import Rect
 from repro.geometry.region import QueryRegion
 
 #: Valid values of the ``select`` projection option.
@@ -190,16 +190,6 @@ class Query:
             return None
         return key
 
-    def anchor(self) -> Rect:
-        """A representative rectangle for spatial (Hilbert) ordering.
-
-        The batch engine tours specs in Hilbert order of these anchors so
-        that consecutive queries are spatially close (seed-walk reuse,
-        shared window frontiers).  Region kinds anchor at their MBR,
-        point kinds at the degenerate rectangle of their query position.
-        """
-        raise NotImplementedError  # pragma: no cover - overridden per kind
-
     def streams(self) -> bool:
         """Can this spec's result be consumed lazily, row by row?
 
@@ -261,10 +251,6 @@ class AreaQuery(Query):
         if self.region is None:
             raise ValueError("AreaQuery requires a region")
 
-    def anchor(self) -> Rect:
-        """The region's MBR."""
-        return self.region.mbr
-
     def _describe_geometry(self) -> str:
         return repr(self.region)
 
@@ -293,10 +279,6 @@ class WindowQuery(Query):
             raise ValueError("WindowQuery requires a rect")
         if not isinstance(self.rect, Rect):
             object.__setattr__(self, "rect", Rect.from_bounds(self.rect))
-
-    def anchor(self) -> Rect:
-        """The window rectangle itself."""
-        return self.rect
 
     def _describe_geometry(self) -> str:
         r = self.rect
@@ -346,10 +328,6 @@ class KnnQuery(Query):
                 f"got {self.k!r}"
             )
 
-    def anchor(self) -> Rect:
-        """The degenerate rectangle at the query position."""
-        return Rect.from_point(self.point)
-
     def streams(self) -> bool:
         """Unbounded kNN (``k=None``) streams; bounded kNN does not."""
         return self.k is None
@@ -380,10 +358,6 @@ class NearestQuery(Query):
             raise ValueError("NearestQuery requires a point")
         object.__setattr__(self, "point", _as_point(self.point))
 
-    def anchor(self) -> Rect:
-        """The degenerate rectangle at the query position."""
-        return Rect.from_point(self.point)
-
     def _describe_geometry(self) -> str:
         return f"({self.point.x:.6g}, {self.point.y:.6g})"
 
@@ -398,10 +372,9 @@ class CompositeQuery(Query):
     ``limit`` apply to the *merged* rows, after each part has applied its
     own options; ``method`` is always ``"auto"`` — execution is always
     decomposition into leaf plans, each routed by the planner, with the
-    batch engine treating the leaves of one composite as a heterogeneous
-    batch (shared window frontiers, Voronoi seed-walk reuse across
-    siblings).  Results are row ids in ascending order, like every
-    region kind.
+    batch engine treating the leaves of one composite as jobs of one
+    batch (a leaf repeated across composites runs once).  Results are
+    row ids in ascending order, like every region kind.
     """
 
     methods: ClassVar[Tuple[str, ...]] = ("auto",)
@@ -465,10 +438,6 @@ class CompositeQuery(Query):
             else:
                 yield part
 
-    def anchor(self) -> Rect:
-        """The union of the parts' anchors (results live inside it)."""
-        return union_all(part.anchor() for part in self.parts)
-
     def _describe_geometry(self) -> str:
         return ", ".join(part.describe() for part in self.parts)
 
@@ -492,10 +461,6 @@ class DifferenceQuery(CompositeQuery):
     """Rows of the first part matching no later part (set difference)."""
 
     kind: ClassVar[str] = "difference"
-
-    def anchor(self) -> Rect:
-        """The first part's anchor — the result is a subset of it."""
-        return self.parts[0].anchor()
 
 
 #: Every concrete spec class, keyed by its ``kind`` tag (wire format,

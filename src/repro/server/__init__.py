@@ -11,8 +11,7 @@ query stack (:mod:`repro.query`) and batch engine (:mod:`repro.engine`):
     Cross-client batch coalescing: specs arriving from *different*
     connections within a short admission window execute as **one**
     :meth:`~repro.engine.batch.BatchQueryEngine.run_specs` job pool, so
-    concurrent clients share window frontiers, Voronoi seed walks, batch
-    dedup, and the LRU result cache.
+    concurrent clients share batch dedup and the LRU result cache.
 ``repro.server.app``
     The :class:`QueryServer` itself (``asyncio.start_server``), chunked
     result streaming with client-driven continuation (``next`` /

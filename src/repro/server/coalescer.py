@@ -3,12 +3,11 @@
 One client rarely batches its own requests — but *many* concurrent
 clients do it for free, if the server holds arriving specs for a short
 admission window and executes everything that accumulated as **one**
-:meth:`~repro.engine.batch.BatchQueryEngine.run_specs` job pool.  Every
-sharing mechanism the engine has then applies *across connections*:
-near-coincident windows from different dashboards share one index
-traversal, spatially adjacent Voronoi queries chain seed walks, a spec
-two clients both ask for executes once (batch dedup), and the LRU result
-cache serves repeats from earlier windows.  Per-request results are
+:meth:`~repro.engine.batch.BatchQueryEngine.run_specs` job pool.  The
+engine's savings then apply *across connections*: a spec two clients
+both ask for executes once (batch dedup), a composite leaf another
+client also asked for runs once, and the LRU result cache serves
+repeats from earlier windows.  Per-request results are
 de-multiplexed back to each submitter's future in submission order.
 
 The window trades a small admission latency (``window_ms``, default 2

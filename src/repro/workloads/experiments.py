@@ -329,12 +329,9 @@ def make_composite_trace(
     Each composite models a hot-spot dashboard panel: ``parts`` random
     query polygons (each of ``query_size`` area fraction) clustered
     around a random centre — jittered by ~10 % of their side so siblings
-    overlap heavily — combined round-robin over ``kinds``.  The
-    clustering is what the engine's decomposition exploits: with
-    ``method="voronoi"`` (the paper's algorithm, the default here) every
-    sibling after the first gets its expansion seed by *walking* the
-    previous seed across the Delaunay graph instead of descending the
-    index (counted as ``seed_walk_reuses`` in the batch stats).
+    overlap heavily — combined round-robin over ``kinds``.  Leaves take
+    ``method`` (the paper's ``"voronoi"`` by default); the engine runs
+    each distinct leaf once and merges the siblings' id lists.
     """
     rng = random.Random(seed)
     specs: List[CompositeQuery] = []

@@ -88,7 +88,7 @@ def test_shared_window_group_of_custom_and_polygon_members(db):
         WindowQuery(Rect(0.3, 0.31, 0.59, 0.6), method="index"),
     ]
     batch = db.query_batch(members, use_cache=False)
-    assert batch.stats.shared_window_queries == len(members)
+    assert batch.stats.executed == len(members)
     for spec, result in zip(members, batch):
         assert result.ids() == brute_force(spec, rows), spec
     for spec, result in zip(members[:3], batch):

@@ -1,17 +1,16 @@
 """Batch engine correctness: batching must never change any answer.
 
 The anchor property is id-identity: for every region mix, every method
-(fixed or planned), and every sharing path (shared window frontier, seed
-walk, intra-batch dedup), ``query_batch`` returns exactly the ids the
-one-query-at-a-time loop returns, in submission order.
+(fixed or planned), and intra-batch dedup, ``query_batch`` returns
+exactly the ids the one-query-at-a-time loop returns, in submission
+order.
 """
 
 import pytest
 
 from repro import SpatialDatabase
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
-from repro.engine.batch import BatchQueryEngine, greedy_seed_walk
-from repro.engine.order import hilbert_index, locality_order
+from repro.engine.order import hilbert_index
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -66,7 +65,7 @@ def test_batch_handles_duplicates_once(db, mixed_regions):
 
 
 def test_batch_stats_record_sharing(db):
-    # Overlapping rectangle windows at one hotspot: must form shared groups.
+    # Overlapping rectangle windows at one hotspot: each runs once.
     overlapping = [
         Polygon.from_rect(
             Rect(0.3 + 0.01 * i, 0.3, 0.5 + 0.01 * i, 0.5)
@@ -74,23 +73,12 @@ def test_batch_stats_record_sharing(db):
         for i in range(5)
     ]
     batch = db.query_batch(area_specs(overlapping, "traditional"), use_cache=False)
-    assert batch.stats.shared_window_groups >= 1
-    assert batch.stats.shared_window_queries >= 2
+    assert batch.stats.executed == len(overlapping)
+    assert batch.stats.method_counts == {"traditional": len(overlapping)}
     assert [r.ids() for r in batch] == [
         db.query(AreaQuery(region, method="traditional")).ids()
         for region in overlapping
     ]
-
-
-def test_batch_voronoi_reuses_seeds(db, mixed_regions):
-    batch = db.query_batch(area_specs(mixed_regions, "voronoi"), use_cache=False)
-    # first seed needs the index; later ones should mostly walk
-    assert batch.stats.seed_index_lookups >= 1
-    assert batch.stats.seed_walk_reuses >= len(mixed_regions) // 2
-    assert (
-        batch.stats.seed_walk_reuses + batch.stats.seed_index_lookups
-        == batch.stats.executed
-    )
 
 
 def test_batch_result_is_a_sequence(db, mixed_regions):
@@ -126,36 +114,6 @@ def test_empty_batch_returns_empty_result(db):
     assert batch.stats.total_queries == 0
 
 
-def test_greedy_seed_walk_finds_true_nearest_neighbor(db):
-    """The walk must land exactly where the index NN search would."""
-    points = db.points
-    store = db.store
-    table = db.backend.neighbor_table()
-    rng_targets = [
-        (0.05 + 0.9 * ((i * 37) % 97) / 97.0, 0.05 + 0.9 * ((i * 61) % 89) / 89.0)
-        for i in range(40)
-    ]
-    start = 0
-    for tx, ty in rng_targets:
-        walked = greedy_seed_walk(table, store, start, tx, ty, 4_000)
-        entry = db.index.nearest_neighbor(Point(tx, ty))
-        assert walked is not None
-        assert points[walked].squared_distance_to(
-            Point(tx, ty)
-        ) == pytest.approx(
-            entry[0].squared_distance_to(Point(tx, ty))
-        )
-        start = walked
-
-
-def test_greedy_seed_walk_hop_budget_exhaustion_returns_none(db):
-    table = db.backend.neighbor_table()
-    assert (
-        greedy_seed_walk(table, db.store, 0, 0.99, 0.99, max_hops=0)
-        in (None, 0)
-    )
-
-
 def test_hilbert_index_is_locality_preserving():
     # Adjacent cells along the curve differ by exactly one grid step.
     side = 1 << 4
@@ -173,35 +131,15 @@ def test_hilbert_index_is_locality_preserving():
         assert abs(x1 - x2) + abs(y1 - y2) == 1
 
 
-def test_locality_order_is_a_stable_permutation(db, mixed_regions):
-    order = locality_order(mixed_regions)
-    assert sorted(order) == list(range(len(mixed_regions)))
-    # identical regions keep submission order (stable sort)
-    duplicated = [mixed_regions[0]] * 3
-    assert locality_order(duplicated) == [0, 1, 2]
-
-
 def test_sliding_tile_chains_do_not_snowball_into_one_group(db):
-    """Pairwise-overlapping tiles must not merge transitively: the union
-    is bounded by the largest member window, so a sliding chain (each
-    tile overlapping the next by half) stays ungrouped and no member
-    ever scans the whole strip's frontier."""
+    """A sliding chain of tiles, each overlapping the next by half: every
+    member runs once, on its own window, and answers like the loop."""
     chain = [
         Polygon.from_rect(Rect(0.05 + 0.1 * i, 0.4, 0.25 + 0.1 * i, 0.6))
         for i in range(7)  # each overlaps the next by half its width
     ]
     batch = db.query_batch(area_specs(chain, "traditional"), use_cache=False)
-    assert batch.stats.shared_window_groups == 0
+    assert batch.stats.executed == len(chain)
     assert [r.ids() for r in batch] == [
         db.query(AreaQuery(region, method="traditional")).ids() for region in chain
-    ]
-
-
-def test_window_slack_zero_disables_grouping(db, mixed_regions):
-    engine = BatchQueryEngine(db, window_slack=0.0, cache_capacity=0)
-    batch = engine.run_specs(area_specs(mixed_regions, "traditional"))
-    assert batch.stats.shared_window_groups == 0
-    assert [r.ids for r in batch] == [
-        db.query(AreaQuery(region, method="traditional")).ids()
-        for region in mixed_regions
     ]

@@ -54,9 +54,7 @@ def test_mixed_composite_trace_matches_loop(db):
     assert [h.ids() for h in batch] == [
         composite_reference_ids(db, spec) for spec in trace
     ]
-    # every sibling after a composite's first leaf walks its seed over
-    # the Delaunay graph instead of descending the index
-    assert batch.stats.seed_walk_reuses >= len(trace) * (parts - 1)
+    assert batch.stats.composite_leaves == len(trace) * parts
 
 
 def test_decomposition_stats(db):

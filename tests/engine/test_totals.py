@@ -60,7 +60,7 @@ class TestEngineTotals:
                 cache_hits=1,
                 duplicate_hits=2,
                 executed=2,
-                seed_walk_reuses=3,
+                composite_leaves=3,
                 time_ms=1.5,
             )
         )
@@ -68,7 +68,7 @@ class TestEngineTotals:
         assert totals.batches == 2
         assert totals.total_queries == 6
         assert totals.coalesced_batches == 1  # only the 5-spec batch
-        assert totals.seed_walk_reuses == 3
+        assert totals.composite_leaves == 3
         assert totals.time_ms == pytest.approx(2.0)
 
     def test_batch_stats_as_dict(self, db):

@@ -189,6 +189,21 @@ class TestDatabaseRoundTrip:
         with pytest.raises(ValueError, match="corrupt"):
             load_database(path)
 
+    def test_unknown_index_kind_is_corrupt(self, tmp_path):
+        """A kind no snapshot ever named is outside input, not a removed
+        kind: refused as a corrupt file."""
+        path = tmp_path / "corrupt.npz"
+        np.savez(
+            path,
+            xy=np.zeros((2, 2)),
+            config=np.asarray(
+                '{"version": 1, "index_kind": "btree", '
+                '"backend_kind": "pure", "count": 2}'
+            ),
+        )
+        with pytest.raises(ValueError, match="corrupt.*index kind 'btree'"):
+            load_database(path)
+
 
 # -- the snapshot as a serving image ------------------------------------------
 
@@ -225,7 +240,7 @@ def _voronoi_specs():
     ]
     specs = [AreaQuery(region, method="voronoi") for region in regions]
     specs += [WindowQuery(Rect(0.3, 0.3, 0.6, 0.7), method="voronoi")]
-    # neighbouring kNN positions: in a batch, each seeds the next's walk
+    # neighbouring kNN positions, answered in one batch
     specs += [
         KnnQuery(Point(0.3 + 0.02 * i, 0.45), 7, method="voronoi") for i in range(6)
     ]
@@ -240,8 +255,6 @@ def _assert_answers_like_brute_force(db):
     batch = db.query_batch(specs, use_cache=False)
     for spec, result in zip(specs, batch):
         assert result.ids() == brute_force(spec, rows), spec
-    if len(db.store) > 100:
-        assert batch.stats.seed_walk_reuses > 0
     return specs
 
 

@@ -74,13 +74,6 @@ class TestConstruction:
         assert list(nested.iter_leaves()) == [W1, W2, AreaQuery(POLY)]
         assert nested.streams()
 
-    def test_anchor_covers_parts(self):
-        union = UnionQuery((W1, W2))
-        anchor = union.anchor()
-        assert anchor.min_x <= 0.0 and anchor.max_x >= 0.75
-        # difference anchors at its base: the result is a subset of it
-        assert DifferenceQuery((W1, W2)).anchor() == W1.rect
-
     def test_cache_key_normalises_recursively(self):
         a = UnionQuery(
             (

@@ -153,19 +153,6 @@ class TestCacheKey:
         hash(key)  # must be hashable
 
 
-class TestAnchors:
-    def test_area_anchor_is_region_mbr(self):
-        assert AreaQuery(POLY).anchor() == POLY.mbr
-
-    def test_window_anchor_is_rect(self):
-        assert WindowQuery(RECT).anchor() == RECT
-
-    def test_point_anchors_are_degenerate(self):
-        anchor = KnnQuery((0.3, 0.4), 2).anchor()
-        assert anchor == Rect(0.3, 0.4, 0.3, 0.4)
-        assert NearestQuery((0.3, 0.4)).anchor() == anchor
-
-
 class TestIntrospection:
     def test_describe_mentions_kind_and_options(self):
         text = AreaQuery(POLY, method="voronoi", limit=3).describe()

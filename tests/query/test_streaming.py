@@ -127,9 +127,8 @@ class TestStreamingComposites:
         assert result.stats.method == "composite"
 
     def test_streaming_leaves_run_through_the_batch_engine(self, db):
-        """Streaming keeps cross-sibling sharing: the leaves of a
-        streamed composite execute as one engine batch (with seed walks
-        etc.), only the merge itself is lazy."""
+        """The leaves of a streamed composite execute as one engine batch
+        (cache, dedup); only the merge itself is lazy."""
         from repro.geometry.polygon import Polygon
 
         parts = tuple(
@@ -148,7 +147,7 @@ class TestStreamingComposites:
         db.query(UnionQuery(parts)).first(3)
         stats = db.engine.last_batch_stats
         assert stats.total_queries == 4  # the leaves, batched together
-        assert stats.seed_walk_reuses >= 3  # sibling seeds were walked
+        assert stats.method_counts == {"voronoi": 4}
 
 
 class TestNoShimNoise:

@@ -1,0 +1,84 @@
+"""The ``stats`` frame keeps every v1 ``engine`` key, retired ones included.
+
+The engine no longer shares work between queries (no shared window
+frontier, no seed-walk reuse), but the v1 stats frame documents the four
+counters that measured it and perfbench's served runs index two of them.
+They must stay on the wire as constant zeros, in a served frame and in a
+cluster-merged one.
+"""
+
+import pytest
+
+from repro.cluster import ClusterCoordinator, RemoteShard
+from repro.core.database import SpatialDatabase
+from repro.geometry.circle import Circle
+from repro.geometry.point import Point
+from repro.query.spec import AreaQuery, KnnQuery, UnionQuery, WindowQuery
+from repro.server import QueryClient, ServerThread
+from repro.server.protocol import validate_frame
+from repro.workloads.generators import uniform_points
+
+#: Written out rather than imported, so dropping one from the engine fails here.
+RETIRED_SHARING_KEYS = (
+    "shared_window_groups",
+    "shared_window_queries",
+    "seed_walk_reuses",
+    "seed_index_lookups",
+)
+
+#: Reads that the retired mechanisms used to count: near-coincident
+#: windows, neighbouring Voronoi areas and kNN, and a composite.
+READS = [
+    WindowQuery((0.30, 0.30, 0.50, 0.50)),
+    WindowQuery((0.31, 0.30, 0.50, 0.49)),
+    AreaQuery(Circle(Point(0.40, 0.40), 0.05), method="voronoi"),
+    AreaQuery(Circle(Point(0.42, 0.41), 0.05), method="voronoi"),
+    KnnQuery(Point(0.45, 0.45), 5, method="voronoi"),
+    KnnQuery(Point(0.46, 0.45), 5, method="voronoi"),
+    UnionQuery(
+        (
+            AreaQuery(Circle(Point(0.6, 0.6), 0.04), method="voronoi"),
+            AreaQuery(Circle(Point(0.62, 0.6), 0.04), method="voronoi"),
+        )
+    ),
+]
+
+
+def assert_retired_keys_are_zero(frame):
+    validate_frame(frame)
+    engine = frame["engine"]
+    assert engine["total_queries"] >= len(READS)
+    for key in RETIRED_SHARING_KEYS:
+        assert key in engine, key
+        assert engine[key] == 0, key
+
+
+def test_served_frame_keeps_the_retired_keys():
+    db = SpatialDatabase.from_points(uniform_points(800, seed=5)).prepare()
+    with ServerThread(db, window_ms=2.0) as server:
+        with QueryClient(server.host, server.port) as client:
+            for spec in READS:
+                client.query(spec)
+            assert_retired_keys_are_zero(client.stats())
+
+
+@pytest.fixture()
+def workers():
+    threads = [ServerThread(SpatialDatabase()) for _ in range(2)]
+    yield threads
+    for thread in threads:
+        thread.close()
+
+
+def test_cluster_merged_frame_keeps_the_retired_keys(workers):
+    shards = [RemoteShard(thread.host, thread.port) for thread in workers]
+    coordinator = ClusterCoordinator(shards)
+    try:
+        coordinator.extend(
+            [(p.x, p.y) for p in uniform_points(800, seed=6)]
+        )
+        for spec in READS:
+            coordinator.query(spec)
+        assert_retired_keys_are_zero(coordinator.stats_frame())
+    finally:
+        coordinator.close()

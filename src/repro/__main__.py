@@ -292,7 +292,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         db,
         host=args.host,
         port=args.port,
-        window_ms=args.window_ms,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         chunk_size=args.chunk_size,
@@ -300,8 +299,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         print(
             f"Serving {len(db):,} points on {server.host}:{server.port} "
-            f"(coalescing window {args.window_ms:g} ms, "
-            f"max batch {args.max_batch}, "
+            f"(max batch {args.max_batch}, "
             f"max queue {server.server.backend.coalescer.max_queue}, "
             f"chunk size {args.chunk_size})"
         )
@@ -513,7 +511,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         snapshot_state=snapshot_state,
         host=args.host,
         port=args.port,
-        window_ms=args.window_ms,
         replicas=args.replicas,
         supervise=args.supervise,
         health_interval=args.health_interval,
@@ -852,17 +849,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "snapshot` (repro.io.persist.save_database)",
     )
     serve.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="cross-client coalescing admission window, milliseconds "
-        "(0 disables coalescing)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="queued specs that force an immediate flush",
+        help="most queued specs one drain executes",
     )
     serve.add_argument(
         "--max-queue",
@@ -953,12 +943,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="DIR",
         help="write a shard-aware snapshot directory on shutdown",
-    )
-    cluster.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="per-worker coalescing admission window, milliseconds",
     )
     cluster.add_argument(
         "--replicas",

@@ -123,8 +123,6 @@ def _worker_environment() -> Dict[str, str]:
 def spawn_worker(
     *,
     host: str = "127.0.0.1",
-    window_ms: float = 2.0,
-    max_batch: int = 64,
     startup_timeout: float = 30.0,
 ) -> WorkerProcess:
     """Launch one empty ``repro serve`` worker on an ephemeral port.
@@ -146,10 +144,6 @@ def spawn_worker(
         "0",
         "--points",
         "0",
-        "--window-ms",
-        str(window_ms),
-        "--max-batch",
-        str(max_batch),
     ]
     process = subprocess.Popen(
         command,
@@ -353,8 +347,6 @@ def start_cluster(
     points: Optional[Sequence[Tuple[float, float]]] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    window_ms: float = 2.0,
-    max_batch: int = 64,
     snapshot_state: Optional[Dict] = None,
     replicas: int = 0,
     supervise: bool = False,
@@ -384,18 +376,17 @@ def start_cluster(
         raise ValueError(
             f"replicas must be 0 or 1 (per-primary standby), got {replicas}"
         )
-    spawn = {"host": host, "window_ms": window_ms, "max_batch": max_batch}
     workers: List[WorkerProcess] = []
     replica_workers: List[WorkerProcess] = []
     try:
         for _ in range(worker_count):
-            workers.append(spawn_worker(**spawn))
+            workers.append(spawn_worker(host=host))
         backends = [
             RemoteShard(worker.host, worker.port) for worker in workers
         ]
         if replicas:
             for _ in range(worker_count):
-                replica_workers.append(spawn_worker(**spawn))
+                replica_workers.append(spawn_worker(host=host))
             coordinator_options["replicas"] = [
                 RemoteShard(worker.host, worker.port)
                 for worker in replica_workers
@@ -425,7 +416,7 @@ def start_cluster(
             coordinator,
             workers,
             replica_workers if replicas else None,
-            **spawn,
+            host=host,
         )
         supervisor.start()
     return ClusterHandle(

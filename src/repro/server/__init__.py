@@ -9,7 +9,7 @@ query stack (:mod:`repro.query`) and batch engine (:mod:`repro.engine`):
     the exact :mod:`repro.query.serialize` form.
 ``repro.server.coalescer``
     Cross-client batch coalescing: specs arriving from *different*
-    connections within a short admission window execute as **one**
+    connections within one event-loop turn execute as **one**
     :meth:`~repro.engine.batch.BatchQueryEngine.run_specs` job pool, so
     concurrent clients share batch dedup and the LRU result cache.
 ``repro.server.app``

@@ -36,7 +36,7 @@ streams) and frames over the protocol line limit close the connection.
 
 The event loop is single-threaded.  The local engine runs *on* it (it
 is not thread-safe): a flush blocks the loop for one batch execution
-while arriving requests queue into the next admission window.  A
+while arriving requests queue into the next turn's batch.  A
 backend whose calls block runs them off the loop, so the front end
 keeps reading every other connection meanwhile.  :class:`ServerThread`
 hosts the loop in a background thread.
@@ -141,9 +141,9 @@ class QueryServer:
     host, port:
         Listen address.  ``port=0`` picks a free port — read the bound
         address from :attr:`address` after :meth:`start`.
-    window_ms, max_batch:
-        Admission-window parameters of the local backend's
-        :class:`~repro.server.coalescer.BatchCoalescer`.
+    max_batch:
+        Most queued specs one drain of the local backend's
+        :class:`~repro.server.coalescer.BatchCoalescer` executes.
     chunk_size:
         Default rows per ``chunk`` frame (clients may override per
         query, capped by the protocol maximum).
@@ -170,7 +170,6 @@ class QueryServer:
         backend=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        window_ms: float = 2.0,
         max_batch: int = 64,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         max_inflight: int = 32,
@@ -181,11 +180,7 @@ class QueryServer:
             raise ValueError("pass either a database or a backend")
         if backend is None:
             backend = LocalBackend(
-                database,
-                window_ms=window_ms,
-                max_batch=max_batch,
-                max_queue=max_queue,
-                ready_hint=lambda: self.active_connections,
+                database, max_batch=max_batch, max_queue=max_queue
             )
         #: what executes the frames (see :mod:`repro.server.backend`)
         self.backend = backend

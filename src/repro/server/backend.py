@@ -114,9 +114,7 @@ class LocalBackend:
         self._db = database
         #: the live-query registry: standing specs + dirty-tile index
         self.registry = SubscriptionRegistry(database)
-        #: the cross-client admission queue; a ``ready_hint`` makes the
-        #: window a fallback — the queue group-commits as soon as every
-        #: open connection has a request pending
+        #: the cross-client admission queue, drained every loop turn
         self.coalescer = BatchCoalescer(database, **coalescer_options)
 
     @property
@@ -125,9 +123,9 @@ class LocalBackend:
         return len(self._db)
 
     def run(self, spec, *, client):
-        """Admit ``spec`` into the batch window; returns its future.
+        """Admit ``spec`` into the admission queue; returns its future.
 
-        The spec is in the window before the read loop sees the next
+        The spec is queued before the read loop sees the next
         frame, so a write arriving later on *any* connection cannot
         reorder ahead.  A full queue raises
         :class:`~repro.server.coalescer.CoalescerOverloaded`.

@@ -1,30 +1,20 @@
 """Cross-client batch coalescing: the server's admission queue.
 
-One client rarely batches its own requests — but *many* concurrent
-clients do it for free, if the server holds arriving specs for a short
-admission window and executes everything that accumulated as **one**
+Every read any connection admits joins one FIFO queue, and the queue is
+drained on the **next event-loop turn**: everything admitted within one
+turn — a pipelined burst, or coincident arrivals from several clients —
+executes as **one**
 :meth:`~repro.engine.batch.BatchQueryEngine.run_specs` job pool.  The
-engine's savings then apply *across connections*: a spec two clients
-both ask for executes once (batch dedup), a composite leaf another
-client also asked for runs once, and the LRU result cache serves
-repeats from earlier windows.  Per-request results are
-de-multiplexed back to each submitter's future in submission order.
-
-The window trades a small admission latency (``window_ms``, default 2
-milliseconds) for shared execution — but it is a *fallback*, not a tax:
-the queue also flushes immediately once it is **full** (``max_batch``)
-or **complete** (group commit: every client the ``ready_hint`` callable
-counts — for the server, every open connection — has a request
-pending, so nothing more can arrive until results go out).  A lone
-sequential client therefore never waits out the window (its own request
-always completes the group), while a burst from N concurrent clients
-coalesces the moment the N-th request lands.  Setting ``window_ms=0``
-degenerates to one-batch-per-request regardless of the hint.
+pool shares batch dedup (a spec two clients both ask for in that turn
+executes once) and the LRU result cache, which also serves repeats from
+earlier turns.  Per-request results are de-multiplexed back to each
+submitter's future in submission order.  Nothing ever waits on a timer:
+a lone request is answered on the turn after it arrives.
 
 The coalescer is single-loop asyncio: submissions come from connection
 handler tasks, the flush runs synchronously on the event loop (the
 engine is not thread-safe, and a blocking flush simply lets the next
-window's arrivals queue up behind it — they form the next batch).
+turn's arrivals queue up behind it — they form the next batch).
 
 **Writes** serialize against the same admission queue:
 :meth:`BatchCoalescer.apply_write` first flushes whatever reads are
@@ -35,18 +25,17 @@ after the write land in a fresh batch and see the new version
 (read-your-writes for every connection, since admission order is
 arrival order).
 
-**Backpressure.**  Flush triggers *schedule a drain* on the next
-event-loop turn rather than executing inline, and each drain takes at
-most ``max_batch`` requests off the front of the queue.  Between
-drains the loop keeps reading sockets, so under sustained overload the
-admission queue genuinely grows — and is bounded: once ``max_queue``
-specs are waiting, :meth:`BatchCoalescer.enqueue` sheds the arrival
-with :class:`CoalescerOverloaded`, which carries a retry-after hint
-derived from the current backlog and a moving estimate of per-request
-service time.  Shedding at admission (instead of queueing without
-bound) is what keeps the latency of *admitted* requests bounded: a
-request that gets a future will wait at most ``max_queue /
-max_batch`` drains, no matter how hard clients push.
+**Backpressure.**  Each drain takes at most ``max_batch`` requests off
+the front of the queue and re-arms itself while a backlog remains.
+Between drains the loop keeps reading sockets, so under sustained
+overload the admission queue genuinely grows — and is bounded: once
+``max_queue`` specs are waiting, :meth:`BatchCoalescer.enqueue` sheds
+the arrival with :class:`CoalescerOverloaded`, which carries a
+retry-after hint derived from the current backlog and a moving estimate
+of per-request service time.  Shedding at admission (instead of
+queueing without bound) is what keeps the latency of *admitted*
+requests bounded: a request that gets a future will wait at most
+``max_queue / max_batch`` drains, no matter how hard clients push.
 """
 
 from __future__ import annotations
@@ -101,12 +90,8 @@ class CoalescerStats:
     max_batch_size: int = 0
     #: histogram of flushed batch sizes (size -> count)
     batch_sizes: Dict[int, int] = field(default_factory=dict)
-    #: flushes forced early by a full queue (``max_batch`` reached)
+    #: drains that found ``max_batch`` or more specs queued
     full_flushes: int = 0
-    #: group-commit flushes (every hinted client had a request pending)
-    complete_flushes: int = 0
-    #: flushes fired by the admission-window timer expiring
-    window_flushes: int = 0
     #: mutations applied through :meth:`BatchCoalescer.apply_write`
     writes: int = 0
     #: flushes forced by a write arriving while reads were pending
@@ -153,8 +138,11 @@ class CoalescerStats:
                 for size, count in sorted(self.batch_sizes.items())
             },
             "full_flushes": self.full_flushes,
-            "complete_flushes": self.complete_flushes,
-            "window_flushes": self.window_flushes,
+            # The admission window and its group commit are gone; the v1
+            # stats frame still documents both trigger counters, and
+            # clients divide by them, so they stay on the wire as 0.
+            "complete_flushes": 0,
+            "window_flushes": 0,
             "writes": self.writes,
             "write_flushes": self.write_flushes,
             "shed_requests": self.shed_requests,
@@ -174,18 +162,10 @@ class BatchCoalescer:
         The served :class:`~repro.core.database.SpatialDatabase`; its
         engine (and thus its planner and LRU result cache) answers every
         flushed batch.
-    window_ms:
-        Admission window in milliseconds: the first spec entering an
-        empty queue arms a flush timer this far in the future, and
-        everything submitted before it fires joins the same batch.
-        ``0`` flushes on the next event-loop turn (per-request batches —
-        no cross-client sharing, no added latency).
     max_batch:
-        Largest batch one flush will execute: reaching this many
-        pending specs schedules a drain without waiting out the window,
-        and every drain takes at most this many off the queue —
-        bounding both the per-batch memory and how long one flush can
-        hold the event loop.
+        Largest batch one drain will execute: every drain takes at most
+        this many off the queue — bounding both the per-batch memory and
+        how long one flush can hold the event loop.
     max_queue:
         Bound on the admission queue.  An arrival finding this many
         specs already pending is shed with :class:`CoalescerOverloaded`
@@ -193,26 +173,15 @@ class BatchCoalescer:
         that normal bursts never touch it, shallow enough that the
         queueing delay of admitted requests stays within a few batch
         lifetimes.
-    ready_hint:
-        Optional zero-argument callable returning how many distinct
-        clients could currently be submitting (the server passes its
-        open-connection count).  When every one of them has a request
-        pending, the queue is *complete* and flushes without waiting
-        out the window — the group-commit fast path.  ``None`` disables
-        the heuristic (timer and ``max_batch`` only).
     """
 
     def __init__(
         self,
         database: "SpatialDatabase",
         *,
-        window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: Optional[int] = None,
-        ready_hint: Optional[Callable[[], int]] = None,
     ) -> None:
-        if window_ms < 0:
-            raise ValueError(f"window_ms must be >= 0, got {window_ms!r}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
         if max_queue is None:
@@ -222,10 +191,8 @@ class BatchCoalescer:
                 f"max_queue must be >= max_batch, got {max_queue!r}"
             )
         self._db = database
-        self.window_ms = float(window_ms)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
-        self.ready_hint = ready_hint
         #: admission accounting over this coalescer's lifetime
         self.stats = CoalescerStats()
         #: admission-queue wait (enqueue -> flush start) per request
@@ -233,8 +200,6 @@ class BatchCoalescer:
         self._pending: List[
             Tuple[Query, asyncio.Future, object, float]
         ] = []
-        self._pending_clients: set = set()
-        self._timer: Optional[asyncio.TimerHandle] = None
         self._drain_scheduled = False
         #: EWMA of per-request execution time, feeds the retry hint
         self._service_ewma_ms: Optional[float] = None
@@ -249,12 +214,12 @@ class BatchCoalescer:
     ) -> "asyncio.Future[QueryRecord]":
         """Admit ``spec`` *synchronously*; returns the future of its record.
 
-        This is the admission point: the spec joins the current batch
-        window the moment this returns, so a caller that enqueues inline
-        (the server's connection read loop does) gets strict
-        arrival-order serialization against :meth:`apply_write` — a read
-        admitted before a write executes on the pre-write version, one
-        admitted after sees the mutation.  Invalid specs raise
+        This is the admission point: the spec joins the queue drained on
+        the next loop turn the moment this returns, so a caller that
+        enqueues inline (the server's connection read loop does) gets
+        strict arrival-order serialization against :meth:`apply_write`
+        — a read admitted before a write executes on the pre-write
+        version, one admitted after sees the mutation.  Invalid specs raise
         immediately (:meth:`~repro.engine.batch.BatchQueryEngine.validate_spec`)
         without poisoning the shared batch; execution errors inside a
         flush land on every future of that batch.
@@ -272,36 +237,23 @@ class BatchCoalescer:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((spec, future, client, perf_counter()))
-        self._pending_clients.add(client)
         self.stats.requests += 1
         if len(self._pending) > self.stats.queue_peak:
             self.stats.queue_peak = len(self._pending)
-        if self._drain_scheduled:
-            return future  # joins the already-scheduled drain's backlog
-        if len(self._pending) >= self.max_batch:
-            self.stats.full_flushes += 1
-            self._schedule_drain()
-        elif self._group_complete():
-            self.stats.complete_flushes += 1
-            self._schedule_drain()
-        elif self._timer is None:
-            self._timer = loop.call_later(
-                self.window_ms / 1000.0, self._window_flush
-            )
+        self._schedule_drain()
         return future
 
     def retry_after_ms(self) -> int:
         """Estimated milliseconds until the current backlog drains.
 
         The backlog divided by the service rate: queue depth times the
-        EWMA of observed per-request execution time, plus one admission
-        window.  Before the first flush (no EWMA yet) the estimate
-        assumes 1 ms per request — pessimistic enough to spread the
-        first retry wave.
+        EWMA of observed per-request execution time.  Before the first
+        flush (no EWMA yet) the estimate assumes 1 ms per request —
+        pessimistic enough to spread the first retry wave.
         """
         per_request_ms = self._service_ewma_ms or 1.0
         backlog_ms = len(self._pending) * per_request_ms
-        return max(1, int(backlog_ms + self.window_ms))
+        return max(1, int(backlog_ms))
 
     async def submit(
         self, spec: Query, *, client: object = None
@@ -317,7 +269,7 @@ class BatchCoalescer:
         return await self.enqueue(spec, client=client)
 
     def apply_write(self, mutate: Callable[[], object]) -> object:
-        """Serialize a mutation against the batch window and apply it.
+        """Serialize a mutation against the admission queue and apply it.
 
         Flushes any pending reads first — they were admitted before the
         write, so they execute against the pre-write version as one
@@ -329,100 +281,54 @@ class BatchCoalescer:
         """
         if self._pending:
             self.stats.write_flushes += 1
-            while self._pending:
-                self._flush(limit=self.max_batch)
+            self.flush_now()
         result = mutate()
         self.stats.writes += 1
         return result
 
-    def _group_complete(self) -> bool:
-        """Group commit: has every hinted client submitted already?
-
-        With one open connection this is true on every submit (a lone
-        sequential client never pays the admission window); with N it
-        becomes true the moment the N-th distinct client's request
-        lands.  A connection that is connected but not querying (a
-        monitor, an idle dashboard) keeps the group incomplete — those
-        batches fall back to the window timer.
-        """
-        if self.ready_hint is None or self.window_ms == 0.0:
-            return False
-        return len(self._pending_clients) >= max(1, self.ready_hint())
-
     def flush_now(self) -> None:
-        """Flush the whole queue immediately (tests and shutdown paths)."""
+        """Flush the whole queue now, in ``max_batch``-sized batches."""
         while self._pending:
-            self._flush(limit=self.max_batch)
+            self._flush()
 
     def _schedule_drain(self) -> None:
-        """Arm a drain callback for the next event-loop turn.
+        """Arm one drain callback for the next event-loop turn.
 
-        Deferring by one turn (instead of flushing inline) is what
-        makes backpressure observable: the loop gets a chance to read
-        more sockets first, so coincident arrivals join this batch and
-        sustained overload accumulates in the bounded queue instead of
-        being hidden inside ever-larger inline flushes.
+        Deferring by one turn (instead of flushing inline) lets every
+        arrival the loop reads in this turn join the batch, and makes
+        backpressure observable: sustained overload accumulates in the
+        bounded queue instead of hiding inside ever-larger inline
+        flushes.
         """
-        if self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        asyncio.get_running_loop().call_soon(self._drain)
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            asyncio.get_running_loop().call_soon(self._drain)
 
     def _drain(self) -> None:
-        """Drain callback: flush one batch, then re-trigger as needed.
+        """Drain callback: flush one batch, re-arm while a backlog remains.
 
-        Takes at most ``max_batch`` off the queue, then looks at the
-        leftover exactly as :meth:`enqueue` would have: still full —
-        schedule the next drain (interleaving with socket reads rather
-        than monopolizing the loop); group complete — same; otherwise
-        the remainder waits out a fresh admission window.
+        Takes at most ``max_batch`` off the front of the queue; any
+        leftover waits one more turn, so socket reads interleave with a
+        long backlog rather than the loop being monopolized by it.
         """
         self._drain_scheduled = False
-        if not self._pending:
-            return
-        self._flush(limit=self.max_batch)
-        if not self._pending:
+        if not self._pending:  # a write flushed the queue first
             return
         if len(self._pending) >= self.max_batch:
             self.stats.full_flushes += 1
+        self._flush()
+        if self._pending:
             self._schedule_drain()
-        elif self._group_complete():
-            self.stats.complete_flushes += 1
-            self._schedule_drain()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self.window_ms / 1000.0, self._window_flush
-            )
 
-    def _window_flush(self) -> None:
-        """Timer callback: the admission window expired."""
-        self.stats.window_flushes += 1
-        self._flush(limit=self.max_batch)
-
-    def _flush(self, limit: Optional[int] = None) -> None:
+    def _flush(self) -> None:
         """Execute one queued batch as one engine job pool; settle futures.
 
-        Takes the oldest ``limit`` entries (everything when ``None``) —
-        FIFO, so admission order is execution order and the admission
-        wait recorded per request is the true queueing delay.
+        Takes the oldest ``max_batch`` entries — FIFO, so admission
+        order is execution order and the admission wait recorded per
+        request is the true queueing delay.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if limit is None or limit >= len(self._pending):
-            batch, self._pending = self._pending, []
-            self._pending_clients = set()
-        else:
-            batch = self._pending[:limit]
-            self._pending = self._pending[limit:]
-            self._pending_clients = {
-                client for _, _, client, _ in self._pending
-            }
-        if not batch:  # pragma: no cover - timer vs full-flush race guard
-            return
+        batch = self._pending[: self.max_batch]
+        del self._pending[: self.max_batch]
         now = perf_counter()
         for _, _, _, admitted_at in batch:
             self.admission_wait.record_ms((now - admitted_at) * 1000.0)

@@ -73,7 +73,7 @@ and an ``extend`` carries at most :data:`MAX_WRITE_POINTS` pairs
 (rejected with code ``bad-request``; a structurally malformed write is
 ``bad-frame``, and either rejection provably leaves the store version
 and index untouched).  Writes apply synchronously at admission, in
-arrival order, serialized against the read coalescer's batch window:
+arrival order, serialized against the read coalescer's admission queue:
 pending reads flush (and execute against the pre-write version) before
 the write lands, so coalesced read batches are never poisoned, and
 chunked streams admitted earlier keep their MVCC snapshot (see

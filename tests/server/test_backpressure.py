@@ -55,9 +55,7 @@ class TestCoalescerBounds:
         assert coalescer.max_queue == 128
 
     def test_full_queue_sheds_with_a_retry_hint(self, db):
-        coalescer = BatchCoalescer(
-            db, window_ms=10_000.0, max_batch=2, max_queue=4
-        )
+        coalescer = BatchCoalescer(db, max_batch=2, max_queue=4)
 
         async def run():
             # Enqueue synchronously in one event-loop turn: nothing can
@@ -91,7 +89,7 @@ class TestCoalescerBounds:
         ]
 
     def test_admission_wait_is_recorded_per_admitted_request(self, db):
-        coalescer = BatchCoalescer(db, window_ms=5.0, max_batch=8)
+        coalescer = BatchCoalescer(db, max_batch=8)
 
         async def run():
             return await asyncio.gather(
@@ -104,9 +102,7 @@ class TestCoalescerBounds:
         assert wait.max_ms < 10_000.0  # sanity: a real measurement
 
     def test_write_flushes_an_oversized_backlog_in_chunks(self, db):
-        coalescer = BatchCoalescer(
-            db, window_ms=10_000.0, max_batch=2, max_queue=16
-        )
+        coalescer = BatchCoalescer(db, max_batch=2, max_queue=16)
         marker = []
 
         async def run():
@@ -145,9 +141,7 @@ def _send(sock, frame) -> None:
 class TestWireOverload:
     def test_pipelined_burst_sheds_with_retry_hint(self, db):
         requests = 200
-        with ServerThread(
-            db, window_ms=10_000.0, max_batch=2, max_queue=4
-        ) as server:
+        with ServerThread(db, max_batch=2, max_queue=4) as server:
             sock, reader = _raw_connection(server)
             try:
                 burst = b"".join(
@@ -197,9 +191,7 @@ class TestWireOverload:
         )
 
     def test_overload_sheds_the_oldest_open_stream(self, db):
-        with ServerThread(
-            db, window_ms=10_000.0, max_batch=2, max_queue=4
-        ) as server:
+        with ServerThread(db, max_batch=2, max_queue=4) as server:
             victim = QueryClient(server.host, server.port)
             try:
                 stream = victim.stream(

@@ -27,8 +27,8 @@ def window(i: int) -> WindowQuery:
 
 
 class TestFlushTriggers:
-    def test_window_timer_coalesces_concurrent_submits(self, db):
-        coalescer = BatchCoalescer(db, window_ms=20.0, max_batch=100)
+    def test_one_turn_of_submits_forms_one_multi_client_batch(self, db):
+        coalescer = BatchCoalescer(db, max_batch=100)
 
         async def run():
             return await asyncio.gather(
@@ -46,11 +46,26 @@ class TestFlushTriggers:
         assert stats.batch_sizes == {3: 1}
         assert stats.coalesced_batches == 1
         assert stats.multi_client_batches == 1
-        assert stats.window_flushes == 1
         assert stats.mean_batch_size == 3.0
 
+    def test_a_lone_request_never_waits_on_a_timer(self, db):
+        coalescer = BatchCoalescer(db)
+
+        async def run():
+            future = coalescer.enqueue(window(0), client="a")
+            for _ in range(2):  # loop turns only, no sleep of any length
+                if future.done():
+                    break
+                await asyncio.sleep(0)
+            assert future.done()
+            return future.result()
+
+        record = asyncio.run(run())
+        assert record.ids == db.query(window(0)).ids()
+        assert coalescer.stats.batches == 1
+
     def test_full_queue_flushes_without_waiting(self, db):
-        coalescer = BatchCoalescer(db, window_ms=10_000.0, max_batch=2)
+        coalescer = BatchCoalescer(db, max_batch=2)
 
         async def run():
             return await asyncio.wait_for(
@@ -58,73 +73,17 @@ class TestFlushTriggers:
                     coalescer.submit(window(0), client="a"),
                     coalescer.submit(window(1), client="a"),
                 ),
-                timeout=5.0,  # must not wait out the 10-second window
+                timeout=5.0,
             )
 
         records = asyncio.run(run())
         assert len(records) == 2
         assert coalescer.stats.full_flushes == 1
-        assert coalescer.stats.window_flushes == 0
-
-    def test_group_commit_skips_the_window(self, db):
-        # one hinted client: every submit completes the group instantly
-        coalescer = BatchCoalescer(
-            db, window_ms=10_000.0, ready_hint=lambda: 1
-        )
-
-        async def run():
-            return await asyncio.wait_for(
-                coalescer.submit(window(0), client="a"), timeout=5.0
-            )
-
-        record = asyncio.run(run())
-        assert record.ids == db.query(window(0)).ids()
-        assert coalescer.stats.complete_flushes == 1
-        assert coalescer.stats.batches == 1
-
-    def test_group_commit_waits_for_every_hinted_client(self, db):
-        coalescer = BatchCoalescer(
-            db, window_ms=10_000.0, ready_hint=lambda: 2
-        )
-
-        async def run():
-            first = asyncio.ensure_future(
-                coalescer.submit(window(0), client="a")
-            )
-            await asyncio.sleep(0)  # first submit alone: group incomplete
-            assert coalescer.pending == 1
-            assert coalescer.stats.batches == 0
-            second = asyncio.ensure_future(
-                coalescer.submit(window(1), client="b")
-            )
-            return await asyncio.wait_for(
-                asyncio.gather(first, second), timeout=5.0
-            )
-
-        records = asyncio.run(run())
-        assert len(records) == 2
-        stats = coalescer.stats
-        assert stats.complete_flushes == 1
-        assert stats.multi_client_batches == 1
-        assert stats.batch_sizes == {2: 1}
-
-    def test_zero_window_means_per_turn_batches(self, db):
-        coalescer = BatchCoalescer(
-            db, window_ms=0.0, ready_hint=lambda: 5
-        )
-
-        async def run():
-            return await coalescer.submit(window(0), client="a")
-
-        record = asyncio.run(run())
-        assert record.ids == db.query(window(0)).ids()
-        # the hint is ignored at window 0 — the timer (at delay 0) flushed
-        assert coalescer.stats.window_flushes == 1
 
 
 class TestSharingAndErrors:
     def test_identical_specs_across_clients_execute_once(self, db):
-        coalescer = BatchCoalescer(db, window_ms=20.0)
+        coalescer = BatchCoalescer(db)
         db.engine.cache.clear()  # isolate dedup from earlier tests' cache
         spec = window(0)
 
@@ -142,7 +101,7 @@ class TestSharingAndErrors:
     def test_invalid_spec_rejected_at_admission(self, db):
         from repro.query.spec import AreaQuery
 
-        coalescer = BatchCoalescer(db, window_ms=5.0)
+        coalescer = BatchCoalescer(db)
         degenerate = AreaQuery(
             Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)])
         )
@@ -158,7 +117,7 @@ class TestSharingAndErrors:
         assert coalescer.stats.requests == 1  # the rejected spec never queued
 
     def test_execution_failure_poisons_only_its_batch(self, db):
-        coalescer = BatchCoalescer(db, window_ms=5.0)
+        coalescer = BatchCoalescer(db)
         original = db.engine.run_specs
 
         def explode(*args, **kwargs):
@@ -186,13 +145,11 @@ class TestSharingAndErrors:
             asyncio.run(run())
 
     def test_constructor_validation(self, db):
-        with pytest.raises(ValueError, match="window_ms"):
-            BatchCoalescer(db, window_ms=-1.0)
         with pytest.raises(ValueError, match="max_batch"):
             BatchCoalescer(db, max_batch=0)
 
     def test_knn_and_windows_mix_in_one_batch(self, db):
-        coalescer = BatchCoalescer(db, window_ms=20.0)
+        coalescer = BatchCoalescer(db)
         knn = KnnQuery((0.5, 0.5), 5)
 
         async def run():

@@ -1,10 +1,12 @@
-"""The ``stats`` frame keeps every v1 ``engine`` key, retired ones included.
+"""The ``stats`` frame keeps every v1 counter key, retired ones included.
 
 The engine no longer shares work between queries (no shared window
-frontier, no seed-walk reuse), but the v1 stats frame documents the four
-counters that measured it and perfbench's served runs index two of them.
-They must stay on the wire as constant zeros, in a served frame and in a
-cluster-merged one.
+frontier, no seed-walk reuse), and the coalescer no longer holds reads
+for an admission window (no window timer, no group commit).  The v1
+stats frame still documents the counters that measured those mechanisms
+and perfbench's served runs index some of them, so they must stay on
+the wire as constant zeros, in a served frame and in a cluster-merged
+one.
 """
 
 import pytest
@@ -18,13 +20,20 @@ from repro.server import QueryClient, ServerThread
 from repro.server.protocol import validate_frame
 from repro.workloads.generators import uniform_points
 
-#: Written out rather than imported, so dropping one from the engine fails here.
-RETIRED_SHARING_KEYS = (
-    "shared_window_groups",
-    "shared_window_queries",
-    "seed_walk_reuses",
-    "seed_index_lookups",
-)
+#: Written out rather than imported, so dropping one from a section
+#: fails here: frame section -> its retired, always-zero counters.
+RETIRED_KEYS = {
+    "engine": (
+        "shared_window_groups",
+        "shared_window_queries",
+        "seed_walk_reuses",
+        "seed_index_lookups",
+    ),
+    "coalescer": ("complete_flushes", "window_flushes"),
+}
+
+#: Live coalescer counters that perfbench divides by.
+COALESCER_DENOMINATORS = ("requests", "batches", "multi_client_batches")
 
 #: Reads that the retired mechanisms used to count: near-coincident
 #: windows, neighbouring Voronoi areas and kNN, and a composite.
@@ -46,16 +55,19 @@ READS = [
 
 def assert_retired_keys_are_zero(frame):
     validate_frame(frame)
-    engine = frame["engine"]
-    assert engine["total_queries"] >= len(READS)
-    for key in RETIRED_SHARING_KEYS:
-        assert key in engine, key
-        assert engine[key] == 0, key
+    assert frame["engine"]["total_queries"] >= len(READS)
+    for key in COALESCER_DENOMINATORS:
+        assert key in frame["coalescer"], key
+    assert frame["coalescer"]["requests"] >= len(READS)
+    for section, keys in RETIRED_KEYS.items():
+        for key in keys:
+            assert key in frame[section], (section, key)
+            assert frame[section][key] == 0, (section, key)
 
 
 def test_served_frame_keeps_the_retired_keys():
     db = SpatialDatabase.from_points(uniform_points(800, seed=5)).prepare()
-    with ServerThread(db, window_ms=2.0) as server:
+    with ServerThread(db) as server:
         with QueryClient(server.host, server.port) as client:
             for spec in READS:
                 client.query(spec)

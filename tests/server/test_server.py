@@ -35,7 +35,7 @@ def db():
 @pytest.fixture(scope="module")
 def server(db):
     """One ServerThread shared by the module's tests."""
-    with ServerThread(db, window_ms=2.0) as thread:
+    with ServerThread(db) as thread:
         yield thread
 
 

@@ -33,7 +33,7 @@ def db():
 
 @pytest.fixture()
 def server(db):
-    with ServerThread(db, window_ms=2.0) as thread:
+    with ServerThread(db) as thread:
         yield thread
 
 

@@ -1,10 +1,10 @@
 """Tests for the documentation integrity checker (`tools/docs_check.py`).
 
 The checker gates two rot modes — dead cross-links/anchors and stale
-CLI examples — so the tests exercise both the detectors (on synthetic
-markdown written to tmp_path) and the live contract: the repository's
-own docs must come back clean, and the slug/subcommand oracles must
-match reality.
+CLI examples (subcommands, experiment targets, ``--flags``) — so the
+tests exercise both the detectors (on synthetic markdown written to
+tmp_path) and the live contract: the repository's own docs must come
+back clean, and the slug/subcommand/flag oracles must match reality.
 """
 
 import sys
@@ -59,6 +59,11 @@ class TestOracles:
     def test_known_subcommands_match_reality(self):
         subcommands = docs_check.known_subcommands()
         assert {"serve", "query", "experiments", "demo"} <= subcommands
+
+    def test_known_flags_match_reality(self):
+        flags = docs_check.known_flags()
+        assert {"--port", "--max-batch", "--workers", "--help"} <= flags
+        assert "--window-ms" not in flags
 
     def test_experiment_targets_match_reality(self):
         targets = docs_check.experiment_targets()
@@ -119,6 +124,7 @@ class TestCheckCliExamples:
             text,
             {"serve", "query", "experiments"},
             {"table1", "table2", "all"},
+            {"--port", "--max-batch", "--help"},
         )
 
     def test_known_subcommand_clean(self, tmp_path):
@@ -145,6 +151,24 @@ class TestCheckCliExamples:
         )
         assert len(findings) == 1
 
+    def test_registered_flags_clean(self, tmp_path):
+        body = (
+            "python -m repro serve --port 1 --max-batch=8 | tee log\n"
+            "python -m repro query --help > out.txt --anything\n"
+            "python -m repro experiments table2 --repetitions 2"
+        )
+        assert self._run(tmp_path, body) == []
+
+    def test_unregistered_flag_reported(self, tmp_path):
+        body = (
+            "echo start\n"
+            "python -m repro serve --port 1 \\\n"
+            "    --window-ms 2"
+        )
+        findings = self._run(tmp_path, body)
+        assert len(findings) == 1
+        assert ":3: unregistered flag '--window-ms'" in findings[0]
+
     def test_flags_only_invocation_ignored(self, tmp_path):
         assert self._run(tmp_path, "python -m repro.tool --help") == []
 
@@ -153,7 +177,7 @@ class TestCheckCliExamples:
         text = "run python -m repro zerve manually\n"
         path.write_text(text, encoding="utf-8")
         findings = docs_check.check_cli_examples(
-            path, text, {"serve"}, set()
+            path, text, {"serve"}, set(), set()
         )
         assert findings == []
 

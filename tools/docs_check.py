@@ -11,11 +11,12 @@ this tool gates both:
   not a property of this repository.
 * **Stale CLI examples** — every ``python -m repro <subcommand>`` in a
   fenced ``bash``/``console``/``sh`` block must name a subcommand the
-  CLI actually registers (parsed from ``src/repro/__main__.py``), and
-  every ``python -m repro experiments <target>`` / ``python -m
-  repro.workloads.experiments <target>`` must name a target the
-  experiment harness accepts (``_TARGETS``).  A renamed subcommand
-  breaks every copy-pasteable example silently; this makes it loud.
+  CLI actually registers and pass only ``--flags`` it registers (both
+  parsed from ``src/repro/__main__.py``), and every ``python -m repro
+  experiments <target>`` / ``python -m repro.workloads.experiments
+  <target>`` must name a target the experiment harness accepts
+  (``_TARGETS``).  A renamed subcommand or a deleted option breaks
+  every copy-pasteable example silently; this makes it loud.
 
 Usage::
 
@@ -52,6 +53,12 @@ _CLI_RE = re.compile(
     r"python\s+-m\s+(repro(?:\.[\w.]+)?)\s+(?!-)([\w-]+)"
 )
 
+#: a long option token (an ``=value`` suffix is not part of the name)
+_FLAG_RE = re.compile(r"(?<!\S)(--[\w-]+)")
+
+#: where one shell command ends and the next (pipe, list, redirect) begins
+_COMMAND_END_RE = re.compile(r"[|;&>]")
+
 
 def github_slug(heading: str) -> str:
     """GitHub's anchor slug for a heading text.
@@ -87,14 +94,32 @@ def shell_fences(text: str) -> List[Tuple[int, str]]:
     return fences
 
 
-def known_subcommands() -> Set[str]:
-    """Subcommand names registered by ``python -m repro``'s argparse."""
-    source = (REPO_ROOT / "src" / "repro" / "__main__.py").read_text(
+def _cli_source() -> str:
+    """The source of ``python -m repro``'s argparse setup."""
+    return (REPO_ROOT / "src" / "repro" / "__main__.py").read_text(
         encoding="utf-8"
     )
+
+
+def known_subcommands() -> Set[str]:
+    """Subcommand names registered by ``python -m repro``'s argparse."""
     return set(
-        re.findall(r"add_parser\(\s*\"([\w-]+)\"", source, re.DOTALL)
+        re.findall(r"add_parser\(\s*\"([\w-]+)\"", _cli_source(), re.DOTALL)
     )
+
+
+def known_flags() -> Set[str]:
+    """``--flag`` names registered by ``python -m repro``'s argparse.
+
+    Every option string among the leading literals of an
+    ``add_argument(...)`` call, plus argparse's own ``--help``.
+    """
+    flags = {"--help"}
+    for names in re.findall(
+        r"add_argument\(\s*((?:\"[^\"]*\"\s*,\s*)+)", _cli_source()
+    ):
+        flags.update(re.findall(r"\"(--[\w-]+)\"", names))
+    return flags
 
 
 def experiment_targets() -> Set[str]:
@@ -146,16 +171,34 @@ def check_links(
     return findings
 
 
+def _commands(body: str) -> List[Tuple[int, str]]:
+    """``(line offset, command)`` per shell command, continuations joined."""
+    commands: List[Tuple[int, str]] = []
+    for offset, line in enumerate(body.splitlines(), start=1):
+        if commands and commands[-1][1].endswith("\\"):
+            start, head = commands.pop()
+            commands.append((start, head[:-1] + " " + line))
+        else:
+            commands.append((offset, line))
+    return commands
+
+
 def check_cli_examples(
     path: pathlib.Path,
     text: str,
     subcommands: Set[str],
     targets: Set[str],
+    flags: Set[str],
 ) -> List[str]:
-    """Findings for stale ``python -m repro`` examples in one file."""
+    """Findings for stale ``python -m repro`` examples in one file.
+
+    A backslash-continued command is read as one line, reported at its
+    first.  Flags after ``python -m repro experiments`` are skipped:
+    that subcommand forwards them to the experiment harness's parser.
+    """
     findings: List[str] = []
     for fence_line, body in shell_fences(text):
-        for offset, line in enumerate(body.splitlines(), start=1):
+        for offset, line in _commands(body):
             for match in _CLI_RE.finditer(line):
                 module, argument = match.groups()
                 lineno = fence_line + offset
@@ -176,6 +219,14 @@ def check_cli_examples(
                                 f"target {rest[0]!r} (harness has: "
                                 f"{', '.join(sorted(targets))})"
                             )
+                    else:
+                        tail = _COMMAND_END_RE.split(line[match.end():])[0]
+                        findings.extend(
+                            f"{path}:{lineno}: unregistered flag "
+                            f"{flag!r} on 'python -m repro {argument}'"
+                            for flag in _FLAG_RE.findall(tail)
+                            if flag not in flags
+                        )
                 elif module == "repro.workloads.experiments":
                     if argument not in targets:
                         findings.append(
@@ -190,13 +241,14 @@ def check_paths(paths: Sequence[pathlib.Path]) -> List[str]:
     """All findings across ``paths`` (shared anchor cache)."""
     subcommands = known_subcommands()
     targets = experiment_targets()
+    flags = known_flags()
     anchors_of: Dict[pathlib.Path, Set[str]] = {}
     findings: List[str] = []
     for path in paths:
         text = path.read_text(encoding="utf-8")
         findings.extend(check_links(path, text, anchors_of))
         findings.extend(
-            check_cli_examples(path, text, subcommands, targets)
+            check_cli_examples(path, text, subcommands, targets, flags)
         )
     return findings
 

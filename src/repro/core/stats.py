@@ -6,12 +6,21 @@ these "times of redundant validations"), and wall time (Figs. 4 and 6).
 :class:`QueryStats` captures those plus the secondary counters our
 implementation can observe (index node accesses, segment-intersection
 tests), and :class:`QueryRecord` bundles the stats with the result ids.
+
+A record keeps its ids the way both methods produce them: one read-only
+int64 array (8 B per id, where a list of Python ints costs about 36).
+The array travels unchanged from the query kernel through the result
+cache to the server's packed wire field; a Python list is built only
+where one is the output (:attr:`QueryRecord.ids`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+import operator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional
+
+import numpy as np
 
 
 @dataclass
@@ -31,7 +40,8 @@ class QueryStats:
     index_node_accesses: int = 0
     #: points returned
     result_size: int = 0
-    #: wall-clock time of the query in milliseconds
+    #: wall-clock time of the query in milliseconds; both area methods
+    #: stop the clock right after the final sort of their result ids
     time_ms: float = 0.0
 
     def copy(self) -> "QueryStats":
@@ -85,22 +95,52 @@ class QueryStats:
         )
 
 
-@dataclass
 class QueryRecord:
     """Result ids plus the statistics of the query that produced them.
 
-    ``ids`` are database row ids in ascending order, so two methods'
-    results compare with ``==``.
+    The ids live in :attr:`id_array`, one read-only int64 array: database
+    row ids in ascending order for region kinds (so two methods' results
+    compare equal), nearest-first for point kinds.  The constructor takes
+    any int sequence; an int64 ndarray is adopted without a copy and
+    flagged read-only, so its producer hands it over.
     """
 
-    ids: List[int] = field(default_factory=list)
-    stats: QueryStats = field(default_factory=QueryStats)
+    __slots__ = ("id_array", "stats")
+
+    def __init__(
+        self, ids: Iterable[int] = (), stats: Optional[QueryStats] = None
+    ) -> None:
+        array = np.asarray(ids, dtype=np.int64)
+        array.flags.writeable = False
+        #: the result ids, one read-only int64 array
+        self.id_array: np.ndarray = array
+        #: the counters of the execution that produced the ids
+        self.stats: QueryStats = stats if stats is not None else QueryStats()
+
+    @property
+    def ids(self) -> List[int]:
+        """The result ids as a fresh list of Python ints.
+
+        Built on every read, so mutating the list changes neither the
+        record nor anyone sharing its array; read :attr:`id_array`
+        where an array will do.
+        """
+        return self.id_array.tolist()
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.id_array.shape[0]
 
-    def __iter__(self):
-        return iter(self.ids)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.id_array.tolist())
 
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in set(self.ids)
+    def __contains__(self, item_id) -> bool:
+        # One vectorised compare: kNN records are nearest-first, not
+        # ascending, so no binary search; a non-int is never a row id.
+        try:
+            item_id = operator.index(item_id)
+        except TypeError:
+            return False
+        return bool((self.id_array == item_id).any())
+
+    def __repr__(self) -> str:
+        return f"QueryRecord(ids={self.ids!r}, stats={self.stats!r})"

@@ -86,12 +86,12 @@ def traditional_area_query(
         xs = store.xs
         ys = store.ys
         mask = contains_many(xs[candidate_ids], ys[candidate_ids])
-        results = np.sort(candidate_ids[mask]).tolist()
-        stats.redundant_validations = count - len(results)
+        results = np.sort(candidate_ids[mask])
     else:
-        results = []
+        results = candidate_ids
     stats.time_ms = (time.perf_counter() - started) * 1000.0
 
+    stats.redundant_validations = count - results.shape[0]
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
-    stats.result_size = len(results)
-    return QueryRecord(ids=results, stats=stats)
+    stats.result_size = results.shape[0]
+    return QueryRecord(results, stats)

@@ -343,17 +343,13 @@ def voronoi_area_query(
         wave = admitted[slot[admitted] == order]
         candidates += wave.shape[0]
 
+    result_arrays.append(np.array(results, dtype=np.int64))
+    ids = np.sort(np.concatenate(result_arrays))
+    stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.candidates = candidates
     stats.validations = validations
     stats.redundant_validations = redundant
     stats.segment_tests = segment_tests
-    stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
-    if result_arrays:
-        result_arrays.append(np.asarray(results, dtype=np.int64))
-        ids = np.sort(np.concatenate(result_arrays)).tolist()
-    else:
-        results.sort()
-        ids = results
-    stats.result_size = len(ids)
-    return QueryRecord(ids=ids, stats=stats)
+    stats.result_size = ids.shape[0]
+    return QueryRecord(ids, stats)

@@ -33,7 +33,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial, reduce
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.core.stats import QueryRecord, QueryStats
@@ -215,14 +218,14 @@ class BatchQueryEngine:
     ) -> BatchResult:
         """Answer every spec in ``specs``; records in submission order.
 
-        Accepts a heterogeneous mix of query kinds.  Id lists are
-        identical to executing each spec alone via
+        Accepts a heterogeneous mix of query kinds.  Ids are identical
+        to executing each spec alone via
         :func:`repro.query.executor.execute_spec`.
 
-        The returned records are **engine-owned and read-only**:
-        duplicate submissions share one record object and cached entries
-        are stored by reference, so consumers must copy before mutating
-        (the lazy result surfaces do — ``.ids()`` returns a fresh list).
+        The returned records are **engine-owned**: duplicate submissions
+        share one record object and the cache shares its id array.  The
+        array is read-only and ``.ids`` returns a fresh list; the stats
+        block must be copied before it is edited.
         """
         specs = list(specs)
         db = self._db
@@ -391,10 +394,11 @@ class BatchQueryEngine:
         A leaf tree node is a job index — its record is returned as-is
         (records are treated as immutable once finalized, so sharing one
         between a plain spec and a composite that also claimed it is
-        safe).  A composite node merges its children's sorted id lists
-        with the spec's set semantics — eager C-level set operations
-        here, semantically identical to the lazy generators the
-        streaming path uses (pinned by tests) — sums the children's work
+        safe).  A composite node merges its children's id arrays (unique
+        and ascending, as every region kind's are) with the spec's set
+        semantics — numpy's sorted-set operations here, semantically
+        identical to the lazy generators the streaming path uses (pinned
+        by tests) — sums the children's work
         counters (a leaf claimed by several composites is reported by
         each, the same per-query accounting duplicate/cache hits get),
         and applies the composite's own ``predicate``/``limit``.
@@ -408,22 +412,20 @@ class BatchQueryEngine:
             self._assemble(child, job_records) for child in children
         ]
         started = time.perf_counter()
-        id_lists = [record.ids for record in child_records]
+        first, *rest = [record.id_array for record in child_records]
         if isinstance(spec, UnionQuery):
-            ids = sorted(set().union(*id_lists))
+            ids = reduce(np.union1d, rest, first)
         elif isinstance(spec, IntersectionQuery):
-            ids = sorted(set(id_lists[0]).intersection(*id_lists[1:]))
+            ids = reduce(partial(np.intersect1d, assume_unique=True), rest, first)
         else:  # DifferenceQuery: trees hold only the three kinds
-            ids = sorted(set(id_lists[0]).difference(*id_lists[1:]))
+            ids = reduce(partial(np.setdiff1d, assume_unique=True), rest, first)
         merged = QueryStats()
         for record in child_records:
             merged = merged.merge(record.stats)
         merged.method = "composite"
-        merged.result_size = len(ids)
+        merged.result_size = ids.shape[0]
         merged.time_ms += (time.perf_counter() - started) * 1000.0
-        return finalize_record(
-            self._db, spec, QueryRecord(ids=ids, stats=merged)
-        )
+        return finalize_record(self._db, spec, QueryRecord(ids, merged))
 
     def explain(self, spec_or_region, *, execute: bool = False):
         """Forward to the planner's explain (spec or bare region)."""

@@ -38,7 +38,7 @@ from repro.core.stats import QueryRecord
 
 #: Default number of distinct specs remembered by the engine's cache.
 #: Note the bound is an *entry count*, not bytes: each entry retains its
-#: full result id list, so workloads whose queries return very large
+#: full result id array (8 B per id), so workloads whose queries return very large
 #: results (e.g. 30 %-of-space queries over paper-scale databases) should
 #: size ``BatchQueryEngine(cache_capacity=...)`` down accordingly.
 DEFAULT_CAPACITY = 256
@@ -94,8 +94,10 @@ class ResultCache:
     def get(self, key: Hashable, version: int) -> Optional[QueryRecord]:
         """The cached result for ``key`` at database ``version``, or None.
 
-        A hit returns an independent copy (callers may mutate result ids
-        freely) and refreshes the entry's recency.
+        A hit returns a new record that shares the stored read-only id
+        array (nothing is copied; :attr:`QueryRecord.ids
+        <repro.core.stats.QueryRecord.ids>` hands callers a fresh list)
+        with its own copy of the stats, and refreshes the entry's recency.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -109,17 +111,15 @@ class ResultCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         result = entry.result
-        return QueryRecord(ids=list(result.ids), stats=result.stats.copy())
+        return QueryRecord(result.id_array, result.stats.copy())
 
     def put(self, key: Hashable, version: int, result: QueryRecord) -> None:
         """Store ``result`` for ``key`` at ``version`` (evicting LRU).
 
-        The entry keeps its own snapshot (ids list + stats copied), so a
-        caller of ``run_specs`` mutating the record it was handed cannot
-        poison later cache hits.  The copy is cheap since
-        :meth:`QueryStats.copy <repro.core.stats.QueryStats.copy>`
-        replaced the generic ``dataclasses.replace`` here — the list
-        copy is C-speed and the stats block is eight scalars.
+        The entry shares ``result``'s read-only id array and keeps its
+        own copy of the stats (eight scalars), so a caller of
+        ``run_specs`` that edits the counters it was handed cannot poison
+        later cache hits, and no caller can edit the ids.
         """
         if self.capacity <= 0:
             return
@@ -127,9 +127,7 @@ class ResultCache:
             self._entries.move_to_end(key)
         self._entries[key] = _Entry(
             version=version,
-            result=QueryRecord(
-                ids=list(result.ids), stats=result.stats.copy()
-            ),
+            result=QueryRecord(result.id_array, result.stats.copy()),
         )
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -195,7 +195,7 @@ class SubscriptionRegistry:
         projections, unbounded kNN).
         """
         kind = _subscribable_kind(spec)
-        ids = list(self._db.query(spec).ids())
+        ids = self._db.query(spec).ids()
         self._next_sid += 1
         if kind == "region":
             subscription = Subscription(

@@ -139,21 +139,31 @@ def finalize_record(
     result before user-level options); point kinds weave both options
     into their own expansion and must not pass through here, so that a
     spec's predicate is invoked exactly once per examined candidate.
-    Mutates and returns ``record``; the per-method counters are left as
-    the underlying algorithm reported them (the predicate is a
-    user-level filter, not part of the geometric work being measured).
+    The predicate is called once per id, in order.  Returns ``record``
+    itself when the spec sets no predicate and no limit below the row
+    count, else a new record over the kept ids that shares ``record``'s
+    stats block (its ``result_size`` updated); the per-method counters
+    are left as the underlying algorithm reported them (the predicate is
+    a user-level filter, not part of the geometric work being measured).
     """
-    ids = record.ids
+    ids = record.id_array
     if spec.predicate is not None:
         predicate = spec.predicate
         point = database.point
-        ids = [i for i in ids if predicate(point(i))]
-    if spec.limit is not None and len(ids) > spec.limit:
-        ids = ids[: spec.limit]
-    if ids is not record.ids:
-        record.ids = ids
-        record.stats.result_size = len(ids)
-    return record
+        ids = ids[
+            np.fromiter(
+                (bool(predicate(point(i))) for i in ids.tolist()),
+                dtype=bool,
+                count=ids.shape[0],
+            )
+        ]
+    if spec.limit is not None and ids.shape[0] > spec.limit:
+        # A copy, so the kept prefix does not pin the whole result.
+        ids = ids[: spec.limit].copy()
+    if ids is record.id_array:
+        return record
+    record.stats.result_size = ids.shape[0]
+    return QueryRecord(ids, record.stats)
 
 
 # -- per-kind execution -------------------------------------------------------
@@ -209,19 +219,12 @@ def _execute_window(
     started = time.perf_counter()
     id_array = index.window_ids_array(spec.rect)
     candidates = int(id_array.shape[0])
-    id_array = np.sort(id_array)
-    if spec.limit is not None and spec.predicate is None:
-        # The limit would truncate the very same ascending prefix in
-        # finalize_record; applying it on the array side skips
-        # materialising thousands of Python ints for a first-page
-        # response (finalize's own truncation becomes a no-op).
-        id_array = id_array[: spec.limit]
-    ids = id_array.tolist()
+    ids = np.sort(id_array)
     stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.candidates = candidates
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
-    stats.result_size = len(ids)
-    return QueryRecord(ids=ids, stats=stats)
+    stats.result_size = ids.shape[0]
+    return QueryRecord(ids, stats)
 
 
 def _effective_k(spec: KnnQuery) -> Optional[int]:
@@ -375,8 +378,10 @@ def merge_sorted_ids(
     """The lazy set-semantics merge of ``spec`` over sorted id streams.
 
     Dispatches on the composite kind to the generators of
-    :mod:`repro.query.merge`; the eager batch path and the streaming
-    path both run through here, so their semantics cannot drift.
+    :mod:`repro.query.merge`.  The streaming path runs through here; the
+    eager batch path merges whole id arrays with numpy's sorted-set
+    operations instead (``BatchQueryEngine._assemble``), and tests pin
+    both to the same ids.
     """
     if isinstance(spec, UnionQuery):
         return union_sorted(part_ids)
@@ -423,7 +428,7 @@ def stream_spec(
         return _stream_knn(database, spec)
     if isinstance(spec, CompositeQuery):
         return _stream_composite(database, spec)
-    return iter(execute_spec(database, spec).ids)
+    return iter(execute_spec(database, spec))
 
 
 def _stream_knn(
@@ -498,7 +503,7 @@ def _stream_composite(
                 if node is spec:
                     return merged  # options applied once, below
                 return _apply_stream_options(database, node, merged)
-            return iter(next(records).ids)
+            return iter(next(records))
 
         return _apply_stream_options(database, spec, build(spec))
 

@@ -100,12 +100,12 @@ class QueryResult:
         Ascending for region kinds (area/window), nearest-first for point
         kinds (knn/nearest) — the same orders the legacy methods used.
         """
-        return list(self.record.ids)
+        return self.record.ids
 
     def points(self) -> List[Point]:
         """The stored points of the result rows, in result order."""
         point = self._db.point
-        return [point(i) for i in self.record.ids]
+        return [point(i) for i in self.record]
 
     def distances(self) -> List[float]:
         """Distance from the query position to each result row, in order.
@@ -120,7 +120,7 @@ class QueryResult:
                 "distances are undefined"
             )
         point = self._db.point
-        return [anchor.distance_to(point(i)) for i in self.record.ids]
+        return [anchor.distance_to(point(i)) for i in self.record]
 
     @property
     def stats(self):
@@ -147,7 +147,7 @@ class QueryResult:
         Each call produces a fresh stream.
         """
         if self._record is not None:
-            ids: Iterator[int] = iter(self._record.ids)
+            ids: Iterator[int] = iter(self._record)
         else:
             from repro.query.executor import stream_spec
 
@@ -235,19 +235,19 @@ class QueryResult:
             return iter(self.points())
         if select == "distances":
             return iter(self.distances())
-        return iter(self.record.ids)
+        return iter(self.record)
 
     def __len__(self) -> int:
         """Number of result rows (executes)."""
-        return len(self.record.ids)
+        return len(self.record)
 
     def __contains__(self, row_id: int) -> bool:
         """Row-id membership (executes)."""
-        return row_id in set(self.record.ids)
+        return row_id in self.record
 
     def __repr__(self) -> str:
         state = (
-            f"{len(self._record.ids)} rows, method={self._record.stats.method!r}"
+            f"{len(self._record)} rows, method={self._record.stats.method!r}"
             if self._record is not None
             else "pending"
         )

@@ -49,6 +49,8 @@ import threading
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
+import numpy as np
+
 from repro.core.exceptions import ReproError
 from repro.live.registry import Subscription
 from repro.server.backend import (
@@ -551,7 +553,7 @@ class QueryServer:
                 "stats": _stats_to_wire(record.stats),
                 **partial,
             }
-            _put_ids(response, "ids", record.ids, frame.get("packed"))
+            _put_ids(response, "ids", record.id_array, frame.get("packed"))
             if frame.get("explain"):
                 response["explain"] = self.backend.explain(spec)
             await self._send(connection, response)
@@ -888,10 +890,15 @@ def _put_ids(frame: Dict, key: str, ids, packed) -> None:
     ``packed`` is the columnar wire edge: one base64 int64 array under
     ``<key>_packed`` instead of one JSON number per row (see
     :func:`~repro.server.protocol.pack_ids`) — the id payload's encode
-    cost scales far below per-row JSON.
+    cost scales far below per-row JSON, and a record's read-only
+    ``id_array`` packs with one ``tobytes`` and no copy.  The plain
+    transport turns an array into Python ints, so JSON never sees an
+    ``np.int64``.
     """
     if packed:
         frame[key + "_packed"] = pack_ids(ids)
+    elif isinstance(ids, np.ndarray):
+        frame[key] = ids.tolist()
     else:
         frame[key] = list(ids)
 

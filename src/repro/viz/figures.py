@@ -92,7 +92,7 @@ def _candidate_panel(
         result = voronoi_area_query(
             db.index, db.backend, db.store, area, contains=tracking_contains
         )
-    result_points = {db.point(row) for row in result.ids}
+    result_points = {db.point(row) for row in result}
     candidate_points = set(validated) - result_points
 
     for p in db.points:

@@ -42,6 +42,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.database import SpatialDatabase
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -159,11 +161,11 @@ def _measure_cell(
     for area in areas:
         voronoi = db.query(AreaQuery(area, method="voronoi")).record
         traditional = db.query(AreaQuery(area, method="traditional")).record
-        if voronoi.ids != traditional.ids:
+        if not np.array_equal(voronoi.id_array, traditional.id_array):
             raise AssertionError(
                 "methods disagree: the harness found a correctness bug "
-                f"(|voronoi|={len(voronoi.ids)}, "
-                f"|traditional|={len(traditional.ids)})"
+                f"(|voronoi|={len(voronoi)}, "
+                f"|traditional|={len(traditional)})"
             )
         totals["result"] += voronoi.stats.result_size
         totals["t_cand"] += traditional.stats.candidates

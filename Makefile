@@ -34,9 +34,11 @@ lint:
 	python tools/lint.py src tests benchmarks examples tools
 
 ## fast benchmark smoke: the wave-threshold sweep, the backend ablation
-## (1E5-row bulk-build rates, index/graph bytes per row, insert costs)
-## and the four shape tests of the paper's artefacts that read counters,
-## not clocks (Tables 1-2, Figs 5 and 7), timing collection disabled;
+## (1E5-row bulk-build rates, index/graph bytes per row, insert costs),
+## the four shape tests of the paper's artefacts that read counters,
+## not clocks (Tables 1-2, Figs 5 and 7), and the Voronoi kNN walk's
+## ids against the R-tree's plus its O(k) candidate bound at
+## k = 1, 10, 100, timing collection disabled;
 ## each bench's record is printed under the pytest summary.  Served
 ## and clustered throughput is measured by perfbench/ (python3
 ## perfbench/run.py, gated by perfbench/compare.py).
@@ -47,6 +49,7 @@ bench-smoke:
 		benchmarks/bench_table2.py::test_table2_shape \
 		benchmarks/bench_fig5.py::test_fig5_shape \
 		benchmarks/bench_fig7.py::test_fig7_shape \
+		benchmarks/bench_ablation_knn.py::test_knn_equivalence_and_locality \
 		-q --benchmark-disable
 
 ## wave-threshold sweep alone: Algorithm 1 timed at every _WAVE_MIN

@@ -47,7 +47,7 @@ Packages
     (:class:`AreaQuery`, :class:`WindowQuery`, :class:`KnnQuery`,
     :class:`NearestQuery`), the composite algebra over them
     (:class:`UnionQuery`, :class:`IntersectionQuery`,
-    :class:`DifferenceQuery`) with lazy set-semantics merging, streaming
+    :class:`DifferenceQuery`) with set-semantics merging, streaming
     consumption (``KnnQuery(k=None)``, ``result.first(n)``), the lazy
     result handle, and exact JSON (de)serialisation of specs.
 ``repro.engine``

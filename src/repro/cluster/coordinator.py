@@ -22,8 +22,10 @@ owning the point's Hilbert key.  A bounded kNN expands beyond the owner
 only when the kth-distance ball crosses a shard boundary
 (:meth:`ShardMap.workers_for_circle`).  Window/area (and composite
 leaves) fan out to every shard whose Hilbert range intersects the
-region's key interval; shard-local sorted id lists are translated to
-global ids and merged with :func:`repro.query.merge.union_sorted`.
+region's key interval; shard-local id lists are translated to global
+ids and merged into one ascending list; composites merge their parts'
+lists with :func:`repro.query.merge.merge_ids`, as the batch engine
+does.
 Streaming kNN interleaves the shards' ``incremental_nearest`` wire
 streams by distance.  Predicates and limits are *never* pushed down:
 shards answer the raw geometric spec and the coordinator applies the
@@ -59,7 +61,6 @@ import math
 import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -73,8 +74,7 @@ from repro.cluster.stats import merge_stats_frames
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.engine.order import DEFAULT_ORDER
 from repro.geometry.point import Point
-from repro.query.merge import union_sorted
-from repro.query.executor import merge_sorted_ids
+from repro.query.merge import merge_ids
 from repro.query.spec import (
     AreaQuery,
     CompositeQuery,
@@ -799,11 +799,11 @@ class ClusterCoordinator:
         """Lazily yield ``spec``'s global ids in result order.
 
         The scatter-gather sibling of
-        :func:`repro.query.executor.stream_spec`: an unbounded kNN
-        interleaves the shards' incremental wire streams by distance,
-        pulling only as many candidates as the consumer demands;
-        composites fan their leaves out eagerly and keep the set-merge
-        lazy.  Returns a :class:`ClusterStream`; ``close()`` tears down
+        :func:`repro.query.executor.stream_spec`: a kNN interleaves the
+        shards' incremental wire streams by distance, pulling only as
+        many candidates as the consumer demands; every other kind,
+        composites included, is answered once under the read lock and
+        iterated.  Returns a :class:`ClusterStream`; ``close()`` tears down
         every underlying shard stream, and :attr:`ClusterStream.shards_failed`
         accumulates workers lost with no usable replica (checked when
         the wire front end stamps the final ``done`` chunk).
@@ -816,10 +816,6 @@ class ClusterCoordinator:
         failed: List[int] = []
         if isinstance(spec, KnnQuery):
             return ClusterStream(self._stream_knn(spec, failed), failed)
-        if isinstance(spec, CompositeQuery):
-            return ClusterStream(
-                self._stream_composite(spec, failed), failed
-            )
         with self._lock.read():
             ids = self._execute(spec, failed)
         return ClusterStream(iter(ids), failed)
@@ -831,8 +827,13 @@ class ClusterCoordinator:
         primary nor replica; the caller decides how loudly to degrade.
         """
         if isinstance(spec, CompositeQuery):
-            stream = self._composite_stream(spec, failed)
-            return list(stream)
+            # Parts are region kinds or composites: each arrives with its
+            # own options applied, ascending.
+            parts = [
+                np.asarray(self._execute(part, failed), dtype=np.int64)
+                for part in spec.parts
+            ]
+            return self._finalize(spec, merge_ids(spec, parts).tolist())
         if isinstance(spec, KnnQuery):
             return self._execute_knn(spec, failed)
         if isinstance(spec, NearestQuery):
@@ -916,8 +917,6 @@ class ClusterCoordinator:
         worker: int,
         shard_spec: Query,
         failed: List[int],
-        *,
-        ordered: bool,
     ) -> List[int]:
         """One shard's eager answer as global ids, robust to failure.
 
@@ -935,12 +934,11 @@ class ClusterCoordinator:
             return []
         local_ids, mapping, _ = outcome
         translated = (mapping.get(local) for local in local_ids)
-        ids = [
+        return [
             g
             for g in translated
             if g is not None and self._worker[g] == worker
         ]
-        return ids if ordered else sorted(ids)
 
     def _finalize(self, spec: Query, ids: List[int]) -> List[int]:
         """Apply merge-layer ``predicate`` then ``limit`` (oracle order)."""
@@ -958,7 +956,7 @@ class ClusterCoordinator:
     # -- region kinds ------------------------------------------------------
 
     def _region_ids(self, spec: Query, failed: List[int]) -> List[int]:
-        """Fan a region spec out and union the sorted shard results.
+        """Fan a region spec out and merge the shard results, ascending.
 
         Returns the merged ascending global ids with *no* user-level
         options applied; mirrors the single-process validation errors
@@ -990,13 +988,12 @@ class ClusterCoordinator:
         if not workers:
             return []
         shard_spec = replace(spec, predicate=None, limit=None)
-        per_shard = [
-            self._shard_ids(worker, shard_spec, failed, ordered=False)
+        ids = [
+            g
             for worker in workers
+            for g in self._shard_ids(worker, shard_spec, failed)
         ]
-        if len(per_shard) == 1:
-            return per_shard[0]
-        return list(union_sorted(per_shard))
+        return np.unique(np.asarray(ids, dtype=np.int64)).tolist()
 
     # -- point kinds -------------------------------------------------------
 
@@ -1075,7 +1072,7 @@ class ClusterCoordinator:
             predicate=None,
             limit=None,
         )
-        return self._shard_ids(worker, shard_spec, failed, ordered=True)
+        return self._shard_ids(worker, shard_spec, failed)
 
     # -- streaming ---------------------------------------------------------
 
@@ -1202,48 +1199,6 @@ class ClusterCoordinator:
                         self._close_quietly(source[0])
 
         return produce()
-
-    def _composite_stream(
-        self, spec: CompositeQuery, failed: List[int]
-    ) -> Iterator[int]:
-        """Merged composite stream (the caller holds the read lock)."""
-
-        def build(node: Query) -> Iterator[int]:
-            if isinstance(node, CompositeQuery):
-                merged = merge_sorted_ids(
-                    node, [build(part) for part in node.parts]
-                )
-                return self._stream_options(node, merged)
-            # Composite leaves are region kinds by spec validation;
-            # leaf options apply inside the leaf, before the merge.
-            return iter(
-                self._finalize(node, self._region_ids(node, failed))
-            )
-
-        return build(spec)
-
-    def _stream_composite(
-        self, spec: CompositeQuery, failed: List[int]
-    ) -> Iterator[int]:
-        """Deferred composite stream: leaves fan out on first demand."""
-
-        def produce() -> Iterator[int]:
-            with self._lock.read():
-                stream = self._composite_stream(spec, failed)
-            yield from stream
-
-        return produce()
-
-    def _stream_options(
-        self, spec: Query, ids: Iterator[int]
-    ) -> Iterator[int]:
-        """Lazy ``predicate``/``limit`` over a merged stream (in order)."""
-        if spec.predicate is not None:
-            predicate = spec.predicate
-            ids = (g for g in ids if predicate(self.point(g)))
-        if spec.limit is not None:
-            ids = islice(ids, spec.limit)
-        return ids
 
     # -- stats -------------------------------------------------------------
 

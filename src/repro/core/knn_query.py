@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,6 +83,7 @@ def voronoi_knn_query(
     k: int,
     *,
     deleted: Optional[Dict[int, int]] = None,
+    predicate: Optional[Callable[[Point], bool]] = None,
 ) -> QueryRecord:
     """The ``k`` nearest rows to ``query``, nearest first.
 
@@ -89,55 +91,32 @@ def voronoi_knn_query(
     the spatial index supplies only the seed 1-NN; all further expansion is
     over the Voronoi neighbour graph.  Coordinates are read from
     ``store``'s columns, over whose rows ``backend`` was built.
-    ``deleted`` (the store's tombstone map) makes popped tombstones
-    expand without counting toward ``k`` — the heap walk runs over the
-    superset graph, where Okabe's theorem holds, and the seed is
-    corrected from the live index's answer to the graph nearest
-    neighbour first (see :func:`repro.core.voronoi_query.graph_nearest`).
+    ``deleted`` (the store's tombstone map) makes tombstones expand
+    without counting toward ``k`` (see :func:`incremental_nearest`).
+    ``predicate``, when given, is called once per row the walk produces,
+    in distance order, until ``k`` rows pass it.
 
-    Returns a :class:`QueryRecord` whose ``ids`` are ordered by distance
-    (ties broken by row id) — note this differs from the area query, whose
-    ids are sorted ascending.  ``stats.candidates`` counts every point
-    whose distance was evaluated.
+    The eager form of :func:`incremental_nearest`: its first ``k``
+    (passing) rows.  Returns a :class:`QueryRecord` whose ``ids`` are
+    ordered by distance (ties broken by row id) — note this differs from
+    the area query, whose ids are sorted ascending.
+    ``stats.candidates`` counts every point whose distance was
+    evaluated.
     """
     stats = QueryStats(method="voronoi")
     started = time.perf_counter()
-    if k <= 0 or not len(store):
-        stats.time_ms = (time.perf_counter() - started) * 1000.0
-        return QueryRecord(ids=[], stats=stats)
-
     nodes_before = index.stats.node_accesses
-    seed_entry = index.nearest_neighbor(query)
-    assert seed_entry is not None  # the store is non-empty
-    _, seed_id = seed_entry
-
-    neighbor_table = backend.neighbor_table()
-    if deleted:
-        seed_id = graph_nearest(
-            neighbor_table, store, seed_id, query.x, query.y
-        )
-    tombstoned = deleted if deleted else ()
-    visited = bytearray(len(store))
-    visited[seed_id] = 1
-    frontier: List[Tuple[float, int]] = [
-        (Point(*store.coords(seed_id)).squared_distance_to(query), seed_id)
-    ]
-    stats.candidates = 1
-    results: List[int] = []
-    expand = _batched_expand(store, query)
-
-    while frontier and len(results) < k:
-        _, current = heapq.heappop(frontier)
-        if current not in tombstoned:
-            results.append(current)
-        stats.candidates += expand(
-            current, visited, frontier, neighbor_table
-        )
-
-    stats.result_size = len(results)
+    rows = incremental_nearest(
+        index, backend, store, query, deleted=deleted, stats=stats
+    )
+    if predicate is not None:
+        point = store.point
+        rows = (row for row in rows if predicate(point(row)))
+    ids = list(islice(rows, max(k, 0)))
+    stats.result_size = len(ids)
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.time_ms = (time.perf_counter() - started) * 1000.0
-    return QueryRecord(ids=results, stats=stats)
+    return QueryRecord(ids=ids, stats=stats)
 
 
 def incremental_nearest(
@@ -148,16 +127,24 @@ def incremental_nearest(
     *,
     deleted: Optional[Dict[int, int]] = None,
     snapshot: Optional["StoreSnapshot"] = None,
+    stats: Optional[QueryStats] = None,
 ):
     """Generator yielding rows in increasing distance order, lazily.
 
-    The streaming form of :func:`voronoi_knn_query` — callers can stop at
-    any rank without choosing ``k`` up front (distance browsing); same
-    arguments, same batched distances, same order.
+    The one Voronoi kNN walk: callers can stop at any rank without
+    choosing ``k`` up front (distance browsing), and
+    :func:`voronoi_knn_query` is its first ``k`` rows.  A row's
+    neighbours join the frontier before the row is yielded, so a
+    consumer that stops after ``n`` rows has paid for exactly the
+    expansions of those rows (and of the tombstones popped among them).
+    ``stats``, when given, has every distance evaluation added to its
+    ``candidates``.
 
     ``deleted`` (the store's tombstone map) filters tombstoned rows from
-    the yields while still expanding through them, after correcting the
-    live-index seed to the graph nearest neighbour — for synchronous
+    the yields while still expanding through them — the walk runs over
+    the superset graph, where Okabe's theorem holds — after correcting
+    the live-index seed to the graph nearest neighbour (see
+    :func:`repro.core.voronoi_query.graph_nearest`); for synchronous
     consumers that drain the generator before the next mutation.
 
     ``snapshot`` (a :class:`~repro.core.store.StoreSnapshot`) gives the
@@ -199,18 +186,21 @@ def incremental_nearest(
             neighbor_table, store, min(seed_id, bound - 1), query.x, query.y
         )
     tombstoned = deleted if deleted else ()
+    if stats is None:
+        stats = QueryStats()
 
     visited = bytearray(bound)
     visited[seed_id] = 1
     frontier: List[Tuple[float, int]] = [
         (Point(*store.coords(seed_id)).squared_distance_to(query), seed_id)
     ]
+    stats.candidates += 1
     expand = _batched_expand(store, query)
     while frontier:
         _, current = heapq.heappop(frontier)
+        stats.candidates += expand(current, visited, frontier, neighbor_table)
         if visible is not None:
             if visible(current):
                 yield current
         elif current not in tombstoned:
             yield current
-        expand(current, visited, frontier, neighbor_table)

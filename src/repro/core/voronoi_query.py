@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.kernels import region_kernels, squared_distances
+from repro.geometry.kernels import region_kernels
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import QueryRegion
@@ -114,27 +114,6 @@ def graph_nearest(
     return current
 
 
-def _csr_graph_nearest(indptr, indices, xs, ys, start: int, x: float, y: float) -> int:
-    """:func:`graph_nearest` over the CSR graph and the coordinate columns.
-
-    The same greedy descent, one array expression per step instead of a
-    Python loop over the neighbour row — what the area expansion uses so
-    that a database with tombstones builds no neighbour table.
-    """
-    current = start
-    best = float(squared_distances(xs[current], ys[current], x, y))
-    while True:
-        row = indices[indptr[current] : indptr[current + 1]]
-        if not row.shape[0]:
-            return current
-        distances = squared_distances(xs[row], ys[row], x, y)
-        closest = int(distances.argmin())
-        if not distances[closest] < best:
-            return current
-        best = float(distances[closest])
-        current = int(row[closest])
-
-
 #: Frontier size below which a wave is walked one candidate at a time:
 #: under it the fixed cost of a wave's ~100 numpy calls exceeds the
 #: per-candidate cost of the loop.  Set from the sweep in
@@ -161,9 +140,10 @@ def voronoi_area_query(
         (the paper deliberately uses the same R-tree as the baseline).
     backend:
         Voronoi-neighbour provider; it must have been built over the rows
-        of ``store``.  Only its CSR graph
-        (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`)
-        is read.
+        of ``store``.  The expansion reads its CSR graph
+        (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_csr`);
+        the tombstone seed correction reads the same graph as a table
+        (:meth:`~repro.delaunay.backends.DelaunayBackend.neighbor_table`).
     store:
         The database's columnar :class:`~repro.core.store.PointStore`;
         the index's item ids must be its row ids, as they are inside
@@ -186,7 +166,7 @@ def voronoi_area_query(
         the superset point set) but they are filtered from the result,
         and the seed — which the live-only spatial index produced — is
         first corrected to the graph nearest neighbour
-        (:func:`graph_nearest`'s descent, over the CSR graph).
+        (:func:`graph_nearest`).
 
     Returns
     -------
@@ -249,8 +229,8 @@ def voronoi_area_query(
         # The seed came from the live-only spatial index; with tombstones
         # in the graph it may not own the Voronoi cell containing pA —
         # correct it before expanding.
-        seed_id = _csr_graph_nearest(
-            indptr, indices, xs, ys, seed_id, position.x, position.y
+        seed_id = graph_nearest(
+            backend.neighbor_table(), store, seed_id, position.x, position.y
         )
 
     contains_many, crosses_many = region_kernels(area, contains)

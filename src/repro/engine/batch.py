@@ -33,10 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.core.stats import QueryRecord, QueryStats
@@ -47,13 +44,8 @@ from repro.query.executor import (
     finalize_record,
     resolve_method,
 )
-from repro.query.spec import (
-    AreaQuery,
-    CompositeQuery,
-    IntersectionQuery,
-    Query,
-    UnionQuery,
-)
+from repro.query.merge import merge_ids
+from repro.query.spec import AreaQuery, CompositeQuery, Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
@@ -396,12 +388,11 @@ class BatchQueryEngine:
         between a plain spec and a composite that also claimed it is
         safe).  A composite node merges its children's id arrays (unique
         and ascending, as every region kind's are) with the spec's set
-        semantics — numpy's sorted-set operations here, semantically
-        identical to the lazy generators the streaming path uses (pinned
-        by tests) — sums the children's work
-        counters (a leaf claimed by several composites is reported by
-        each, the same per-query accounting duplicate/cache hits get),
-        and applies the composite's own ``predicate``/``limit``.
+        semantics (:func:`repro.query.merge.merge_ids`), sums the
+        children's work counters (a leaf claimed by several composites
+        is reported by each, the same per-query accounting
+        duplicate/cache hits get), and applies the composite's own
+        ``predicate``/``limit``.
         """
         if isinstance(tree, int):
             record = job_records[tree]
@@ -412,13 +403,7 @@ class BatchQueryEngine:
             self._assemble(child, job_records) for child in children
         ]
         started = time.perf_counter()
-        first, *rest = [record.id_array for record in child_records]
-        if isinstance(spec, UnionQuery):
-            ids = reduce(np.union1d, rest, first)
-        elif isinstance(spec, IntersectionQuery):
-            ids = reduce(partial(np.intersect1d, assume_unique=True), rest, first)
-        else:  # DifferenceQuery: trees hold only the three kinds
-            ids = reduce(partial(np.setdiff1d, assume_unique=True), rest, first)
+        ids = merge_ids(spec, [record.id_array for record in child_records])
         merged = QueryStats()
         for record in child_records:
             merged = merged.merge(record.stats)

@@ -12,8 +12,8 @@ the public API:
   (:class:`UnionQuery`, :class:`IntersectionQuery`,
   :class:`DifferenceQuery`) and the unbounded streaming
   ``KnnQuery(k=None)``;
-* :mod:`repro.query.merge` — lazy set-semantics merging of sorted id
-  streams (the composite execution substrate);
+* :mod:`repro.query.merge` — :func:`merge_ids`, the set-semantics merge
+  of composite parts' sorted id arrays;
 * :mod:`repro.query.result` — the lazy :class:`QueryResult` handle
   (deferred execution, streaming iteration, ``.ids()`` / ``.points()`` /
   ``.distances()`` materialisation, per-query ``stats``, planner
@@ -33,17 +33,8 @@ Entry points::
     batch = db.query_batch(specs)                      # heterogeneous
 """
 
-from repro.query.executor import (
-    execute_spec,
-    merge_sorted_ids,
-    resolve_method,
-    stream_spec,
-)
-from repro.query.merge import (
-    difference_sorted,
-    intersection_sorted,
-    union_sorted,
-)
+from repro.query.executor import execute_spec, resolve_method, stream_spec
+from repro.query.merge import merge_ids
 from repro.query.result import BatchQueryResults, QueryResult
 from repro.query.serialize import (
     dump_specs,
@@ -84,7 +75,7 @@ __all__ = [
     "PROJECTIONS",
     "execute_spec",
     "stream_spec",
-    "merge_sorted_ids",
+    "merge_ids",
     "resolve_method",
     "spec_fields",
     "spec_to_dict",
@@ -93,7 +84,4 @@ __all__ = [
     "region_from_dict",
     "dump_specs",
     "load_specs",
-    "union_sorted",
-    "intersection_sorted",
-    "difference_sorted",
 ]

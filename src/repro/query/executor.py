@@ -10,11 +10,11 @@ identical no matter which surface issued the query.
 Composite specs (:class:`~repro.query.spec.UnionQuery` /
 ``Intersection`` / ``Difference``) execute by **decomposition**: the
 batch engine answers all leaves of one composite as one batch (each
-distinct leaf runs once) and the sorted leaf id lists merge with lazy
-set semantics (:mod:`repro.query.merge`).  :func:`stream_spec` is the lazy sibling of
-:func:`execute_spec` for the specs that support it (composites,
-``KnnQuery(k=None)``): it yields result row ids on demand without ever
-materialising the full result.
+distinct leaf runs once) and the sorted leaf id arrays merge with set
+semantics (:func:`repro.query.merge.merge_ids`).  :func:`stream_spec`
+is the iterator form of :func:`execute_spec`: a :class:`KnnQuery`
+yields its distance ranking on demand; every other kind executes once
+and iterates the eager record.
 
 Common options are applied uniformly by :func:`finalize_record`:
 ``predicate`` filters the already-refined points (it never sees a point
@@ -26,7 +26,6 @@ kinds).
 from __future__ import annotations
 
 import time
-from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
@@ -37,20 +36,12 @@ from repro.core.stats import QueryRecord, QueryStats
 from repro.core.traditional_query import traditional_area_query
 from repro.core.voronoi_query import voronoi_area_query
 from repro.geometry.polygon import Polygon
-from repro.query.merge import (
-    difference_sorted,
-    intersection_sorted,
-    union_sorted,
-)
 from repro.query.spec import (
     AreaQuery,
     CompositeQuery,
-    DifferenceQuery,
-    IntersectionQuery,
     KnnQuery,
     NearestQuery,
     Query,
-    UnionQuery,
     WindowQuery,
 )
 
@@ -257,16 +248,15 @@ def _execute_knn(
     if k == 0 or not len(database):
         return QueryRecord(ids=[], stats=QueryStats(method=method))
     if method == "voronoi":
-        if spec.predicate is None:
-            return voronoi_knn_query(
-                database.index,
-                database.backend,
-                database.store,
-                spec.point,
-                k,
-                    deleted=_tombstones(database),
-            )
-        return _knn_voronoi_filtered(database, spec, k)
+        return voronoi_knn_query(
+            database.index,
+            database.backend,
+            database.store,
+            spec.point,
+            k,
+            deleted=_tombstones(database),
+            predicate=spec.predicate,
+        )
     return _knn_index(database, spec, k)
 
 
@@ -311,40 +301,6 @@ def _knn_index(
     return QueryRecord(ids=ids, stats=stats)
 
 
-def _knn_voronoi_filtered(
-    database: "SpatialDatabase", spec: KnnQuery, k: int
-) -> QueryRecord:
-    """Streaming Voronoi kNN with a predicate: expand until ``k`` pass.
-
-    Uses the lazy distance-ordered generator
-    (:func:`repro.core.knn_query.incremental_nearest`), so only as many
-    candidates are examined as the filter forces.
-    """
-    stats = QueryStats(method="voronoi")
-    index = database.index
-    nodes_before = index.stats.node_accesses
-    started = time.perf_counter()
-    ids: List[int] = []
-    predicate = spec.predicate
-    point_of = database.point
-    for row_id in incremental_nearest(
-        index,
-        database.backend,
-        database.store,
-        spec.point,
-        deleted=_tombstones(database),
-    ):
-        stats.candidates += 1
-        if predicate is None or predicate(point_of(row_id)):
-            ids.append(row_id)
-            if len(ids) >= k:
-                break
-    stats.time_ms = (time.perf_counter() - started) * 1000.0
-    stats.index_node_accesses = index.stats.node_accesses - nodes_before
-    stats.result_size = len(ids)
-    return QueryRecord(ids=ids, stats=stats)
-
-
 def _execute_nearest(
     database: "SpatialDatabase", spec: NearestQuery
 ) -> QueryRecord:
@@ -372,26 +328,6 @@ def _execute_nearest(
 # -- composite execution ------------------------------------------------------
 
 
-def merge_sorted_ids(
-    spec: CompositeQuery, part_ids: List[Iterator[int]]
-) -> Iterator[int]:
-    """The lazy set-semantics merge of ``spec`` over sorted id streams.
-
-    Dispatches on the composite kind to the generators of
-    :mod:`repro.query.merge`.  The streaming path runs through here; the
-    eager batch path merges whole id arrays with numpy's sorted-set
-    operations instead (``BatchQueryEngine._assemble``), and tests pin
-    both to the same ids.
-    """
-    if isinstance(spec, UnionQuery):
-        return union_sorted(part_ids)
-    if isinstance(spec, IntersectionQuery):
-        return intersection_sorted(part_ids)
-    if isinstance(spec, DifferenceQuery):
-        return difference_sorted(part_ids[0], part_ids[1:])
-    raise TypeError(f"not a composite spec: {spec!r}")
-
-
 def _execute_composite(
     database: "SpatialDatabase", spec: CompositeQuery
 ) -> QueryRecord:
@@ -412,22 +348,18 @@ def _execute_composite(
 def stream_spec(
     database: "SpatialDatabase", spec: Query
 ) -> Iterator[int]:
-    """Yield the result row ids of ``spec`` lazily, in result order.
+    """Yield the result row ids of ``spec`` in result order.
 
-    The streaming sibling of :func:`execute_spec`, used by
-    :meth:`repro.query.result.QueryResult.first` and streaming
-    iteration.  For an unbounded :class:`KnnQuery` the ranking is
-    produced incrementally (:func:`repro.core.knn_query.incremental_nearest`)
-    — stopping after ``n`` rows examines only ~``n`` candidates; for a
-    composite, leaves execute on first demand and the set-merge itself
-    never materialises.  Specs with nothing to gain from streaming
-    (bounded leaf kinds) fall back to one eager execution and iterate
-    its record; ids are identical to :func:`execute_spec` in every case.
+    The iterator form of :func:`execute_spec`, used by
+    :meth:`repro.query.result.QueryResult.stream` and ``chunks``.  A
+    :class:`KnnQuery` is produced incrementally
+    (:func:`repro.core.knn_query.incremental_nearest`) — stopping after
+    ``n`` rows examines only ~``n`` candidates.  Every other kind,
+    composites included, executes once and iterates its record; ids are
+    identical to :func:`execute_spec` in every case.
     """
     if isinstance(spec, KnnQuery):
         return _stream_knn(database, spec)
-    if isinstance(spec, CompositeQuery):
-        return _stream_composite(database, spec)
     return iter(execute_spec(database, spec))
 
 
@@ -472,58 +404,3 @@ def _stream_knn(
         produced += 1
         if k is not None and produced >= k:
             return
-
-
-def _stream_composite(
-    database: "SpatialDatabase", spec: CompositeQuery
-) -> Iterator[int]:
-    """Stream a composite's merged ids without materialising the merge.
-
-    The *leaves* still execute through the batch engine — one shared
-    heterogeneous batch on the first ``next()``, so streaming keeps the
-    leaf dedup that eager execution gets — but the set-merge over their sorted id
-    lists stays a lazy iterator: abandoning the stream (``first(n)``,
-    ``takewhile``) abandons the remaining merge work, and the merged
-    result is never materialised.  Nested composites merge recursively;
-    every level's ``predicate``/``limit`` apply to its merged stream in
-    the same order :func:`finalize_record` applies them eagerly.
-    """
-
-    def deferred() -> Iterator[int]:
-        leaves = list(spec.iter_leaves())
-        records = iter(
-            database.engine.run_specs(leaves, use_cache=False).results
-        )
-
-        def build(node: Query) -> Iterator[int]:
-            if isinstance(node, CompositeQuery):
-                merged = merge_sorted_ids(
-                    node, [build(part) for part in node.parts]
-                )
-                if node is spec:
-                    return merged  # options applied once, below
-                return _apply_stream_options(database, node, merged)
-            return iter(next(records))
-
-        return _apply_stream_options(database, spec, build(spec))
-
-    return _lazy_iter(deferred)
-
-
-def _apply_stream_options(
-    database: "SpatialDatabase", spec: Query, ids: Iterator[int]
-) -> Iterator[int]:
-    """Apply ``predicate``/``limit`` to a lazy id stream (in that order,
-    matching :func:`finalize_record`)."""
-    if spec.predicate is not None:
-        predicate = spec.predicate
-        point_of = database.point
-        ids = (i for i in ids if predicate(point_of(i)))
-    if spec.limit is not None:
-        ids = islice(ids, spec.limit)
-    return ids
-
-
-def _lazy_iter(factory) -> Iterator[int]:
-    """An iterator that calls ``factory`` only on the first ``next()``."""
-    yield from factory()

@@ -1,86 +1,43 @@
-"""Lazy set-semantics merging of sorted row-id streams.
+"""Set-semantics merging of composite parts' sorted row ids.
 
 The composite query specs (:class:`~repro.query.spec.UnionQuery`,
 :class:`~repro.query.spec.IntersectionQuery`,
 :class:`~repro.query.spec.DifferenceQuery`) combine the results of
-region-kind leaves, whose id lists are strictly increasing (sorted,
-duplicate-free row ids).  The generators here merge such streams with
-set semantics **without materialising the merged result**: each yields
-the next merged id on demand, pulling from the inputs only as far as
-needed.  That is what makes ``result.first(n)`` / ``takewhile``
-consumption of a composite cheap — the merge stops as soon as the
-consumer does.
-
-All inputs must be sorted strictly increasing; outputs are too, so the
-generators compose (nested composites chain them directly).
+region-kind parts, whose ids are unique and ascending.
+:func:`merge_ids` is the one place that knows what each kind means over
+such arrays; the batch engine and the cluster coordinator both call it.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Iterator, Sequence
+from functools import partial, reduce
+from typing import Sequence
+
+import numpy as np
+
+from repro.query.spec import (
+    CompositeQuery,
+    DifferenceQuery,
+    IntersectionQuery,
+    UnionQuery,
+)
 
 
-def union_sorted(iterables: Sequence[Iterable[int]]) -> Iterator[int]:
-    """Yield the sorted union of the sorted input streams, lazily.
+def merge_ids(
+    spec: CompositeQuery, part_arrays: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The merged ids of ``spec`` over its parts' id arrays, ascending.
 
-    A k-way heap merge with duplicate suppression: memory is O(k), and
-    only as many input elements are consumed as merged ids demanded.
+    Every input must be unique and ascending (int64); so is the output.
+    Union is :func:`numpy.union1d`, intersection
+    :func:`numpy.intersect1d` and difference (the first part minus every
+    later one) :func:`numpy.setdiff1d`, folded left over the parts.
     """
-    last = None
-    for value in heapq.merge(*iterables):
-        if value != last:
-            yield value
-            last = value
-
-
-def intersection_sorted(iterables: Sequence[Iterable[int]]) -> Iterator[int]:
-    """Yield the sorted intersection of the sorted input streams, lazily.
-
-    Classic k-pointer advance: every stream is advanced to the current
-    maximum head; an id is yielded only when all heads agree.  Stops as
-    soon as any stream is exhausted (the intersection cannot grow).
-    """
-    iterators = [iter(iterable) for iterable in iterables]
-    if not iterators:
-        return
-    heads = []
-    for iterator in iterators:
-        head = next(iterator, None)
-        if head is None:
-            return
-        heads.append(head)
-    while True:
-        target = max(heads)
-        if all(head == target for head in heads):
-            yield target
-            for position, iterator in enumerate(iterators):
-                head = next(iterator, None)
-                if head is None:
-                    return
-                heads[position] = head
-            continue
-        for position, iterator in enumerate(iterators):
-            while heads[position] < target:
-                head = next(iterator, None)
-                if head is None:
-                    return
-                heads[position] = head
-
-
-def difference_sorted(
-    base: Iterable[int], subtractors: Sequence[Iterable[int]]
-) -> Iterator[int]:
-    """Yield sorted ``base`` ids absent from every subtractor, lazily.
-
-    The subtractors are merged into one sorted stream
-    (:func:`union_sorted`) and advanced in lock-step with ``base`` —
-    two-pointer set difference, consuming each stream at most once.
-    """
-    subtract = union_sorted(subtractors)
-    current = next(subtract, None)
-    for value in base:
-        while current is not None and current < value:
-            current = next(subtract, None)
-        if current is None or current != value:
-            yield value
+    first, *rest = part_arrays
+    if isinstance(spec, UnionQuery):
+        return reduce(np.union1d, rest, first)
+    if isinstance(spec, IntersectionQuery):
+        return reduce(partial(np.intersect1d, assume_unique=True), rest, first)
+    if isinstance(spec, DifferenceQuery):
+        return reduce(partial(np.setdiff1d, assume_unique=True), rest, first)
+    raise TypeError(f"not a composite spec: {spec!r}")

@@ -12,15 +12,14 @@ Projections: iteration follows the spec's ``select`` option (row ids by
 default); :meth:`QueryResult.ids`, :meth:`QueryResult.points`, and
 :meth:`QueryResult.distances` materialise each projection explicitly.
 
-Streaming: for the specs that support it (composites, unbounded
-``KnnQuery(k=None)`` — see :meth:`repro.query.spec.Query.streams`),
-iteration and :meth:`QueryResult.first` consume a **lazy row stream**
+Streaming: for an unbounded ``KnnQuery(k=None)`` (see
+:meth:`repro.query.spec.Query.streams`), iteration and
+:meth:`QueryResult.first` consume a **lazy row stream**
 (:func:`repro.query.executor.stream_spec`) instead of executing an eager
-record: ``result.first(10)`` on an unbounded kNN examines only ~10
-candidates, and ``itertools.takewhile`` over a composite stops the
-set-merge as soon as the predicate does.  Streaming consumption does not
-memoise; ``.ids()`` / ``.stats`` / ``len()`` still perform (and memoise)
-one full eager execution.
+record: ``result.first(10)`` examines only ~10 candidates, and nothing
+is memoised; ``.ids()`` / ``.stats`` / ``len()`` still perform (and
+memoise) one full eager execution.  Every other spec, composites
+included, executes once on first consumption and iterates its record.
 
 Distinguish this class from :class:`repro.core.stats.QueryRecord`, the
 eager *record* (ids + stats) produced by one algorithm execution: the
@@ -140,11 +139,12 @@ class QueryResult:
     def stream(self) -> Iterator:
         """Lazily yield projected rows without memoising a record.
 
-        For streaming-capable specs (``spec.streams()``) this is a true
+        For a :class:`~repro.query.spec.KnnQuery` this is a true
         incremental stream — rows are produced on demand and abandoning
-        the iterator abandons the remaining work.  For other specs (or
-        once this handle has executed) it iterates the eager record.
-        Each call produces a fresh stream.
+        the iterator abandons the remaining work.  Other specs execute
+        once per call and iterate the eager record (the memoised one,
+        once this handle has executed).  Each call produces a fresh
+        stream.
         """
         if self._record is not None:
             ids: Iterator[int] = iter(self._record)
@@ -171,15 +171,15 @@ class QueryResult:
         """Yield the projected rows in successive lists of ``size``.
 
         The chunked form of :meth:`stream`, built for push/chunked
-        delivery (the query server's ``chunk`` frames): for
-        streaming-capable specs each chunk is produced on demand —
-        consuming one chunk of an unbounded kNN examines only ~``size``
-        candidates — and abandoning the iterator (``.close()``, garbage
-        collection, ``break``) closes the underlying stream and
-        abandons the remaining work.  The final chunk may be shorter
-        than ``size``; exhaustion ends the iterator without an empty
-        chunk.  Nothing is memoised for streaming specs; other specs
-        execute once (memoised) and chunk the eager record.
+        delivery (the query server's ``chunk`` frames): for a kNN spec
+        each chunk is produced on demand — consuming one chunk of an
+        unbounded kNN examines only ~``size`` candidates — and
+        abandoning the iterator (``.close()``, garbage collection,
+        ``break``) closes the underlying stream and abandons the
+        remaining work.  Every other spec, composites included, executes
+        once when the chunks are opened and chunks the eager record.
+        The final chunk may be shorter than ``size``; exhaustion ends
+        the iterator without an empty chunk.
         """
         if size < 1:
             raise ValueError(f"chunk size must be >= 1, got {size!r}")
@@ -208,10 +208,10 @@ class QueryResult:
     def first(self, n: int) -> List:
         """The first ``n`` rows under the spec's projection.
 
-        For streaming-capable specs this consumes only ``n`` rows of the
-        lazy stream — an unbounded kNN examines ~``n`` candidates, a
-        composite stops its set-merge early — and nothing is memoised.
-        Other specs execute once (memoised) and return the prefix.
+        For an unbounded kNN this consumes only ``n`` rows of the lazy
+        stream — it examines ~``n`` candidates — and nothing is
+        memoised.  Other specs, composites included, execute once
+        (memoised) and return the prefix.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n!r}")
@@ -224,9 +224,9 @@ class QueryResult:
     def __iter__(self) -> Iterator:
         """Stream the result under the spec's ``select`` projection.
 
-        For streaming-capable specs not yet executed this is the lazy
-        stream of :meth:`stream` (no record is materialised); otherwise
-        it executes (and memoises) the record first.
+        For an unbounded kNN not yet executed this is the lazy stream of
+        :meth:`stream` (no record is materialised); otherwise it executes
+        (and memoises) the record first.
         """
         if self._record is None and self._spec.streams():
             return self.stream()

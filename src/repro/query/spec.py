@@ -29,11 +29,12 @@ other specs, combined with set semantics on the result rows:
 =========================  ==============================================
 
 Composites nest arbitrarily; their leaves must be region kinds
-(:class:`AreaQuery` / :class:`WindowQuery`), whose sorted id lists merge
-lazily (:mod:`repro.query.merge`).  A :class:`KnnQuery` built with
-``k=None`` is the *streaming* form: the result is the full
-distance-ranked stream, consumed incrementally (``result.first(n)``,
-``itertools.takewhile``) without ever choosing ``k`` up front.
+(:class:`AreaQuery` / :class:`WindowQuery`), whose sorted id arrays
+merge with set semantics (:func:`repro.query.merge.merge_ids`).  A
+:class:`KnnQuery` built with ``k=None`` is the *streaming* form: the
+result is the full distance-ranked stream, consumed incrementally
+(``result.first(n)``, ``itertools.takewhile``) without ever choosing
+``k`` up front.
 
 Composable options shared by every kind:
 
@@ -193,10 +194,9 @@ class Query:
     def streams(self) -> bool:
         """Can this spec's result be consumed lazily, row by row?
 
-        ``True`` for the specs whose full materialisation is the thing
-        worth avoiding: composites (the set-merge is a lazy iterator over
-        leaf results) and unbounded kNN (``KnnQuery(k=None)`` — the
-        distance ranking is produced incrementally).  The lazy result
+        ``True`` only for unbounded kNN (``KnnQuery(k=None)``), whose
+        full materialisation ranks the whole database while the
+        distance ranking is produced incrementally.  The lazy result
         handle streams iteration/:meth:`~repro.query.result.QueryResult.first`
         for such specs instead of executing an eager record.
         """
@@ -400,10 +400,6 @@ class CompositeQuery(Query):
                     f"WindowQuery) or nested composites, got {part!r}"
                 )
 
-    def streams(self) -> bool:
-        """Composites always stream: the set-merge is a lazy iterator."""
-        return True
-
     def _compute_cache_key(self) -> Optional["Query"]:
         """The composite normalised recursively for result caching.
 
@@ -421,14 +417,9 @@ class CompositeQuery(Query):
             if part_key is None:
                 return None
             normalized.append(part_key)
-        key = replace(
+        return replace(
             self, method="auto", select="ids", parts=tuple(normalized)
         )
-        try:
-            hash(key)
-        except TypeError:  # pragma: no cover - parts hashed above
-            return None
-        return key
 
     def iter_leaves(self) -> Iterator[Query]:
         """Yield the non-composite leaf specs, left to right, recursively."""

@@ -98,6 +98,39 @@ class TestReadEquivalence:
         ):
             assert_same(coordinator, oracle, spec)
 
+    def test_nested_composites_agree_on_every_surface(self, pair):
+        """Stream, eager, batch and cluster answers are one list on nested
+        composites carrying a predicate and a limit at every level."""
+        coordinator, oracle = pair
+        left = lambda p: p.x < 0.6  # noqa: E731
+        low = lambda p: p.y < 0.7  # noqa: E731
+        window = WindowQuery((0.1, 0.1, 0.6, 0.6), predicate=low, limit=50)
+        disc = AreaQuery(
+            Circle(Point(0.5, 0.5), 0.3), predicate=left, limit=80
+        )
+        spec = DifferenceQuery(
+            (
+                UnionQuery((window, disc), predicate=low, limit=70),
+                IntersectionQuery(
+                    (WindowQuery((0.3, 0.3, 0.9, 0.9), limit=60), disc),
+                    predicate=left,
+                    limit=20,
+                ),
+            ),
+            predicate=left,
+            limit=40,
+        )
+        eager = oracle.query(spec).ids()
+        assert eager
+        assert list(oracle.query(spec).stream()) == eager
+        assert oracle.query_batch([spec], use_cache=False)[0].ids() == eager
+        assert coordinator.query(spec) == eager
+        stream = coordinator.stream(spec)
+        try:
+            assert list(stream) == eager
+        finally:
+            stream.close()
+
     def test_streaming_first_n(self, pair):
         coordinator, oracle = pair
         spec = KnnQuery(Point(0.33, 0.44), None)

@@ -99,6 +99,48 @@ class TestStats:
         assert got.stats.method == "voronoi"
 
 
+class TestFilteredWalk:
+    def test_predicate_over_tombstones_matches_index_once_per_row(self):
+        """A filtered walk over 50 tombstones returns the index method's
+        ids and calls the predicate once per row the walk produces, in
+        distance order, stopping at the kth passing row."""
+        db = SpatialDatabase.from_points(uniform_points(400, seed=181)).prepare()
+        for row in random.Random(183).sample(range(400), 50):
+            db.delete(row)
+        q = Point(0.45, 0.55)
+        keep = lambda p: p.x < 0.5  # noqa: E731
+        calls = []
+
+        def predicate(point):
+            calls.append(point)
+            return keep(point)
+
+        got = voronoi_knn_query(
+            db.index,
+            db.backend,
+            db.store,
+            q,
+            12,
+            deleted=db.store.deleted_rows,
+            predicate=predicate,
+        )
+        expected = db.query(
+            KnnQuery(q, 12, method="index", predicate=keep)
+        ).ids()
+        assert got.ids == expected
+        assert db.query(
+            KnnQuery(q, 12, method="voronoi", predicate=keep)
+        ).ids() == expected
+        live = [
+            row
+            for row in _brute_knn(db, q, len(db.store))
+            if not db.store.is_deleted(row)
+        ]
+        produced = live[: live.index(expected[-1]) + 1]
+        assert calls == [db.point(row) for row in produced]
+        assert got.stats.candidates > len(produced)
+
+
 class TestIncrementalNearest:
     def test_streams_in_distance_order(self, db_400):
         q = Point(0.31, 0.62)

@@ -72,7 +72,8 @@ class TestConstruction:
             (UnionQuery((W1, W2)), AreaQuery(POLY))
         )
         assert list(nested.iter_leaves()) == [W1, W2, AreaQuery(POLY)]
-        assert nested.streams()
+        # composites execute once and iterate the record, like windows
+        assert not nested.streams()
 
     def test_cache_key_normalises_recursively(self):
         a = UnionQuery(

@@ -1,4 +1,4 @@
-"""Streaming consumption: unbounded kNN, lazy composites, shim silence.
+"""Streaming consumption: unbounded kNN, composites, shim silence.
 
 The laziness proofs use the predicate contract (one invocation per
 examined candidate): counting predicate calls counts exactly how much of
@@ -102,18 +102,31 @@ class TestUnboundedKnn:
 
 class TestStreamingComposites:
     def test_first_does_not_memoise(self, db):
+        """Only an unbounded kNN streams unmemoised; ``first`` on a
+        composite executes and memoises its record."""
         result = db.query(UnionQuery((W1, W2)))
         prefix = result.first(3)
         assert len(prefix) == 3
-        assert not result.executed
+        assert result.executed
         assert prefix == db.query(UnionQuery((W1, W2))).ids()[:3]
 
     def test_iteration_is_lazy_and_matches_eager(self, db):
+        """Iterating a composite executes it once, like a window."""
         spec = UnionQuery((W1, W2))
         result = db.query(spec)
         streamed = list(iter(result))
-        assert not result.executed
+        assert result.executed
         assert streamed == db.query(spec).ids()
+
+    def test_first_executes_once(self, db):
+        """``first`` runs the composite's one engine batch and memoises
+        it: a later ``ids()`` runs none."""
+        result = db.query(UnionQuery((W1, W2)))
+        prefix = result.first(3)
+        assert result.executed
+        batches = db.engine.totals.batches
+        assert result.ids()[:3] == prefix
+        assert db.engine.totals.batches == batches
 
     def test_projection_applies_to_stream(self, db):
         points = db.query(UnionQuery((W1, W2), select="points")).first(5)
@@ -127,8 +140,8 @@ class TestStreamingComposites:
         assert result.stats.method == "composite"
 
     def test_streaming_leaves_run_through_the_batch_engine(self, db):
-        """The leaves of a streamed composite execute as one engine batch
-        (cache, dedup); only the merge itself is lazy."""
+        """The leaves of a streamed composite execute in one engine batch
+        (cache, dedup) alongside the composite itself."""
         from repro.geometry.polygon import Polygon
 
         parts = tuple(
@@ -146,7 +159,7 @@ class TestStreamingComposites:
         )
         db.query(UnionQuery(parts)).first(3)
         stats = db.engine.last_batch_stats
-        assert stats.total_queries == 4  # the leaves, batched together
+        assert stats.composite_leaves == 4  # the leaves, batched together
         assert stats.method_counts == {"voronoi": 4}
 
 

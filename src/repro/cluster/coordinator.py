@@ -17,21 +17,23 @@ keeps every live row's coordinates, which is what lets it evaluate
 predicates, order kNN merges by exact distance, and migrate rows during
 a rebalance without ever reading data back from a worker.
 
-**Routing.**  Point writes and kNN/nearest seeds go to the single shard
-owning the point's Hilbert key.  A bounded kNN expands beyond the owner
-only when the kth-distance ball crosses a shard boundary
-(:meth:`ShardMap.workers_for_circle`).  Window/area (and composite
-leaves) fan out to every shard whose Hilbert range intersects the
-region's key interval; shard-local id lists are translated to global
-ids and merged into one ascending list; composites merge their parts'
-lists with :func:`repro.query.merge.merge_ids`, as the batch engine
-does.
-Streaming kNN interleaves the shards' ``incremental_nearest`` wire
-streams by distance.  Predicates and limits are *never* pushed down:
-shards answer the raw geometric spec and the coordinator applies the
-user-level options at the merge layer, in the same order
-:func:`repro.query.executor.finalize_record` does — predicate first,
-then limit.
+**Routing.**  Every eager read runs through the engine's job runner
+(:func:`repro.engine.batch.run_jobs`): it validates the spec, decomposes
+a composite into deduplicated leaf jobs, merges their ids and applies
+the composite's options, exactly as for a single database.  The
+coordinator supplies only the leaf executor, with two jobs.  Point
+writes and kNN/nearest seeds go to the single shard owning the point's
+Hilbert key; a bounded kNN expands beyond the owner only when the
+kth-distance ball crosses a shard boundary
+(:meth:`ShardMap.workers_for_circle`).  Window/area leaves fan out to
+every shard whose Hilbert range intersects the region's key interval;
+shard-local id lists are translated to global ids and merged into one
+ascending array.  Streaming kNN interleaves the shards'
+``incremental_nearest`` wire streams by distance.  Predicates and
+limits are *never* pushed down: shards answer the raw geometric spec
+and the coordinator applies the user-level options at the merge layer
+through :func:`repro.query.executor.finalize_record` — predicate first,
+then limit.  The router keeps no result cache.
 
 **Rebalancing.**  After any write, if the heaviest worker's live count
 exceeds ``imbalance_ratio`` times the mean, its fullest Hilbert range
@@ -71,13 +73,13 @@ from repro.cluster.backends import ShardBackend
 from repro.cluster.faults import HealthTracker
 from repro.cluster.shardmap import ShardMap
 from repro.cluster.stats import merge_stats_frames
-from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
+from repro.core.stats import QueryRecord
+from repro.engine.batch import run_jobs
 from repro.engine.order import DEFAULT_ORDER
 from repro.geometry.point import Point
-from repro.query.merge import merge_ids
+from repro.query.executor import effective_k, finalize_record
 from repro.query.spec import (
     AreaQuery,
-    CompositeQuery,
     KnnQuery,
     NearestQuery,
     Query,
@@ -199,18 +201,6 @@ class _RWLock:
             with self._cond:
                 self._writing = False
                 self._cond.notify_all()
-
-
-def _effective_k(spec: KnnQuery) -> Optional[int]:
-    """The row budget of a kNN spec (``k`` capped by ``limit``).
-
-    Mirrors the single-process executor: ``None`` means unbounded.
-    """
-    if spec.k is None:
-        return spec.limit
-    if spec.limit is not None:
-        return min(spec.k, spec.limit)
-    return spec.k
 
 
 class ClusterCoordinator:
@@ -364,6 +354,10 @@ class ClusterCoordinator:
     def total_live(self) -> int:
         """Live rows across all shards."""
         return sum(self._live)
+
+    def __len__(self) -> int:
+        """Live rows across all shards (what validation reads)."""
+        return self.total_live
 
     @property
     def live_counts(self) -> List[int]:
@@ -790,7 +784,7 @@ class ClusterCoordinator:
         """
         with self._lock.read():
             failed: List[int] = []
-            ids = self._execute(spec, failed)
+            ids = self._run(spec, failed)
         if failed:
             raise ClusterDegradedError(ids, sorted(set(failed)))
         return ids
@@ -817,30 +811,36 @@ class ClusterCoordinator:
         if isinstance(spec, KnnQuery):
             return ClusterStream(self._stream_knn(spec, failed), failed)
         with self._lock.read():
-            ids = self._execute(spec, failed)
+            ids = self._run(spec, failed)
         return ClusterStream(iter(ids), failed)
 
-    def _execute(self, spec: Query, failed: List[int]) -> List[int]:
-        """Dispatch one spec under the read lock.
+    def _run(self, spec: Query, failed: List[int]) -> List[int]:
+        """Answer ``spec`` through the job runner (read lock held).
 
-        ``failed`` collects workers that could answer from neither
-        primary nor replica; the caller decides how loudly to degrade.
+        ``failed`` is this call's own list of workers that could answer
+        from neither primary nor replica — concurrent readers share no
+        state — and the caller decides how loudly to degrade.
         """
-        if isinstance(spec, CompositeQuery):
-            # Parts are region kinds or composites: each arrives with its
-            # own options applied, ascending.
-            parts = [
-                np.asarray(self._execute(part, failed), dtype=np.int64)
-                for part in spec.parts
-            ]
-            return self._finalize(spec, merge_ids(spec, parts).tolist())
-        if isinstance(spec, KnnQuery):
-            return self._execute_knn(spec, failed)
+        batch = run_jobs(
+            self, [spec], lambda job: self._execute(job, failed)
+        )
+        return batch.results[0].ids
+
+    def _execute(self, spec: Query, failed: List[int]) -> QueryRecord:
+        """One validated leaf job: the kNN merge or the region scatter."""
         if isinstance(spec, NearestQuery):
-            return self._execute_nearest(spec, failed)
+            spec = KnnQuery(
+                spec.point,
+                1,
+                method=spec.method,
+                predicate=spec.predicate,
+                limit=spec.limit,
+            )
+        if isinstance(spec, KnnQuery):
+            return QueryRecord(self._execute_knn(spec, failed))
         if isinstance(spec, (AreaQuery, WindowQuery)):
-            ids = self._region_ids(spec, failed)
-            return self._finalize(spec, ids)
+            record = QueryRecord(self._region_ids(spec, failed))
+            return finalize_record(self, spec, record)
         raise TypeError(f"not a query spec: {spec!r}")
 
     # -- failover helpers --------------------------------------------------
@@ -940,78 +940,39 @@ class ClusterCoordinator:
             if g is not None and self._worker[g] == worker
         ]
 
-    def _finalize(self, spec: Query, ids: List[int]) -> List[int]:
-        """Apply merge-layer ``predicate`` then ``limit`` (oracle order)."""
-        if spec.predicate is not None:
-            predicate = spec.predicate
-            ids = [g for g in ids if predicate(self.point(g))]
-        if spec.limit is not None and len(ids) > spec.limit:
-            ids = ids[: spec.limit]
-        return ids
-
     def _nonempty(self, workers) -> List[int]:
         """The given workers that hold at least one live row, sorted."""
         return sorted(w for w in workers if self._live[w] > 0)
 
     # -- region kinds ------------------------------------------------------
 
-    def _region_ids(self, spec: Query, failed: List[int]) -> List[int]:
+    def _region_ids(self, spec: Query, failed: List[int]) -> np.ndarray:
         """Fan a region spec out and merge the shard results, ascending.
 
         Returns the merged ascending global ids with *no* user-level
-        options applied; mirrors the single-process validation errors
-        for empty databases and degenerate regions so oracle parity
-        holds on the edges too.  Shards lost from both copies land on
+        options applied.  Shards lost from both copies land on
         ``failed`` and contribute nothing.
         """
-        total = self.total_live
-        if isinstance(spec, AreaQuery):
-            if total == 0:
-                raise EmptyDatabaseError("area query on an empty cluster")
-            if spec.region.area <= 0.0:
-                raise InvalidQueryAreaError("query area has zero area")
-        elif spec.method == "voronoi":
-            if total == 0:
-                raise EmptyDatabaseError(
-                    "voronoi window query on an empty cluster"
-                )
-            if spec.rect.area <= 0.0:
-                raise InvalidQueryAreaError(
-                    "voronoi execution needs a positive-area window"
-                )
         rect = spec.rect if isinstance(spec, WindowQuery) else spec.region.mbr
         workers = self._nonempty(
             self._map.workers_for_bounds(
                 (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
             )
         )
-        if not workers:
-            return []
         shard_spec = replace(spec, predicate=None, limit=None)
         ids = [
             g
             for worker in workers
             for g in self._shard_ids(worker, shard_spec, failed)
         ]
-        return np.unique(np.asarray(ids, dtype=np.int64)).tolist()
+        return np.unique(np.asarray(ids, dtype=np.int64))
 
     # -- point kinds -------------------------------------------------------
-
-    def _execute_nearest(
-        self, spec: NearestQuery, failed: List[int]
-    ) -> List[int]:
-        """1-NN via the kNN route (handles ``limit``/``predicate``)."""
-        if spec.limit == 0 or self.total_live == 0:
-            return []
-        as_knn = KnnQuery(
-            spec.point, 1, method=spec.method, predicate=spec.predicate
-        )
-        return self._execute_knn(as_knn, failed)
 
     def _execute_knn(self, spec: KnnQuery, failed: List[int]) -> List[int]:
         """Owning-shard kNN with boundary-ball expansion."""
         total = self.total_live
-        k = _effective_k(spec)
+        k = effective_k(spec)
         if k is None:
             k = total
         if k == 0 or total == 0:
@@ -1107,7 +1068,7 @@ class ClusterCoordinator:
         """
         def produce() -> Iterator[int]:
             with self._lock.read():
-                k = _effective_k(spec)
+                k = effective_k(spec)
                 workers = self._nonempty(range(self.workers))
                 # shards stream row ids whatever the client selected:
                 # the projection is the wire front end's job

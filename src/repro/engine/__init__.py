@@ -3,10 +3,11 @@
 This package is the serving layer above :mod:`repro.core`: where ``core``
 answers one query, ``engine`` answers *traffic*.
 
-* :mod:`repro.engine.batch` — :class:`BatchQueryEngine`: heterogeneous
-  spec batches (see :mod:`repro.query`) answered through the result
-  cache, intra-batch deduplication and composite decomposition, each
-  remaining job executed once.
+* :mod:`repro.engine.batch` — :func:`run_jobs`, the job runner under
+  every read surface (validation, intra-batch deduplication, composite
+  decomposition, each remaining job executed once through a caller's
+  leaf executor), and :class:`BatchQueryEngine`, which runs it over one
+  database with the result cache and the planner.
 * :mod:`repro.engine.planner` — :class:`QueryPlanner`: the paper's I/O
   cost model (validations as record fetches, node accesses as page reads)
   used to pick the cheapest execution method for **every** query kind,

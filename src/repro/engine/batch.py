@@ -1,41 +1,37 @@
-"""The batch query engine: heterogeneous spec batches, each job run once.
+"""The job runner under every read surface, and the engine around it.
 
 The paper answers each area query on its own — one seed, then
-Algorithm 1's expansion — and so does this engine: every executable job
-of a batch runs once through :func:`repro.query.executor.execute_spec`,
-the same call a single :meth:`SpatialDatabase.query
-<repro.core.database.SpatialDatabase.query>` makes.  What a batch adds
-is work it can *skip*:
+Algorithm 1's expansion — and so does :func:`run_jobs`: every distinct
+job of a batch runs once through a caller-supplied ``execute(job)``.
+The runner owns the rest: validation of every spec up front
+(:func:`repro.query.executor.validate_spec`), intra-batch dedup, and
+composite *decomposition* — the leaves of
+:class:`~repro.query.spec.UnionQuery` / ``Intersection`` /
+``Difference`` join the job pool beside the plain specs, so a repeated
+leaf executes once, and each composite's leaf id arrays then merge with
+set semantics (:func:`repro.query.merge.merge_ids`) before its own
+options apply (:func:`repro.query.executor.finalize_record`).  It reads
+only its source's live-row count and ``point``, so the cluster
+coordinator runs it too, with its region scatter and kNN merge as the
+leaf executor.
 
-1. **Repeated specs** (hot tiles, dashboards) are served from an LRU
-   :class:`~repro.engine.cache.ResultCache` keyed by the spec objects
-   themselves (see :meth:`repro.query.spec.Query.cache_key`), and exact
-   duplicates *within* one batch are computed once.
-2. **Composite specs** (:class:`~repro.query.spec.UnionQuery` /
-   ``Intersection`` / ``Difference``) are *decomposed*: their leaves join
-   the batch's job pool alongside the plain specs, so a leaf repeated
-   across composites (or equal to a plain spec in the same batch)
-   executes once, and a leaf cached by an earlier batch does not execute
-   at all.  After the leaf jobs run, each composite's sorted leaf id
-   lists merge with set semantics and the composite's own options apply
-   to the merged rows.
-
-:meth:`BatchQueryEngine.run_specs` accepts any mix of
-:class:`~repro.query.spec.AreaQuery`, :class:`~repro.query.spec.WindowQuery`,
-:class:`~repro.query.spec.KnnQuery`, :class:`~repro.query.spec.NearestQuery`
-and composites; each job's method is resolved by the planner under
-``auto``.  Results are returned in submission order and are id-identical
-to executing each spec alone (both area methods return the same id sets
-— the paper's theorem — so this holds for any mix of planned methods).
+:class:`BatchQueryEngine` runs it over one database with
+:func:`repro.query.executor.execute_spec` and the planner's method per
+job, and adds its own state: the LRU
+:class:`~repro.engine.cache.ResultCache` keyed by the spec objects
+(:meth:`repro.query.spec.Query.cache_key`), probed for submitted specs
+and composite leaves and filled with every record a batch computed, and
+the batch/lifetime accounting.  Results come in submission order and
+are id-identical to executing each spec alone (both area methods return
+the same id sets — the paper's theorem).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.core.stats import QueryRecord, QueryStats
 from repro.engine.cache import DEFAULT_CAPACITY, ResultCache
 from repro.engine.planner import QueryPlanner
@@ -43,9 +39,10 @@ from repro.query.executor import (
     execute_spec,
     finalize_record,
     resolve_method,
+    validate_spec,
 )
 from repro.query.merge import merge_ids
-from repro.query.spec import AreaQuery, CompositeQuery, Query
+from repro.query.spec import CompositeQuery, Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
@@ -174,8 +171,181 @@ class BatchResult(Sequence[QueryRecord]):
         return iter(self.results)
 
 
+def run_jobs(
+    source,
+    specs: Sequence[Query],
+    execute: Callable[[Query], QueryRecord],
+    *,
+    lookup: Optional[Callable[[Query], Optional[QueryRecord]]] = None,
+    store: Optional[Callable[[Query, QueryRecord], None]] = None,
+) -> BatchResult:
+    """Answer every spec in ``specs``; records in submission order.
+
+    ``execute(job)`` answers one plain (non-composite) spec with its own
+    options applied; it runs once per distinct job.  ``source`` is read
+    for its live-row count (validation) and ``point`` (composite
+    options) only.  ``lookup(key)`` may serve a submitted spec or a
+    composite leaf from a result cache before it becomes a job, and
+    ``store(key, record)`` receives every cacheable record the batch
+    computed, submitted specs first, then their jobs.
+
+    The returned records are shared: duplicate submissions share one
+    record object, and a leaf's record may also be a plain spec's.  The
+    id arrays are read-only and ``.ids`` returns a fresh list; a stats
+    block must be copied before it is edited.
+    """
+    specs = list(specs)
+    for spec in specs:
+        validate_spec(source, spec)
+
+    started = time.perf_counter()
+    stats = BatchStats(total_queries=len(specs))
+    results: List[Optional[QueryRecord]] = [None] * len(specs)
+
+    # 1. Lookup + intra-batch dedup, both keyed by the
+    #    (method/projection-normalised) spec objects themselves.
+    pending: List[int] = []
+    aliases: Dict[int, List[int]] = {}
+    first_seen: Dict[Query, int] = {}
+    keys = [spec.cache_key() for spec in specs]
+    for i, key in enumerate(keys):
+        if key is None:  # uncacheable spec (predicate): always execute
+            aliases[i] = []
+            pending.append(i)
+            continue
+        if lookup is not None:
+            cached = lookup(key)
+            if cached is not None:
+                results[i] = cached
+                stats.cache_hits += 1
+                continue
+        owner = first_seen.get(key)
+        if owner is not None:
+            aliases[owner].append(i)
+            stats.duplicate_hits += 1
+            continue
+        first_seen[key] = i
+        aliases[i] = []
+        pending.append(i)
+    stats.executed = len(pending)
+
+    # 2. Decompose composites into executable leaf *jobs*.  A plain
+    #    spec is its own single job; a composite contributes its
+    #    (recursively flattened) leaves.  Identical jobs — a leaf repeated
+    #    across composites, or equal to a plain pending spec — merge
+    #    into one, and composite leaves may be served by ``lookup``.
+    jobs: List[Query] = []
+    job_records: List[Optional[QueryRecord]] = []
+    job_keys: List[Optional[Query]] = []
+    seen_jobs: Dict[Query, int] = {}
+    trees: Dict[int, object] = {}
+
+    def add_job(leaf: Query, from_composite: bool) -> int:
+        key = leaf.cache_key()
+        if key is not None:
+            existing = seen_jobs.get(key)
+            if existing is not None:
+                stats.leaf_duplicate_hits += 1
+                return existing
+        job = len(jobs)
+        jobs.append(leaf)
+        job_keys.append(key)
+        record = None
+        if key is not None:
+            seen_jobs[key] = job
+            if from_composite and lookup is not None:
+                record = lookup(key)
+                if record is not None:
+                    stats.leaf_cache_hits += 1
+        job_records.append(record)
+        return job
+
+    def expand(spec: Query, from_composite: bool):
+        if isinstance(spec, CompositeQuery):
+            if from_composite is False:
+                stats.composite_queries += 1
+            return (
+                spec,
+                [expand(part, True) for part in spec.parts],
+            )
+        if from_composite:
+            stats.composite_leaves += 1
+        return add_job(spec, from_composite)
+
+    for i in pending:
+        trees[i] = expand(specs[i], False)
+
+    # 3. Run every executable job once; ``execute`` applies each spec's
+    #    own predicate/limit and names the concrete method that ran.
+    for j, job in enumerate(jobs):
+        if job_records[j] is not None:
+            continue
+        record = job_records[j] = execute(job)
+        method = record.stats.method
+        stats.method_counts[method] = stats.method_counts.get(method, 0) + 1
+    for i in pending:
+        kind = specs[i].kind
+        stats.kind_counts[kind] = stats.kind_counts.get(kind, 0) + 1
+
+    # 4. Assemble submitted specs from their jobs (set-merge for
+    #    composites), fill duplicates, and hand every cacheable record
+    #    to ``store`` — composite leaves too, so later batches (or later
+    #    composites) reuse them.
+    stored: set = set()
+    for i in pending:
+        record = _assemble(source, trees[i], job_records)
+        results[i] = record
+        if store is not None and keys[i] is not None:
+            store(keys[i], record)
+            stored.add(keys[i])
+        for j in aliases[i]:
+            results[j] = record
+    if store is not None:
+        for j, key in enumerate(job_keys):
+            # A plain spec IS its own job: its key was already stored.
+            if key is not None and key not in stored:
+                store(key, job_records[j])
+
+    stats.time_ms = (time.perf_counter() - started) * 1000.0
+    return BatchResult(results=list(results), stats=stats)  # type: ignore[arg-type]
+
+
+def _assemble(
+    source, tree, job_records: List[Optional[QueryRecord]]
+) -> QueryRecord:
+    """Build one submitted spec's record from its executed jobs.
+
+    A leaf tree node is a job index — its record is returned as-is
+    (records are treated as immutable once finalized, so sharing one
+    between a plain spec and a composite that also claimed it is safe).
+    A composite node merges its children's id arrays (unique and
+    ascending, as every region kind's are) with the spec's set semantics
+    (:func:`repro.query.merge.merge_ids`), sums the children's work
+    counters (a leaf claimed by several composites is reported by each,
+    the same per-query accounting duplicate/cache hits get), and applies
+    the composite's own ``predicate``/``limit``.
+    """
+    if isinstance(tree, int):
+        record = job_records[tree]
+        assert record is not None
+        return record
+    spec, children = tree
+    child_records = [
+        _assemble(source, child, job_records) for child in children
+    ]
+    started = time.perf_counter()
+    ids = merge_ids(spec, [record.id_array for record in child_records])
+    merged = QueryStats()
+    for record in child_records:
+        merged = merged.merge(record.stats)
+    merged.method = "composite"
+    merged.result_size = ids.shape[0]
+    merged.time_ms += (time.perf_counter() - started) * 1000.0
+    return finalize_record(source, spec, QueryRecord(ids, merged))
+
+
 class BatchQueryEngine:
-    """Executes batches of query specs: cache, dedup, one run per job.
+    """Runs batches of query specs through :func:`run_jobs`, with a cache.
 
     Parameters
     ----------
@@ -212,205 +382,32 @@ class BatchQueryEngine:
 
         Accepts a heterogeneous mix of query kinds.  Ids are identical
         to executing each spec alone via
-        :func:`repro.query.executor.execute_spec`.
-
-        The returned records are **engine-owned**: duplicate submissions
-        share one record object and the cache shares its id array.  The
-        array is read-only and ``.ids`` returns a fresh list; the stats
-        block must be copied before it is edited.
+        :func:`repro.query.executor.execute_spec`: :func:`run_jobs`
+        runs each distinct job once through it, with the planner's
+        method, and with ``use_cache`` the result cache serves and
+        stores records at the database's current version.  The
+        returned records are shared, as :func:`run_jobs` describes.
         """
-        specs = list(specs)
         db = self._db
-        for spec in specs:
-            if not isinstance(spec, Query):
-                raise TypeError(f"not a query spec: {spec!r}")
-            self._validate_spec(spec)
-
-        started = time.perf_counter()
-        stats = BatchStats(total_queries=len(specs))
-        results: List[Optional[QueryRecord]] = [None] * len(specs)
+        cache = self.cache
         version = db.version
-
-        # 1. Cache probe + intra-batch dedup, both keyed by the
-        #    (method/projection-normalised) spec objects themselves.
-        pending: List[int] = []
-        aliases: Dict[int, List[int]] = {}
-        first_seen: Dict[Query, int] = {}
-        keys = [spec.cache_key() for spec in specs]
-        for i, key in enumerate(keys):
-            if key is None:  # uncacheable spec (predicate): always execute
-                aliases[i] = []
-                pending.append(i)
-                continue
-            if use_cache and self.cache.capacity > 0:
-                cached = self.cache.get(key, version)
-                if cached is not None:
-                    results[i] = cached
-                    stats.cache_hits += 1
-                    continue
-            owner = first_seen.get(key)
-            if owner is not None:
-                aliases[owner].append(i)
-                stats.duplicate_hits += 1
-                continue
-            first_seen[key] = i
-            aliases[i] = []
-            pending.append(i)
-        stats.executed = len(pending)
-
-        # 2. Decompose composites into executable leaf *jobs*.  A plain
-        #    spec is its own single job; a composite contributes its
-        #    (recursively flattened) leaves.  Identical jobs — a leaf repeated
-        #    across composites, or equal to a plain pending spec — merge
-        #    into one, and composite leaves may be served straight from
-        #    the cross-batch result cache.
-        jobs: List[Query] = []
-        job_records: List[Optional[QueryRecord]] = []
-        job_cache_keys: List[Optional[Query]] = []
-        seen_jobs: Dict[Query, int] = {}
-        trees: Dict[int, object] = {}
-
-        def add_job(leaf: Query, from_composite: bool) -> int:
-            key = leaf.cache_key()
-            if key is not None:
-                existing = seen_jobs.get(key)
-                if existing is not None:
-                    stats.leaf_duplicate_hits += 1
-                    return existing
-            job = len(jobs)
-            jobs.append(leaf)
-            job_cache_keys.append(key)
-            record = None
-            if key is not None:
-                seen_jobs[key] = job
-                if from_composite and use_cache and self.cache.capacity > 0:
-                    record = self.cache.get(key, version)
-                    if record is not None:
-                        stats.leaf_cache_hits += 1
-            job_records.append(record)
-            return job
-
-        def expand(spec: Query, from_composite: bool):
-            if isinstance(spec, CompositeQuery):
-                if from_composite is False:
-                    stats.composite_queries += 1
-                return (
-                    spec,
-                    [expand(part, True) for part in spec.parts],
-                )
-            if from_composite:
-                stats.composite_leaves += 1
-            return add_job(spec, from_composite)
-
-        for i in pending:
-            trees[i] = expand(specs[i], False)
-
-        # 3. Run every executable job once, with its concrete method
-        #    (the planner's choice under auto).  execute_spec applies
-        #    each spec's own predicate/limit.
-        for j, job in enumerate(jobs):
-            if job_records[j] is not None:
-                continue
-            choice = resolve_method(db, job)
-            stats.method_counts[choice] = (
-                stats.method_counts.get(choice, 0) + 1
-            )
-            job_records[j] = execute_spec(db, job, method=choice)
-        for i in pending:
-            kind = specs[i].kind
-            stats.kind_counts[kind] = stats.kind_counts.get(kind, 0) + 1
-
-        # 4. Assemble submitted specs from their jobs (set-merge for
-        #    composites), fill duplicates, and populate the cache —
-        #    composite leaves too, so later batches (or later composites)
-        #    reuse them.  Job records arrive finalized (spec options
-        #    applied once per level).
-        stored: set = set()
-        for i in pending:
-            record = self._assemble(trees[i], job_records)
-            assert record is not None
-            results[i] = record
-            if use_cache and keys[i] is not None:
-                self.cache.put(keys[i], version, record)
-                stored.add(keys[i])
-            for j in aliases[i]:
-                # Duplicates share the owner's record by reference:
-                # handed-out records are read-only by engine convention
-                # (every consumer surface copies on materialisation).
-                results[j] = record
-        if use_cache and self.cache.capacity > 0:
-            for j, key in enumerate(job_cache_keys):
-                # A plain spec IS its own job: its key was already stored
-                # above — skip the duplicate put (and its entry snapshot).
-                if (
-                    key is not None
-                    and key not in stored
-                    and job_records[j] is not None
-                ):
-                    self.cache.put(key, version, job_records[j])
-
-        stats.time_ms = (time.perf_counter() - started) * 1000.0
-        self.last_batch_stats = stats
-        self.totals.absorb(stats)
-        return BatchResult(results=list(results), stats=stats)  # type: ignore[arg-type]
-
-    def validate_spec(self, spec: Query) -> None:
-        """Raise if ``spec`` cannot be answered by this database.
-
-        The same checks :meth:`run_specs` performs on every submission
-        (type, region validity, recursing composites), exposed so
-        admission layers — the query server's coalescer — can reject one
-        bad request up front instead of poisoning the whole shared batch
-        it would have joined.
-        """
-        if not isinstance(spec, Query):
-            raise TypeError(f"not a query spec: {spec!r}")
-        self._validate_spec(spec)
-
-    def _validate_spec(self, spec: Query) -> None:
-        """Reject specs the database cannot answer (recursing composites)."""
-        if isinstance(spec, CompositeQuery):
-            for part in spec.parts:
-                self._validate_spec(part)
-        elif isinstance(spec, AreaQuery):
-            if not len(self._db):
-                raise EmptyDatabaseError("area query on an empty database")
-            if spec.region.area <= 0.0:
-                raise InvalidQueryAreaError("query area has zero area")
-
-    def _assemble(
-        self, tree, job_records: List[Optional[QueryRecord]]
-    ) -> QueryRecord:
-        """Build one submitted spec's record from its executed jobs.
-
-        A leaf tree node is a job index — its record is returned as-is
-        (records are treated as immutable once finalized, so sharing one
-        between a plain spec and a composite that also claimed it is
-        safe).  A composite node merges its children's id arrays (unique
-        and ascending, as every region kind's are) with the spec's set
-        semantics (:func:`repro.query.merge.merge_ids`), sums the
-        children's work counters (a leaf claimed by several composites
-        is reported by each, the same per-query accounting
-        duplicate/cache hits get), and applies the composite's own
-        ``predicate``/``limit``.
-        """
-        if isinstance(tree, int):
-            record = job_records[tree]
-            assert record is not None
-            return record
-        spec, children = tree
-        child_records = [
-            self._assemble(child, job_records) for child in children
-        ]
-        started = time.perf_counter()
-        ids = merge_ids(spec, [record.id_array for record in child_records])
-        merged = QueryStats()
-        for record in child_records:
-            merged = merged.merge(record.stats)
-        merged.method = "composite"
-        merged.result_size = ids.shape[0]
-        merged.time_ms += (time.perf_counter() - started) * 1000.0
-        return finalize_record(self._db, spec, QueryRecord(ids, merged))
+        caching = use_cache and cache.capacity > 0
+        batch = run_jobs(
+            db,
+            specs,
+            lambda job: execute_spec(
+                db, job, method=resolve_method(db, job)
+            ),
+            lookup=(lambda key: cache.get(key, version)) if caching else None,
+            store=(
+                (lambda key, record: cache.put(key, version, record))
+                if caching
+                else None
+            ),
+        )
+        self.last_batch_stats = batch.stats
+        self.totals.absorb(batch.stats)
+        return batch
 
     def explain(self, spec_or_region, *, execute: bool = False):
         """Forward to the planner's explain (spec or bare region)."""

@@ -9,9 +9,10 @@ identical no matter which surface issued the query.
 
 Composite specs (:class:`~repro.query.spec.UnionQuery` /
 ``Intersection`` / ``Difference``) execute by **decomposition**: the
-batch engine answers all leaves of one composite as one batch (each
-distinct leaf runs once) and the sorted leaf id arrays merge with set
-semantics (:func:`repro.query.merge.merge_ids`).  :func:`stream_spec`
+job runner (:func:`repro.engine.batch.run_jobs`) answers all leaves of
+one composite as one batch (each distinct leaf runs once) and merges
+the sorted leaf id arrays with set semantics.  :func:`validate_spec`
+is the one validation of every read surface.  :func:`stream_spec`
 is the iterator form of :func:`execute_spec`: a :class:`KnnQuery`
 yields its distance ranking on demand; every other kind executes once
 and iterates the eager record.
@@ -95,8 +96,11 @@ def execute_spec(
         Ids plus :class:`~repro.core.stats.QueryStats` whose ``method``
         names the concrete method that ran.
     """
-    if not isinstance(spec, Query):
-        raise TypeError(f"not a query spec: {spec!r}")
+    if isinstance(spec, CompositeQuery):
+        # The engine's job runner validates, decomposes and merges it;
+        # single-spec execution never consults the result cache.
+        return database.engine.run_specs([spec], use_cache=False).results[0]
+    validate_spec(database, spec, method)
     if method is None:
         method = resolve_method(database, spec)
     # Region kinds produce the raw geometric result and get the common
@@ -116,15 +120,54 @@ def execute_spec(
         return _execute_knn(database, spec, method)
     if isinstance(spec, NearestQuery):
         return _execute_nearest(database, spec)
-    if isinstance(spec, CompositeQuery):
-        return _execute_composite(database, spec)
     raise TypeError(f"not a query spec: {spec!r}")
+
+
+def validate_spec(source, spec: Query, method: Optional[str] = None) -> None:
+    """Raise if ``spec`` cannot be answered by ``source``.
+
+    The one validation of every read surface: the job runner
+    (:func:`repro.engine.batch.run_jobs`) calls it up front for each
+    submitted spec, :func:`execute_spec` before it runs one, and
+    admission layers (the query server's coalescer) before a spec joins
+    a shared batch.  ``source`` is anything with a live-row count
+    (``len``): a database or the cluster coordinator.  An area query
+    needs live rows and a positive area, and so does a window executed
+    by ``method`` (default: the spec's own) ``"voronoi"``; a composite
+    is valid when every part is.
+    """
+    if isinstance(spec, CompositeQuery):
+        for part in spec.parts:
+            validate_spec(source, part)
+        return
+    if not isinstance(spec, Query):
+        raise TypeError(f"not a query spec: {spec!r}")
+    if isinstance(spec, AreaQuery):
+        if not len(source):
+            raise EmptyDatabaseError("area query on an empty database")
+        if spec.region.area <= 0.0:
+            raise InvalidQueryAreaError("query area has zero area")
+    elif isinstance(spec, WindowQuery) and (
+        (method or spec.method) == "voronoi"
+    ):
+        if not len(source):
+            raise EmptyDatabaseError(
+                "voronoi window query on an empty database"
+            )
+        if spec.rect.area <= 0.0:
+            raise InvalidQueryAreaError(
+                "voronoi execution needs a positive-area window; "
+                "degenerate rectangles route to method='index'"
+            )
 
 
 def finalize_record(
     database: "SpatialDatabase", spec: Query, record: QueryRecord
 ) -> QueryRecord:
     """Apply the spec's common options (``predicate``, ``limit``).
+
+    ``database`` is read for ``point`` only, so the cluster coordinator
+    finalizes its merged rows through here too.
 
     Only for **raw region-kind records** (area/window — the geometric
     result before user-level options); point kinds weave both options
@@ -165,11 +208,7 @@ def _execute_area(
     spec: AreaQuery,
     method: str,
 ) -> QueryRecord:
-    """Run an area query with ``method``."""
-    if not len(database):
-        raise EmptyDatabaseError("area query on an empty database")
-    if spec.region.area <= 0.0:
-        raise InvalidQueryAreaError("query area has zero area")
+    """Run a validated area query with ``method``."""
     if method == "traditional":
         return traditional_area_query(
             database.index, database.store, spec.region
@@ -190,13 +229,6 @@ def _execute_window(
 ) -> QueryRecord:
     """Run a window query natively on the index or as a Voronoi expansion."""
     if method == "voronoi":
-        if not len(database):
-            raise EmptyDatabaseError("voronoi window query on an empty database")
-        if spec.rect.area <= 0.0:
-            raise InvalidQueryAreaError(
-                "voronoi execution needs a positive-area window; "
-                "degenerate rectangles route to method='index'"
-            )
         return voronoi_area_query(
             database.index,
             database.backend,
@@ -218,7 +250,7 @@ def _execute_window(
     return QueryRecord(ids, stats)
 
 
-def _effective_k(spec: KnnQuery) -> Optional[int]:
+def effective_k(spec: KnnQuery) -> Optional[int]:
     """The row budget of a kNN spec (``k`` capped by ``limit``).
 
     ``None`` means *unbounded*: the spec streams (``k=None``) and no
@@ -242,7 +274,7 @@ def _execute_knn(
     distance ranking here — the streaming consumption path is
     :func:`stream_spec`, which never calls this.
     """
-    k = _effective_k(spec)
+    k = effective_k(spec)
     if k is None:
         k = len(database)
     if k == 0 or not len(database):
@@ -325,23 +357,6 @@ def _execute_nearest(
     return QueryRecord(ids=ids, stats=stats)
 
 
-# -- composite execution ------------------------------------------------------
-
-
-def _execute_composite(
-    database: "SpatialDatabase", spec: CompositeQuery
-) -> QueryRecord:
-    """Eagerly answer a composite by batch-decomposing its leaves.
-
-    Delegates to the batch engine so the leaves of the composite are
-    executed as one heterogeneous batch, in which duplicate leaves
-    execute once.
-    The cross-batch LRU cache is not consulted (single-spec execution
-    through :func:`execute_spec` never is, for any kind).
-    """
-    return database.engine.run_specs([spec], use_cache=False).results[0]
-
-
 # -- streaming consumption ----------------------------------------------------
 
 
@@ -383,7 +398,7 @@ def _stream_knn(
     """
     if not len(database):
         return
-    k = _effective_k(spec)
+    k = effective_k(spec)
     if k == 0:
         return
     predicate = spec.predicate

@@ -5,7 +5,8 @@ The composite query specs (:class:`~repro.query.spec.UnionQuery`,
 :class:`~repro.query.spec.DifferenceQuery`) combine the results of
 region-kind parts, whose ids are unique and ascending.
 :func:`merge_ids` is the one place that knows what each kind means over
-such arrays; the batch engine and the cluster coordinator both call it.
+such arrays; the job runner (:func:`repro.engine.batch.run_jobs`) under
+the batch engine and the cluster coordinator is its one caller.
 """
 
 from __future__ import annotations

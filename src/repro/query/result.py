@@ -18,8 +18,10 @@ Streaming: for an unbounded ``KnnQuery(k=None)`` (see
 (:func:`repro.query.executor.stream_spec`) instead of executing an eager
 record: ``result.first(10)`` examines only ~10 candidates, and nothing
 is memoised; ``.ids()`` / ``.stats`` / ``len()`` still perform (and
-memoise) one full eager execution.  Every other spec, composites
-included, executes once on first consumption and iterates its record.
+memoise) one full eager execution; :meth:`QueryResult.stream` and
+``chunks`` stream any ``KnnQuery`` this way.  Every other spec,
+composites included, executes once per handle on first consumption,
+streams and chunks included, and iterates its record.
 
 Distinguish this class from :class:`repro.core.stats.QueryRecord`, the
 eager *record* (ids + stats) produced by one algorithm execution: the
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 from repro.core.stats import QueryRecord
 from repro.geometry.point import Point
-from repro.query.spec import Query
+from repro.query.spec import KnnQuery, Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
@@ -137,21 +139,21 @@ class QueryResult:
     # -- streaming consumption --------------------------------------------
 
     def stream(self) -> Iterator:
-        """Lazily yield projected rows without memoising a record.
+        """Lazily yield the projected rows.
 
-        For a :class:`~repro.query.spec.KnnQuery` this is a true
-        incremental stream — rows are produced on demand and abandoning
-        the iterator abandons the remaining work.  Other specs execute
-        once per call and iterate the eager record (the memoised one,
-        once this handle has executed).  Each call produces a fresh
-        stream.
+        For a :class:`~repro.query.spec.KnnQuery` not yet executed this
+        is a true incremental stream — rows are produced on demand,
+        abandoning the iterator abandons the remaining work, and nothing
+        is memoised.  Every other spec, composites included, executes
+        once per handle (memoised, like :attr:`record`) and iterates the
+        eager record.  Each call produces a fresh stream.
         """
-        if self._record is not None:
-            ids: Iterator[int] = iter(self._record)
-        else:
+        if self._record is None and isinstance(self._spec, KnnQuery):
             from repro.query.executor import stream_spec
 
-            ids = stream_spec(self._db, self._spec)
+            ids: Iterator[int] = stream_spec(self._db, self._spec)
+        else:
+            ids = iter(self.record)
         select = self._spec.select
         if select == "points":
             point = self._db.point
@@ -177,7 +179,7 @@ class QueryResult:
         abandoning the iterator (``.close()``, garbage collection,
         ``break``) closes the underlying stream and abandons the
         remaining work.  Every other spec, composites included, executes
-        once when the chunks are opened and chunks the eager record.
+        once per handle (memoised) and chunks the eager record.
         The final chunk may be shorter than ``size``; exhaustion ends
         the iterator without an empty chunk.
         """

@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.live.registry import SubscriptionRegistry
+from repro.query.executor import validate_spec
 from repro.server.coalescer import BatchCoalescer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -150,7 +151,7 @@ class LocalBackend:
             stream.examined += 1
             return True
 
-        self._db.engine.validate_spec(spec)
+        validate_spec(self._db, spec)
         stream.chunks = self._db.query(spec.where(count)).chunks(size)
         return stream
 

@@ -46,6 +46,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.stats import QueryRecord
+from repro.query.executor import validate_spec
 from repro.query.spec import Query
 from repro.server.metrics import LatencyHistogram
 
@@ -220,7 +221,7 @@ class BatchCoalescer:
         strict arrival-order serialization against :meth:`apply_write`
         — a read admitted before a write executes on the pre-write
         version, one admitted after sees the mutation.  Invalid specs raise
-        immediately (:meth:`~repro.engine.batch.BatchQueryEngine.validate_spec`)
+        immediately (:func:`~repro.query.executor.validate_spec`)
         without poisoning the shared batch; execution errors inside a
         flush land on every future of that batch.
 
@@ -228,7 +229,7 @@ class BatchCoalescer:
         when ``max_queue`` specs are already pending — the load-shedding
         admission bound.
         """
-        self._db.engine.validate_spec(spec)
+        validate_spec(self._db, spec)
         if len(self._pending) >= self.max_queue:
             self.stats.shed_requests += 1
             raise CoalescerOverloaded(

@@ -100,7 +100,9 @@ class TestReadEquivalence:
 
     def test_nested_composites_agree_on_every_surface(self, pair):
         """Stream, eager, batch and cluster answers are one list on nested
-        composites carrying a predicate and a limit at every level."""
+        composites carrying a predicate and a limit at every level, on a
+        leaf repeated within one composite, and on a predicate-carrying
+        composite nested in another."""
         coordinator, oracle = pair
         left = lambda p: p.x < 0.6  # noqa: E731
         low = lambda p: p.y < 0.7  # noqa: E731
@@ -108,11 +110,12 @@ class TestReadEquivalence:
         disc = AreaQuery(
             Circle(Point(0.5, 0.5), 0.3), predicate=left, limit=80
         )
-        spec = DifferenceQuery(
+        upper = WindowQuery((0.3, 0.3, 0.9, 0.9), limit=60)
+        nested = DifferenceQuery(
             (
                 UnionQuery((window, disc), predicate=low, limit=70),
                 IntersectionQuery(
-                    (WindowQuery((0.3, 0.3, 0.9, 0.9), limit=60), disc),
+                    (upper, disc),
                     predicate=left,
                     limit=20,
                 ),
@@ -120,16 +123,23 @@ class TestReadEquivalence:
             predicate=left,
             limit=40,
         )
-        eager = oracle.query(spec).ids()
-        assert eager
-        assert list(oracle.query(spec).stream()) == eager
-        assert oracle.query_batch([spec], use_cache=False)[0].ids() == eager
-        assert coordinator.query(spec) == eager
-        stream = coordinator.stream(spec)
-        try:
-            assert list(stream) == eager
-        finally:
-            stream.close()
+        repeated = UnionQuery((upper, disc, upper), limit=90)
+        predicated = IntersectionQuery(
+            (UnionQuery((upper, window), predicate=left), upper)
+        )
+        for spec in (nested, repeated, predicated):
+            eager = oracle.query(spec).ids()
+            assert eager
+            assert list(oracle.query(spec).stream()) == eager
+            assert (
+                oracle.query_batch([spec], use_cache=False)[0].ids() == eager
+            )
+            assert coordinator.query(spec) == eager
+            stream = coordinator.stream(spec)
+            try:
+                assert list(stream) == eager
+            finally:
+                stream.close()
 
     def test_streaming_first_n(self, pair):
         coordinator, oracle = pair
@@ -155,6 +165,48 @@ class TestReadEquivalence:
         assert got == oracle.query(union).first(10)
 
 
+class CountingShard(LocalShard):
+    """A local shard that counts the eager ``query_ids`` calls it serves."""
+
+    def __init__(self, database):
+        super().__init__(database)
+        self.calls = 0
+
+    def query_ids(self, spec):
+        self.calls += 1
+        return super().query_ids(spec)
+
+
+#: Two windows that each straddle both halves of a two-shard curve.
+W_LOW = WindowQuery((0.1, 0.1, 0.9, 0.5))
+W_HIGH = WindowQuery((0.1, 0.5, 0.9, 0.9))
+
+
+def counting_cluster():
+    """A two-shard coordinator over counting shards, loaded, counts zeroed."""
+    shards = [CountingShard(SpatialDatabase()) for _ in range(2)]
+    coordinator = ClusterCoordinator(shards)
+    coordinator.extend([(p.x, p.y) for p in uniform_points(200, seed=13)])
+    for shard in shards:
+        shard.calls = 0
+    return coordinator, shards
+
+
+class TestOneJobPerLeaf:
+    def test_repeated_leaf_fans_out_once(self):
+        """A leaf repeated inside a composite is one job, as in the
+        engine: the same shard calls as the composite without it."""
+        coordinator, shards = counting_cluster()
+        once = coordinator.query(UnionQuery((W_LOW, W_HIGH)))
+        distinct = sum(shard.calls for shard in shards)
+        assert distinct == 4  # both windows touch both shards
+        for shard in shards:
+            shard.calls = 0
+        twice = coordinator.query(UnionQuery((W_LOW, W_LOW, W_HIGH)))
+        assert sum(shard.calls for shard in shards) == distinct
+        assert twice == once
+
+
 class TestValidationParity:
     def test_area_on_empty_cluster(self):
         coordinator = ClusterCoordinator(
@@ -170,6 +222,15 @@ class TestValidationParity:
             coordinator.query(
                 AreaQuery(Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)]))
             )
+
+    def test_zero_area_leaf_fails_before_any_shard_call(self):
+        coordinator, shards = counting_cluster()
+        degenerate = AreaQuery(
+            Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)])
+        )
+        with pytest.raises(InvalidQueryAreaError):
+            coordinator.query(UnionQuery((W_LOW, degenerate)))
+        assert sum(shard.calls for shard in shards) == 0
 
     def test_write_errors(self, pair):
         coordinator, _ = pair

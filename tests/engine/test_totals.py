@@ -5,6 +5,7 @@ import pytest
 from repro.core.database import SpatialDatabase
 from repro.core.exceptions import InvalidQueryAreaError
 from repro.engine.batch import BatchStats, EngineTotals
+from repro.query.executor import validate_spec
 from repro.geometry.polygon import Polygon
 from repro.query.spec import AreaQuery, KnnQuery, UnionQuery, WindowQuery
 from repro.workloads.generators import uniform_points
@@ -80,12 +81,12 @@ class TestEngineTotals:
 
 class TestValidateSpec:
     def test_accepts_good_and_rejects_bad(self, db):
-        db.engine.validate_spec(WindowQuery((0, 0, 1, 1)))
+        validate_spec(db, WindowQuery((0, 0, 1, 1)))
         with pytest.raises(TypeError, match="not a query spec"):
-            db.engine.validate_spec("window")
+            validate_spec(db, "window")
         degenerate = Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)])
         with pytest.raises(InvalidQueryAreaError):
-            db.engine.validate_spec(AreaQuery(degenerate))
+            validate_spec(db, AreaQuery(degenerate))
 
     def test_recurses_into_composites(self, db):
         degenerate = Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)])
@@ -93,4 +94,4 @@ class TestValidateSpec:
             (WindowQuery((0, 0, 1, 1)), AreaQuery(degenerate))
         )
         with pytest.raises(InvalidQueryAreaError):
-            db.engine.validate_spec(bad_union)
+            validate_spec(db, bad_union)

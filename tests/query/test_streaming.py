@@ -128,6 +128,18 @@ class TestStreamingComposites:
         assert result.ids()[:3] == prefix
         assert db.engine.totals.batches == batches
 
+    def test_stream_memoises_its_record(self, db):
+        """Two ``stream()`` calls on one composite handle run one engine
+        batch and leave the handle executed; ``chunks`` reuses it."""
+        result = db.query(UnionQuery((W1, W2)))
+        batches = db.engine.totals.batches
+        first = list(result.stream())
+        assert result.executed
+        assert list(result.stream()) == first
+        assert [i for block in result.chunks(4) for i in block] == first
+        assert db.engine.totals.batches == batches + 1
+        assert first == db.query(UnionQuery((W1, W2))).ids()
+
     def test_projection_applies_to_stream(self, db):
         points = db.query(UnionQuery((W1, W2), select="points")).first(5)
         ids = db.query(UnionQuery((W1, W2))).first(5)

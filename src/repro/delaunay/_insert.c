@@ -114,29 +114,30 @@ double repro_incircle(const double *v, exact_fn fallback) {
 
 /* -- Hilbert keys: repro.engine.order.hilbert_keys at order 31 ------------- */
 
-void repro_hilbert_keys(i64 count, const i64 *rows, const double *xs, const double *ys,
-                        double min_x, double min_y, double width, double height, i64 *keys) {
+/* The curve's frame below a level is the plain one, swapped (x <-> y),
+ * complemented (both coordinates mirrored) or both: state = swapped |
+ * complemented << 1.  Row: state; column: the level's bits x << 1 | y. */
+static const unsigned char HILBERT_DIGIT[4][4] = {
+    {0, 1, 3, 2}, {0, 3, 1, 2}, {2, 3, 1, 0}, {2, 1, 3, 0}};
+static const unsigned char HILBERT_NEXT[4][4] = {
+    {1, 0, 3, 0}, {0, 2, 1, 1}, {2, 1, 2, 3}, {3, 3, 0, 2}};
+
+void repro_hilbert_keys(i64 count, const double *xs, const double *ys, double min_x,
+                        double min_y, double width, double height, i64 *keys) {
     const i64 side = (i64)1 << 31;
     for (i64 k = 0; k < count; k++) {
-        double fx = (xs[rows[k]] - min_x) / width, fy = (ys[rows[k]] - min_y) / height;
+        double fx = (xs[k] - min_x) / width, fy = (ys[k] - min_y) / height;
         fx = fx < 0.0 ? 0.0 : (fx > 1.0 ? 1.0 : fx);
         fy = fy < 0.0 ? 0.0 : (fy > 1.0 ? 1.0 : fy);
         i64 xi = (i64)(fx * (double)side), yi = (i64)(fy * (double)side);
         if (xi > side - 1) xi = side - 1;
         if (yi > side - 1) yi = side - 1;
         i64 key = 0;
-        for (i64 s = side >> 1; s > 0; s >>= 1) {
-            i64 rx = (xi & s) != 0, ry = (yi & s) != 0;
-            key += s * s * ((3 * rx) ^ ry);
-            if (ry == 0) {
-                if (rx == 1) {
-                    xi = s - 1 - xi;
-                    yi = s - 1 - yi;
-                }
-                i64 swap = xi;
-                xi = yi;
-                yi = swap;
-            }
+        int state = 0;
+        for (int level = 30; level >= 0; level--) {
+            int bits = (int)((xi >> level) & 1) << 1 | (int)((yi >> level) & 1);
+            key = key << 2 | HILBERT_DIGIT[state][bits];
+            state = HILBERT_NEXT[state][bits];
         }
         keys[k] = key;
     }

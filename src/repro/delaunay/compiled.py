@@ -132,7 +132,7 @@ def _target(compiler: str, directory: Path) -> Tuple[list, Path]:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Give the library's entry points their signatures."""
     i64, p, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.repro_hilbert_keys.argtypes = [i64, p, p, p, f64, f64, f64, f64, p]
+    lib.repro_hilbert_keys.argtypes = [i64, p, p, f64, f64, f64, f64, p]
     lib.repro_hilbert_keys.restype = None
     lib.repro_build.argtypes = [i64, p, p, p, p, p, i64, p, p, p, _EXACT, _EXACT, p]
     lib.repro_build.restype = ctypes.c_int
@@ -154,14 +154,35 @@ def _columns(xs, ys, rows) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def hilbert_keys(lib, rows, xs, ys, extent) -> np.ndarray:
+def hilbert_order(xs, ys) -> Tuple[np.ndarray, bool]:
+    """The insertion order of both graph builds (compiled, interpreted) over
+    the non-empty rows ``(xs, ys)``: the stable argsort of their order-31
+    Hilbert keys over their :func:`extent` (a cluster a millionth of it wide
+    still gets distinct keys) — :func:`hilbert_keys`, else the same keys
+    from numpy — and whether no two keys, so no two locations, are equal."""
+    box, lib = extent(xs, ys), library()
+    if lib is not None:
+        keys = hilbert_keys(lib, xs, ys, box)
+    else:  # imported here: the engine package imports the layers above this one
+        from repro.engine.order import hilbert_keys as curve_keys
+        keys = curve_keys((xs - box[0]) / box[2], (ys - box[1]) / box[3], order=31)
+    order = np.argsort(keys, kind="stable")
+    return order, bool(np.diff(keys[order]).all())  # sorted keys >= 0: no overflow
+
+
+def hilbert_keys(lib, xs, ys, box) -> np.ndarray:
     """:func:`repro.engine.order.hilbert_keys` at order 31 of the rows
-    ``rows`` normalised to ``extent`` (``(min_x, min_y, width, height)``)."""
-    xs, ys, rows = _columns(xs, ys, rows)
-    keys = np.empty(len(rows), dtype=np.int64)
-    lib.repro_hilbert_keys(len(rows), rows.ctypes.data, xs.ctypes.data, ys.ctypes.data,
-                           *extent, keys.ctypes.data)
+    normalised to ``box`` (``(min_x, min_y, width, height)``)."""
+    xs, ys = np.ascontiguousarray(xs, dtype=np.float64), np.ascontiguousarray(ys, dtype=np.float64)
+    keys = np.empty(len(xs), dtype=np.int64)
+    lib.repro_hilbert_keys(len(xs), xs.ctypes.data, ys.ctypes.data, *box, keys.ctypes.data)
     return keys
+
+
+def extent(xs: np.ndarray, ys: np.ndarray) -> Tuple[float, float, float, float]:
+    """``(min_x, min_y, width, height)`` of the rows; a flat side counts 1."""
+    min_x, min_y = float(xs.min()), float(ys.min())
+    return min_x, min_y, (float(xs.max()) - min_x) or 1.0, (float(ys.max()) - min_y) or 1.0
 
 
 def graph(lib, xs, ys, order) -> Tuple[np.ndarray, np.ndarray]:

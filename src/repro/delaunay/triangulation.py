@@ -29,7 +29,7 @@ cavity collects every triangle whose circumcircle strictly contains it (for
 a ghost: the open half-plane beyond its edge, or the open edge itself), and
 its boundary is fanned to the new vertex.  Walks start next to their
 target: the bulk build inserts in Hilbert-curve order
-(:func:`repro.engine.order.hilbert_keys`) from the previous insert's
+(:func:`repro.delaunay.compiled.hilbert_order`) from the previous insert's
 triangle, and a live insert from a *hint grid* — about four build points
 per cell, each cell remembering a live finite triangle with a vertex in it,
 refreshed whenever a cavity boundary passes through — under three steps on
@@ -79,10 +79,6 @@ from repro.geometry.predicates import (
 
 #: The third vertex of every ghost triangle: the point at infinity.
 GHOST = -1
-#: Hilbert refinement of the bulk build's insertion order: the finest the
-#: int64 keys allow, so that a cluster a millionth of the bounding box wide
-#: (one far outlier does that) still gets distinct keys.
-_CURVE_ORDER = 31
 #: The hint grid has about one cell per four build-time points, and never
 #: more than this many cells per axis, however large the build.
 _HINT_SIDE_MAX = 256
@@ -294,7 +290,7 @@ class DelaunayTriangulation:
         self._set_rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
         # hint grid over the bounding box: cell -> a live finite triangle
         # with a vertex in that cell (-1 until one lands there)
-        min_x, min_y, width, height = _extent(xs, ys)
+        min_x, min_y, width, height = compiled.extent(xs, ys)
         side = min(_HINT_SIDE_MAX, max(1, int((self.canonical_count / 4.0) ** 0.5)))
         self._hint_side = side
         self._hint_origin = (min_x, min_y)
@@ -303,19 +299,11 @@ class DelaunayTriangulation:
 
     def _build(self, xs: np.ndarray, ys: np.ndarray) -> None:
         """Triangulate the rows by exact inserts in Hilbert-curve order."""
-        # Imported here: the engine package imports the layers above this
-        # one, which import this module.
-        from repro.engine.order import hilbert_keys
-
         _check_rows(xs, ys)
-        location = _locations(xs, ys)
+        order, distinct = compiled.hilbert_order(xs, ys)
+        location = np.arange(len(xs)) if distinct else _locations(xs, ys)
         self._begin(xs, ys, location)
-        canonical = np.flatnonzero(location == np.arange(len(xs)))
-        min_x, min_y, width, height = _extent(xs, ys)
-        keys = hilbert_keys(
-            (xs[canonical] - min_x) / width, (ys[canonical] - min_y) / height, order=_CURVE_ORDER
-        )
-        for vertex in canonical[np.argsort(keys, kind="stable")].tolist():
+        for vertex in order[location[order] == order].tolist():
             if self._chain is None:
                 located = self._locate(self._xs[vertex], self._ys[vertex], self._last)
                 self._cavity_insert(vertex, located)
@@ -665,19 +653,12 @@ def _compiled_graph(lib, xs, ys) -> Tuple[np.ndarray, np.ndarray]:
     xs = np.ascontiguousarray(xs, dtype=np.float64)  # read twice below
     ys = np.ascontiguousarray(ys, dtype=np.float64)
     _check_rows(xs, ys)
-    n = len(xs)
+    order, distinct = compiled.hilbert_order(xs, ys)
+    if distinct:
+        return compiled.graph(lib, xs, ys, order)
     location = _locations(xs, ys)
-    canonical = np.flatnonzero(location == np.arange(n))
-    distinct = len(canonical) == n
-    keys = compiled.hilbert_keys(lib, canonical, xs, ys, _extent(xs, ys))
-    order = canonical[np.argsort(keys, kind="stable")]
-    del keys, canonical
-    if distinct:
-        del location
-    indptr, indices = compiled.graph(lib, xs, ys, order)
-    if distinct:
-        return indptr, indices
-    return _expand_copies(location, np.repeat(np.arange(n), np.diff(indptr)), indices)
+    indptr, indices = compiled.graph(lib, xs, ys, order[location[order] == order])
+    return _expand_copies(location, np.repeat(np.arange(len(xs)), np.diff(indptr)), indices)
 
 
 # -- array helpers -------------------------------------------------------------
@@ -715,12 +696,6 @@ def _coordinate_columns(points: Sequence[Point]):
         np.fromiter((p.x for p in points), dtype=np.float64, count=count),
         np.fromiter((p.y for p in points), dtype=np.float64, count=count),
     )
-
-
-def _extent(xs: np.ndarray, ys: np.ndarray) -> Tuple[float, float, float, float]:
-    """``(min_x, min_y, width, height)`` of the rows; a flat side counts 1."""
-    min_x, min_y = float(xs.min()), float(ys.min())
-    return min_x, min_y, (float(xs.max()) - min_x) or 1.0, (float(ys.max()) - min_y) or 1.0
 
 
 def _locations(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Points are snapped to a ``2**order`` by ``2**order`` grid and keyed by
 their position along the curve.  Two layers order by it: the cluster's
 shard map (:mod:`repro.cluster.shardmap`) assigns key ranges to workers,
-and the Delaunay bulk build (:mod:`repro.delaunay.triangulation`) inserts
-rows in curve order so each point location starts next to its target.
+and the Delaunay bulk build inserts rows in curve order
+(:func:`repro.delaunay.compiled.hilbert_order`, the same keys).
 
 The Hilbert curve is preferred over a Z-order (Morton) curve because it has
 no long jumps: consecutive curve positions are always adjacent grid cells,

@@ -48,11 +48,11 @@ _DEFAULT_MAX_ENTRIES = 16
 
 #: ``bulk_load`` into a non-empty tree repacks when the batch is at least
 #: ``1 / _REPACK_RATIO`` of the rows the new tree will hold.  The ratio is
-#: the cost of one ``insert`` over the cost of repacking one row: an insert
-#: is 100–300 µs into a grown tree of 10 000–20 000 rows (more right after
-#: a pack, when every leaf is full and splits), a repack 0.7 µs a row at
-#: 10 000–100 000 rows including the walk that collects the old leaves'
-#: columns — 150 and up, rounded down (docs/BENCHMARKS.md, "Bulk build").
+#: at most the cost of one ``insert`` (240–500 µs into a grown tree of
+#: 10 000–20 000 rows, more right after a pack, when every leaf splits) over
+#: that of repacking one row (0.4 µs at 10 000–200 000 rows, collecting the
+#: old leaves' columns included): 600 and up, kept low because a repacked
+#: tree makes later inserts dearer (docs/BENCHMARKS.md, "Bulk build").
 _REPACK_RATIO = 100
 
 #: What a node without entries holds (shared, so read-only).
@@ -130,6 +130,17 @@ class _Node:
 
     def size(self) -> int:
         return len(self.ids) if self.is_leaf else len(self.children)
+
+
+def _sorted_by(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """Positions by ``(major, minor, position)``, as ``np.lexsort((minor, major))``
+    gives them; numpy's unstable argsort does too, 12x faster at 200 000 floats
+    (docs/BENCHMARKS.md, "Bulk build"), unless two ``major`` values tie."""
+    order = np.argsort(major)
+    ordered = major[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        return np.lexsort((minor, major))
+    return order
 
 
 def _columns_mbr(xs: np.ndarray, ys: np.ndarray) -> Rect:
@@ -243,9 +254,9 @@ class RTree(SpatialIndex):
 
         Every level is packed the same way: sort the items (rows, then
         nodes) by centre x, slice into vertical strips, sort each strip by
-        centre y, and cut into runs of ``capacity``.  Both sorts are
-        stable, so ties keep their input order.  The rows are permuted
-        once, into three packed columns the leaves slice.
+        centre y, and cut into runs of ``capacity``.  Ties break by the other
+        centre, then input order.  The rows are permuted once, into three
+        packed columns the leaves slice.
         """
         capacity = self.max_entries
         boxes = (xs, ys, xs, ys)  # min_x, min_y, max_x, max_y per item
@@ -257,9 +268,11 @@ class RTree(SpatialIndex):
             center_y = (boxes[1] + boxes[3]) / 2.0
             strip_count = math.ceil(math.sqrt(math.ceil(count / capacity)))
             strip_size = math.ceil(count / strip_count)
-            strip, offset = np.divmod(np.arange(count), strip_size)
-            order = np.lexsort((center_y, center_x))
-            order = order[np.lexsort((center_x[order], center_y[order], strip))]
+            offset = np.arange(count) % strip_size
+            order = _sorted_by(center_x, center_y)
+            by_y = _sorted_by(center_y[order], center_x[order])
+            # regroup by strip, y order kept within (distinct keys: any sort)
+            order = order[by_y[np.argsort(by_y // strip_size * count + np.arange(count))]]
             starts = np.flatnonzero(offset % capacity == 0)
             boxes = tuple(
                 edge.reduceat(column[order], starts)

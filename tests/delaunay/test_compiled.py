@@ -29,8 +29,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay import compiled
-from repro.delaunay.triangulation import DelaunayTriangulation, _compiled_graph, bulk_graph
-from repro.engine.order import hilbert_keys
+from repro.delaunay.triangulation import (
+    DelaunayTriangulation,
+    _compiled_graph,
+    _locations,
+    bulk_graph,
+)
+from repro.engine.order import cell_key, hilbert_keys
 from repro.geometry.predicates import (
     _incircle_exact,
     _orientation_exact,
@@ -94,6 +99,25 @@ def _near_collinear():
     return xs, xs + rng.random(3_000) * 1e-12
 
 
+def _shuffled_copies():
+    # 500 copies of random rows, scattered through the row order
+    xs, ys = _uniform(3_000, seed=8)
+    rng = np.random.default_rng(8)
+    rows = np.r_[np.arange(3_000), rng.integers(0, 3_000, 500)]
+    rng.shuffle(rows)
+    return xs[rows], ys[rows]
+
+
+def _shared_cells():
+    # a 1e9 extent makes an order-31 cell about 0.47 wide: 40 distinct rows
+    # 1e-3 apart share cells, and their copies (rows after them all) fall
+    # behind the whole run in key order, away from their first rows
+    xs, ys = _uniform(3_000, seed=9)
+    xs, ys = xs * 1e9, ys * 1e9
+    near_x, near_y = 5e8 + np.arange(40) * 1e-3, np.full(40, 5e8)
+    return np.r_[xs, near_x, xs[:100:7], near_x[::3]], np.r_[ys, near_y, ys[:100:7], near_y[::3]]
+
+
 def _scaled(scale):
     def rows():
         xs, ys = _uniform(400, seed=7)
@@ -114,6 +138,8 @@ INPUTS = {
     "a-line": lambda: (np.arange(40.0)[::-1], 2.0 * np.arange(40.0)[::-1]),
     "one-row": lambda: (np.array([0.5]), np.array([0.5])),
     "copies-only": lambda: (np.full(3, 0.25), np.full(3, 0.75)),
+    "shuffled-copies": _shuffled_copies,
+    "shared-cells": _shared_cells,
 }
 
 
@@ -140,12 +166,65 @@ def test_threads_build_at_once(lib):
         assert np.array_equal(indptr, expected[0]) and np.array_equal(indices, expected[1])
 
 
-def test_the_compiled_keys_are_the_curves(lib):
-    xs, ys = _far_outliers()
-    rows = np.arange(len(xs), dtype=np.int64)
-    extent = (xs.min(), ys.min(), xs.max() - xs.min(), ys.max() - ys.min())
-    expected = hilbert_keys((xs - extent[0]) / extent[2], (ys - extent[1]) / extent[3], order=31)
-    assert np.array_equal(compiled.hilbert_keys(lib, rows, xs, ys, extent), expected)
+#: Key inputs at the edges of the snapping rule.
+KEY_INPUTS = {
+    "far-outliers": _far_outliers,
+    "max-corner": lambda: (np.array([0.0, 1.0, 1.0, 0.25]), np.array([0.0, 1.0, 0.5, 1.0])),
+    "one-row": lambda: (np.array([0.5]), np.array([-3.0])),
+    "zero-width": lambda: (np.full(300, 2.5), _uniform(300, seed=10)[1]),
+    "negative": lambda: tuple(-7.0 * column - 3.0 for column in _uniform(2_000, seed=11)),
+    "scale-1e-300": _scaled(1e-300),
+    "scale-1e150": _scaled(1e150),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_INPUTS))
+def test_the_compiled_keys_are_the_curves(lib, case):
+    xs, ys = KEY_INPUTS[case]()
+    box = compiled.extent(xs, ys)
+    expected = hilbert_keys((xs - box[0]) / box[2], (ys - box[1]) / box[3], order=31)
+    assert np.array_equal(compiled.hilbert_keys(lib, xs, ys, box), expected)
+
+
+def test_the_max_corner_is_the_last_cell(lib):
+    xs, ys = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    last = (1 << 31) - 1
+    assert compiled.hilbert_keys(lib, xs, ys, compiled.extent(xs, ys)).tolist() == [
+        cell_key(0, 0, 31),
+        cell_key(last, last, 31),
+    ]
+
+
+@pytest.mark.parametrize("keys_from", ["compiled", "numpy"])
+@pytest.mark.parametrize("case", sorted(INPUTS))
+def test_hilbert_order_is_the_stable_argsort_of_the_keys(lib, monkeypatch, keys_from, case):
+    monkeypatch.setattr(compiled, "library", lambda: lib if keys_from == "compiled" else None)
+    xs, ys = INPUTS[case]()
+    box = compiled.extent(xs, ys)
+    keys = hilbert_keys((xs - box[0]) / box[2], (ys - box[1]) / box[3], order=31)
+    order, distinct = compiled.hilbert_order(xs, ys)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert distinct == (len(np.unique(keys)) == len(keys))
+    if distinct:
+        assert len(set(zip(xs.tolist(), ys.tolist()))) == len(xs)
+
+
+def test_the_copy_inputs_take_the_dedup_path():
+    """Both inputs reach the build's dedup branch the way it must be
+    right: copies apart from their first row in key order, and (for the
+    shared cells) distinct locations under one key."""
+    for case in ("shuffled-copies", "shared-cells"):
+        xs, ys = INPUTS[case]()
+        order, distinct = compiled.hilbert_order(xs, ys)
+        location = _locations(xs, ys)
+        assert not distinct
+        copies = np.flatnonzero(location[order] != order)
+        assert (order[copies - 1] != location[order[copies]]).any()
+    xs, ys = _shared_cells()
+    box = compiled.extent(xs, ys)
+    keys = hilbert_keys((xs - box[0]) / box[2], (ys - box[1]) / box[3], order=31)
+    canonical = np.flatnonzero(_locations(xs, ys) == np.arange(len(xs)))
+    assert len(np.unique(keys[canonical])) < len(canonical)
 
 
 # -- the same predicate signs --------------------------------------------------

@@ -2,9 +2,11 @@
 
 A worker is nothing special — it is ``python -m repro serve`` on an
 ephemeral port with an empty database, exactly the process a user would
-start by hand.  :func:`spawn_worker` launches one and parses the bound
-address from its startup banner (``serve --port 0`` prints the port it
-actually got); :func:`start_cluster` composes N of them with a
+start by hand.  :func:`start_worker` launches one, :func:`await_worker`
+parses the bound address from its startup banner (``serve --port 0``
+prints the port it actually got) and :func:`spawn_worker` does both;
+:func:`start_cluster` starts every worker before it waits for any, and
+composes them with a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` over
 :class:`~repro.cluster.backends.RemoteShard` backends, served to
 clients by the v1 front end (:class:`~repro.server.app.ServerThread`
@@ -42,6 +44,8 @@ from repro.server.app import ServerThread
 
 __all__ = [
     "WorkerProcess",
+    "start_worker",
+    "await_worker",
     "spawn_worker",
     "ClusterSupervisor",
     "ClusterHandle",
@@ -83,23 +87,29 @@ class WorkerProcess:
         negative (killed by signal) when the worker did not shut down
         cleanly — or ``None`` if the process could not be reaped.
         """
-        if self.process.poll() is None:
-            self.process.terminate()
+        return _stop(self.process, timeout)
+
+
+def _stop(process: subprocess.Popen, timeout: float = 5.0) -> Optional[int]:
+    """:meth:`WorkerProcess.terminate` for a process started by
+    :func:`start_worker`, whether or not its banner came."""
+    if process.poll() is None:
+        process.terminate()
+        try:
+            process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck
+            process.kill()
             try:
-                self.process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck
-                self.process.kill()
-                try:
-                    self.process.wait(timeout=timeout)
-                except subprocess.TimeoutExpired:
-                    pass
-        else:
-            # Already exited (crashed or killed externally): reap it.
-            self.process.wait()
-        for pipe in (self.process.stdout, self.process.stderr):
-            if pipe is not None and not pipe.closed:
-                pipe.close()
-        return self.process.returncode
+                process.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                pass
+    else:
+        # Already exited (crashed or killed externally): reap it.
+        process.wait()
+    for pipe in (process.stdout, process.stderr):
+        if pipe is not None and not pipe.closed:
+            pipe.close()
+    return process.returncode
 
 
 def _worker_environment() -> Dict[str, str]:
@@ -120,17 +130,12 @@ def _worker_environment() -> Dict[str, str]:
     return env
 
 
-def spawn_worker(
-    *,
-    host: str = "127.0.0.1",
-    startup_timeout: float = 30.0,
-) -> WorkerProcess:
-    """Launch one empty ``repro serve`` worker on an ephemeral port.
+def start_worker(*, host: str = "127.0.0.1") -> subprocess.Popen:
+    """Start one empty ``repro serve`` worker on an ephemeral port and
+    return at once; :func:`await_worker` reads its address.
 
-    Blocks until the worker prints its startup banner (so the returned
-    address is connectable) or ``startup_timeout`` passes.  The worker
-    starts with ``--points 0`` — data arrives through the coordinator's
-    bulk load, never via per-worker seed files.
+    The worker starts with ``--points 0`` — data arrives through the
+    coordinator's bulk load, never via per-worker seed files.
     """
     command = [
         sys.executable,
@@ -145,13 +150,22 @@ def spawn_worker(
         "--points",
         "0",
     ]
-    process = subprocess.Popen(
+    return subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         env=_worker_environment(),
     )
+
+
+def await_worker(
+    process: subprocess.Popen, *, startup_timeout: float = 30.0
+) -> WorkerProcess:
+    """Block until a :func:`start_worker` process prints its startup
+    banner, so the returned address is connectable.  ``RuntimeError`` if
+    it exits first or ``startup_timeout`` passes (it is killed then).
+    """
     deadline = time.monotonic() + startup_timeout
     lines: List[str] = []
     while True:
@@ -175,6 +189,18 @@ def spawn_worker(
             return WorkerProcess(
                 process, match.group(1), int(match.group(2))
             )
+
+
+def spawn_worker(
+    *,
+    host: str = "127.0.0.1",
+    startup_timeout: float = 30.0,
+) -> WorkerProcess:
+    """Launch one empty ``repro serve`` worker on an ephemeral port and
+    wait for its banner (:func:`start_worker`, then :func:`await_worker`)."""
+    return await_worker(
+        start_worker(host=host), startup_timeout=startup_timeout
+    )
 
 
 class ClusterSupervisor:
@@ -364,9 +390,10 @@ def start_cluster(
     :class:`ClusterSupervisor` that respawns dead workers; a positive
     ``health_interval`` starts the coordinator's background health
     probes at that period.  ``coordinator_options`` pass through to
-    :class:`ClusterCoordinator` (rebalance tuning).  On any startup
-    failure the already-spawned workers are terminated before the error
-    propagates.
+    :class:`ClusterCoordinator` (rebalance tuning).  Every worker and
+    replica is started before the launcher waits for any banner, so their
+    start-ups overlap.  On any startup failure every process already
+    started is terminated before the error propagates.
     """
     if worker_count < 1:
         raise ValueError(f"need at least one worker, got {worker_count}")
@@ -376,17 +403,16 @@ def start_cluster(
         raise ValueError(
             f"replicas must be 0 or 1 (per-primary standby), got {replicas}"
         )
-    workers: List[WorkerProcess] = []
-    replica_workers: List[WorkerProcess] = []
+    processes: List[subprocess.Popen] = []
     try:
-        for _ in range(worker_count):
-            workers.append(spawn_worker(host=host))
+        for _ in range(worker_count * (1 + replicas)):
+            processes.append(start_worker(host=host))
+        started = [await_worker(process) for process in processes]
+        workers, replica_workers = started[:worker_count], started[worker_count:]
         backends = [
             RemoteShard(worker.host, worker.port) for worker in workers
         ]
         if replicas:
-            for _ in range(worker_count):
-                replica_workers.append(spawn_worker(host=host))
             coordinator_options["replicas"] = [
                 RemoteShard(worker.host, worker.port)
                 for worker in replica_workers
@@ -407,8 +433,8 @@ def start_cluster(
             backend=ClusterBackend(coordinator), host=host, port=port
         )
     except BaseException:
-        for worker in workers + replica_workers:
-            worker.terminate()
+        for process in processes:
+            _stop(process)
         raise
     supervisor: Optional[ClusterSupervisor] = None
     if supervise:

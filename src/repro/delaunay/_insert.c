@@ -413,15 +413,16 @@ int repro_build(i64 count, const i64 *order, const double *xs, const double *ys,
 }
 
 static int ascending(const void *a, const void *b) {
-    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
     return (x > y) - (x < y);
 }
 
-/* The CSR rows of the canonical graph: ``indptr`` has n + 1 entries,
- * ``indices`` the directed-edge count repro_build reported. */
-void repro_emit(i64 n, const i64 *tri, i64 slots, const i64 *chain, i64 m, i64 *indptr,
-                i64 *indices) {
-    memset(indptr, 0, (size_t)(n + 1) * sizeof(i64));
+/* The CSR rows of the canonical graph, in 32-bit row ids: ``indptr`` has
+ * n + 1 entries, ``indices`` the directed-edge count repro_build reported
+ * (the caller keeps n, and so that count, below 2^31). */
+void repro_emit(i64 n, const i64 *tri, i64 slots, const i64 *chain, i64 m, int32_t *indptr,
+                int32_t *indices) {
+    memset(indptr, 0, (size_t)(n + 1) * sizeof(int32_t));
     if (slots) {
         for (i64 t = 0; t < slots; t++)
             for (int e = 0; e < 3; e++) {
@@ -440,24 +441,26 @@ void repro_emit(i64 n, const i64 *tri, i64 slots, const i64 *chain, i64 m, i64 *
         for (i64 t = 0; t < slots; t++)
             for (int e = 0; e < 3; e++) {
                 i64 u = tri[3 * t + NEXT[e]], w = tri[3 * t + PREV[e]];
-                if (u >= 0 && w >= 0) indices[indptr[u]++] = w;
+                if (u >= 0 && w >= 0) indices[indptr[u]++] = (int32_t)w;
             }
     } else {
         for (i64 i = 0; i + 1 < m; i++) {
-            indices[indptr[chain[i]]++] = chain[i + 1];
-            indices[indptr[chain[i + 1]]++] = chain[i];
+            indices[indptr[chain[i]]++] = (int32_t)chain[i + 1];
+            indices[indptr[chain[i + 1]]++] = (int32_t)chain[i];
         }
     }
     for (i64 r = n; r > 0; r--) indptr[r] = indptr[r - 1];
     indptr[0] = 0;
     for (i64 r = 0; r < n; r++) {
-        i64 *row = indices + indptr[r], length = indptr[r + 1] - indptr[r];
+        int32_t *row = indices + indptr[r];
+        i64 length = indptr[r + 1] - indptr[r];
         if (length > 16) {
-            qsort(row, (size_t)length, sizeof(i64), ascending);
+            qsort(row, (size_t)length, sizeof(int32_t), ascending);
             continue;
         }
         for (i64 i = 1; i < length; i++) {
-            i64 value = row[i], j = i;
+            int32_t value = row[i];
+            i64 j = i;
             for (; j > 0 && row[j - 1] > value; j--) row[j] = row[j - 1];
             row[j] = value;
         }

@@ -5,7 +5,7 @@ Voronoi neighbours (``VN(P, p)`` in the paper).  :class:`DelaunayBackend`
 provides it, and is the one place the graph is built, adopted and changed.
 Consumers read it in two forms:
 
-* the **CSR pair** (``indptr``, ``indices``; int64; 56 bytes a row), which
+* the **CSR pair** (``indptr``, ``indices``; int32; 28 bytes a row), which
   Algorithm 1's expansion (:mod:`repro.core.voronoi_query`) gathers whole
   waves from and :meth:`SpatialDatabase.prepare
   <repro.core.database.SpatialDatabase.prepare>` builds;
@@ -125,9 +125,9 @@ class DelaunayBackend:
         return len(self._csr[0]) - 1
 
     def neighbor_csr(self):
-        """The graph as the CSR pair ``(indptr, indices)``, int64: row
-        ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]``.  After
-        writes it is re-packed from the rows, then cached until the next."""
+        """The graph as the CSR pair ``(indptr, indices)``, int32 (28 bytes
+        a row): row ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]``.
+        After writes it is re-packed from the rows, then cached until the next."""
         if self._csr is None:
             self._csr = self._triangulation.csr()
         return self._csr

@@ -186,9 +186,10 @@ def extent(xs: np.ndarray, ys: np.ndarray) -> Tuple[float, float, float, float]:
 
 
 def graph(lib, xs, ys, order) -> Tuple[np.ndarray, np.ndarray]:
-    """The CSR graph between the locations ``order`` (distinct rows, in
-    insertion order) of the rows ``(xs, ys)``: rows not in ``order`` are
-    left empty."""
+    """The int32 CSR graph between the locations ``order`` (distinct rows,
+    in insertion order) of the rows ``(xs, ys)``: rows not in ``order`` are
+    left empty.  The caller keeps the rows within
+    :data:`~repro.delaunay.triangulation.MAX_ROWS`."""
     xs, ys, order = _columns(xs, ys, order)
     n, count = len(xs), len(order)
     capacity = max(2 * count - 2, 0)  # the slots a triangulation of count takes
@@ -213,8 +214,8 @@ def graph(lib, xs, ys, order) -> Tuple[np.ndarray, np.ndarray]:
     if status:
         raise RuntimeError(f"the compiled insert failed (status {status})")
     slots, chained, directed = out.tolist()
-    indptr = np.empty(n + 1, dtype=np.int64)
-    indices = np.empty(directed, dtype=np.int64)
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(directed, dtype=np.int32)
     lib.repro_emit(n, tri.ctypes.data, slots, chain.ctypes.data, chained,
                    indptr.ctypes.data, indices.ctypes.data)
     return indptr, indices

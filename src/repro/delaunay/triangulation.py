@@ -79,6 +79,9 @@ from repro.geometry.predicates import (
 
 #: The third vertex of every ghost triangle: the point at infinity.
 GHOST = -1
+#: The most rows a graph may cover.  Its CSR pair is int32, and ``indptr[n]``
+#: counts the directed edges, about 6n: past this many rows it could overflow.
+MAX_ROWS = (2**31 - 1) // 6
 #: The hint grid has about one cell per four build-time points, and never
 #: more than this many cells per axis, however large the build.
 _HINT_SIDE_MAX = 256
@@ -174,14 +177,15 @@ class DelaunayTriangulation:
         return self._start, self._stop, self._flat
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The rows as a packed int64 CSR pair ``(indptr, indices)``: new
-        arrays, which also become the row storage (dropping the garbage)."""
+        """The rows as a packed int32 CSR pair ``(indptr, indices)``: new
+        arrays, whose values also become the (int64) row storage, dropping
+        the garbage."""
         start = np.frombuffer(self._start, dtype=np.int64)
         lengths = np.frombuffer(self._stop, dtype=np.int64) - start
-        indptr = np.zeros(len(start) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.frombuffer(self._flat, dtype=np.int64)[_ranges(start, lengths)]
-        del start  # the old storage is replaced, never resized
+        indptr = _packed_indptr(lengths)
+        flat = np.frombuffer(self._flat, dtype=np.int64)
+        indices = flat[_ranges(start, lengths)].astype(np.int32)
+        del start, flat  # the old storage is replaced, never resized
         self._set_rows(indptr, indices)
         return indptr, indices
 
@@ -637,11 +641,14 @@ class DelaunayTriangulation:
 
 
 def bulk_graph(xs, ys) -> Tuple[np.ndarray, np.ndarray]:
-    """The Delaunay graph of the rows ``(xs, ys)`` as a packed int64 CSR
+    """The Delaunay graph of the rows ``(xs, ys)`` as a packed int32 CSR
     pair: the bulk build's exact inserts in Hilbert-curve order, by the
     compiled loop (:mod:`repro.delaunay.compiled`) where it loads and by
     :meth:`DelaunayTriangulation.from_xy` where it does not — the same
-    graph either way.  Only the pair is kept, no triangle."""
+    graph either way.  Only the pair is kept, no triangle.  More than
+    :data:`MAX_ROWS` rows raise :class:`ValueError` before anything is
+    allocated."""
+    _check_rows(xs, ys)
     lib = compiled.library()
     if lib is None:
         return DelaunayTriangulation.from_xy(xs, ys).csr()
@@ -652,7 +659,6 @@ def _compiled_graph(lib, xs, ys) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`bulk_graph` through the compiled library ``lib``."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)  # read twice below
     ys = np.ascontiguousarray(ys, dtype=np.float64)
-    _check_rows(xs, ys)
     order, distinct = compiled.hilbert_order(xs, ys)
     if distinct:
         return compiled.graph(lib, xs, ys, order)
@@ -664,11 +670,20 @@ def _compiled_graph(lib, xs, ys) -> Tuple[np.ndarray, np.ndarray]:
 # -- array helpers -------------------------------------------------------------
 
 
+def check_row_count(count: int) -> None:
+    """:class:`ValueError` if a graph of ``count`` rows would outgrow its
+    int32 CSR pair (more than :data:`MAX_ROWS`)."""
+    if count > MAX_ROWS:
+        raise ValueError(f"{count} rows are more than a graph holds ({MAX_ROWS})")
+
+
 def _check_rows(xs: np.ndarray, ys: np.ndarray) -> None:
-    """Refuse what no triangulation has: no rows, or a NaN or infinite
-    coordinate (before anything is built from it)."""
+    """Refuse what no triangulation has: no rows, more than
+    :data:`MAX_ROWS`, or a NaN or infinite coordinate (before anything is
+    built from it)."""
     if not len(xs):
         raise ValueError("triangulation needs at least one point")
+    check_row_count(len(xs))
     finite = np.isfinite(xs) & np.isfinite(ys)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -709,6 +724,18 @@ def _locations(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return lowest
 
 
+def _packed_indptr(lengths: np.ndarray) -> np.ndarray:
+    """The int32 ``indptr`` of rows of ``lengths`` neighbours; a
+    :class:`ValueError` where they are more than int32 counts (copies of
+    one location form a clique, so rows alone do not bound the edges)."""
+    total = int(lengths.sum())
+    if total > np.iinfo(np.int32).max:
+        raise ValueError(f"{total} directed edges are more than a graph holds")
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
     offsets = np.cumsum(lengths) - lengths
@@ -716,16 +743,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _expand_copies(location: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """The CSR rows over every row, from the sorted, unique directed edges
+    """The int32 CSR rows over every row, from the sorted, unique directed edges
     ``src -> dst`` between canonical rows (``location[r]`` is row ``r``'s):
     each row's neighbours are the other rows at its location and every row
     at an adjacent one, ascending."""
     n = len(location)
     counts = np.bincount(location, minlength=n)
     if counts.max(initial=0) <= 1:  # no copies: the edges are the rows
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst.astype(np.int64, copy=False)
+        return _packed_indptr(np.bincount(src, minlength=n)), dst.astype(np.int32, copy=False)
     members = np.argsort(location, kind="stable")
     starts = np.cumsum(counts) - counts
     own = np.flatnonzero(counts)
@@ -738,9 +763,7 @@ def _expand_copies(location: np.ndarray, src: np.ndarray, dst: np.ndarray):
     lengths = listed[location]
     values = member[_ranges(np.cumsum(listed)[location] - lengths, lengths)]
     keep = values != np.repeat(np.arange(n), lengths)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths - 1, out=indptr[1:])
-    return indptr, values[keep]
+    return _packed_indptr(lengths - 1), values[keep].astype(np.int32)
 
 
 def _faces(xs, ys, location, indptr, indices):

@@ -8,10 +8,11 @@ Format: a single uncompressed numpy ``.npz`` archive holding
   the database has deletions; their coordinates stay in ``xy`` so that
   row ids — and the Voronoi superset graph — survive exactly),
 * ``graph_indptr`` / ``graph_indices`` — the Delaunay neighbour graph as
-  the int64 CSR pair :meth:`DelaunayBackend.neighbor_csr
+  the int32 CSR pair :meth:`DelaunayBackend.neighbor_csr
   <repro.delaunay.backends.DelaunayBackend.neighbor_csr>` returns, over
   all ``n`` rows, tombstones included (present for every database with
-  rows), and
+  rows; files written before the graph went to 32 bits hold it as int64,
+  which loads too), and
 * ``config`` — a JSON-encoded scalar with the database configuration
   (index kind, backend kind, row count, format version).
 
@@ -33,16 +34,19 @@ adopted graph and the coordinates, so an adopted image takes writes.
 The graph members are optional and the format version is unchanged: a
 file without them (any snapshot written before they existed) loads and
 builds its graph lazily or on ``prepare=True``.  A file with them is not
-trusted: :func:`load_database` checks the pair structurally (lengths
-against the row count, ``indptr`` starting at 0, never decreasing and
-ending at ``len(indices)``, every index a row id) and raises
-``ValueError("corrupt database file: ...")`` rather than serve from a
-graph that would index out of range or loop.
+trusted: :func:`load_database` checks the pair structurally (int32 or
+int64, lengths against the row count, ``indptr`` starting at 0, never
+decreasing and ending at ``len(indices)``, every index a row id) and
+raises ``ValueError("corrupt database file: ...")`` rather than serve
+from a graph that would index out of range or loop; an int64 pair that
+passes is converted to int32 once.
 
-The archive is written uncompressed: 7.2 MB per 1E5 rows in 15 ms.  zlib
-would bring that to 3.4 MB (the graph's int64s compress; random float64
-coordinates do not: 1.60 to 1.51 MB) for 0.6 s of saving per 1E5 rows —
-longer than the compiled build it sits beside — and inflating on every boot.
+The archive is written uncompressed: 4.4 MB per 1E5 rows (1.6 of
+coordinates, 2.8 of int32 graph) in about 6 ms, fsync included.  zlib
+would bring that to 3.3 MB (the graph compresses to 1.8 MB; random
+float64 coordinates do not: 1.60 to 1.51 MB) for 0.5 s of saving per 1E5
+rows — longer than the compiled build it sits beside — and inflating on
+every boot.
 Writes are atomic — a sibling temporary file renamed over
 the final name — so a crash or a failed graph build never leaves a
 truncated archive where ``serve --load`` will look.  The format stays
@@ -60,10 +64,13 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.delaunay.backends import DelaunayBackend
+from repro.delaunay.triangulation import check_row_count
 from repro.index import INDEX_REGISTRY
 
 _FORMAT_VERSION = 1
 _GRAPH_MEMBERS = ("graph_indptr", "graph_indices")
+#: What the graph members may hold: int32, or int64 in older files.
+_GRAPH_DTYPES = {np.dtype(np.int32), np.dtype(np.int64)}
 
 
 def _written_path(path: str | os.PathLike) -> str:
@@ -178,13 +185,16 @@ def save_database(path: str | os.PathLike, db: SpatialDatabase) -> str:
 def _check_graph(indptr, indices, count: int) -> None:
     """``ValueError`` unless the persisted CSR pair is a graph over ``count`` rows.
 
-    Everything a traversal relies on without checking: ``count + 1`` row
-    bounds that start at 0, never decrease and end at ``len(indices)``,
-    and indices that are all row ids.
+    Everything a traversal relies on without checking: int32 members (or
+    int64, as files written before the graph went to 32 bits hold them),
+    ``count + 1`` row bounds that start at 0, never decrease and end at
+    ``len(indices)``, and indices that are all row ids.  No more rows than
+    a graph holds (:func:`~repro.delaunay.triangulation.check_row_count`).
     """
+    check_row_count(count)
     problem = None
-    if indptr.dtype != np.int64 or indices.dtype != np.int64:
-        problem = f"graph dtypes {indptr.dtype}/{indices.dtype} are not int64"
+    if not {indptr.dtype, indices.dtype} <= _GRAPH_DTYPES:
+        problem = f"graph dtypes {indptr.dtype}/{indices.dtype} are not int32 or int64"
     elif indptr.shape != (count + 1,) or indices.ndim != 1:
         problem = (
             f"graph members have shapes {indptr.shape} and {indices.shape}, "
@@ -218,7 +228,8 @@ def load_database(
     be the exact file or the extensionless name the saver was given.
 
     A file that carries the neighbour graph has it checked (see the
-    module docstring; ``ValueError`` if it fails) and adopted as the
+    module docstring; ``ValueError`` if it fails), converted to int32 if
+    an older file holds it as int64, and adopted as the
     database's backend (:meth:`DelaunayBackend.from_csr
     <repro.delaunay.backends.DelaunayBackend.from_csr>`), whatever
     backend kind the config names: the database comes back prepared
@@ -264,6 +275,7 @@ def load_database(
                 f"{' / '.join(_GRAPH_MEMBERS)} is missing"
             )
         _check_graph(*graph, len(xy))
+        graph = [member.astype(np.int32, copy=False) for member in graph]
         db._backend = DelaunayBackend.from_csr(*graph, db.store.view())
     if prepare:
         db.prepare()

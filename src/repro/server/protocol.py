@@ -132,6 +132,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 from repro.query.serialize import spec_from_dict
@@ -422,6 +423,16 @@ def _validate_extend(frame: Dict) -> None:
             f"{MAX_WRITE_POINTS}-pair extend limit; split the load "
             "across frames",
         )
+    # C-level passes over the pairs and their coordinates (``bool`` is not
+    # ``int`` by type); the per-pair loop runs only to name a bad pair, or
+    # to accept subclasses (a numpy float) as it always has.
+    if (
+        set(map(type, points)) <= {list, tuple}
+        and set(map(len, points)) == {2}
+        and set(map(type, chain.from_iterable(points))) <= {int, float}
+        and all(map(math.isfinite, chain.from_iterable(points)))
+    ):
+        return
     for pair in points:
         _require(
             isinstance(pair, (list, tuple))

@@ -6,8 +6,12 @@ module (process spawning is the expensive part), then probed through
 the unmodified client.
 """
 
+import subprocess
+import sys
+
 import pytest
 
+from repro.cluster import launcher
 from repro.cluster.launcher import start_cluster
 from repro.core.database import SpatialDatabase
 from repro.geometry.point import Point
@@ -70,3 +74,48 @@ def test_start_cluster_rejects_bad_arguments():
         start_cluster(0)
     with pytest.raises(ValueError):
         start_cluster(1, points=[(0.1, 0.2)], snapshot_state={"x": 1})
+
+
+@pytest.mark.parametrize("failing", [0, 2, 3])
+def test_no_worker_outlives_a_failed_start(monkeypatch, failing):
+    """Two primaries and their replicas start before any banner is read;
+    when the ``failing``-th exits during start-up, every process already
+    started (the ones after it too) is stopped and reaped."""
+    started = []
+
+    def start_worker(*, host):
+        if len(started) == failing:
+            process = subprocess.Popen(
+                [sys.executable, "-c", "raise SystemExit(3)"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+            )
+        else:
+            process = real_start(host=host)
+        started.append(process)
+        return process
+
+    real_start = launcher.start_worker
+    monkeypatch.setattr(launcher, "start_worker", start_worker)
+    with pytest.raises(RuntimeError, match="worker exited during startup"):
+        start_cluster(2, replicas=1)
+    assert len(started) == 4  # all started before the first wait
+    assert all(process.returncode is not None for process in started)
+    assert all(process.stdout.closed for process in started)
+
+
+def test_a_failed_process_start_stops_the_ones_before_it(monkeypatch):
+    started = []
+
+    def start_worker(*, host):
+        if len(started) == 1:
+            raise OSError("no more processes")
+        started.append(real_start(host=host))
+        return started[-1]
+
+    real_start = launcher.start_worker
+    monkeypatch.setattr(launcher, "start_worker", start_worker)
+    with pytest.raises(OSError, match="no more processes"):
+        start_cluster(2)
+    assert len(started) == 1 and started[0].returncode is not None

@@ -319,7 +319,8 @@ class TestObjectFreeReadPath:
         assert db.backend._triangulation is None  # reads build no triangles
 
     def test_index_and_graph_fit_the_per_row_budget(self, requires_compiled):
-        """160 B a row is the line; measured 63 (index) + 56 (graph)."""
+        """105 B a row is the line; measured 64 (index) + 28 (graph), where an
+        int64 graph (56) made 120."""
         rows = 50_000
         rng = np.random.default_rng(80)
         xs, ys = rng.random(rows), rng.random(rows)
@@ -333,7 +334,7 @@ class TestObjectFreeReadPath:
             tracemalloc.stop()
         store = db.store
         columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
-        assert (traced - columns) / rows <= 150
+        assert (traced - columns) / rows <= 105
 
     def test_vertex_at_a_time_reads_hold_one_graph_and_no_table(self, requires_compiled):
         """The kNN walks and a batch of Voronoi reads use the CSR through a
@@ -373,7 +374,7 @@ class TestObjectFreeReadPath:
         assert db.backend._triangulation is None
         store = db.store
         columns = store._xs.nbytes + store._ys.nbytes + store._dead.nbytes
-        assert (traced - columns) / rows <= 150
+        assert (traced - columns) / rows <= 105
         # the streamed read's frozen graph is a view of the same arrays
         assert isinstance(prefix, CsrRows) and len(prefix) == rows - 7
         assert prefix_bytes < 1024

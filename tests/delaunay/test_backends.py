@@ -181,7 +181,7 @@ class TestBackendAgreement:
         backend = DelaunayBackend(AGREEMENT_INPUTS[case]())
         indptr, indices = backend.neighbor_csr()
         table = backend.neighbor_table()
-        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.dtype == indices.dtype == np.int32
         assert len(indptr) == len(table) + 1
         for i, row in enumerate(table):
             assert row == tuple(sorted(row))  # ascending

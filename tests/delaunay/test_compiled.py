@@ -149,7 +149,7 @@ def test_the_compiled_graph_is_the_interpreted_one(lib, case):
     interpreted = DelaunayTriangulation.from_xy(xs, ys)
     indptr, indices = _compiled_graph(lib, xs, ys)
     expected = interpreted.csr()
-    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.dtype == indices.dtype == np.int32
     assert np.array_equal(indptr, expected[0]) and np.array_equal(indices, expected[1])
     with np.errstate(over="ignore", invalid="ignore"):  # the float filter at 1e150
         interpreted.check_delaunay_property()

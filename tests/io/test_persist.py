@@ -5,7 +5,8 @@ load and compare the loaded database with ``tests/oracle.py``'s
 brute-force scan, write into adopted graphs, corrupt the graph members
 one way at a time, and serve the committed fixture ``data/graph-300.npz``
 — before and after 220 writes — in a subprocess that must never import
-scipy.
+scipy.  The saver writes the graph as int32; the fixture holds it as
+int64, as every file written before did, and loads into the same graph.
 """
 
 import json
@@ -13,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,12 @@ import pytest
 
 from oracle import brute_force, live_rows
 from repro.delaunay.backends import CsrRows
+from repro.delaunay.triangulation import (
+    MAX_ROWS,
+    DelaunayTriangulation,
+    bulk_graph,
+    check_row_count,
+)
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon, convex_hull
@@ -271,6 +279,8 @@ class TestGraphRoundTrip:
         written = save_database(tmp_path / "image", db)
         with np.load(written) as archive:
             assert {"graph_indptr", "graph_indices"} <= set(archive.files)
+            assert archive["graph_indptr"].dtype == np.int32
+            assert archive["graph_indices"].dtype == np.int32
             assert json.loads(str(archive["config"]))["version"] == 1
 
         # No backend is built on the loading side, whatever prepare= says.
@@ -283,7 +293,7 @@ class TestGraphRoundTrip:
             for ours, theirs in zip(
                 restored.backend.neighbor_csr(), db.backend.neighbor_csr()
             ):
-                assert ours.dtype == theirs.dtype == np.int64
+                assert ours.dtype == theirs.dtype == np.int32
                 assert np.array_equal(ours, theirs)
         assert live_rows(restored) == live_rows(db)
         _assert_answers_like_brute_force(restored)
@@ -411,6 +421,18 @@ def _float_members(indptr, indices):
     return indptr.astype(np.float64), indices.astype(np.float64)
 
 
+def _float_indptr(indptr, indices):
+    return indptr.astype(np.float32), indices
+
+
+def _int16_indices(indptr, indices):
+    return indptr, indices.astype(np.int16)  # 300 rows: every id fits
+
+
+def _uint32_indices(indptr, indices):
+    return indptr, indices.astype(np.uint32)
+
+
 CORRUPTIONS = [
     _truncated_indices,
     _out_of_range_index,
@@ -419,18 +441,24 @@ CORRUPTIONS = [
     _short_indptr,
     _indptr_not_from_zero,
     _float_members,
+    _float_indptr,
+    _int16_indices,
+    _uint32_indices,
 ]
 
 
 class TestCorruptGraph:
-    """Runs off the committed fixture, so also where no graph is built."""
+    """Runs off the committed fixture, so also where no graph is built:
+    its int64 members as an older file holds them, and cast to the int32
+    the saver writes today."""
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32], ids=["int64", "int32"])
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
-    def test_raises_value_error(self, corrupt, tmp_path):
+    def test_raises_value_error(self, corrupt, dtype, tmp_path):
         with np.load(FIXTURE) as archive:
             members = {name: archive[name] for name in archive.files}
         members["graph_indptr"], members["graph_indices"] = corrupt(
-            members["graph_indptr"], members["graph_indices"]
+            members["graph_indptr"].astype(dtype), members["graph_indices"].astype(dtype)
         )
         path = tmp_path / "corrupt.npz"
         np.savez(path, **members)
@@ -446,6 +474,78 @@ class TestCorruptGraph:
         np.savez(path, **members)
         with pytest.raises(ValueError, match="corrupt database file"):
             load_database(path)
+
+
+# -- graph dtypes: int32 written, int64 (older files) read --------------------
+
+
+def _fixture_members():
+    with np.load(FIXTURE) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+class TestGraphDtypes:
+    """A file written while the graph was int64 (the committed fixture is
+    one) loads into the int32 graph the saver writes today, and the row
+    limit keeps ``indptr`` inside int32."""
+
+    def test_the_int64_fixture_loads_as_a_fresh_int32_graph(self):
+        members = _fixture_members()
+        assert members["graph_indptr"].dtype == members["graph_indices"].dtype == np.int64
+        restored = load_database(FIXTURE)
+        fresh = bulk_graph(members["xy"][:, 0], members["xy"][:, 1])
+        for ours, theirs in zip(restored.backend.neighbor_csr(), fresh):
+            assert ours.dtype == theirs.dtype == np.int32
+            assert np.array_equal(ours, theirs)
+        _assert_answers_like_brute_force(restored)
+
+    @pytest.mark.parametrize(
+        "member, at, value",
+        [
+            ("graph_indices", 0, 2**31),
+            ("graph_indices", 7, 2**32 + 5),  # wraps to a row id in int32
+            ("graph_indptr", -1, 2**31),
+            ("graph_indptr", 150, 2**32 + 800),  # wraps between its neighbours
+        ],
+    )
+    def test_an_int64_member_past_int32_is_refused(
+        self, member, at, value, tmp_path
+    ):
+        members = _fixture_members()
+        members[member] = members[member].copy()
+        members[member][at] = value
+        path = tmp_path / "wide.npz"
+        np.savez(path, **members)
+        with pytest.raises(ValueError, match="corrupt database file"):
+            load_database(path)
+
+    def test_the_row_limit_is_where_int32_edge_counts_end(self):
+        assert MAX_ROWS == (2**31 - 1) // 6 == 357_913_941
+        assert 6 * MAX_ROWS <= np.iinfo(np.int32).max < 6 * (MAX_ROWS + 1)
+        check_row_count(MAX_ROWS)
+        with pytest.raises(ValueError, match="more than a graph holds"):
+            check_row_count(MAX_ROWS + 1)
+        # the loader asks the same question of the file's row count
+        members = _fixture_members()
+        with pytest.raises(ValueError, match="more than a graph holds"):
+            persist._check_graph(
+                members["graph_indptr"], members["graph_indices"], MAX_ROWS + 1
+            )
+
+    @pytest.mark.parametrize("build", ["bulk_graph", "from_xy"])
+    def test_a_build_past_the_row_limit_allocates_nothing(self, build):
+        """Zero-stride columns of MAX_ROWS + 1 rows: a build that read or
+        copied them would allocate gigabytes before it failed."""
+        column = np.broadcast_to(np.float64(0.5), (MAX_ROWS + 1,))
+        run = bulk_graph if build == "bulk_graph" else DelaunayTriangulation.from_xy
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than a graph holds"):
+                run(column, column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # -- the fixture: format stability, and serving without scipy -----------------
@@ -517,6 +617,8 @@ class TestFixtureServesWithoutScipy:
     database with 20 tombstones (regenerate with ``_write_fixture``)."""
 
     def test_fixture_is_what_the_saver_writes_today(self, tmp_path):
+        """Value for value: the fixture's graph members are int64, today's
+        int32 (:class:`TestGraphDtypes`)."""
         written = _write_fixture(tmp_path / "again")
         with np.load(FIXTURE) as kept, np.load(written) as fresh:
             assert sorted(kept.files) == sorted(fresh.files)

@@ -9,6 +9,9 @@ input of every flavour is rejected with a ``bad-frame``
 :class:`~repro.server.protocol.ProtocolError`.
 """
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,6 +333,65 @@ class TestMalformedRejection:
                     "load": float("nan"),
                 }
             )
+
+
+_GOOD_PAIRS = [[0.25, 0.75], [1, 2], [0.0, -3.5], [7, 0.5], [1e300, -1e-300]]
+
+
+class TestExtendPoints:
+    """An extend frame's pairs are checked in whole-list passes; a bad one
+    is still named, first in frame order, by the message it always had."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [True, 0.5],
+            [0.5, False],
+            ["0.5", 0.5],
+            [0.5, float("nan")],
+            [float("inf"), 0.5],
+            [0.5, float("-inf")],
+            [0.5],
+            [0.1, 0.2, 0.3],
+            [],
+            {"x": 0.5, "y": 0.5},
+            0.5,
+            "0.5,0.5",
+            None,
+            [[0.5, 0.5]],
+        ],
+        ids=repr,
+    )
+    def test_each_rejection_keeps_its_message(self, bad):
+        for at in (0, 3, len(_GOOD_PAIRS)):
+            points = _GOOD_PAIRS[:at] + [bad] + _GOOD_PAIRS[at:] + [[True, True]]
+            with pytest.raises(ProtocolError) as excinfo:
+                validate_frame({"type": "extend", "id": 1, "points": points})
+            assert excinfo.value.code == "bad-frame"
+            assert str(excinfo.value) == (
+                f"every extend point must be a finite [x, y] pair, got {bad!r}"
+            )
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_on_the_wire_are_named(self, literal):
+        line = (
+            '{"type": "extend", "id": 1, "points": [[0.5, 0.5], [%s, 0.5]]}\n'
+            % literal
+        ).encode()
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_frame(line)
+        assert excinfo.value.code == "bad-frame"
+        assert str(excinfo.value) == (
+            "every extend point must be a finite [x, y] pair, "
+            f"got [{float(literal)!r}, 0.5]"
+        )
+
+    def test_ints_floats_tuples_and_float_subclasses_pass(self):
+        points = _GOOD_PAIRS + [(0.5, 1), (np.float64(0.5), 2)]
+        frame = {"type": "extend", "id": 1, "points": points}
+        assert validate_frame(frame) is frame
+        line = json.dumps({"type": "extend", "id": 2, "points": _GOOD_PAIRS})
+        assert decode_frame(line.encode() + b"\n")["points"] == _GOOD_PAIRS
 
 
 class TestPackedIdTransport:

@@ -1076,4 +1076,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # No command speaks TLS (a proxy in front does, docs/SERVER.md), and
+    # asyncio imports ssl only where it can: refusing the module keeps
+    # OpenSSL (libssl, libcrypto and _ssl, about 4 MiB resident) out of
+    # every process this entry starts, the cluster's workers included.
+    # Here, not in main(), which tests call inside their own process.
+    sys.modules.setdefault("ssl", None)
     raise SystemExit(main())

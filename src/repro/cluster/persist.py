@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 import zipfile
 from typing import Dict, List
 
@@ -111,7 +110,7 @@ def save_cluster(
             previous = [shard["file"] for shard in json.load(handle)["shards"]]
     except (OSError, ValueError, KeyError, TypeError):
         previous = []
-    token = secrets.token_hex(4)
+    token = os.urandom(4).hex()  # not secrets: it imports hashlib, so OpenSSL
     shards: List[Dict] = []
     try:
         for worker in range(int(state["workers"])):

@@ -5,9 +5,14 @@
 (walk, cavity, ghost conflicts, Hilbert keys) in C.  The first process
 that needs it compiles it with the system compiler (``$CC``, default
 ``cc``) into the user cache directory (``$XDG_CACHE_HOME/repro``, else
-``~/.cache/repro``), under a name hashed from the source and the compile
-command; later processes load that file through :mod:`ctypes`.  There is
-no install step and no dependency beyond numpy.
+``~/.cache/repro``), under a name taken from a 64-bit :mod:`zlib` digest
+(CRC-32 and Adler-32) of the source and the compile command; later
+processes load that file through :mod:`ctypes`.  The name has only to change
+when the source or the command does; it is no security boundary (whoever can
+write the cache directory can plant a library under any name), so it needs
+no cryptographic hash, and no :mod:`hashlib` mapping OpenSSL into every
+process that builds a graph.  There is no install step and no dependency
+beyond numpy.
 
 :func:`library` never raises: a missing compiler, a failed compile or a
 file that does not load gives ``None``, decided once per process and
@@ -117,16 +122,15 @@ def _compile(command: list, target: Path) -> None:
 
 def _target(compiler: str, directory: Path) -> Tuple[list, Path]:
     """The compile command (less its output and input) and the library's
-    path, named by a hash of the source and that command."""
-    # Imported here: a process that adopts its graph never builds one and
-    # need not carry them (hashlib loads OpenSSL, about 1 MiB resident).
-    import hashlib
+    path, named by a 64-bit digest of the source and that command."""
+    # zlib, not hashlib: hashlib maps OpenSSL's libcrypto (3.45 MiB
+    # resident) into the process, and a served process never calls it.
     import shlex
+    import zlib
 
     command = [*shlex.split(compiler), *_FLAGS]
-    digest = hashlib.sha256(_SOURCE.read_bytes())
-    digest.update("\0".join([*command, sys.platform, os.uname().machine]).encode())
-    return command, Path(directory) / f"insert-{digest.hexdigest()[:20]}.so"
+    key = _SOURCE.read_bytes() + "\0".join([*command, sys.platform, os.uname().machine]).encode()
+    return command, Path(directory) / f"insert-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:

@@ -390,11 +390,15 @@ def _finite_number(value) -> bool:
     Python's ``json.loads`` accepts the non-standard ``NaN`` /
     ``Infinity`` literals by default, so finiteness must be enforced
     here — a non-finite coordinate would corrupt every distance and
-    containment computation downstream.
+    containment computation downstream.  An integer past float range is
+    no finite coordinate either.
     """
-    return isinstance(value, (int, float)) and not isinstance(
-        value, bool
-    ) and math.isfinite(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        return False
 
 
 def _validate_insert(frame: Dict) -> None:
@@ -426,13 +430,16 @@ def _validate_extend(frame: Dict) -> None:
     # C-level passes over the pairs and their coordinates (``bool`` is not
     # ``int`` by type); the per-pair loop runs only to name a bad pair, or
     # to accept subclasses (a numpy float) as it always has.
-    if (
-        set(map(type, points)) <= {list, tuple}
-        and set(map(len, points)) == {2}
-        and set(map(type, chain.from_iterable(points))) <= {int, float}
-        and all(map(math.isfinite, chain.from_iterable(points)))
-    ):
-        return
+    try:
+        if (
+            set(map(type, points)) <= {list, tuple}
+            and set(map(len, points)) == {2}
+            and set(map(type, chain.from_iterable(points))) <= {int, float}
+            and all(map(math.isfinite, chain.from_iterable(points)))
+        ):
+            return
+    except OverflowError:  # an int past float range: the loop names its pair
+        pass
     for pair in points:
         _require(
             isinstance(pair, (list, tuple))
@@ -676,7 +683,8 @@ def parse_query_spec(frame: Dict) -> Query:
     """Rebuild the :class:`~repro.query.spec.Query` of a ``query`` frame.
 
     Wraps :func:`repro.query.serialize.spec_from_dict`, converting its
-    :class:`ValueError`/:class:`KeyError`/:class:`TypeError` into a
+    :class:`ValueError`/:class:`KeyError`/:class:`TypeError` (and the
+    :class:`OverflowError` of an integer past float range) into a
     :class:`ProtocolError` with code ``bad-spec`` so the server can
     answer with a per-request ``error`` frame instead of dropping the
     connection.
@@ -685,7 +693,7 @@ def parse_query_spec(frame: Dict) -> Query:
         return spec_from_dict(frame["spec"])
     except ProtocolError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ProtocolError("bad-spec", f"unusable query spec: {exc}") from exc
 
 

@@ -315,13 +315,24 @@ def test_an_exact_stage_that_raises_stops_the_build(lib, monkeypatch, predicate)
 
 # -- the loader ----------------------------------------------------------------
 
-_REPORT = """
-import hashlib, json, sys
+# The points come from Python's random, not numpy.random: numpy.random
+# imports secrets, so hashlib, which maps OpenSSL and would hide whether
+# the build did.
+_POINTS = """
+import random
 import numpy as np
+rng = random.Random(9)
+xs = np.array([rng.random() for _ in range(1500)])
+ys = np.array([rng.random() for _ in range(1500)])
+"""
+
+_REPORT = _POINTS + """
+import json, sys
 from repro import SpatialDatabase
 from repro.delaunay import compiled
-rng = np.random.default_rng(9)
-db = SpatialDatabase.from_arrays(rng.random(1500), rng.random(1500)).prepare()
+db = SpatialDatabase.from_arrays(xs, ys).prepare()
+openssl = "_ssl" in sys.modules or "_hashlib" in sys.modules
+import hashlib
 digest = hashlib.sha256()
 for part in db.backend.neighbor_csr():
     digest.update(part.tobytes())
@@ -329,13 +340,15 @@ print(json.dumps({
     "compiled": compiled.library() is not None,
     "graph": digest.hexdigest(),
     "scipy": any(name.split(".")[0] == "scipy" for name in sys.modules),
+    "openssl": openssl,
 }))
 """
 
 
 def _interpreted_digest() -> str:
-    rng = np.random.default_rng(9)
-    xs, ys = rng.random(1500), rng.random(1500)
+    scope: dict = {}
+    exec(_POINTS, scope)
+    xs, ys = scope["xs"], scope["ys"]
     digest = hashlib.sha256()
     for part in DelaunayTriangulation.from_xy(xs, ys).csr():
         digest.update(part.tobytes())
@@ -365,8 +378,28 @@ def test_no_compiler_gives_the_interpreted_loop(tmp_path):
         "compiled": False,
         "graph": _interpreted_digest(),
         "scipy": False,
+        "openssl": False,
     }
     assert not any(tmp_path.rglob("*.so*"))  # a failed compile leaves nothing
+
+
+def test_the_library_name_follows_the_source_and_the_command(tmp_path, monkeypatch):
+    source = tmp_path / "_insert.c"
+    source.write_bytes(compiled._SOURCE.read_bytes())
+    monkeypatch.setattr(compiled, "_SOURCE", source)
+    monkeypatch.setitem(sys.modules, "hashlib", None)  # named without OpenSSL
+
+    def name(compiler):
+        return compiled._target(compiler, tmp_path)[1].name
+
+    first = name("cc")
+    assert len(first) == len("insert-.so") + 16  # a 64-bit digest
+    assert name("cc") == first
+    assert name("cc -O3") != first and name("gcc") != first
+    source.write_bytes(source.read_bytes().replace(b"int", b"Int", 1))
+    changed = name("cc")
+    assert changed != first
+    assert name("cc") == changed
 
 
 def _corrupt(compiler: str, directory: Path) -> Path:
@@ -389,6 +422,7 @@ def test_a_corrupt_cached_library_is_compiled_again(tmp_path):
         "compiled": True,
         "graph": _interpreted_digest(),
         "scipy": False,
+        "openssl": False,
     }
 
 
@@ -399,6 +433,7 @@ def test_a_corrupt_library_that_cannot_be_rebuilt_gives_the_interpreted_loop(tmp
         "compiled": False,
         "graph": _interpreted_digest(),
         "scipy": False,
+        "openssl": False,
     }
 
 
@@ -429,7 +464,9 @@ def test_two_processes_compile_into_one_empty_cache(tmp_path):
     first, second = _spawn(tmp_path, COMPILER), _spawn(tmp_path, COMPILER)
     reports = [_report(first), _report(second)]
     # both compiled, both built the interpreted graph, neither imported scipy
-    assert reports == [{"compiled": True, "graph": _interpreted_digest(), "scipy": False}] * 2
+    # nor mapped OpenSSL
+    expected = {"compiled": True, "graph": _interpreted_digest(), "scipy": False, "openssl": False}
+    assert reports == [expected] * 2
     # one library, whole, and no partial file left behind
     assert [path.name for path in (tmp_path / "repro").iterdir()] == [
         compiled._target(COMPILER, tmp_path / "repro")[1].name

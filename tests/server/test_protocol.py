@@ -240,6 +240,11 @@ class TestRoundTrips:
         assert rows_to_wire([1, 2.5]) == [1, 2.5]
 
 
+#: A JSON integer past float range: ``math.isfinite`` and ``float`` raise
+#: ``OverflowError`` on it.
+_PAST_FLOAT = 10**400
+
+
 class TestMalformedRejection:
     @pytest.mark.parametrize(
         "line",
@@ -284,6 +289,10 @@ class TestMalformedRejection:
             {"type": "error", "code": "nope", "message": "x"},
             {"type": "error", "code": "bad-spec", "message": 5},
             {"type": "stats", "server": {}},  # partial stats response
+            pytest.param(
+                {"type": "insert", "id": 1, "x": _PAST_FLOAT, "y": 0.5},
+                id="insert-int-past-float-range",
+            ),
         ],
         ids=repr,
     )
@@ -304,11 +313,19 @@ class TestMalformedRejection:
         with pytest.raises(ProtocolError) as excinfo:
             parse_query_spec(frame)
         assert excinfo.value.code == "bad-spec"
-        # a structurally valid spec body that fails geometric coercion
-        frame["spec"] = {"kind": "window", "rect": [0.0, 0.0]}
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_query_spec(frame)
-        assert excinfo.value.code == "bad-spec"
+        # structurally valid spec bodies that fail geometric coercion, in
+        # both frames that carry a spec
+        for kind in ("query", "subscribe"):
+            for spec in (
+                {"kind": "window", "rect": [0.0, 0.0]},
+                {"kind": "window", "rect": [0.0, 0.0, _PAST_FLOAT, 1.0]},
+                {"kind": "knn", "point": [0.5, -_PAST_FLOAT], "k": 2},
+            ):
+                frame = {"type": kind, "id": 0, "spec": spec}
+                validate_frame(frame)
+                with pytest.raises(ProtocolError) as excinfo:
+                    parse_query_spec(frame)
+                assert excinfo.value.code == "bad-spec"
 
     def test_oversized_lines_rejected_both_ways(self):
         frame = {
@@ -359,6 +376,7 @@ class TestExtendPoints:
             "0.5,0.5",
             None,
             [[0.5, 0.5]],
+            pytest.param([_PAST_FLOAT, 0.5], id="[10**400, 0.5]"),
         ],
         ids=repr,
     )
@@ -496,6 +514,59 @@ class TestPackedIdTransport:
                     assert ("ids_packed" in response) is packed
                     assert ("ids" in response) is not packed
                     assert result_ids(response) == expected
+
+
+class TestIntegersPastFloatRange:
+    """A coordinate past float range is outside input like any other: the
+    frame gets an error frame and the connection keeps serving."""
+
+    def test_each_bad_frame_is_answered_and_the_connection_stays(self):
+        import socket as socket_module
+
+        from repro.core.database import SpatialDatabase
+        from repro.server.app import ServerThread
+        from repro.workloads.generators import uniform_points
+
+        window = {"kind": "window", "rect": [0.0, 0.0, _PAST_FLOAT, 1.0]}
+        cases = [
+            (
+                {"type": "insert", "id": 1, "x": _PAST_FLOAT, "y": 0.5},
+                "bad-frame",
+                f"'x' must be a finite number, got {_PAST_FLOAT!r}",
+            ),
+            (
+                {"type": "extend", "id": 2, "points": [[0.5, 0.5], [0.5, _PAST_FLOAT]]},
+                "bad-frame",
+                "every extend point must be a finite [x, y] pair, "
+                f"got [0.5, {_PAST_FLOAT!r}]",
+            ),
+            (
+                {"type": "query", "id": 3, "spec": window},
+                "bad-spec",
+                "unusable query spec: int too large to convert to float",
+            ),
+            (
+                {"type": "subscribe", "id": 4, "spec": window},
+                "bad-spec",
+                "unusable query spec: int too large to convert to float",
+            ),
+        ]
+        db = SpatialDatabase.from_points(uniform_points(300, seed=17))
+        version = db.version
+        with ServerThread(db) as server:
+            with socket_module.create_connection(
+                (server.host, server.port), timeout=10.0
+            ) as sock:
+                reader = sock.makefile("rb")
+                decode_frame(reader.readline())  # hello
+                for frame, code, message in cases:
+                    sock.sendall(json.dumps(frame).encode() + b"\n")
+                    sock.sendall(encode_frame({"type": "stats"}))
+                    error = decode_frame(reader.readline())
+                    assert error["type"] == "error", frame["type"]
+                    assert (error["code"], error["message"]) == (code, message)
+                    assert decode_frame(reader.readline())["type"] == "stats"
+        assert db.version == version
 
 
 class TestSubscriptionFrames:

@@ -1,15 +1,37 @@
 """Smoke tests for the ``python -m repro`` command line."""
 
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+from repro.cluster import ClusterCoordinator, LocalShard
+from repro.cluster.persist import save_cluster
+from repro.core.database import SpatialDatabase
+from repro.geometry.polygon import Polygon
+from repro.query.spec import AreaQuery
+from repro.server import QueryClient
+from repro.workloads.generators import uniform_points
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+COMPILER = next(
+    (name for name in ("cc", "gcc", "clang") if shutil.which(name)), None
+)
 
 
 class TestCLI:
     def test_info(self, capsys):
+        ssl = sys.modules.get("ssl")
         assert main(["info"]) == 0
+        # only the entry block refuses ssl, never main() in a caller's process
+        assert sys.modules.get("ssl") is ssl
         out = capsys.readouterr().out
         assert "repro" in out
         assert "Table I" in out
@@ -377,3 +399,84 @@ class TestLiveCLI:
                     "0.1,0.2",
                 ]
             )
+
+
+_SQUARE = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)]
+_OPENSSL = r"/lib(ssl|crypto)\.so"
+
+
+def _session(leader: int) -> list:
+    """The ids of the processes in the session ``leader`` started."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited meanwhile
+        # after "(comm)": state, ppid, pgrp, session
+        if int(stat[stat.rindex(")") + 2:].split()[3]) == leader:
+            pids.append(int(entry.name))
+    return pids
+
+
+class TestServedProcessesLoadNoOpenSSL:
+    """No process ``python -m repro`` starts to serve speaks TLS (a proxy in
+    front does), so none maps OpenSSL: asyncio is left without ssl, and the
+    compiled insert's library is named without hashlib."""
+
+    @pytest.mark.parametrize(
+        "command, load",
+        [(["serve"], False), (["cluster", "--workers", "2"], False),
+         (["cluster", "--workers", "2"], True)],
+        ids=["serve", "cluster", "cluster-load"],
+    )
+    def test_no_served_process_maps_openssl(self, tmp_path, command, load):
+        if not Path(f"/proc/{os.getpid()}/maps").exists():
+            pytest.skip("no /proc/<pid>/maps to read")
+        if load:  # the router imports repro.cluster.persist at start-up
+            coordinator = ClusterCoordinator([LocalShard(SpatialDatabase()) for _ in range(2)])
+            coordinator.extend([(p.x, p.y) for p in uniform_points(2000, seed=3)])
+            command = [*command, "--load", str(save_cluster(tmp_path / "snap", coordinator))]
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+        if COMPILER is not None:  # build through the compiled loader
+            env["CC"] = COMPILER
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", *command,
+             "--points", "2000", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            lines = []
+            for line in process.stdout:
+                lines.append(line)
+                if "Press Ctrl-C to stop." in line:
+                    break
+            else:
+                pytest.fail("exited before its banner:\n" + "".join(lines))
+            host, port = re.search(r" on ([\d.]+):(\d+) \(", lines[-2]).groups()
+            with QueryClient(host, int(port)) as client:  # every server builds its graph
+                client.query(AreaQuery(Polygon(_SQUARE), method="voronoi"))
+            maps = {}
+            for pid in _session(process.pid):
+                try:
+                    maps[pid] = Path(f"/proc/{pid}/maps").read_text()
+                except OSError:
+                    continue  # exited meanwhile
+            cluster = command[0] == "cluster"
+            assert len(maps) == (3 if cluster else 1)  # a router and two workers
+            openssl = {
+                pid: {line.split()[-1] for line in text.splitlines() if re.search(_OPENSSL, line)}
+                for pid, text in maps.items()
+            }
+            assert not any(openssl.values()), openssl
+            if COMPILER is not None:  # the workers built, not the router
+                assert sum("/repro/insert-" in t for t in maps.values()) == (2 if cluster else 1)
+        finally:
+            os.killpg(process.pid, signal.SIGTERM)
+            process.communicate(timeout=30)

@@ -282,11 +282,28 @@ def _build_or_load_database(args: argparse.Namespace):
     return db
 
 
+def _stop_on_sigterm() -> None:
+    """Make SIGTERM (``kill``, most supervisors) stop a command as Ctrl-C does.
+
+    The command's ``KeyboardInterrupt`` path then runs: ``serve`` closes
+    its server, and ``cluster`` writes ``--save-on-exit`` and stops its
+    workers; both exit 0.  Set here, not in :func:`main`, which tests
+    call inside their own process.
+    """
+    import signal
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, interrupt)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time as time_module
 
     from repro.server import ServerThread
 
+    _stop_on_sigterm()
     db = _build_or_load_database(args)
     server = ServerThread(
         db,
@@ -473,6 +490,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.cluster.launcher import start_cluster
 
+    _stop_on_sigterm()
     snapshot_state = None
     points = None
     if args.load:

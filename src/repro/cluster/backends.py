@@ -36,6 +36,7 @@ import threading
 import time
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.geometry.point import xy_array
 from repro.query.spec import Query
 
 __all__ = ["ShardBackend", "LocalShard", "RemoteShard"]
@@ -60,7 +61,10 @@ class ShardBackend:
         raise NotImplementedError
 
     def extend(self, points: Sequence[Tuple[float, float]]) -> List[int]:
-        """Insert a batch; returns the shard-local row ids in order."""
+        """Insert a batch; returns the shard-local row ids in order.
+
+        The coordinator passes an ``(n, 2)`` float64 array.
+        """
         raise NotImplementedError
 
     def delete(self, local_id: int) -> None:
@@ -102,10 +106,8 @@ class LocalShard(ShardBackend):
         return result.stream()
 
     def extend(self, points: Sequence[Tuple[float, float]]) -> List[int]:
-        """Bulk-insert into the shard database."""
-        from repro.geometry.point import Point
-
-        return self.database.extend([Point(x, y) for x, y in points])
+        """Bulk-insert into the shard database (an array as it is)."""
+        return self.database.extend(points)
 
     def delete(self, local_id: int) -> None:
         """Tombstone one row in the shard database."""
@@ -256,7 +258,7 @@ class RemoteShard(ShardBackend):
     def query_ids(self, spec: Query) -> List[int]:
         """Answer ``spec`` over the wire (packed ids; retried reads)."""
         return self._call(
-            lambda client: list(client.query(spec).ids), retryable=True
+            lambda client: client.query(spec).ids, retryable=True
         )
 
     def stream_ids(
@@ -299,7 +301,7 @@ class RemoteShard(ShardBackend):
         """
         from repro.server.protocol import MAX_WRITE_POINTS
 
-        points = list(points)
+        points = xy_array(points)
 
         def run(client) -> List[int]:
             rows: List[int] = []

@@ -75,8 +75,8 @@ from repro.cluster.shardmap import ShardMap
 from repro.cluster.stats import merge_stats_frames
 from repro.core.stats import QueryRecord
 from repro.engine.batch import run_jobs
-from repro.engine.order import DEFAULT_ORDER
-from repro.geometry.point import Point
+from repro.engine.order import DEFAULT_ORDER, hilbert_keys
+from repro.geometry.point import Point, xy_array
 from repro.query.executor import effective_k, finalize_record
 from repro.query.spec import (
     AreaQuery,
@@ -101,6 +101,36 @@ _UNAVAILABLE = (OSError, EOFError)
 
 class ClusterWriteError(ValueError):
     """A write the cluster must reject (unknown row, bad coordinates)."""
+
+
+def _no_rows() -> np.ndarray:
+    """An empty local-to-global map: every local id is unknown."""
+    return np.empty(0, dtype=np.int64)
+
+
+def _mapped(
+    mapping: np.ndarray, local_ids: np.ndarray, global_ids: np.ndarray
+) -> np.ndarray:
+    """``mapping`` with ``local_ids[i]`` -> ``global_ids[i]`` entered.
+
+    A copy's map is indexed by local id, ``-1`` meaning no row.  It is
+    written in place, or grown with ``-1`` fill (to at least double, so
+    single inserts stay amortised O(1)) and the grown array returned.
+    """
+    if len(local_ids):
+        needed = int(local_ids.max()) + 1
+        if needed > len(mapping):
+            grown = np.full(max(needed, 2 * len(mapping)), -1, np.int64)
+            grown[: len(mapping)] = mapping
+            mapping = grown
+        mapping[local_ids] = global_ids
+    return mapping
+
+
+def _unmap(mapping: np.ndarray, local_id: int) -> None:
+    """Take one local id out of a map (past its end there is nothing)."""
+    if 0 <= local_id < len(mapping):
+        mapping[local_id] = -1
 
 
 class ClusterDegradedError(RuntimeError):
@@ -298,8 +328,10 @@ class ClusterCoordinator:
         self._worker = array("i")
         self._local = array("q")
         self._alive = bytearray()
-        self._local_to_global: List[Dict[int, int]] = [
-            {} for _ in self._backends
+        # Per copy, an int64 array indexed by local id: the row's global
+        # id, or -1 where no live row is (deleted, moved away, orphaned).
+        self._local_to_global: List[np.ndarray] = [
+            _no_rows() for _ in self._backends
         ]
         self._live = [0] * len(self._backends)
         self._version = 0
@@ -307,11 +339,11 @@ class ClusterCoordinator:
         self._lock = _RWLock()
         # Replica-side catalog: each live row's local id on its
         # worker's replica slot (-1 = not mirrored), plus the reverse
-        # mapping per slot.  A slot goes *dirty* on any failed mirror
-        # and stops serving failover reads until rebuilt.
+        # map per slot.  A slot goes *dirty* on any failed mirror and
+        # stops serving failover reads until rebuilt.
         self._replica_local = array("q")
-        self._replica_to_global: List[Dict[int, int]] = [
-            {} for _ in self._replicas
+        self._replica_to_global: List[np.ndarray] = [
+            _no_rows() for _ in self._replicas
         ]
         self._replica_dirty = [False] * len(self._replicas)
         # Health state machines (primaries by worker index, replicas by
@@ -513,6 +545,10 @@ class ClusterCoordinator:
     ) -> List[int]:
         """Partition a batch by owner shard; returns global ids in order.
 
+        ``points`` is an ``(n, 2)`` float64 array (what the wire front
+        end admits) or any ``(x, y)`` pairs; each worker gets its rows
+        as a slice of that array.
+
         Mirrors each worker's slice to its replica in parallel with the
         primary applies.  If any primary slice fails, the whole batch
         is rolled back best-effort (compensating deletes on the
@@ -521,39 +557,41 @@ class ClusterCoordinator:
         mirror failure marks the replica dirty but the acked write
         stands — the primary holds it.
         """
-        pairs = [(float(x), float(y)) for x, y in points]
-        for x, y in pairs:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ClusterWriteError(
-                    f"coordinates must be finite, got ({x!r}, {y!r})"
-                )
-        if not pairs:
+        xy = xy_array(points)
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            x, y = xy[np.argmin(finite)].tolist()
+            raise ClusterWriteError(
+                f"coordinates must be finite, got ({x!r}, {y!r})"
+            )
+        count = len(xy)
+        if not count:
             return []
         with self._lock.write():
-            keys = self._map.keys_of(*zip(*pairs))
-            by_worker: Dict[int, List[int]] = {}
-            for position, key in enumerate(keys):
-                by_worker.setdefault(
-                    self._map.owner_of_key(key), []
-                ).append(position)
-            batches = {
-                worker: [pairs[p] for p in positions]
-                for worker, positions in by_worker.items()
+            keys = hilbert_keys(xy[:, 0], xy[:, 1], order=self._map.order)
+            owners = self._map.owners_of_keys(keys)
+            # (bincount, not unique: numpy 2's unique imports numpy.ma,
+            # 0.9 MiB, which would land on the load's memory peak)
+            by_worker = {
+                worker: np.flatnonzero(owners == worker)
+                for worker in np.flatnonzero(np.bincount(owners)).tolist()
             }
             mirrors: Dict[int, Tuple[int, object]] = {}
-            for worker, batch in batches.items():
+            for worker, positions in by_worker.items():
                 slot = self._mirror_slot(worker)
                 if slot is not None:
                     mirrors[worker] = (
                         slot,
                         self._mirror_pool.submit(
-                            self._replicas[slot].extend, batch
+                            self._replicas[slot].extend, xy[positions]
                         ),
                     )
             applied: Dict[int, List[int]] = {}
-            for worker, batch in batches.items():
+            for worker, positions in by_worker.items():
                 try:
-                    applied[worker] = self._backends[worker].extend(batch)
+                    applied[worker] = self._backends[worker].extend(
+                        xy[positions]
+                    )
                 except BaseException as exc:
                     if isinstance(exc, _UNAVAILABLE):
                         self._health[worker].mark_failure()
@@ -568,16 +606,16 @@ class ClusterCoordinator:
                     raise
                 self._health[worker].mark_success()
             first = len(self._alive)
-            owner_at = [0] * len(pairs)
-            locals_at = [0] * len(pairs)
-            replica_locals_at = [-1] * len(pairs)
+            gids = np.arange(first, first + count, dtype=np.int64)
+            locals_at = np.empty(count, dtype=np.int64)
+            replica_locals_at = np.full(count, -1, dtype=np.int64)
             for worker, positions in by_worker.items():
                 self._live[worker] += len(positions)
-                mapping = self._local_to_global[worker]
-                for position, local_id in zip(positions, applied[worker]):
-                    owner_at[position] = worker
-                    locals_at[position] = local_id
-                    mapping[local_id] = first + position
+                local_ids = np.asarray(applied[worker], dtype=np.int64)
+                locals_at[positions] = local_ids
+                self._local_to_global[worker] = _mapped(
+                    self._local_to_global[worker], local_ids, gids[positions]
+                )
                 if worker not in mirrors:
                     continue
                 slot, future = mirrors[worker]
@@ -587,20 +625,23 @@ class ClusterCoordinator:
                     self._mark_mirror_failure(slot, exc)
                     continue
                 self._replica_health[slot].mark_success()
-                mapping = self._replica_to_global[slot]
-                for position, replica_local in zip(positions, replica_locals):
-                    replica_locals_at[position] = replica_local
-                    mapping[replica_local] = first + position
-            self._xs.extend(x for x, _ in pairs)
-            self._ys.extend(y for _, y in pairs)
-            self._keys.extend(keys)
-            self._worker.extend(owner_at)
-            self._local.extend(locals_at)
-            self._replica_local.extend(replica_locals_at)
-            self._alive.extend(b"\x01" * len(pairs))
+                replica_locals = np.asarray(replica_locals, dtype=np.int64)
+                replica_locals_at[positions] = replica_locals
+                self._replica_to_global[slot] = _mapped(
+                    self._replica_to_global[slot],
+                    replica_locals,
+                    gids[positions],
+                )
+            self._xs.frombytes(xy[:, 0].tobytes())
+            self._ys.frombytes(xy[:, 1].tobytes())
+            self._keys.frombytes(keys.tobytes())
+            self._worker.frombytes(owners.tobytes())
+            self._local.frombytes(locals_at.tobytes())
+            self._replica_local.frombytes(replica_locals_at.tobytes())
+            self._alive.extend(b"\x01" * count)
             self._version += 1
             self._maybe_rebalance()
-            return list(range(first, first + len(pairs)))
+            return list(range(first, first + count))
 
     def delete(self, global_id: int) -> None:
         """Tombstone one global row on its owning shard (and replica)."""
@@ -648,10 +689,10 @@ class ClusterCoordinator:
                     self._mark_mirror_failure(slot, exc)
                 else:
                     self._replica_health[slot].mark_success()
-                    self._replica_to_global[slot].pop(replica_local, None)
+                    _unmap(self._replica_to_global[slot], replica_local)
                     self._replica_local[global_id] = -1
             self._alive[global_id] = 0
-            del self._local_to_global[worker][local_id]
+            _unmap(self._local_to_global[worker], local_id)
             self._live[worker] -= 1
             self._version += 1
             self._maybe_rebalance()
@@ -691,7 +732,7 @@ class ClusterCoordinator:
             return False
         # The heaviest worker's fullest range, by live rows.
         rows_by_range: Dict[int, List[int]] = {}
-        for global_id in self._live_rows({heaviest}):
+        for global_id in self._live_rows({heaviest}).tolist():
             shard_range = self._map.range_at(self._keys[global_id])
             rows_by_range.setdefault(shard_range.lo, []).append(global_id)
         if not rows_by_range:
@@ -717,7 +758,12 @@ class ClusterCoordinator:
         old_locals = [self._local[g] for g in moved]
         old_replica_locals = [self._replica_local[g] for g in moved]
         try:
-            added = self._load(self._backends[lightest], moved, self._local)
+            self._local_to_global[lightest] = self._load(
+                self._backends[lightest],
+                moved,
+                self._local,
+                self._local_to_global[lightest],
+            )
         except _UNAVAILABLE:
             # Destination unreachable: abort before touching anything —
             # the cluster stays balanced-as-was rather than half-moved.
@@ -731,10 +777,11 @@ class ClusterCoordinator:
         slot_to = self._mirror_slot(lightest)
         if slot_to is not None and not self._replica_dirty[slot_to]:
             try:
-                self._replica_to_global[slot_to].update(
-                    self._load(
-                        self._replicas[slot_to], moved, self._replica_local
-                    )
+                self._replica_to_global[slot_to] = self._load(
+                    self._replicas[slot_to],
+                    moved,
+                    self._replica_local,
+                    self._replica_to_global[slot_to],
                 )
             except Exception as exc:
                 self._mark_mirror_failure(slot_to, exc)
@@ -749,18 +796,17 @@ class ClusterCoordinator:
                 # stays physical but unaddressed — its local id leaves
                 # the mapping below, so translation skips it.
                 self._health[heaviest].mark_failure()
-            del self._local_to_global[heaviest][old_local]
+            _unmap(self._local_to_global[heaviest], old_local)
             if slot_from is not None and old_replica_local >= 0:
                 try:
                     self._replicas[slot_from].delete(old_replica_local)
                 except Exception as exc:
                     self._mark_mirror_failure(slot_from, exc)
                 else:
-                    self._replica_to_global[slot_from].pop(
-                        old_replica_local, None
+                    _unmap(
+                        self._replica_to_global[slot_from], old_replica_local
                     )
             self._worker[global_id] = lightest
-        self._local_to_global[lightest].update(added)
         self._live[heaviest] -= len(moved)
         self._live[lightest] += len(moved)
         self._map = new_map
@@ -881,7 +927,7 @@ class ClusterCoordinator:
         it is marked ``down`` and a usable replica exists — no timeout
         tax per query on a dead worker.  Returns ``(result, mapping,
         replica slot or None)`` from whichever copy answered, where
-        ``mapping`` is that copy's local-to-global dict (a copy when
+        ``mapping`` is that copy's local-to-global array (a copy when
         ``snapshot``: a stream outlives the read lock), or ``None``
         after recording ``worker`` on ``failed`` when both copies are
         lost.
@@ -898,7 +944,7 @@ class ClusterCoordinator:
             else:
                 self._health[worker].mark_success()
                 mapping = self._local_to_global[worker]
-                return result, dict(mapping) if snapshot else mapping, None
+                return result, mapping.copy() if snapshot else mapping, None
         if slot is not None:
             self._failovers += 1
             try:
@@ -908,7 +954,7 @@ class ClusterCoordinator:
             else:
                 self._replica_health[slot].mark_success()
                 mapping = self._replica_to_global[slot]
-                return result, dict(mapping) if snapshot else mapping, slot
+                return result, mapping.copy() if snapshot else mapping, slot
         self._record_failure(failed, worker)
         return None
 
@@ -917,7 +963,7 @@ class ClusterCoordinator:
         worker: int,
         shard_spec: Query,
         failed: List[int],
-    ) -> List[int]:
+    ) -> np.ndarray:
         """One shard's eager answer as global ids, robust to failure.
 
         A shard lost from both copies contributes nothing (and lands on
@@ -925,20 +971,21 @@ class ClusterCoordinator:
         behind by a failed compensating delete), and — because one
         replica slot may back several workers — rows owned by a
         *different* worker are filtered out, so a failover read never
-        double-counts rows the owner already contributed.
+        double-counts rows the owner already contributed.  The answer's
+        order is kept.
         """
         outcome = self._failover(
             worker, lambda backend: backend.query_ids(shard_spec), failed
         )
         if outcome is None:
-            return []
+            return _no_rows()
         local_ids, mapping, _ = outcome
-        translated = (mapping.get(local) for local in local_ids)
-        return [
-            g
-            for g in translated
-            if g is not None and self._worker[g] == worker
-        ]
+        local_ids = np.asarray(local_ids, dtype=np.int64)
+        known = local_ids[(local_ids >= 0) & (local_ids < len(mapping))]
+        global_ids = mapping[known]
+        global_ids = global_ids[global_ids >= 0]
+        owners = np.frombuffer(self._worker, dtype=np.intc)[global_ids]
+        return global_ids[owners == worker]
 
     def _nonempty(self, workers) -> List[int]:
         """The given workers that hold at least one live row, sorted."""
@@ -960,12 +1007,15 @@ class ClusterCoordinator:
             )
         )
         shard_spec = replace(spec, predicate=None, limit=None)
-        ids = [
-            g
-            for worker in workers
-            for g in self._shard_ids(worker, shard_spec, failed)
-        ]
-        return np.unique(np.asarray(ids, dtype=np.int64))
+        return np.unique(
+            np.concatenate(
+                [_no_rows()]
+                + [
+                    self._shard_ids(worker, shard_spec, failed)
+                    for worker in workers
+                ]
+            )
+        )
 
     # -- point kinds -------------------------------------------------------
 
@@ -1033,7 +1083,7 @@ class ClusterCoordinator:
             predicate=None,
             limit=None,
         )
-        return self._shard_ids(worker, shard_spec, failed)
+        return self._shard_ids(worker, shard_spec, failed).tolist()
 
     # -- streaming ---------------------------------------------------------
 
@@ -1121,9 +1171,13 @@ class ClusterCoordinator:
                     except _UNAVAILABLE:
                         fail_over(worker)
                         continue
-                    global_id = mapping.get(local)
+                    global_id = (
+                        int(mapping[local])
+                        if 0 <= local < len(mapping)
+                        else -1
+                    )
                     if (
-                        global_id is not None
+                        global_id >= 0
                         and self._worker[global_id] == worker
                         and global_id not in seen[worker]
                     ):
@@ -1218,33 +1272,41 @@ class ClusterCoordinator:
 
     # -- recovery ----------------------------------------------------------
 
-    def _live_rows(self, workers) -> List[int]:
+    def _live_rows(self, workers) -> np.ndarray:
         """Live global ids owned by any of ``workers``, ascending."""
-        return [
-            g
-            for g in range(len(self._alive))
-            if self._alive[g] and self._worker[g] in workers
-        ]
+        alive = np.frombuffer(self._alive, dtype=np.bool_)
+        owners = np.frombuffer(self._worker, dtype=np.intc)
+        return np.flatnonzero(alive & np.isin(owners, list(workers)))
 
     def _load(
-        self, backend: ShardBackend, rows: List[int], local_column: array
-    ) -> Dict[int, int]:
+        self,
+        backend: ShardBackend,
+        rows,
+        local_column: array,
+        mapping: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Extend ``rows``' catalog coordinates onto ``backend``.
 
         The one catalog-to-backend load of :meth:`restore`,
         :meth:`rebuild_worker`, :meth:`rebuild_replica` and the
         rebalance migration: each row's new local id lands in
         ``local_column`` (the primary or replica side of the catalog),
-        and the new rows' local-to-global mapping is returned.
+        and ``mapping`` (default: an empty one), that copy's
+        local-to-global map, is returned with the new rows entered.
         """
-        local_ids = (
-            backend.extend([(self._xs[g], self._ys[g]) for g in rows])
-            if rows
-            else []
+        rows = np.asarray(rows, dtype=np.int64)
+        mapping = _no_rows() if mapping is None else mapping
+        if not len(rows):
+            return mapping
+        xy = np.column_stack(
+            (
+                np.frombuffer(self._xs, dtype=np.float64)[rows],
+                np.frombuffer(self._ys, dtype=np.float64)[rows],
+            )
         )
-        for global_id, local_id in zip(rows, local_ids):
-            local_column[global_id] = local_id
-        return dict(zip(local_ids, rows))
+        local_ids = np.asarray(backend.extend(xy), dtype=np.int64)
+        np.frombuffer(local_column, dtype=np.int64)[rows] = local_ids
+        return _mapped(mapping, local_ids, rows)
 
     def _slot_rows(self, slot: int) -> List[int]:
         """Live rows of every worker the shard map pairs with ``slot``."""
@@ -1270,7 +1332,7 @@ class ClusterCoordinator:
             old = self._backends[worker]
             self._backends[worker] = backend
             rows = self._live_rows({worker})
-            self._local_to_global[worker] = {}  # until the load lands
+            self._local_to_global[worker] = _no_rows()  # until the load lands
             self._local_to_global[worker] = self._load(
                 backend, rows, self._local
             )
@@ -1301,7 +1363,7 @@ class ClusterCoordinator:
             if replica is None:
                 raise ValueError(f"replica slot {slot} has no backend")
             rows = self._slot_rows(slot)
-            self._replica_to_global[slot] = {}  # until the load lands
+            self._replica_to_global[slot] = _no_rows()  # until the load lands
             try:
                 self._replica_to_global[slot] = self._load(
                     replica, rows, self._replica_local
@@ -1381,7 +1443,11 @@ class ClusterCoordinator:
         coordinator._ys = array("d", column(xy[:, 1], np.float64, 0.0))
         coordinator._keys = array(
             "q",
-            column(shard_map.keys_of(xy[:, 0], xy[:, 1]), np.int64, 0),
+            column(
+                hilbert_keys(xy[:, 0], xy[:, 1], order=shard_map.order),
+                np.int64,
+                0,
+            ),
         )
         coordinator._worker = array(
             "i", column(state["worker"], np.intc, -1)

@@ -24,12 +24,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.order import (
     DEFAULT_ORDER,
     cell_index,
     cell_key,
     hilbert_index,
-    hilbert_keys,
 )
 
 __all__ = ["ShardRange", "ShardMap", "cell_cover", "key_intervals"]
@@ -311,9 +312,13 @@ class ShardMap:
         """The Hilbert routing key of point ``(x, y)``."""
         return hilbert_index(x, y, order=self.order)
 
-    def keys_of(self, xs, ys) -> List[int]:
-        """:meth:`key_of` of a whole frame of points, computed as columns."""
-        return hilbert_keys(xs, ys, order=self.order).tolist()
+    def owners_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`owner_of_key` of a whole column of keys (an intc array)."""
+        lows = np.fromiter(self._lows, np.int64, len(self._lows))
+        owners = np.fromiter(
+            (r.worker for r in self.ranges), np.intc, len(self.ranges)
+        )
+        return owners[np.searchsorted(lows, keys, side="right") - 1]
 
     def range_at(self, key: int) -> ShardRange:
         """The range containing Hilbert ``key``."""

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.geometry.kernels import region_kernels
-from repro.geometry.point import Point
+from repro.geometry.point import Point, xy_array
 from repro.geometry.region import QueryRegion
 from repro.index import make_index
 from repro.index.rtree import RTree
@@ -161,7 +161,8 @@ class SpatialDatabase:
         return row_id
 
     def extend(
-        self, points: Iterable[Point] | Iterable[Tuple[float, float]]
+        self,
+        points: Iterable[Point] | Iterable[Tuple[float, float]] | np.ndarray,
     ) -> List[int]:
         """Add many points via the index's bulk loader; returns their row ids.
 
@@ -170,16 +171,13 @@ class SpatialDatabase:
         already holds and inserts row by row only when that is cheaper
         (:meth:`RTree.bulk_load <repro.index.rtree.RTree.bulk_load>`).
         Like :meth:`insert`, an already-built backend is maintained
-        *incrementally*, one cavity insertion per point.
+        *incrementally*, one cavity insertion per point.  ``points`` may be
+        an ``(n, 2)`` float64 array, which is loaded without a copy.
         """
-        pairs = [
-            (p.x, p.y) if isinstance(p, Point) else (float(p[0]), float(p[1]))
-            for p in points
-        ]
-        columns = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        columns = xy_array(points)
         rows = self._load_columns(columns[:, 0], columns[:, 1])
         if self._backend is not None:
-            for x, y in pairs:
+            for x, y in columns.tolist():
                 self._backend.add_point(Point(x, y))
         return list(rows)
 

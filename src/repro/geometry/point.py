@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -106,6 +108,23 @@ class Point:
         if len(xy) != 2:
             raise ValueError(f"expected a 2-element sequence, got {len(xy)}")
         return Point(float(xy[0]), float(xy[1]))
+
+
+def xy_array(points) -> np.ndarray:
+    """``points`` as one ``(n, 2)`` float64 array: the shape a batch write takes.
+
+    Accepts an array (a float64 one is returned as it is) or any iterable
+    of ``(x, y)`` pairs or :class:`Point` rows; raises :class:`ValueError`
+    for anything not shaped as pairs.
+    """
+    if not isinstance(points, np.ndarray):
+        points = [(p.x, p.y) if isinstance(p, Point) else p for p in points]
+    xy = np.asarray(points, dtype=np.float64)
+    if xy.shape == (0,):
+        return xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points must be (x, y) pairs, got shape {xy.shape}")
+    return xy
 
 
 def centroid(points: Iterable[Point]) -> Point:

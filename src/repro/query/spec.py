@@ -55,6 +55,7 @@ helpers (:meth:`Query.with_limit`, :meth:`Query.where`,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, ClassVar, Iterator, Optional, Tuple
 
@@ -326,6 +327,12 @@ class KnnQuery(Query):
             raise ValueError(
                 f"k must be None (unbounded) or a non-negative int, "
                 f"got {self.k!r}"
+            )
+        if self.k is not None and self.k > sys.float_info.max:
+            # the planner costs k as a float
+            raise ValueError(
+                f"k must be within float range, got a "
+                f"{self.k.bit_length()}-bit int"
             )
 
     def streams(self) -> bool:

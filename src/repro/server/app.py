@@ -576,6 +576,12 @@ class QueryServer:
         request_id = frame["id"]
         if await self._id_in_flight(connection, request_id):
             return
+        if frame["type"] == "extend":
+            # One float64 array from here to the stores: the decoded
+            # lists (about 144 bytes a pair) are freed before any work.
+            frame["points"] = np.array(
+                frame["points"], dtype=np.float64
+            ).reshape(-1, 2)
         try:
             rows, version, points, events = await self.backend.write(
                 frame, client=connection

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.geometry.point import xy_array
 from repro.live.registry import SubscriptionRegistry
 from repro.query.executor import validate_spec
 from repro.server.coalescer import BatchCoalescer
@@ -176,9 +177,9 @@ class LocalBackend:
             coords = [(x, y)]
             rows = [self.coalescer.apply_write(lambda: db.insert((x, y)))]
         elif op == "extend":
-            pairs = [(float(x), float(y)) for x, y in frame["points"]]
-            coords = pairs
-            rows = list(self.coalescer.apply_write(lambda: db.extend(pairs)))
+            points = xy_array(frame["points"])
+            rows = self.coalescer.apply_write(lambda: db.extend(points))
+            coords = points.tolist() if pre is not None else ()
         else:  # "delete"
             row = int(frame["row"])
             self.coalescer.apply_write(lambda: db.delete(row))

@@ -46,6 +46,7 @@ import weakref
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
+from repro.geometry.point import xy_array
 from repro.query.serialize import spec_to_dict
 from repro.query.spec import Query
 from repro.server.protocol import (
@@ -518,7 +519,7 @@ class QueryClient:
             {
                 "type": "extend",
                 "id": self._allocate_id(),
-                "points": [[float(x), float(y)] for x, y in points],
+                "points": xy_array(points).tolist(),
             }
         )
 

@@ -9,10 +9,15 @@ gets its own suite in ``test_router.py``.
 """
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterWriteError, LocalShard
+from repro.cluster import coordinator as coordinator_module
+from repro.cluster.backends import ShardBackend
+from repro.cluster.shardmap import ShardMap
 from repro.core.database import SpatialDatabase
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
 from repro.geometry.circle import Circle
@@ -342,3 +347,141 @@ class TestRestore:
             )
         # id sequence continues past the snapshot (holes stay holes)
         assert restored.insert(0.77, 0.88) == coordinator.insert(0.77, 0.88)
+
+
+class TamperedShard(LocalShard):
+    """A local shard whose eager answers carry extra local ids, and that
+    can be marked down (its reads and writes then fail as transport
+    errors do)."""
+
+    def __init__(self, database):
+        super().__init__(database)
+        self.extra = []
+        self.down = False
+
+    def query_ids(self, spec):
+        if self.down:
+            raise ConnectionError("worker down")
+        return super().query_ids(spec) + self.extra
+
+    def extend(self, points):
+        if self.down:
+            raise ConnectionError("worker down")
+        return super().extend(points)
+
+
+class _Sink(ShardBackend):
+    """A shard that stores nothing: it hands out sequential local ids."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def extend(self, points):
+        first, self.rows = self.rows, self.rows + len(points)
+        return list(range(first, self.rows))
+
+
+class TestArrayCatalog:
+    """The catalog keeps one int64 local-to-global array per copy (-1: no
+    row); what a copy answers is translated through it and owner-checked."""
+
+    def test_shard_answers_contribute_only_rows_their_worker_owns(self):
+        points = [(p.x, p.y) for p in uniform_points(400, seed=41)]
+        shard_map = ShardMap.even(2).with_replicas({0: 0, 1: 0})
+        # one writer per load, so the shared replica takes one batch at a time
+        points.sort(key=lambda xy: shard_map.owner_of(*xy))
+        primaries = [TamperedShard(SpatialDatabase()) for _ in range(2)]
+        replica = TamperedShard(SpatialDatabase())
+        coordinator = ClusterCoordinator(
+            primaries, replicas=[replica], shard_map=shard_map,
+            auto_rebalance=False,
+        )
+        split = sum(shard_map.owner_of(*xy) == 0 for xy in points)
+        assert 0 < split < len(points)
+        coordinator.extend(points[:split])
+        coordinator.extend(points[split:])
+        oracle = SpatialDatabase.from_points([Point(*xy) for xy in points])
+        # worker 0 gave global row 0 local id 0; deleting it leaves local 0
+        # unknown to worker 0's map
+        coordinator.delete(0)
+        oracle.delete(0)
+        primaries[0].extra = [0, 10**6]  # unknown, and past the map's end
+        replica.extra = [10**6]
+        specs = [
+            WindowQuery((0.3, 0.2, 0.7, 0.8)),
+            WindowQuery((0.0, 0.0, 1.0, 1.0)),
+            KnnQuery(Point(0.49, 0.5), 40),
+            KnnQuery(Point(0.1, 0.1), 5),
+        ]
+        for spec in specs:
+            assert_same(coordinator, oracle, spec)
+        # Worker 0 answers from the replica it shares with worker 1: the
+        # replica's answers hold worker 1's rows too, which worker 1
+        # contributes itself, so a kNN would list them twice if kept.
+        primaries[0].down = True
+        for spec in specs:
+            assert_same(coordinator, oracle, spec)
+
+    def test_stream_yields_a_row_deleted_after_it_opened(self):
+        points = [(p.x, p.y) for p in uniform_points(300, seed=43)]
+        coordinator, oracle = build_pair(points, workers=2)
+        focus = Point(0.5, 0.5)
+        expected = oracle.query(KnnQuery(focus, 20)).ids()
+        stream = coordinator.stream(KnnQuery(focus, None))
+        try:
+            got = [next(stream) for _ in range(5)]
+            coordinator.delete(expected[10])  # not yet yielded
+            got += [next(stream) for _ in range(15)]
+        finally:
+            stream.close()
+        assert got == expected
+        oracle.delete(expected[10])
+        assert_same(coordinator, oracle, KnnQuery(focus, 20))
+
+    def test_failed_second_shard_leaves_the_catalog_as_it_was(self):
+        points = [(p.x, p.y) for p in uniform_points(300, seed=47)]
+        shards = [TamperedShard(SpatialDatabase()) for _ in range(2)]
+        coordinator = ClusterCoordinator(shards, auto_rebalance=False)
+        coordinator.extend(points)
+        oracle = SpatialDatabase.from_points([Point(*xy) for xy in points])
+        shard_map = coordinator.shard_map
+        batch = [(0.1, 0.1), (0.2, 0.3), (0.9, 0.1), (0.8, 0.2)]
+        assert [shard_map.owner_of(*xy) for xy in batch] == [0, 0, 1, 1]
+        shards[1].down = True
+        with pytest.raises(ConnectionError):
+            coordinator.extend(batch)
+        shards[1].down = False
+        assert coordinator.total_live == len(oracle) == len(points)
+        for spec in (
+            WindowQuery((0.0, 0.0, 1.0, 1.0)),
+            WindowQuery((0.05, 0.05, 0.35, 0.35)),
+            KnnQuery(Point(0.15, 0.2), 12),
+            KnnQuery(Point(0.85, 0.15), 12),
+        ):
+            assert_same(coordinator, oracle, spec)
+        assert coordinator.extend(batch) == oracle.extend(
+            [Point(*xy) for xy in batch]
+        )
+        assert_same(coordinator, oracle, WindowQuery((0.0, 0.0, 1.0, 1.0)))
+
+    def test_catalog_keeps_at_most_64_bytes_a_row(self):
+        """Over a 16 000-point extend the catalog keeps its columns and one
+        map entry per row, not a Python object per row.  Counted: what was
+        allocated under ``coordinator.py`` and is still held."""
+        xy = np.random.default_rng(5).random((16_100, 2))
+        coordinator = ClusterCoordinator([_Sink(), _Sink()])
+        coordinator.extend(xy[:100])  # warm: first-call allocations
+        own = [
+            tracemalloc.Filter(True, coordinator_module.__file__, all_frames=True)
+        ]
+        tracemalloc.start(8)
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(own)
+            coordinator.extend(xy[100:])
+            after = tracemalloc.take_snapshot().filter_traces(own)
+        finally:
+            tracemalloc.stop()
+        kept = sum(s.size_diff for s in after.compare_to(before, "filename"))
+        assert coordinator.total_live == len(xy)
+        assert kept / 16_000 <= 64, kept / 16_000
+

@@ -82,6 +82,8 @@ class TestConstruction:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             KnnQuery((0, 0), -1)
+        with pytest.raises(ValueError, match="float range"):
+            KnnQuery((0, 0), 10**400)  # the planner costs k as a float
         assert KnnQuery((0, 0), 0).k == 0  # legal: empty result
 
     def test_limit_validated(self):

@@ -320,6 +320,7 @@ class TestMalformedRejection:
                 {"kind": "window", "rect": [0.0, 0.0]},
                 {"kind": "window", "rect": [0.0, 0.0, _PAST_FLOAT, 1.0]},
                 {"kind": "knn", "point": [0.5, -_PAST_FLOAT], "k": 2},
+                {"kind": "knn", "point": [0.5, 0.5], "k": _PAST_FLOAT},
             ):
                 frame = {"type": kind, "id": 0, "spec": spec}
                 validate_frame(frame)

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -479,4 +480,64 @@ class TestServedProcessesLoadNoOpenSSL:
                 assert sum("/repro/insert-" in t for t in maps.values()) == (2 if cluster else 1)
         finally:
             os.killpg(process.pid, signal.SIGTERM)
+            process.communicate(timeout=30)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` names a running (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+class TestSigtermStopsServedProcesses:
+    """SIGTERM, what ``kill`` and most supervisors send, stops ``serve`` and
+    ``cluster`` as Ctrl-C does: exit 0, and a router takes its workers with
+    it (and still writes ``--save-on-exit``)."""
+
+    @pytest.mark.parametrize("command", [["serve"], ["cluster", "--workers", "2"]],
+                             ids=["serve", "cluster"])
+    def test_sigterm_exits_0_and_leaves_no_worker(self, tmp_path, command):
+        if not Path(f"/proc/{os.getpid()}/stat").exists():
+            pytest.skip("no /proc/<pid>/stat to read")
+        cluster = command[0] == "cluster"
+        if cluster:
+            command = [*command, "--save-on-exit", str(tmp_path / "snap")]
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", *command, "--points", "200", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            lines = []
+            for line in process.stdout:
+                lines.append(line)
+                if "Press Ctrl-C to stop." in line:
+                    break
+            else:
+                pytest.fail("exited before its banner:\n" + "".join(lines))
+            workers = [pid for pid in _session(process.pid) if pid != process.pid]
+            assert len(workers) == (2 if cluster else 0)
+            process.send_signal(signal.SIGTERM)  # the router (or server) alone
+            out, _ = process.communicate(timeout=30)
+            assert process.returncode == 0, "".join(lines) + out
+            assert "stopped" in out
+            deadline = time.monotonic() + 2.0
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+            if cluster:
+                assert (tmp_path / "snap" / "manifest.json").exists()
+        finally:
+            if process.poll() is None or _session(process.pid):
+                try:
+                    os.killpg(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             process.communicate(timeout=30)

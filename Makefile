@@ -64,7 +64,6 @@ bench:
 	$(PYTEST) benchmarks/bench_table1.py benchmarks/bench_table2.py \
 		benchmarks/bench_fig4.py benchmarks/bench_fig5.py \
 		benchmarks/bench_fig6.py benchmarks/bench_fig7.py \
-		benchmarks/bench_ablation_indexes.py \
 		benchmarks/bench_ablation_backend.py \
 		benchmarks/bench_ablation_polygon.py \
 		benchmarks/bench_ablation_knn.py \

@@ -34,8 +34,8 @@ Packages
     From-scratch planar geometry kernel (points, robust predicates,
     segments, rectangles, simple polygons, random polygon workloads).
 ``repro.index``
-    The paper's R-tree (and its R*-tree variant) on columnar leaves, plus
-    the brute-force oracle the trees are tested against.
+    The paper's R-tree, held in numpy arrays, plus the brute-force
+    oracle it is tested against.
 ``repro.delaunay``
     Bowyer–Watson Delaunay triangulation, the Voronoi dual (cells +
     neighbour graph), and pluggable neighbour backends.

@@ -78,6 +78,7 @@ from repro.engine.batch import run_jobs
 from repro.engine.order import DEFAULT_ORDER, hilbert_keys
 from repro.geometry.point import Point, xy_array
 from repro.query.executor import effective_k, finalize_record
+from repro.query.merge import unique_ids
 from repro.query.spec import (
     AreaQuery,
     KnnQuery,
@@ -1007,7 +1008,7 @@ class ClusterCoordinator:
             )
         )
         shard_spec = replace(spec, predicate=None, limit=None)
-        return np.unique(
+        return unique_ids(
             np.concatenate(
                 [_no_rows()]
                 + [

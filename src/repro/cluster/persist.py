@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.io.persist import _write_archive
+from repro.query.merge import unique_ids
 
 __all__ = ["save_cluster", "load_cluster_state", "restore_cluster"]
 
@@ -191,7 +192,7 @@ def load_cluster_state(path: str | os.PathLike) -> Dict:
         0 <= state["gids"].min() and state["gids"].max() < size
     ):
         raise _corrupt(f"a global id lies outside [0, {size})")
-    if len(np.unique(state["gids"])) != len(state["gids"]):
+    if len(unique_ids(state["gids"])) != len(state["gids"]):
         raise _corrupt("a global id appears twice")
     return state
 

@@ -48,7 +48,6 @@ import numpy as np
 from repro.geometry.kernels import region_kernels
 from repro.geometry.point import Point, xy_array
 from repro.geometry.region import QueryRegion
-from repro.index import make_index
 from repro.index.rtree import RTree
 from repro.delaunay.backends import DelaunayBackend, make_backend
 from repro.core.exceptions import EmptyDatabaseError
@@ -66,9 +65,6 @@ class SpatialDatabase:
 
     Parameters
     ----------
-    index_kind:
-        The spatial index: ``"rtree"`` (default, as in the paper) or
-        ``"rstar"``.  See :data:`repro.index.INDEX_REGISTRY`.
     backend_kind:
         Accepted for old callers and snapshots, and selects nothing:
         ``"pure"`` and ``"scipy"`` both give the one
@@ -76,14 +72,9 @@ class SpatialDatabase:
         raises :class:`ValueError` when the backend is built.
     """
 
-    def __init__(
-        self,
-        index_kind: str = "rtree",
-        backend_kind: str = "pure",
-    ) -> None:
+    def __init__(self, *, backend_kind: str = "pure") -> None:
         self._store = PointStore()
-        self._index: RTree = make_index(index_kind)
-        self._index_kind = index_kind
+        self._index = RTree()
         self._backend_kind = backend_kind
         self._backend: Optional[DelaunayBackend] = None
         self._engine: Optional["BatchQueryEngine"] = None
@@ -95,11 +86,10 @@ class SpatialDatabase:
         cls,
         points: Iterable[Point] | Iterable[Tuple[float, float]],
         *,
-        index_kind: str = "rtree",
         backend_kind: str = "pure",
     ) -> "SpatialDatabase":
         """Bulk-build a database from an iterable of points or (x, y) pairs."""
-        db = cls(index_kind, backend_kind)
+        db = cls(backend_kind=backend_kind)
         db.extend(points)
         return db
 
@@ -109,7 +99,6 @@ class SpatialDatabase:
         xs,
         ys,
         *,
-        index_kind: str = "rtree",
         backend_kind: str = "pure",
     ) -> "SpatialDatabase":
         """Bulk-build from coordinate arrays (row id = array index).
@@ -118,7 +107,7 @@ class SpatialDatabase:
         :class:`~repro.core.store.PointStore` with one numpy copy each and
         both access structures are built from those columns, with no
         Python object per row.  The R-tree sorts and tiles them as arrays
-        and its leaves keep slices of the packed copies (:meth:`RTree.bulk_load
+        and scatters them into its leaf table (:meth:`RTree.bulk_load
         <repro.index.rtree.RTree.bulk_load>`); the Voronoi backend reads the
         columns and is born as the CSR graph.  A database built this
         way and then queried with area specs never builds a ``Point``
@@ -127,7 +116,7 @@ class SpatialDatabase:
         (:func:`repro.io.persist.load_database`, ``repro serve --load``)
         come through here.
         """
-        db = cls(index_kind, backend_kind)
+        db = cls(backend_kind=backend_kind)
         db._load_columns(xs, ys)
         return db
 

@@ -9,8 +9,8 @@ the experiment harness can report index node accesses alongside wall time.
 :data:`Entry` — the ``(Point, id)`` tuple — is the type of the *interface*:
 what ``insert`` / ``delete`` take and what ``window_query``, the
 nearest-neighbour searches and ``items`` hand out.  It says nothing about
-storage: the R-tree family (:mod:`repro.index.rtree`) keeps coordinate and
-id arrays in its leaves, is bulk-loaded from ``(xs, ys, ids)`` columns and
+storage: the R-tree (:mod:`repro.index.rtree`) keeps coordinate and id
+arrays in its leaf table, is bulk-loaded from ``(xs, ys, ids)`` columns and
 builds entries only on the way out.  The columnar hot paths avoid entries
 altogether through :meth:`SpatialIndex.window_ids_array`.
 
@@ -28,7 +28,7 @@ The interface is what both paper methods and the planner read:
   exercise mixed read/write traffic.
 
 :class:`BruteForceIndex` implements it by scanning a list; the tests in
-``tests/index/`` compare both trees against it on identical workloads.
+``tests/index/`` compare the R-tree against it on identical workloads.
 """
 
 from __future__ import annotations

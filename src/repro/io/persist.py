@@ -65,7 +65,6 @@ from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.delaunay.backends import DelaunayBackend
 from repro.delaunay.triangulation import check_row_count
-from repro.index import INDEX_REGISTRY
 
 _FORMAT_VERSION = 1
 _GRAPH_MEMBERS = ("graph_indptr", "graph_indices")
@@ -165,7 +164,7 @@ def save_database(path: str | os.PathLike, db: SpatialDatabase) -> str:
     config = json.dumps(
         {
             "version": _FORMAT_VERSION,
-            "index_kind": db._index_kind,
+            "index_kind": "rtree",
             "backend_kind": db._backend_kind,
             "count": len(db.store),
         }
@@ -223,9 +222,9 @@ def load_database(
     set, the id space, and the Voronoi superset graph all round-trip.
     The persisted columns go to :meth:`SpatialDatabase.from_arrays
     <repro.core.database.SpatialDatabase.from_arrays>` as arrays: the
-    R-tree is packed from them with array sorts and keeps slices of the
-    packed copies in its leaves — no ``Point`` is created.  ``path`` may
-    be the exact file or the extensionless name the saver was given.
+    R-tree is packed from them with array sorts into its leaf table — no
+    ``Point`` is created.  ``path`` may be the exact file or the
+    extensionless name the saver was given.
 
     A file that carries the neighbour graph has it checked (see the
     module docstring; ``ValueError`` if it fails), converted to int32 if
@@ -256,15 +255,12 @@ def load_database(
         )
     xy = xy.reshape(len(xy), 2)
     index_kind = config["index_kind"]
-    if index_kind in ("kdtree", "quadtree", "grid", "brute"):  # removed kinds:
-        index_kind = "rtree"  # the index is derived state, rebuilt on load
-    if index_kind not in INDEX_REGISTRY:
+    # the index is derived state, rebuilt on load: a removed kind loads as
+    # the R-tree, a name no snapshot ever carried is not ours
+    if index_kind not in ("rtree", "rstar", "kdtree", "quadtree", "grid", "brute"):
         raise ValueError(f"corrupt database file: unknown index kind {index_kind!r}")
     db = SpatialDatabase.from_arrays(
-        xy[:, 0],
-        xy[:, 1],
-        index_kind=index_kind,
-        backend_kind=config["backend_kind"],
+        xy[:, 0], xy[:, 1], backend_kind=config["backend_kind"]
     )
     for row_id in deleted:  # replay tombstones; ids stay positional
         db.delete(int(row_id))

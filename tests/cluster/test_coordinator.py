@@ -8,7 +8,11 @@ routing/merge logic is exercised without socket noise; the wire path
 gets its own suite in ``test_router.py``.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -33,6 +37,7 @@ from repro.query.spec import (
     WindowQuery,
 )
 from repro.workloads import make_query_areas, uniform_points
+import repro
 
 N_POINTS = 600
 
@@ -485,3 +490,51 @@ class TestArrayCatalog:
         assert coordinator.total_live == len(xy)
         assert kept / 16_000 <= 64, kept / 16_000
 
+
+#: Region reads and composites through the router over two shards, in a
+#: fresh interpreter; prints whether ``numpy.ma`` got imported.
+_READS_WITHOUT_MA = textwrap.dedent(
+    """
+    import sys
+
+    from repro.cluster import ClusterCoordinator, LocalShard
+    from repro.core.database import SpatialDatabase
+    from repro.geometry.circle import Circle
+    from repro.geometry.point import Point
+    from repro.query.spec import (
+        AreaQuery, DifferenceQuery, IntersectionQuery, UnionQuery, WindowQuery,
+    )
+
+    coordinator = ClusterCoordinator([LocalShard(SpatialDatabase()) for _ in range(2)])
+    coordinator.extend([(i * 37 % 101 / 101, i * 61 % 103 / 103) for i in range(400)])
+    window = WindowQuery((0.1, 0.1, 0.6, 0.6))
+    disc = AreaQuery(Circle(Point(0.5, 0.5), 0.3))
+    for spec in (
+        window,
+        disc,
+        UnionQuery((window, disc)),
+        IntersectionQuery((window, disc)),
+        DifferenceQuery((window, disc)),
+    ):
+        assert coordinator.query(spec)
+    print("numpy.ma" in sys.modules)
+    """
+)
+
+
+class TestServedProcessesImportNoNumpyMa:
+    def test_region_reads_and_composites_import_no_numpy_ma(self):
+        """numpy 2.4's ``np.unique`` imports ``numpy.ma`` (about 0.9 MiB)
+        on its first call; the router's region merge and the composite
+        merge use a sort and an adjacent difference instead."""
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        result = subprocess.run(
+            [sys.executable, "-c", _READS_WITHOUT_MA],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]

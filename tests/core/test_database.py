@@ -36,8 +36,10 @@ class TestConstruction:
         assert ids == [0, 1, 2]
 
     def test_unknown_index_kind(self):
-        with pytest.raises(ValueError):
-            SpatialDatabase(index_kind="btree")
+        # one index, the R-tree: no kind is chosen, not even a known one
+        for kind in ("btree", "rtree", "rstar"):
+            with pytest.raises(TypeError):
+                SpatialDatabase(index_kind=kind)
 
     def test_no_index_constructor_arguments(self):
         for build in (

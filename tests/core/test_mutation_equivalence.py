@@ -7,8 +7,7 @@ This suite drives a :class:`SpatialDatabase` and a plain ``dict`` model
 through the same interleaved insert/extend/delete sequences — Hypothesis
 chooses the interleavings — and checks area, window, kNN (all methods),
 composite, and streaming-kNN answers against ``tests/oracle.py``'s
-brute-force scan of the model after every phase, on both index kinds
-(``rtree`` and ``rstar``).
+brute-force scan of the model after every phase.
 """
 
 import random
@@ -19,7 +18,6 @@ from oracle import brute_force
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
-from repro.index import INDEX_REGISTRY
 from repro.query.spec import (
     AreaQuery,
     DifferenceQuery,
@@ -34,10 +32,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def _build(index_kind, n=40, seed=101):
+def _build(n=40, seed=101):
     """A small prepared database plus its brute-force model dict."""
     points = uniform_points(n, seed=seed)
-    db = SpatialDatabase.from_points(points, index_kind=index_kind).prepare()
+    db = SpatialDatabase.from_points(points).prepare()
     model = {i: (p.x, p.y) for i, p in enumerate(points)}
     return db, model
 
@@ -127,7 +125,6 @@ class TestRandomInterleavings:
     """Hypothesis-chosen mutation histories, checked phase by phase."""
 
     @given(
-        index_kind=st.sampled_from(sorted(INDEX_REGISTRY)),
         phases=st.lists(
             st.lists(_operation, min_size=1, max_size=6),
             min_size=1,
@@ -136,8 +133,8 @@ class TestRandomInterleavings:
         seed=st.integers(min_value=0, max_value=2**20),
     )
     @settings(max_examples=25, deadline=None)
-    def test_all_query_kinds_match_model(self, index_kind, phases, seed):
-        db, model = _build(index_kind)
+    def test_all_query_kinds_match_model(self, phases, seed):
+        db, model = _build()
         rng = random.Random(seed)
         for operations in phases:
             _apply(db, model, operations)
@@ -145,15 +142,13 @@ class TestRandomInterleavings:
 
 
 class TestEveryIndexKind:
-    """Deterministic sweep: one fixed history on each index kind.
+    """Deterministic sweep: one fixed delete-heavy history on the
+    database's index (the kind a snapshot records), on every run."""
 
-    The Hypothesis test samples kinds; this sweep guarantees both trees
-    survive the same delete-heavy history on every run.
-    """
-
-    @pytest.mark.parametrize("index_kind", sorted(INDEX_REGISTRY))
+    @pytest.mark.parametrize("index_kind", ["rtree"])
     def test_fixed_history(self, index_kind):
-        db, model = _build(index_kind, n=60, seed=202)
+        db, model = _build(n=60, seed=202)
+        assert type(db.index).__name__.lower() == index_kind
         rng = random.Random(7)
         history = [
             [("insert", 0.41, 0.43), ("delete", 11), ("delete", 5)],
@@ -172,7 +167,7 @@ class TestEveryIndexKind:
     def test_delete_then_reinsert_near_tombstone(self):
         """A new point lands almost exactly on a tombstone: the live
         point must win every ranking, the tombstone none."""
-        db, model = _build("rtree", n=50, seed=303)
+        db, model = _build(n=50, seed=303)
         x, y = model[20]
         db.delete(20)
         del model[20]

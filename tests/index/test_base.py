@@ -1,11 +1,9 @@
 """Unit tests for the index base interface and the brute-force oracle."""
 
 import numpy as np
-import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index import INDEX_REGISTRY, make_index
 from repro.index.base import BruteForceIndex, IndexStats
 
 
@@ -99,16 +97,3 @@ class TestIndexStats:
         snap = stats.snapshot()
         stats.node_accesses = 99
         assert snap.node_accesses == 5
-
-
-class TestRegistry:
-    def test_all_registered_kinds_instantiable(self):
-        for kind in INDEX_REGISTRY:
-            index = make_index(kind)
-            index.insert(Point(0.5, 0.5), 1)
-            assert len(index) == 1
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown index kind"):
-            make_index("btree")
-

@@ -1,8 +1,8 @@
-"""Cross-index equivalence: both trees answer every query like the oracle.
+"""Index equivalence: the R-tree answers every query like the oracle.
 
-These are the integration tests of the index substrate: the R-tree and
-the R*-tree must agree with the brute-force oracle on randomly generated
-workloads, including hypothesis-driven adversarial ones.
+These are the integration tests of the index substrate: the R-tree must
+agree with the brute-force oracle on randomly generated workloads,
+including hypothesis-driven adversarial ones.
 """
 
 import random
@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index import BruteForceIndex, RStarTree, RTree
+from repro.index import BruteForceIndex, RTree
 
-ALL_INDEX_CLASSES = [RTree, RStarTree]
+ALL_INDEX_CLASSES = [RTree]
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 unit_points = st.builds(Point, unit, unit)
@@ -95,7 +95,7 @@ class TestNNEquivalence:
 class TestTieBreaking:
     def test_knn_on_duplicate_locations_is_deterministic(self):
         """Equidistant entries (exact duplicates) must come back in id
-        order from both trees — the contract that lets kNN answers be
+        order from the tree — the contract that lets kNN answers be
         compared across implementations verbatim."""
         rng = random.Random(41)
         entries = []

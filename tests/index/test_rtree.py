@@ -1,7 +1,10 @@
 """Unit tests for the Guttman R-tree."""
 
+import gc
 import math
 import random
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -9,8 +12,7 @@ import pytest
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import BruteForceIndex
-from repro.index.rstar import RStarTree
-from repro.index.rtree import _REPACK_RATIO, RTree
+from repro.index.rtree import _REPACK_RATIO, RTree, _as_entries
 
 
 def _random_entries(n, seed=0):
@@ -34,11 +36,11 @@ def _oracle(entries):
     return oracle
 
 
-def _shape(node):
+def _shape(tree, node):
     """A packed (sub)tree as nested lists of leaf entry lists."""
-    if node.is_leaf:
-        return list(node.entries)
-    return [_shape(child) for child in node.children]
+    if tree._leaf[node]:
+        return list(_as_entries(*tree._rows([node])))
+    return [_shape(tree, child) for child in tree._children([node]).tolist()]
 
 
 def _python_sorted_pack(entries, capacity):
@@ -145,15 +147,15 @@ class TestBulkLoad:
         tree = RTree(max_entries=4)
         existing = _random_entries(300, seed=1)
         tree.bulk_load(*_columns(existing))
-        old_root = tree._root
+        packs = []
+        pack = tree._str_pack
+        tree._str_pack = lambda *columns: packs.append(pack(*columns))
         extra = [
             (point, 300 + i)
             for point, i in _random_entries(batch, seed=2)
         ]
         tree.bulk_load(*_columns(extra))
-        assert (tree._root is not old_root) == (
-            batch * _REPACK_RATIO >= 300 + batch
-        )
+        assert bool(packs) == (batch * _REPACK_RATIO >= 300 + batch)
         assert len(tree) == 300 + batch
         assert sorted(i for _, i in tree.items()) == list(range(300 + batch))
         tree.check_invariants()
@@ -185,7 +187,7 @@ class TestBulkLoad:
         tree = RTree(max_entries=capacity)
         tree.bulk_load(*_columns(entries))
         tree.check_invariants()
-        assert _shape(tree._root) == _python_sorted_pack(entries, capacity)
+        assert _shape(tree, tree._root) == _python_sorted_pack(entries, capacity)
 
     def test_bulk_load_height_logarithmic(self):
         tree = RTree(max_entries=16)
@@ -331,7 +333,7 @@ class TestDuplicates:
         assert remaining == [0, 1, 2, 4]
 
 
-@pytest.mark.parametrize("tree_class", [RTree, RStarTree])
+@pytest.mark.parametrize("tree_class", [RTree])
 class TestColumnarLeaves:
     def test_bulk_load_from_columns_builds_no_entry(self, tree_class):
         rng = np.random.default_rng(3)
@@ -344,13 +346,21 @@ class TestColumnarLeaves:
         entries = [
             (Point(x, y), i) for x, y, i in zip(xs.tolist(), ys.tolist(), ids.tolist())
         ]
-        assert _shape(tree._root) == _python_sorted_pack(entries, 8)
-        # packed leaves slice three shared columns: no array of their own
-        bases = [leaf.ids.base for leaf in tree._leaves()]
-        assert bases[0] is not None and all(base is bases[0] for base in bases)
-        for leaf in tree._leaves():
-            assert leaf.xs.dtype == leaf.ys.dtype == np.float64
-            assert leaf.ids.dtype == np.int64
+        assert _shape(tree, tree._root) == _python_sorted_pack(entries, 8)
+        assert tree._xs.dtype == tree._ys.dtype == np.float64
+        assert tree._ids.dtype == np.int64
+
+        # no Python object per node or row: the objects the garbage
+        # collector tracks do not grow with the rows packed
+        def tracked_growth(rows):
+            gc.collect()
+            before = len(gc.get_objects())
+            tree = tree_class(max_entries=8)
+            tree.bulk_load(rng.random(rows), rng.random(rows), np.arange(rows))
+            gc.collect()
+            return len(gc.get_objects()) - before, tree
+
+        assert tracked_growth(300)[0] == tracked_growth(30_000)[0]
 
     def test_the_source_columns_are_never_written(self, tree_class):
         rng = np.random.default_rng(4)
@@ -437,7 +447,7 @@ class TestColumnarLeaves:
             )
 
 
-@pytest.mark.parametrize("tree_class", [RTree, RStarTree])
+@pytest.mark.parametrize("tree_class", [RTree])
 class TestAwkwardInputs:
     """Far-away points, stacked duplicates, shared coordinates, misses."""
 
@@ -492,11 +502,9 @@ class TestAwkwardInputs:
 
 
 def test_packed_tree_fits_the_per_row_budget():
-    """80 B a row is the line; measured 63: 24 in the three packed columns,
-    the rest the leaf's three slices, its node and its MBR over 16 rows."""
-    import gc
-    import tracemalloc
-
+    """32 B a row is the line; measured 29.3: the leaf table's 17 slots per
+    16 rows in three columns (25.5), then the node table (53 B a node) and
+    the child table (68 B an internal node)."""
     rows = 50_000
     rng = np.random.default_rng(31)
     xs, ys, ids = rng.random(rows), rng.random(rows), np.arange(rows)
@@ -510,4 +518,108 @@ def test_packed_tree_fits_the_per_row_budget():
     finally:
         tracemalloc.stop()
     assert len(tree) == rows
-    assert traced / rows <= 80
+    assert traced / rows <= 32
+
+
+#: ``(ids digest or count, node accesses, entry tests)`` per probe of
+#: :func:`_probe_record`, recorded on the object-per-node tree this one
+#: replaced: the array layout answers and counts exactly as it did.
+_PINNED = {
+    "window": [
+        (2372378314, 65, 352),
+        (886374107, 167, 576),
+        (2474154785, 16, 128),
+        (3863692156, 115, 528),
+        (1049963717, 14, 144),
+        (3749587870, 8, 80),
+        (1088567044, 5, 32),
+        (1278922993, 7, 32),
+        (16295791, 9, 96),
+        (2384609549, 19, 120),
+        (3969647762, 11, 76),
+        (3191537180, 9, 60),
+        (3766692151, 17, 160),
+        (1333312336, 6, 48),
+        (2973533199, 20, 144),
+        (3958490367, 10, 56),
+        (2348861995, 8, 64),
+        (2520759672, 12, 104),
+        (4033568215, 33, 228),
+        (2583377832, 72, 432),
+    ],
+    "knn": [
+        (2664800670, 12, 128),
+        (1451765725, 6, 48),
+        (2785964402, 13, 128),
+        (2614122559, 6, 32),
+        (1889472946, 6, 48),
+        (1846273582, 4, 16),
+        (718369142, 12, 64),
+        (967473936, 7, 48),
+        (893306703, 7, 48),
+        (2908839756, 9, 64),
+        (621754830, 8, 64),
+        (1408549545, 12, 128),
+        (2493679471, 6, 48),
+        (3174366894, 8, 48),
+        (2805920551, 5, 32),
+        (3731846361, 6, 32),
+        (3767134419, 4, 16),
+        (2835770756, 4, 16),
+        (1196320351, 6, 32),
+        (1078210860, 7, 32),
+    ],
+    "count": [
+        (74, 14, 132),
+        (82, 12, 112),
+        (1034, 53, 320),
+        (127, 16, 144),
+        (49, 14, 144),
+        (15, 8, 64),
+        (834, 77, 384),
+        (3077, 118, 816),
+        (5, 6, 48),
+        (3, 8, 48),
+        (359, 40, 288),
+        (245, 29, 208),
+        (135, 18, 160),
+        (4, 4, 16),
+        (194, 27, 224),
+        (6, 4, 16),
+        (40, 11, 96),
+        (4, 7, 32),
+        (4, 6, 48),
+        (490, 53, 368),
+    ],
+}
+
+
+def _probe_record(tree):
+    """20 windows, 20 kNN searches and 20 window counts over ``tree``."""
+    rng = np.random.default_rng(2042)
+    record = {"window": [], "knn": [], "count": []}
+    for kind, calls in record.items():
+        for _ in range(20):
+            x, y = rng.random(2).tolist()
+            tree.stats.reset()
+            if kind == "knn":
+                k = int(rng.choice((1, 10, 50)))
+                got = [i for _, i in tree.k_nearest_neighbors(Point(x, y), k)]
+                key = zlib.crc32(np.array(got, dtype=np.int64).tobytes())
+            else:
+                side = float(10 ** rng.uniform(-2, -0.4))
+                window = Rect(x, y, x + side, y + side)
+                if kind == "window":
+                    ids = np.sort(tree.window_ids_array(window))
+                    key = zlib.crc32(ids.tobytes())
+                else:
+                    key = tree.window_count(window)
+            calls.append((key, tree.stats.node_accesses, tree.stats.entry_tests))
+    return record
+
+
+def test_probes_answer_and_count_as_pinned():
+    rng = np.random.default_rng(42)
+    tree = RTree()
+    tree.bulk_load(rng.random(20_000), rng.random(20_000), np.arange(20_000))
+    assert _probe_record(tree) == _PINNED

@@ -1,13 +1,10 @@
-"""The contract both tree kinds meet, case by case.
+"""The contract the tree meets, case by case.
 
-:class:`~repro.index.rtree.RTree` and :class:`~repro.index.rstar.RStarTree`
-share leaf columns, the STR bulk load, the queries and deletion, but grow
-differently row by row (Guttman's quadratic split against R*'s
-ChooseSubtree, forced re-insertion and topological split).  Every case
-here runs on both and checks them against
-:class:`~repro.index.base.BruteForceIndex`: empty trees, capacity edges,
-points far outside the unit square, stacked duplicates, deletion down to
-nothing and windows that miss the data.
+Every case here builds a :class:`~repro.index.rtree.RTree` (the class is
+the ``tree_class`` parameter) row by row or by STR bulk load and checks
+it against :class:`~repro.index.base.BruteForceIndex`: empty trees,
+capacity edges, points far outside the unit square, stacked duplicates,
+deletion down to nothing and windows that miss the data.
 """
 
 import math
@@ -19,10 +16,9 @@ import pytest
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import BruteForceIndex
-from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
 
-TREES = pytest.mark.parametrize("tree_class", [RTree, RStarTree])
+TREES = pytest.mark.parametrize("tree_class", [RTree])
 
 
 def _random_entries(n, seed=0):
@@ -87,9 +83,9 @@ class TestEmptyTree:
     def test_bulk_load_of_no_rows_changes_nothing(self, tree_class):
         entries = _random_entries(40, seed=1)
         tree = _inserted(tree_class, entries)
-        root = tree._root
+        boxes = tree._box
         tree.bulk_load(*_columns([]))
-        assert tree._root is root
+        assert tree._box is boxes
         assert len(tree) == 40
         assert sorted(tree.items(), key=lambda e: e[1]) == entries
 
@@ -239,8 +235,9 @@ class TestBulkLoad:
     @pytest.mark.parametrize("build", [_inserted, _packed])
     def test_leaves_partition_the_rows(self, tree_class, build):
         tree = build(tree_class, _random_entries(100, seed=17))
-        sizes = [len(leaf.ids) for leaf in tree._leaves()]
-        ids = np.concatenate([leaf.ids for leaf in tree._leaves()])
+        leaves = tree._levels(tree._root)[-1]
+        sizes = tree._fill[leaves].tolist()
+        ids = tree._rows(leaves)[2]
         assert sum(sizes) == 100
         assert all(1 <= size <= 4 for size in sizes)
         assert sorted(ids.tolist()) == list(range(100))

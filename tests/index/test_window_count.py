@@ -6,7 +6,7 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index import BruteForceIndex, RStarTree, RTree
+from repro.index import BruteForceIndex, RTree
 
 
 def _random_entries(n, seed=0):
@@ -31,7 +31,7 @@ def _random_windows(count, seed=0):
 
 
 class TestRTreeWeightedCount:
-    @pytest.mark.parametrize("cls", [RTree, RStarTree])
+    @pytest.mark.parametrize("cls", [RTree])
     def test_matches_window_query_dynamic(self, cls):
         index = cls(max_entries=8)
         oracle = BruteForceIndex()

@@ -33,7 +33,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon, convex_hull
 from repro.geometry.rectangle import Rect
 from repro.core.database import SpatialDatabase
-from repro.index import RStarTree
+from repro.index import RTree
 from repro.io import persist
 from repro.io.persist import (
     load_database,
@@ -79,18 +79,20 @@ class TestDatabaseRoundTrip:
 
     def test_config_preserved(self, tmp_path):
         db = SpatialDatabase.from_points(
-            uniform_points(50, seed=255),
-            index_kind="rstar",
-            backend_kind="scipy",
+            uniform_points(50, seed=255), backend_kind="scipy"
         )
         path = tmp_path / "db.npz"
         save_database(path, db)
+        with np.load(path) as archive:
+            config = json.loads(str(archive["config"]))
+        assert config["index_kind"] == "rtree"
         restored = load_database(path)
-        assert restored._index_kind == "rstar"
-        assert isinstance(restored.index, RStarTree)
+        assert isinstance(restored.index, RTree)
         assert restored._backend_kind == "scipy"
 
-    @pytest.mark.parametrize("removed_kind", ["kdtree", "quadtree", "grid", "brute"])
+    @pytest.mark.parametrize(
+        "removed_kind", ["kdtree", "quadtree", "grid", "brute", "rstar"]
+    )
     def test_removed_index_kind_loads_into_the_rtree(self, removed_kind, tmp_path):
         """The index is derived state: a file naming a kind that no longer
         exists loads into the R-tree and answers like the scan."""
@@ -113,7 +115,7 @@ class TestDatabaseRoundTrip:
             deleted=np.asarray([7], dtype=np.int64),
         )
         restored = load_database(path, prepare=True)
-        assert restored._index_kind == "rtree"
+        assert isinstance(restored.index, RTree)
         assert live_rows(restored) == live_rows(db)
         rows = live_rows(restored)
         rng = random.Random(258)

@@ -14,6 +14,7 @@ import pytest
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index import RTree
+from tree_states import recycled_rtree
 
 WINDOWS = [
     Rect(0.1, 0.1, 0.6, 0.7),
@@ -39,8 +40,9 @@ def dataset(seed=7, n=2500):
     return pts
 
 
-#: The index kinds a database can hold, by the name a snapshot records.
-INDEXES = {"rtree": RTree}
+#: The trees probed: a fresh R-tree and a recycled one, whose nodes come
+#: off its free list (``tree_states.py``).
+INDEXES = {"rtree": RTree, "recycled": recycled_rtree}
 
 
 def bulk_loaded(kind, points):

@@ -12,7 +12,8 @@ import pytest
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import BruteForceIndex
-from repro.index.rtree import _REPACK_RATIO, RTree, _as_entries
+from repro.index.rtree import _REPACK_RATIO, _TABLES, RTree, _as_entries
+from tree_states import recycled_rtree
 
 
 def _random_entries(n, seed=0):
@@ -333,7 +334,145 @@ class TestDuplicates:
         assert remaining == [0, 1, 2, 4]
 
 
-@pytest.mark.parametrize("tree_class", [RTree])
+def _grown(rows=60, seed=61):
+    """A tree of three or more levels grown row by row at ``M = 4``."""
+    tree = RTree(max_entries=4)
+    for point, item_id in _random_entries(rows, seed=seed):
+        tree.insert(point, item_id)
+    tree.check_invariants()
+    assert tree.height >= 3
+    return tree
+
+
+#: Each fault :func:`_break` writes, and what ``check_invariants`` says.
+_FAULTS = {
+    "root-parent": "the root has a parent",
+    "leaf-flag": "unbalanced leaf depths",
+    "underfill": "underfull node",
+    "overfill": "overfull node",
+    "parent-pointer": "broken parent pointer",
+    "box": "stale MBR",
+    "weight": "stale subtree weight",
+    "height": r"height \d+ != \d+ levels",
+    "size": r"\d+ entries, \d+ counted",
+}
+
+
+def _break(tree, fault):
+    """Write one fault into a tree of three or more levels."""
+    root = tree._root
+    leaf = int(tree._levels(root)[-1][-1])  # the last leaf, two levels down
+    if fault == "root-parent":
+        tree._parent[root] = leaf
+    elif fault == "leaf-flag":
+        tree._leaf[leaf] = False
+    elif fault == "underfill":
+        tree._fill[leaf] = tree.min_entries - 1
+    elif fault == "overfill":
+        tree._fill[leaf] = tree.max_entries + 1
+    elif fault == "parent-pointer":
+        tree._parent[leaf] = root
+    elif fault == "box":
+        tree._box[leaf, 2] += 1.0
+    elif fault == "weight":
+        tree._weight[leaf] += 1
+    elif fault == "height":
+        tree._height += 1
+    else:
+        tree._size += 1
+
+
+class TestInvariantChecks:
+    """``check_invariants`` names each invariant a broken tree breaks."""
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_each_fault_is_named(self, fault):
+        tree = _grown()
+        _break(tree, fault)
+        with pytest.raises(AssertionError, match=_FAULTS[fault]):
+            tree.check_invariants()
+
+    def test_a_packed_tree_may_underfill(self):
+        tree = RTree(max_entries=4)
+        tree.bulk_load(*_columns(_random_entries(17, seed=63)))
+        leaves = tree._levels(tree._root)[-1]
+        assert (tree._fill[leaves] < tree.min_entries).any()  # the last run
+        tree.check_invariants()
+
+
+class TestFreeList:
+    """Dissolved nodes' rows are taken again before the tables grow."""
+
+    def test_tables_grow_by_doubling(self):
+        tree = RTree(max_entries=4)
+        for point, item_id in _random_entries(500, seed=75):
+            tree.insert(point, item_id)
+        for table, used in zip(_TABLES, tree._used):
+            lengths = {len(getattr(tree, name)) for name in table}
+            assert len(lengths) == 1, table  # a table's columns grow together
+            # 1, 3, 7, ...: each growth doubles the rows and adds one
+            (length,) = lengths
+            assert used <= length <= 2 * used - 1
+            assert (length + 1) & length == 0
+
+    def test_steady_churn_does_not_grow_the_tables(self):
+        tree = RTree(max_entries=4)
+        entries = _random_entries(200, seed=65)
+        sizes = []
+        for _ in range(5):
+            for point, item_id in entries:
+                tree.insert(point, item_id)
+            tree.check_invariants()
+            assert sorted(i for _, i in tree.items()) == list(range(200))
+            for point, item_id in entries:
+                assert tree.delete(point, item_id)
+            sizes.append((list(tree._used), len(tree._box), len(tree._xs)))
+        assert sizes[1:] == sizes[:-1]
+
+    def test_a_split_takes_a_dissolved_leaf_row(self):
+        tree = _grown(seed=67)
+        entries = _random_entries(60, seed=67)
+        for point, item_id in entries[:30]:
+            assert tree.delete(point, item_id)
+        freed = tree._free[True][-1]
+        leaf_rows = tree._used[2]
+        before = set(tree._levels(tree._root)[-1].tolist())
+        rng = random.Random(69)
+        for item_id in range(60, 120):
+            tree.insert(Point(rng.random(), rng.random()), item_id)
+            grown = set(tree._levels(tree._root)[-1].tolist()) - before
+            if grown:
+                break
+        assert grown == {freed}
+        assert tree._used[2] == leaf_rows
+        tree.check_invariants()
+
+    def test_a_shrunk_root_goes_on_the_free_list(self):
+        tree = _grown(seed=71)
+        entries = _random_entries(60, seed=71)
+        height, root = tree.height, tree._root
+        while tree.height == height:
+            point, item_id = entries.pop()
+            assert tree.delete(point, item_id)
+        assert tree._root != root
+        assert root in tree._free[False]
+        tree.check_invariants()
+        assert sorted(i for _, i in tree.items()) == sorted(i for _, i in entries)
+
+    def test_a_pack_drops_the_free_lists(self):
+        tree = recycled_rtree(max_entries=4)
+        entries = _random_entries(100, seed=73)
+        tree.bulk_load(*_columns(entries))
+        assert tree._free == ([], [])
+        assert len(tree._box) == tree.node_count()  # tables of exact size
+        for point, item_id in entries[:40]:
+            assert tree.delete(point, item_id)
+        tree.insert(Point(0.5, 0.5), 100)
+        tree.check_invariants()
+        assert sorted(i for _, i in tree.items()) == list(range(40, 101))
+
+
+@pytest.mark.parametrize("tree_class", [RTree, recycled_rtree])
 class TestColumnarLeaves:
     def test_bulk_load_from_columns_builds_no_entry(self, tree_class):
         rng = np.random.default_rng(3)
@@ -447,7 +586,7 @@ class TestColumnarLeaves:
             )
 
 
-@pytest.mark.parametrize("tree_class", [RTree])
+@pytest.mark.parametrize("tree_class", [RTree, recycled_rtree])
 class TestAwkwardInputs:
     """Far-away points, stacked duplicates, shared coordinates, misses."""
 

@@ -1,10 +1,12 @@
 """The contract the tree meets, case by case.
 
-Every case here builds a :class:`~repro.index.rtree.RTree` (the class is
-the ``tree_class`` parameter) row by row or by STR bulk load and checks
-it against :class:`~repro.index.base.BruteForceIndex`: empty trees,
-capacity edges, points far outside the unit square, stacked duplicates,
-deletion down to nothing and windows that miss the data.
+Every case here builds a :class:`~repro.index.rtree.RTree` row by row
+or by STR bulk load and checks it against
+:class:`~repro.index.base.BruteForceIndex`: empty trees, capacity edges,
+points far outside the unit square, stacked duplicates, deletion down to
+nothing and windows that miss the data.  The ``tree_class`` parameter
+starts each case on a fresh tree and on a recycled one, whose nodes come
+off its free list (``tree_states.py``).
 """
 
 import math
@@ -17,8 +19,9 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.index.base import BruteForceIndex
 from repro.index.rtree import RTree
+from tree_states import recycled_rtree
 
-TREES = pytest.mark.parametrize("tree_class", [RTree])
+TREES = pytest.mark.parametrize("tree_class", [RTree, recycled_rtree])
 
 
 def _random_entries(n, seed=0):

@@ -11,11 +11,10 @@ routes to a single worker.
 worker owns this point* (writes, kNN seeds) and *which workers can hold
 points of this region* (window/area fan-out) by covering the region's
 bounding box with adaptive Hilbert quads, each of which owns one
-contiguous key interval (:func:`key_intervals`).  Rebalancing replaces
-the map
-wholesale via :meth:`ShardMap.split` — a range is cut at a key and one
-half is reassigned, which is the only reshaping operation the cluster
-needs (see ``docs/CLUSTER.md``).
+contiguous key interval.  Rebalancing replaces the map wholesale via
+:meth:`ShardMap.split` — a range is cut at a key and one half is
+reassigned, which is the only reshaping operation the cluster needs (see
+``docs/CLUSTER.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.engine.order import (
     hilbert_index,
 )
 
-__all__ = ["ShardRange", "ShardMap", "cell_cover", "key_intervals"]
+__all__ = ["ShardRange", "ShardMap", "cell_cover"]
 
 #: Bounding boxes covering more grid cells than this skip the exact
 #: cell walk and conservatively fan out to every worker — the walk
@@ -99,59 +98,6 @@ def cell_cover(
         for xi in range(x_lo, x_hi + 1)
         for yi in range(y_lo, y_hi + 1)
     ]
-
-
-def _merge_intervals(
-    intervals: List[Tuple[int, int]],
-) -> List[Tuple[int, int]]:
-    """Sort and coalesce adjacent/overlapping ``[lo, hi)`` intervals."""
-    intervals.sort()
-    merged: List[Tuple[int, int]] = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def key_intervals(
-    bounds: Tuple[float, float, float, float], *, order: int = DEFAULT_ORDER
-) -> List[Tuple[int, int]]:
-    """Merged Hilbert key intervals covering ``bounds``.
-
-    The curve is hierarchical: a level-``L`` quad (the grid coarsened by
-    ``order - L`` doublings) owns one **contiguous** key interval —
-    the top ``2L`` bits of every key inside it.  Covering a region with
-    coarse quads therefore yields a handful of ``[lo, hi)`` intervals
-    instead of one key per unit cell, turning region routing from
-    O(area) into O(quads): the refinement level adapts until at most
-    :data:`QUAD_COVER_CAP` quads span the bounding box.
-
-    The cover is a superset by construction — every cell a clamped
-    point can snap to inside ``bounds`` lies in some covered quad —
-    and over-covers only at quad granularity around the border.
-    """
-    min_x, min_y, max_x, max_y = bounds
-    side = 1 << order
-    x_lo, x_hi = cell_index(min_x, side), cell_index(max_x, side)
-    y_lo, y_hi = cell_index(min_y, side), cell_index(max_y, side)
-    shift = 0
-    while shift < order and (
-        ((x_hi >> shift) - (x_lo >> shift) + 1)
-        * ((y_hi >> shift) - (y_lo >> shift) + 1)
-        > QUAD_COVER_CAP
-    ):
-        shift += 1
-    quad_order = order - shift
-    width = 2 * shift  # key bits per quad: 4**shift keys
-    intervals = []
-    for qx in range(x_lo >> shift, (x_hi >> shift) + 1):
-        for qy in range(y_lo >> shift, (y_hi >> shift) + 1):
-            quad = cell_key(qx, qy, quad_order)
-            intervals.append((quad << width, (quad + 1) << width))
-    return _merge_intervals(intervals)
 
 
 @dataclass(frozen=True)

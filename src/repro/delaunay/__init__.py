@@ -16,8 +16,6 @@ edges of the Delaunay triangulation.  This package provides:
 * :mod:`~repro.delaunay.compiled` — the bulk build's insert loop in C,
   compiled on first use where a C compiler works (the interpreted loop
   builds the same graph where none does).
-* :mod:`~repro.delaunay.graph` — graph utilities over the Delaunay edges
-  (connectivity, BFS) backing the paper's Properties 5–9.
 """
 
 from repro.delaunay.backends import (

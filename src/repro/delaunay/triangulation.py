@@ -72,7 +72,6 @@ from repro.geometry.predicates import (
     _INCIRCLE_ERR_BOUND,
     _MIN_NORMAL,
     _ORIENT_ERR_BOUND,
-    circumcenter,
     incircle_sign,
     orientation_sign,
 )
@@ -236,13 +235,6 @@ class DelaunayTriangulation:
         for i in range(len(alias_of)):
             if alias_of[i] == i:
                 yield from ((i, j) for j in self.neighbors(i) if j > i and alias_of[j] == j)
-
-    def triangle_circumcenters(self) -> Dict[Tuple[int, int, int], Point]:
-        """Circumcentre of every finite triangle (keyed by its rows): the
-        Voronoi vertices of the dual diagram."""
-        return {
-            t: circumcenter(*(Point(*self._location(v)) for v in t)) for t in self.triangles()
-        }
 
     def check_delaunay_property(self) -> None:
         """Raise :class:`AssertionError` unless this is the Delaunay

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def norm(self) -> float:
-        """Euclidean length of the vector from the origin to this point."""
-        return math.hypot(self.x, self.y)
-
     def squared_norm(self) -> float:
         """Squared Euclidean length."""
         return self.x * self.x + self.y * self.y
@@ -86,28 +82,9 @@ class Point:
         """The point halfway between this point and ``other``."""
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
 
-    def rotated(self, angle: float, about: "Point" | None = None) -> "Point":
-        """Return this point rotated by ``angle`` radians around ``about``.
-
-        ``about`` defaults to the origin.
-        """
-        cx, cy = (about.x, about.y) if about is not None else (0.0, 0.0)
-        cos_a = math.cos(angle)
-        sin_a = math.sin(angle)
-        dx = self.x - cx
-        dy = self.y - cy
-        return Point(cx + dx * cos_a - dy * sin_a, cy + dx * sin_a + dy * cos_a)
-
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)``."""
         return (self.x, self.y)
-
-    @staticmethod
-    def from_sequence(xy: Sequence[float]) -> "Point":
-        """Build a :class:`Point` from any two-element sequence."""
-        if len(xy) != 2:
-            raise ValueError(f"expected a 2-element sequence, got {len(xy)}")
-        return Point(float(xy[0]), float(xy[1]))
 
 
 def xy_array(points) -> np.ndarray:

@@ -338,12 +338,6 @@ class Polygon:
         # outside; either endpoint decides.
         return self.contains_point(segment.start)
 
-    def crosses_boundary(self, segment: Segment) -> bool:
-        """True if ``segment`` intersects the polygon *boundary* (not interior)."""
-        return self.crosses_boundary_xy(
-            segment.start.x, segment.start.y, segment.end.x, segment.end.y
-        )
-
     def crosses_boundary_xy(
         self, sx: float, sy: float, ex: float, ey: float
     ) -> bool:
@@ -393,24 +387,6 @@ class Polygon:
         from repro.geometry.kernels import crosses_boundary_many
 
         return crosses_boundary_many(self, sx, sy, ex, ey)
-
-    def intersects_rect(self, rect: Rect) -> bool:
-        """True if the closed polygon and the rectangle share any point."""
-        if not self.mbr.intersects(rect):
-            return False
-        corners = list(rect.corners())
-        if any(self.contains_point(c) for c in corners):
-            return True
-        if any(rect.contains_point(v) for v in self._vertices):
-            return True
-        rect_edges = [
-            Segment(corners[i], corners[(i + 1) % 4]) for i in range(4)
-        ]
-        return any(
-            edge.intersects(rect_edge)
-            for edge in self.edges()
-            for rect_edge in rect_edges
-        )
 
     # -- triangulation -----------------------------------------------------
 

@@ -298,8 +298,3 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
         (b2 - c2) * (a.x - c.x) - (a2 - c2) * (b.x - c.x)
     ) / d
     return Point(ux, uy)
-
-
-def circumradius(a: Point, b: Point, c: Point) -> float:
-    """Radius of the circumcircle of triangle ``a, b, c``."""
-    return circumcenter(a, b, c).distance_to(a)

@@ -58,11 +58,6 @@ class Rect:
         return Rect(min_x, min_y, max_x, max_y)
 
     @staticmethod
-    def from_point(p: Point) -> "Rect":
-        """The degenerate MBR of a single point."""
-        return Rect(p.x, p.y, p.x, p.y)
-
-    @staticmethod
     def from_bounds(bounds: Sequence[float]) -> "Rect":
         """Build from a ``(min_x, min_y, max_x, max_y)`` sequence."""
         if len(bounds) != 4:
@@ -87,13 +82,8 @@ class Rect:
         return self.width * self.height
 
     @property
-    def margin(self) -> float:
-        """Half-perimeter, the R*-tree split criterion."""
-        return self.width + self.height
-
-    @property
     def perimeter(self) -> float:
-        """Total boundary length (twice the margin)."""
+        """Total boundary length, ``2 * (width + height)``."""
         return 2.0 * (self.width + self.height)
 
     @property
@@ -171,11 +161,6 @@ class Rect:
             min(self.max_y, other.max_y),
         )
 
-    def intersection_area(self, other: "Rect") -> float:
-        """Area of overlap with ``other`` (0.0 when disjoint)."""
-        overlap = self.intersection(other)
-        return overlap.area if overlap is not None else 0.0
-
     def union(self, other: "Rect") -> "Rect":
         """The smallest rectangle covering both."""
         return Rect(
@@ -184,19 +169,6 @@ class Rect:
             max(self.max_x, other.max_x),
             max(self.max_y, other.max_y),
         )
-
-    def union_point(self, p: Point) -> "Rect":
-        """The smallest rectangle covering this one and ``p``."""
-        return Rect(
-            min(self.min_x, p.x),
-            min(self.min_y, p.y),
-            max(self.max_x, p.x),
-            max(self.max_y, p.y),
-        )
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase needed to absorb ``other`` (Guttman's ChooseLeaf)."""
-        return self.union(other).area - self.area
 
     def distance_to_point(self, p: Point) -> float:
         """Euclidean distance from ``p`` to the closest point of the rectangle.
@@ -226,15 +198,3 @@ class Rect:
     def as_tuple(self) -> tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)``."""
         return (self.min_x, self.min_y, self.max_x, self.max_y)
-
-
-def union_all(rects: Iterable[Rect]) -> Rect:
-    """The smallest rectangle covering every rectangle in ``rects``."""
-    iterator = iter(rects)
-    try:
-        result = next(iterator)
-    except StopIteration:
-        raise ValueError("union of an empty rectangle collection is undefined")
-    for rect in iterator:
-        result = result.union(rect)
-    return result

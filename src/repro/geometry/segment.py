@@ -9,7 +9,6 @@ the segment/segment intersection implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.geometry.point import Point
 from repro.geometry.predicates import Orientation, orientation, orientation_sign
@@ -55,42 +54,6 @@ class Segment:
         rule needs the closed-set semantics).
         """
         return segments_intersect(self.start, self.end, other.start, other.end)
-
-    def intersection_point(self, other: "Segment") -> Optional[Point]:
-        """A single intersection point, if the segments properly cross.
-
-        Returns ``None`` when the segments do not intersect *or* when they
-        overlap collinearly in more than one point (there is then no unique
-        answer).  Shared endpoints are returned.
-
-        Existence is decided by the **exact** intersection predicate (so a
-        returned point is never a float near-miss); the returned
-        coordinates themselves carry ordinary floating-point rounding.
-        """
-        if not self.intersects(other):
-            return None
-        p, r = self.start, self.end - self.start
-        q, s = other.start, other.end - other.start
-        denominator = r.cross(s)
-        qp = q - p
-        if denominator == 0.0:
-            # Parallel but intersecting: collinear overlap.  A unique point
-            # exists only when the segments touch at exactly one endpoint.
-            touches = [
-                pt
-                for pt in (other.start, other.end)
-                if pt in (self.start, self.end)
-            ]
-            if len(touches) == 1 and not (
-                self.contains_point(other.start)
-                and self.contains_point(other.end)
-            ):
-                return touches[0]
-            return None
-        # Intersection is certain; clamp the parameter against rounding.
-        t = qp.cross(s) / denominator
-        t = min(1.0, max(0.0, t))
-        return p + r * t
 
     def distance_to_point(self, p: Point) -> float:
         """Euclidean distance from ``p`` to the closest point of the segment."""

@@ -17,8 +17,7 @@ Implemented features:
 **No Python object per node.**  The tree is a handful of arrays:
 
 * the node table, one row a node: ``box`` (min x, min y, max x, max y),
-  ``parent``, ``fill`` (children or entries held), a leaf flag,
-  ``weight`` (entries below, for :meth:`RTree.window_count`) and
+  ``parent``, ``fill`` (children or entries held), a leaf flag and
   ``slot``, the node's row in one of the two slot tables;
 * the child table: one row of ``max_entries + 1`` int32 child node ids
   per internal node;
@@ -69,7 +68,7 @@ _REPACK_RATIO = 100
 #: together.
 _NODES, _CHILDREN, _LEAVES = 0, 1, 2
 _TABLES = (
-    ("_box", "_parent", "_fill", "_leaf", "_weight", "_slot"),
+    ("_box", "_parent", "_fill", "_leaf", "_slot"),
     ("_child",),
     ("_xs", "_ys", "_ids"),
 )
@@ -149,7 +148,7 @@ class RTree(SpatialIndex):
         one = np.zeros(1, dtype=np.int32)
         self._adopt(  # one empty leaf
             box=np.zeros((1, 4)), parent=one - 1, fill=one, leaf=one == 0,
-            weight=np.zeros(1, dtype=np.int64), slot=one.copy(),
+            slot=one.copy(),
             child=np.empty((0, width), dtype=np.int32), xs=np.empty((1, width)),
             ys=np.empty((1, width)), ids=np.empty((1, width), dtype=np.int64),
             height=1,
@@ -157,11 +156,11 @@ class RTree(SpatialIndex):
         self._size = 0
         self._packed = False  # STR bulk loads may legally underfill nodes
 
-    def _adopt(self, *, box, parent, fill, leaf, weight, slot, child, xs, ys,
-               ids, height) -> None:
+    def _adopt(self, *, box, parent, fill, leaf, slot, child, xs, ys, ids,
+               height) -> None:
         """Swap in a whole tree whose root is its last node."""
         self._box, self._parent, self._fill = box, parent, fill
-        self._leaf, self._weight, self._slot = leaf, weight, slot
+        self._leaf, self._slot = leaf, slot
         self._child, self._xs, self._ys, self._ids = child, xs, ys, ids
         self._used = [len(box), len(child), len(xs)]  # rows taken per table
         self._free: Tuple[List[int], List[int]] = ([], [])  # internal, leaf
@@ -218,10 +217,9 @@ class RTree(SpatialIndex):
         capacity = self.max_entries
         width = capacity + 1
         boxes = (xs, ys, xs, ys)  # min_x, min_y, max_x, max_y per item
-        weights = np.ones(len(ids), dtype=np.int64)
-        levels = []  # (order, starts, sizes, boxes, weights), leaves first
+        levels = []  # (order, starts, sizes, boxes), leaves first
         while not levels or len(levels[-1][1]) > 1:
-            count = len(weights)
+            count = len(boxes[0])
             center_x = (boxes[0] + boxes[2]) / 2.0
             center_y = (boxes[1] + boxes[3]) / 2.0
             strip_count = math.ceil(math.sqrt(math.ceil(count / capacity)))
@@ -238,9 +236,8 @@ class RTree(SpatialIndex):
                     (np.minimum, np.minimum, np.maximum, np.maximum), boxes
                 )
             )
-            weights = np.add.reduceat(weights[order], starts)
             sizes = np.diff(starts, append=count)
-            levels.append((order, starts, sizes, np.column_stack(boxes), weights))
+            levels.append((order, starts, sizes, np.column_stack(boxes)))
         leaves = len(levels[0][1])
         box = np.concatenate([level[3] for level in levels])
         total = len(box)
@@ -250,7 +247,7 @@ class RTree(SpatialIndex):
         table = [np.empty((leaves, width)) for _ in range(2)]
         table.append(np.empty((leaves, width), dtype=np.int64))
         first = below = 0  # first node of this level, of the level below
-        for depth, (order, starts, sizes, _, _) in enumerate(levels):
+        for depth, (order, starts, sizes, _) in enumerate(levels):
             nodes = np.arange(first, first + len(starts))
             # item i of the packed order goes to cell (node, i - its start)
             cells = np.arange(len(order)) + np.repeat(
@@ -266,8 +263,7 @@ class RTree(SpatialIndex):
         self._adopt(
             box=box, parent=parent, leaf=np.arange(total) < leaves,
             fill=np.concatenate([level[2] for level in levels]).astype(np.int32),
-            weight=np.concatenate([level[4] for level in levels]), slot=slot,
-            child=child, xs=table[0], ys=table[1], ids=table[2],
+            slot=slot, child=child, xs=table[0], ys=table[1], ids=table[2],
             height=len(levels),
         )
 
@@ -334,12 +330,11 @@ class RTree(SpatialIndex):
         Same id set as :meth:`window_query`, but subtrees whose MBR lies
         entirely inside the window hand over their leaves' ids without a
         single per-point containment test (the MBR containment already
-        proves membership — the trick :meth:`window_count` uses for
-        aggregates, here applied to materialization), and the leaves the
-        window's boundary cuts are masked together, from their coordinate
-        slots, in one closed-bounds comparison.  No per-entry Python work
-        either way.  Returns an int64 array in unspecified order for the
-        columnar refine paths to gather coordinates by row id.
+        proves membership), and the leaves the window's boundary cuts are
+        masked together, from their coordinate slots, in one closed-bounds
+        comparison.  No per-entry Python work either way.  Returns an int64
+        array in unspecified order for the columnar refine paths to gather
+        coordinates by row id.
         """
         if not self._size:
             return np.empty(0, dtype=np.int64)
@@ -353,22 +348,6 @@ class RTree(SpatialIndex):
                 nodes = self._children(nodes)
             found.extend(self._rows(nodes, self._ids))
         return np.concatenate(found) if len(found) > 1 else found[0]
-
-    def window_count(self, window: Rect) -> int:
-        """Number of entries inside ``window`` without materialising them.
-
-        Subtrees whose MBR is fully contained in the window contribute
-        their maintained weight and are not descended — a COUNT(*)
-        aggregate query in O(perimeter) node visits instead of
-        O(result size).
-        """
-        if not self._size:
-            return 0
-        inside, cut = self._cover(window)
-        xs, ys = self._rows(cut, self._xs, self._ys)
-        self.stats.entry_tests += len(xs)
-        total = sum(int(self._weight.take(nodes).sum()) for _, nodes in inside)
-        return total + int(np.count_nonzero(rect_contains_many(window, xs, ys)))
 
     def _cover(self, window: Rect):
         """The nodes ``window`` meets: those inside it, as ``(depth,
@@ -488,7 +467,7 @@ class RTree(SpatialIndex):
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` if any structural invariant fails.
 
-        Checked: tight boxes, subtree weights, parent pointers, fill
+        Checked: tight boxes, parent pointers, fill
         bounds (except the root, and except minimum fill after an STR bulk
         load, whose trailing slices may legally underfill), uniform leaf
         depth, the height and the entry count.
@@ -515,7 +494,7 @@ class RTree(SpatialIndex):
             raise AssertionError(f"{entries} entries, {self._size} counted")
 
     def _check_node(self, node: int) -> None:
-        """One node's fill, box, weight and children's parent pointers."""
+        """One node's fill, box and children's parent pointers."""
         fill, slot = int(self._fill[node]), self._slot[node]
         if not self._packed and node != self._root and fill < self.min_entries:
             raise AssertionError(f"underfull node: {fill} < {self.min_entries}")
@@ -526,20 +505,14 @@ class RTree(SpatialIndex):
                 return
             xs, ys = self._xs[slot, :fill], self._ys[slot, :fill]
             expected = [xs.min(), ys.min(), xs.max(), ys.max()]
-            weight = fill
         else:
             children = self._child[slot, :fill]
             if (self._parent[children] != node).any():
                 raise AssertionError("broken parent pointer")
             boxes = self._box[children]
             expected = [*boxes[:, :2].min(0), *boxes[:, 2:].max(0)]
-            weight = int(self._weight[children].sum())
         if self._box[node].tolist() != [float(edge) for edge in expected]:
             raise AssertionError("stale MBR")
-        if self._weight[node] != weight:
-            raise AssertionError(
-                f"stale subtree weight: {self._weight[node]} != {weight}"
-            )
 
     # -- internals ----------------------------------------------------------
 
@@ -591,10 +564,9 @@ class RTree(SpatialIndex):
         return row
 
     def _refresh(self, node: int) -> None:
-        """Recompute ``node``'s box and weight from what it holds."""
+        """Recompute ``node``'s box from what it holds."""
         slot, fill = self._slot[node], self._fill[node]
         if self._leaf[node]:
-            self._weight[node] = fill
             if fill:
                 xs, ys = self._xs[slot, :fill], self._ys[slot, :fill]
                 self._box[node] = (xs.min(), ys.min(), xs.max(), ys.max())
@@ -602,7 +574,6 @@ class RTree(SpatialIndex):
             children = self._child[slot, :fill]
             boxes = self._box[children]
             self._box[node] = (*boxes[:, :2].min(0), *boxes[:, 2:].max(0))
-            self._weight[node] = self._weight[children].sum()
 
     def _insert_row(self, x: float, y: float, item_id: int) -> None:
         """Guttman Insert of one entry (the entry count is the caller's)."""
@@ -625,7 +596,6 @@ class RTree(SpatialIndex):
         boxes[:, :2] = np.minimum(boxes[:, :2], (x, y))
         boxes[:, 2:] = np.maximum(boxes[:, 2:], (x, y))
         self._box[path] = boxes
-        self._weight[path] += 1
         while self._fill[node] > self.max_entries:
             sibling = self._split(node)
             parent = int(self._parent[node])

@@ -253,7 +253,12 @@ class QueryServer:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting, close every connection, close the backend."""
+        """Stop accepting, close every connection, close the backend.
+
+        Each open stream first gets an ``unavailable`` error frame, so
+        its client reads why the stream ended instead of a dropped
+        connection.
+        """
         if self._server is None:
             return
         self._server.close()
@@ -261,6 +266,14 @@ class QueryServer:
         self._server = None
         connections = list(self._connections)
         for connection in connections:
+            for request_id in list(connection.streams):
+                try:
+                    await self._send_error(
+                        connection, request_id, "unavailable",
+                        "server shutting down",
+                    )
+                except ConnectionError:
+                    break  # the client is gone; teardown still runs
             await self._teardown(connection)
             connection.writer.close()
         # Let every handler read its EOF and finish: left mid-read, the

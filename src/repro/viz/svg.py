@@ -80,25 +80,6 @@ class SvgCanvas:
             f'stroke-width="{stroke_width}" opacity="{opacity}"/>'
         )
 
-    def world_circle(
-        self,
-        center: Point,
-        radius_world: float,
-        *,
-        fill: str = "none",
-        stroke: str = "black",
-        stroke_width: float = 1.0,
-        opacity: float = 1.0,
-    ) -> None:
-        """A circle whose radius is in world units (e.g. a Circle region)."""
-        cx, cy = self.to_pixel(center)
-        self._elements.append(
-            f'<circle cx="{cx}" cy="{cy}" '
-            f'r="{round(radius_world * self._scale, 2)}" '
-            f'fill={quoteattr(fill)} stroke={quoteattr(stroke)} '
-            f'stroke-width="{stroke_width}" opacity="{opacity}"/>'
-        )
-
     def polygon(
         self,
         vertices: Sequence[Point],
@@ -132,24 +113,6 @@ class SvgCanvas:
         x2, y2 = self.to_pixel(end)
         self._elements.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke={quoteattr(stroke)} stroke-width="{stroke_width}" '
-            f'opacity="{opacity}"/>'
-        )
-
-    def polyline(
-        self,
-        vertices: Sequence[Point],
-        *,
-        stroke: str = "black",
-        stroke_width: float = 1.0,
-        opacity: float = 1.0,
-    ) -> None:
-        """An open polyline."""
-        pixel_pairs = " ".join(
-            f"{x},{y}" for x, y in (self.to_pixel(v) for v in vertices)
-        )
-        self._elements.append(
-            f'<polyline points="{pixel_pairs}" fill="none" '
             f'stroke={quoteattr(stroke)} stroke-width="{stroke_width}" '
             f'opacity="{opacity}"/>'
         )

@@ -9,10 +9,10 @@ import random
 
 import pytest
 
+from graph_oracle import is_connected, reachable_without
 from repro.geometry.point import Point
 from repro.geometry.segment import Segment
 from repro.delaunay.backends import PureDelaunayBackend
-from repro.delaunay.graph import is_connected, reachable_without
 from repro.delaunay.triangulation import DelaunayTriangulation
 from repro.delaunay.voronoi import VoronoiDiagram
 from repro.geometry.random_shapes import random_query_polygon

@@ -1,20 +1,10 @@
-"""Unit tests for graph utilities over the Delaunay adjacency."""
+"""The graph oracles of ``tests/graph_oracle.py`` over a backend's adjacency."""
 
 import pytest
 
+from graph_oracle import is_connected, reachable_without
 from repro.geometry.point import Point
 from repro.delaunay.backends import PureDelaunayBackend
-from repro.delaunay.graph import (
-    average_degree,
-    bfs_order,
-    check_symmetry,
-    connected_components,
-    degree_histogram,
-    edge_list,
-    is_connected,
-    reachable_without,
-    shortest_hop_path,
-)
 from repro.workloads.generators import uniform_points
 
 
@@ -28,50 +18,6 @@ class TestConnectivity:
         """Property 5: the Delaunay graph is connected."""
         assert is_connected(backend)
 
-    def test_single_component(self, backend):
-        components = connected_components(backend)
-        assert len(components) == 1
-        assert components[0] == list(range(120))
-
-    def test_bfs_reaches_all(self, backend):
-        order = bfs_order(backend, 0)
-        assert sorted(order) == list(range(120))
-
-    def test_bfs_starts_at_seed(self, backend):
-        assert bfs_order(backend, 42)[0] == 42
-
-    def test_bfs_with_expand_filter(self, backend):
-        # Never expanding means only the seed is reported.
-        order = bfs_order(backend, 0, expand=lambda i: False)
-        assert order == [0]
-
-
-class TestPaths:
-    def test_path_endpoints(self, backend):
-        path = shortest_hop_path(backend, 0, 100)
-        assert path is not None
-        assert path[0] == 0
-        assert path[-1] == 100
-
-    def test_path_steps_are_edges(self, backend):
-        path = shortest_hop_path(backend, 3, 77)
-        for a, b in zip(path, path[1:]):
-            assert b in backend.neighbors(a)
-
-    def test_trivial_path(self, backend):
-        assert shortest_hop_path(backend, 5, 5) == [5]
-
-    def test_path_between_neighbors(self, backend):
-        neighbor = backend.neighbors(0)[0]
-        assert shortest_hop_path(backend, 0, neighbor) == [0, neighbor]
-
-    def test_blocked_path_returns_none(self):
-        # A path graph: blocking the middle disconnects the ends.
-        line = [Point(float(i), 0.0) for i in range(5)]
-        backend = PureDelaunayBackend(line)
-        reachable = reachable_without(backend, 0, blocked={2})
-        assert reachable == {0, 1}
-
 
 class TestReachability:
     def test_reachable_without_empty_block(self, backend):
@@ -80,32 +26,9 @@ class TestReachability:
     def test_seed_in_blocked_is_empty(self, backend):
         assert reachable_without(backend, 0, {0}) == set()
 
-
-class TestDegrees:
-    def test_histogram_totals(self, backend):
-        histogram = degree_histogram(backend)
-        assert sum(histogram.values()) == 120
-
-    def test_average_degree_near_six(self):
-        # Classical fact: interior Voronoi cells average six neighbours;
-        # hull effects pull the global mean a little below.
-        big = PureDelaunayBackend(uniform_points(800, seed=23))
-        assert 5.0 < average_degree(big) < 6.0
-
-    def test_edge_list_symmetric_count(self, backend):
-        edges = edge_list(backend)
-        total_degree = sum(len(backend.neighbors(i)) for i in range(120))
-        assert len(edges) == total_degree // 2
-
-    def test_check_symmetry_passes(self, backend):
-        check_symmetry(backend)
-
-    def test_check_symmetry_detects_violation(self):
-        class Broken:
-            size = 2
-
-            def neighbors(self, i):
-                return (1,) if i == 0 else ()
-
-        with pytest.raises(AssertionError):
-            check_symmetry(Broken())
+    def test_blocked_middle_splits_a_path(self):
+        # A path graph: blocking the middle disconnects the ends.
+        line = [Point(float(i), 0.0) for i in range(5)]
+        backend = PureDelaunayBackend(line)
+        reachable = reachable_without(backend, 0, blocked={2})
+        assert reachable == {0, 1}

@@ -3,9 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import is_connected
 from repro.geometry.point import Point
 from repro.delaunay.backends import DelaunayBackend
-from repro.delaunay.graph import is_connected
 from repro.delaunay.triangulation import DelaunayTriangulation
 
 # Coarse-grid coordinates provoke many exact collinear/cocircular

@@ -100,15 +100,6 @@ class TestAdjacencyStructure:
                 is Orientation.COUNTERCLOCKWISE
             )
 
-    def test_circumcenters_are_voronoi_vertices(self):
-        points = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
-        dt = DelaunayTriangulation(points)
-        centers = dt.triangle_circumcenters()
-        # Both triangles of the square share circumcentre (0.5, 0.5).
-        for center in centers.values():
-            assert center.x == pytest.approx(0.5)
-            assert center.y == pytest.approx(0.5)
-
 
 class TestDegenerateInputs:
     def test_all_collinear(self):

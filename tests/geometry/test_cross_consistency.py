@@ -1,8 +1,8 @@
 """Cross-operation consistency properties of the geometry kernel.
 
-Different operations answer overlapping questions (e.g. two segments
-"intersect" iff an ``intersection_point`` exists for proper crossings;
-polygon containment relates to MBR containment).  These tests pin the
+Different operations answer overlapping questions (e.g. a point on a
+segment lies at distance zero from it; polygon containment relates to
+MBR containment).  These tests pin the
 relationships down so the kernel cannot drift into self-contradiction.
 """
 
@@ -21,14 +21,6 @@ unit_points = st.builds(Point, unit, unit)
 
 
 class TestSegmentConsistency:
-    @settings(max_examples=100)
-    @given(unit_points, unit_points, unit_points, unit_points)
-    def test_intersection_point_implies_intersects(self, a, b, c, d):
-        s1, s2 = Segment(a, b), Segment(c, d)
-        point = s1.intersection_point(s2)
-        if point is not None:
-            assert s1.intersects(s2)
-
     @settings(max_examples=100)
     @given(unit_points, unit_points, unit_points)
     def test_contains_point_matches_distance(self, a, b, p):

@@ -1,7 +1,5 @@
 """Unit tests for repro.geometry.point."""
 
-import math
-
 import pytest
 
 from repro.geometry.point import Point, centroid, collinear
@@ -31,14 +29,6 @@ class TestPointBasics:
 
     def test_as_tuple(self):
         assert Point(3.0, 4.0).as_tuple() == (3.0, 4.0)
-
-    def test_from_sequence(self):
-        assert Point.from_sequence([3, 4]) == Point(3.0, 4.0)
-        assert Point.from_sequence((1.5, 2.5)) == Point(1.5, 2.5)
-
-    def test_from_sequence_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            Point.from_sequence([1.0, 2.0, 3.0])
 
 
 class TestPointArithmetic:
@@ -81,31 +71,10 @@ class TestDistances:
         assert a.distance_to(b) == b.distance_to(a)
 
     def test_norm(self):
-        assert Point(3, 4).norm() == 5.0
         assert Point(3, 4).squared_norm() == 25.0
 
     def test_midpoint(self):
         assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
-
-
-class TestRotation:
-    def test_quarter_turn_about_origin(self):
-        rotated = Point(1, 0).rotated(math.pi / 2)
-        assert rotated.x == pytest.approx(0.0, abs=1e-12)
-        assert rotated.y == pytest.approx(1.0)
-
-    def test_rotation_about_a_center(self):
-        rotated = Point(2, 1).rotated(math.pi, about=Point(1, 1))
-        assert rotated.x == pytest.approx(0.0)
-        assert rotated.y == pytest.approx(1.0)
-
-    def test_rotation_preserves_distance_to_center(self):
-        center = Point(0.3, 0.7)
-        p = Point(1.2, -0.4)
-        for angle in (0.1, 1.0, 2.5, -0.7):
-            assert p.rotated(angle, about=center).distance_to(
-                center
-            ) == pytest.approx(p.distance_to(center))
 
 
 class TestCentroid:

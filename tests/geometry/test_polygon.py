@@ -149,12 +149,12 @@ class TestSegmentInteraction:
     def test_segment_crossing_boundary(self):
         segment = Segment(Point(-0.5, 0.5), Point(0.5, 0.5))
         assert UNIT_SQUARE.intersects_segment(segment)
-        assert UNIT_SQUARE.crosses_boundary(segment)
+        assert UNIT_SQUARE.crosses_boundary_xy(-0.5, 0.5, 0.5, 0.5)
 
     def test_segment_fully_inside(self):
         segment = Segment(Point(0.2, 0.2), Point(0.8, 0.8))
         assert UNIT_SQUARE.intersects_segment(segment)
-        assert not UNIT_SQUARE.crosses_boundary(segment)
+        assert not UNIT_SQUARE.crosses_boundary_xy(0.2, 0.2, 0.8, 0.8)
 
     def test_segment_fully_outside(self):
         segment = Segment(Point(2, 2), Point(3, 3))
@@ -185,15 +185,6 @@ class TestSegmentInteraction:
                 concave_polygon.crosses_boundary_xy(a.x, a.y, b.x, b.y)
                 == expected
             )
-
-    def test_intersects_rect(self):
-        assert UNIT_SQUARE.intersects_rect(Rect(0.5, 0.5, 2, 2))
-        assert UNIT_SQUARE.intersects_rect(Rect(-1, -1, 2, 2))  # contains
-        assert not UNIT_SQUARE.intersects_rect(Rect(2, 2, 3, 3))
-
-    def test_intersects_rect_polygon_inside_rect(self):
-        small = Polygon([(0.4, 0.4), (0.6, 0.4), (0.5, 0.6)])
-        assert small.intersects_rect(Rect(0, 0, 1, 1))
 
 
 class TestTransforms:

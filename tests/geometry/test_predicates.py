@@ -8,7 +8,6 @@ from repro.geometry.point import Point
 from repro.geometry.predicates import (
     Orientation,
     circumcenter,
-    circumradius,
     incircle,
     orientation,
     orientation_sign,
@@ -182,10 +181,6 @@ class TestCircumcenter:
         r1 = center.distance_to(a)
         assert center.distance_to(b) == pytest.approx(r1)
         assert center.distance_to(c) == pytest.approx(r1)
-
-    def test_circumradius(self):
-        r = circumradius(Point(1, 0), Point(0, 1), Point(-1, 0))
-        assert r == pytest.approx(1.0)
 
     def test_collinear_raises(self):
         with pytest.raises(ValueError):

@@ -103,13 +103,6 @@ class TestRectProperties:
         mbr = Rect.from_points(point_list)
         assert all(mbr.contains_point(p) for p in point_list)
 
-    @given(st.lists(points, min_size=1, max_size=15), points)
-    def test_union_point_monotone(self, point_list, extra):
-        mbr = Rect.from_points(point_list)
-        grown = mbr.union_point(extra)
-        assert grown.contains_rect(mbr)
-        assert grown.contains_point(extra)
-
     @given(
         st.lists(points, min_size=1, max_size=10),
         st.lists(points, min_size=1, max_size=10),

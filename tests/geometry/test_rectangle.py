@@ -4,16 +4,13 @@
 import pytest
 
 from repro.geometry.point import Point
-from repro.geometry.rectangle import Rect, union_all
+from repro.geometry.rectangle import Rect
 
 
 class TestConstruction:
     def test_from_points(self):
         r = Rect.from_points([Point(1, 3), Point(0, 5), Point(2, 4)])
         assert r == Rect(0, 3, 2, 5)
-
-    def test_from_single_point(self):
-        assert Rect.from_point(Point(1, 2)) == Rect(1, 2, 1, 2)
 
     def test_from_empty_raises(self):
         with pytest.raises(ValueError):
@@ -37,7 +34,6 @@ class TestMeasures:
         assert r.width == 3
         assert r.height == 2
         assert r.area == 6
-        assert r.margin == 5
 
     def test_degenerate_area(self):
         assert Rect(1, 1, 1, 1).area == 0.0
@@ -81,21 +77,8 @@ class TestRelations:
         assert a.intersection(Rect(1, 1, 3, 3)) == Rect(1, 1, 2, 2)
         assert a.intersection(Rect(5, 5, 6, 6)) is None
 
-    def test_intersection_area(self):
-        a = Rect(0, 0, 2, 2)
-        assert a.intersection_area(Rect(1, 1, 3, 3)) == 1.0
-        assert a.intersection_area(Rect(5, 5, 6, 6)) == 0.0
-
     def test_union(self):
         assert Rect(0, 0, 1, 1).union(Rect(2, 2, 3, 3)) == Rect(0, 0, 3, 3)
-
-    def test_union_point(self):
-        assert Rect(0, 0, 1, 1).union_point(Point(2, -1)) == Rect(0, -1, 2, 1)
-
-    def test_enlargement(self):
-        base = Rect(0, 0, 1, 1)
-        assert base.enlargement(Rect(0.2, 0.2, 0.8, 0.8)) == 0.0
-        assert base.enlargement(Rect(0, 0, 2, 1)) == pytest.approx(1.0)
 
 
 class TestDistance:
@@ -127,16 +110,3 @@ class TestTransforms:
 
     def test_as_tuple(self):
         assert Rect(0, 1, 2, 3).as_tuple() == (0, 1, 2, 3)
-
-
-class TestUnionAll:
-    def test_union_all(self):
-        rects = [Rect(0, 0, 1, 1), Rect(2, -1, 3, 0), Rect(-1, 0, 0, 2)]
-        assert union_all(rects) == Rect(-1, -1, 3, 2)
-
-    def test_union_all_single(self):
-        assert union_all([Rect(0, 0, 1, 1)]) == Rect(0, 0, 1, 1)
-
-    def test_union_all_empty_raises(self):
-        with pytest.raises(ValueError):
-            union_all([])

@@ -106,31 +106,6 @@ class TestIntersection:
             )
 
 
-class TestIntersectionPoint:
-    def test_proper_crossing_point(self):
-        s1 = Segment(Point(0, 0), Point(2, 2))
-        s2 = Segment(Point(0, 2), Point(2, 0))
-        p = s1.intersection_point(s2)
-        assert p is not None
-        assert p.x == pytest.approx(1.0)
-        assert p.y == pytest.approx(1.0)
-
-    def test_no_intersection_returns_none(self):
-        s1 = Segment(Point(0, 0), Point(1, 0))
-        s2 = Segment(Point(0, 1), Point(1, 1))
-        assert s1.intersection_point(s2) is None
-
-    def test_shared_endpoint_returned(self):
-        s1 = Segment(Point(0, 0), Point(1, 1))
-        s2 = Segment(Point(1, 1), Point(2, 0))
-        assert s1.intersection_point(s2) == Point(1, 1)
-
-    def test_collinear_overlap_returns_none(self):
-        s1 = Segment(Point(0, 0), Point(2, 0))
-        s2 = Segment(Point(1, 0), Point(3, 0))
-        assert s1.intersection_point(s2) is None
-
-
 class TestDistance:
     def test_distance_to_point_on_segment(self):
         assert Segment(Point(0, 0), Point(2, 0)).distance_to_point(

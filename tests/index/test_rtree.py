@@ -352,7 +352,6 @@ _FAULTS = {
     "overfill": "overfull node",
     "parent-pointer": "broken parent pointer",
     "box": "stale MBR",
-    "weight": "stale subtree weight",
     "height": r"height \d+ != \d+ levels",
     "size": r"\d+ entries, \d+ counted",
 }
@@ -374,8 +373,6 @@ def _break(tree, fault):
         tree._parent[leaf] = root
     elif fault == "box":
         tree._box[leaf, 2] += 1.0
-    elif fault == "weight":
-        tree._weight[leaf] += 1
     elif fault == "height":
         tree._height += 1
     else:
@@ -543,7 +540,6 @@ class TestColumnarLeaves:
         expected = sorted(i for _, i in oracle.window_query(window))
         assert sorted(i for _, i in tree.window_query(window)) == expected
         assert sorted(tree.window_ids_array(window).tolist()) == expected
-        assert tree.window_count(window) == len(expected)
         query = Point(0.4, 0.6)
         assert [i for _, i in tree.k_nearest_neighbors(query, 25)] == [
             i for _, i in oracle.k_nearest_neighbors(query, 25)
@@ -626,7 +622,7 @@ class TestAwkwardInputs:
             tree.insert(Point(0.5, item_id / 20.0), item_id)
         window = Rect(0.5, 0.0, 0.5, 0.5)
         assert sorted(i for _, i in tree.window_query(window)) == list(range(11))
-        assert tree.window_count(window) == 11
+        assert sorted(tree.window_ids_array(window).tolist()) == list(range(11))
 
     def test_misses_change_nothing(self, tree_class):
         tree = tree_class()
@@ -660,7 +656,7 @@ def test_packed_tree_fits_the_per_row_budget():
     assert traced / rows <= 32
 
 
-#: ``(ids digest or count, node accesses, entry tests)`` per probe of
+#: ``(ids digest, node accesses, entry tests)`` per probe of
 #: :func:`_probe_record`, recorded on the object-per-node tree this one
 #: replaced: the array layout answers and counts exactly as it did.
 _PINNED = {
@@ -708,35 +704,13 @@ _PINNED = {
         (1196320351, 6, 32),
         (1078210860, 7, 32),
     ],
-    "count": [
-        (74, 14, 132),
-        (82, 12, 112),
-        (1034, 53, 320),
-        (127, 16, 144),
-        (49, 14, 144),
-        (15, 8, 64),
-        (834, 77, 384),
-        (3077, 118, 816),
-        (5, 6, 48),
-        (3, 8, 48),
-        (359, 40, 288),
-        (245, 29, 208),
-        (135, 18, 160),
-        (4, 4, 16),
-        (194, 27, 224),
-        (6, 4, 16),
-        (40, 11, 96),
-        (4, 7, 32),
-        (4, 6, 48),
-        (490, 53, 368),
-    ],
 }
 
 
 def _probe_record(tree):
-    """20 windows, 20 kNN searches and 20 window counts over ``tree``."""
+    """20 windows and 20 kNN searches over ``tree``."""
     rng = np.random.default_rng(2042)
-    record = {"window": [], "knn": [], "count": []}
+    record = {"window": [], "knn": []}
     for kind, calls in record.items():
         for _ in range(20):
             x, y = rng.random(2).tolist()
@@ -748,11 +722,8 @@ def _probe_record(tree):
             else:
                 side = float(10 ** rng.uniform(-2, -0.4))
                 window = Rect(x, y, x + side, y + side)
-                if kind == "window":
-                    ids = np.sort(tree.window_ids_array(window))
-                    key = zlib.crc32(ids.tobytes())
-                else:
-                    key = tree.window_count(window)
+                ids = np.sort(tree.window_ids_array(window))
+                key = zlib.crc32(ids.tobytes())
             calls.append((key, tree.stats.node_accesses, tree.stats.entry_tests))
     return record
 

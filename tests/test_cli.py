@@ -16,9 +16,10 @@ from repro.__main__ import main
 from repro.cluster import ClusterCoordinator, LocalShard
 from repro.cluster.persist import save_cluster
 from repro.core.database import SpatialDatabase
+from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.query.spec import AreaQuery
-from repro.server import QueryClient
+from repro.query.spec import AreaQuery, KnnQuery
+from repro.server import QueryClient, RemoteError
 from repro.workloads.generators import uniform_points
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -540,4 +541,40 @@ class TestSigtermStopsServedProcesses:
                     os.killpg(process.pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+            process.communicate(timeout=30)
+
+    def test_sigterm_ends_an_open_stream_with_an_error_frame(self, tmp_path):
+        """A stream open when ``serve`` stops reads an ``unavailable``
+        error frame, not a dropped connection."""
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--points", "5000", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            lines = []
+            for line in process.stdout:
+                lines.append(line)
+                if "Press Ctrl-C to stop." in line:
+                    break
+            else:
+                pytest.fail("exited before its banner:\n" + "".join(lines))
+            host, port = re.search(r" on ([\d.]+):(\d+) \(", lines[-2]).groups()
+            with QueryClient(host, int(port)) as client:
+                stream = client.stream(KnnQuery(Point(0.5, 0.5), k=None), chunk_size=10)
+                assert len([next(stream) for _ in range(10)]) == 10  # the first chunk
+                process.send_signal(signal.SIGTERM)
+                out, _ = process.communicate(timeout=30)
+                with pytest.raises(RemoteError) as error:
+                    next(stream)
+            assert error.value.code == "unavailable"
+            assert process.returncode == 0, "".join(lines) + out
+            assert "stopped" in out
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
             process.communicate(timeout=30)

@@ -63,26 +63,17 @@ class TestElements:
         assert len(polygons) == 1
         assert len(polygons[0].get("points").split()) == 3
 
-    def test_line_and_polyline(self):
+    def test_line_element(self):
         canvas = SvgCanvas(Rect(0, 0, 1, 1))
         canvas.line(Point(0, 0), Point(1, 1))
-        canvas.polyline([Point(0, 0), Point(0.5, 1), Point(1, 0)])
         root = _parse(canvas.to_svg())
         assert len(root.findall(f"{NS}line")) == 1
-        assert len(root.findall(f"{NS}polyline")) == 1
 
     def test_text_escaped(self):
         canvas = SvgCanvas(Rect(0, 0, 1, 1))
         canvas.text(Point(0.5, 0.5), "a < b & c")
         root = _parse(canvas.to_svg())  # parse fails if not escaped
         assert root.findall(f"{NS}text")[0].text == "a < b & c"
-
-    def test_world_circle_radius_scaled(self):
-        canvas = SvgCanvas(Rect(0, 0, 1, 1), width=120, padding=10)
-        canvas.world_circle(Point(0.5, 0.5), 0.25)
-        root = _parse(canvas.to_svg())
-        r = float(root.findall(f"{NS}circle")[0].get("r"))
-        assert r == pytest.approx(0.25 * 100, abs=0.1)
 
     def test_save(self, tmp_path):
         canvas = SvgCanvas(Rect(0, 0, 1, 1))

@@ -170,6 +170,19 @@ class TestAgainstTheOracle:
             assert _ids(tree.window_query(window)) == expected
             assert sorted(tree.window_ids_array(window).tolist()) == expected
 
+    def test_random_windows_match_brute_force(self, tree_class, build, scale):
+        # Windows of every size, many straddling the data's extent.
+        entries = _scaled(self.ENTRIES, scale)
+        tree = build(tree_class, entries)
+        rng = random.Random(6)
+        for _ in range(30):
+            x1, x2 = sorted((rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3)))
+            y1, y2 = sorted((rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3)))
+            window = _scaled_rect(Rect(x1, y1, x2, y2), scale)
+            expected = sorted(i for p, i in entries if window.contains_point(p))
+            assert _ids(tree.window_query(window)) == expected
+            assert sorted(tree.window_ids_array(window).tolist()) == expected
+
     def test_nn_matches_brute_force_inside_and_outside(self, tree_class, build, scale):
         entries = _scaled(self.ENTRIES, scale)
         tree = build(tree_class, entries)

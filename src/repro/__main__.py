@@ -299,6 +299,7 @@ def _stop_on_sigterm() -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import os
     import time as time_module
 
     from repro.server import ServerThread
@@ -321,8 +322,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"chunk size {args.chunk_size})"
         )
         print("Press Ctrl-C to stop.")
-        while True:
-            time_module.sleep(3600)
+        if args.lifeline:
+            # EOF: the process holding stdin open (a router) has ended.
+            while os.read(0, 4096):
+                pass
+        else:
+            while True:
+                time_module.sleep(3600)
     except KeyboardInterrupt:
         print("\nstopped")
     finally:
@@ -884,6 +890,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=256,
         help="default rows per streamed chunk frame",
+    )
+    serve.add_argument(
+        "--lifeline",
+        action="store_true",
+        help="stop when standard input reaches end of file (a cluster "
+        "router holds its workers' stdin open, so a worker stops with "
+        "its router however the router ends)",
     )
 
     mutate = subparsers.add_parser(

@@ -81,8 +81,8 @@ class WorkerProcess:
         """Stop and reap the worker; returns its exit code.
 
         Terminates (then kills on timeout) a still-running worker, waits
-        so the child is reaped rather than left a zombie, and closes the
-        captured stdout/stderr pipes so repeated restarts cannot leak
+        so the child is reaped rather than left a zombie, and closes its
+        stdin and captured stdout pipes so repeated restarts cannot leak
         file descriptors.  Returns the process exit code — nonzero or
         negative (killed by signal) when the worker did not shut down
         cleanly — or ``None`` if the process could not be reaped.
@@ -106,7 +106,7 @@ def _stop(process: subprocess.Popen, timeout: float = 5.0) -> Optional[int]:
     else:
         # Already exited (crashed or killed externally): reap it.
         process.wait()
-    for pipe in (process.stdout, process.stderr):
+    for pipe in (process.stdin, process.stdout, process.stderr):
         if pipe is not None and not pipe.closed:
             pipe.close()
     return process.returncode
@@ -135,7 +135,10 @@ def start_worker(*, host: str = "127.0.0.1") -> subprocess.Popen:
     return at once; :func:`await_worker` reads its address.
 
     The worker starts with ``--points 0`` — data arrives through the
-    coordinator's bulk load, never via per-worker seed files.
+    coordinator's bulk load, never via per-worker seed files — and with
+    ``--lifeline``: the write end of its stdin pipe is held by this
+    process alone, so the worker stops when this process ends, even by
+    SIGKILL, which runs no clean-up.  A respawned worker gets the same.
     """
     command = [
         sys.executable,
@@ -149,9 +152,11 @@ def start_worker(*, host: str = "127.0.0.1") -> subprocess.Popen:
         "0",
         "--points",
         "0",
+        "--lifeline",
     ]
     return subprocess.Popen(
         command,
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

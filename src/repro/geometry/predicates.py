@@ -277,24 +277,3 @@ def _incircle_exact(
         return -1.0
     return 0.0
 
-
-def circumcenter(a: Point, b: Point, c: Point) -> Point:
-    """Circumcentre of the (non-degenerate) triangle ``a, b, c``.
-
-    Raises :class:`ValueError` for collinear input, where no circumcircle
-    exists.  Used by the Voronoi dual: a Voronoi vertex is the circumcentre
-    of its Delaunay triangle.
-    """
-    d = 2.0 * ((a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x))
-    if d == 0.0:
-        raise ValueError("circumcenter of collinear points is undefined")
-    a2 = a.squared_norm()
-    b2 = b.squared_norm()
-    c2 = c.squared_norm()
-    ux = (
-        (a2 - c2) * (b.y - c.y) - (b2 - c2) * (a.y - c.y)
-    ) / d
-    uy = (
-        (b2 - c2) * (a.x - c.x) - (a2 - c2) * (b.x - c.x)
-    ) / d
-    return Point(ux, uy)

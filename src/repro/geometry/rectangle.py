@@ -150,26 +150,6 @@ class Rect:
             or other.max_y < self.min_y
         )
 
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """The overlapping rectangle, or ``None`` if disjoint."""
-        if not self.intersects(other):
-            return None
-        return Rect(
-            max(self.min_x, other.min_x),
-            max(self.min_y, other.min_y),
-            min(self.max_x, other.max_x),
-            min(self.max_y, other.max_y),
-        )
-
-    def union(self, other: "Rect") -> "Rect":
-        """The smallest rectangle covering both."""
-        return Rect(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
     def distance_to_point(self, p: Point) -> float:
         """Euclidean distance from ``p`` to the closest point of the rectangle.
 

@@ -96,8 +96,8 @@ def _areas(boxes: np.ndarray) -> np.ndarray:
 
 
 def _joint_areas(boxes: np.ndarray, other: Sequence[float]) -> np.ndarray:
-    """The area of each box's union with the box ``other``, computed as
-    ``Rect.union(...).area`` does, so each value is bitwise the scalar one."""
+    """The area of the smallest rectangle covering each box and the box
+    ``other``."""
     return (
         np.maximum(boxes[:, 2], other[2]) - np.minimum(boxes[:, 0], other[0])
     ) * (np.maximum(boxes[:, 3], other[3]) - np.minimum(boxes[:, 1], other[1]))

@@ -5,17 +5,15 @@ The continuous-spatial-query layer over the mutable serving stack
 once and the server pushes ``added``/``removed`` row-id deltas as writes
 land, instead of the client re-polling the full result.
 
-``repro.live.tiles``
-    :class:`TileGrid` — the fixed-resolution tiling whose cells key the
-    inverted index.  Same clamped-cell math as the grid spatial index,
-    so points outside the bounds still land in border tiles.
 ``repro.live.registry``
     :class:`SubscriptionRegistry` — standing specs (region queries and
-    kNN-of-focal-point), a dirty-tile inverted index mapping tiles to
-    the subscriptions whose result a write there could change, and the
-    per-write fan-out that turns one mutation into per-subscription
-    deltas.  :class:`RegistryStats` carries the mechanism counters
-    (evaluations ≪ writes × subscriptions is the pruning proof).
+    kNN-of-focal-point) held as rows of float64 arrays (a region's
+    bounds, a kNN's focal point and kth squared distance), and the
+    per-write fan-out that runs one vectorised bounds test per written
+    point and evaluates only the hits, turning one mutation into
+    per-subscription deltas.  :class:`RegistryStats` carries the
+    mechanism counters (evaluations ≪ writes × subscriptions is the
+    pruning proof).
 ``repro.live.delta``
     The incremental evaluators: region membership updates from the
     write's coordinates alone; kNN k-sets repaired in place (an insert
@@ -35,12 +33,10 @@ from repro.live.registry import (
     Subscription,
     SubscriptionRegistry,
 )
-from repro.live.tiles import TileGrid
 
 __all__ = [
     "Delta",
     "RegistryStats",
     "Subscription",
     "SubscriptionRegistry",
-    "TileGrid",
 ]

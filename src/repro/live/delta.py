@@ -1,16 +1,15 @@
 """Incremental delta evaluation for standing subscriptions.
 
 Given one applied write (its operation, affected rows, and their
-coordinates) and a subscription's materialized current result, these
-evaluators compute the exact ``added``/``removed`` row-id sets *without
-re-executing the query*:
+coordinates) and a subscription, these evaluators compute the exact
+``added``/``removed`` row-id sets *without re-executing the query*:
 
-* **Region** subscriptions test only the written coordinates against
-  the region geometry — the same exact containment predicates the query
-  executors refine with (:meth:`Rect.contains_point
+* **Region** subscriptions keep no result: they test only the written
+  coordinates against the region geometry — the same exact containment
+  predicates the query executors refine with (:meth:`Rect.contains_point
   <repro.geometry.rectangle.Rect.contains_point>`, region
-  ``contains_point``), so the maintained membership is bit-for-bit the
-  set a re-execution would return.
+  ``contains_point``), so the replayed deltas are bit-for-bit the
+  changes a re-execution would show.
 * **kNN** subscriptions maintain their k-set as a sorted
   ``(squared distance, row id)`` list — the executors' exact ranking
   order, ties by row id.  An insert strictly inside the kth radius
@@ -32,6 +31,7 @@ from bisect import insort
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.knn_query import incremental_nearest
+from repro.geometry.point import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
@@ -66,19 +66,17 @@ def evaluate_write(
     database: "SpatialDatabase",
     pre: Optional["StoreSnapshot"] = None,
 ) -> Delta:
-    """Update ``subscription`` for one applied write; return its delta.
+    """Evaluate one applied write against ``subscription``; return its delta.
 
     ``rows``/``coords`` are parallel: the written row ids and their
     coordinates (for a delete, the tombstoned row's coordinates — the
-    append-only store keeps them addressable).  The subscription's
-    members are mutated in place to the post-write result.
+    append-only store keeps them addressable).  A kNN subscription's
+    k-set is mutated in place to the post-write result.
 
     ``pre`` is the pre-write :class:`~repro.core.store.StoreSnapshot`
-    (O(1) to capture).  The member sets *are* the materialized pre-write
-    results, so the snapshot is a guard, not a data source: a delete of
-    a row the pre-write version could not see is ignored rather than
-    trusted, keeping the state machine exact even if a caller ever
-    replays a write description.
+    (O(1) to capture).  A delete of a row the pre-write version could
+    not see is ignored rather than trusted, keeping the state machine
+    exact even if a caller ever replays a write description.
     """
     if subscription.kind == "region":
         return _evaluate_region(subscription, op, rows, coords, pre)
@@ -92,24 +90,21 @@ def _evaluate_region(
     coords: Sequence[Tuple[float, float]],
     pre: Optional["StoreSnapshot"],
 ) -> Delta:
-    """Membership delta of a region subscription from coordinates alone."""
-    added: List[int] = []
-    removed: List[int] = []
-    members = subscription.members
-    if op == "delete":
-        for row in rows:
-            if pre is not None and not pre.visible(row):
-                continue
-            if row in members:
-                members.discard(row)
-                removed.append(row)
-    else:  # insert / extend
-        contains = subscription.contains
-        for row, (x, y) in zip(rows, coords):
-            if contains(x, y):
-                members.add(row)
-                added.append(row)
-    return Delta(added, removed)
+    """Membership delta of a region subscription from coordinates alone.
+
+    A row is a member exactly when it is live and its point is
+    contained, so an insert of a contained point is ``added`` and a
+    delete of a pre-write-visible contained point is ``removed``.
+    """
+    contains_point = subscription.region.contains_point
+    inside = [
+        row for row, (x, y) in zip(rows, coords) if contains_point(Point(x, y))
+    ]
+    if op != "delete":  # insert / extend
+        return Delta(inside, [])
+    if pre is not None:
+        inside = [row for row in inside if pre.visible(row)]
+    return Delta([], inside)
 
 
 def _evaluate_knn(
@@ -123,37 +118,32 @@ def _evaluate_knn(
     """Repair a kNN subscription's k-set in place; return its delta."""
     added: List[int] = []
     removed: List[int] = []
-    members = subscription.members
     ordered = subscription.ordered
     if op == "delete":
         for row in rows:
             if pre is not None and not pre.visible(row):
                 continue
-            if row not in members:
-                continue
-            members.discard(row)
-            removed.append(row)
             for position, (_, member) in enumerate(ordered):
                 if member == row:
                     del ordered[position]
+                    removed.append(row)
                     break
         if removed:
             _refill(subscription, database, added)
     else:  # insert / extend: displacement check per written point
-        k = subscription.k
-        focal_x = subscription.focal.x
-        focal_y = subscription.focal.y
+        k = subscription.spec.k
+        focal = subscription.spec.point
+        focal_x = focal.x
+        focal_y = focal.y
         for row, (x, y) in zip(rows, coords):
             dx = x - focal_x
             dy = y - focal_y
             entry = (dx * dx + dy * dy, row)
             if len(ordered) < k:
                 insort(ordered, entry)
-                members.add(row)
                 added.append(row)
             elif entry < ordered[-1]:
                 evicted = ordered.pop()[1]
-                members.discard(evicted)
                 # An entry of this same write that was admitted into an
                 # underfull set and displaced again nets out to nothing.
                 if evicted in added:
@@ -161,7 +151,6 @@ def _evaluate_knn(
                 else:
                     removed.append(evicted)
                 insort(ordered, entry)
-                members.add(row)
                 added.append(row)
     return Delta(added, removed)
 
@@ -178,15 +167,15 @@ def _refill(
     a prefix of that ranking, so skipping them and taking rows until the
     set holds ``k`` reconstructs the exact post-write k-set.  With fewer
     than ``k`` live rows the walk exhausts and the set stays underfull
-    (the registry then indexes the subscription as unbounded).
+    (the registry then filters the subscription with an infinite radius).
     """
     store = database.store
-    members = subscription.members
-    missing = subscription.k - len(members)
-    if missing <= 0 or store.live_count <= len(members):
-        return
     ordered = subscription.ordered
-    focal = subscription.focal
+    missing = subscription.spec.k - len(ordered)
+    if missing <= 0 or store.live_count <= len(ordered):
+        return
+    members = {row for _, row in ordered}
+    focal = subscription.spec.point
     for row in incremental_nearest(
         database.index,
         database.backend,
@@ -200,7 +189,6 @@ def _refill(
         dx = x - focal.x
         dy = y - focal.y
         insort(ordered, (dx * dx + dy * dy, row))
-        members.add(row)
         added.append(row)
         missing -= 1
         if missing <= 0:

@@ -1,24 +1,30 @@
-"""The standing-query registry and its dirty-tile inverted index.
+"""The standing-query registry: subscriptions held as array rows.
 
 :class:`SubscriptionRegistry` is the server-side heart of live queries:
-it holds every registered subscription, maintains an inverted index
-from :class:`~repro.live.tiles.TileGrid` tiles to the subscriptions a
-write in that tile could affect, and fans each applied write out to
-exactly those subscriptions' incremental evaluators
-(:mod:`repro.live.delta`).
+it holds every registered subscription as one row of a numpy column
+block and fans each applied write out to the incremental evaluators
+(:mod:`repro.live.delta`) of exactly the subscriptions the write's
+coordinates fall inside — the paper's filter-then-refine, applied to
+standing queries instead of stored points.
 
-**Indexing rules.**  A region subscription registers under the tiles
-overlapping its rectangle (window) or region MBR — fixed for its
-lifetime.  A kNN subscription registers under the tiles overlapping the
-circle around its focal point with the current *kth-member radius*:
-only a write inside that circle can change the k-set.  The circle
-shrinks and grows as the k-set changes, so the subscription is
-re-indexed after every delta that moved its kth distance; while the set
-holds fewer than ``k`` members (sparse data) any insert anywhere could
-join it, so it sits in the *unbounded* bucket that every write wakes.
+**The rows.**  A region subscription is one row of a float64 bounds
+block ``min_x, min_y, max_x, max_y``: its window's rectangle, or its
+area's MBR (fixed for its lifetime).  A kNN subscription is one row of
+focal ``x``, ``y`` and the squared distance of its kth member — ``inf``
+while the k-set is underfull, since any insert anywhere may then join
+it.  Unregistered rows are recycled; a free row holds bounds no point
+satisfies.
+
+**The filter.**  :meth:`SubscriptionRegistry.apply_write` tests each
+written point against every row at once (closed bounds; for kNN the
+evaluators' own ``dx*dx + dy*dy`` against the kth distance, inclusive,
+so ties reach the exact test); a write with more rows than there are
+subscriptions tests each subscription against all its points instead.
+Only the hits are evaluated exactly.  The scan is linear in the number
+of subscriptions, with numpy's constant.
 
 **Mechanism counters.**  :class:`RegistryStats` counts writes fanned
-out, per-subscription evaluations, and notifications produced.  The
+out, exact evaluations on hits, and notifications produced.  The
 pruning claim of the whole design is ``evaluations ≪ writes × active``
 — asserted by ``tests/live/test_registry.py`` (under 5 % of that
 product over 1 200 subscriptions), not just implied.
@@ -27,21 +33,12 @@ product over 1 200 subscriptions), not just implied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry.point import Point
+import numpy as np
+
+from repro.geometry.point import xy_array
 from repro.live.delta import Delta, evaluate_write
-from repro.live.tiles import Tile, TileGrid
 from repro.query.spec import AreaQuery, KnnQuery, Query, WindowQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -59,7 +56,7 @@ class RegistryStats:
     unregistered_total: int = 0
     #: writes fanned out through :meth:`SubscriptionRegistry.apply_write`
     writes: int = 0
-    #: per-subscription delta evaluations (the pruned work unit)
+    #: exact evaluations of subscriptions the bounds test hit
     evaluations: int = 0
     #: non-empty deltas produced (one notify frame each)
     notifications: int = 0
@@ -82,38 +79,17 @@ class RegistryStats:
 
 
 class Subscription:
-    """One standing query: its spec, owner, and materialized result.
+    """One standing query: the handle of its registry row.
 
-    Created by :meth:`SubscriptionRegistry.register`; the registry's
-    evaluators mutate ``members``/``ordered`` in place as writes land,
-    so the object always holds the exact current result.
+    Created by :meth:`SubscriptionRegistry.register`.  A region
+    subscription keeps no result at all — its deltas follow from the
+    written coordinates — and a kNN subscription keeps only its k-set,
+    which the evaluators repair in place as writes land.
     """
 
-    __slots__ = (
-        "sid",
-        "spec",
-        "owner",
-        "kind",
-        "members",
-        "ordered",
-        "contains",
-        "focal",
-        "k",
-        "tiles",
-        "notifications",
-    )
+    __slots__ = ("sid", "spec", "owner", "kind", "slot", "ordered", "notifications")
 
-    def __init__(
-        self,
-        sid: int,
-        spec: Query,
-        owner: object,
-        kind: str,
-        *,
-        contains: Optional[Callable[[float, float], bool]] = None,
-        focal: Optional[Point] = None,
-        k: int = 0,
-    ) -> None:
+    def __init__(self, sid: int, spec: Query, owner: object, kind: str) -> None:
         #: registry-wide subscription id (stable for the lifetime)
         self.sid = sid
         #: the registered immutable query spec
@@ -122,63 +98,95 @@ class Subscription:
         self.owner = owner
         #: ``"region"`` or ``"knn"``
         self.kind = kind
-        #: current result row ids
-        self.members: Set[int] = set()
+        #: the row this subscription holds in its kind's block (-1: none)
+        self.slot = -1
         #: kNN only: the k-set as a sorted ``(dist_sq, row)`` list
-        self.ordered: List[Tuple[float, int]] = []
-        #: region only: exact containment test over raw coordinates
-        self.contains = contains
-        #: kNN only: the focal query point
-        self.focal = focal
-        #: kNN only: the requested k
-        self.k = k
-        #: tiles currently registered under (``None`` = unbounded bucket)
-        self.tiles: Optional[FrozenSet[Tile]] = None
+        self.ordered: Optional[List[Tuple[float, int]]] = None
         #: notify deltas produced for this subscription so far
         self.notifications = 0
 
+    @property
+    def region(self):
+        """Region only: the window's rectangle or the area's region."""
+        spec = self.spec
+        return spec.rect if isinstance(spec, WindowQuery) else spec.region
+
     def __repr__(self) -> str:
-        return (
-            f"Subscription(sid={self.sid}, kind={self.kind!r}, "
-            f"members={len(self.members)})"
-        )
+        return f"Subscription(sid={self.sid}, kind={self.kind!r}, slot={self.slot})"
+
+
+class _Rows:
+    """One kind's subscriptions: a float64 column block plus its handles.
+
+    ``columns[:, slot]`` is a subscription's row; ``free`` holds the
+    value an empty row carries (one no written point can hit).
+    """
+
+    __slots__ = ("columns", "subscriptions", "recycled", "free")
+
+    def __init__(self, free: Tuple[float, ...]) -> None:
+        self.free = np.array(free, dtype=np.float64).reshape(-1, 1)
+        self.columns = np.repeat(self.free, 16, axis=1)
+        #: handle per row (``None`` for a free row), one list entry each
+        self.subscriptions: List[Optional[Subscription]] = []
+        self.recycled: List[int] = []
+
+    def used(self) -> np.ndarray:
+        """The rows handed out so far (free ones included)."""
+        return self.columns[:, : len(self.subscriptions)]
+
+    def add(self, subscription: Subscription, values: Sequence[float]) -> None:
+        """Give ``subscription`` a row holding ``values`` (reuses a free one)."""
+        if self.recycled:
+            slot = self.recycled.pop()
+            self.subscriptions[slot] = subscription
+        else:
+            slot = len(self.subscriptions)
+            if slot == self.columns.shape[1]:
+                self.columns = np.concatenate(
+                    [self.columns, np.repeat(self.free, slot, axis=1)], axis=1
+                )
+            self.subscriptions.append(subscription)
+        self.columns[:, slot] = values
+        subscription.slot = slot
+
+    def remove(self, subscription: Subscription) -> bool:
+        """Free ``subscription``'s row; False when it holds none here."""
+        slot = subscription.slot
+        if slot < 0 or self.subscriptions[slot] is not subscription:
+            return False
+        self.subscriptions[slot] = None
+        self.columns[:, slot] = self.free[:, 0]
+        self.recycled.append(slot)
+        subscription.slot = -1
+        return True
 
 
 class SubscriptionRegistry:
-    """Registered standing queries plus their tile inverted index.
+    """Registered standing queries, held as array rows.
 
     Parameters
     ----------
     database:
         The served database; initial results are evaluated through its
         planner and kNN refills walk its Voronoi backend.
-    grid:
-        The :class:`~repro.live.tiles.TileGrid` keying the inverted
-        index (default: 64x64 over the unit square — the library's
-        default data space; out-of-bounds data degrades to border-tile
-        fanout, never to a missed notification).
     """
 
-    def __init__(
-        self,
-        database: "SpatialDatabase",
-        *,
-        grid: Optional[TileGrid] = None,
-    ) -> None:
+    def __init__(self, database: "SpatialDatabase") -> None:
         self._db = database
-        #: the tiling that keys the inverted index
-        self.grid = grid if grid is not None else TileGrid()
         #: lifetime mechanism counters
         self.stats = RegistryStats()
-        self._by_tile: Dict[Tile, Set[Subscription]] = {}
-        self._unbounded: Set[Subscription] = set()
-        self._subscriptions: Set[Subscription] = set()
+        # min_x, min_y, max_x, max_y; a free row's bounds hold nothing
+        self._regions = _Rows((np.inf, np.inf, -np.inf, -np.inf))
+        # focal x, focal y, kth squared distance; no d2 is <= -inf
+        self._knn = _Rows((0.0, 0.0, -np.inf))
+        self._active = 0
         self._next_sid = 0
 
     @property
     def active(self) -> int:
         """Subscriptions currently registered."""
-        return len(self._subscriptions)
+        return self._active
 
     # -- admission ---------------------------------------------------------
 
@@ -197,45 +205,34 @@ class SubscriptionRegistry:
         kind = _subscribable_kind(spec)
         ids = self._db.query(spec).ids()
         self._next_sid += 1
+        subscription = Subscription(self._next_sid, spec, owner, kind)
         if kind == "region":
-            subscription = Subscription(
-                self._next_sid,
-                spec,
-                owner,
-                kind,
-                contains=_containment_test(spec),
+            box = subscription.region.mbr
+            self._regions.add(
+                subscription, (box.min_x, box.min_y, box.max_x, box.max_y)
             )
-            subscription.members = set(ids)
         else:
-            subscription = Subscription(
-                self._next_sid,
-                spec,
-                owner,
-                kind,
-                focal=spec.point,
-                k=spec.k,
-            )
             coords = self._db.store.coords
             focal = spec.point
+            ordered = []
             for row in ids:
                 x, y = coords(row)
                 dx = x - focal.x
                 dy = y - focal.y
-                subscription.ordered.append((dx * dx + dy * dy, row))
-            subscription.ordered.sort()
-            subscription.members = set(ids)
-        self._subscriptions.add(subscription)
-        subscription.tiles = self._tiles_for(subscription)
-        self._index_add(subscription)
+                ordered.append((dx * dx + dy * dy, row))
+            ordered.sort()
+            subscription.ordered = ordered
+            self._knn.add(subscription, (focal.x, focal.y, _kth(subscription)))
+        self._active += 1
         self.stats.registered_total += 1
         return subscription, ids
 
     def unregister(self, subscription: Subscription) -> bool:
         """Drop one subscription (idempotent); True when it was active."""
-        if subscription not in self._subscriptions:
+        rows = self._regions if subscription.kind == "region" else self._knn
+        if not rows.remove(subscription):
             return False
-        self._subscriptions.discard(subscription)
-        self._index_remove(subscription)
+        self._active -= 1
         self.stats.unregistered_total += 1
         return True
 
@@ -245,90 +242,93 @@ class SubscriptionRegistry:
         self,
         op: str,
         rows: Sequence[int],
-        coords: Sequence[Tuple[float, float]],
+        coords,
         *,
         pre: Optional["StoreSnapshot"] = None,
     ) -> List[Tuple[Subscription, Delta]]:
         """Fan one *applied* write out; return per-subscription deltas.
 
-        Called by the server immediately after the mutation lands (the
-        subscriptions' member sets are the materialized pre-write
-        results, so state plus write description determines the exact
-        delta; ``pre`` — the pre-write snapshot — guards the delete
-        path, see :func:`~repro.live.delta.evaluate_write`).  Only
-        subscriptions registered under a written tile — plus the
-        unbounded bucket — are evaluated; everything else is untouched,
-        which is the entire point of the inverted index.  Subscriptions
-        whose kth radius moved are re-indexed in passing.
+        ``coords`` holds the written rows' points as ``(n, 2)`` (an
+        array or pairs; for a delete, the tombstoned row's point).
+        Called by the server immediately after the mutation lands;
+        ``pre`` — the pre-write snapshot — guards the delete path, see
+        :func:`~repro.live.delta.evaluate_write`.  Only subscriptions
+        whose row the written points hit are evaluated, in
+        registration order; everything else is untouched.
         """
         self.stats.writes += 1
-        if not self._subscriptions:
+        if not self._active:
             return []
-        affected: Set[Subscription] = set(self._unbounded)
-        tile_of = self.grid.tile_of
-        for tile in {tile_of(x, y) for x, y in coords}:
-            bucket = self._by_tile.get(tile)
-            if bucket:
-                affected |= bucket
-        self.stats.fanout += len(affected)
-        if len(affected) > self.stats.max_fanout:
-            self.stats.max_fanout = len(affected)
+        xy = xy_array(coords)
+        points = xy.tolist()
+        hits = self._hits(xy, points)
+        self.stats.fanout += len(hits)
+        if len(hits) > self.stats.max_fanout:
+            self.stats.max_fanout = len(hits)
         events: List[Tuple[Subscription, Delta]] = []
-        for subscription in sorted(affected, key=lambda sub: sub.sid):
+        for subscription in sorted(hits, key=lambda sub: sub.sid):
             self.stats.evaluations += 1
+            indices = hits[subscription]
             delta = evaluate_write(
-                subscription, op, rows, coords, self._db, pre
+                subscription,
+                op,
+                [rows[i] for i in indices],
+                [points[i] for i in indices],
+                self._db,
+                pre,
             )
-            if subscription.kind == "knn" and delta:
-                self._reindex(subscription)
+            if subscription.kind == "knn":
+                self._knn.columns[2, subscription.slot] = _kth(subscription)
             if delta:
                 subscription.notifications += 1
                 self.stats.notifications += 1
                 events.append((subscription, delta))
         return events
 
-    # -- tile index plumbing -----------------------------------------------
+    def _hits(
+        self, xy: np.ndarray, points: List[List[float]]
+    ) -> Dict[Subscription, List[int]]:
+        """Each hit subscription with the indices of the points it holds.
 
-    def _tiles_for(
-        self, subscription: Subscription
-    ) -> Optional[FrozenSet[Tile]]:
-        """The tile set a subscription indexes under now (None=unbounded)."""
-        if subscription.kind == "region":
-            spec = subscription.spec
-            rect = spec.rect if isinstance(spec, WindowQuery) else spec.region.mbr
-            return self.grid.tiles_for_rect(rect)
-        if len(subscription.ordered) < subscription.k:
-            return None  # underfull k-set: any insert anywhere may join
-        focal = subscription.focal
-        return self.grid.tiles_for_circle(
-            focal.x, focal.y, subscription.ordered[-1][0]
-        )
+        The closed bounds test, run along the shorter axis: one
+        vectorised test per written point, or per subscription row when
+        the write has more points than there are rows (free ones count:
+        the scan visits them too).
+        """
+        regions = self._regions.used()
+        knn = self._knn.used()
+        hits: Dict[Subscription, List[int]] = {}
+        if len(xy) <= regions.shape[1] + knn.shape[1]:
+            min_x, min_y, max_x, max_y = regions
+            focal_x, focal_y, kth = knn
+            for i, (x, y) in enumerate(points):
+                inside = (min_x <= x) & (min_y <= y) & (x <= max_x) & (y <= max_y)
+                dx = x - focal_x
+                dy = y - focal_y
+                near = dx * dx + dy * dy <= kth
+                for block, mask in ((self._regions, inside), (self._knn, near)):
+                    for slot in mask.nonzero()[0].tolist():
+                        hits.setdefault(block.subscriptions[slot], []).append(i)
+            return hits
+        xs, ys = xy[:, 0], xy[:, 1]
+        for slot, (min_x, min_y, max_x, max_y) in enumerate(regions.T.tolist()):
+            inside = (min_x <= xs) & (min_y <= ys) & (xs <= max_x) & (ys <= max_y)
+            indices = inside.nonzero()[0].tolist()
+            if indices:
+                hits[self._regions.subscriptions[slot]] = indices
+        for slot, (focal_x, focal_y, kth) in enumerate(knn.T.tolist()):
+            dx = xs - focal_x
+            dy = ys - focal_y
+            indices = (dx * dx + dy * dy <= kth).nonzero()[0].tolist()
+            if indices:
+                hits[self._knn.subscriptions[slot]] = indices
+        return hits
 
-    def _index_add(self, subscription: Subscription) -> None:
-        if subscription.tiles is None:
-            self._unbounded.add(subscription)
-            return
-        for tile in subscription.tiles:
-            self._by_tile.setdefault(tile, set()).add(subscription)
 
-    def _index_remove(self, subscription: Subscription) -> None:
-        if subscription.tiles is None:
-            self._unbounded.discard(subscription)
-            return
-        for tile in subscription.tiles:
-            bucket = self._by_tile.get(tile)
-            if bucket is not None:
-                bucket.discard(subscription)
-                if not bucket:
-                    del self._by_tile[tile]
-
-    def _reindex(self, subscription: Subscription) -> None:
-        """Refresh a kNN subscription's tiles after its radius moved."""
-        tiles = self._tiles_for(subscription)
-        if tiles != subscription.tiles:
-            self._index_remove(subscription)
-            subscription.tiles = tiles
-            self._index_add(subscription)
+def _kth(subscription: Subscription) -> float:
+    """A kNN row's filter radius: the kth squared distance, or inf."""
+    ordered = subscription.ordered
+    return ordered[-1][0] if len(ordered) >= subscription.spec.k else np.inf
 
 
 def _subscribable_kind(spec: Query) -> str:
@@ -359,28 +359,3 @@ def _subscribable_kind(spec: Query) -> str:
         f"{type(spec).__name__} is not subscribable; standing queries are "
         "area, window, or bounded knn specs"
     )
-
-
-def _containment_test(spec: Query) -> Callable[[float, float], bool]:
-    """The exact containment predicate of a region spec, over raw x/y.
-
-    The same geometric tests the query executors refine with, so
-    incremental membership can never drift from a re-execution.
-    """
-    if isinstance(spec, WindowQuery):
-        rect = spec.rect
-        contains_point = rect.contains_point
-
-        def window_contains(x: float, y: float) -> bool:
-            """Closed-bounds window containment."""
-            return contains_point(Point(x, y))
-
-        return window_contains
-    region = spec.region
-    region_contains = region.contains_point
-
-    def area_contains(x: float, y: float) -> bool:
-        """Exact region containment (boundary inclusive)."""
-        return region_contains(Point(x, y))
-
-    return area_contains

@@ -30,8 +30,8 @@ query stack (:mod:`repro.query`) and batch engine (:mod:`repro.engine`):
 
 The server also hosts the **live query** subsystem (:mod:`repro.live`):
 clients register standing subscriptions over the same socket and the
-write path pushes incremental ``notify`` deltas to every subscription a
-write's dirty tiles touch.
+write path pushes incremental ``notify`` deltas to every subscription
+whose result a write changes.
 
 Start a server with ``python -m repro serve`` (``--load`` serves a
 persisted snapshot); see ``docs/SERVER.md`` for the protocol spec and

@@ -114,7 +114,7 @@ class LocalBackend:
 
     def __init__(self, database: "SpatialDatabase", **coalescer_options) -> None:
         self._db = database
-        #: the live-query registry: standing specs + dirty-tile index
+        #: the live-query registry: standing specs as array rows
         self.registry = SubscriptionRegistry(database)
         #: the cross-client admission queue, drained every loop turn
         self.coalescer = BatchCoalescer(database, **coalescer_options)
@@ -174,20 +174,19 @@ class LocalBackend:
         pre = db.store.snapshot() if self.registry.active else None
         if op == "insert":
             x, y = float(frame["x"]), float(frame["y"])
-            coords = [(x, y)]
+            points = [(x, y)]
             rows = [self.coalescer.apply_write(lambda: db.insert((x, y)))]
         elif op == "extend":
             points = xy_array(frame["points"])
             rows = self.coalescer.apply_write(lambda: db.extend(points))
-            coords = points.tolist() if pre is not None else ()
         else:  # "delete"
             row = int(frame["row"])
             self.coalescer.apply_write(lambda: db.delete(row))
             rows = [row]
-            coords = [db.store.coords(row)]
+            points = [db.store.coords(row)]
         events = ()
         if pre is not None:
-            events = self.registry.apply_write(op, rows, coords, pre=pre)
+            events = self.registry.apply_write(op, rows, points, pre=pre)
             # The write path is the one place that knows both sides, so
             # the coalescer's subscription counters are refreshed here.
             stats = self.coalescer.stats
@@ -203,7 +202,7 @@ class LocalBackend:
         return subscription, ids, self._db.version
 
     def unsubscribe(self, subscription) -> None:
-        """Drop one standing query (frees its tile-index entries)."""
+        """Drop one standing query (frees its registry row)."""
         self.registry.unregister(subscription)
 
     async def stats_frame(self, server: Dict, kinds: Dict, *, client) -> Dict:

@@ -106,9 +106,9 @@ class CoalescerStats:
     subscriptions: int = 0
     #: notify deltas produced across all writes (delivered frames)
     notifications: int = 0
-    #: dirty-tile fanout: subscriptions evaluated, summed over writes
+    #: live fanout: subscriptions the bounds test hit, summed over writes
     #: (``subscription_fanout / writes`` is the per-write mean — the
-    #: observable proof the inverted index prunes)
+    #: observable proof the filter prunes)
     subscription_fanout: int = 0
 
     @property

@@ -137,7 +137,7 @@ def moving_object_steps(
     ``hotspot_fraction``, Gaussian (``hotspot_spread``) around a shared
     *hot spot* that itself random-walks ``hotspot_drift`` per step, so
     the write load concentrates on a slowly wandering region (the
-    dirty-tile fan-out's non-uniform case).
+    live fan-out's non-uniform case).
 
     Yields ``steps`` :data:`MoveStep` tuples, one randomly chosen object
     per step.  A move maps onto the mutable store as delete(old row) +

@@ -2,12 +2,9 @@
 
 import math
 
-import pytest
-
 from repro.geometry.point import Point
 from repro.geometry.predicates import (
     Orientation,
-    circumcenter,
     incircle,
     orientation,
     orientation_sign,
@@ -166,22 +163,3 @@ class TestSignedAreaSign:
 
     def test_denormal_scale_reversed_ring(self):
         assert signed_area_sign(list(reversed(DENORMAL_CCW_TRIANGLE))) == -1.0
-
-
-class TestCircumcenter:
-    def test_right_triangle(self):
-        # Circumcentre of a right triangle is the hypotenuse midpoint.
-        center = circumcenter(Point(0, 0), Point(2, 0), Point(0, 2))
-        assert center.x == pytest.approx(1.0)
-        assert center.y == pytest.approx(1.0)
-
-    def test_equidistance(self):
-        a, b, c = Point(0.1, 0.3), Point(0.9, 0.2), Point(0.5, 0.8)
-        center = circumcenter(a, b, c)
-        r1 = center.distance_to(a)
-        assert center.distance_to(b) == pytest.approx(r1)
-        assert center.distance_to(c) == pytest.approx(r1)
-
-    def test_collinear_raises(self):
-        with pytest.raises(ValueError):
-            circumcenter(Point(0, 0), Point(1, 1), Point(2, 2))

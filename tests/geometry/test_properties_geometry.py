@@ -103,17 +103,6 @@ class TestRectProperties:
         mbr = Rect.from_points(point_list)
         assert all(mbr.contains_point(p) for p in point_list)
 
-    @given(
-        st.lists(points, min_size=1, max_size=10),
-        st.lists(points, min_size=1, max_size=10),
-    )
-    def test_union_commutes(self, list_a, list_b):
-        a = Rect.from_points(list_a)
-        b = Rect.from_points(list_b)
-        assert a.union(b) == b.union(a)
-        assert a.union(b).contains_rect(a)
-        assert a.union(b).contains_rect(b)
-
     @given(st.lists(points, min_size=2, max_size=10), points)
     def test_distance_lower_bounds_member_distance(self, point_list, query):
         # MINDIST property: rect distance never exceeds the distance to any

@@ -72,14 +72,6 @@ class TestRelations:
         assert a.intersects(Rect(2, 2, 3, 3))  # corner touch counts
         assert not a.intersects(Rect(3, 3, 4, 4))
 
-    def test_intersection(self):
-        a = Rect(0, 0, 2, 2)
-        assert a.intersection(Rect(1, 1, 3, 3)) == Rect(1, 1, 2, 2)
-        assert a.intersection(Rect(5, 5, 6, 6)) is None
-
-    def test_union(self):
-        assert Rect(0, 0, 1, 1).union(Rect(2, 2, 3, 3)) == Rect(0, 0, 3, 3)
-
 
 class TestDistance:
     def test_distance_to_inside_point_is_zero(self):

@@ -543,6 +543,45 @@ class TestSigtermStopsServedProcesses:
                     pass
             process.communicate(timeout=30)
 
+    def test_sigkill_of_the_router_leaves_no_worker(self, tmp_path):
+        """SIGKILL runs no clean-up in the router, yet its workers stop:
+        each reads a stdin pipe only the router held open, and sees EOF."""
+        if not Path(f"/proc/{os.getpid()}/stat").exists():
+            pytest.skip("no /proc/<pid>/stat to read")
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "cluster", "--workers", "2",
+             "--points", "200", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            lines = []
+            for line in process.stdout:
+                lines.append(line)
+                if "Press Ctrl-C to stop." in line:
+                    break
+            else:
+                pytest.fail("exited before its banner:\n" + "".join(lines))
+            workers = [pid for pid in _session(process.pid) if pid != process.pid]
+            assert len(workers) == 2
+            process.kill()
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 2.0
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if _session(process.pid):
+                try:
+                    os.killpg(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            process.communicate(timeout=30)
+
     def test_sigterm_ends_an_open_stream_with_an_error_frame(self, tmp_path):
         """A stream open when ``serve`` stops reads an ``unavailable``
         error frame, not a dropped connection."""

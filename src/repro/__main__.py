@@ -894,9 +894,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument(
         "--lifeline",
         action="store_true",
-        help="stop when standard input reaches end of file (a cluster "
-        "router holds its workers' stdin open, so a worker stops with "
-        "its router however the router ends)",
+        # Set only by the cluster launcher: the router holds its
+        # workers' stdin open, so a worker stops at EOF with its router
+        # however the router ends.  Not a user-facing option.
+        help=argparse.SUPPRESS,
     )
 
     mutate = subparsers.add_parser(

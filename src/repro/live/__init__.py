@@ -9,9 +9,9 @@ land, instead of the client re-polling the full result.
     :class:`SubscriptionRegistry` — standing specs (region queries and
     kNN-of-focal-point) held as rows of float64 arrays (a region's
     bounds, a kNN's focal point and kth squared distance), and the
-    per-write fan-out that runs one vectorised bounds test per written
-    point and evaluates only the hits, turning one mutation into
-    per-subscription deltas.  :class:`RegistryStats` carries the
+    per-write fan-out that runs one broadcast bounds test of every row
+    against the written points and evaluates only the hits, turning one
+    mutation into per-subscription deltas.  :class:`RegistryStats` carries the
     mechanism counters (evaluations ≪ writes × subscriptions is the
     pruning proof).
 ``repro.live.delta``

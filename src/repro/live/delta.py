@@ -28,7 +28,7 @@ reinsertion never manufactures remove+add churn for untouched rows.
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core.knn_query import incremental_nearest
 from repro.geometry.point import Point
@@ -64,7 +64,7 @@ def evaluate_write(
     rows: Sequence[int],
     coords: Sequence[Tuple[float, float]],
     database: "SpatialDatabase",
-    pre: Optional["StoreSnapshot"] = None,
+    pre: "StoreSnapshot",
 ) -> Delta:
     """Evaluate one applied write against ``subscription``; return its delta.
 
@@ -75,8 +75,8 @@ def evaluate_write(
 
     ``pre`` is the pre-write :class:`~repro.core.store.StoreSnapshot`
     (O(1) to capture).  A delete of a row the pre-write version could
-    not see is ignored rather than trusted, keeping the state machine
-    exact even if a caller ever replays a write description.
+    not see is ignored rather than trusted, so a replayed delete, or one
+    of a row already tombstoned, changes no result.
     """
     if subscription.kind == "region":
         return _evaluate_region(subscription, op, rows, coords, pre)
@@ -88,7 +88,7 @@ def _evaluate_region(
     op: str,
     rows: Sequence[int],
     coords: Sequence[Tuple[float, float]],
-    pre: Optional["StoreSnapshot"],
+    pre: "StoreSnapshot",
 ) -> Delta:
     """Membership delta of a region subscription from coordinates alone.
 
@@ -102,9 +102,7 @@ def _evaluate_region(
     ]
     if op != "delete":  # insert / extend
         return Delta(inside, [])
-    if pre is not None:
-        inside = [row for row in inside if pre.visible(row)]
-    return Delta([], inside)
+    return Delta([], [row for row in inside if pre.visible(row)])
 
 
 def _evaluate_knn(
@@ -113,7 +111,7 @@ def _evaluate_knn(
     rows: Sequence[int],
     coords: Sequence[Tuple[float, float]],
     database: "SpatialDatabase",
-    pre: Optional["StoreSnapshot"],
+    pre: "StoreSnapshot",
 ) -> Delta:
     """Repair a kNN subscription's k-set in place; return its delta."""
     added: List[int] = []
@@ -121,7 +119,7 @@ def _evaluate_knn(
     ordered = subscription.ordered
     if op == "delete":
         for row in rows:
-            if pre is not None and not pre.visible(row):
+            if not pre.visible(row):
                 continue
             for position, (_, member) in enumerate(ordered):
                 if member == row:

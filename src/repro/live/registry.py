@@ -18,8 +18,7 @@ satisfies.
 **The filter.**  :meth:`SubscriptionRegistry.apply_write` tests each
 written point against every row at once (closed bounds; for kNN the
 evaluators' own ``dx*dx + dy*dy`` against the kth distance, inclusive,
-so ties reach the exact test); a write with more rows than there are
-subscriptions tests each subscription against all its points instead.
+so ties reach the exact test), broadcast over the written points.
 Only the hits are evaluated exactly.  The scan is linear in the number
 of subscriptions, with numpy's constant.
 
@@ -44,6 +43,9 @@ from repro.query.spec import AreaQuery, KnnQuery, Query, WindowQuery
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
     from repro.core.store import StoreSnapshot
+
+#: comparisons per broadcast block of the bounds test (rows × points)
+_CELLS = 1 << 16
 
 
 @dataclass
@@ -244,7 +246,7 @@ class SubscriptionRegistry:
         rows: Sequence[int],
         coords,
         *,
-        pre: Optional["StoreSnapshot"] = None,
+        pre: "StoreSnapshot",
     ) -> List[Tuple[Subscription, Delta]]:
         """Fan one *applied* write out; return per-subscription deltas.
 
@@ -261,7 +263,7 @@ class SubscriptionRegistry:
             return []
         xy = xy_array(coords)
         points = xy.tolist()
-        hits = self._hits(xy, points)
+        hits = self._hits(xy)
         self.stats.fanout += len(hits)
         if len(hits) > self.stats.max_fanout:
             self.stats.max_fanout = len(hits)
@@ -285,43 +287,32 @@ class SubscriptionRegistry:
                 events.append((subscription, delta))
         return events
 
-    def _hits(
-        self, xy: np.ndarray, points: List[List[float]]
-    ) -> Dict[Subscription, List[int]]:
+    def _hits(self, xy: np.ndarray) -> Dict[Subscription, List[int]]:
         """Each hit subscription with the indices of the points it holds.
 
-        The closed bounds test, run along the shorter axis: one
-        vectorised test per written point, or per subscription row when
-        the write has more points than there are rows (free ones count:
-        the scan visits them too).
+        One broadcast closed-bounds test of the written points against
+        every row, then one ``nonzero`` for the (point, row) pairs.  A long
+        write is tested a block of points at a time, so no comparison
+        matrix holds more than about ``_CELLS`` entries.
         """
-        regions = self._regions.used()
-        knn = self._knn.used()
+        min_x, min_y, max_x, max_y = self._regions.used()
+        focal_x, focal_y, kth = self._knn.used()
+        step = max(1, _CELLS // (len(min_x) + len(focal_x)))
         hits: Dict[Subscription, List[int]] = {}
-        if len(xy) <= regions.shape[1] + knn.shape[1]:
-            min_x, min_y, max_x, max_y = regions
-            focal_x, focal_y, kth = knn
-            for i, (x, y) in enumerate(points):
-                inside = (min_x <= x) & (min_y <= y) & (x <= max_x) & (y <= max_y)
-                dx = x - focal_x
-                dy = y - focal_y
-                near = dx * dx + dy * dy <= kth
-                for block, mask in ((self._regions, inside), (self._knn, near)):
-                    for slot in mask.nonzero()[0].tolist():
-                        hits.setdefault(block.subscriptions[slot], []).append(i)
-            return hits
-        xs, ys = xy[:, 0], xy[:, 1]
-        for slot, (min_x, min_y, max_x, max_y) in enumerate(regions.T.tolist()):
+        for start in range(0, len(xy), step):
+            # (points, 1) columns against (rows,) rows: (points, rows) masks
+            xs = xy[start : start + step, 0:1]
+            ys = xy[start : start + step, 1:2]
             inside = (min_x <= xs) & (min_y <= ys) & (xs <= max_x) & (ys <= max_y)
-            indices = inside.nonzero()[0].tolist()
-            if indices:
-                hits[self._regions.subscriptions[slot]] = indices
-        for slot, (focal_x, focal_y, kth) in enumerate(knn.T.tolist()):
             dx = xs - focal_x
             dy = ys - focal_y
-            indices = (dx * dx + dy * dy <= kth).nonzero()[0].tolist()
-            if indices:
-                hits[self._knn.subscriptions[slot]] = indices
+            near = dx * dx + dy * dy <= kth
+            for block, mask in ((self._regions, inside), (self._knn, near)):
+                # a 1-d nonzero over the flat mask is ~10x a 2-d one
+                width = mask.shape[1]
+                for cell in mask.ravel().nonzero()[0].tolist():
+                    i, slot = divmod(cell, width)
+                    hits.setdefault(block.subscriptions[slot], []).append(start + i)
         return hits
 
 

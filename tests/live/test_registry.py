@@ -28,6 +28,7 @@ from repro.query.spec import (
     UnionQuery,
     WindowQuery,
 )
+from repro.live import registry as registry_module
 from repro.live.registry import SubscriptionRegistry
 from repro.workloads.generators import moving_object_steps, uniform_points
 
@@ -316,10 +317,11 @@ class TestReplayOracle:
             assert delta.added == [len(db.store) - 1]
         assert _apply(registry, db, "insert", (np.nextafter(0.5, 1.0), 0.5)) == []
 
-    def test_long_extend_matches_row_by_row(self, db):
-        """An extend with more rows than subscriptions (one test per
-        subscription) delivers what the same points written one at a
-        time (one test per point) deliver."""
+    def test_long_extend_matches_row_by_row(self, db, monkeypatch):
+        """An extend tested a block of points at a time (the block size
+        shrunk so its 12 points span four blocks) delivers what the same
+        points written one at a time deliver."""
+        monkeypatch.setattr(registry_module, "_CELLS", 9)
         rng = random.Random(61)
         specs = [
             WindowQuery((0.1, 0.1, 0.5, 0.5)),

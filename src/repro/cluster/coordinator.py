@@ -99,6 +99,11 @@ __all__ = [
 #: subclass :class:`OSError`; ``EOFError`` covers half-closed pipes.
 _UNAVAILABLE = (OSError, EOFError)
 
+#: The most global rows the catalog may number: a result record holds
+#: int32 row ids (:data:`repro.index.base.ID_DTYPE`), so a global id
+#: past this could not be answered.  The local -> global maps stay int64.
+_CATALOG_ROWS = 2**31 - 1
+
 
 class ClusterWriteError(ValueError):
     """A write the cluster must reject (unknown row, bad coordinates)."""
@@ -556,7 +561,9 @@ class ClusterCoordinator:
         primaries and replicas that did apply) and the error
         propagates: nothing was acked, so nothing may survive.  A
         mirror failure marks the replica dirty but the acked write
-        stands — the primary holds it.
+        stands — the primary holds it.  A batch that would take the
+        catalog past :data:`_CATALOG_ROWS` rows raises
+        :class:`ClusterWriteError` before any shard call.
         """
         xy = xy_array(points)
         finite = np.isfinite(xy).all(axis=1)
@@ -569,6 +576,11 @@ class ClusterCoordinator:
         if not count:
             return []
         with self._lock.write():
+            if len(self._alive) + count > _CATALOG_ROWS:
+                raise ClusterWriteError(
+                    f"{count} rows would take the catalog past "
+                    f"{_CATALOG_ROWS} rows"
+                )
             keys = hilbert_keys(xy[:, 0], xy[:, 1], order=self._map.order)
             owners = self._map.owners_of_keys(keys)
             # (bincount, not unique: numpy 2's unique imports numpy.ma,

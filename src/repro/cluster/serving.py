@@ -222,7 +222,7 @@ class ClusterBackend:
             ) from exc
         return rows, coordinator.version, coordinator.total_live, ()
 
-    def subscribe(self, spec, *, owner):
+    def subscribe(self, spec):
         """Standing queries are not served through the cluster."""
         # They need cross-shard delta ordering the scatter-gather layer
         # does not provide; explicit rejection beats absent notifies.

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.geometry.kernels import squared_distances
 from repro.geometry.point import Point
-from repro.index.base import SpatialIndex
+from repro.index.base import ID_DTYPE, SpatialIndex
 from repro.delaunay.backends import DelaunayBackend
 from repro.core.stats import QueryRecord, QueryStats
 from repro.core.voronoi_query import graph_nearest
@@ -112,11 +112,11 @@ def voronoi_knn_query(
     if predicate is not None:
         point = store.point
         rows = (row for row in rows if predicate(point(row)))
-    ids = list(islice(rows, max(k, 0)))
-    stats.result_size = len(ids)
+    ids = np.fromiter(islice(rows, max(k, 0)), dtype=ID_DTYPE)
+    stats.result_size = ids.shape[0]
     stats.index_node_accesses = index.stats.node_accesses - nodes_before
     stats.time_ms = (time.perf_counter() - started) * 1000.0
-    return QueryRecord(ids=ids, stats=stats)
+    return QueryRecord(ids, stats)
 
 
 def incremental_nearest(

@@ -8,10 +8,12 @@ implementation can observe (index node accesses, segment-intersection
 tests), and :class:`QueryRecord` bundles the stats with the result ids.
 
 A record keeps its ids the way both methods produce them: one read-only
-int64 array (8 B per id, where a list of Python ints costs about 36).
+int32 array (4 B per id, where a list of Python ints costs about 36),
+the row-id dtype of the whole process (:data:`repro.index.base.ID_DTYPE`).
 The array travels unchanged from the query kernel through the result
-cache to the server's packed wire field; a Python list is built only
-where one is the output (:attr:`QueryRecord.ids`).
+cache to the server, whose packed wire field widens it to int64; a
+Python list is built only where one is the output
+(:attr:`QueryRecord.ids`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
+
+from repro.index.base import id_array
 
 
 @dataclass
@@ -98,11 +102,13 @@ class QueryStats:
 class QueryRecord:
     """Result ids plus the statistics of the query that produced them.
 
-    The ids live in :attr:`id_array`, one read-only int64 array: database
+    The ids live in :attr:`id_array`, one read-only int32 array: database
     row ids in ascending order for region kinds (so two methods' results
     compare equal), nearest-first for point kinds.  The constructor takes
-    any int sequence; an int64 ndarray is adopted without a copy and
-    flagged read-only, so its producer hands it over.
+    any int sequence; an int32 ndarray is adopted without a copy and
+    flagged read-only, so its producer hands it over.  Anything else is
+    converted once, and an id outside the int32 range raises
+    :class:`ValueError` instead of wrapping.
     """
 
     __slots__ = ("id_array", "stats")
@@ -110,9 +116,9 @@ class QueryRecord:
     def __init__(
         self, ids: Iterable[int] = (), stats: Optional[QueryStats] = None
     ) -> None:
-        array = np.asarray(ids, dtype=np.int64)
+        array = id_array(ids)
         array.flags.writeable = False
-        #: the result ids, one read-only int64 array
+        #: the result ids, one read-only int32 array
         self.id_array: np.ndarray = array
         #: the counters of the execution that produced the ids
         self.stats: QueryStats = stats if stats is not None else QueryStats()

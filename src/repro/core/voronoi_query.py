@@ -49,7 +49,7 @@ from repro.geometry.kernels import region_kernels
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import QueryRegion
-from repro.index.base import SpatialIndex
+from repro.index.base import ID_DTYPE, SpatialIndex
 from repro.delaunay.backends import DelaunayBackend
 from repro.core.exceptions import InvalidQueryAreaError
 from repro.core.stats import QueryRecord, QueryStats
@@ -242,10 +242,10 @@ def voronoi_area_query(
     flags = bytearray(len(store))
     visited = np.frombuffer(flags, dtype=np.bool_)
     flags[seed_id] = 1
-    slot = np.empty(len(store), dtype=np.int64)  # scratch of the dedupe below
+    slot = np.empty(len(store), dtype=ID_DTYPE)  # workspace of the dedupe below
     x_of, y_of = memoryview(xs), memoryview(ys)
     row_start, row_data = memoryview(indptr), memoryview(indices)
-    wave = np.array([seed_id], dtype=np.int64)
+    wave = np.array([seed_id], dtype=ID_DTYPE)
     results: List[int] = []
     result_arrays: List[np.ndarray] = []
     candidates = 1
@@ -282,9 +282,10 @@ def voronoi_area_query(
                                 flags[neighbor] = 1
                                 push(neighbor)
             candidates += len(next_wave)
-            wave = np.array(next_wave, dtype=np.int64)
+            wave = np.array(next_wave, dtype=ID_DTYPE)
             continue
-        inside = contains_many(xs[wave], ys[wave])
+        rows = wave.astype(np.intp)  # one widening for the four gathers
+        inside = contains_many(xs[rows], ys[rows])
         internal = wave[inside]
         if internal.shape[0]:
             # Tombstones expand (transit vertices) but never report.
@@ -294,8 +295,8 @@ def voronoi_area_query(
         redundant += wave.shape[0] - internal.shape[0]
         # Every member's adjacency row in one gather: pair j is
         # (wave[owner[j]], neighbor[j]).
-        starts = indptr[wave]
-        counts = indptr[wave + 1] - starts
+        starts = indptr[rows]
+        counts = indptr[rows + 1] - starts
         ends = np.cumsum(counts)
         owner = np.repeat(np.arange(wave.shape[0]), counts)
         neighbor = indices[
@@ -318,12 +319,12 @@ def voronoi_area_query(
             admitted = np.concatenate((admitted, target))
         # Two members may admit the same neighbour: keep one copy of each
         # (whichever write to its slot lands last) without sorting.
-        order = np.arange(admitted.shape[0])
+        order = np.arange(admitted.shape[0], dtype=ID_DTYPE)
         slot[admitted] = order
         wave = admitted[slot[admitted] == order]
         candidates += wave.shape[0]
 
-    result_arrays.append(np.array(results, dtype=np.int64))
+    result_arrays.append(np.array(results, dtype=ID_DTYPE))
     ids = np.sort(np.concatenate(result_arrays))
     stats.time_ms = (time.perf_counter() - started) * 1000.0
     stats.candidates = candidates

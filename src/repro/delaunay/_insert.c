@@ -26,6 +26,10 @@
 #include <string.h>
 
 typedef int64_t i64;
+/* A stored row or triangle-slot id (tri, adj, mark, by_start, chain): both
+ * stay below 2^31 because the caller keeps the rows within MAX_ROWS, so
+ * 2 * rows slots fit.  Index arithmetic on them (3 * t, counters) is i64. */
+typedef int32_t id32;
 typedef double (*exact_fn)(const double *coordinates);
 
 /* The caller's exact predicates, and whether one of them has failed. */
@@ -164,7 +168,7 @@ static int reserve(buffer *b, i64 extra) {
 
 typedef struct {
     const double *xs, *ys;
-    i64 *tri, *adj, *mark, *by_start;
+    id32 *tri, *adj, *mark, *by_start;
     i64 slots, capacity, last;
     exact_stage exact;
     buffer cavity, boundary, fan;
@@ -172,13 +176,13 @@ typedef struct {
 
 enum { BUILT = 0, WALK_FAILED = 1, NO_MEMORY = 2, NO_ROOM = 3, EXACT_FAILED = 4 };
 
-static int is_ghost(const i64 *tri, i64 t) {
+static int is_ghost(const id32 *tri, i64 t) {
     return tri[3 * t] < 0 || tri[3 * t + 1] < 0 || tri[3 * t + 2] < 0;
 }
 
 /* DelaunayTriangulation._locate */
 static int locate(build *b, double px, double py, i64 t, i64 *found) {
-    const i64 *tri = b->tri, *adj = b->adj;
+    const id32 *tri = b->tri, *adj = b->adj;
     const double *xs = b->xs, *ys = b->ys;
     i64 previous = -1;
     for (i64 steps = 0; steps < b->slots + 1; steps++) {
@@ -227,7 +231,7 @@ static int ghost_conflict(build *b, i64 a, i64 c1, i64 c2, double px, double py)
 /* DelaunayTriangulation._cavity_insert, less the delta and the hint grid
  * (the bulk build keeps neither). */
 static int cavity_insert(build *b, i64 vertex, i64 first) {
-    i64 *tri = b->tri, *adj = b->adj, *mark = b->mark;
+    id32 *tri = b->tri, *adj = b->adj, *mark = b->mark;
     const double *xs = b->xs, *ys = b->ys;
     double px = xs[vertex], py = ys[vertex];
     buffer *cavity = &b->cavity, *boundary = &b->boundary, *fan = &b->fan;
@@ -310,8 +314,9 @@ static int location_before(const double *xs, const double *ys, i64 a, double x, 
 
 /* The first point off the chain's line: the triangles (s_j, s_j+1, apex)
  * and a ghost on each hull edge, which runs s_0 -> ... -> s_m-1 -> apex. */
-static int fan_chain(build *b, const i64 *chain, i64 m, i64 apex, int reversed) {
-    i64 faces = m - 1, *tri = b->tri, *adj = b->adj;
+static int fan_chain(build *b, const id32 *chain, i64 m, i64 apex, int reversed) {
+    i64 faces = m - 1;
+    id32 *tri = b->tri, *adj = b->adj;
     if (2 * m > b->capacity) return NO_ROOM;
     for (i64 j = 0; j < faces; j++) {
         i64 s = reversed ? chain[m - 1 - j] : chain[j];
@@ -357,12 +362,12 @@ static int fan_chain(build *b, const i64 *chain, i64 m, i64 apex, int reversed) 
  * Insert the canonical rows ``order[0..count)`` in that order.  ``tri``
  * and ``adj`` hold ``capacity`` slots (2 * count - 2 is what a
  * triangulation of count locations takes), ``mark`` as many, ``by_start``
- * n + 1 entries and ``chain`` count.  ``out`` receives the slots used (0
- * while every location is on one line), the chain's length, and the
- * number of directed edges the graph will have.
+ * n + 1 entries and ``chain`` count, all of them id32.  ``out`` receives
+ * the slots used (0 while every location is on one line), the chain's
+ * length, and the number of directed edges the graph will have.
  */
-int repro_build(i64 count, const i64 *order, const double *xs, const double *ys, i64 *tri,
-                i64 *adj, i64 capacity, i64 *mark, i64 *by_start, i64 *chain,
+int repro_build(i64 count, const i64 *order, const double *xs, const double *ys, id32 *tri,
+                id32 *adj, i64 capacity, id32 *mark, id32 *by_start, id32 *chain,
                 exact_fn orientation, exact_fn incircle, i64 *out) {
     build b = {xs, ys, tri, adj, mark, by_start, 0, capacity, -1, {orientation, incircle, 0},
                {0}, {0}, {0}};
@@ -394,7 +399,7 @@ int repro_build(i64 count, const i64 *order, const double *xs, const double *ys,
             else
                 high = mid;
         }
-        memmove(chain + low + 1, chain + low, (size_t)(m - low) * sizeof(i64));
+        memmove(chain + low + 1, chain + low, (size_t)(m - low) * sizeof(id32));
         chain[low] = vertex;
         m++;
     }
@@ -420,7 +425,7 @@ static int ascending(const void *a, const void *b) {
 /* The CSR rows of the canonical graph, in 32-bit row ids: ``indptr`` has
  * n + 1 entries, ``indices`` the directed-edge count repro_build reported
  * (the caller keeps n, and so that count, below 2^31). */
-void repro_emit(i64 n, const i64 *tri, i64 slots, const i64 *chain, i64 m, int32_t *indptr,
+void repro_emit(i64 n, const id32 *tri, i64 slots, const id32 *chain, i64 m, int32_t *indptr,
                 int32_t *indices) {
     memset(indptr, 0, (size_t)(n + 1) * sizeof(int32_t));
     if (slots) {

@@ -197,12 +197,14 @@ def graph(lib, xs, ys, order) -> Tuple[np.ndarray, np.ndarray]:
     xs, ys, order = _columns(xs, ys, order)
     n, count = len(xs), len(order)
     capacity = max(2 * count - 2, 0)  # the slots a triangulation of count takes
-    tri = np.empty(3 * capacity, dtype=np.int64)
-    adj = np.empty(3 * capacity, dtype=np.int64)
-    chain = np.empty(count, dtype=np.int64)
+    # the stored row and slot ids are int32 (the rows are within MAX_ROWS,
+    # so twice as many slots fit); the C side keeps its arithmetic 64-bit
+    tri = np.empty(3 * capacity, dtype=np.int32)
+    adj = np.empty(3 * capacity, dtype=np.int32)
+    chain = np.empty(count, dtype=np.int32)
     out = np.zeros(3, dtype=np.int64)
-    mark = np.empty(capacity, dtype=np.int64)
-    by_start = np.empty(n + 1, dtype=np.int64)
+    mark = np.empty(capacity, dtype=np.int32)
+    by_start = np.empty(n + 1, dtype=np.int32)
     raised: list = []
     status = lib.repro_build(
         count, order.ctypes.data, xs.ctypes.data, ys.ctypes.data, tri.ctypes.data,

@@ -45,6 +45,36 @@ from repro.geometry.rectangle import Rect
 
 Entry = Tuple[Point, int]
 
+#: The one row-id dtype inside a process: the R-tree's leaf ids, every
+#: probe's id array, the Voronoi expansion and a held result record's ids.
+#: Row ids stay far below its range (a graph holds at most ``MAX_ROWS``,
+#: about 3.6E8, rows); the wire and the cluster's global maps stay int64.
+ID_DTYPE = np.dtype(np.int32)
+_ID_RANGE = np.iinfo(ID_DTYPE)
+
+
+def check_id(item_id: int) -> None:
+    """Raise :class:`ValueError` unless ``item_id`` fits :data:`ID_DTYPE`."""
+    if not _ID_RANGE.min <= item_id <= _ID_RANGE.max:
+        raise ValueError(f"id {item_id} is outside the int32 range of row ids")
+
+
+def id_array(ids) -> np.ndarray:
+    """``ids`` as an :data:`ID_DTYPE` array: an int32 array is returned
+    as it is, anything else (an int sequence, a wider array) converted
+    once.  An id outside the int32 range raises :class:`ValueError`; none
+    is ever wrapped."""
+    if isinstance(ids, np.ndarray) and ids.dtype == ID_DTYPE:
+        return ids
+    try:
+        wide = np.asarray(ids, dtype=np.int64)
+    except OverflowError as error:
+        raise ValueError(f"an id is outside the int32 range of row ids: {error}") from None
+    if wide.size:
+        check_id(int(wide.min()))
+        check_id(int(wide.max()))
+    return wide.astype(ID_DTYPE)
+
 
 @dataclass
 class IndexStats:
@@ -96,7 +126,7 @@ class SpatialIndex(ABC):
 
     @abstractmethod
     def window_ids_array(self, window: Rect) -> np.ndarray:
-        """Item ids of every entry inside ``window`` as an int64 array.
+        """Item ids of every entry inside ``window`` as an int32 array.
 
         The bulk-probe sibling of :meth:`window_query` for the columnar
         hot paths: callers gather candidate *coordinates* from the
@@ -168,7 +198,7 @@ class BruteForceIndex(SpatialIndex):
     def window_ids_array(self, window: Rect) -> np.ndarray:
         return np.array(
             [item_id for _, item_id in self.window_query(window)],
-            dtype=np.int64,
+            dtype=ID_DTYPE,
         )
 
     def nearest_neighbor(self, query: Point) -> Optional[Entry]:

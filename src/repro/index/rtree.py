@@ -22,14 +22,15 @@ Implemented features:
 * the child table: one row of ``max_entries + 1`` int32 child node ids
   per internal node;
 * the leaf table: one row of ``max_entries + 1`` slots per leaf in each of
-  ``xs`` / ``ys`` (float64) and ``ids`` (int64).
+  ``xs`` / ``ys`` (float64) and ``ids`` (int32, :data:`~repro.index.base.ID_DTYPE`;
+  an id outside its range is refused before anything is written).
 
 A row holds one slot more than a node may keep, the overflow that
 triggers its split.  Every table grows by doubling into ``np.empty``
 (capacity not yet written is not resident), and the rows of dissolved
 nodes go on a free list.  An STR pack allocates the tables at their exact
-size: at the default ``max_entries = 16`` that is about 29 bytes a row,
-25.5 of them the leaf table.  The probes walk the tree a level at a
+size: at the default ``max_entries = 16`` that is about 25 bytes a row,
+21.25 of them the leaf table.  The probes walk the tree a level at a
 time, over whole frontiers of nodes at once, and build ``(Point, id)``
 :data:`~repro.index.base.Entry` tuples only where the interface hands
 entries out (:meth:`RTree.window_query`, :meth:`RTree.items`, the
@@ -50,7 +51,7 @@ import numpy as np
 from repro.geometry.kernels import rect_contains_many
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.index.base import Entry, SpatialIndex
+from repro.index.base import ID_DTYPE, Entry, SpatialIndex, check_id, id_array
 
 _DEFAULT_MAX_ENTRIES = 16
 
@@ -150,7 +151,7 @@ class RTree(SpatialIndex):
             box=np.zeros((1, 4)), parent=one - 1, fill=one, leaf=one == 0,
             slot=one.copy(),
             child=np.empty((0, width), dtype=np.int32), xs=np.empty((1, width)),
-            ys=np.empty((1, width)), ids=np.empty((1, width), dtype=np.int64),
+            ys=np.empty((1, width)), ids=np.empty((1, width), dtype=ID_DTYPE),
             height=1,
         )
         self._size = 0
@@ -170,6 +171,7 @@ class RTree(SpatialIndex):
     # -- construction ------------------------------------------------------
 
     def insert(self, point: Point, item_id: int) -> None:
+        check_id(item_id)  # before anything is written
         self._insert_row(point.x, point.y, item_id)
         self._size += 1
 
@@ -184,11 +186,12 @@ class RTree(SpatialIndex):
         new arrays swapped in at the end — when that is cheaper than
         inserting the batch row by row (:data:`_REPACK_RATIO`); an
         :meth:`items` traversal suspended over the old arrays finishes
-        over them.
+        over them.  An id outside the int32 range raises
+        :class:`ValueError` and leaves the tree as it was.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = id_array(ids)  # ValueError past int32, before any change
         if not len(ids):
             return
         if self._size:
@@ -245,7 +248,7 @@ class RTree(SpatialIndex):
         parent = np.full(total, -1, dtype=np.int32)
         child = np.empty((total - leaves, width), dtype=np.int32)
         table = [np.empty((leaves, width)) for _ in range(2)]
-        table.append(np.empty((leaves, width), dtype=np.int64))
+        table.append(np.empty((leaves, width), dtype=ID_DTYPE))
         first = below = 0  # first node of this level, of the level below
         for depth, (order, starts, sizes, _) in enumerate(levels):
             nodes = np.arange(first, first + len(starts))
@@ -332,12 +335,12 @@ class RTree(SpatialIndex):
         single per-point containment test (the MBR containment already
         proves membership), and the leaves the window's boundary cuts are
         masked together, from their coordinate slots, in one closed-bounds
-        comparison.  No per-entry Python work either way.  Returns an int64
+        comparison.  No per-entry Python work either way.  Returns an int32
         array in unspecified order for the columnar refine paths to gather
         coordinates by row id.
         """
         if not self._size:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=ID_DTYPE)
         inside, cut = self._cover(window)
         xs, ys, ids = self._rows(cut)
         self.stats.entry_tests += len(ids)

@@ -89,15 +89,13 @@ class Subscription:
     which the evaluators repair in place as writes land.
     """
 
-    __slots__ = ("sid", "spec", "owner", "kind", "slot", "ordered", "notifications")
+    __slots__ = ("sid", "spec", "kind", "slot", "ordered", "notifications")
 
-    def __init__(self, sid: int, spec: Query, owner: object, kind: str) -> None:
+    def __init__(self, sid: int, spec: Query, kind: str) -> None:
         #: registry-wide subscription id (stable for the lifetime)
         self.sid = sid
         #: the registered immutable query spec
         self.spec = spec
-        #: opaque owner tag (the server passes its connection object)
-        self.owner = owner
         #: ``"region"`` or ``"knn"``
         self.kind = kind
         #: the row this subscription holds in its kind's block (-1: none)
@@ -192,9 +190,7 @@ class SubscriptionRegistry:
 
     # -- admission ---------------------------------------------------------
 
-    def register(
-        self, spec: Query, *, owner: object = None
-    ) -> Tuple[Subscription, List[int]]:
+    def register(self, spec: Query) -> Tuple[Subscription, List[int]]:
         """Admit ``spec`` as a standing query; return it with its result.
 
         The initial result is one ordinary planner execution (region
@@ -207,7 +203,7 @@ class SubscriptionRegistry:
         kind = _subscribable_kind(spec)
         ids = self._db.query(spec).ids()
         self._next_sid += 1
-        subscription = Subscription(self._next_sid, spec, owner, kind)
+        subscription = Subscription(self._next_sid, spec, kind)
         if kind == "region":
             box = subscription.region.mbr
             self._regions.add(

@@ -43,7 +43,8 @@ def merge_ids(
 ) -> np.ndarray:
     """The merged ids of ``spec`` over its parts' id arrays, ascending.
 
-    Every input must be unique and ascending (int64); so is the output.
+    Every input must be unique and ascending (records hold int32 ids);
+    so is the output.
     Union keeps every id once; intersection the ids all parts hold, which
     in the sorted concatenation of unique parts are the runs as long as
     the part count; difference the first part's ids that no later part

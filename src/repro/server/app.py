@@ -707,9 +707,7 @@ class QueryServer:
             return
         self.metrics["requests_total"] += 1
         try:
-            subscription, ids, version = self.backend.subscribe(
-                spec, owner=connection
-            )
+            subscription, ids, version = self.backend.subscribe(spec)
         except Exception as exc:
             await self._send_error(
                 connection, request_id, _error_code(exc, "bad-spec"), str(exc)
@@ -909,10 +907,10 @@ def _put_ids(frame: Dict, key: str, ids, packed) -> None:
     ``packed`` is the columnar wire edge: one base64 int64 array under
     ``<key>_packed`` instead of one JSON number per row (see
     :func:`~repro.server.protocol.pack_ids`) — the id payload's encode
-    cost scales far below per-row JSON, and a record's read-only
-    ``id_array`` packs with one ``tobytes`` and no copy.  The plain
-    transport turns an array into Python ints, so JSON never sees an
-    ``np.int64``.
+    cost scales far below per-row JSON, and a record's read-only int32
+    ``id_array`` packs with one widening cast and no per-id work.  The
+    plain transport turns an array into Python ints, so JSON never sees
+    a numpy integer.
     """
     if packed:
         frame[key + "_packed"] = pack_ids(ids)

@@ -21,7 +21,7 @@ of :class:`LocalBackend`, the reference implementation:
     Await one applied mutation: ``(rows, version, points, events)`` —
     the affected row ids, the data version and live row count after
     it, and the ``(subscription, delta)`` pairs it produced.
-``subscribe(spec, owner=)`` / ``unsubscribe(subscription)``
+``subscribe(spec)`` / ``unsubscribe(subscription)``
     Register / drop a standing query, synchronously.
 ``stats_frame(server, kinds, client=)``
     Await the whole ``stats`` frame, given the front end's counters and
@@ -196,9 +196,9 @@ class LocalBackend:
             stats.subscription_fanout = registry_stats.fanout
         return rows, db.version, len(db), events
 
-    def subscribe(self, spec, *, owner):
+    def subscribe(self, spec):
         """Register a standing query: ``(subscription, ids, version)``."""
-        subscription, ids = self.registry.register(spec, owner=owner)
+        subscription, ids = self.registry.register(spec)
         return subscription, ids, self._db.version
 
     def unsubscribe(self, subscription) -> None:

@@ -702,8 +702,8 @@ def pack_ids(ids) -> str:
 
     ``ids`` (any int sequence or integer ndarray) is packed as a
     little-endian int64 array and base64-encoded — one C-speed pass per
-    side instead of one JSON number parse per row; a record's int64
-    ``id_array`` needs no conversion, so packing it is one ``tobytes``.
+    side instead of one JSON number parse per row; a record's int32
+    ``id_array`` is widened in one cast, so the wire stays int64.
     (Standard base64, not base85: CPython's ``b85encode`` is a
     pure-Python loop, which would put a Python-per-chunk cost right back
     on the hot path.)  The inverse is :func:`unpack_ids`.

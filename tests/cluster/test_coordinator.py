@@ -247,6 +247,37 @@ class TestValidationParity:
         with pytest.raises(ClusterWriteError):
             coordinator.delete(10**9)
 
+    def test_a_batch_past_the_catalog_limit_fails_before_any_shard_call(
+        self, monkeypatch
+    ):
+        """Results hold int32 ids, so the catalog stops at 2^31 - 1 rows;
+        here the limit is 12 and the cluster holds 10."""
+        calls = []
+
+        class Recording(LocalShard):
+            def extend(self, points):
+                calls.append(len(points))
+                return super().extend(points)
+
+        coordinator = ClusterCoordinator(
+            [Recording(SpatialDatabase()) for _ in range(2)],
+            replicas=[Recording(SpatialDatabase()) for _ in range(2)],
+        )
+        coordinator.extend([(p.x, p.y) for p in uniform_points(10, seed=17)])
+        monkeypatch.setattr(coordinator_module, "_CATALOG_ROWS", 12)
+        calls.clear()
+        batch = [(0.1, 0.1), (0.9, 0.9), (0.5, 0.5)]
+        with pytest.raises(ClusterWriteError, match="catalog"):
+            coordinator.extend(batch)
+        assert calls == []
+        assert coordinator.total_live == 10
+        assert coordinator.extend(batch[:2]) == [10, 11]  # up to the limit
+        calls.clear()
+        with pytest.raises(ClusterWriteError, match="catalog"):
+            coordinator.insert(0.3, 0.3)
+        assert calls == []
+        assert coordinator.query(WindowQuery((0, 0, 1, 1))) == list(range(12))
+
 
 class TestWritesAndRebalance:
     def test_interleaved_trace_with_mid_trace_rebalance(self):

@@ -1,9 +1,10 @@
-"""A query record holds its ids in one read-only int64 array.
+"""A query record holds its ids in one read-only int32 array.
 
-Both of the paper's methods end in a sorted int64 array; the record keeps
-that array (8 B per id) instead of a list of Python ints (about 36), and
-the result cache and the server share it.  No clock is read here: memory
-is counted by ``tracemalloc`` and sharing by identity.
+Both of the paper's methods end in a sorted int32 array; the record keeps
+that array (4 B per id) instead of a list of Python ints (about 36), and
+the result cache and the server share it.  An id past the int32 range is
+refused, never wrapped.  No clock is read here: memory is counted by
+``tracemalloc`` and sharing by identity.
 """
 
 import gc
@@ -35,7 +36,8 @@ def _everything(method):
 
 
 @pytest.mark.parametrize("method", ["voronoi", "traditional"])
-def test_a_held_record_costs_at_most_12_bytes_an_id(db, method):
+def test_a_held_record_costs_at_most_6_bytes_an_id(db, method):
+    """4 B an id plus the record and its stats; int64 ids made 8."""
     spec = _everything(method)
     db.query(spec).record  # warm every lazily built structure first
     gc.collect()
@@ -48,12 +50,12 @@ def test_a_held_record_costs_at_most_12_bytes_an_id(db, method):
     finally:
         tracemalloc.stop()
     assert len(record) == ROWS
-    assert held / ROWS <= 12
+    assert held / ROWS <= 6
 
 
 def test_id_array_is_read_only(db):
     record = db.query(_everything("voronoi")).record
-    assert record.id_array.dtype == np.int64
+    assert record.id_array.dtype == np.int32
     assert not record.id_array.flags.writeable
     with pytest.raises(ValueError):
         record.id_array[0] = -1
@@ -67,9 +69,35 @@ def test_the_constructor_takes_any_int_sequence():
     assert QueryRecord().ids == []
 
 
+def test_an_int32_array_is_adopted_and_anything_else_converted_once():
+    ids = np.arange(5, dtype=np.int32)
+    assert QueryRecord(ids).id_array is ids
+    for other in ([0, 1, 2, 3, 4], np.arange(5, dtype=np.int64), range(5)):
+        record = QueryRecord(other)
+        assert record.id_array.dtype == np.int32
+        assert record.ids == [0, 1, 2, 3, 4]
+    assert QueryRecord([-(2**31), 2**31 - 1]).ids == [-(2**31), 2**31 - 1]
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        [3, 2**31],
+        [-(2**31) - 1],
+        np.array([3, 2**31], dtype=np.int64),
+        np.array([2**32 + 7], dtype=np.int64),  # wraps to 7 in int32
+        [2**70],
+    ],
+    ids=["list", "list-below", "int64", "int64-wraps", "past-int64"],
+)
+def test_an_id_past_int32_raises_and_never_wraps(ids):
+    with pytest.raises(ValueError, match="int32"):
+        QueryRecord(ids)
+
+
 def test_a_cache_hit_shares_the_stored_array():
     cache = ResultCache(capacity=4)
-    stored = QueryRecord(np.arange(5, dtype=np.int64), QueryStats(method="voronoi"))
+    stored = QueryRecord(np.arange(5, dtype=np.int32), QueryStats(method="voronoi"))
     cache.put("k", 1, stored)
     first = cache.get("k", version=1)
     second = cache.get("k", version=1)
@@ -93,7 +121,7 @@ def test_mutating_the_ids_list_changes_neither_record_nor_hit():
 
 
 def test_finalize_hands_back_an_untouched_record_and_copies_a_cut(db):
-    raw = QueryRecord(np.arange(100, dtype=np.int64), QueryStats(result_size=100))
+    raw = QueryRecord(np.arange(100, dtype=np.int32), QueryStats(result_size=100))
     spec = _everything("voronoi")
     assert finalize_record(db, spec, raw) is raw
     assert finalize_record(db, spec.with_limit(100), raw) is raw

@@ -21,7 +21,7 @@ class TestBruteForce:
         hits = index.window_query(Rect(0.0, 0.0, 0.6, 0.6))
         assert [item_id for _, item_id in hits] == [1]
         ids = index.window_ids_array(Rect(0.0, 0.0, 0.6, 0.6))
-        assert ids.dtype == np.int64 and ids.tolist() == [1]
+        assert ids.dtype == np.int32 and ids.tolist() == [1]
 
     def test_window_query_inclusive_boundary(self):
         index = BruteForceIndex()

@@ -67,7 +67,7 @@ class TestWindowIdsArray:
             expected = scan(dict(enumerate(points)), window)
             got = index.window_ids_array(window)
             assert isinstance(got, np.ndarray)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert sorted(got.tolist()) == expected
             assert sorted(i for _, i in index.window_query(window)) == expected
 

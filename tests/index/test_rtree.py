@@ -484,7 +484,7 @@ class TestColumnarLeaves:
         ]
         assert _shape(tree, tree._root) == _python_sorted_pack(entries, 8)
         assert tree._xs.dtype == tree._ys.dtype == np.float64
-        assert tree._ids.dtype == np.int64
+        assert tree._ids.dtype == np.int32
 
         # no Python object per node or row: the objects the garbage
         # collector tracks do not grow with the rows packed
@@ -635,11 +635,37 @@ class TestAwkwardInputs:
         assert tree.delete(Point(0.5, 0.5), 1)
         assert tree.nearest_neighbor(Point(0.5, 0.5))[1] == 2
 
+    @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
+    def test_an_id_past_int32_is_refused_and_changes_nothing(self, tree_class, bad):
+        tree = tree_class(max_entries=4)
+        entries = _random_entries(30, seed=26)
+        for point, item_id in entries:
+            tree.insert(point, item_id)
+        everything = Rect(-1, -1, 2, 2)
+        before = sorted(tree.window_ids_array(everything).tolist())
+        with pytest.raises(ValueError, match="int32"):
+            tree.insert(Point(0.5, 0.5), bad)
+        # a 1-row batch goes row by row, a 40-row one repacks the tree
+        for rows in (1, 40):
+            xs, ys, ids = _columns(_random_entries(rows, seed=27))
+            ids[-1] = bad
+            with pytest.raises(ValueError, match="int32"):
+                tree.bulk_load(xs, ys, ids)
+        tree.check_invariants()
+        assert len(tree) == 30
+        assert sorted(tree.window_ids_array(everything).tolist()) == before
+        assert sorted(i for _, i in tree.items()) == before
+        empty = tree_class()
+        with pytest.raises(ValueError, match="int32"):
+            empty.bulk_load([0.5], [0.5], [bad])
+        assert len(empty) == 0 and empty.bounds is None
+
 
 def test_packed_tree_fits_the_per_row_budget():
-    """32 B a row is the line; measured 29.3: the leaf table's 17 slots per
-    16 rows in three columns (25.5), then the node table (53 B a node) and
-    the child table (68 B an internal node)."""
+    """28 B a row is the line; measured 24.7: the leaf table's 17 slots per
+    16 rows of two float64 columns and the int32 ids (21.25), then the node
+    table (53 B a node) and the child table (68 B an internal node).  With
+    int64 ids the leaf table was 25.5 and the whole 29.0."""
     rows = 50_000
     rng = np.random.default_rng(31)
     xs, ys, ids = rng.random(rows), rng.random(rows), np.arange(rows)
@@ -653,7 +679,7 @@ def test_packed_tree_fits_the_per_row_budget():
     finally:
         tracemalloc.stop()
     assert len(tree) == rows
-    assert traced / rows <= 32
+    assert traced / rows <= 28
 
 
 #: ``(ids digest, node accesses, entry tests)`` per probe of
@@ -723,7 +749,7 @@ def _probe_record(tree):
                 side = float(10 ** rng.uniform(-2, -0.4))
                 window = Rect(x, y, x + side, y + side)
                 ids = np.sort(tree.window_ids_array(window))
-                key = zlib.crc32(ids.tobytes())
+                key = zlib.crc32(ids.astype(np.int64).tobytes())
             calls.append((key, tree.stats.node_accesses, tree.stats.entry_tests))
     return record
 
